@@ -16,7 +16,7 @@ mod oracle;
 mod trace;
 mod workloads;
 
-use measure::{median, peak_rss_mib};
+use measure::{median, peak_rss_mib, quantile};
 use std::sync::Arc;
 use trace::FlushLog;
 use workloads::{Kind, Phase, SliceStat, Workload};
@@ -27,9 +27,15 @@ use workloads::{Kind, Phase, SliceStat, Workload};
 const SETUP_MIN: usize = 5;
 const SETUP_MAX: usize = 25;
 const SETUP_BUDGET: std::time::Duration = std::time::Duration::from_secs(2);
-/// Slices of an untraced timed phase; timings are medians over slices,
-/// so a burst of load from elsewhere on the host moves them little.
-const SLICES: usize = 60;
+/// Length of one slice of an untraced timed phase.
+const SLICE_SECONDS: f64 = 0.25;
+/// Timings are the slice at this quantile on the favourable side (the
+/// 90th percentile of throughput, the 10th of latency and CPU). Load
+/// from elsewhere on a shared host only ever slows a slice, and it comes
+/// in spells of seconds; the favourable tenth reads the program as long
+/// as a tenth of the run is left alone, where a median jumps whenever a
+/// spell covers about half of it.
+const FAVOURABLE: f64 = 0.1;
 
 struct Args {
     kind: Kind,
@@ -117,7 +123,8 @@ fn end_to_end(args: &Args) -> Outcome {
         (t.elapsed().as_secs_f64() - w.setup.oracle_s, w)
     };
     let (first_setup, mut w) = timed_setup();
-    let p = w.phase(args.seconds, SLICES, None);
+    let slices = (args.seconds / SLICE_SECONDS).round().max(1.0) as usize;
+    let p = w.phase(args.seconds, slices, None);
     let peak_rss = peak_rss_mib().unwrap_or(0.0);
     let mut outcome = finish(&w, &p, args);
     w.teardown();
@@ -131,12 +138,13 @@ fn end_to_end(args: &Args) -> Outcome {
         w.teardown();
     }
     let over_slices =
-        |f: fn(&SliceStat) -> f64| median(&p.slices.iter().map(f).collect::<Vec<_>>());
+        |f: fn(&SliceStat) -> f64, q: f64| quantile(&p.slices.iter().map(f).collect::<Vec<_>>(), q);
+    let (higher, lower) = (1.0 - FAVOURABLE, FAVOURABLE);
     outcome.metrics = vec![
-        ("throughput_qps", over_slices(SliceStat::qps), "1/s"),
-        ("latency_p50_us", over_slices(SliceStat::p50_us), "us"),
-        ("latency_p99_us", over_slices(SliceStat::tail_us), "us"),
-        ("cpu_us_per_query", over_slices(SliceStat::cpu_us_per_query), "us"),
+        ("throughput_qps", over_slices(SliceStat::qps, higher), "1/s"),
+        ("latency_p50_us", over_slices(SliceStat::p50_us, lower), "us"),
+        ("latency_p99_us", over_slices(SliceStat::tail_us, lower), "us"),
+        ("cpu_us_per_query", over_slices(SliceStat::cpu_us_per_query, lower), "us"),
         ("accuracy", accuracy(&p), "fraction"),
         ("setup_s", median(&setup_s), "s"),
         ("peak_rss_mb", peak_rss, "MiB"),
@@ -253,7 +261,6 @@ fn finish(w: &Workload, p: &Phase, args: &Args) -> Outcome {
         ("seconds", args.seconds.to_string()),
         ("trace", u8::from(args.trace).to_string()),
         ("kernel", format!("{:?}", hd_linalg::kernel::active().name())),
-        ("nproc", std::thread::available_parallelism().map_or(1, |n| n.get()).to_string()),
         ("features", r#""default""#.into()),
         ("cost_model", format!("\"{}\"", hd_linalg::CostModel::active())),
         ("plan_ends", format!("{:?}", w.plan_ends().unwrap_or_default())),
@@ -314,7 +321,24 @@ fn main() {
     // Pin the cascade tuner's cost model before anything resolves it, so
     // the tuned plan and set-up time do not depend on a per-host cache.
     std::env::set_var("HD_LINALG_CALIBRATION", "fallback");
-    let outcome = if args.trace { traced(&args) } else { end_to_end(&args) };
+    // Every thread of the run shares one core (see `pin_to_one_cpu`);
+    // the host's count is recorded first.
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpu = measure::pin_to_one_cpu();
+    if cpu.is_none() {
+        eprintln!("servebench: could not pin to one CPU; figures may depend on host load");
+    }
+    // Lives until the process exits; its CPU time is left out of
+    // `cpu_us_per_query`.
+    let spinner = measure::IdleSpinner::start();
+    match &spinner {
+        Some(s) => measure::exclude_from_workload_cpu(s),
+        None => eprintln!("servebench: no SCHED_IDLE spinner; wake-ups may halt the core"),
+    }
+    let mut outcome = if args.trace { traced(&args) } else { end_to_end(&args) };
+    outcome.provenance.push(("nproc", nproc.to_string()));
+    outcome.provenance.push(("pinned_cpu", cpu.map_or("null".into(), |c| c.to_string())));
+    outcome.provenance.push(("idle_spinner", spinner.is_some().to_string()));
     let (provenance, result) = render(&outcome);
     println!("{provenance}");
     println!("{result}");

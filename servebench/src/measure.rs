@@ -1,6 +1,8 @@
 //! Measurement primitives: a fixed-size latency reservoir, the
 //! tail-percentile rule, and process CPU / peak-memory readers.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Percentiles the tail metric may fall back to, highest first, in
@@ -39,6 +41,18 @@ pub fn median(values: &[f64]) -> f64 {
         n if n % 2 == 1 => v[n / 2],
         n => (v[n / 2 - 1] + v[n / 2]) / 2.0,
     }
+}
+
+/// Nearest-rank `q`-quantile (`0 < q <= 1`) of a small set of
+/// measurements.
+pub fn quantile(values: &[f64], q: f64) -> f64 {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    if v.is_empty() {
+        return f64::NAN;
+    }
+    let rank = (q * v.len() as f64).ceil() as usize;
+    v[rank.clamp(1, v.len()) - 1]
 }
 
 /// Latency samples in nanoseconds, held in a reservoir whose size does
@@ -147,21 +161,158 @@ mod sys {
 
     /// `CLOCK_PROCESS_CPUTIME_ID` in Linux's `<time.h>`.
     pub const CLOCK_PROCESS_CPUTIME_ID: std::ffi::c_int = 2;
+    /// `CLOCK_THREAD_CPUTIME_ID` in Linux's `<time.h>`.
+    #[cfg(test)]
+    pub const CLOCK_THREAD_CPUTIME_ID: std::ffi::c_int = 3;
+
+    /// Words of glibc's `cpu_set_t` (1024 CPUs).
+    pub const CPU_SET_WORDS: usize = 16;
+
+    /// `SCHED_IDLE` in Linux's `<sched.h>`.
+    pub const SCHED_IDLE: std::ffi::c_int = 5;
+
+    #[repr(C)]
+    pub struct SchedParam {
+        pub sched_priority: std::ffi::c_int,
+    }
 
     extern "C" {
         pub fn clock_gettime(clock: std::ffi::c_int, tp: *mut Timespec) -> std::ffi::c_int;
+        pub fn sched_setscheduler(
+            pid: std::ffi::c_int,
+            policy: std::ffi::c_int,
+            param: *const SchedParam,
+        ) -> std::ffi::c_int;
+        pub fn pthread_getcpuclockid(
+            thread: std::os::unix::thread::RawPthread,
+            clock: *mut std::ffi::c_int,
+        ) -> std::ffi::c_int;
+        pub fn sched_getaffinity(
+            pid: std::ffi::c_int,
+            size: usize,
+            mask: *mut u64,
+        ) -> std::ffi::c_int;
+        pub fn sched_setaffinity(
+            pid: std::ffi::c_int,
+            size: usize,
+            mask: *const u64,
+        ) -> std::ffi::c_int;
     }
+}
+
+/// Pins the calling thread, and every thread it spawns afterwards, to the
+/// highest-numbered CPU it may run on; returns that CPU. On a small
+/// shared host this keeps every wake-up on one core, so the figures do
+/// not depend on how busy the other cores are.
+pub fn pin_to_one_cpu() -> Option<usize> {
+    let mut mask = [0u64; sys::CPU_SET_WORDS];
+    let size = std::mem::size_of_val(&mask);
+    // SAFETY: `mask` is a live, writable buffer of exactly `size` bytes;
+    // pid 0 names the calling thread.
+    if unsafe { sys::sched_getaffinity(0, size, mask.as_mut_ptr()) } != 0 {
+        return None;
+    }
+    let cpu = (0..64 * sys::CPU_SET_WORDS).rev().find(|&c| mask[c / 64] >> (c % 64) & 1 == 1)?;
+    let mut one = [0u64; sys::CPU_SET_WORDS];
+    one[cpu / 64] = 1 << (cpu % 64);
+    // SAFETY: as above; the call only reads `one`.
+    (unsafe { sys::sched_setaffinity(0, size, one.as_ptr()) } == 0).then_some(cpu)
+}
+
+/// Reads a CPU-time clock, or `None` when it is gone.
+fn read_clock(clock: std::ffi::c_int) -> Option<Duration> {
+    let mut ts = sys::Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `ts` is a live, writable `struct timespec` (two C longs on
+    // Linux) for the duration of the call, which writes nothing else.
+    let rc = unsafe { sys::clock_gettime(clock, &mut ts) };
+    (rc == 0).then(|| Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32))
 }
 
 /// User + system CPU time of the whole process (every thread, live or
 /// exited), from Linux's `clock_gettime(CLOCK_PROCESS_CPUTIME_ID)`.
 pub fn process_cpu() -> Duration {
-    let mut ts = sys::Timespec { tv_sec: 0, tv_nsec: 0 };
-    // SAFETY: `ts` is a live, writable `struct timespec` (two C longs on
-    // Linux) for the duration of the call, which writes nothing else.
-    let rc = unsafe { sys::clock_gettime(sys::CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
-    assert_eq!(rc, 0, "CLOCK_PROCESS_CPUTIME_ID is always available on Linux");
-    Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32)
+    read_clock(sys::CLOCK_PROCESS_CPUTIME_ID)
+        .expect("CLOCK_PROCESS_CPUTIME_ID is always available on Linux")
+}
+
+/// CPU clock of the spinner that [`workload_cpu`] leaves out.
+static EXCLUDED_CLOCK: OnceLock<std::ffi::c_int> = OnceLock::new();
+
+/// CPU time of the workload's threads: [`process_cpu`] less the
+/// [`IdleSpinner`] passed to [`exclude_from_workload_cpu`], if any.
+pub fn workload_cpu() -> Duration {
+    let total = process_cpu();
+    match EXCLUDED_CLOCK.get() {
+        Some(&clock) => total.saturating_sub(
+            read_clock(clock).expect("the excluded spinner lives until the process exits"),
+        ),
+        None => total,
+    }
+}
+
+/// Leaves `spinner`'s CPU time out of [`workload_cpu`] from now on; it
+/// must then run until the process exits.
+pub fn exclude_from_workload_cpu(spinner: &IdleSpinner) {
+    EXCLUDED_CLOCK.set(spinner.clock).expect("one spinner per process");
+}
+
+/// A thread that spins in Linux's `SCHED_IDLE` class, the lowest there
+/// is: it runs only when no other thread of the core wants to, and
+/// yields the moment one wakes. So the core never idles, and a wake-up
+/// is a plain context switch instead of a halted virtual CPU the host
+/// must resume, whose cost would otherwise land on the woken thread's
+/// CPU time and vary with the host's load (as `idle=poll` does for a
+/// whole machine). Stops and joins on drop.
+pub struct IdleSpinner {
+    stop: Arc<AtomicBool>,
+    handle: Option<std::thread::JoinHandle<()>>,
+    clock: std::ffi::c_int,
+}
+
+impl IdleSpinner {
+    /// Starts the spinner on the CPUs the calling thread may use, or
+    /// returns `None` when the thread cannot enter `SCHED_IDLE`.
+    pub fn start() -> Option<IdleSpinner> {
+        use std::os::unix::thread::JoinHandleExt;
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handle = std::thread::Builder::new()
+            .name("idle-spinner".into())
+            .spawn(move || {
+                let param = sys::SchedParam { sched_priority: 0 };
+                // SAFETY: `param` is a live `struct sched_param`; pid 0
+                // names the calling thread.
+                let idle = unsafe { sys::sched_setscheduler(0, sys::SCHED_IDLE, &param) } == 0;
+                let _ = tx.send(idle);
+                while idle && !flag.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            })
+            .ok()?;
+        let idle = rx.recv().unwrap_or(false);
+        let mut clock = 0;
+        // SAFETY: the handle names a live thread (joined only on drop);
+        // `clock` is a live, writable `clockid_t`.
+        let clocked = unsafe { sys::pthread_getcpuclockid(handle.as_pthread_t(), &mut clock) } == 0;
+        let spinner = IdleSpinner { stop, handle: Some(handle), clock };
+        (idle && clocked).then_some(spinner)
+    }
+
+    /// CPU time the spinner has used.
+    #[cfg(test)]
+    pub fn cpu(&self) -> Duration {
+        read_clock(self.clock).unwrap_or_default()
+    }
+}
+
+impl Drop for IdleSpinner {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
+    }
 }
 
 /// Reads a `kB` field of `/proc/self/status` in MiB.
@@ -214,6 +365,10 @@ mod tests {
         assert_eq!(percentile(&[], 50.0), None);
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
+        let v: Vec<f64> = (1..=60).rev().map(f64::from).collect();
+        assert_eq!((quantile(&v, 0.25), quantile(&v, 0.75)), (15.0, 45.0));
+        assert_eq!((quantile(&v, 0.0), quantile(&v, 1.0)), (1.0, 60.0));
+        assert!(quantile(&[], 0.5).is_nan());
     }
 
     #[test]
@@ -281,5 +436,40 @@ mod tests {
         let gap = cpu.abs_diff(proc_cpu);
         assert!(gap < Duration::from_millis(50), "clock {cpu:?} vs /proc {proc_cpu:?}");
         assert!(peak_rss_mib().unwrap() > 0.0);
+    }
+
+    #[test]
+    fn idle_spinner_runs_only_when_the_core_is_free() {
+        std::thread::spawn(|| {
+            pin_to_one_cpu().unwrap();
+            let spinner = IdleSpinner::start().expect("SCHED_IDLE needs no privilege");
+            // The core is free while this thread sleeps: the spinner runs.
+            std::thread::sleep(Duration::from_millis(100));
+            let idle = spinner.cpu();
+            assert!(idle > Duration::ZERO, "the spinner never ran");
+            // A busy thread on the same core: the spinner all but stops.
+            let own = || read_clock(sys::CLOCK_THREAD_CPUTIME_ID).unwrap();
+            let (start, busy0) = (Instant::now(), own());
+            let mut x = 0u64;
+            while start.elapsed() < Duration::from_millis(100) {
+                x = std::hint::black_box(x.wrapping_mul(31).wrapping_add(7));
+            }
+            let (spun, busy) = (spinner.cpu() - idle, own() - busy0);
+            assert!(spun * 10 < busy, "spinner took {spun:?} beside {busy:?} of busy work");
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn pinning_holds_for_the_thread_and_its_children() {
+        std::thread::spawn(|| {
+            let cpu = pin_to_one_cpu().expect("sched_setaffinity works on Linux");
+            let one = std::thread::available_parallelism().unwrap().get();
+            let child = std::thread::spawn(|| std::thread::available_parallelism().unwrap().get());
+            assert_eq!((one, child.join().unwrap()), (1, 1), "pinned to cpu {cpu}");
+        })
+        .join()
+        .unwrap();
     }
 }

@@ -2,7 +2,7 @@
 //! and timed layer by layer through direct calls.
 
 use crate::lane::{InprocLane, QueryPool, Shape, Stop, WireLane};
-use crate::measure::process_cpu;
+use crate::measure::workload_cpu;
 use crate::oracle::{GenTable, ModelOracle, Oracle, Tally};
 use crate::trace::{now_ns, ClientLog, FlushLog, PublishSpan, Timed};
 use hd_datasets::synthetic::SyntheticSpec;
@@ -541,7 +541,7 @@ impl Workload {
         let seed = self.seed;
         let traced = log.is_some();
         let before = server.stats();
-        let cpu0 = process_cpu();
+        let cpu0 = workload_cpu();
         let t0 = Instant::now();
         let deadline = t0 + Duration::from_secs_f64(seconds);
         let mut publishes = Vec::new();
@@ -589,7 +589,7 @@ impl Workload {
             }
         };
         let wall = t0.elapsed();
-        let cpu = process_cpu() - cpu0;
+        let cpu = workload_cpu() - cpu0;
         let after = server.stats();
         self.current = current;
         let slice = SliceStat {
