@@ -228,11 +228,9 @@ fn bench_cascade_search(c: &mut Criterion) {
 
 /// Repeated-batch cascade loops at the model layer: the cached bound
 /// handle (`MemhdModel::predict_encoded_batch_cascade`, whose binary AM
-/// caches the plan's prefix sub-memory and row-suffix table) vs. PR 4's
-/// per-call path (`BitMatrix::search_cascade`, which re-derives both
-/// every call). Small batches against a wide imbalanced AM make the
-/// derivation cost visible — exactly the QAT-epoch / eval-sweep shape the
-/// caching targets.
+/// caches the plan's prefix sub-memory and row-suffix table). Small
+/// batches against a wide imbalanced AM — exactly the QAT-epoch /
+/// eval-sweep shape the caching targets.
 fn bench_cascade_repeat(c: &mut Criterion) {
     let dim = 2048usize;
     let classes = 64usize;
@@ -278,20 +276,7 @@ fn bench_cascade_repeat(c: &mut Criterion) {
     assert!(plan.stages() > 1, "imbalanced workload must tune to a cascade: {plan:?}");
 
     let exact = am.classify_batch(&batch).expect("exact");
-    let percall = |batch: &QueryBatch| -> usize {
-        // PR 4's per-call path, verbatim: the BitMatrix-level cascade
-        // derives the prefix sub-memory and row-suffix table inside the
-        // call, every call.
-        am.as_bit_matrix()
-            .search_cascade(batch, &plan)
-            .expect("search")
-            .winners()
-            .iter()
-            .map(|&(row, _)| am.class_of(row))
-            .sum::<usize>()
-    };
     assert_eq!(exact, model.predict_encoded_batch_cascade(&batch, &plan).expect("cached"));
-    assert_eq!(exact.iter().sum::<usize>(), percall(&batch));
     eprintln!("cascade_repeat: tuned plan ends {:?} over {vectors}x{dim}", plan.ends());
 
     let mut group = c.benchmark_group("cascade_repeat");
@@ -308,11 +293,6 @@ fn bench_cascade_repeat(c: &mut Criterion) {
                     .sum::<usize>()
             })
         },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("memhd_percall_rederive", batch_queries),
-        &batch,
-        |b, batch| b.iter(|| percall(batch)),
     );
     group.finish();
 }

@@ -15,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hd_linalg::rng::seeded;
 use hd_linalg::{BitVector, QueryBatch};
-use hd_serve::{Pending, Searchable, ServeConfig, Server};
+use hd_serve::{PendingTopK, Searchable, ServeConfig, Server};
 use hdc::BinaryAm;
 use rand::Rng;
 use std::sync::Arc;
@@ -48,10 +48,10 @@ fn random_queries(n: usize, dim: usize, seed: u64) -> Vec<BitVector> {
 fn drive(server: &Server, queries: &[BitVector], window: usize) -> usize {
     let mut sum = 0usize;
     for chunk in queries.chunks(window) {
-        let pendings: Vec<Pending> =
-            chunk.iter().map(|q| server.submit(q.as_view()).expect("submit")).collect();
+        let pendings: Vec<PendingTopK> =
+            chunk.iter().map(|q| server.submit(q.as_view(), 1).expect("submit")).collect();
         for p in pendings {
-            sum += p.wait().expect("wait").row;
+            sum += p.wait().expect("wait")[0].row;
         }
     }
     sum

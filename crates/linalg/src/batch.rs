@@ -756,6 +756,12 @@ impl TopK {
         &self.entries[q * self.per_query..(q + 1) * self.per_query]
     }
 
+    /// Consumes the results into the flat buffer behind
+    /// [`TopK::hits`]: [`TopK::hits_per_query`] entries per query.
+    pub(crate) fn into_flat(self) -> Vec<(usize, u32)> {
+        self.entries
+    }
+
     /// Consumes the results into one owned list per query.
     pub fn into_vecs(self) -> Vec<Vec<(usize, u32)>> {
         self.entries.chunks(self.per_query.max(1)).map(|c| c.to_vec()).collect()

@@ -389,7 +389,7 @@ impl CascadePlan {
         let mut best: Option<(CascadePlan, f64)> = None;
         for &w in &widths {
             let plan = CascadePlan::prefix(dim, w).expect("0 < w < dim");
-            let cost = modeled_cost(&plan, cascade_active(m, sub, &plan).stats(), model, unit);
+            let cost = modeled_cost(&plan, &probe_stats(memory, sub, &plan), model, unit);
             if best.as_ref().is_none_or(|(_, c)| cost < *c) {
                 best = Some((plan, cost));
             }
@@ -404,7 +404,7 @@ impl CascadePlan {
             if mid > e0 && mid < dim {
                 let plan = CascadePlan::from_widths(dim, &[e0, mid - e0, dim - mid])
                     .expect("strictly increasing boundaries");
-                let cost = modeled_cost(&plan, cascade_active(m, sub, &plan).stats(), model, unit);
+                let cost = modeled_cost(&plan, &probe_stats(memory, sub, &plan), model, unit);
                 if best.as_ref().is_none_or(|(_, c)| cost < *c) {
                     best = Some((plan, cost));
                 }
@@ -419,6 +419,13 @@ impl CascadePlan {
 
 /// Queries the tuner replays candidate plans over, at most.
 const TUNE_SAMPLE_CAP: usize = 64;
+
+/// Telemetry of `plan` replayed over `sample`. The candidate's bound form
+/// is derived fresh and dropped, so the tuner's throwaway candidates never
+/// evict the forms the memory caches for real traffic.
+fn probe_stats(memory: &SearchMemory, sample: &QueryBatch, plan: &CascadePlan) -> CascadeStats {
+    BoundForm::derive(memory.matrix(), plan).search_topk(memory, sample, plan, 1).stats
+}
 
 /// Packed words one stage `[prev, e)` drives per (query, row) on a
 /// layout whose stage grid is `unit`-bit segments.
@@ -638,6 +645,13 @@ impl CascadeTopK {
     pub fn stats(&self) -> &CascadeStats {
         &self.stats
     }
+
+    /// A `k = 1` search as argmax results: the one-entry-per-query flat
+    /// buffer moves across as the winners, without a copy.
+    fn into_top1(self) -> CascadeResults {
+        debug_assert_eq!(self.topk.hits_per_query(), 1);
+        CascadeResults { winners: self.topk.into_flat(), stats: self.stats }
+    }
 }
 
 /// Exclusive end of the packed-word range covering bits `[.., hi)`.
@@ -741,114 +755,6 @@ fn prefix_matrix(m: &BitMatrix, e0: usize) -> BitMatrix {
     BitMatrix::from_raw_words(m.rows(), e0, data)
 }
 
-/// Stage-0 partial scores on the active backend: the full batched tiled
-/// sweep (SIMD blocked layout, `rayon` chunking) over the prefix
-/// sub-memory, driven by the **full-width** queries — the kernels read
-/// only the memory's word width per row, and the prefix memory's masked
-/// boundary word keeps out-of-stage query bits from contributing. The
-/// all-rows stage therefore runs at exactly the exact search's
-/// per-dimension cost, with no query re-packing.
-fn stage0_scores(m: &BitMatrix, batch: &QueryBatch, e0: usize) -> ScoreMatrix {
-    if e0 == m.cols() {
-        return m.dot_batch(batch).expect("dimensions validated by caller");
-    }
-    let prefix = SearchMemory::new(prefix_matrix(m, e0));
-    let mut out = ScoreMatrix::zeros(batch.len(), m.rows());
-    batch::dot_batch_dispatch(prefix.memory_ref(), batch, &mut out);
-    out
-}
-
-/// The shared pruning skeleton of every cascade continuation, over
-/// queries `[q_offset, q_offset + out.len())`: takes each query's
-/// stage-0 partial scores (in `scores`, one `rows`-wide slice per query,
-/// updated in place), prunes with the Hamming bound, finishes the
-/// survivors stage by stage through `score_stage`, and writes the
-/// winners. This skeleton is the exactness-critical core — the
-/// contiguous and segmented continuations differ **only** in how a
-/// shortlist row collects one stage's dot contribution, which is what
-/// `score_stage(k, global_query, cands, partials)` supplies: it must add
-/// stage `k`'s dot to `partials[r]` for every `r` in `cands` and return
-/// the shortlist's new running maximum. Stage-0 telemetry is accounted
-/// by the caller; this function accumulates stages `1..`.
-#[allow(clippy::too_many_arguments)]
-fn prune_continuation_range<S>(
-    rows: usize,
-    ends: &[usize],
-    row_suffix: &[u32],
-    batch: &QueryBatch,
-    q_offset: usize,
-    scores: &mut [u32],
-    out: &mut [(usize, u32)],
-    stats: &mut CascadeStats,
-    mut score_stage: S,
-) where
-    S: FnMut(usize, usize, &[u32], &mut [u32]) -> u32,
-{
-    let stages = ends.len();
-    debug_assert_eq!(scores.len(), out.len() * rows);
-    let mut q_suffix = vec![0u32; stages];
-    let mut cands: Vec<u32> = Vec::with_capacity(rows);
-    stats.queries += out.len();
-    for (q, slot) in out.iter_mut().enumerate() {
-        let partials = &mut scores[q * rows..(q + 1) * rows];
-        if stages == 1 {
-            // Degenerate plan: stage 0 was the exact search.
-            *slot = batch::argmax_scores(partials);
-            continue;
-        }
-        let mut best = partials.iter().copied().max().expect("non-empty memory");
-        let gq = q_offset + q;
-        let qw = batch.query_words(gq);
-        // The query-side suffix popcounts cost a pass over the query's
-        // words; computed lazily — only for queries whose shortlist the
-        // (free) row-side bound alone fails to collapse. Both bounds are
-        // exact, so pruning with the weaker one first never changes
-        // winners, only how much work survives.
-        let mut q_suffix_ready = false;
-        // Prune after stage `k`: row-side Hamming bound first, then the
-        // full min(q, r) bound when more than one candidate remains.
-        let mut prune =
-            |cands: &mut Vec<u32>, partials: &[u32], k: usize, best: u32, from_all_rows: bool| {
-                let row_suf = &row_suffix[k * rows..(k + 1) * rows];
-                let keep_r = |r: usize| partials[r] as u64 + row_suf[r] as u64 >= best as u64;
-                if from_all_rows {
-                    cands.clear();
-                    cands.extend((0..rows).filter(|&r| keep_r(r)).map(|r| r as u32));
-                } else {
-                    cands.retain(|&r| keep_r(r as usize));
-                }
-                if cands.len() > 1 {
-                    if !q_suffix_ready {
-                        suffix_ones(qw, ends, &mut q_suffix);
-                        q_suffix_ready = true;
-                    }
-                    let qs = q_suffix[k];
-                    cands.retain(|&r| {
-                        let r = r as usize;
-                        partials[r] as u64 + qs.min(row_suf[r]) as u64 >= best as u64
-                    });
-                }
-            };
-        prune(&mut cands, partials, 0, best, true);
-        // Later stages: finish only the shortlist, re-pruning after each.
-        for k in 1..stages {
-            best = score_stage(k, gq, &cands, partials);
-            stats.stage_rows[k] += cands.len() as u64;
-            stats.activated_dims += (cands.len() * (ends[k] - ends[k - 1])) as u64;
-            if k + 1 == stages {
-                cands.retain(|&r| partials[r as usize] == best);
-            } else {
-                prune(&mut cands, partials, k, best, false);
-            }
-        }
-        // After the final stage the suffix is empty, so every survivor
-        // holds the exact maximum score; `cands` stays in ascending row
-        // order, so its first entry is the workspace's low-row tie-break
-        // winner.
-        *slot = (cands[0] as usize, best);
-    }
-}
-
 /// The k-th best of `values(..)`, via a descending scratch buffer of
 /// `k` scores pre-filled with zeros (every score is ≥ 0 and callers
 /// guarantee at least `k` values, so the zeros are always displaced —
@@ -872,9 +778,17 @@ fn kth_score(values: impl Iterator<Item = u32>, k: usize, buf: &mut Vec<u32>) ->
     b[k - 1]
 }
 
-/// The top-k analogue of [`prune_continuation_range`]: the prune
-/// threshold is the k-th best partial score instead of the single best.
-/// That bound stays exact: the k rows holding the k best partials can
+/// The pruning skeleton of every cascade continuation, over queries
+/// `[q_offset, q_offset + out.len() / k)`: takes each query's stage-0
+/// partial scores (in `scores`, one `rows`-wide slice per query, updated
+/// in place), prunes with the Hamming bound against the k-th best
+/// partial score, finishes the survivors stage by stage through
+/// `score_stage`, and writes the k-best lists. This skeleton is the
+/// exactness-critical core — the contiguous and segmented continuations
+/// differ **only** in how a shortlist row collects one stage's dot
+/// contribution — and the argmax cascade is its `k = 1` case.
+///
+/// The bound stays exact: the k rows holding the k best partials can
 /// only grow, so the final k-th best score is at least the current k-th
 /// best partial — any row whose bound-capped potential falls strictly
 /// below it can neither enter the top-k nor tie into it. Those same k
@@ -882,9 +796,10 @@ fn kth_score(values: impl Iterator<Item = u32>, k: usize, buf: &mut Vec<u32>) ->
 /// partial), so the shortlist never drops below `k`, and the k-th best
 /// over the shortlist equals the k-th best over all scored rows.
 /// `score_stage(k, global_query, cands, partials)` adds stage `k`'s dot
-/// to every shortlist row (no running-max contract here). `k` arrives
-/// pre-clamped to the row count; `out` holds `k` slots per query, filled
-/// score-desc then row-asc.
+/// to every shortlist row. `k` arrives pre-clamped to the row count;
+/// `out` holds `k` slots per query, filled score-desc then row-asc.
+/// Stage-0 telemetry is accounted by the caller; this function
+/// accumulates stages `1..`.
 #[allow(clippy::too_many_arguments)]
 fn prune_continuation_topk_range<S>(
     rows: usize,
@@ -927,7 +842,14 @@ fn prune_continuation_topk_range<S>(
         let mut kth = kth_score(partials.iter().copied(), k, &mut kbuf);
         let gq = q_offset + q;
         let qw = batch.query_words(gq);
+        // The query-side suffix popcounts cost a pass over the query's
+        // words; computed lazily — only for queries whose shortlist the
+        // (free) row-side bound alone fails to cut to `k`. Both bounds
+        // are exact, so pruning with the weaker one first never changes
+        // the lists, only how much work survives.
         let mut q_suffix_ready = false;
+        // Prune after stage `s`: row-side Hamming bound first, then the
+        // full min(q, r) bound when more than `k` candidates remain.
         let mut prune =
             |cands: &mut Vec<u32>, partials: &[u32], s: usize, kth: u32, from_all_rows: bool| {
                 let row_suf = &row_suffix[s * rows..(s + 1) * rows];
@@ -969,62 +891,12 @@ fn prune_continuation_topk_range<S>(
     }
 }
 
-/// Contiguous-memory continuation: the shared pruning skeleton with a
-/// row-major stage scorer. `multi` is the multi-row word-slice popcount
+/// Contiguous-memory continuation: [`prune_continuation_topk_range`] with
+/// a row-major stage scorer. `multi` is the multi-row word-slice popcount
 /// kernel (the active-backend dispatcher in production; an explicit
 /// backend's table entry under test): one call per (query, stage) scores
 /// the whole shortlist, so the SIMD path shares each staged-query load
 /// across rows instead of re-streaming it per flat-kernel call.
-#[allow(clippy::too_many_arguments)]
-fn continuation_range<M: Fn(&[u64], &[&[u64]], &mut [u32])>(
-    m: &BitMatrix,
-    batch: &QueryBatch,
-    plan: &CascadePlan,
-    row_suffix: &[u32],
-    q_offset: usize,
-    scores: &mut [u32],
-    out: &mut [(usize, u32)],
-    stats: &mut CascadeStats,
-    multi: M,
-) {
-    let ends = plan.ends();
-    let mut qmasked: Vec<u64> = Vec::new();
-    let mut row_refs: Vec<&[u64]> = Vec::new();
-    let mut acc: Vec<u32> = Vec::new();
-    prune_continuation_range(
-        m.rows(),
-        ends,
-        row_suffix,
-        batch,
-        q_offset,
-        scores,
-        out,
-        stats,
-        |k, gq, cands, partials| {
-            let (lo, hi) = (ends[k - 1], ends[k]);
-            let qs = stage_query(batch.query_words(gq), lo, hi, m.cols(), &mut qmasked);
-            let (wlo, whi) = (lo / 64, word_end(hi));
-            row_refs.clear();
-            row_refs.extend(cands.iter().map(|&r| &m.row_words_pub(r as usize)[wlo..whi]));
-            acc.clear();
-            acc.resize(cands.len(), 0);
-            multi(qs, &row_refs, &mut acc);
-            let mut best = 0;
-            for (&r, &d) in cands.iter().zip(&acc) {
-                let r = r as usize;
-                let s = partials[r] + d;
-                partials[r] = s;
-                if s > best {
-                    best = s;
-                }
-            }
-            best
-        },
-    );
-}
-
-/// Contiguous-memory top-k continuation: [`prune_continuation_topk_range`]
-/// with the same multi-row stage scorer as [`continuation_range`].
 #[allow(clippy::too_many_arguments)]
 fn continuation_topk_range<M: Fn(&[u64], &[&[u64]], &mut [u32])>(
     m: &BitMatrix,
@@ -1071,66 +943,27 @@ fn continuation_topk_range<M: Fn(&[u64], &[&[u64]], &mut [u32])>(
 /// Row suffix popcounts at every stage boundary (`row_suffix[k * rows +
 /// r]` = ones of row `r` after stage `k`): a property of the stored
 /// memory (known when a hardware array is programmed), computed once per
-/// search and amortized over the whole batch.
+/// search and amortized over the whole batch. Empty for a one-stage plan,
+/// which never prunes.
 fn row_suffix_table(m: &BitMatrix, ends: &[usize]) -> Vec<u32> {
     let rows = m.rows();
     let stages = ends.len();
+    if stages == 1 {
+        return Vec::new();
+    }
     let mut table = vec![0u32; stages * rows];
-    if stages > 1 {
-        let mut scratch = vec![0u32; stages];
-        for r in 0..rows {
-            suffix_ones(m.row_words_pub(r), ends, &mut scratch);
-            for (k, &s) in scratch.iter().enumerate() {
-                table[k * rows + r] = s;
-            }
+    let mut scratch = vec![0u32; stages];
+    for r in 0..rows {
+        suffix_ones(m.row_words_pub(r), ends, &mut scratch);
+        for (k, &s) in scratch.iter().enumerate() {
+            table[k * rows + r] = s;
         }
     }
     table
 }
 
 /// Pruning continuation + telemetry over precomputed stage-0 scores —
-/// the shared tail of every active-backend entry point.
-fn cascade_run(
-    m: &BitMatrix,
-    batch: &QueryBatch,
-    plan: &CascadePlan,
-    mut scores: ScoreMatrix,
-    row_suffix: &[u32],
-) -> CascadeResults {
-    let rows = m.rows();
-    let q_total = batch.len();
-    let mut winners = vec![(0usize, 0u32); q_total];
-    let mut stats = CascadeStats::zeroed(rows, m.cols(), plan.stages());
-    stats.stage_rows[0] = (q_total * rows) as u64;
-    stats.activated_dims = (q_total * rows * plan.ends()[0]) as u64;
-    chunked_continuation(
-        rows,
-        m.cols(),
-        m.words_per_row_pub(),
-        plan.stages(),
-        1,
-        scores.data_mut(),
-        &mut winners,
-        &mut stats,
-        |q_offset, score_chunk, winner_chunk, local| {
-            continuation_range(
-                m,
-                batch,
-                plan,
-                row_suffix,
-                q_offset,
-                score_chunk,
-                winner_chunk,
-                local,
-                multi_dot_words,
-            )
-        },
-    );
-    CascadeResults { winners, stats }
-}
-
-/// Top-k pruning continuation + telemetry over precomputed stage-0
-/// scores — the shared tail of every top-k entry point. `k` is the
+/// the shared tail of every active-backend entry point. `k` is the
 /// caller's request; lists are clamped to the row count.
 fn cascade_run_topk(
     m: &BitMatrix,
@@ -1174,31 +1007,6 @@ fn cascade_run_topk(
     CascadeTopK { topk: TopK::from_flat(q_total, k, per_query, entries), stats }
 }
 
-/// Full cascade on the active backend: tiled stage-0 sweep, then the
-/// pruning continuation (thread-chunked under the `rayon` feature). The
-/// prefix sub-memory and row-suffix table are rebuilt per call; batch
-/// after batch against one memory should go through
-/// [`SearchMemory::search_cascade`] (which caches the derived bound form
-/// per plan) or an explicit [`BoundCascade`] handle.
-fn cascade_active(m: &BitMatrix, batch: &QueryBatch, plan: &CascadePlan) -> CascadeResults {
-    let scores = stage0_scores(m, batch, plan.ends()[0]);
-    let row_suffix = row_suffix_table(m, plan.ends());
-    cascade_run(m, batch, plan, scores, &row_suffix)
-}
-
-/// Top-k analogue of [`cascade_active`]: per-call derivation, then the
-/// k-th-score pruning continuation.
-fn cascade_active_topk(
-    m: &BitMatrix,
-    batch: &QueryBatch,
-    plan: &CascadePlan,
-    k: usize,
-) -> CascadeTopK {
-    let scores = stage0_scores(m, batch, plan.ends()[0]);
-    let row_suffix = row_suffix_table(m, plan.ends());
-    cascade_run_topk(m, batch, plan, scores, &row_suffix, k)
-}
-
 /// The per-(plan, memory) derived artifacts of a cascade: the stage-0
 /// prefix sub-memory (pre-packed for the active SIMD backend) and the
 /// row-suffix table. Deriving one costs a pass over the memory; every
@@ -1224,17 +1032,31 @@ impl BoundForm {
         }
     }
 
-    /// Stage-0 partial scores through the pre-derived prefix sub-memory
-    /// (or the memory's own packed form for a full-width stage 0).
-    fn stage0_scores(&self, memory: &SearchMemory, batch: &QueryBatch) -> ScoreMatrix {
-        match &self.prefix {
+    /// Cascade top-k of `batch` over `memory`, the memory this form was
+    /// derived from under `plan`. Stage 0 is the full batched tiled sweep
+    /// (SIMD blocked layout, `rayon` chunking) over the pre-derived prefix
+    /// sub-memory — or the memory's own packed form for a full-width
+    /// stage 0 — driven by the **full-width** queries: the kernels read
+    /// only the memory's word width per row, and the prefix memory's
+    /// masked boundary word keeps out-of-stage query bits from
+    /// contributing. The pruning continuation then finishes the
+    /// survivors.
+    fn search_topk(
+        &self,
+        memory: &SearchMemory,
+        batch: &QueryBatch,
+        plan: &CascadePlan,
+        k: usize,
+    ) -> CascadeTopK {
+        let scores = match &self.prefix {
             Some(prefix) => {
                 let mut out = ScoreMatrix::zeros(batch.len(), memory.rows());
                 batch::dot_batch_dispatch(prefix.memory_ref(), batch, &mut out);
                 out
             }
             None => memory.dot_batch(batch).expect("dimensions validated by caller"),
-        }
+        };
+        cascade_run_topk(memory.matrix(), batch, plan, scores, &self.row_suffix, k)
     }
 }
 
@@ -1370,14 +1192,7 @@ impl BoundCascade {
                 found: plan.dim(),
             });
         }
-        // One-stage plans derive nothing worth caching (no prefix
-        // sub-memory, an all-zero suffix table); keep them out of the
-        // memory's LRU slots, mirroring `SearchMemory::search_cascade`.
-        let form = if plan.stages() == 1 {
-            Arc::new(BoundForm::derive(m, &plan))
-        } else {
-            memory.cascade_cache().get_or_derive(m, &plan)
-        };
+        let form = memory.bound_form(&plan);
         Ok(BoundCascade { memory, plan, form })
     }
 
@@ -1393,22 +1208,14 @@ impl BoundCascade {
 
     /// Cascade search over the bound memory — bit-identical winners to
     /// [`SearchMemory::winners_batch`], with no per-call re-derivation.
+    /// The top-1 of [`BoundCascade::search_topk`].
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] when the batch
     /// dimensionality differs from the memory's.
     pub fn search(&self, batch: &QueryBatch) -> Result<CascadeResults> {
-        let m = self.memory.matrix();
-        if batch.dim() != m.cols() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "BoundCascade::search",
-                expected: m.cols(),
-                found: batch.dim(),
-            });
-        }
-        let scores = self.form.stage0_scores(&self.memory, batch);
-        Ok(cascade_run(m, batch, &self.plan, scores, &self.form.row_suffix))
+        self.search_topk(batch, 1).map(CascadeTopK::into_top1)
     }
 
     /// Top-k cascade search over the bound memory — bit-identical lists
@@ -1432,8 +1239,7 @@ impl BoundCascade {
                 found: batch.dim(),
             });
         }
-        let scores = self.form.stage0_scores(&self.memory, batch);
-        Ok(cascade_run_topk(m, batch, &self.plan, scores, &self.form.row_suffix, k))
+        Ok(self.form.search_topk(&self.memory, batch, &self.plan, k))
     }
 }
 
@@ -1631,7 +1437,8 @@ impl SegmentedCascade {
 
     /// Cascade search over the segment memories the handle was derived
     /// from. Winners are bit-identical to summing every partition's
-    /// exact scores and taking the low-row argmax.
+    /// exact scores and taking the low-row argmax: the top-1 of
+    /// [`SegmentedCascade::search_topk`].
     ///
     /// # Errors
     ///
@@ -1639,40 +1446,7 @@ impl SegmentedCascade {
     /// with the bound layout or the batch dimensionality differs from
     /// the plan's, and [`LinalgError::Empty`] for empty partitions.
     pub fn search(&self, parts: &[SearchMemory], batch: &QueryBatch) -> Result<CascadeResults> {
-        let (mut scores, seg_batches) = self.stage0_setup(parts, batch)?;
-        let (rows, seg_len) = (self.rows, self.seg_len);
-        let q = batch.len();
-        let ends = self.plan.ends();
-        let stages = ends.len();
-        let mut winners = vec![(0usize, 0u32); q];
-        let mut stats = CascadeStats::zeroed(rows, self.plan.dim(), stages);
-        stats.stage_rows[0] = (q * rows) as u64;
-        stats.activated_dims = (q * rows * ends[0]) as u64;
-        chunked_continuation(
-            rows,
-            self.plan.dim(),
-            self.plan.dim().div_ceil(64),
-            stages,
-            1,
-            scores.data_mut(),
-            &mut winners,
-            &mut stats,
-            |q_offset, score_chunk, winner_chunk, local| {
-                segmented_continuation_range(
-                    parts,
-                    &seg_batches,
-                    batch,
-                    seg_len,
-                    ends,
-                    &self.row_suffix,
-                    q_offset,
-                    score_chunk,
-                    winner_chunk,
-                    local,
-                )
-            },
-        );
-        Ok(CascadeResults { winners, stats })
+        self.search_topk(parts, batch, 1).map(CascadeTopK::into_top1)
     }
 
     /// Top-k cascade search over the segment memories — per-query k-best
@@ -1693,11 +1467,62 @@ impl SegmentedCascade {
         if k == 0 {
             return Err(LinalgError::Empty { op: "SegmentedCascade::search_topk" });
         }
-        let (mut scores, seg_batches) = self.stage0_setup(parts, batch)?;
-        let (rows, seg_len) = (self.rows, self.seg_len);
+        let (rows, seg_len) = check_segments(parts, &self.plan)?;
+        if rows != self.rows || seg_len != self.seg_len {
+            return Err(LinalgError::ShapeMismatch {
+                op: "SegmentedCascade::search",
+                expected: self.rows,
+                found: rows,
+            });
+        }
+        if batch.dim() != self.plan.dim() {
+            return Err(LinalgError::ShapeMismatch {
+                op: "SegmentedCascade::search",
+                expected: self.plan.dim(),
+                found: batch.dim(),
+            });
+        }
+        // The row-suffix table describes the bits the handle was derived
+        // from; a mutated or swapped segment set would make the pruning
+        // bound lie. Cheap popcount fingerprint, debug builds only.
+        debug_assert_eq!(
+            segments_fingerprint(parts),
+            self.ones_fingerprint,
+            "SegmentedCascade::search called with partitions whose bits changed since \
+             SegmentedCascade::new — re-derive the handle"
+        );
         let q = batch.len();
         let ends = self.plan.ends();
         let stages = ends.len();
+
+        // Per-partition query segment batches, via the batch's cached
+        // segmented view: word-aligned segments are zero-copy windows
+        // over the packed queries, unaligned ones were per-bit packed
+        // exactly once — repeat searches over the same batch reuse the
+        // same derivation instead of rebuilding it every flush.
+        let seg_batches = batch.segments(seg_len)?;
+
+        // Stage 0: every covered partition's full tiled sweep,
+        // accumulated digitally — identical structure to the exact
+        // partitioned batch search.
+        let mut scores = ScoreMatrix::zeros(q, rows);
+        let mut scratch = ScoreMatrix::zeros(0, 0);
+        for (p, part) in parts.iter().enumerate().take(ends[0] / seg_len) {
+            if p == 0 {
+                part.dot_batch_into(&seg_batches[p], &mut scores)
+                    .expect("segment width matches partition matrix");
+            } else {
+                part.dot_batch_into(&seg_batches[p], &mut scratch)
+                    .expect("segment width matches partition matrix");
+                for i in 0..q {
+                    let partials = scratch.scores(i);
+                    for (dst, &s) in scores.scores_mut(i).iter_mut().zip(partials) {
+                        *dst += s;
+                    }
+                }
+            }
+        }
+
         let per_query = k.min(rows);
         let mut entries = vec![(0usize, 0u32); q * per_query];
         let mut stats = CascadeStats::zeroed(rows, self.plan.dim(), stages);
@@ -1729,73 +1554,6 @@ impl SegmentedCascade {
             },
         );
         Ok(CascadeTopK { topk: TopK::from_flat(q, k, per_query, entries), stats })
-    }
-
-    /// The shared head of [`SegmentedCascade::search`] and
-    /// [`SegmentedCascade::search_topk`]: validation, staleness
-    /// fingerprint, per-partition query segment batches, and the stage-0
-    /// accumulated sweep.
-    fn stage0_setup(
-        &self,
-        parts: &[SearchMemory],
-        batch: &QueryBatch,
-    ) -> Result<(ScoreMatrix, Arc<[QueryBatch]>)> {
-        let (rows, seg_len) = check_segments(parts, &self.plan)?;
-        if rows != self.rows || seg_len != self.seg_len {
-            return Err(LinalgError::ShapeMismatch {
-                op: "SegmentedCascade::search",
-                expected: self.rows,
-                found: rows,
-            });
-        }
-        if batch.dim() != self.plan.dim() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "SegmentedCascade::search",
-                expected: self.plan.dim(),
-                found: batch.dim(),
-            });
-        }
-        // The row-suffix table describes the bits the handle was derived
-        // from; a mutated or swapped segment set would make the pruning
-        // bound lie. Cheap popcount fingerprint, debug builds only.
-        debug_assert_eq!(
-            segments_fingerprint(parts),
-            self.ones_fingerprint,
-            "SegmentedCascade::search called with partitions whose bits changed since \
-             SegmentedCascade::new — re-derive the handle"
-        );
-        let q = batch.len();
-        let ends = self.plan.ends();
-        let seg0_count = ends[0] / seg_len;
-
-        // Per-partition query segment batches, via the batch's cached
-        // segmented view: word-aligned segments are zero-copy windows
-        // over the packed queries, unaligned ones were per-bit packed
-        // exactly once — repeat searches over the same batch reuse the
-        // same derivation instead of rebuilding it every flush.
-        let seg_batches = batch.segments(seg_len)?;
-
-        // Stage 0: every covered partition's full tiled sweep,
-        // accumulated digitally — identical structure to the exact
-        // partitioned batch search.
-        let mut scores = ScoreMatrix::zeros(q, rows);
-        let mut scratch = ScoreMatrix::zeros(0, 0);
-        for (p, part) in parts.iter().enumerate().take(seg0_count) {
-            if p == 0 {
-                part.dot_batch_into(&seg_batches[p], &mut scores)
-                    .expect("segment width matches partition matrix");
-            } else {
-                part.dot_batch_into(&seg_batches[p], &mut scratch)
-                    .expect("segment width matches partition matrix");
-                for i in 0..q {
-                    let partials = scratch.scores(i);
-                    for (dst, &s) in scores.scores_mut(i).iter_mut().zip(partials) {
-                        *dst += s;
-                    }
-                }
-            }
-        }
-        Ok((scores, seg_batches))
     }
 }
 
@@ -1859,65 +1617,11 @@ fn check_segments(parts: &[SearchMemory], plan: &CascadePlan) -> Result<(usize, 
     Ok((rows, seg_len))
 }
 
-/// The segmented analogue of [`continuation_range`]: the same shared
-/// pruning skeleton ([`prune_continuation_range`] — row suffixes from
-/// the pre-derived table, query suffixes lazily from the full-width
-/// query words, which stage boundaries slice contiguously), with a stage
-/// scorer that collects each shortlist row's contribution partition by
-/// partition.
-#[allow(clippy::too_many_arguments)]
-fn segmented_continuation_range(
-    parts: &[SearchMemory],
-    seg_batches: &[QueryBatch],
-    batch: &QueryBatch,
-    seg_len: usize,
-    ends: &[usize],
-    row_suffix: &[u32],
-    q_offset: usize,
-    scores: &mut [u32],
-    out: &mut [(usize, u32)],
-    stats: &mut CascadeStats,
-) {
-    let mut row_refs: Vec<&[u64]> = Vec::new();
-    let mut acc: Vec<u32> = Vec::new();
-    prune_continuation_range(
-        parts[0].rows(),
-        ends,
-        row_suffix,
-        batch,
-        q_offset,
-        scores,
-        out,
-        stats,
-        |k, gq, cands, partials| {
-            let (lo, hi) = (ends[k - 1], ends[k]);
-            let (p_lo, p_hi) = (lo / seg_len, hi / seg_len);
-            acc.clear();
-            acc.resize(cands.len(), 0);
-            for (p, part) in parts.iter().enumerate().take(p_hi).skip(p_lo) {
-                let qs: &[u64] = seg_batches[p].query_words(gq);
-                let pm = part.matrix();
-                row_refs.clear();
-                row_refs.extend(cands.iter().map(|&r| pm.row_words_pub(r as usize)));
-                multi_dot_words(qs, &row_refs, &mut acc);
-            }
-            let mut best = 0;
-            for (&r, &d) in cands.iter().zip(&acc) {
-                let r = r as usize;
-                let s = partials[r] + d;
-                partials[r] = s;
-                if s > best {
-                    best = s;
-                }
-            }
-            best
-        },
-    );
-}
-
-/// The segmented analogue of [`continuation_topk_range`]: the top-k
-/// pruning skeleton with the partition-by-partition stage scorer of
-/// [`segmented_continuation_range`].
+/// The segmented analogue of [`continuation_topk_range`]: the same
+/// pruning skeleton (row suffixes from the pre-derived table, query
+/// suffixes lazily from the full-width query words, which stage
+/// boundaries slice contiguously), with a stage scorer that collects each
+/// shortlist row's contribution partition by partition.
 #[allow(clippy::too_many_arguments)]
 fn segmented_continuation_topk_range(
     parts: &[SearchMemory],
@@ -1984,53 +1688,19 @@ fn check_cascade(m: &BitMatrix, batch: &QueryBatch, plan: &CascadePlan) -> Resul
     Ok(())
 }
 
-impl BitMatrix {
+impl SearchMemory {
     /// Progressive-precision batched search: prefix-scores every row
     /// with the tiled batched kernels, prunes rows that provably cannot
     /// win (Hamming bound), and finishes only the survivors. Winners
     /// (rows, scores, and the low-row tie-break) are bit-identical to
-    /// [`BitMatrix::winners_batch`]; the returned [`CascadeStats`]
-    /// reports how many row-dimensions were activated.
+    /// [`SearchMemory::winners_batch`]; the returned [`CascadeStats`]
+    /// reports how many row-dimensions were activated. This is the top-1
+    /// of [`SearchMemory::search_cascade_topk`].
     ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] when the batch or plan
-    /// dimensionality differs from `cols`, and [`LinalgError::Empty`]
-    /// for a memory with no rows.
-    pub fn search_cascade(&self, batch: &QueryBatch, plan: &CascadePlan) -> Result<CascadeResults> {
-        check_cascade(self, batch, plan)?;
-        Ok(cascade_active(self, batch, plan))
-    }
-
-    /// Top-k cascade search: per-query k-best `(row, score)` lists
-    /// bit-identical to [`BitMatrix::topk_batch`] (score desc, row asc),
-    /// pruned against each query's running k-th-best score instead of
-    /// the single best. `k` is clamped to the row count.
-    ///
-    /// # Errors
-    ///
-    /// As [`BitMatrix::search_cascade`], plus [`LinalgError::Empty`] for
-    /// `k == 0`.
-    pub fn search_cascade_topk(
-        &self,
-        batch: &QueryBatch,
-        plan: &CascadePlan,
-        k: usize,
-    ) -> Result<CascadeTopK> {
-        if k == 0 {
-            return Err(LinalgError::Empty { op: "search_cascade_topk" });
-        }
-        check_cascade(self, batch, plan)?;
-        Ok(cascade_active_topk(self, batch, plan, k))
-    }
-}
-
-impl SearchMemory {
-    /// [`BitMatrix::search_cascade`] over this memory's rows. Stage 0
-    /// runs the tiled batched sweep over the (boundary-masked) dimension
-    /// prefix of every row; the shortlist stages use row-major candidate
-    /// access, so wide rows still ride the active SIMD backend through
-    /// the flat word kernels.
+    /// Stage 0 runs the tiled batched sweep over the (boundary-masked)
+    /// dimension prefix of every row; the shortlist stages use row-major
+    /// candidate access, so wide rows still ride the active SIMD backend
+    /// through the flat word kernels.
     ///
     /// The plan's derived artifacts (prefix sub-memory, row-suffix
     /// table) are cached on this memory keyed by the plan's stage
@@ -2042,30 +1712,23 @@ impl SearchMemory {
     ///
     /// # Errors
     ///
-    /// As [`BitMatrix::search_cascade`].
+    /// Returns [`LinalgError::ShapeMismatch`] when the batch or plan
+    /// dimensionality differs from `cols`, and [`LinalgError::Empty`]
+    /// for a memory with no rows.
     pub fn search_cascade(&self, batch: &QueryBatch, plan: &CascadePlan) -> Result<CascadeResults> {
-        let m = self.matrix();
-        check_cascade(m, batch, plan)?;
-        if plan.stages() == 1 {
-            // Degenerate plan on a pre-packed memory: reuse the blocked
-            // mirror directly instead of re-packing a full-width prefix
-            // (nothing worth caching is derived).
-            let scores = self.dot_batch(batch)?;
-            return Ok(cascade_run(m, batch, plan, scores, &[]));
-        }
-        let form = self.cascade_cache().get_or_derive(m, plan);
-        let scores = form.stage0_scores(self, batch);
-        Ok(cascade_run(m, batch, plan, scores, &form.row_suffix))
+        self.search_cascade_topk(batch, plan, 1).map(CascadeTopK::into_top1)
     }
 
-    /// [`BitMatrix::search_cascade_topk`] over this memory's rows, with
+    /// Top-k cascade search: per-query k-best `(row, score)` lists
+    /// bit-identical to [`SearchMemory::topk_batch`] (score desc, row
+    /// asc), pruned against each query's running k-th-best score, with
     /// the same per-(plan, memory) bound-form caching as
-    /// [`SearchMemory::search_cascade`] — repeated-batch top-k loops
-    /// derive the prefix sub-memory and row-suffix table once.
+    /// [`SearchMemory::search_cascade`]. `k` is clamped to the row count.
     ///
     /// # Errors
     ///
-    /// As [`BitMatrix::search_cascade_topk`].
+    /// As [`SearchMemory::search_cascade`], plus [`LinalgError::Empty`]
+    /// for `k == 0`.
     pub fn search_cascade_topk(
         &self,
         batch: &QueryBatch,
@@ -2075,85 +1738,30 @@ impl SearchMemory {
         if k == 0 {
             return Err(LinalgError::Empty { op: "search_cascade_topk" });
         }
-        let m = self.matrix();
-        check_cascade(m, batch, plan)?;
+        check_cascade(self.matrix(), batch, plan)?;
+        Ok(self.bound_form(plan).search_topk(self, batch, plan, k))
+    }
+
+    /// `plan`'s bound form over this memory, from the cache. One-stage
+    /// plans derive nothing worth caching (no prefix sub-memory, no
+    /// suffix table), so they stay out of the LRU slots.
+    fn bound_form(&self, plan: &CascadePlan) -> Arc<BoundForm> {
         if plan.stages() == 1 {
-            // Degenerate plan on a pre-packed memory: reuse the blocked
-            // mirror directly instead of re-packing a full-width prefix.
-            let scores = self.dot_batch(batch)?;
-            return Ok(cascade_run_topk(m, batch, plan, scores, &[], k));
+            Arc::new(BoundForm::derive(self.matrix(), plan))
+        } else {
+            self.cascade_cache().get_or_derive(self.matrix(), plan)
         }
-        let form = self.cascade_cache().get_or_derive(m, plan);
-        let scores = form.stage0_scores(self, batch);
-        Ok(cascade_run_topk(m, batch, plan, scores, &form.row_suffix, k))
     }
 
-    /// [`SearchMemory::search_cascade`] on an explicit backend — the
+    /// [`SearchMemory::search_cascade_topk`] on an explicit backend — the
     /// equivalence-testing hook (serial; no thread chunking; stage 0
-    /// runs per-row through the backend's flat word kernel instead of
-    /// its tiled sweep, which is bit-identical by the kernel contract).
+    /// per-row through the backend's flat word kernel, continuation
+    /// through its multi-row kernel, both bit-identical by the kernel
+    /// contract). `k = 1` is the explicit-backend argmax cascade.
     ///
     /// # Errors
     ///
-    /// As [`BitMatrix::search_cascade`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backend` is unavailable on this host.
-    pub fn search_cascade_with(
-        &self,
-        batch: &QueryBatch,
-        plan: &CascadePlan,
-        backend: Backend,
-    ) -> Result<CascadeResults> {
-        assert!(backend.is_available(), "backend {backend} not available on this host");
-        let m = self.matrix();
-        check_cascade(m, batch, plan)?;
-        let table = kernel::table_for(backend);
-        let dot = |a: &[u64], b: &[u64]| (table.dot_words)(a, b);
-        let rows = m.rows();
-        let q_total = batch.len();
-        let ends = plan.ends();
-        let e0 = ends[0];
-        let w0 = word_end(e0);
-        // Serial stage 0 through the explicit backend's flat kernel.
-        let mut scores = vec![0u32; q_total * rows];
-        let mut qmasked = Vec::new();
-        for q in 0..q_total {
-            mask_stage(batch.query_words(q), 0, e0, &mut qmasked);
-            let out_row = &mut scores[q * rows..(q + 1) * rows];
-            for (r, slot) in out_row.iter_mut().enumerate() {
-                *slot = dot(&m.row_words_pub(r)[..w0], &qmasked);
-            }
-        }
-        let row_suffix = row_suffix_table(m, ends);
-        let mut winners = vec![(0usize, 0u32); q_total];
-        let mut stats = CascadeStats::zeroed(rows, m.cols(), plan.stages());
-        stats.stage_rows[0] = (q_total * rows) as u64;
-        stats.activated_dims = (q_total * rows * e0) as u64;
-        continuation_range(
-            m,
-            batch,
-            plan,
-            &row_suffix,
-            0,
-            &mut scores,
-            &mut winners,
-            &mut stats,
-            |qs: &[u64], rs: &[&[u64]], out: &mut [u32]| (table.multi_dot_words)(qs, rs, out),
-        );
-        Ok(CascadeResults { winners, stats })
-    }
-
-    /// [`SearchMemory::search_cascade_topk`] on an explicit backend —
-    /// the top-k analogue of [`SearchMemory::search_cascade_with`]
-    /// (serial; no thread chunking; stage 0 per-row through the
-    /// backend's flat word kernel, continuation through its multi-row
-    /// kernel, both bit-identical by the kernel contract).
-    ///
-    /// # Errors
-    ///
-    /// As [`BitMatrix::search_cascade_topk`].
+    /// As [`SearchMemory::search_cascade_topk`].
     ///
     /// # Panics
     ///

@@ -8,7 +8,10 @@
 //! must never claim more activation than the exact search performs.
 
 use hd_linalg::kernel::Backend;
-use hd_linalg::{BitMatrix, BitVector, BoundCascade, CascadePlan, QueryBatch, SearchMemory};
+use hd_linalg::{
+    BitMatrix, BitVector, BoundCascade, CascadePlan, CascadeResults, CascadeTopK, QueryBatch,
+    SearchMemory, SegmentedCascade,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -58,13 +61,14 @@ fn assert_cascade_exact(
     plan: &CascadePlan,
     backend: Backend,
 ) {
-    let out = mem.search_cascade_with(batch, plan, backend).unwrap();
-    prop_assert_eq!(out.len(), queries.len());
+    let out = mem.search_cascade_topk_with(batch, plan, 1, backend).unwrap();
+    let winner = |q: usize| out.topk().hits(q)[0];
+    prop_assert_eq!(out.topk().len(), queries.len());
     for (q, query) in queries.iter().enumerate() {
         let scores = mem.dot_all(query);
         let expected = hd_linalg::argmax_u32(&scores);
         prop_assert_eq!(
-            out.winner(q),
+            winner(q),
             expected,
             "backend {} plan {:?} query {}",
             backend,
@@ -72,7 +76,7 @@ fn assert_cascade_exact(
             q
         );
         // Low-row tie-break: no earlier row reaches the winning score.
-        let (row, score) = out.winner(q);
+        let (row, score) = winner(q);
         for (r, &s) in scores.iter().enumerate().take(row) {
             prop_assert!(
                 s < score,
@@ -93,6 +97,18 @@ fn assert_cascade_exact(
     for pair in stats.stage_rows().windows(2) {
         prop_assert!(pair[1] <= pair[0], "shortlist grew: {:?}", stats.stage_rows());
     }
+}
+
+/// Asserts `top1` (a `k = 1` cascade top-k) is `cascade` exactly: the
+/// same winners and field-for-field equal telemetry.
+fn assert_top1_is_cascade(cascade: &CascadeResults, top1: &CascadeTopK, what: &str) {
+    let lists = top1.topk();
+    prop_assert_eq!(lists.len(), cascade.len(), "{}", what);
+    prop_assert_eq!(lists.hits_per_query(), 1, "{}", what);
+    for q in 0..cascade.len() {
+        prop_assert_eq!(lists.hits(q), &[cascade.winner(q)][..], "{} query {}", what, q);
+    }
+    prop_assert_eq!(top1.stats(), cascade.stats(), "{}", what);
 }
 
 proptest! {
@@ -157,8 +173,9 @@ proptest! {
     }
 
     /// The public dispatch entry points (active backend, thread chunking
-    /// when the `rayon` feature is on) agree with the explicit-backend
-    /// serial path and with `search_batch`/`winners_batch`.
+    /// when the `rayon` feature is on) agree with each other — a warm
+    /// cache and a cold memory over the same matrix — and with
+    /// `search_batch`/`winners_batch`.
     #[test]
     fn cascade_entry_points_agree(
         (rows, queries, plan) in (1usize..10, prop::sample::select(vec![64usize, 128, 200]))
@@ -169,10 +186,10 @@ proptest! {
         let batch = QueryBatch::from_vectors(&queries).unwrap();
         let reference = mem.winners_batch(&batch).unwrap();
         let via_memory = mem.search_cascade(&batch, &plan).unwrap();
-        let via_matrix = m.search_cascade(&batch, &plan).unwrap();
+        let via_cold = SearchMemory::new(m).search_cascade(&batch, &plan).unwrap();
         prop_assert_eq!(via_memory.winners(), reference.as_slice());
-        prop_assert_eq!(via_matrix.winners(), reference.as_slice());
-        prop_assert_eq!(&via_matrix, &via_memory);
+        prop_assert_eq!(via_cold.winners(), reference.as_slice());
+        prop_assert_eq!(&via_cold, &via_memory);
         // Full-score search agrees with the cascade winner too.
         let full = mem.search_batch(&batch).unwrap();
         for q in 0..queries.len() {
@@ -183,5 +200,60 @@ proptest! {
         let bound = BoundCascade::new(Arc::new(mem.clone()), plan.clone()).unwrap();
         prop_assert_eq!(&bound.search(&batch).unwrap(), &via_memory);
         prop_assert_eq!(&bound.search(&batch).unwrap(), &via_memory);
+    }
+
+    /// Argmax is top-1: every cascade entry point's winners and
+    /// `CascadeStats` equal the top-1 of its k-best twin at `k = 1` —
+    /// the cached memory path, the bound handle, the segmented layout
+    /// (segment-aligned plans) and every reachable explicit backend.
+    #[test]
+    fn cascade_is_top1_of_cascade_topk(
+        (rows, queries, plan, parts) in
+            (1usize..14, prop::sample::select(vec![64usize, 128, 192, 200, 256]))
+            .prop_flat_map(|(r, d)| {
+                (bit_rows(r, d), bit_rows(37, d), plans(d), prop::sample::select(vec![1usize, 2, 4]))
+            })
+    ) {
+        let dim = rows[0].len();
+        let mem = SearchMemory::from_rows(&rows).unwrap();
+        let batch = QueryBatch::from_vectors(&queries).unwrap();
+        let cascade = mem.search_cascade(&batch, &plan).unwrap();
+        assert_top1_is_cascade(
+            &cascade,
+            &mem.search_cascade_topk(&batch, &plan, 1).unwrap(),
+            "SearchMemory",
+        );
+        let bound = BoundCascade::new(Arc::new(mem.clone()), plan.clone()).unwrap();
+        assert_top1_is_cascade(
+            &bound.search(&batch).unwrap(),
+            &bound.search_topk(&batch, 1).unwrap(),
+            "BoundCascade",
+        );
+        prop_assert_eq!(&bound.search(&batch).unwrap(), &cascade);
+        for backend in Backend::available() {
+            assert_top1_is_cascade(
+                &cascade,
+                &mem.search_cascade_topk_with(&batch, &plan, 1, backend).unwrap(),
+                &format!("backend {backend}"),
+            );
+        }
+        // Segmented layout: `parts` equal segments, with the arbitrary
+        // plan's boundaries snapped onto the segment grid.
+        let seg = dim / parts;
+        let segments: Vec<SearchMemory> = (0..parts)
+            .map(|p| {
+                let segs: Vec<BitVector> = rows.iter().map(|r| r.slice(p * seg, seg)).collect();
+                SearchMemory::from_rows(&segs).unwrap()
+            })
+            .collect();
+        let snapped = plan.snapped(seg).unwrap();
+        let segmented = SegmentedCascade::new(&segments, &snapped).unwrap();
+        let seg_cascade = segmented.search(&segments, &batch).unwrap();
+        assert_top1_is_cascade(
+            &seg_cascade,
+            &segmented.search_topk(&segments, &batch, 1).unwrap(),
+            "SegmentedCascade",
+        );
+        prop_assert_eq!(seg_cascade.winners(), cascade.winners());
     }
 }

@@ -169,7 +169,7 @@ proptest! {
 
     /// The k-th-score cascade prune is exact: for arbitrary stage plans
     /// and every backend, cascade top-k lists are bit-identical to the
-    /// fused sweep, through every entry point (matrix, cached memory,
+    /// fused sweep, through every entry point (cold and cached memory,
     /// bound handle, explicit backend), and telemetry never claims more
     /// activation than the exact search performs.
     #[test]
@@ -181,11 +181,11 @@ proptest! {
         let mem = SearchMemory::from_rows(&rows).unwrap();
         let batch = QueryBatch::from_vectors(&queries).unwrap();
         let m = BitMatrix::from_rows(&rows).unwrap();
-        let direct = m.search_cascade_topk(&batch, &plan, k).unwrap();
+        let direct = SearchMemory::new(m).search_cascade_topk(&batch, &plan, k).unwrap();
         let stats = direct.stats();
         prop_assert!(stats.activated_dims() <= stats.exact_dims());
         prop_assert_eq!(stats.queries(), queries.len());
-        check_lists(&direct.into_topk(), &expected, "BitMatrix");
+        check_lists(&direct.into_topk(), &expected, "cold SearchMemory");
         check_lists(
             &mem.search_cascade_topk(&batch, &plan, k).unwrap().into_topk(),
             &expected,

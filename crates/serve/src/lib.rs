@@ -63,8 +63,9 @@
 //!     max_delay: Duration::from_micros(100),
 //!     ..Default::default()
 //! })?;
-//! let pred = server.classify(BitVector::from_bools(&[true, true, true, false]).as_view())?;
-//! assert_eq!(pred.class, 0);
+//! let query = BitVector::from_bools(&[true, true, true, false]);
+//! let slate = server.submit(query.as_view(), 1)?.wait()?;
+//! assert_eq!(slate[0].class, 0);
 //! # Ok(())
 //! # }
 //! ```
@@ -84,5 +85,5 @@ pub use cascade::CascadeSearcher;
 pub use error::{Result, ServeError};
 pub use registry::{Generation, ModelRegistry};
 pub use searchable::{Searchable, Winner};
-pub use server::{Pending, PendingTopK, Prediction, ServeConfig, Server, ServerStats};
+pub use server::{PendingTopK, Prediction, ServeConfig, Server, ServerStats};
 pub use shard::ShardedSearcher;

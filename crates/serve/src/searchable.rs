@@ -64,26 +64,16 @@ pub trait Searchable: Send + Sync {
 
     /// Answers every query with its `min(k, rows)` best rows, sorted by
     /// score descending then row ascending — the top-1 entry is exactly
-    /// the [`Searchable::search_winners`] winner.
-    ///
-    /// Every workspace adapter overrides this with the fused bounded
-    /// k-best sweep ([`hd_linalg::SearchMemory::topk_batch`] or its
-    /// layer's equivalent). The provided default only covers `k == 1`
-    /// (via [`Searchable::search_winners`]) so foreign argmax-only
-    /// implementations keep compiling; it reports `k > 1` as a model
-    /// error.
+    /// the [`Searchable::search_winners`] winner. Every workspace adapter
+    /// runs the fused bounded k-best sweep
+    /// ([`hd_linalg::SearchMemory::topk_batch`] or its layer's
+    /// equivalent).
     ///
     /// # Errors
     ///
     /// As [`Searchable::search_winners`], plus
     /// [`ServeError::InvalidConfig`] when `k == 0`.
-    fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> Result<Vec<Vec<Winner>>> {
-        check_topk(k)?;
-        if k == 1 {
-            return Ok(self.search_winners(batch)?.into_iter().map(|w| vec![w]).collect());
-        }
-        Err(ServeError::Model { reason: "model does not implement top-k search".into() })
-    }
+    fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> Result<Vec<Vec<Winner>>>;
 
     /// Shards this model has permanently lost, ascending. Non-empty
     /// means searches answer exactly over the *surviving* rows only —
@@ -365,7 +355,7 @@ mod tests {
     }
 
     #[test]
-    fn adapters_agree_on_topk_and_default_covers_only_k1() {
+    fn adapters_agree_on_topk() {
         let mem = SearchMemory::from_rows(&[
             bits(&[1, 1, 0, 0]),
             bits(&[0, 0, 1, 1]),
@@ -385,29 +375,9 @@ mod tests {
             ]
         );
         assert!(Searchable::search_topk(&mem, Arc::clone(&batch), 0).is_err());
-
-        // A foreign argmax-only implementation keeps working at k == 1
-        // through the provided default, and reports k > 1 as a model
-        // error instead of answering wrongly.
-        struct ArgmaxOnly(SearchMemory);
-        impl Searchable for ArgmaxOnly {
-            fn dim(&self) -> usize {
-                self.0.cols()
-            }
-            fn rows(&self) -> usize {
-                self.0.rows()
-            }
-            fn search_winners(&self, batch: Arc<QueryBatch>) -> Result<Vec<Winner>> {
-                self.0.search_winners(batch)
-            }
-        }
-        let foreign = ArgmaxOnly(mem.clone());
-        let top1 = foreign.search_topk(Arc::clone(&batch), 1).unwrap();
-        assert_eq!(top1[0], vec![Winner { row: 0, class: 0, score: 2 }]);
-        assert!(matches!(
-            foreign.search_topk(Arc::clone(&batch), 2),
-            Err(ServeError::Model { .. })
-        ));
+        // The top-1 entry is the argmax winner.
+        let top1 = Searchable::search_topk(&mem, Arc::clone(&batch), 1).unwrap();
+        assert_eq!(vec![top1[0][0]], mem.search_winners(batch).unwrap());
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::registry::ModelRegistry;
 use crate::searchable::Searchable;
 use hd_linalg::{BitView, QueryBatch, QueryBatchBuilder};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -100,24 +100,34 @@ pub struct Prediction {
     pub degraded: bool,
 }
 
-/// What one flush produced for one query: the argmax winner, or the
-/// k-best slate of the whole cycle (every waiter truncates the shared
-/// slate to its own `k` — top-k lists are prefix-monotone in `k`).
-#[derive(Debug, Clone)]
-enum Answer {
-    Winner(Prediction),
-    TopK(Vec<Prediction>),
+/// What one flush produced: every query's slate in one flat buffer, query
+/// `i` owning `predictions[ends[i - 1]..ends[i]]` (from 0 for the first).
+/// Slates are answered at the cycle's largest k and every waiter
+/// truncates to its own — top-k lists are prefix-monotone in `k`. End
+/// offsets rather than a fixed stride, because degraded or foreign models
+/// may return short slates.
+#[derive(Debug)]
+struct Answers {
+    predictions: Vec<Prediction>,
+    ends: Vec<usize>,
+}
+
+impl Answers {
+    fn slate(&self, index: usize) -> &[Prediction] {
+        let start = if index == 0 { 0 } else { self.ends[index - 1] };
+        &self.predictions[start..self.ends[index]]
+    }
 }
 
 /// Shared completion state of one batch cycle: every query queued into
 /// the same flush shares this single allocation (amortizing what a
 /// per-query oneshot would spend on malloc, mutex, and condvar), and the
-/// answered results are published once through an [`OnceLock`] so
-/// pipelined waiters read them lock-free.
+/// answers are published once through an [`OnceLock`] so pipelined
+/// waiters read them lock-free.
 struct BatchState {
-    /// One entry per queued query, in submission order. Written exactly
-    /// once, by the flush that answers the batch.
-    results: std::sync::OnceLock<Vec<Result<Answer>>>,
+    /// The cycle's answers, or the error every query of it gets. Written
+    /// exactly once, by the flush that answers the batch.
+    results: OnceLock<Result<Answers>>,
     /// Whether any waiter parked on `cv` before the results landed.
     parked: Mutex<bool>,
     cv: Condvar,
@@ -126,14 +136,14 @@ struct BatchState {
 impl BatchState {
     fn new() -> Arc<Self> {
         Arc::new(BatchState {
-            results: std::sync::OnceLock::new(),
+            results: OnceLock::new(),
             parked: Mutex::new(false),
             cv: Condvar::new(),
         })
     }
 
     /// Publishes the batch's results and wakes any parked waiters.
-    fn fill(&self, results: Vec<Result<Answer>>) {
+    fn fill(&self, results: Result<Answers>) {
         self.results.set(results).expect("each batch is flushed exactly once");
         // Synchronize with parkers: a waiter either sees the results on
         // its lock-free check, or sets `parked` under the lock and then
@@ -144,88 +154,49 @@ impl BatchState {
             self.cv.notify_all();
         }
     }
-}
 
-/// A submitted query's handle: redeem it with [`Pending::wait`].
-///
-/// Submitters that pipeline (submit a window of queries, then collect)
-/// usually find the result already published by the time they wait, so
-/// the handle costs no locking or parking at all on the hot path.
-#[must_use = "a Pending that is never waited on discards its prediction"]
-pub struct Pending {
-    batch: Arc<BatchState>,
-    index: usize,
-    /// Absolute give-up point, set by the `_with_deadline` submission
-    /// entry points; `None` waits indefinitely.
-    deadline: Option<Instant>,
-}
-
-impl Pending {
-    /// Whether the result is already available (non-blocking).
-    pub fn is_ready(&self) -> bool {
-        self.batch.results.get().is_some()
-    }
-
-    /// Blocks until the query is answered — or, for handles from
-    /// [`Server::submit_with_deadline`], until the deadline expires.
-    ///
-    /// # Errors
-    ///
-    /// Returns whatever the flush produced: [`ServeError::Model`] for
-    /// model-side failures, [`ServeError::Shutdown`] if the server shut
-    /// down without answering, [`ServeError::Timeout`] when this
-    /// handle's deadline expired first (the query itself is still
-    /// answered server-side; only this waiter gave up).
-    pub fn wait(self) -> Result<Prediction> {
-        // A plain submission sharing a cycle with top-k submissions is
-        // answered from the cycle's shared slate; its winner is the
-        // slate's top-1 entry (identical tie-break). A foreign model
-        // returning an empty slate is a typed error, never an index
-        // panic in the waiter.
-        wait_for(&self.batch, self.index, self.deadline).and_then(|answer| match answer {
-            Answer::Winner(p) => Ok(p),
-            Answer::TopK(slate) => slate.first().copied().ok_or_else(|| ServeError::Model {
-                reason: "model returned an empty top-k slate".into(),
-            }),
-        })
-    }
-}
-
-/// Blocks until `batch`'s results land, then clones entry `index`. With
-/// a deadline, gives up with [`ServeError::Timeout`] once it passes —
-/// the batch state stays alive (the flush still fills it), only this
-/// waiter stops waiting.
-fn wait_for(batch: &BatchState, index: usize, deadline: Option<Instant>) -> Result<Answer> {
-    if let Some(results) = batch.results.get() {
-        return results[index].clone();
-    }
-    let mut parked = batch.parked.lock().unwrap_or_else(PoisonError::into_inner);
-    loop {
-        // Re-check under the lock: fill() takes it after publishing,
-        // so a result published before we parked is visible here.
-        if let Some(results) = batch.results.get() {
-            return results[index].clone();
+    /// Blocks until the results land. With a deadline, gives up with
+    /// [`ServeError::Timeout`] once it passes — the batch state stays
+    /// alive (the flush still fills it), only this waiter stops waiting.
+    fn wait(&self, deadline: Option<Instant>) -> Result<&Answers> {
+        fn published(results: &Result<Answers>) -> Result<&Answers> {
+            results.as_ref().map_err(Clone::clone)
         }
-        *parked = true;
-        match deadline {
-            None => parked = batch.cv.wait(parked).unwrap_or_else(PoisonError::into_inner),
-            Some(d) => {
-                let now = Instant::now();
-                if now >= d {
-                    return Err(ServeError::Timeout);
+        if let Some(results) = self.results.get() {
+            return published(results);
+        }
+        let mut parked = self.parked.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            // Re-check under the lock: fill() takes it after publishing,
+            // so a result published before we parked is visible here.
+            if let Some(results) = self.results.get() {
+                return published(results);
+            }
+            *parked = true;
+            match deadline {
+                None => parked = self.cv.wait(parked).unwrap_or_else(PoisonError::into_inner),
+                Some(d) => {
+                    let now = Instant::now();
+                    if now >= d {
+                        return Err(ServeError::Timeout);
+                    }
+                    parked = self
+                        .cv
+                        .wait_timeout(parked, d - now)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
                 }
-                parked = batch
-                    .cv
-                    .wait_timeout(parked, d - now)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
             }
         }
     }
 }
 
-/// A submitted top-k query's handle: redeem it with
-/// [`PendingTopK::wait`].
+/// A submitted query's handle: redeem it with [`PendingTopK::wait`] or
+/// [`PendingTopK::wait_until`].
+///
+/// Submitters that pipeline (submit a window of queries, then collect)
+/// usually find the result already published by the time they wait, so
+/// the handle costs no locking or parking at all on the hot path.
 #[must_use = "a PendingTopK that is never waited on discards its predictions"]
 pub struct PendingTopK {
     batch: Arc<BatchState>,
@@ -233,8 +204,6 @@ pub struct PendingTopK {
     /// The k this submission asked for; the flush answers the whole
     /// cycle at the largest pending k and the wait truncates back.
     k: usize,
-    /// Absolute give-up point; `None` waits indefinitely.
-    deadline: Option<Instant>,
 }
 
 impl PendingTopK {
@@ -244,21 +213,38 @@ impl PendingTopK {
     }
 
     /// Blocks until the query is answered, returning its `min(k, rows)`
-    /// best rows sorted by score descending then row ascending.
+    /// best rows sorted by score descending then row ascending — never
+    /// empty, and the first entry is the argmax winner.
     ///
     /// # Errors
     ///
-    /// As [`Pending::wait`], including [`ServeError::Timeout`] for
-    /// deadline submissions.
+    /// Returns whatever the flush produced: [`ServeError::Model`] for
+    /// model-side failures (including a model that answered the query
+    /// with an empty slate), and [`ServeError::Shutdown`] if the server
+    /// shut down without answering.
     pub fn wait(self) -> Result<Vec<Prediction>> {
-        wait_for(&self.batch, self.index, self.deadline).map(|answer| match answer {
-            // A k == 1 submission can land in a winners-only cycle.
-            Answer::Winner(p) => vec![p],
-            Answer::TopK(mut slate) => {
-                slate.truncate(self.k);
-                slate
-            }
-        })
+        self.wait_inner(None)
+    }
+
+    /// As [`PendingTopK::wait`], but gives up with
+    /// [`ServeError::Timeout`] once `deadline` passes. The query is still
+    /// flushed and answered server-side — a timed-out waiter never
+    /// strands or corrupts its batch — so use this to bound caller
+    /// latency against slow models, not to cancel work.
+    ///
+    /// # Errors
+    ///
+    /// As [`PendingTopK::wait`], plus [`ServeError::Timeout`].
+    pub fn wait_until(self, deadline: Instant) -> Result<Vec<Prediction>> {
+        self.wait_inner(Some(deadline))
+    }
+
+    fn wait_inner(self, deadline: Option<Instant>) -> Result<Vec<Prediction>> {
+        let slate = self.batch.wait(deadline)?.slate(self.index);
+        if slate.is_empty() {
+            return Err(ServeError::Model { reason: "model returned an empty top-k slate".into() });
+        }
+        Ok(slate[..slate.len().min(self.k)].to_vec())
     }
 }
 
@@ -299,18 +285,22 @@ struct Queue {
     builder: QueryBatchBuilder,
     /// Completion state shared by every query of the current cycle.
     state: Arc<BatchState>,
-    /// Largest k requested by the cycle's pending queries (1 = winners
-    /// only). The flush answers everyone at this k.
+    /// Largest k requested by the cycle's pending queries. The flush
+    /// answers everyone at this k.
     max_k: usize,
     /// When the oldest pending query arrived; `None` while empty.
     opened_at: Option<Instant>,
     shutdown: bool,
 }
 
+/// A taken batch cycle awaiting its flush: the queries, their shared
+/// completion state, and the cycle's largest k.
+type Work = (QueryBatch, Arc<BatchState>, usize);
+
 impl Queue {
     /// Moves the pending batch out (caller flushes it outside the lock)
     /// and opens a fresh cycle.
-    fn take_work(&mut self) -> (QueryBatch, Arc<BatchState>, usize) {
+    fn take_work(&mut self) -> Work {
         let batch = self.builder.take_batch().expect("take_work on a non-empty queue");
         self.opened_at = None;
         let max_k = std::mem::replace(&mut self.max_k, 1);
@@ -375,15 +365,23 @@ impl Shared {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let batch = Arc::new(batch);
             if max_k == 1 {
-                snapshot.model().search_winners(batch).map(|winners| {
-                    winners.iter().map(|w| Answer::Winner(predict(w))).collect::<Vec<_>>()
+                // k == 1 takes the sweep's argmax path, which keeps each
+                // lane's best score in registers.
+                snapshot.model().search_winners(batch).map(|winners| Answers {
+                    predictions: winners.iter().map(predict).collect(),
+                    ends: (1..=winners.len()).collect(),
                 })
             } else {
                 snapshot.model().search_topk(batch, max_k).map(|slates| {
-                    slates
-                        .into_iter()
-                        .map(|slate| Answer::TopK(slate.iter().map(&predict).collect()))
-                        .collect::<Vec<_>>()
+                    let mut predictions = Vec::with_capacity(slates.iter().map(Vec::len).sum());
+                    let ends = slates
+                        .iter()
+                        .map(|slate| {
+                            predictions.extend(slate.iter().map(predict));
+                            predictions.len()
+                        })
+                        .collect();
+                    Answers { predictions, ends }
                 })
             }
         }))
@@ -395,39 +393,27 @@ impl Shared {
                 .unwrap_or_else(|| "non-string panic payload".into());
             Err(ServeError::Model { reason: format!("model panicked during flush: {what}") })
         });
-        let results: Vec<Result<Answer>> = match result {
-            Ok(answers) if answers.len() == queries => {
-                // Sample shard health *after* the sweep: degradation is
-                // monotone within a generation, so a shard that died
-                // mid-search (making this sweep answer from the
-                // surviving rows only) is visible here. The converse
-                // race — a shard dying right after a complete sweep —
-                // only over-flags, never under-flags.
-                let mut answers = answers;
-                if !snapshot.model().missing_shards().is_empty() {
-                    self.stats.degraded_queries.fetch_add(queries as u64, Ordering::Relaxed);
-                    for answer in &mut answers {
-                        match answer {
-                            Answer::Winner(p) => p.degraded = true,
-                            Answer::TopK(slate) => {
-                                slate.iter_mut().for_each(|p| p.degraded = true);
-                            }
-                        }
-                    }
-                }
-                answers.into_iter().map(Ok).collect()
-            }
-            Ok(answers) => {
-                let err = ServeError::Model {
+        let results = result.and_then(|mut answers| {
+            if answers.ends.len() != queries {
+                return Err(ServeError::Model {
                     reason: format!(
                         "model returned {} answers for {queries} queries",
-                        answers.len()
+                        answers.ends.len()
                     ),
-                };
-                vec![Err(err); queries]
+                });
             }
-            Err(e) => vec![Err(e); queries],
-        };
+            // Sample shard health *after* the sweep: degradation is
+            // monotone within a generation, so a shard that died
+            // mid-search (making this sweep answer from the surviving
+            // rows only) is visible here. The converse race — a shard
+            // dying right after a complete sweep — only over-flags, never
+            // under-flags.
+            if !snapshot.model().missing_shards().is_empty() {
+                self.stats.degraded_queries.fetch_add(queries as u64, Ordering::Relaxed);
+                answers.predictions.iter_mut().for_each(|p| p.degraded = true);
+            }
+            Ok(answers)
+        });
         state.fill(results);
         // Release the admission slots only after the results are
         // published: a freed slot means a new submission can take the
@@ -458,9 +444,9 @@ impl Shared {
 ///     ..Default::default()
 /// }).unwrap();
 /// let query = BitVector::from_bools(&[true, true, true, false]);
-/// let prediction = server.classify(query.as_view()).unwrap();
-/// assert_eq!(prediction.class, 0);
-/// assert_eq!(prediction.generation, 1);
+/// let slate = server.submit(query.as_view(), 1).unwrap().wait().unwrap();
+/// assert_eq!(slate[0].class, 0);
+/// assert_eq!(slate[0].generation, 1);
 /// ```
 pub struct Server {
     shared: Arc<Shared>,
@@ -564,83 +550,34 @@ impl Server {
         self.shared.in_flight.load(Ordering::Relaxed)
     }
 
-    /// Submits one query, returning a [`Pending`] handle. If this query
-    /// fills the batch, the submitting thread flushes it inline before
-    /// returning (flat combining); otherwise the deadline flusher will.
+    /// Submits one query asking for its `k` best rows, returning a
+    /// [`PendingTopK`] handle. If this query fills the batch, the
+    /// submitting thread flushes it inline before returning (flat
+    /// combining); otherwise the deadline flusher will. Submissions of
+    /// different k share batch cycles: the flush answers the whole cycle
+    /// at the largest pending k in one fused sweep (the argmax sweep when
+    /// that is 1), and every handle truncates back to its own k.
+    ///
+    /// Under thin traffic the answer waits up to
+    /// [`ServeConfig::max_delay`] for the deadline flush — the latency
+    /// budget buying batch amortization; latency-critical single callers
+    /// should lower it, or bound their own wait with
+    /// [`PendingTopK::wait_until`].
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::DimensionMismatch`] for a wrong-width query
-    /// and [`ServeError::Shutdown`] after shutdown.
-    pub fn submit(&self, query: BitView<'_>) -> Result<Pending> {
-        self.submit_inner(query, None)
-    }
-
-    /// As [`Server::submit`], but the returned handle's
-    /// [`Pending::wait`] gives up with [`ServeError::Timeout`] once
-    /// `timeout` has elapsed (measured from submission). The query is
-    /// still flushed and answered server-side — a timed-out waiter never
-    /// strands or corrupts its batch — so use this to bound caller
-    /// latency against slow models, not to cancel work.
-    ///
-    /// # Errors
-    ///
-    /// As [`Server::submit`].
-    pub fn submit_with_deadline(&self, query: BitView<'_>, timeout: Duration) -> Result<Pending> {
-        self.submit_inner(query, Some(Instant::now() + timeout))
-    }
-
-    fn submit_inner(&self, query: BitView<'_>, deadline: Option<Instant>) -> Result<Pending> {
-        let (index, state, work) = self.enqueue(query, 1)?;
-        let pending = Pending { batch: state, index, deadline };
-        if let Some((batch, state, max_k)) = work {
-            self.shared.flush(batch, state, max_k, FlushKind::Full);
-        }
-        Ok(pending)
-    }
-
-    /// Submits one top-k query, returning a [`PendingTopK`] handle whose
-    /// [`PendingTopK::wait`] yields the query's `min(k, rows)` best rows
-    /// (score descending, then row ascending). Top-k submissions share
-    /// batch cycles with plain [`Server::submit`] traffic: the flush
-    /// answers the whole cycle at the largest pending k in one fused
-    /// sweep, and every handle truncates back to its own k.
-    ///
-    /// # Errors
-    ///
-    /// As [`Server::submit`], plus [`ServeError::InvalidConfig`] when
-    /// `k == 0`.
-    pub fn submit_topk(&self, query: BitView<'_>, k: usize) -> Result<PendingTopK> {
-        self.submit_topk_inner(query, k, None)
-    }
-
-    /// As [`Server::submit_topk`] with a [`Pending::wait`]-side deadline
-    /// (see [`Server::submit_with_deadline`] for the semantics).
-    ///
-    /// # Errors
-    ///
-    /// As [`Server::submit_topk`].
-    pub fn submit_topk_with_deadline(
-        &self,
-        query: BitView<'_>,
-        k: usize,
-        timeout: Duration,
-    ) -> Result<PendingTopK> {
-        self.submit_topk_inner(query, k, Some(Instant::now() + timeout))
-    }
-
-    fn submit_topk_inner(
-        &self,
-        query: BitView<'_>,
-        k: usize,
-        deadline: Option<Instant>,
-    ) -> Result<PendingTopK> {
+    /// Returns [`ServeError::InvalidConfig`] when `k == 0`,
+    /// [`ServeError::DimensionMismatch`] for a wrong-width query,
+    /// [`ServeError::Overloaded`] at the in-flight limit, and
+    /// [`ServeError::Shutdown`] after shutdown.
+    pub fn submit(&self, query: BitView<'_>, k: usize) -> Result<PendingTopK> {
         crate::searchable::check_topk(k)?;
-        let (index, state, work) = self.enqueue(query, k)?;
-        let pending = PendingTopK { batch: state, index, k, deadline };
-        if let Some((batch, state, max_k)) = work {
-            self.shared.flush(batch, state, max_k, FlushKind::Full);
+        if query.len() != self.dim() {
+            return Err(ServeError::DimensionMismatch { expected: self.dim(), found: query.len() });
         }
+        let (index, state, work) = self.enqueue(query.as_words(), k)?;
+        let pending = PendingTopK { batch: state, index, k };
+        self.flush_full(work);
         Ok(pending)
     }
 
@@ -652,10 +589,9 @@ impl Server {
     /// [`QueryBatchBuilder::push_packed_words`] as one word copy, with
     /// no per-bit repacking and a single lock acquisition for the whole
     /// frame. The frame is admitted or shed atomically against
-    /// [`ServeConfig::max_in_flight`], and every query is answered at
-    /// `k` (`k == 1` yields one-entry slates; handles truncate like
-    /// [`Server::submit_topk`]). A frame that fills the batch is flushed
-    /// inline by the submitting thread, exactly like [`Server::submit`].
+    /// [`ServeConfig::max_in_flight`], every query is answered at `k`,
+    /// and a frame that fills the batch is flushed inline by the
+    /// submitting thread, exactly like [`Server::submit`].
     ///
     /// # Errors
     ///
@@ -666,26 +602,6 @@ impl Server {
     /// [`ServeError::Shutdown`] after shutdown.
     pub fn submit_packed(&self, words: &[u64], k: usize) -> Result<Vec<PendingTopK>> {
         crate::searchable::check_topk(k)?;
-        let (start, count, state, work) = self.enqueue_packed(words, k)?;
-        let pendings = (start..start + count)
-            .map(|index| PendingTopK { batch: Arc::clone(&state), index, k, deadline: None })
-            .collect();
-        if let Some((batch, state, max_k)) = work {
-            self.shared.flush(batch, state, max_k, FlushKind::Full);
-        }
-        Ok(pendings)
-    }
-
-    /// Queues a frame of packed queries under one lock acquisition,
-    /// returning the first query's index in the cycle, the frame's query
-    /// count, the cycle's completion state, and — when the frame filled
-    /// the batch — the work the caller must flush inline.
-    #[allow(clippy::type_complexity)]
-    fn enqueue_packed(
-        &self,
-        words: &[u64],
-        k: usize,
-    ) -> Result<(usize, usize, Arc<BatchState>, Option<(QueryBatch, Arc<BatchState>, usize)>)> {
         let words_per_query = self.dim().div_ceil(64);
         if words.is_empty() || !words.len().is_multiple_of(words_per_query) {
             return Err(ServeError::MalformedPayload {
@@ -697,7 +613,21 @@ impl Server {
                 ),
             });
         }
-        let count = words.len() / words_per_query;
+        let (start, state, work) = self.enqueue(words, k)?;
+        let pendings = (start..start + words.len() / words_per_query)
+            .map(|index| PendingTopK { batch: Arc::clone(&state), index, k })
+            .collect();
+        self.flush_full(work);
+        Ok(pendings)
+    }
+
+    /// Queues whole packed queries (shape validated by the caller) with
+    /// their requested k under one lock acquisition, admitted or shed as
+    /// a unit, returning the first query's index in the cycle, the
+    /// cycle's completion state, and — when they filled the batch — the
+    /// work the caller must flush inline.
+    fn enqueue(&self, words: &[u64], k: usize) -> Result<(usize, Arc<BatchState>, Option<Work>)> {
+        let count = words.len() / self.dim().div_ceil(64);
         let mut q = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
         if q.shutdown {
             return Err(ServeError::Shutdown);
@@ -708,15 +638,17 @@ impl Server {
                 self.shared.stats.shed.fetch_add(count as u64, Ordering::Relaxed);
                 return Err(ServeError::Overloaded);
             }
-            // Matches the single-query rule (`in_flight + 1 > limit`
-            // sheds): a frame is admitted only whole, so the gauge never
-            // exceeds the limit.
+            // Under the queue lock, so admission never over-admits a
+            // cycle (flushes decrement outside the lock, which can only
+            // free slots late — shedding slightly conservatively, never
+            // unboundedly). A frame is admitted only whole, so the gauge
+            // never exceeds the limit.
             self.shared.in_flight.fetch_add(count as u64, Ordering::Relaxed);
         }
         let start = q.builder.len();
         if let Err(e) = q.builder.push_packed_words(words) {
-            // Shape was validated above, so this is unreachable — but a
-            // client-fed path never panics on principle. Undo the
+            // Shape was validated by the caller, so this is unreachable —
+            // but a client-fed path never panics on principle. Undo the
             // admission reservation before surfacing the typed error.
             if limit != 0 {
                 self.shared.in_flight.fetch_sub(count as u64, Ordering::Relaxed);
@@ -726,48 +658,6 @@ impl Server {
         q.max_k = q.max_k.max(k);
         if start == 0 {
             q.opened_at = Some(Instant::now());
-            if self.shared.flusher_parked.load(Ordering::Relaxed) {
-                self.shared.deadline_cv.notify_one();
-            }
-        }
-        let state = Arc::clone(&q.state);
-        let work = (q.builder.len() >= self.shared.config.max_batch).then(|| q.take_work());
-        Ok((start, count, state, work))
-    }
-
-    /// Queues one query with its requested k, returning its index in the
-    /// cycle, the cycle's completion state, and — when this query filled
-    /// the batch — the work the caller must flush inline.
-    #[allow(clippy::type_complexity)]
-    fn enqueue(
-        &self,
-        query: BitView<'_>,
-        k: usize,
-    ) -> Result<(usize, Arc<BatchState>, Option<(QueryBatch, Arc<BatchState>, usize)>)> {
-        if query.len() != self.dim() {
-            return Err(ServeError::DimensionMismatch { expected: self.dim(), found: query.len() });
-        }
-        let mut q = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-        if q.shutdown {
-            return Err(ServeError::Shutdown);
-        }
-        let limit = self.shared.config.max_in_flight;
-        if limit != 0 {
-            if self.shared.in_flight.load(Ordering::Relaxed) >= limit as u64 {
-                self.shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::Overloaded);
-            }
-            // Under the queue lock, so admission never over-admits a
-            // cycle (flushes decrement outside the lock, which can only
-            // free slots late — shedding slightly conservatively, never
-            // unboundedly).
-            self.shared.in_flight.fetch_add(1, Ordering::Relaxed);
-        }
-        q.builder.push(query).expect("dimension checked above");
-        q.max_k = q.max_k.max(k);
-        let index = q.builder.len() - 1;
-        if index == 0 {
-            q.opened_at = Some(Instant::now());
             // Only a deep-parked flusher needs a wake-up; a lingering
             // one will notice the queue on its next timed check.
             if self.shared.flusher_parked.load(Ordering::Relaxed) {
@@ -776,47 +666,15 @@ impl Server {
         }
         let state = Arc::clone(&q.state);
         let work = (q.builder.len() >= self.shared.config.max_batch).then(|| q.take_work());
-        Ok((index, state, work))
+        Ok((start, state, work))
     }
 
-    /// Submit-and-wait convenience: the single-call blocking entry point.
-    /// Under thin traffic this waits up to [`ServeConfig::max_delay`] for
-    /// the deadline flush — that is the latency budget buying batch
-    /// amortization; latency-critical single callers should lower it (or
-    /// pipeline via [`Server::submit`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Server::submit`] and [`Pending::wait`].
-    pub fn classify(&self, query: BitView<'_>) -> Result<Prediction> {
-        self.submit(query)?.wait()
-    }
-
-    /// Submit-and-wait with a latency bound: gives up with
-    /// [`ServeError::Timeout`] once `timeout` elapses. The query is
-    /// still answered server-side (counted in [`Server::stats`]); only
-    /// this caller stops waiting.
-    ///
-    /// # Errors
-    ///
-    /// As [`Server::submit_with_deadline`] and [`Pending::wait`].
-    pub fn classify_with_deadline(
-        &self,
-        query: BitView<'_>,
-        timeout: Duration,
-    ) -> Result<Prediction> {
-        self.submit_with_deadline(query, timeout)?.wait()
-    }
-
-    /// Submit-and-wait for a top-k query: the single-call blocking entry
-    /// point of [`Server::submit_topk`], with the same latency budget as
-    /// [`Server::classify`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Server::submit_topk`] and [`PendingTopK::wait`].
-    pub fn classify_topk(&self, query: BitView<'_>, k: usize) -> Result<Vec<Prediction>> {
-        self.submit_topk(query, k)?.wait()
+    /// Flushes `work` inline on the submitting thread, if a submission
+    /// filled the batch.
+    fn flush_full(&self, work: Option<Work>) {
+        if let Some((batch, state, max_k)) = work {
+            self.shared.flush(batch, state, max_k, FlushKind::Full);
+        }
     }
 
     /// Shuts the server down: pending queries are drained and answered,
@@ -934,6 +792,11 @@ mod tests {
             .collect()
     }
 
+    /// Submit-and-wait for the argmax winner.
+    fn classify(server: &Server, query: &BitVector) -> Result<Prediction> {
+        server.submit(query.as_view(), 1)?.wait().map(|slate| slate[0])
+    }
+
     #[test]
     fn served_predictions_match_direct_search() {
         let am = random_am(40, 128, 1);
@@ -947,10 +810,10 @@ mod tests {
         )
         .unwrap();
         let queries = random_queries(50, 128, 2);
-        let pendings: Vec<Pending> =
-            queries.iter().map(|q| server.submit(q.as_view()).unwrap()).collect();
+        let pendings: Vec<PendingTopK> =
+            queries.iter().map(|q| server.submit(q.as_view(), 1).unwrap()).collect();
         for (q, p) in queries.iter().zip(pendings) {
-            let got = p.wait().unwrap();
+            let got = p.wait().unwrap()[0];
             let want = am.search(q).unwrap();
             assert_eq!((got.row, got.class, got.score), (want.row, want.class, want.score));
             assert_eq!(got.generation, 1);
@@ -980,7 +843,7 @@ mod tests {
         )
         .unwrap();
         let queries = random_queries(12, 128, 12);
-        // One pipelined window mixing plain argmax submissions with
+        // One pipelined window mixing argmax (k = 1) submissions with
         // top-k asks of different depths (including k > rows, which
         // clamps): the flush answers the cycle at the largest pending k
         // and every handle truncates back to its own.
@@ -989,17 +852,18 @@ mod tests {
         let mut ranked = Vec::new();
         for (i, q) in queries.iter().enumerate() {
             if i % 2 == 0 {
-                plain.push((i, server.submit(q.as_view()).unwrap()));
+                plain.push((i, server.submit(q.as_view(), 1).unwrap()));
             } else {
                 let k = ks[(i / 2) % ks.len()];
-                ranked.push((i, k, server.submit_topk(q.as_view(), k).unwrap()));
+                ranked.push((i, k, server.submit(q.as_view(), k).unwrap()));
             }
         }
         let batch = hd_linalg::QueryBatch::from_vectors(&queries).unwrap();
         let reference = am.search_topk(&batch, 45).unwrap();
         for (i, p) in plain {
-            let got = p.wait().unwrap();
-            let want = &reference[i][0];
+            let slate = p.wait().unwrap();
+            assert_eq!(slate.len(), 1, "query {i}");
+            let (got, want) = (slate[0], &reference[i][0]);
             assert_eq!((got.row, got.class, got.score), (want.row, want.class, want.score));
         }
         for (i, k, p) in ranked {
@@ -1014,9 +878,9 @@ mod tests {
                 assert_eq!(got.generation, 1);
             }
         }
-        assert!(server.submit_topk(queries[0].as_view(), 0).is_err());
-        // The blocking convenience returns the same slate.
-        let slate = server.classify_topk(queries[0].as_view(), 3).unwrap();
+        assert!(server.submit(queries[0].as_view(), 0).is_err());
+        // A lone submit-and-wait returns the same slate.
+        let slate = server.submit(queries[0].as_view(), 3).unwrap().wait().unwrap();
         let want: Vec<(usize, usize, u32)> =
             reference[0][..3].iter().map(|h| (h.row, h.class, h.score)).collect();
         let got: Vec<(usize, usize, u32)> =
@@ -1039,7 +903,7 @@ mod tests {
         let q = random_queries(1, 64, 4).remove(0);
         // A single query can never fill the batch; only the deadline can
         // answer it.
-        let got = server.classify(q.as_view()).unwrap();
+        let got = classify(&server, &q).unwrap();
         assert_eq!(got.class, am.classify(&q).unwrap());
         assert_eq!(server.stats().deadline_flushes, 1);
         assert_eq!(server.stats().full_flushes, 0);
@@ -1056,10 +920,10 @@ mod tests {
         )
         .unwrap();
         let q = random_queries(1, dim, 7).remove(0);
-        let before = server.classify(q.as_view()).unwrap();
+        let before = classify(&server, &q).unwrap();
         assert_eq!(before.generation, 1);
         assert_eq!(server.publish(Arc::clone(&am_b) as Arc<dyn Searchable>).unwrap(), 2);
-        let after = server.classify(q.as_view()).unwrap();
+        let after = classify(&server, &q).unwrap();
         assert_eq!(after.generation, 2);
         let want = am_b.search(&q).unwrap();
         assert_eq!((after.row, after.score), (want.row, want.score));
@@ -1071,11 +935,14 @@ mod tests {
         let server =
             Server::start(Arc::clone(&am) as Arc<dyn Searchable>, ServeConfig::default()).unwrap();
         assert!(matches!(
-            server.submit(BitVector::zeros(65).as_view()),
+            server.submit(BitVector::zeros(65).as_view(), 1),
             Err(ServeError::DimensionMismatch { expected: 64, found: 65 })
         ));
         server.shutdown();
-        assert!(matches!(server.submit(BitVector::zeros(64).as_view()), Err(ServeError::Shutdown)));
+        assert!(matches!(
+            server.submit(BitVector::zeros(64).as_view(), 1),
+            Err(ServeError::Shutdown)
+        ));
         // Idempotent.
         server.shutdown();
     }
@@ -1094,11 +961,11 @@ mod tests {
         )
         .unwrap();
         let queries = random_queries(5, 64, 10);
-        let pendings: Vec<Pending> =
-            queries.iter().map(|q| server.submit(q.as_view()).unwrap()).collect();
+        let pendings: Vec<PendingTopK> =
+            queries.iter().map(|q| server.submit(q.as_view(), 1).unwrap()).collect();
         server.shutdown();
         for (q, p) in queries.iter().zip(pendings) {
-            assert_eq!(p.wait().unwrap().class, am.classify(q).unwrap());
+            assert_eq!(p.wait().unwrap()[0].class, am.classify(q).unwrap());
         }
     }
 
@@ -1118,6 +985,13 @@ mod tests {
             ) -> Result<Vec<crate::Winner>> {
                 panic!("synthetic model failure");
             }
+            fn search_topk(
+                &self,
+                _batch: Arc<hd_linalg::QueryBatch>,
+                _k: usize,
+            ) -> Result<Vec<Vec<crate::Winner>>> {
+                panic!("synthetic model failure");
+            }
         }
         let server = Server::start(
             Arc::new(PanickyModel),
@@ -1132,7 +1006,7 @@ mod tests {
         )
         .unwrap();
         let q = random_queries(1, 64, 20).remove(0);
-        match server.classify(q.as_view()) {
+        match classify(&server, &q) {
             Err(ServeError::Model { reason }) => {
                 assert!(reason.contains("panicked"), "unexpected reason: {reason}")
             }
@@ -1142,7 +1016,7 @@ mod tests {
         // deadline path answers normally.
         let am = random_am(8, 64, 21);
         server.publish(Arc::clone(&am) as Arc<dyn Searchable>).unwrap();
-        assert_eq!(server.classify(q.as_view()).unwrap().class, am.classify(&q).unwrap());
+        assert_eq!(classify(&server, &q).unwrap().class, am.classify(&q).unwrap());
     }
 
     #[test]
@@ -1156,8 +1030,8 @@ mod tests {
     }
 
     /// Regression: a foreign model returning empty top-k slates used to
-    /// panic a plain waiter on `slate[0]`; it must surface as a typed
-    /// [`ServeError::Model`] instead.
+    /// panic a waiter on `slate[0]`; it must surface as a typed
+    /// [`ServeError::Model`] instead, so a handle's slate is never empty.
     #[test]
     fn empty_slate_from_foreign_model_is_a_typed_error_not_a_panic() {
         struct EmptySlateModel;
@@ -1188,18 +1062,68 @@ mod tests {
         )
         .unwrap();
         let queries = random_queries(2, 64, 30);
-        // A plain submission sharing a cycle with a top-k one is
-        // answered from the (empty) shared slate.
-        let plain = server.submit(queries[0].as_view()).unwrap();
-        let ranked = server.submit_topk(queries[1].as_view(), 3).unwrap();
-        match plain.wait() {
-            Err(ServeError::Model { reason }) => {
-                assert!(reason.contains("empty"), "unexpected reason: {reason}")
+        // An argmax submission sharing a cycle with a top-k one is
+        // answered from the (empty) shared slate, as is the top-k one.
+        let plain = server.submit(queries[0].as_view(), 1).unwrap();
+        let ranked = server.submit(queries[1].as_view(), 3).unwrap();
+        for pending in [plain, ranked] {
+            match pending.wait() {
+                Err(ServeError::Model { reason }) => {
+                    assert!(reason.contains("empty"), "unexpected reason: {reason}")
+                }
+                other => panic!("expected a Model error, got {other:?}"),
             }
-            other => panic!("expected a Model error, got {other:?}"),
         }
-        // The top-k waiter legitimately sees the empty slate.
-        assert_eq!(ranked.wait().unwrap(), Vec::new());
+    }
+
+    /// Short slates of different lengths land at the right offsets of the
+    /// flush's flat buffer: each waiter gets its own query's slate,
+    /// truncated to its own k.
+    #[test]
+    fn ragged_slates_from_foreign_model_reach_their_own_waiters() {
+        /// Answers query `q` with `q % 3 + 1` rows, row `r` scoring `q`.
+        struct RaggedModel;
+        impl crate::Searchable for RaggedModel {
+            fn dim(&self) -> usize {
+                64
+            }
+            fn rows(&self) -> usize {
+                8
+            }
+            fn search_winners(
+                &self,
+                batch: Arc<hd_linalg::QueryBatch>,
+            ) -> Result<Vec<crate::Winner>> {
+                Ok(self.search_topk(batch, 1)?.into_iter().map(|slate| slate[0]).collect())
+            }
+            fn search_topk(
+                &self,
+                batch: Arc<hd_linalg::QueryBatch>,
+                k: usize,
+            ) -> Result<Vec<Vec<crate::Winner>>> {
+                Ok((0..batch.len())
+                    .map(|q| {
+                        (0..(q % 3 + 1).min(k))
+                            .map(|r| crate::Winner { row: r, class: r, score: q as u32 })
+                            .collect()
+                    })
+                    .collect())
+            }
+        }
+        let server = Server::start(
+            Arc::new(RaggedModel),
+            ServeConfig { max_batch: 6, max_delay: Duration::from_secs(600), ..Default::default() },
+        )
+        .unwrap();
+        let ks = [1usize, 3, 2, 3, 3, 1];
+        let pendings: Vec<PendingTopK> =
+            ks.iter().map(|&k| server.submit(BitVector::zeros(64).as_view(), k).unwrap()).collect();
+        for (q, (p, &k)) in pendings.into_iter().zip(&ks).enumerate() {
+            let got: Vec<(usize, u32)> =
+                p.wait().unwrap().iter().map(|p| (p.row, p.score)).collect();
+            let want: Vec<(usize, u32)> = (0..(q % 3 + 1).min(k)).map(|r| (r, q as u32)).collect();
+            assert_eq!(got, want, "query {q} k {k}");
+        }
     }
 
     #[test]
@@ -1275,7 +1199,7 @@ mod tests {
         assert_eq!(server.stats().shed, 3);
         // One more single query fits exactly at the limit, fills the
         // 4-slot batch, and flushes inline — freeing every slot.
-        let single = server.submit(BitVector::zeros(dim).as_view()).unwrap();
+        let single = server.submit(BitVector::zeros(dim).as_view(), 1).unwrap();
         assert_eq!(server.in_flight(), 0);
         for p in held {
             p.wait().unwrap();
@@ -1296,7 +1220,7 @@ mod tests {
         )
         .unwrap();
         let q = random_queries(1, 64, 13).remove(0);
-        let got = server.classify(q.as_view()).unwrap();
+        let got = classify(&server, &q).unwrap();
         assert_eq!(got.row, got.class);
         let direct = memory
             .winners_batch(&QueryBatch::from_vectors(std::slice::from_ref(&q)).unwrap())

@@ -29,6 +29,11 @@ fn random_queries(n: usize, dim: usize, seed: u64) -> Vec<BitVector> {
     random_rows(n, dim, seed)
 }
 
+/// Submit-and-wait for the argmax winner.
+fn classify(server: &Server, query: &BitVector) -> hd_serve::Result<Prediction> {
+    server.submit(query.as_view(), 1)?.wait().map(|slate| slate[0])
+}
+
 /// A 4-shard worker-backed searcher plus the raw row set it serves.
 fn sharded_fixture(seed: u64) -> (Arc<ShardedSearcher>, Vec<BitVector>, Vec<usize>) {
     let rows = random_rows(61, 128, seed);
@@ -79,7 +84,7 @@ fn worker_panic_respawn_keeps_served_answers_exact() {
     // One panic: absorbed by the respawn, nothing degrades.
     sharded.inject_shard_panics(1, 1).unwrap();
     for q in &queries {
-        let pred = server.classify(q.as_view()).unwrap();
+        let pred = classify(&server, q).unwrap();
         let (row, score) = memory
             .winners_batch(&QueryBatch::from_vectors(std::slice::from_ref(q)).unwrap())
             .unwrap()[0];
@@ -108,7 +113,7 @@ fn degraded_shard_answers_survivors_and_flags_predictions() {
     let survivors = SearchMemory::from_rows(&rows[lost..]).unwrap();
     let queries = random_queries(12, 128, 312);
     for q in &queries {
-        let pred = server.classify(q.as_view()).unwrap();
+        let pred = classify(&server, q).unwrap();
         let (local_row, score) = survivors
             .winners_batch(&QueryBatch::from_vectors(std::slice::from_ref(q)).unwrap())
             .unwrap()[0];
@@ -138,8 +143,9 @@ fn deadline_timeout_leaves_query_answered_and_server_alive() {
     let query = random_queries(1, 128, 322).pop().unwrap();
     // The deadline flusher picks the query up after ~2 ms but the model
     // needs 80 ms; a 10 ms waiter must give up with Timeout.
-    let pending = server.submit_with_deadline(query.as_view(), Duration::from_millis(10)).unwrap();
-    assert_eq!(pending.wait(), Err(ServeError::Timeout));
+    let give_up = Instant::now() + Duration::from_millis(10);
+    let pending = server.submit(query.as_view(), 1).unwrap();
+    assert_eq!(pending.wait_until(give_up), Err(ServeError::Timeout));
     // The query itself is not lost: the flush still answers it.
     let deadline = Instant::now() + Duration::from_secs(10);
     while server.stats().queries < 1 {
@@ -147,7 +153,7 @@ fn deadline_timeout_leaves_query_answered_and_server_alive() {
         std::thread::sleep(Duration::from_millis(5));
     }
     // And the server keeps serving patient submitters.
-    let pred = server.classify(query.as_view()).unwrap();
+    let pred = classify(&server, &query).unwrap();
     assert!(pred.score > 0 || pred.row < 61);
     server.shutdown();
 }
@@ -171,7 +177,7 @@ fn overload_sheds_at_admission_but_accepted_queries_all_resolve() {
             handles.push(scope.spawn(move || {
                 let mut local = (0u64, 0u64);
                 for q in chunk {
-                    match server.submit(q.as_view()) {
+                    match server.submit(q.as_view(), 1) {
                         Ok(pending) => {
                             // Admitted queries must always resolve.
                             pending.wait().unwrap();
@@ -216,8 +222,7 @@ fn scrub_and_republish_restore_bit_identical_predictions() {
     )
     .unwrap();
     let queries = random_queries(10, 256, 342);
-    let baseline: Vec<Prediction> =
-        queries.iter().map(|q| server.classify(q.as_view()).unwrap()).collect();
+    let baseline: Vec<Prediction> = queries.iter().map(|q| classify(&server, q).unwrap()).collect();
 
     // Fault the array and hot-swap the degraded model in.
     let mut deployed = FaultyAmMapping::program(&golden, FaultModel::bit_flip(0.05), 343).unwrap();
@@ -242,7 +247,7 @@ fn scrub_and_republish_restore_bit_identical_predictions() {
     assert!(gen_healed > gen_faulty);
 
     for (q, before) in queries.iter().zip(&baseline) {
-        let after = server.classify(q.as_view()).unwrap();
+        let after = classify(&server, q).unwrap();
         assert_eq!(
             (after.row, after.class, after.score),
             (before.row, before.class, before.score),
@@ -281,16 +286,18 @@ fn combined_chaos_every_submission_resolves() {
                         sharded.inject_shard_panics(2, 100).unwrap();
                     }
                     let outcome = if i % 3 == 0 {
+                        let give_up = Instant::now() + Duration::from_millis(250);
                         server
-                            .submit_with_deadline(q.as_view(), Duration::from_millis(250))
-                            .and_then(|p| p.wait())
+                            .submit(q.as_view(), 1)
+                            .and_then(|p| p.wait_until(give_up))
+                            .map(|v| v[0])
                     } else if i % 3 == 1 {
-                        server.submit_topk(q.as_view(), 3).and_then(|p| p.wait()).map(|mut v| {
+                        server.submit(q.as_view(), 3).and_then(|p| p.wait()).map(|mut v| {
                             assert!(!v.is_empty());
                             v.remove(0)
                         })
                     } else {
-                        server.submit(q.as_view()).and_then(|p| p.wait())
+                        server.submit(q.as_view(), 1).and_then(|p| p.wait()).map(|v| v[0])
                     };
                     match outcome {
                         Ok(_) | Err(ServeError::Timeout) | Err(ServeError::Overloaded) => {
@@ -310,7 +317,7 @@ fn combined_chaos_every_submission_resolves() {
     // The killed shard is flagged, and post-chaos traffic still answers
     // (degraded, but exact over the survivors).
     assert_eq!(sharded.missing_shards(), vec![2]);
-    let pred = server.classify(queries[0].as_view()).unwrap();
+    let pred = classify(&server, &queries[0]).unwrap();
     assert!(pred.degraded);
     server.shutdown();
     let stats = server.stats();

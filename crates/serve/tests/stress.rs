@@ -12,7 +12,7 @@
 
 use hd_linalg::rng::seeded;
 use hd_linalg::{BitVector, CascadePlan};
-use hd_serve::{CascadeSearcher, Pending, Searchable, ServeConfig, Server, ShardedSearcher};
+use hd_serve::{CascadeSearcher, PendingTopK, Searchable, ServeConfig, Server, ShardedSearcher};
 use hdc::BinaryAm;
 use rand::Rng;
 use std::collections::HashMap;
@@ -53,10 +53,10 @@ fn run_lost_queries_stress(shards: usize, config: ServeConfig, expect_coalesce: 
                     let queries = random_queries(PER_THREAD, dim, 100 + t as u64);
                     let mut answered = 0usize;
                     for window in queries.chunks(WINDOW) {
-                        let pendings: Vec<Pending> =
-                            window.iter().map(|q| server.submit(q.as_view()).unwrap()).collect();
+                        let pendings: Vec<PendingTopK> =
+                            window.iter().map(|q| server.submit(q.as_view(), 1).unwrap()).collect();
                         for (q, p) in window.iter().zip(pendings) {
-                            let got = p.wait().unwrap();
+                            let got = p.wait().unwrap()[0];
                             let want = am.search(q).unwrap();
                             assert_eq!(
                                 (got.row, got.class, got.score),
@@ -154,10 +154,10 @@ fn cascade_served_submitters_never_lose_queries() {
                     let queries = random_queries(PER_THREAD, dim, 700 + t as u64);
                     let mut answered = 0usize;
                     for window in queries.chunks(WINDOW) {
-                        let pendings: Vec<Pending> =
-                            window.iter().map(|q| server.submit(q.as_view()).unwrap()).collect();
+                        let pendings: Vec<PendingTopK> =
+                            window.iter().map(|q| server.submit(q.as_view(), 1).unwrap()).collect();
                         for (q, p) in window.iter().zip(pendings) {
-                            let got = p.wait().unwrap();
+                            let got = p.wait().unwrap()[0];
                             let want = am.search(q).unwrap();
                             assert_eq!(
                                 (got.row, got.class, got.score),
@@ -225,7 +225,7 @@ fn sharded_topk_agrees_with_unsharded_under_concurrent_mixed_k() {
                             .enumerate()
                             .map(|(i, q)| {
                                 let k = ks[(t + i) % ks.len()];
-                                (k, server.submit_topk(q.as_view(), k).unwrap())
+                                (k, server.submit(q.as_view(), k).unwrap())
                             })
                             .collect();
                         for (q, (k, p)) in window.iter().zip(pendings) {
@@ -278,12 +278,12 @@ fn deadline_flush_always_fires() {
     .unwrap();
     let queries = random_queries(60, dim, 3);
     for (round, window) in queries.chunks(3).enumerate() {
-        let pendings: Vec<Pending> =
-            window.iter().map(|q| server.submit(q.as_view()).unwrap()).collect();
+        let pendings: Vec<PendingTopK> =
+            window.iter().map(|q| server.submit(q.as_view(), 1).unwrap()).collect();
         for (q, p) in window.iter().zip(pendings) {
             // wait() returning at all IS the property: nothing but the
             // deadline can flush these.
-            assert_eq!(p.wait().unwrap().class, am.classify(q).unwrap(), "round {round}");
+            assert_eq!(p.wait().unwrap()[0].class, am.classify(q).unwrap(), "round {round}");
         }
     }
     let stats = server.stats();
@@ -367,10 +367,10 @@ fn snapshot_swap_never_mixes_generations() {
                 scope.spawn(move || {
                     let queries = random_queries(PER_THREAD, dim, 200 + t as u64);
                     for window in queries.chunks(WINDOW) {
-                        let pendings: Vec<Pending> =
-                            window.iter().map(|q| server.submit(q.as_view()).unwrap()).collect();
+                        let pendings: Vec<PendingTopK> =
+                            window.iter().map(|q| server.submit(q.as_view(), 1).unwrap()).collect();
                         for p in pendings {
-                            let got = p.wait().unwrap();
+                            let got = p.wait().unwrap()[0];
                             let expected_class =
                                 *published.lock().unwrap().get(&got.generation).unwrap_or_else(
                                     || panic!("unknown generation {}", got.generation),
@@ -476,10 +476,10 @@ fn cascade_swap_agrees_with_unsharded_and_never_mixes_generations() {
                 scope.spawn(move || {
                     let queries = random_queries(PER_THREAD, dim, 800 + t as u64);
                     for window in queries.chunks(WINDOW) {
-                        let pendings: Vec<Pending> =
-                            window.iter().map(|q| server.submit(q.as_view()).unwrap()).collect();
+                        let pendings: Vec<PendingTopK> =
+                            window.iter().map(|q| server.submit(q.as_view(), 1).unwrap()).collect();
                         for (q, p) in window.iter().zip(pendings) {
-                            let got = p.wait().unwrap();
+                            let got = p.wait().unwrap()[0];
                             // (a) generation consistency.
                             let expected_class =
                                 *published.lock().unwrap().get(&got.generation).unwrap_or_else(

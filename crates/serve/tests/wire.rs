@@ -61,7 +61,7 @@ fn wire_fixture(seed: u64) -> (Arc<ShardedSearcher>, Arc<Server>, WireServer, So
 
 /// In-process ground truth for one query at one k, via the same server.
 fn expected(server: &Server, q: &BitVector, k: usize) -> Vec<Prediction> {
-    server.submit_topk(q.as_view(), k).unwrap().wait().unwrap()
+    server.submit(q.as_view(), k).unwrap().wait().unwrap()
 }
 
 /// Drives `n` queries through `client` (first `split` at k=1, rest at
@@ -133,7 +133,7 @@ fn degraded_shard_failover_flags_wire_responses_and_stays_exact() {
     sharded.inject_shard_panics(0, 100).unwrap();
     // Drive one classification through to force the failover to settle.
     let warmup = random_queries(1, 422).pop().unwrap();
-    while !server.classify(warmup.as_view()).unwrap().degraded {
+    while !server.submit(warmup.as_view(), 1).unwrap().wait().unwrap()[0].degraded {
         std::thread::sleep(Duration::from_millis(1));
     }
     let mut client = WireClient::connect_tcp(addr).unwrap();
@@ -570,10 +570,8 @@ fn drain_flushes_in_flight_answers_then_says_goaway() {
         .unwrap(),
     );
     let queries = random_queries(4, 512);
-    let in_process: Vec<Vec<Prediction>> = queries
-        .iter()
-        .map(|q| server.submit_topk(q.as_view(), 1).unwrap().wait().unwrap())
-        .collect();
+    let in_process: Vec<Vec<Prediction>> =
+        queries.iter().map(|q| server.submit(q.as_view(), 1).unwrap().wait().unwrap()).collect();
 
     let wire = Arc::new(WireServer::start(Arc::clone(&server), WireConfig::default()).unwrap());
     let addr = wire.listen_tcp("127.0.0.1:0").unwrap();

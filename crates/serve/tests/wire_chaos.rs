@@ -269,7 +269,7 @@ fn start_server(model: Arc<dyn Searchable>, max_delay: Duration) -> Arc<Server> 
 
 /// In-process ground truth, computed before any proxy exists.
 fn ground_truth(server: &Server, queries: &[BitVector], k: usize) -> Vec<Vec<Prediction>> {
-    queries.iter().map(|q| server.submit_topk(q.as_view(), k).unwrap().wait().unwrap()).collect()
+    queries.iter().map(|q| server.submit(q.as_view(), k).unwrap().wait().unwrap()).collect()
 }
 
 fn chaos_client_config() -> ResilientConfig {

@@ -24,7 +24,7 @@ use imc_sim::{
 };
 use rand::Rng;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dim = 256;
@@ -77,8 +77,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ServeConfig { max_batch: 16, max_delay: Duration::from_micros(200), max_in_flight: 1024 },
     )?;
     let query = BitVector::from_bools(&(0..dim).map(|_| rng.gen()).collect::<Vec<_>>());
+    let classify = || server.submit(query.as_view(), 1)?.wait().map(|slate| slate[0]);
 
-    let healthy = server.classify(query.as_view())?;
+    let healthy = classify()?;
     println!("\nserving over {} shard workers:", sharded.num_shards());
     println!("  healthy:  row {:2}, degraded = {}", healthy.row, healthy.degraded);
 
@@ -89,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One injected panic is absorbed by the respawn budget.
     sharded.inject_shard_panics(1, 1)?;
-    let respawned = server.classify(query.as_view())?;
+    let respawned = classify()?;
     println!(
         "  1 panic:  row {:2}, degraded = {} (worker respawned, missing = {:?})",
         respawned.row,
@@ -100,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A crash loop exhausts the budget: the shard degrades out and
     // answers are flagged, exact over the surviving rows.
     sharded.inject_shard_panics(2, 100)?;
-    let degraded = server.classify(query.as_view())?;
+    let degraded = classify()?;
     println!(
         "  crashes:  row {:2}, degraded = {} (shard degraded, missing = {:?})",
         degraded.row,
@@ -113,7 +114,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The healed mapping republishes through the registry: a new
     // generation, zero residual faults.
     let generation = server.publish(Arc::new(deployed) as Arc<dyn Searchable>)?;
-    let served = server.classify_with_deadline(query.as_view(), Duration::from_millis(100))?;
+    // An impatient caller bounds its wait with a deadline.
+    let deadline = Instant::now() + Duration::from_millis(100);
+    let served = server.submit(query.as_view(), 1)?.wait_until(deadline)?[0];
     println!(
         "\nrepublished the scrubbed mapping as generation {generation}: \
          class {} at score {}, degraded = {}",

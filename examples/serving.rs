@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example serving`
 
 use hd_datasets::synthetic::SyntheticSpec;
-use hd_serve::{Pending, Searchable, ServeConfig, Server, ShardedSearcher};
+use hd_serve::{PendingTopK, Searchable, ServeConfig, Server, ShardedSearcher};
 use hdc::Encoder;
 use imc_sim::{AmMapping, ArraySpec, FaultModel, FaultyAmMapping, MappingStrategy};
 use memhd::{MemhdConfig, MemhdModel};
@@ -59,12 +59,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     for (chunk_q, chunk_l) in
                         queries.chunks(64).zip(labels.chunks(64)).skip(t).step_by(4)
                     {
-                        let pendings: Vec<Pending> = chunk_q
+                        let pendings: Vec<PendingTopK> = chunk_q
                             .iter()
-                            .map(|q| server.submit(q.as_view()).expect("submit"))
+                            .map(|q| server.submit(q.as_view(), 1).expect("submit"))
                             .collect();
                         for (p, &label) in pendings.into_iter().zip(chunk_l) {
-                            if p.wait().expect("wait").class == label {
+                            if p.wait().expect("wait")[0].class == label {
                                 correct += 1;
                             }
                         }
@@ -103,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let generation = server.publish(Arc::new(degraded))?;
     println!("republished degraded mapping as generation {generation}");
 
-    let p = server.classify(queries[0].as_view())?;
+    let p = server.submit(queries[0].as_view(), 1)?.wait()?[0];
     println!(
         "query 0 on generation {}: class {} (score {}) — still {} on the degraded array",
         p.generation,

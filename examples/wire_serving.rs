@@ -175,7 +175,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nfront-end down (socket file removed: {}); in-process server still answers: class {}",
         !uds_path.exists(),
-        server.classify(queries[0].as_view())?.class
+        server.submit(queries[0].as_view(), 1)?.wait()?[0].class
     );
     server.shutdown();
     Ok(())
