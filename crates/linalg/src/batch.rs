@@ -35,8 +35,7 @@ pub(crate) const QUERY_TILE: usize = 8;
 
 /// Minimum `Q × R` word-products before the `rayon` feature spreads a
 /// batch across threads; below this the spawn cost dominates.
-#[cfg(feature = "rayon")]
-pub(crate) const PARALLEL_THRESHOLD: usize = 1 << 16;
+const PARALLEL_THRESHOLD: usize = 1 << 16;
 
 /// Minimum word-slice width before the runtime-dispatched SIMD kernels
 /// beat the inline scalar loop; below this the indirect call costs more
@@ -100,43 +99,203 @@ pub(crate) fn hamming_words(a: &[u64], b: &[u64]) -> u32 {
 }
 
 /// A borrowed associative memory in either storage layout — what the
-/// batched dispatchers sweep. Entry points choose the representation
+/// batched sweeps run over. Entry points choose the representation
 /// ([`BlockedBitMatrix`] when the active backend is SIMD and the batch is
-/// large enough to amortize packing) and the `rayon` query chunking
-/// composes identically on top of both.
+/// large enough to amortize packing) and the query chunking of
+/// [`chunk_queries`] composes identically on top of both.
 #[derive(Clone, Copy)]
 pub(crate) enum MemoryRef<'a> {
     /// Row-major packed rows (the scalar tiled kernels).
     Rows(&'a BitMatrix),
-    /// Interleaved row blocks (the SIMD blocked kernels).
+    /// Interleaved row blocks (the active backend's blocked sweep).
     Blocked(&'a BlockedBitMatrix),
 }
 
 impl MemoryRef<'_> {
-    #[inline]
-    #[cfg(feature = "rayon")]
-    fn rows(&self) -> usize {
-        match self {
-            MemoryRef::Rows(m) => m.rows(),
-            MemoryRef::Blocked(b) => b.rows(),
-        }
+    /// Sweeps every query of `batch` into `out` on the layout's kernels —
+    /// the row-major tiled kernels, or the active backend's blocked
+    /// sweep — in query chunks across threads under the `rayon` feature
+    /// (see [`chunk_queries`]). The batch may be wider than the memory (a cascade stage-0 sweep
+    /// drives a prefix sub-memory with full-width queries): only the
+    /// memory's words participate.
+    pub(crate) fn sweep(self, batch: &QueryBatch, out: SweepOut<'_>) {
+        let words = match self {
+            MemoryRef::Rows(m) => m.rows() * m.words_per_row_pub(),
+            MemoryRef::Blocked(b) => b.rows() * b.words_per_row(),
+        };
+        chunk_queries(batch.len(), words, out, |q_offset, out| match (self, out) {
+            (MemoryRef::Blocked(b), out) => {
+                (kernel::active_table().blocked_sweep)(b, batch, q_offset, out)
+            }
+            (MemoryRef::Rows(m), SweepOut::Dot(s)) => {
+                dot_batch_kernel(m, batch, q_offset, s.queries(), s.data)
+            }
+            (MemoryRef::Rows(m), SweepOut::KBest(s)) if s.per_query == 1 => {
+                winners_rows(m, batch, q_offset, s.data)
+            }
+            (MemoryRef::Rows(m), SweepOut::KBest(s)) => {
+                topk_rows(m, batch, q_offset, s.per_query, s.data)
+            }
+        });
+    }
+}
+
+/// A flat per-query output buffer: `per_query` consecutive slots for
+/// each query, queries in order.
+pub(crate) struct Slots<'a, T> {
+    pub(crate) data: &'a mut [T],
+    pub(crate) per_query: usize,
+}
+
+impl<'a, T> Slots<'a, T> {
+    pub(crate) fn new(data: &'a mut [T], per_query: usize) -> Self {
+        debug_assert!(per_query > 0 && data.len().is_multiple_of(per_query));
+        Slots { data, per_query }
     }
 
-    #[inline]
-    #[cfg(feature = "rayon")]
-    fn words_per_row(&self) -> usize {
+    /// Number of queries the buffer holds.
+    pub(crate) fn queries(&self) -> usize {
+        self.data.len() / self.per_query
+    }
+}
+
+/// What one batched sweep writes per query — the three sinks every
+/// layout and backend serves.
+pub(crate) enum SweepOut<'a> {
+    /// Every row's score (`rows` slots per query).
+    Dot(Slots<'a, u32>),
+    /// The k-best `(row, score)` list, score desc then row asc (`k`
+    /// slots, with `k` pre-clamped to the row count). One slot per query
+    /// is the winner (lowest row on ties), which kernels answer from a
+    /// register-resident per-lane best instead of a list.
+    KBest(Slots<'a, (usize, u32)>),
+}
+
+/// Output buffers a chunked sweep can cut at a query boundary.
+pub(crate) trait QuerySplit: Send + Sized {
+    /// Splits off the first `queries` queries.
+    fn split_queries(self, queries: usize) -> (Self, Self);
+}
+
+impl<T: Send> QuerySplit for Slots<'_, T> {
+    fn split_queries(self, queries: usize) -> (Self, Self) {
+        let (head, tail) = self.data.split_at_mut(queries * self.per_query);
+        (Slots { data: head, ..self }, Slots { data: tail, ..self })
+    }
+}
+
+impl<A: QuerySplit, B: QuerySplit> QuerySplit for (A, B) {
+    fn split_queries(self, queries: usize) -> (Self, Self) {
+        let (a_head, a_tail) = self.0.split_queries(queries);
+        let (b_head, b_tail) = self.1.split_queries(queries);
+        ((a_head, b_head), (a_tail, b_tail))
+    }
+}
+
+impl QuerySplit for SweepOut<'_> {
+    fn split_queries(self, queries: usize) -> (Self, Self) {
         match self {
-            MemoryRef::Rows(m) => m.words_per_row_pub(),
-            MemoryRef::Blocked(b) => b.words_per_row(),
+            SweepOut::Dot(s) => {
+                let (head, tail) = s.split_queries(queries);
+                (SweepOut::Dot(head), SweepOut::Dot(tail))
+            }
+            SweepOut::KBest(s) => {
+                let (head, tail) = s.split_queries(queries);
+                (SweepOut::KBest(head), SweepOut::KBest(tail))
+            }
         }
     }
 }
 
-/// Packs `m` for a SIMD sweep when the active backend and batch size
-/// justify it.
-fn pack_for_sweep(m: &BitMatrix, queries: usize) -> Option<BlockedBitMatrix> {
-    (kernel::active() != kernel::Backend::Scalar && queries >= MIN_PACK_QUERIES)
-        .then(|| BlockedBitMatrix::from_matrix(m))
+/// Runs `run(q_offset, part)` over contiguous query chunks of `parts`
+/// and returns the chunk results in query order — the one place a sweep
+/// is spread across threads. Without the `rayon` feature, and for
+/// batches below [`PARALLEL_THRESHOLD`] word-products (`queries ×
+/// words_per_query`) or two query tiles, it is a single serial
+/// `run(0, parts)`. Otherwise chunks align to [`QUERY_TILE`] (so only
+/// the final chunk runs a kernel's query tail) and run on scoped
+/// threads; queries are independent and chunks own disjoint outputs, so
+/// the result is bit-identical to the serial call.
+pub(crate) fn chunk_queries<P: QuerySplit, R: Send>(
+    queries: usize,
+    words_per_query: usize,
+    parts: P,
+    run: impl Fn(usize, P) -> R + Sync,
+) -> Vec<R> {
+    let threads = if cfg!(feature = "rayon") {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    } else {
+        1
+    };
+    if threads < 2 || queries * words_per_query < PARALLEL_THRESHOLD || queries < 2 * QUERY_TILE {
+        return vec![run(0, parts)];
+    }
+    let chunks = threads.min(queries.div_ceil(QUERY_TILE));
+    let per_chunk = queries.div_ceil(chunks).next_multiple_of(QUERY_TILE);
+    let mut jobs = Vec::with_capacity(chunks);
+    let mut rest = parts;
+    let mut offset = 0usize;
+    while offset < queries {
+        let take = per_chunk.min(queries - offset);
+        let (head, tail) = rest.split_queries(take);
+        jobs.push((offset, head));
+        rest = tail;
+        offset += take;
+    }
+    let run = &run;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs
+            .into_iter()
+            .map(|(q_offset, part)| scope.spawn(move || run(q_offset, part)))
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("query chunk worker panicked")).collect()
+    })
+}
+
+/// Entry validation shared by every batched search on [`BitMatrix`],
+/// [`BlockedBitMatrix`] and [`crate::SearchMemory`]: the batch must be
+/// `cols` bits wide.
+fn check_width(op: &'static str, cols: usize, batch: &QueryBatch) -> Result<()> {
+    if batch.dim() != cols {
+        return Err(LinalgError::ShapeMismatch { op, expected: cols, found: batch.dim() });
+    }
+    Ok(())
+}
+
+/// Validated dot sweep: checks the width, sizes `out` to `Q × rows`,
+/// and lets `sweep` fill it (a zero-row memory has nothing to score).
+pub(crate) fn dot_search(
+    (rows, cols): (usize, usize),
+    batch: &QueryBatch,
+    out: &mut ScoreMatrix,
+    sweep: impl FnOnce(SweepOut<'_>),
+) -> Result<()> {
+    check_width("dot_batch", cols, batch)?;
+    out.reset(batch.len(), rows);
+    if rows > 0 {
+        sweep(SweepOut::Dot(Slots::new(&mut out.data, rows)));
+    }
+    Ok(())
+}
+
+/// Validated k-best sweep (winners are `k = 1`): rejects `k == 0` and a
+/// zero-row memory — which has no winner — as [`LinalgError::Empty`],
+/// then the width, and lets `sweep` fill `min(k, rows)` slots per query.
+pub(crate) fn kbest_search(
+    op: &'static str,
+    (rows, cols): (usize, usize),
+    batch: &QueryBatch,
+    k: usize,
+    sweep: impl FnOnce(SweepOut<'_>),
+) -> Result<TopK> {
+    if k == 0 || rows == 0 {
+        return Err(LinalgError::Empty { op });
+    }
+    check_width(op, cols, batch)?;
+    let per_query = k.min(rows);
+    let mut entries = vec![(0usize, 0u32); batch.len() * per_query];
+    sweep(SweepOut::KBest(Slots::new(&mut entries, per_query)));
+    Ok(TopK::from_flat(batch.len(), k, per_query, entries))
 }
 
 /// A packed batch of equal-length binary queries.
@@ -652,9 +811,13 @@ pub struct SearchResults {
 }
 
 impl SearchResults {
-    pub(crate) fn from_scores(scores: ScoreMatrix) -> Self {
+    /// Picks each query's winner; a zero-row matrix has none.
+    pub(crate) fn from_scores(scores: ScoreMatrix) -> Result<Self> {
+        if scores.num_rows() == 0 {
+            return Err(LinalgError::Empty { op: "search_batch" });
+        }
         let winners = (0..scores.num_queries()).map(|q| scores.argmax(q)).collect();
-        SearchResults { scores, winners }
+        Ok(SearchResults { scores, winners })
     }
 
     /// Number of queries.
@@ -975,62 +1138,6 @@ fn kernel_tail(
     }
 }
 
-/// Routes one contiguous query range to the layout-appropriate kernel:
-/// the scalar tiled kernels for row-major memories, the active backend's
-/// blocked sweep for interleaved ones.
-fn dot_range(
-    mem: MemoryRef<'_>,
-    batch: &QueryBatch,
-    q_offset: usize,
-    q_count: usize,
-    out: &mut [u32],
-) {
-    match mem {
-        MemoryRef::Rows(m) => dot_batch_kernel(m, batch, q_offset, q_count, out),
-        MemoryRef::Blocked(b) => {
-            (kernel::active_table().blocked_dot_range)(b, batch, q_offset, q_count, out)
-        }
-    }
-}
-
-#[cfg(feature = "rayon")]
-pub(crate) fn dot_batch_dispatch(memory: MemoryRef<'_>, batch: &QueryBatch, out: &mut ScoreMatrix) {
-    let q = batch.len();
-    let rows = memory.rows();
-    let work = q * rows * memory.words_per_row();
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    if threads < 2 || work < PARALLEL_THRESHOLD || q < 2 * QUERY_TILE {
-        dot_range(memory, batch, 0, q, &mut out.data);
-        return;
-    }
-    // Chunk queries across threads; each chunk owns a disjoint slice of
-    // the output, so the sweep is embarrassingly parallel and the result
-    // is bit-identical to the serial order. Chunks align to the query
-    // tile so only the final chunk runs the scalar tail.
-    let chunks = threads.min(q.div_ceil(QUERY_TILE));
-    let per_chunk = q.div_ceil(chunks).next_multiple_of(QUERY_TILE);
-    let mut jobs: Vec<(usize, usize, &mut [u32])> = Vec::with_capacity(chunks);
-    let mut rest = out.data.as_mut_slice();
-    let mut offset = 0usize;
-    while offset < q {
-        let take = per_chunk.min(q - offset);
-        let (head, tail) = rest.split_at_mut(take * rows);
-        jobs.push((offset, take, head));
-        rest = tail;
-        offset += take;
-    }
-    std::thread::scope(|scope| {
-        for (q_offset, q_count, chunk_out) in jobs {
-            scope.spawn(move || dot_range(memory, batch, q_offset, q_count, chunk_out));
-        }
-    });
-}
-
-#[cfg(not(feature = "rayon"))]
-pub(crate) fn dot_batch_dispatch(memory: MemoryRef<'_>, batch: &QueryBatch, out: &mut ScoreMatrix) {
-    dot_range(memory, batch, 0, batch.len(), &mut out.data);
-}
-
 impl BitMatrix {
     /// Dot similarity of every row against every query of `batch` — the
     /// batched associative search (`Q` in-memory MVMs in the paper's
@@ -1055,19 +1162,18 @@ impl BitMatrix {
     /// Returns [`LinalgError::ShapeMismatch`] if the batch dimensionality
     /// differs from `cols`.
     pub fn dot_batch_into(&self, batch: &QueryBatch, out: &mut ScoreMatrix) -> Result<()> {
-        if batch.dim() != self.cols() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "dot_batch",
-                expected: self.cols(),
-                found: batch.dim(),
-            });
+        dot_search(self.shape(), batch, out, |out| self.sweep(batch, out))
+    }
+
+    /// Sweeps `batch` on the layout the active backend runs fastest for
+    /// it: a blocked copy packed on the fly for SIMD backends and batches
+    /// of at least [`MIN_PACK_QUERIES`], the row-major kernels otherwise.
+    fn sweep(&self, batch: &QueryBatch, out: SweepOut<'_>) {
+        if kernel::active() != kernel::Backend::Scalar && batch.len() >= MIN_PACK_QUERIES {
+            MemoryRef::Blocked(&BlockedBitMatrix::from_matrix(self)).sweep(batch, out)
+        } else {
+            MemoryRef::Rows(self).sweep(batch, out)
         }
-        out.reset(batch.len(), self.rows());
-        match pack_for_sweep(self, batch.len()) {
-            Some(blocked) => dot_batch_dispatch(MemoryRef::Blocked(&blocked), batch, out),
-            None => dot_batch_dispatch(MemoryRef::Rows(self), batch, out),
-        }
-        Ok(())
     }
 
     /// Batched associative search: per query, the winning row under dot
@@ -1080,9 +1186,10 @@ impl BitMatrix {
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if the batch dimensionality
-    /// differs from `cols`.
+    /// differs from `cols` and [`LinalgError::Empty`] when the memory has
+    /// no rows.
     pub fn search_batch(&self, batch: &QueryBatch) -> Result<SearchResults> {
-        Ok(SearchResults::from_scores(self.dot_batch(batch)?))
+        SearchResults::from_scores(self.dot_batch(batch)?)
     }
 
     /// Batched associative search returning only the winning `(row,
@@ -1096,23 +1203,12 @@ impl BitMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the batch dimensionality
-    /// differs from `cols`.
+    /// Returns [`LinalgError::Empty`] when the memory has no rows (there
+    /// is no winner) and [`LinalgError::ShapeMismatch`] if the batch
+    /// dimensionality differs from `cols`.
     pub fn winners_batch(&self, batch: &QueryBatch) -> Result<Vec<(usize, u32)>> {
-        if batch.dim() != self.cols() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "winners_batch",
-                expected: self.cols(),
-                found: batch.dim(),
-            });
-        }
-        let q_total = batch.len();
-        let mut winners = vec![(0usize, 0u32); q_total];
-        match pack_for_sweep(self, q_total) {
-            Some(blocked) => winners_dispatch(MemoryRef::Blocked(&blocked), batch, &mut winners),
-            None => winners_dispatch(MemoryRef::Rows(self), batch, &mut winners),
-        }
-        Ok(winners)
+        kbest_search("winners_batch", self.shape(), batch, 1, |out| self.sweep(batch, out))
+            .map(TopK::into_flat)
     }
 
     /// Batched top-k associative search: per query, the `min(k, rows)`
@@ -1130,54 +1226,16 @@ impl BitMatrix {
     /// rows, and [`LinalgError::ShapeMismatch`] if the batch
     /// dimensionality differs from `cols`.
     pub fn topk_batch(&self, batch: &QueryBatch, k: usize) -> Result<TopK> {
-        if k == 0 || self.rows() == 0 {
-            return Err(LinalgError::Empty { op: "topk_batch" });
-        }
-        if batch.dim() != self.cols() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "topk_batch",
-                expected: self.cols(),
-                found: batch.dim(),
-            });
-        }
-        let per_query = k.min(self.rows());
-        let mut entries = vec![(0usize, 0u32); batch.len() * per_query];
-        match pack_for_sweep(self, batch.len()) {
-            Some(blocked) => {
-                topk_dispatch(MemoryRef::Blocked(&blocked), batch, per_query, &mut entries)
-            }
-            None => topk_dispatch(MemoryRef::Rows(self), batch, per_query, &mut entries),
-        }
-        Ok(TopK::from_flat(batch.len(), k, per_query, entries))
+        kbest_search("topk_batch", self.shape(), batch, k, |out| self.sweep(batch, out))
     }
 }
 
-/// Routes one contiguous winners range to the layout-appropriate kernel.
-pub(crate) fn winners_range(
-    mem: MemoryRef<'_>,
-    batch: &QueryBatch,
-    q_offset: usize,
-    out: &mut [(usize, u32)],
-) {
-    match mem {
-        MemoryRef::Rows(m) => winners_rows_range(m, batch, q_offset, out),
-        MemoryRef::Blocked(b) => {
-            (kernel::active_table().blocked_winners_range)(b, batch, q_offset, out)
-        }
-    }
-}
-
-/// Blocked winners sweep over queries `[q_offset, q_offset + out.len())`.
+/// Row-major winners sweep over queries `[q_offset, q_offset + out.len())`.
 ///
 /// Fixed-width memories use a fused kernel that tracks each tile query's
 /// running winner in registers (no score matrix is ever written); wider
 /// memories fill a cache-resident scratch block and reduce it while hot.
-fn winners_rows_range(
-    memory: &BitMatrix,
-    batch: &QueryBatch,
-    q_offset: usize,
-    out: &mut [(usize, u32)],
-) {
+fn winners_rows(memory: &BitMatrix, batch: &QueryBatch, q_offset: usize, out: &mut [(usize, u32)]) {
     match memory.words_per_row_pub() {
         1 => winners_kernel_fixed::<1>(memory, batch, q_offset, out),
         2 => winners_kernel_fixed::<2>(memory, batch, q_offset, out),
@@ -1300,70 +1358,12 @@ fn winners_blocked(
     }
 }
 
-#[cfg(feature = "rayon")]
-pub(crate) fn winners_dispatch(
-    memory: MemoryRef<'_>,
-    batch: &QueryBatch,
-    winners: &mut [(usize, u32)],
-) {
-    let q = winners.len();
-    let work = q * memory.rows() * memory.words_per_row();
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    if threads < 2 || work < PARALLEL_THRESHOLD || q < 2 * QUERY_TILE {
-        winners_range(memory, batch, 0, winners);
-        return;
-    }
-    let chunks = threads.min(q.div_ceil(QUERY_TILE));
-    let per_chunk = q.div_ceil(chunks).next_multiple_of(QUERY_TILE);
-    let mut jobs: Vec<(usize, &mut [(usize, u32)])> = Vec::with_capacity(chunks);
-    let mut rest = winners;
-    let mut offset = 0usize;
-    while !rest.is_empty() {
-        let take = per_chunk.min(rest.len());
-        let (head, tail) = rest.split_at_mut(take);
-        jobs.push((offset, head));
-        rest = tail;
-        offset += take;
-    }
-    std::thread::scope(|scope| {
-        for (q_offset, chunk) in jobs {
-            scope.spawn(move || winners_range(memory, batch, q_offset, chunk));
-        }
-    });
-}
-
-#[cfg(not(feature = "rayon"))]
-pub(crate) fn winners_dispatch(
-    memory: MemoryRef<'_>,
-    batch: &QueryBatch,
-    winners: &mut [(usize, u32)],
-) {
-    winners_range(memory, batch, 0, winners);
-}
-
-/// Routes one contiguous top-k range (`out.len() / k` queries, `k` slots
-/// each) to the layout-appropriate kernel.
-pub(crate) fn topk_range(
-    mem: MemoryRef<'_>,
-    batch: &QueryBatch,
-    q_offset: usize,
-    k: usize,
-    out: &mut [(usize, u32)],
-) {
-    match mem {
-        MemoryRef::Rows(m) => topk_rows_range(m, batch, q_offset, k, out),
-        MemoryRef::Blocked(b) => {
-            (kernel::active_table().blocked_topk_range)(b, batch, q_offset, k, out)
-        }
-    }
-}
-
 /// Row-major fused top-k sweep: per query, one bounded k-best list
 /// updated row by row through [`topk_insert`] — the `>` threshold against
 /// the running k-th score keeps the common case to a single compare, and
 /// no score row is ever materialized. `k` here is already clamped to the
 /// row count by the entry points.
-fn topk_rows_range(
+fn topk_rows(
     memory: &BitMatrix,
     batch: &QueryBatch,
     q_offset: usize,
@@ -1380,49 +1380,6 @@ fn topk_rows_range(
         }
         debug_assert_eq!(filled, k);
     }
-}
-
-#[cfg(feature = "rayon")]
-pub(crate) fn topk_dispatch(
-    memory: MemoryRef<'_>,
-    batch: &QueryBatch,
-    k: usize,
-    out: &mut [(usize, u32)],
-) {
-    let q = out.len() / k;
-    let work = q * memory.rows() * memory.words_per_row();
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    if threads < 2 || work < PARALLEL_THRESHOLD || q < 2 * QUERY_TILE {
-        topk_range(memory, batch, 0, k, out);
-        return;
-    }
-    let chunks = threads.min(q.div_ceil(QUERY_TILE));
-    let per_chunk = q.div_ceil(chunks).next_multiple_of(QUERY_TILE);
-    let mut jobs: Vec<(usize, &mut [(usize, u32)])> = Vec::with_capacity(chunks);
-    let mut rest = out;
-    let mut offset = 0usize;
-    while !rest.is_empty() {
-        let take = per_chunk.min(rest.len() / k);
-        let (head, tail) = rest.split_at_mut(take * k);
-        jobs.push((offset, head));
-        rest = tail;
-        offset += take;
-    }
-    std::thread::scope(|scope| {
-        for (q_offset, chunk) in jobs {
-            scope.spawn(move || topk_range(memory, batch, q_offset, k, chunk));
-        }
-    });
-}
-
-#[cfg(not(feature = "rayon"))]
-pub(crate) fn topk_dispatch(
-    memory: MemoryRef<'_>,
-    batch: &QueryBatch,
-    k: usize,
-    out: &mut [(usize, u32)],
-) {
-    topk_range(memory, batch, 0, k, out);
 }
 
 #[cfg(test)]

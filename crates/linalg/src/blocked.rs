@@ -15,12 +15,21 @@
 //!
 //! A batched sweep over this layout streams the memory exactly once per
 //! query in perfectly sequential panel order, and every loaded panel
-//! feeds [`LANES`] independent accumulator lanes. The per-backend kernels
-//! here are published through the [`crate::kernel`] dispatch table; all
-//! of them are bit-identical to the scalar row-major path (the
-//! `simd_equivalence` suite pins this for every reachable backend).
+//! feeds [`LANES`] independent accumulator lanes. The sweep is written
+//! once: one query × row-block loop that hands each block's accumulator
+//! to a sink — dot (score rows), winners (per-lane best kept in
+//! registers) or top-k (threshold skip, then a bounded insert). A
+//! backend supplies only its `block_acc` and the lane ops of its
+//! accumulator type, and each SIMD backend compiles the loop through one
+//! `#[target_feature]` wrapper, published in the [`crate::kernel`]
+//! dispatch table. Every backend is bit-identical to the scalar
+//! row-major path (the `simd_equivalence` and `blocked_edges` suites pin
+//! this for every reachable backend).
 
-use crate::batch::{topk_insert, MemoryRef, ScoreMatrix, SearchResults, TopK};
+use crate::batch::{
+    dot_search, kbest_search, topk_insert, MemoryRef, ScoreMatrix, SearchResults, Slots, SweepOut,
+    TopK,
+};
 use crate::bits::{BitMatrix, BitVector};
 use crate::error::{LinalgError, Result};
 use crate::kernel::{self, Backend};
@@ -128,8 +137,8 @@ impl BlockedBitMatrix {
     }
 
     /// Panel `(b, w)`: word `w` of the block's [`LANES`] rows.
-    #[inline]
-    pub(crate) fn panel(&self, b: usize, w: usize) -> &[u64] {
+    #[cfg(test)]
+    fn panel(&self, b: usize, w: usize) -> &[u64] {
         let start = (b * self.words_per_row + w) * LANES;
         &self.data[start..start + LANES]
     }
@@ -218,13 +227,6 @@ impl BlockedBitMatrix {
         })
     }
 
-    fn check_dim(&self, batch: &QueryBatch, op: &'static str) -> Result<()> {
-        if batch.dim() != self.cols {
-            return Err(LinalgError::ShapeMismatch { op, expected: self.cols, found: batch.dim() });
-        }
-        Ok(())
-    }
-
     /// Batched dot-similarity sweep on the active backend (the blocked
     /// analogue of [`BitMatrix::dot_batch`]).
     ///
@@ -245,10 +247,7 @@ impl BlockedBitMatrix {
     /// Returns [`LinalgError::ShapeMismatch`] if the batch dimensionality
     /// differs from `cols`.
     pub fn dot_batch_into(&self, batch: &QueryBatch, out: &mut ScoreMatrix) -> Result<()> {
-        self.check_dim(batch, "dot_batch")?;
-        out.reset(batch.len(), self.rows);
-        crate::batch::dot_batch_dispatch(MemoryRef::Blocked(self), batch, out);
-        Ok(())
+        dot_search(self.shape(), batch, out, |out| MemoryRef::Blocked(self).sweep(batch, out))
     }
 
     /// Batched associative search with the full score matrix.
@@ -256,9 +255,10 @@ impl BlockedBitMatrix {
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if the batch dimensionality
-    /// differs from `cols`.
+    /// differs from `cols` and [`LinalgError::Empty`] when the memory has
+    /// no rows.
     pub fn search_batch(&self, batch: &QueryBatch) -> Result<SearchResults> {
-        Ok(SearchResults::from_scores(self.dot_batch(batch)?))
+        SearchResults::from_scores(self.dot_batch(batch)?)
     }
 
     /// Winners-only batched search (low-row tie-break), never
@@ -266,13 +266,43 @@ impl BlockedBitMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the batch dimensionality
-    /// differs from `cols`.
+    /// Returns [`LinalgError::Empty`] when the memory has no rows and
+    /// [`LinalgError::ShapeMismatch`] if the batch dimensionality differs
+    /// from `cols`.
     pub fn winners_batch(&self, batch: &QueryBatch) -> Result<Vec<(usize, u32)>> {
-        self.check_dim(batch, "winners_batch")?;
-        let mut winners = vec![(0usize, 0u32); batch.len()];
-        crate::batch::winners_dispatch(MemoryRef::Blocked(self), batch, &mut winners);
-        Ok(winners)
+        kbest_search("winners_batch", self.shape(), batch, 1, |out| {
+            MemoryRef::Blocked(self).sweep(batch, out)
+        })
+        .map(TopK::into_flat)
+    }
+
+    /// Fused top-k batched search on the active backend (the blocked
+    /// analogue of [`BitMatrix::topk_batch`]): per-query bounded k-best
+    /// lists carried through the 8-row panel sweep, never materializing
+    /// scores.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::Empty`] for `k == 0` or a memory with no
+    /// rows, and [`LinalgError::ShapeMismatch`] on a dimensionality
+    /// mismatch.
+    pub fn topk_batch(&self, batch: &QueryBatch, k: usize) -> Result<TopK> {
+        kbest_search("topk_batch", self.shape(), batch, k, |out| {
+            MemoryRef::Blocked(self).sweep(batch, out)
+        })
+    }
+
+    /// The blocked sweep of an explicit backend over the whole batch —
+    /// what the `_with` equivalence-testing hooks run (serial; no thread
+    /// chunking).
+    fn sweep_with<'a>(
+        &'a self,
+        backend: Backend,
+        batch: &'a QueryBatch,
+    ) -> impl FnOnce(SweepOut<'_>) + 'a {
+        assert!(backend.is_available(), "backend {backend} not available on this host");
+        let sweep = kernel::table_for(backend).blocked_sweep;
+        move |out| sweep(self, batch, 0, out)
     }
 
     /// [`BlockedBitMatrix::dot_batch`] on an explicit backend — the
@@ -287,10 +317,8 @@ impl BlockedBitMatrix {
     ///
     /// Panics if `backend` is unavailable on this host.
     pub fn dot_batch_with(&self, batch: &QueryBatch, backend: Backend) -> Result<ScoreMatrix> {
-        assert!(backend.is_available(), "backend {backend} not available on this host");
-        self.check_dim(batch, "dot_batch")?;
         let mut out = ScoreMatrix::zeros(batch.len(), self.rows);
-        (kernel::table_for(backend).blocked_dot_range)(self, batch, 0, batch.len(), out.data_mut());
+        dot_search(self.shape(), batch, &mut out, self.sweep_with(backend, batch))?;
         Ok(out)
     }
 
@@ -299,8 +327,7 @@ impl BlockedBitMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::ShapeMismatch`] on a dimensionality
-    /// mismatch.
+    /// As [`BlockedBitMatrix::winners_batch`].
     ///
     /// # Panics
     ///
@@ -310,31 +337,8 @@ impl BlockedBitMatrix {
         batch: &QueryBatch,
         backend: Backend,
     ) -> Result<Vec<(usize, u32)>> {
-        assert!(backend.is_available(), "backend {backend} not available on this host");
-        self.check_dim(batch, "winners_batch")?;
-        let mut winners = vec![(0usize, 0u32); batch.len()];
-        (kernel::table_for(backend).blocked_winners_range)(self, batch, 0, &mut winners);
-        Ok(winners)
-    }
-
-    /// Fused top-k batched search on the active backend (the blocked
-    /// analogue of [`BitMatrix::topk_batch`]): per-query bounded k-best
-    /// lists carried through the 8-row panel sweep, never materializing
-    /// scores.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Empty`] for `k == 0` and
-    /// [`LinalgError::ShapeMismatch`] on a dimensionality mismatch.
-    pub fn topk_batch(&self, batch: &QueryBatch, k: usize) -> Result<TopK> {
-        if k == 0 || self.rows == 0 {
-            return Err(LinalgError::Empty { op: "topk_batch" });
-        }
-        self.check_dim(batch, "topk_batch")?;
-        let per_query = k.min(self.rows);
-        let mut entries = vec![(0usize, 0u32); batch.len() * per_query];
-        crate::batch::topk_dispatch(MemoryRef::Blocked(self), batch, per_query, &mut entries);
-        Ok(TopK::from_flat(batch.len(), k, per_query, entries))
+        let sweep = self.sweep_with(backend, batch);
+        kbest_search("winners_batch", self.shape(), batch, 1, sweep).map(TopK::into_flat)
     }
 
     /// [`BlockedBitMatrix::topk_batch`] on an explicit backend — the
@@ -348,15 +352,7 @@ impl BlockedBitMatrix {
     ///
     /// Panics if `backend` is unavailable on this host.
     pub fn topk_batch_with(&self, batch: &QueryBatch, k: usize, backend: Backend) -> Result<TopK> {
-        assert!(backend.is_available(), "backend {backend} not available on this host");
-        if k == 0 || self.rows == 0 {
-            return Err(LinalgError::Empty { op: "topk_batch" });
-        }
-        self.check_dim(batch, "topk_batch")?;
-        let per_query = k.min(self.rows);
-        let mut entries = vec![(0usize, 0u32); batch.len() * per_query];
-        (kernel::table_for(backend).blocked_topk_range)(self, batch, 0, per_query, &mut entries);
-        Ok(TopK::from_flat(batch.len(), k, per_query, entries))
+        kbest_search("topk_batch", self.shape(), batch, k, self.sweep_with(backend, batch))
     }
 }
 
@@ -600,16 +596,7 @@ impl SearchMemory {
     /// Returns [`LinalgError::ShapeMismatch`] on a dimensionality
     /// mismatch.
     pub fn dot_batch_into(&self, batch: &QueryBatch, out: &mut ScoreMatrix) -> Result<()> {
-        if batch.dim() != self.cols() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "dot_batch",
-                expected: self.cols(),
-                found: batch.dim(),
-            });
-        }
-        out.reset(batch.len(), self.rows());
-        crate::batch::dot_batch_dispatch(self.memory_ref(), batch, out);
-        Ok(())
+        dot_search(self.matrix.shape(), batch, out, |out| self.memory_ref().sweep(batch, out))
     }
 
     /// Batched associative search with the full score matrix.
@@ -617,28 +604,22 @@ impl SearchMemory {
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] on a dimensionality
-    /// mismatch.
+    /// mismatch and [`LinalgError::Empty`] when the memory has no rows.
     pub fn search_batch(&self, batch: &QueryBatch) -> Result<SearchResults> {
-        Ok(SearchResults::from_scores(self.dot_batch(batch)?))
+        SearchResults::from_scores(self.dot_batch(batch)?)
     }
 
     /// Winners-only batched search (low-row tie-break).
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::ShapeMismatch`] on a dimensionality
-    /// mismatch.
+    /// Returns [`LinalgError::Empty`] when the memory has no rows and
+    /// [`LinalgError::ShapeMismatch`] on a dimensionality mismatch.
     pub fn winners_batch(&self, batch: &QueryBatch) -> Result<Vec<(usize, u32)>> {
-        if batch.dim() != self.cols() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "winners_batch",
-                expected: self.cols(),
-                found: batch.dim(),
-            });
-        }
-        let mut winners = vec![(0usize, 0u32); batch.len()];
-        crate::batch::winners_dispatch(self.memory_ref(), batch, &mut winners);
-        Ok(winners)
+        kbest_search("winners_batch", self.matrix.shape(), batch, 1, |out| {
+            self.memory_ref().sweep(batch, out)
+        })
+        .map(TopK::into_flat)
     }
 
     /// Fused batched top-k search (pre-packed; see
@@ -652,638 +633,534 @@ impl SearchMemory {
     /// rows, and [`LinalgError::ShapeMismatch`] on a dimensionality
     /// mismatch.
     pub fn topk_batch(&self, batch: &QueryBatch, k: usize) -> Result<TopK> {
-        if k == 0 || self.rows() == 0 {
-            return Err(LinalgError::Empty { op: "topk_batch" });
-        }
-        if batch.dim() != self.cols() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "topk_batch",
-                expected: self.cols(),
-                found: batch.dim(),
-            });
-        }
-        let per_query = k.min(self.rows());
-        let mut entries = vec![(0usize, 0u32); batch.len() * per_query];
-        crate::batch::topk_dispatch(self.memory_ref(), batch, per_query, &mut entries);
-        Ok(TopK::from_flat(batch.len(), k, per_query, entries))
+        kbest_search("topk_batch", self.matrix.shape(), batch, k, |out| {
+            self.memory_ref().sweep(batch, out)
+        })
     }
 }
 
 // ---------------------------------------------------------------------------
-// Per-backend blocked sweep kernels (published via kernel::KernelTable).
+// The blocked sweep: one query × block loop over per-backend lane ops.
 // ---------------------------------------------------------------------------
 
-/// Reduces one query's per-lane candidates to the final winner under the
-/// workspace tie-break: highest score, then lowest row. Lane candidates
-/// carry the lane's *lowest* max-achieving row, so the global lowest
-/// max-achieving row is always among them.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn reduce_lane_candidates(rows: usize, candidate: impl Fn(usize) -> (usize, u32)) -> (usize, u32) {
-    let mut best = (usize::MAX, 0u32);
-    for l in 0..LANES {
-        let (row, score) = candidate(l);
-        if row >= rows {
-            continue;
-        }
-        if score > best.1 || (score == best.1 && row < best.0) {
-            best = (row, score);
-        }
-    }
-    if best.0 == usize::MAX {
-        (0, 0)
-    } else {
-        best
+/// [`LANES`] counters in a backend's register form — one block's
+/// popcounts, or the winners sink's per-lane best scores or blocks —
+/// with the few lane ops the sinks need.
+///
+/// # Safety
+///
+/// The methods may use the backend's target features: callers guarantee
+/// the backend is available on this host.
+pub(crate) trait LaneVec: Copy {
+    /// All-zero counters.
+    unsafe fn zero() -> Self;
+    /// Narrows the counters to 8 `u32`s and stores them.
+    unsafe fn store(self, out: &mut [u32; LANES]);
+    /// Whether any lane's score is strictly above `thr`.
+    unsafe fn any_gt(self, thr: u32) -> bool;
+    /// Per lane, keeps the running best `(score, block)` unless block
+    /// `b` scores strictly higher — so a lane keeps its lowest
+    /// max-scoring block.
+    unsafe fn keep_best(best: (Self, Self), acc: Self, b: usize) -> (Self, Self);
+}
+
+/// One backend's blocked kernel: only the panel accumulation of one
+/// query against one block. [`sweep_blocks`] is written once over it and
+/// the [`LaneVec`] ops of its accumulator; each SIMD backend instantiates
+/// the loop through its one `#[target_feature]` wrapper,
+/// [`Lanes::sweep`], so `block_acc` and the lane ops inline into a loop
+/// compiled for that backend's features.
+///
+/// # Safety
+///
+/// As [`LaneVec`]; `block_acc` additionally needs `panels` to point at
+/// `qw.len()` readable panels of [`LANES`] words, and `sweep` the
+/// conditions of [`sweep_blocks`].
+pub(crate) trait Lanes: Sized {
+    /// The block accumulator.
+    type Acc: LaneVec;
+
+    /// Accumulates `popcount(panel & query word)` per lane over one
+    /// block: the `qw.len()` panels starting at `panels`.
+    unsafe fn block_acc(panels: *const u64, qw: &[u64]) -> Self::Acc;
+    /// [`sweep_blocks`] for sink `S`; SIMD backends override it with the
+    /// one `#[target_feature]` wrapper that compiles the loop for them.
+    unsafe fn sweep<S: PanelSink<Self>>(
+        m: &BlockedBitMatrix,
+        batch: &QueryBatch,
+        q_offset: usize,
+        out: Slots<'_, S::Slot>,
+    ) {
+        sweep_blocks::<Self, S>(m, batch, q_offset, out)
     }
 }
 
-/// One query × one block of the portable sweep: eight scalar accumulator
-/// lanes over the block's panels — the reference accumulation both scalar
-/// entry points share (and the oracle the SIMD `*_block_acc` helpers are
-/// tested against).
-#[inline]
-fn scalar_block_acc(m: &BlockedBitMatrix, b: usize, qw: &[u64]) -> [u32; LANES] {
-    let mut acc = [0u32; LANES];
-    for (w, &x) in qw.iter().enumerate().take(m.words_per_row()) {
-        let panel = m.panel(b, w);
-        for (a, &p) in acc.iter_mut().zip(panel) {
-            *a += (p & x).count_ones();
-        }
-    }
-    acc
+/// What the sweep does with each block's accumulators — one impl per
+/// [`SweepOut`] kind. `slots` is the current query's output and `rows`
+/// the memory's real row count (lanes past it are padding).
+///
+/// # Safety
+///
+/// The methods run lane ops of `L::Acc`: callers guarantee `L` is
+/// available on this host.
+pub(crate) trait PanelSink<L: Lanes> {
+    /// Output slot type.
+    type Slot;
+    /// Per-query state carried across the block loop.
+    type State;
+
+    /// State at the start of a query.
+    unsafe fn start() -> Self::State;
+    /// Consumes block `b`'s accumulators.
+    unsafe fn block(
+        st: &mut Self::State,
+        slots: &mut [Self::Slot],
+        rows: usize,
+        b: usize,
+        acc: L::Acc,
+    );
+    /// Writes the query's result once every block was seen.
+    unsafe fn finish(_: Self::State, _: &mut [Self::Slot], _: usize) {}
 }
 
-/// Portable blocked sweep: eight scalar accumulator lanes per panel.
-pub(crate) fn scalar_dot_range(
+/// The one query × row-block loop: for every query of `out` (queries
+/// `q_offset..` of `batch`), every block's accumulators go to sink `S`.
+/// Memory is streamed in panel order, each panel load feeding
+/// [`LANES`] lanes.
+///
+/// # Safety
+///
+/// Backend `L` is available on this host. Panel reads stay in bounds by
+/// construction: each query is cut to the memory's `wpr` words (a
+/// shorter query panics), and every block holds `wpr` panels.
+#[inline(always)]
+unsafe fn sweep_blocks<L: Lanes, S: PanelSink<L>>(
     m: &BlockedBitMatrix,
     batch: &QueryBatch,
     q_offset: usize,
-    q_count: usize,
-    out: &mut [u32],
+    out: Slots<'_, S::Slot>,
 ) {
-    let rows = m.rows();
-    debug_assert_eq!(out.len(), q_count * rows);
-    for q in 0..q_count {
-        let qw = batch.query_words(q_offset + q);
-        let out_row = &mut out[q * rows..(q + 1) * rows];
+    let (rows, wpr) = (m.rows(), m.words_per_row());
+    let data = m.data().as_ptr();
+    for (q, slots) in out.data.chunks_exact_mut(out.per_query).enumerate() {
+        let qw = &batch.query_words(q_offset + q)[..wpr];
+        let mut state = S::start();
         for b in 0..m.row_blocks() {
-            let acc = scalar_block_acc(m, b, qw);
-            let base = b * LANES;
-            let take = LANES.min(rows - base);
-            out_row[base..base + take].copy_from_slice(&acc[..take]);
+            let acc = L::block_acc(data.add(b * wpr * LANES), qw);
+            S::block(&mut state, slots, rows, b, acc);
+        }
+        S::finish(state, slots, rows);
+    }
+}
+
+/// The kernel-table entry of backend `L`: sweeps queries `q_offset..`
+/// of `batch` into `out`.
+pub(crate) fn blocked_sweep<L: Lanes>(
+    m: &BlockedBitMatrix,
+    batch: &QueryBatch,
+    q_offset: usize,
+    out: SweepOut<'_>,
+) {
+    // SAFETY: a kernel table publishes `blocked_sweep::<L>` only for a
+    // backend whose features were detected on this host; panels stay in
+    // bounds because `sweep_blocks` hands `block_acc` exactly `wpr` query
+    // words for a block that holds `wpr` panels.
+    unsafe {
+        match out {
+            SweepOut::Dot(out) => L::sweep::<DotSink>(m, batch, q_offset, out),
+            SweepOut::KBest(out) if out.per_query == 1 => {
+                L::sweep::<WinnersSink>(m, batch, q_offset, out)
+            }
+            SweepOut::KBest(out) => L::sweep::<TopKSink>(m, batch, q_offset, out),
         }
     }
 }
 
-/// Portable blocked winners sweep: strict-`>` tracking over ascending
-/// rows preserves the low-row tie-break exactly.
-pub(crate) fn scalar_winners_range(
-    m: &BlockedBitMatrix,
-    batch: &QueryBatch,
-    q_offset: usize,
-    out: &mut [(usize, u32)],
-) {
-    let rows = m.rows();
-    for (q, slot) in out.iter_mut().enumerate() {
-        let qw = batch.query_words(q_offset + q);
-        let mut best = (0usize, 0u32);
-        for b in 0..m.row_blocks() {
-            let acc = scalar_block_acc(m, b, qw);
-            let base = b * LANES;
-            let take = LANES.min(rows - base);
-            for (l, &s) in acc.iter().enumerate().take(take) {
-                if s > best.1 {
-                    best = (base + l, s);
+/// Dot sink: every block's scores stored into the query's score row
+/// (padding lanes of the final block are dropped).
+struct DotSink;
+
+impl<L: Lanes> PanelSink<L> for DotSink {
+    type Slot = u32;
+    type State = ();
+
+    #[inline(always)]
+    unsafe fn start() {}
+
+    #[inline(always)]
+    unsafe fn block(_: &mut (), slots: &mut [u32], _: usize, b: usize, acc: L::Acc) {
+        let base = b * LANES;
+        if let Some(full) = slots.get_mut(base..base + LANES) {
+            acc.store(full.try_into().expect("LANES slots"));
+        } else {
+            // The final, padded block: real lanes only, stored lane by
+            // lane (a slice copy here would compile to a `memcpy` call).
+            let mut tail = [0u32; LANES];
+            acc.store(&mut tail);
+            for (l, &s) in tail.iter().enumerate() {
+                if let Some(slot) = slots.get_mut(base + l) {
+                    *slot = s;
                 }
             }
         }
-        *slot = best;
     }
 }
 
-/// Portable blocked top-k sweep: the panel accumulation of
-/// [`scalar_block_acc`] feeding one bounded k-best list per query (`k`
-/// pre-clamped to the row count; padding lanes are excluded by the
-/// `take` bound, so an all-zero padding row can never enter the list).
-pub(crate) fn scalar_topk_range(
-    m: &BlockedBitMatrix,
-    batch: &QueryBatch,
-    q_offset: usize,
-    k: usize,
-    out: &mut [(usize, u32)],
-) {
-    let rows = m.rows();
-    for (q, slots) in out.chunks_exact_mut(k).enumerate() {
-        let qw = batch.query_words(q_offset + q);
-        let mut filled = 0usize;
-        for b in 0..m.row_blocks() {
-            let acc = scalar_block_acc(m, b, qw);
-            let base = b * LANES;
-            let take = LANES.min(rows - base);
-            for (l, &s) in acc.iter().enumerate().take(take) {
-                topk_insert(slots, &mut filled, base + l, s);
+/// Winners sink: the per-lane running best `(score, block)` stays in
+/// registers across the sweep; the lane candidates are reduced once per
+/// query under the workspace tie-break (highest score, then lowest row).
+/// Each lane keeps its *lowest* max-scoring row, so the global lowest
+/// max-scoring row is among the candidates; padding lanes (rows ≥
+/// `rows`, all-zero) are skipped.
+struct WinnersSink;
+
+impl<L: Lanes> PanelSink<L> for WinnersSink {
+    type Slot = (usize, u32);
+    type State = (L::Acc, L::Acc);
+
+    #[inline(always)]
+    unsafe fn start() -> (L::Acc, L::Acc) {
+        (L::Acc::zero(), L::Acc::zero())
+    }
+
+    #[inline(always)]
+    unsafe fn block(best: &mut Self::State, _: &mut [Self::Slot], _: usize, b: usize, acc: L::Acc) {
+        *best = LaneVec::keep_best(*best, acc, b);
+    }
+
+    #[inline(always)]
+    unsafe fn finish((score, block): Self::State, slots: &mut [(usize, u32)], rows: usize) {
+        let (mut scores, mut blocks) = ([0u32; LANES], [0u32; LANES]);
+        score.store(&mut scores);
+        block.store(&mut blocks);
+        let mut winner = (usize::MAX, 0u32);
+        for (l, (&s, &b)) in scores.iter().zip(&blocks).enumerate() {
+            let row = b as usize * LANES + l;
+            if row < rows && (s > winner.1 || (s == winner.1 && row < winner.0)) {
+                winner = (row, s);
             }
         }
-        debug_assert_eq!(filled, k);
+        // Lane 0 of block 0 is row 0, a real row of the non-empty memory.
+        debug_assert!(winner.0 < rows);
+        slots[0] = winner;
+    }
+}
+
+/// Top-k sink: once a query's k-best list is full, a block is skipped
+/// with one vector compare against the k-th score — only a block with a
+/// lane strictly above it (which would displace the k-th entry even
+/// after tie-breaks) pays the store and [`topk_insert`]. Padding lanes
+/// never enter the list.
+struct TopKSink;
+
+impl<L: Lanes> PanelSink<L> for TopKSink {
+    type Slot = (usize, u32);
+    /// Entries filled so far.
+    type State = usize;
+
+    #[inline(always)]
+    unsafe fn start() -> usize {
+        0
+    }
+
+    #[inline(always)]
+    unsafe fn block(
+        filled: &mut usize,
+        slots: &mut [(usize, u32)],
+        rows: usize,
+        b: usize,
+        acc: L::Acc,
+    ) {
+        let k = slots.len();
+        if *filled == k && !acc.any_gt(slots[k - 1].1) {
+            return;
+        }
+        let mut scores = [0u32; LANES];
+        acc.store(&mut scores);
+        let base = b * LANES;
+        for (l, &s) in scores.iter().enumerate().take(rows - base) {
+            topk_insert(slots, filled, base + l, s);
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn finish(filled: usize, slots: &mut [(usize, u32)], _: usize) {
+        debug_assert_eq!(filled, slots.len());
+    }
+}
+
+/// Portable blocked kernel: eight scalar accumulator lanes per panel —
+/// the reference the SIMD backends are tested against.
+pub(crate) struct ScalarLanes;
+
+impl Lanes for ScalarLanes {
+    type Acc = [u32; LANES];
+
+    #[inline]
+    unsafe fn block_acc(panels: *const u64, qw: &[u64]) -> [u32; LANES] {
+        let mut acc = [0u32; LANES];
+        for (w, &x) in qw.iter().enumerate() {
+            let panel = std::slice::from_raw_parts(panels.add(w * LANES), LANES);
+            for (a, &p) in acc.iter_mut().zip(panel) {
+                *a += (p & x).count_ones();
+            }
+        }
+        acc
+    }
+}
+
+/// Plain `u32` scores: the scalar backend's accumulator, and NEON's once
+/// its vector counts are narrowed per block.
+impl LaneVec for [u32; LANES] {
+    #[inline]
+    unsafe fn zero() -> Self {
+        [0; LANES]
+    }
+
+    #[inline]
+    unsafe fn store(self, out: &mut [u32; LANES]) {
+        *out = self;
+    }
+
+    #[inline]
+    unsafe fn any_gt(self, thr: u32) -> bool {
+        self.iter().any(|&s| s > thr)
+    }
+
+    #[inline]
+    unsafe fn keep_best(
+        (mut scores, mut blocks): (Self, Self),
+        acc: Self,
+        b: usize,
+    ) -> (Self, Self) {
+        for (l, &s) in acc.iter().enumerate() {
+            if s > scores[l] {
+                scores[l] = s;
+                blocks[l] = b as u32;
+            }
+        }
+        (scores, blocks)
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) use x86_blocked::{
-    avx2_dot_range, avx2_topk_range, avx2_winners_range, avx512_dot_range, avx512_topk_range,
-    avx512_winners_range,
-};
+pub(crate) use x86_lanes::{Avx2Lanes, Avx512Lanes};
 
-/// AVX2 and AVX-512 blocked sweeps. All `unsafe fn`s here are published
-/// only through kernel tables gated on `is_x86_feature_detected!`.
+/// AVX2 and AVX-512 lane ops.
 #[cfg(target_arch = "x86_64")]
-mod x86_blocked {
-    use super::{reduce_lane_candidates, topk_insert, BlockedBitMatrix, LANES};
+mod x86_lanes {
+    use super::{sweep_blocks, BlockedBitMatrix, LaneVec, Lanes, PanelSink, Slots, LANES};
     use crate::kernel::x86::popcnt_bytes_avx2;
     use crate::QueryBatch;
     use std::arch::x86_64::*;
 
-    pub(crate) fn avx512_dot_range(
-        m: &BlockedBitMatrix,
-        batch: &QueryBatch,
-        q_offset: usize,
-        q_count: usize,
-        out: &mut [u32],
-    ) {
-        // SAFETY: table selected only after avx512f+vpopcntdq detection.
-        unsafe { avx512_dot_range_impl(m, batch, q_offset, q_count, out) }
-    }
+    /// AVX-512 `VPOPCNTDQ`: a block's 8 × u64 lane counts in one ZMM
+    /// register.
+    pub(crate) struct Avx512Lanes;
 
-    pub(crate) fn avx512_winners_range(
-        m: &BlockedBitMatrix,
-        batch: &QueryBatch,
-        q_offset: usize,
-        out: &mut [(usize, u32)],
-    ) {
-        // SAFETY: table selected only after avx512f+vpopcntdq detection.
-        unsafe { avx512_winners_range_impl(m, batch, q_offset, out) }
-    }
+    impl Lanes for Avx512Lanes {
+        type Acc = __m512i;
 
-    pub(crate) fn avx2_dot_range(
-        m: &BlockedBitMatrix,
-        batch: &QueryBatch,
-        q_offset: usize,
-        q_count: usize,
-        out: &mut [u32],
-    ) {
-        // SAFETY: table selected only after avx2 detection.
-        unsafe { avx2_dot_range_impl(m, batch, q_offset, q_count, out) }
-    }
-
-    pub(crate) fn avx2_winners_range(
-        m: &BlockedBitMatrix,
-        batch: &QueryBatch,
-        q_offset: usize,
-        out: &mut [(usize, u32)],
-    ) {
-        // SAFETY: table selected only after avx2 detection.
-        unsafe { avx2_winners_range_impl(m, batch, q_offset, out) }
-    }
-
-    pub(crate) fn avx512_topk_range(
-        m: &BlockedBitMatrix,
-        batch: &QueryBatch,
-        q_offset: usize,
-        k: usize,
-        out: &mut [(usize, u32)],
-    ) {
-        // SAFETY: table selected only after avx512f+vpopcntdq detection.
-        unsafe { avx512_topk_range_impl(m, batch, q_offset, k, out) }
-    }
-
-    pub(crate) fn avx2_topk_range(
-        m: &BlockedBitMatrix,
-        batch: &QueryBatch,
-        q_offset: usize,
-        k: usize,
-        out: &mut [(usize, u32)],
-    ) {
-        // SAFETY: table selected only after avx2 detection.
-        unsafe { avx2_topk_range_impl(m, batch, q_offset, k, out) }
-    }
-
-    /// One query × one block: per-lane popcount accumulator over the
-    /// block's panels (8 × u64 lane counts in one ZMM register).
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    unsafe fn avx512_block_acc(data: *const u64, wpr: usize, qw: &[u64]) -> __m512i {
-        let mut acc = _mm512_setzero_si512();
-        for (w, &x) in qw.iter().enumerate().take(wpr) {
-            let panel = _mm512_loadu_si512(data.add(w * LANES) as *const _);
-            let qv = _mm512_set1_epi64(x as i64);
-            acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_and_si512(panel, qv)));
-        }
-        acc
-    }
-
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    unsafe fn avx512_dot_range_impl(
-        m: &BlockedBitMatrix,
-        batch: &QueryBatch,
-        q_offset: usize,
-        q_count: usize,
-        out: &mut [u32],
-    ) {
-        let rows = m.rows();
-        let wpr = m.words_per_row();
-        let data = m.data().as_ptr();
-        debug_assert_eq!(out.len(), q_count * rows);
-        for q in 0..q_count {
-            let qw = batch.query_words(q_offset + q);
-            let out_row = &mut out[q * rows..(q + 1) * rows];
-            for b in 0..m.row_blocks() {
-                let acc = avx512_block_acc(data.add(b * wpr * LANES), wpr, qw);
-                let acc32 = _mm512_cvtepi64_epi32(acc);
-                let base = b * LANES;
-                if base + LANES <= rows {
-                    _mm256_storeu_si256(out_row.as_mut_ptr().add(base) as *mut __m256i, acc32);
-                } else {
-                    let mut tmp = [0u32; LANES];
-                    _mm256_storeu_si256(tmp.as_mut_ptr() as *mut __m256i, acc32);
-                    let take = rows - base;
-                    out_row[base..base + take].copy_from_slice(&tmp[..take]);
-                }
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+        unsafe fn block_acc(panels: *const u64, qw: &[u64]) -> __m512i {
+            let mut acc = _mm512_setzero_si512();
+            for (w, &x) in qw.iter().enumerate() {
+                let panel = _mm512_loadu_si512(panels.add(w * LANES) as *const _);
+                let qv = _mm512_set1_epi64(x as i64);
+                acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_and_si512(panel, qv)));
             }
+            acc
+        }
+
+        #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+        unsafe fn sweep<S: PanelSink<Self>>(
+            m: &BlockedBitMatrix,
+            batch: &QueryBatch,
+            q_offset: usize,
+            out: Slots<'_, S::Slot>,
+        ) {
+            sweep_blocks::<Self, S>(m, batch, q_offset, out)
         }
     }
 
-    /// Fused winners sweep: per-lane running best `(score, block)` kept in
-    /// ZMM registers across the whole row sweep — strict `>` preserves the
-    /// lowest block per lane, and the final cross-lane reduction applies
-    /// the global lowest-row tie-break.
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    unsafe fn avx512_winners_range_impl(
-        m: &BlockedBitMatrix,
-        batch: &QueryBatch,
-        q_offset: usize,
-        out: &mut [(usize, u32)],
-    ) {
-        let rows = m.rows();
-        let wpr = m.words_per_row();
-        let data = m.data().as_ptr();
-        for (q, slot) in out.iter_mut().enumerate() {
-            let qw = batch.query_words(q_offset + q);
-            let mut best_score = _mm512_setzero_si512();
-            let mut best_block = _mm512_setzero_si512();
-            for b in 0..m.row_blocks() {
-                let acc = avx512_block_acc(data.add(b * wpr * LANES), wpr, qw);
-                let gt = _mm512_cmpgt_epu64_mask(acc, best_score);
-                best_score = _mm512_mask_mov_epi64(best_score, gt, acc);
-                best_block = _mm512_mask_mov_epi64(best_block, gt, _mm512_set1_epi64(b as i64));
-            }
-            let mut scores = [0u64; LANES];
-            let mut blocks = [0u64; LANES];
-            _mm512_storeu_si512(scores.as_mut_ptr() as *mut _, best_score);
-            _mm512_storeu_si512(blocks.as_mut_ptr() as *mut _, best_block);
-            *slot = reduce_lane_candidates(rows, |l| {
-                (blocks[l] as usize * LANES + l, scores[l] as u32)
-            });
+    /// 8 × u64 lanes in one ZMM register.
+    impl LaneVec for __m512i {
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn zero() -> Self {
+            _mm512_setzero_si512()
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn store(self, out: &mut [u32; LANES]) {
+            _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, _mm512_cvtepi64_epi32(self));
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn any_gt(self, thr: u32) -> bool {
+            _mm512_cmpgt_epu64_mask(self, _mm512_set1_epi64(thr as i64)) != 0
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn keep_best((score, block): (Self, Self), acc: Self, b: usize) -> (Self, Self) {
+            let gt = _mm512_cmpgt_epu64_mask(acc, score);
+            (
+                _mm512_mask_mov_epi64(score, gt, acc),
+                _mm512_mask_mov_epi64(block, gt, _mm512_set1_epi64(b as i64)),
+            )
         }
     }
 
-    /// Fused top-k sweep: once a query's k-best list is full, a whole
-    /// block is skipped with one vector compare against the k-th score —
-    /// only a lane that strictly beats the threshold (and therefore would
-    /// displace the current k-th entry even after tie-breaks) pays the
-    /// extract + insert cost. Padding lanes are excluded by `take`.
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    unsafe fn avx512_topk_range_impl(
-        m: &BlockedBitMatrix,
-        batch: &QueryBatch,
-        q_offset: usize,
-        k: usize,
-        out: &mut [(usize, u32)],
-    ) {
-        let rows = m.rows();
-        let wpr = m.words_per_row();
-        let data = m.data().as_ptr();
-        for (q, slots) in out.chunks_exact_mut(k).enumerate() {
-            let qw = batch.query_words(q_offset + q);
-            let mut filled = 0usize;
-            for b in 0..m.row_blocks() {
-                let acc = avx512_block_acc(data.add(b * wpr * LANES), wpr, qw);
-                if filled == k {
-                    let thr = _mm512_set1_epi64(slots[k - 1].1 as i64);
-                    if _mm512_cmpgt_epu64_mask(acc, thr) == 0 {
-                        continue;
-                    }
-                }
-                let mut tmp = [0u32; LANES];
-                _mm256_storeu_si256(tmp.as_mut_ptr() as *mut __m256i, _mm512_cvtepi64_epi32(acc));
-                let base = b * LANES;
-                let take = LANES.min(rows - base);
-                for (l, &s) in tmp.iter().enumerate().take(take) {
-                    topk_insert(slots, &mut filled, base + l, s);
-                }
-            }
-            debug_assert_eq!(filled, k);
-        }
-    }
+    /// AVX2: the 8-lane panel is two 256-bit halves of 4 × u64 lanes.
+    pub(crate) struct Avx2Lanes;
 
-    /// One query × one block on AVX2: the 8-lane panel is two 256-bit
-    /// halves; byte counts accumulate across runs of ≤ 31 words before one
-    /// `psadbw` horizontal step per half, yielding 8 u64 lane counts.
-    #[target_feature(enable = "avx2")]
-    unsafe fn avx2_block_acc(data: *const u64, wpr: usize, qw: &[u64]) -> (__m256i, __m256i) {
-        let zero = _mm256_setzero_si256();
-        let mut acc_lo = zero;
-        let mut acc_hi = zero;
-        let mut w = 0usize;
-        while w < wpr {
-            let run = (wpr - w).min(31);
-            let mut bytes_lo = zero;
-            let mut bytes_hi = zero;
-            for (i, &qword) in qw.iter().enumerate().take(w + run).skip(w) {
-                let qv = _mm256_set1_epi64x(qword as i64);
-                let p = data.add(i * LANES);
-                let p_lo = _mm256_loadu_si256(p as *const __m256i);
-                let p_hi = _mm256_loadu_si256(p.add(4) as *const __m256i);
-                bytes_lo = _mm256_add_epi8(bytes_lo, popcnt_bytes_avx2(_mm256_and_si256(p_lo, qv)));
-                bytes_hi = _mm256_add_epi8(bytes_hi, popcnt_bytes_avx2(_mm256_and_si256(p_hi, qv)));
-            }
-            acc_lo = _mm256_add_epi64(acc_lo, _mm256_sad_epu8(bytes_lo, zero));
-            acc_hi = _mm256_add_epi64(acc_hi, _mm256_sad_epu8(bytes_hi, zero));
-            w += run;
-        }
-        (acc_lo, acc_hi)
-    }
+    impl Lanes for Avx2Lanes {
+        type Acc = (__m256i, __m256i);
 
-    /// Narrows two 4×u64 lane-count halves to 8 u32 scores (counts are
-    /// far below 2³², so the upper dwords are zero).
-    #[target_feature(enable = "avx2")]
-    unsafe fn avx2_extract(acc_lo: __m256i, acc_hi: __m256i) -> [u32; LANES] {
-        let idx = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-        let lo32 = _mm256_permutevar8x32_epi32(acc_lo, idx);
-        let hi32 = _mm256_permutevar8x32_epi32(acc_hi, idx);
-        let packed = _mm256_inserti128_si256(lo32, _mm256_castsi256_si128(hi32), 1);
-        let mut scores = [0u32; LANES];
-        _mm256_storeu_si256(scores.as_mut_ptr() as *mut __m256i, packed);
-        scores
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn avx2_dot_range_impl(
-        m: &BlockedBitMatrix,
-        batch: &QueryBatch,
-        q_offset: usize,
-        q_count: usize,
-        out: &mut [u32],
-    ) {
-        let rows = m.rows();
-        let wpr = m.words_per_row();
-        let data = m.data().as_ptr();
-        debug_assert_eq!(out.len(), q_count * rows);
-        for q in 0..q_count {
-            let qw = batch.query_words(q_offset + q);
-            let out_row = &mut out[q * rows..(q + 1) * rows];
-            for b in 0..m.row_blocks() {
-                let (acc_lo, acc_hi) = avx2_block_acc(data.add(b * wpr * LANES), wpr, qw);
-                let scores = avx2_extract(acc_lo, acc_hi);
-                let base = b * LANES;
-                let take = LANES.min(rows - base);
-                out_row[base..base + take].copy_from_slice(&scores[..take]);
-            }
-        }
-    }
-
-    /// Fused winners sweep: per-lane running best `(score, block)` kept in
-    /// YMM registers (64-bit lanes; scores fit in i64 so signed compares
-    /// are exact), reduced once per query with the global lowest-row
-    /// tie-break.
-    #[target_feature(enable = "avx2")]
-    unsafe fn avx2_winners_range_impl(
-        m: &BlockedBitMatrix,
-        batch: &QueryBatch,
-        q_offset: usize,
-        out: &mut [(usize, u32)],
-    ) {
-        let rows = m.rows();
-        let wpr = m.words_per_row();
-        let data = m.data().as_ptr();
-        for (q, slot) in out.iter_mut().enumerate() {
-            let qw = batch.query_words(q_offset + q);
+        /// Byte counts accumulate across runs of ≤ 31 words (31 × 8 =
+        /// 248 < 256) before one `psadbw` horizontal step per half.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn block_acc(panels: *const u64, qw: &[u64]) -> Self::Acc {
             let zero = _mm256_setzero_si256();
-            let mut best_lo = zero;
-            let mut best_hi = zero;
-            let mut blk_lo = zero;
-            let mut blk_hi = zero;
-            for b in 0..m.row_blocks() {
-                let (acc_lo, acc_hi) = avx2_block_acc(data.add(b * wpr * LANES), wpr, qw);
-                let cur = _mm256_set1_epi64x(b as i64);
-                let gt_lo = _mm256_cmpgt_epi64(acc_lo, best_lo);
-                best_lo = _mm256_blendv_epi8(best_lo, acc_lo, gt_lo);
-                blk_lo = _mm256_blendv_epi8(blk_lo, cur, gt_lo);
-                let gt_hi = _mm256_cmpgt_epi64(acc_hi, best_hi);
-                best_hi = _mm256_blendv_epi8(best_hi, acc_hi, gt_hi);
-                blk_hi = _mm256_blendv_epi8(blk_hi, cur, gt_hi);
+            let mut acc_lo = zero;
+            let mut acc_hi = zero;
+            for (r, run) in qw.chunks(31).enumerate() {
+                let mut bytes_lo = zero;
+                let mut bytes_hi = zero;
+                for (i, &qword) in run.iter().enumerate() {
+                    let qv = _mm256_set1_epi64x(qword as i64);
+                    let p = panels.add((r * 31 + i) * LANES);
+                    let p_lo = _mm256_loadu_si256(p as *const __m256i);
+                    let p_hi = _mm256_loadu_si256(p.add(4) as *const __m256i);
+                    bytes_lo =
+                        _mm256_add_epi8(bytes_lo, popcnt_bytes_avx2(_mm256_and_si256(p_lo, qv)));
+                    bytes_hi =
+                        _mm256_add_epi8(bytes_hi, popcnt_bytes_avx2(_mm256_and_si256(p_hi, qv)));
+                }
+                acc_lo = _mm256_add_epi64(acc_lo, _mm256_sad_epu8(bytes_lo, zero));
+                acc_hi = _mm256_add_epi64(acc_hi, _mm256_sad_epu8(bytes_hi, zero));
             }
-            let mut scores = [0u64; LANES];
-            let mut blocks = [0u64; LANES];
-            _mm256_storeu_si256(scores.as_mut_ptr() as *mut __m256i, best_lo);
-            _mm256_storeu_si256(scores.as_mut_ptr().add(4) as *mut __m256i, best_hi);
-            _mm256_storeu_si256(blocks.as_mut_ptr() as *mut __m256i, blk_lo);
-            _mm256_storeu_si256(blocks.as_mut_ptr().add(4) as *mut __m256i, blk_hi);
-            *slot = super::reduce_lane_candidates(rows, |l| {
-                (blocks[l] as usize * LANES + l, scores[l] as u32)
-            });
+            (acc_lo, acc_hi)
+        }
+
+        #[target_feature(enable = "avx2")]
+        unsafe fn sweep<S: PanelSink<Self>>(
+            m: &BlockedBitMatrix,
+            batch: &QueryBatch,
+            q_offset: usize,
+            out: Slots<'_, S::Slot>,
+        ) {
+            sweep_blocks::<Self, S>(m, batch, q_offset, out)
         }
     }
 
-    /// Fused top-k sweep: full blocks are skipped with two signed 64-bit
-    /// compares against the k-th score (scores fit in i64, so signed
-    /// compares are exact); only a beating lane pays extract + insert.
-    /// Padding lanes are excluded by `take`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn avx2_topk_range_impl(
-        m: &BlockedBitMatrix,
-        batch: &QueryBatch,
-        q_offset: usize,
-        k: usize,
-        out: &mut [(usize, u32)],
-    ) {
-        let rows = m.rows();
-        let wpr = m.words_per_row();
-        let data = m.data().as_ptr();
-        for (q, slots) in out.chunks_exact_mut(k).enumerate() {
-            let qw = batch.query_words(q_offset + q);
-            let mut filled = 0usize;
-            for b in 0..m.row_blocks() {
-                let (acc_lo, acc_hi) = avx2_block_acc(data.add(b * wpr * LANES), wpr, qw);
-                if filled == k {
-                    let thr = _mm256_set1_epi64x(slots[k - 1].1 as i64);
-                    let gt = _mm256_or_si256(
-                        _mm256_cmpgt_epi64(acc_lo, thr),
-                        _mm256_cmpgt_epi64(acc_hi, thr),
-                    );
-                    if _mm256_movemask_epi8(gt) == 0 {
-                        continue;
-                    }
-                }
-                let scores = avx2_extract(acc_lo, acc_hi);
-                let base = b * LANES;
-                let take = LANES.min(rows - base);
-                for (l, &s) in scores.iter().enumerate().take(take) {
-                    topk_insert(slots, &mut filled, base + l, s);
-                }
-            }
-            debug_assert_eq!(filled, k);
+    /// Lanes 0-3 and 4-7 as two YMM registers of u64 lanes. Counts fit
+    /// in i64, so signed 64-bit compares are exact.
+    impl LaneVec for (__m256i, __m256i) {
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn zero() -> Self {
+            (_mm256_setzero_si256(), _mm256_setzero_si256())
+        }
+
+        /// Counts are far below 2³², so the upper dwords are zero and a
+        /// dword permute narrows each half.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn store(self, out: &mut [u32; LANES]) {
+            let idx = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
+            let lo32 = _mm256_permutevar8x32_epi32(self.0, idx);
+            let hi32 = _mm256_permutevar8x32_epi32(self.1, idx);
+            let packed = _mm256_inserti128_si256(lo32, _mm256_castsi256_si128(hi32), 1);
+            _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, packed);
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn any_gt(self, thr: u32) -> bool {
+            let thr = _mm256_set1_epi64x(thr as i64);
+            let gt =
+                _mm256_or_si256(_mm256_cmpgt_epi64(self.0, thr), _mm256_cmpgt_epi64(self.1, thr));
+            _mm256_movemask_epi8(gt) != 0
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn keep_best(
+            (score, block): (Self, Self),
+            (lo, hi): Self,
+            b: usize,
+        ) -> (Self, Self) {
+            let cur = _mm256_set1_epi64x(b as i64);
+            let gt_lo = _mm256_cmpgt_epi64(lo, score.0);
+            let gt_hi = _mm256_cmpgt_epi64(hi, score.1);
+            (
+                (_mm256_blendv_epi8(score.0, lo, gt_lo), _mm256_blendv_epi8(score.1, hi, gt_hi)),
+                (_mm256_blendv_epi8(block.0, cur, gt_lo), _mm256_blendv_epi8(block.1, cur, gt_hi)),
+            )
         }
     }
 }
 
 #[cfg(target_arch = "aarch64")]
-pub(crate) use neon_blocked::{neon_dot_range, neon_topk_range, neon_winners_range};
+pub(crate) use neon_lanes::NeonLanes;
 
-/// NEON blocked sweeps: the 8-lane panel is four 128-bit vectors, with
-/// `vcnt` byte counts widened once per ≤ 31-word run.
+/// NEON: the 8-lane panel is four 128-bit vectors, with `vcnt` byte
+/// counts widened once per ≤ 31-word run and narrowed to 8 `u32` scores
+/// per block, whose lane ops are the portable ones.
 #[cfg(target_arch = "aarch64")]
-mod neon_blocked {
-    use super::{topk_insert, BlockedBitMatrix, LANES};
+mod neon_lanes {
+    use super::{sweep_blocks, BlockedBitMatrix, Lanes, PanelSink, Slots, LANES};
     use crate::QueryBatch;
     use std::arch::aarch64::*;
 
-    pub(crate) fn neon_dot_range(
-        m: &BlockedBitMatrix,
-        batch: &QueryBatch,
-        q_offset: usize,
-        q_count: usize,
-        out: &mut [u32],
-    ) {
-        // SAFETY: table selected only after neon detection.
-        unsafe { neon_dot_range_impl(m, batch, q_offset, q_count, out) }
-    }
+    pub(crate) struct NeonLanes;
 
-    pub(crate) fn neon_winners_range(
-        m: &BlockedBitMatrix,
-        batch: &QueryBatch,
-        q_offset: usize,
-        out: &mut [(usize, u32)],
-    ) {
-        // SAFETY: table selected only after neon detection.
-        unsafe { neon_winners_range_impl(m, batch, q_offset, out) }
-    }
+    impl Lanes for NeonLanes {
+        type Acc = [u32; LANES];
 
-    pub(crate) fn neon_topk_range(
-        m: &BlockedBitMatrix,
-        batch: &QueryBatch,
-        q_offset: usize,
-        k: usize,
-        out: &mut [(usize, u32)],
-    ) {
-        // SAFETY: table selected only after neon detection.
-        unsafe { neon_topk_range_impl(m, batch, q_offset, k, out) }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn neon_block_scores(data: *const u64, wpr: usize, qw: &[u64]) -> [u32; LANES] {
-        let mut acc = [vdupq_n_u64(0); 4];
-        let mut w = 0usize;
-        while w < wpr {
-            let run = (wpr - w).min(31);
-            let mut bytes = [vdupq_n_u8(0); 4];
-            for (i, &qword) in qw.iter().enumerate().take(w + run).skip(w) {
-                let qv = vdupq_n_u64(qword);
-                let p = data.add(i * LANES);
-                for (h, byte_acc) in bytes.iter_mut().enumerate() {
-                    let panel = vld1q_u64(p.add(2 * h));
-                    *byte_acc =
-                        vaddq_u8(*byte_acc, vcntq_u8(vreinterpretq_u8_u64(vandq_u64(panel, qv))));
-                }
-            }
-            for (a, &b) in acc.iter_mut().zip(&bytes) {
-                *a = vaddq_u64(*a, vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(b))));
-            }
-            w += run;
-        }
-        let mut scores = [0u32; LANES];
-        for (h, &a) in acc.iter().enumerate() {
-            scores[2 * h] = vgetq_lane_u64(a, 0) as u32;
-            scores[2 * h + 1] = vgetq_lane_u64(a, 1) as u32;
-        }
-        scores
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn neon_dot_range_impl(
-        m: &BlockedBitMatrix,
-        batch: &QueryBatch,
-        q_offset: usize,
-        q_count: usize,
-        out: &mut [u32],
-    ) {
-        let rows = m.rows();
-        let wpr = m.words_per_row();
-        let data = m.data().as_ptr();
-        debug_assert_eq!(out.len(), q_count * rows);
-        for q in 0..q_count {
-            let qw = batch.query_words(q_offset + q);
-            let out_row = &mut out[q * rows..(q + 1) * rows];
-            for b in 0..m.row_blocks() {
-                let scores = neon_block_scores(data.add(b * wpr * LANES), wpr, qw);
-                let base = b * LANES;
-                let take = LANES.min(rows - base);
-                out_row[base..base + take].copy_from_slice(&scores[..take]);
-            }
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn neon_winners_range_impl(
-        m: &BlockedBitMatrix,
-        batch: &QueryBatch,
-        q_offset: usize,
-        out: &mut [(usize, u32)],
-    ) {
-        let rows = m.rows();
-        let wpr = m.words_per_row();
-        let data = m.data().as_ptr();
-        for (q, slot) in out.iter_mut().enumerate() {
-            let qw = batch.query_words(q_offset + q);
-            let mut best = (0usize, 0u32);
-            for b in 0..m.row_blocks() {
-                let scores = neon_block_scores(data.add(b * wpr * LANES), wpr, qw);
-                let base = b * LANES;
-                let take = LANES.min(rows - base);
-                for (l, &s) in scores.iter().enumerate().take(take) {
-                    if s > best.1 {
-                        best = (base + l, s);
+        #[inline]
+        #[target_feature(enable = "neon")]
+        unsafe fn block_acc(panels: *const u64, qw: &[u64]) -> [u32; LANES] {
+            let mut acc = [vdupq_n_u64(0); 4];
+            for (r, run) in qw.chunks(31).enumerate() {
+                let mut bytes = [vdupq_n_u8(0); 4];
+                for (i, &qword) in run.iter().enumerate() {
+                    let qv = vdupq_n_u64(qword);
+                    let p = panels.add((r * 31 + i) * LANES);
+                    for (h, byte_acc) in bytes.iter_mut().enumerate() {
+                        let panel = vld1q_u64(p.add(2 * h));
+                        *byte_acc = vaddq_u8(
+                            *byte_acc,
+                            vcntq_u8(vreinterpretq_u8_u64(vandq_u64(panel, qv))),
+                        );
                     }
                 }
-            }
-            *slot = best;
-        }
-    }
-
-    /// Fused top-k sweep: once the k-best list is full, lanes that fail
-    /// to beat the k-th score fall through the insert's cheap first
-    /// branch; padding lanes are excluded by `take`.
-    #[target_feature(enable = "neon")]
-    unsafe fn neon_topk_range_impl(
-        m: &BlockedBitMatrix,
-        batch: &QueryBatch,
-        q_offset: usize,
-        k: usize,
-        out: &mut [(usize, u32)],
-    ) {
-        let rows = m.rows();
-        let wpr = m.words_per_row();
-        let data = m.data().as_ptr();
-        for (q, slots) in out.chunks_exact_mut(k).enumerate() {
-            let qw = batch.query_words(q_offset + q);
-            let mut filled = 0usize;
-            for b in 0..m.row_blocks() {
-                let scores = neon_block_scores(data.add(b * wpr * LANES), wpr, qw);
-                let base = b * LANES;
-                let take = LANES.min(rows - base);
-                for (l, &s) in scores.iter().enumerate().take(take) {
-                    topk_insert(slots, &mut filled, base + l, s);
+                for (a, &b) in acc.iter_mut().zip(&bytes) {
+                    *a = vaddq_u64(*a, vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(b))));
                 }
             }
-            debug_assert_eq!(filled, k);
+            let mut scores = [0u32; LANES];
+            for (h, &a) in acc.iter().enumerate() {
+                scores[2 * h] = vgetq_lane_u64(a, 0) as u32;
+                scores[2 * h + 1] = vgetq_lane_u64(a, 1) as u32;
+            }
+            scores
+        }
+
+        #[target_feature(enable = "neon")]
+        unsafe fn sweep<S: PanelSink<Self>>(
+            m: &BlockedBitMatrix,
+            batch: &QueryBatch,
+            q_offset: usize,
+            out: Slots<'_, S::Slot>,
+        ) {
+            sweep_blocks::<Self, S>(m, batch, q_offset, out)
         }
     }
 }

@@ -40,7 +40,7 @@
 //! sizes and the total number of activated row-dimensions — which is the
 //! telemetry `imc_sim` converts back into the paper's energy ladder.
 
-use crate::batch::{self, multi_dot_words, topk_insert, TopK};
+use crate::batch::{self, multi_dot_words, topk_insert, Slots, SweepOut, TopK};
 use crate::bits::BitMatrix;
 use crate::blocked::SearchMemory;
 use crate::calibrate::CostModel;
@@ -778,10 +778,9 @@ fn kth_score(values: impl Iterator<Item = u32>, k: usize, buf: &mut Vec<u32>) ->
     b[k - 1]
 }
 
-/// The pruning skeleton of every cascade continuation, over queries
-/// `[q_offset, q_offset + out.len() / k)`: takes each query's stage-0
-/// partial scores (in `scores`, one `rows`-wide slice per query, updated
-/// in place), prunes with the Hamming bound against the k-th best
+/// The pruning skeleton of every cascade continuation, over one query
+/// [`Chunk`]: takes each query's stage-0 partial scores (updated in
+/// place), prunes with the Hamming bound against the k-th best
 /// partial score, finishes the survivors stage by stage through
 /// `score_stage`, and writes the k-best lists. This skeleton is the
 /// exactness-critical core — the contiguous and segmented continuations
@@ -796,26 +795,22 @@ fn kth_score(values: impl Iterator<Item = u32>, k: usize, buf: &mut Vec<u32>) ->
 /// partial), so the shortlist never drops below `k`, and the k-th best
 /// over the shortlist equals the k-th best over all scored rows.
 /// `score_stage(k, global_query, cands, partials)` adds stage `k`'s dot
-/// to every shortlist row. `k` arrives pre-clamped to the row count;
-/// `out` holds `k` slots per query, filled score-desc then row-asc.
+/// to every shortlist row. The lists are filled score-desc then row-asc.
 /// Stage-0 telemetry is accounted by the caller; this function
 /// accumulates stages `1..`.
-#[allow(clippy::too_many_arguments)]
-fn prune_continuation_topk_range<S>(
+fn prune_continuation<S>(
     rows: usize,
     ends: &[usize],
     row_suffix: &[u32],
     batch: &QueryBatch,
-    k: usize,
-    q_offset: usize,
-    scores: &mut [u32],
-    out: &mut [(usize, u32)],
-    stats: &mut CascadeStats,
+    chunk: Chunk<'_>,
     mut score_stage: S,
 ) where
     S: FnMut(usize, usize, &[u32], &mut [u32]),
 {
+    let Chunk { q_offset, scores, lists, stats } = chunk;
     let stages = ends.len();
+    let (k, out) = (lists.per_query, lists.data);
     debug_assert!(k >= 1 && k <= rows);
     debug_assert_eq!(scores.len() * k, out.len() * rows);
     // Bounded-insert selection over an ascending row scan yields the
@@ -891,53 +886,37 @@ fn prune_continuation_topk_range<S>(
     }
 }
 
-/// Contiguous-memory continuation: [`prune_continuation_topk_range`] with
+/// Contiguous-memory continuation: [`prune_continuation`] with
 /// a row-major stage scorer. `multi` is the multi-row word-slice popcount
 /// kernel (the active-backend dispatcher in production; an explicit
 /// backend's table entry under test): one call per (query, stage) scores
 /// the whole shortlist, so the SIMD path shares each staged-query load
 /// across rows instead of re-streaming it per flat-kernel call.
-#[allow(clippy::too_many_arguments)]
-fn continuation_topk_range<M: Fn(&[u64], &[&[u64]], &mut [u32])>(
+fn contiguous_continuation<M: Fn(&[u64], &[&[u64]], &mut [u32])>(
     m: &BitMatrix,
     batch: &QueryBatch,
     plan: &CascadePlan,
     row_suffix: &[u32],
-    k: usize,
-    q_offset: usize,
-    scores: &mut [u32],
-    out: &mut [(usize, u32)],
-    stats: &mut CascadeStats,
+    chunk: Chunk<'_>,
     multi: M,
 ) {
     let ends = plan.ends();
     let mut qmasked: Vec<u64> = Vec::new();
     let mut row_refs: Vec<&[u64]> = Vec::new();
     let mut acc: Vec<u32> = Vec::new();
-    prune_continuation_topk_range(
-        m.rows(),
-        ends,
-        row_suffix,
-        batch,
-        k,
-        q_offset,
-        scores,
-        out,
-        stats,
-        |s, gq, cands, partials| {
-            let (lo, hi) = (ends[s - 1], ends[s]);
-            let qs = stage_query(batch.query_words(gq), lo, hi, m.cols(), &mut qmasked);
-            let (wlo, whi) = (lo / 64, word_end(hi));
-            row_refs.clear();
-            row_refs.extend(cands.iter().map(|&r| &m.row_words_pub(r as usize)[wlo..whi]));
-            acc.clear();
-            acc.resize(cands.len(), 0);
-            multi(qs, &row_refs, &mut acc);
-            for (&r, &d) in cands.iter().zip(&acc) {
-                partials[r as usize] += d;
-            }
-        },
-    );
+    prune_continuation(m.rows(), ends, row_suffix, batch, chunk, |s, gq, cands, partials| {
+        let (lo, hi) = (ends[s - 1], ends[s]);
+        let qs = stage_query(batch.query_words(gq), lo, hi, m.cols(), &mut qmasked);
+        let (wlo, whi) = (lo / 64, word_end(hi));
+        row_refs.clear();
+        row_refs.extend(cands.iter().map(|&r| &m.row_words_pub(r as usize)[wlo..whi]));
+        acc.clear();
+        acc.resize(cands.len(), 0);
+        multi(qs, &row_refs, &mut acc);
+        for (&r, &d) in cands.iter().zip(&acc) {
+            partials[r as usize] += d;
+        }
+    });
 }
 
 /// Row suffix popcounts at every stage boundary (`row_suffix[k * rows +
@@ -962,48 +941,53 @@ fn row_suffix_table(m: &BitMatrix, ends: &[usize]) -> Vec<u32> {
     table
 }
 
-/// Pruning continuation + telemetry over precomputed stage-0 scores —
-/// the shared tail of every active-backend entry point. `k` is the
-/// caller's request; lists are clamped to the row count.
-fn cascade_run_topk(
-    m: &BitMatrix,
-    batch: &QueryBatch,
-    plan: &CascadePlan,
-    mut scores: ScoreMatrix,
-    row_suffix: &[u32],
+/// One query chunk of a cascade continuation: queries `q_offset..` with
+/// their stage-0 partial scores (`rows` per query, finished in place),
+/// their k-best lists (`k` slots per query, `k` pre-clamped to the row
+/// count) and the chunk's telemetry.
+struct Chunk<'a> {
+    q_offset: usize,
+    scores: &'a mut [u32],
+    lists: Slots<'a, (usize, u32)>,
+    stats: &'a mut CascadeStats,
+}
+
+/// The shared tail of every cascade entry point: from the stage-0
+/// partial scores (`Q × rows` in `scores`), allocates the k-best lists,
+/// accounts stage 0 in the telemetry, and runs the pruning continuation
+/// `run` on each [`Chunk`] of queries from [`batch::chunk_queries`]
+/// (across threads under the `rayon` feature). Each chunk owns disjoint
+/// score and list slices plus its own telemetry, merged after the join
+/// — bit-identical to the serial order because queries are independent.
+/// Chunk-local stage-0 counters stay 0 (continuations never write stage
+/// 0), so the merge adds exactly the later stages. `k` is the caller's
+/// request; lists hold `min(k, rows)` entries per query.
+fn run_continuation<F>(
+    (rows, dim): (usize, usize),
+    ends: &[usize],
     k: usize,
-) -> CascadeTopK {
-    let rows = m.rows();
-    let q_total = batch.len();
+    scores: &mut [u32],
+    run: F,
+) -> CascadeTopK
+where
+    F: Fn(Chunk<'_>) + Sync,
+{
+    let q_total = scores.len() / rows;
     let per_query = k.min(rows);
     let mut entries = vec![(0usize, 0u32); q_total * per_query];
-    let mut stats = CascadeStats::zeroed(rows, m.cols(), plan.stages());
+    let mut stats = CascadeStats::zeroed(rows, dim, ends.len());
     stats.stage_rows[0] = (q_total * rows) as u64;
-    stats.activated_dims = (q_total * rows * plan.ends()[0]) as u64;
-    chunked_continuation(
-        rows,
-        m.cols(),
-        m.words_per_row_pub(),
-        plan.stages(),
-        per_query,
-        scores.data_mut(),
-        &mut entries,
-        &mut stats,
-        |q_offset, score_chunk, out_chunk, local| {
-            continuation_topk_range(
-                m,
-                batch,
-                plan,
-                row_suffix,
-                per_query,
-                q_offset,
-                score_chunk,
-                out_chunk,
-                local,
-                multi_dot_words,
-            )
-        },
-    );
+    stats.activated_dims = (q_total * rows * ends[0]) as u64;
+    let parts = (Slots::new(scores, rows), Slots::new(&mut entries, per_query));
+    let work = rows * dim.div_ceil(64);
+    let locals = batch::chunk_queries(q_total, work, parts, |q_offset, (scores, lists)| {
+        let mut local = CascadeStats::zeroed(rows, dim, ends.len());
+        run(Chunk { q_offset, scores: scores.data, lists, stats: &mut local });
+        local
+    });
+    for local in &locals {
+        stats.merge(local);
+    }
     CascadeTopK { topk: TopK::from_flat(q_total, k, per_query, entries), stats }
 }
 
@@ -1048,15 +1032,19 @@ impl BoundForm {
         plan: &CascadePlan,
         k: usize,
     ) -> CascadeTopK {
-        let scores = match &self.prefix {
+        let mut scores = match &self.prefix {
             Some(prefix) => {
                 let mut out = ScoreMatrix::zeros(batch.len(), memory.rows());
-                batch::dot_batch_dispatch(prefix.memory_ref(), batch, &mut out);
+                let scores = Slots::new(out.data_mut(), memory.rows());
+                prefix.memory_ref().sweep(batch, SweepOut::Dot(scores));
                 out
             }
             None => memory.dot_batch(batch).expect("dimensions validated by caller"),
         };
-        cascade_run_topk(memory.matrix(), batch, plan, scores, &self.row_suffix, k)
+        let m = memory.matrix();
+        run_continuation(m.shape(), plan.ends(), k, scores.data_mut(), |chunk| {
+            contiguous_continuation(m, batch, plan, &self.row_suffix, chunk, multi_dot_words)
+        })
     }
 }
 
@@ -1243,92 +1231,6 @@ impl BoundCascade {
     }
 }
 
-/// Runs a cascade continuation over all queries, chunked across scoped
-/// threads under the `rayon` feature: each chunk owns disjoint score and
-/// output slices plus its own telemetry, merged after the join —
-/// bit-identical to the serial order because queries are independent.
-/// `out` holds `slots_per_query` entries per query (1 for winners, k for
-/// top-k lists); `run(q_offset, scores, out, stats)` must process the
-/// chunk's queries exactly as the serial call would. Stage-0 counters are
-/// set wholesale by the caller and stay 0 in every chunk-local
-/// (continuations never write stage 0), so the general merge adds exactly
-/// the later stages.
-#[cfg(feature = "rayon")]
-#[allow(clippy::too_many_arguments)]
-fn chunked_continuation<F>(
-    rows: usize,
-    dim: usize,
-    words_per_row: usize,
-    stages: usize,
-    slots_per_query: usize,
-    scores: &mut [u32],
-    out: &mut [(usize, u32)],
-    stats: &mut CascadeStats,
-    run: F,
-) where
-    F: Fn(usize, &mut [u32], &mut [(usize, u32)], &mut CascadeStats) + Sync,
-{
-    let q = out.len() / slots_per_query;
-    let work = q * rows * words_per_row;
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    if threads < 2 || work < batch::PARALLEL_THRESHOLD || q < 2 * batch::QUERY_TILE {
-        run(0, scores, out, stats);
-        return;
-    }
-    let chunks = threads.min(q.div_ceil(batch::QUERY_TILE));
-    let per_chunk = q.div_ceil(chunks).next_multiple_of(batch::QUERY_TILE);
-    type Job<'a> = (usize, &'a mut [u32], &'a mut [(usize, u32)]);
-    let mut jobs: Vec<Job<'_>> = Vec::with_capacity(chunks);
-    let mut score_rest = scores;
-    let mut out_rest = out;
-    let mut offset = 0usize;
-    while !out_rest.is_empty() {
-        let take = per_chunk.min(out_rest.len() / slots_per_query);
-        let (o_head, o_tail) = out_rest.split_at_mut(take * slots_per_query);
-        let (s_head, s_tail) = score_rest.split_at_mut(take * rows);
-        jobs.push((offset, s_head, o_head));
-        out_rest = o_tail;
-        score_rest = s_tail;
-        offset += take;
-    }
-    let run = &run;
-    let locals: Vec<CascadeStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .into_iter()
-            .map(|(q_offset, score_chunk, out_chunk)| {
-                scope.spawn(move || {
-                    let mut local = CascadeStats::zeroed(rows, dim, stages);
-                    run(q_offset, score_chunk, out_chunk, &mut local);
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("cascade chunk worker panicked")).collect()
-    });
-    for local in &locals {
-        stats.merge(local);
-    }
-}
-
-/// Serial fallback of the chunked continuation (no `rayon` feature).
-#[cfg(not(feature = "rayon"))]
-#[allow(clippy::too_many_arguments)]
-fn chunked_continuation<F>(
-    _rows: usize,
-    _dim: usize,
-    _words_per_row: usize,
-    _stages: usize,
-    _slots_per_query: usize,
-    scores: &mut [u32],
-    out: &mut [(usize, u32)],
-    stats: &mut CascadeStats,
-    run: F,
-) where
-    F: Fn(usize, &mut [u32], &mut [(usize, u32)], &mut CascadeStats),
-{
-    run(0, scores, out, stats);
-}
-
 /// A cascade plan bound to a **column-segmented** memory: `P` equal-width
 /// segment memories where segment `p` of logical row `r` holds dimensions
 /// `[p·seg_len, (p+1)·seg_len)` — the layout `imc_sim`'s partitioned
@@ -1493,7 +1395,6 @@ impl SegmentedCascade {
         );
         let q = batch.len();
         let ends = self.plan.ends();
-        let stages = ends.len();
 
         // Per-partition query segment batches, via the batch's cached
         // segmented view: word-aligned segments are zero-copy windows
@@ -1523,37 +1424,10 @@ impl SegmentedCascade {
             }
         }
 
-        let per_query = k.min(rows);
-        let mut entries = vec![(0usize, 0u32); q * per_query];
-        let mut stats = CascadeStats::zeroed(rows, self.plan.dim(), stages);
-        stats.stage_rows[0] = (q * rows) as u64;
-        stats.activated_dims = (q * rows * ends[0]) as u64;
-        chunked_continuation(
-            rows,
-            self.plan.dim(),
-            self.plan.dim().div_ceil(64),
-            stages,
-            per_query,
-            scores.data_mut(),
-            &mut entries,
-            &mut stats,
-            |q_offset, score_chunk, out_chunk, local| {
-                segmented_continuation_topk_range(
-                    parts,
-                    &seg_batches,
-                    batch,
-                    seg_len,
-                    ends,
-                    &self.row_suffix,
-                    per_query,
-                    q_offset,
-                    score_chunk,
-                    out_chunk,
-                    local,
-                )
-            },
-        );
-        Ok(CascadeTopK { topk: TopK::from_flat(q, k, per_query, entries), stats })
+        Ok(run_continuation((rows, self.plan.dim()), ends, k, scores.data_mut(), |chunk| {
+            let suffix = &self.row_suffix;
+            segmented_continuation(parts, &seg_batches, batch, seg_len, ends, suffix, chunk)
+        }))
     }
 }
 
@@ -1617,37 +1491,28 @@ fn check_segments(parts: &[SearchMemory], plan: &CascadePlan) -> Result<(usize, 
     Ok((rows, seg_len))
 }
 
-/// The segmented analogue of [`continuation_topk_range`]: the same
+/// The segmented analogue of [`contiguous_continuation`]: the same
 /// pruning skeleton (row suffixes from the pre-derived table, query
 /// suffixes lazily from the full-width query words, which stage
 /// boundaries slice contiguously), with a stage scorer that collects each
 /// shortlist row's contribution partition by partition.
-#[allow(clippy::too_many_arguments)]
-fn segmented_continuation_topk_range(
+fn segmented_continuation(
     parts: &[SearchMemory],
     seg_batches: &[QueryBatch],
     batch: &QueryBatch,
     seg_len: usize,
     ends: &[usize],
     row_suffix: &[u32],
-    k: usize,
-    q_offset: usize,
-    scores: &mut [u32],
-    out: &mut [(usize, u32)],
-    stats: &mut CascadeStats,
+    chunk: Chunk<'_>,
 ) {
     let mut row_refs: Vec<&[u64]> = Vec::new();
     let mut acc: Vec<u32> = Vec::new();
-    prune_continuation_topk_range(
+    prune_continuation(
         parts[0].rows(),
         ends,
         row_suffix,
         batch,
-        k,
-        q_offset,
-        scores,
-        out,
-        stats,
+        chunk,
         |s, gq, cands, partials| {
             let (lo, hi) = (ends[s - 1], ends[s]);
             let (p_lo, p_hi) = (lo / seg_len, hi / seg_len);
@@ -1754,10 +1619,11 @@ impl SearchMemory {
     }
 
     /// [`SearchMemory::search_cascade_topk`] on an explicit backend — the
-    /// equivalence-testing hook (serial; no thread chunking; stage 0
-    /// per-row through the backend's flat word kernel, continuation
-    /// through its multi-row kernel, both bit-identical by the kernel
-    /// contract). `k = 1` is the explicit-backend argmax cascade.
+    /// equivalence-testing hook: stage 0 runs serially per row through
+    /// the backend's flat word kernel, the continuation through its
+    /// multi-row kernel (query-chunked under `rayon` like every cascade),
+    /// both bit-identical by the kernel contract. `k = 1` is the
+    /// explicit-backend argmax cascade.
     ///
     /// # Errors
     ///
@@ -1793,24 +1659,11 @@ impl SearchMemory {
             }
         }
         let row_suffix = row_suffix_table(m, ends);
-        let per_query = k.min(rows);
-        let mut entries = vec![(0usize, 0u32); q_total * per_query];
-        let mut stats = CascadeStats::zeroed(rows, m.cols(), plan.stages());
-        stats.stage_rows[0] = (q_total * rows) as u64;
-        stats.activated_dims = (q_total * rows * e0) as u64;
-        continuation_topk_range(
-            m,
-            batch,
-            plan,
-            &row_suffix,
-            per_query,
-            0,
-            &mut scores,
-            &mut entries,
-            &mut stats,
-            |qs: &[u64], rs: &[&[u64]], out: &mut [u32]| (table.multi_dot_words)(qs, rs, out),
-        );
-        Ok(CascadeTopK { topk: TopK::from_flat(q_total, k, per_query, entries), stats })
+        let multi =
+            |qs: &[u64], rs: &[&[u64]], out: &mut [u32]| (table.multi_dot_words)(qs, rs, out);
+        Ok(run_continuation(m.shape(), ends, k, &mut scores, |chunk| {
+            contiguous_continuation(m, batch, plan, &row_suffix, chunk, multi)
+        }))
     }
 }
 

@@ -26,7 +26,8 @@
 //! which the `simd_equivalence` proptest suite pins for every backend
 //! reachable on the host.
 
-use crate::blocked::BlockedBitMatrix;
+use crate::batch::SweepOut;
+use crate::blocked::{self, blocked_sweep, BlockedBitMatrix};
 use crate::QueryBatch;
 use std::sync::OnceLock;
 
@@ -198,6 +199,8 @@ pub fn hamming_words_with(backend: Backend, a: &[u64], b: &[u64]) -> u32 {
 
 /// Dispatch table of one backend's kernel entry points. Built once per
 /// backend; the active table is what every batched search routes through.
+/// Three flat word kernels plus one blocked sweep, whose sink (dot,
+/// winners or top-k) follows from the output it is handed.
 pub(crate) struct KernelTable {
     /// `popcount(a & b)` over equal-length word slices.
     pub(crate) dot_words: fn(&[u64], &[u64]) -> u32,
@@ -208,58 +211,41 @@ pub(crate) struct KernelTable {
     pub(crate) multi_dot_words: fn(&[u64], &[&[u64]], &mut [u32]),
     /// `popcount(a ^ b)` over equal-length word slices.
     pub(crate) hamming_words: fn(&[u64], &[u64]) -> u32,
-    /// Scores `q_count` queries starting at `q_offset` against every row
-    /// of the blocked memory, row-major into `out` (`q_count × rows`).
-    pub(crate) blocked_dot_range: fn(&BlockedBitMatrix, &QueryBatch, usize, usize, &mut [u32]),
-    /// Winning `(row, score)` per query (low-row tie-break), no score
-    /// materialization.
-    pub(crate) blocked_winners_range:
-        fn(&BlockedBitMatrix, &QueryBatch, usize, &mut [(usize, u32)]),
-    /// k-best `(row, score)` per query (score desc, row asc), `k` slots
-    /// per query in `out`, no score materialization. `k` is pre-clamped
-    /// to the row count by the caller.
-    #[allow(clippy::type_complexity)]
-    pub(crate) blocked_topk_range:
-        fn(&BlockedBitMatrix, &QueryBatch, usize, usize, &mut [(usize, u32)]),
+    /// The blocked sweep ([`crate::blocked`]): queries `q_offset..` of the
+    /// batch against every row of the blocked memory, into a dot or
+    /// k-best output (one slot per query is the winners sink).
+    pub(crate) blocked_sweep: fn(&BlockedBitMatrix, &QueryBatch, usize, SweepOut<'_>),
 }
 
 static SCALAR_TABLE: KernelTable = KernelTable {
     dot_words: scalar::dot_words,
     multi_dot_words: scalar::multi_dot_words,
     hamming_words: scalar::hamming_words,
-    blocked_dot_range: crate::blocked::scalar_dot_range,
-    blocked_winners_range: crate::blocked::scalar_winners_range,
-    blocked_topk_range: crate::blocked::scalar_topk_range,
+    blocked_sweep: blocked_sweep::<blocked::ScalarLanes>,
 };
 
 #[cfg(target_arch = "x86_64")]
 static AVX2_TABLE: KernelTable = KernelTable {
-    dot_words: x86::dot_words_avx2,
+    dot_words: x86::words_avx2::<false>,
     multi_dot_words: x86::multi_dot_words_avx2,
-    hamming_words: x86::hamming_words_avx2,
-    blocked_dot_range: crate::blocked::avx2_dot_range,
-    blocked_winners_range: crate::blocked::avx2_winners_range,
-    blocked_topk_range: crate::blocked::avx2_topk_range,
+    hamming_words: x86::words_avx2::<true>,
+    blocked_sweep: blocked_sweep::<blocked::Avx2Lanes>,
 };
 
 #[cfg(target_arch = "x86_64")]
 static AVX512_TABLE: KernelTable = KernelTable {
-    dot_words: x86::dot_words_avx512,
+    dot_words: x86::words_avx512::<false>,
     multi_dot_words: x86::multi_dot_words_avx512,
-    hamming_words: x86::hamming_words_avx512,
-    blocked_dot_range: crate::blocked::avx512_dot_range,
-    blocked_winners_range: crate::blocked::avx512_winners_range,
-    blocked_topk_range: crate::blocked::avx512_topk_range,
+    hamming_words: x86::words_avx512::<true>,
+    blocked_sweep: blocked_sweep::<blocked::Avx512Lanes>,
 };
 
 #[cfg(target_arch = "aarch64")]
 static NEON_TABLE: KernelTable = KernelTable {
-    dot_words: aarch64::dot_words_neon,
+    dot_words: aarch64::words_neon::<false>,
     multi_dot_words: aarch64::multi_dot_words_neon,
-    hamming_words: aarch64::hamming_words_neon,
-    blocked_dot_range: crate::blocked::neon_dot_range,
-    blocked_winners_range: crate::blocked::neon_winners_range,
-    blocked_topk_range: crate::blocked::neon_topk_range,
+    hamming_words: aarch64::words_neon::<true>,
+    blocked_sweep: blocked_sweep::<blocked::NeonLanes>,
 };
 
 /// The dispatch table of an explicit backend (assumed available).
@@ -317,28 +303,18 @@ pub(crate) mod scalar {
 pub(crate) mod x86 {
     use std::arch::x86_64::*;
 
-    pub(super) fn dot_words_avx2(a: &[u64], b: &[u64]) -> u32 {
+    /// `popcount(a & b)` (dot), or `popcount(a ^ b)` (Hamming) when `XOR`.
+    pub(super) fn words_avx2<const XOR: bool>(a: &[u64], b: &[u64]) -> u32 {
         // SAFETY: published only behind an avx2 detection check; every
         // caller enforces a.len() == b.len() before the call.
-        unsafe { combine_words_avx2::<false>(a, b) }
+        unsafe { combine_words_avx2::<XOR>(a, b) }
     }
 
-    pub(super) fn hamming_words_avx2(a: &[u64], b: &[u64]) -> u32 {
-        // SAFETY: published only behind an avx2 detection check; every
-        // caller enforces a.len() == b.len() before the call.
-        unsafe { combine_words_avx2::<true>(a, b) }
-    }
-
-    pub(super) fn dot_words_avx512(a: &[u64], b: &[u64]) -> u32 {
+    /// As [`words_avx2`].
+    pub(super) fn words_avx512<const XOR: bool>(a: &[u64], b: &[u64]) -> u32 {
         // SAFETY: published only behind an avx512f+vpopcntdq check; every
         // caller enforces a.len() == b.len() before the call.
-        unsafe { combine_words_avx512::<false>(a, b) }
-    }
-
-    pub(super) fn hamming_words_avx512(a: &[u64], b: &[u64]) -> u32 {
-        // SAFETY: published only behind an avx512f+vpopcntdq check; every
-        // caller enforces a.len() == b.len() before the call.
-        unsafe { combine_words_avx512::<true>(a, b) }
+        unsafe { combine_words_avx512::<XOR>(a, b) }
     }
 
     /// Per-byte popcount of a 256-bit vector via the classic nibble LUT.
@@ -401,7 +377,7 @@ pub(crate) mod x86 {
     pub(super) fn multi_dot_words_avx2(qs: &[u64], rows: &[&[u64]], out: &mut [u32]) {
         debug_assert_eq!(rows.len(), out.len());
         for (row, slot) in rows.iter().zip(out) {
-            *slot += dot_words_avx2(qs, row);
+            *slot += words_avx2::<false>(qs, row);
         }
     }
 
@@ -507,16 +483,11 @@ pub(crate) mod x86 {
 mod aarch64 {
     use std::arch::aarch64::*;
 
-    pub(super) fn dot_words_neon(a: &[u64], b: &[u64]) -> u32 {
+    /// `popcount(a & b)` (dot), or `popcount(a ^ b)` (Hamming) when `XOR`.
+    pub(super) fn words_neon<const XOR: bool>(a: &[u64], b: &[u64]) -> u32 {
         // SAFETY: published only behind a neon detection check; every
         // caller enforces a.len() == b.len() before the call.
-        unsafe { combine_words_neon::<false>(a, b) }
-    }
-
-    pub(super) fn hamming_words_neon(a: &[u64], b: &[u64]) -> u32 {
-        // SAFETY: published only behind a neon detection check; every
-        // caller enforces a.len() == b.len() before the call.
-        unsafe { combine_words_neon::<true>(a, b) }
+        unsafe { combine_words_neon::<XOR>(a, b) }
     }
 
     /// Multi-row dot via per-row NEON sweeps; the win over separate
@@ -524,7 +495,7 @@ mod aarch64 {
     pub(super) fn multi_dot_words_neon(qs: &[u64], rows: &[&[u64]], out: &mut [u32]) {
         debug_assert_eq!(rows.len(), out.len());
         for (row, slot) in rows.iter().zip(out) {
-            *slot += dot_words_neon(qs, row);
+            *slot += words_neon::<false>(qs, row);
         }
     }
 

@@ -1127,6 +1127,19 @@ mod tests {
     }
 
     #[test]
+    fn zero_row_model_fails_every_k() {
+        let server = Server::start(
+            Arc::new(SearchMemory::new(hd_linalg::BitMatrix::zeros(0, 8))),
+            ServeConfig { max_batch: 1, ..Default::default() },
+        )
+        .unwrap();
+        for k in [1usize, 2] {
+            let got = server.submit(BitVector::zeros(8).as_view(), k).unwrap().wait();
+            assert!(matches!(got, Err(ServeError::Model { .. })), "k = {k}: {got:?}");
+        }
+    }
+
+    #[test]
     fn submit_packed_matches_per_query_submission() {
         let dim = 130; // dirty-tail width
         let am = random_am(40, dim, 31);
