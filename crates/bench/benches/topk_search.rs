@@ -1,6 +1,7 @@
 //! Exact top-k associative search: the fused k-best sweep vs the naive
 //! score-then-sort reference, and the k-th-score cascade vs the exact
-//! fused sweep on the imbalanced BasicHDC 10240×10 AM.
+//! fused sweep on the imbalanced BasicHDC 10240×10 AM and on a shard
+//! where nothing prunes.
 //!
 //! The fused path (`SearchMemory::topk_batch`) carries a bounded k-best
 //! list per query lane through the blocked panel sweep and never
@@ -195,5 +196,62 @@ fn bench_topk_cascade(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_topk_fused, bench_topk_cascade);
+/// The cascade's worst case: the wide serving workload's second shard —
+/// 1024 near-empty rows (0.5% density, 2048 bits) searched by 256
+/// perturbed copies of the dense centroid at k = 5 under the plan the
+/// whole-memory tuner picks, `[64, 256, 2048]`. Every row's score is
+/// near zero and the k-th best partial never separates from the rest,
+/// so almost nothing prunes (activation ≈ 0.997): the cascade can only
+/// lose to the exact fused sweep, and the same-run cascade:exact ratio
+/// is what a stage that cannot prune costs. Lists are asserted
+/// bit-identical before timing.
+fn bench_topk_unprunable(c: &mut Criterion) {
+    let (rows, dim, n_queries) = (1024usize, 2048usize, 256usize);
+    let mut rng = seeded(31);
+    let mut density_bits = |density: f32| -> BitVector {
+        BitVector::from_bools(&(0..dim).map(|_| rng.gen::<f32>() < density).collect::<Vec<_>>())
+    };
+    let dense = density_bits(0.5);
+    let sparse: Vec<BitVector> = (0..rows).map(|_| density_bits(0.005)).collect();
+    let memory = SearchMemory::from_rows(&sparse).expect("memory");
+    let queries: Vec<BitVector> = (0..n_queries)
+        .map(|_| {
+            let mut q = dense.clone();
+            for _ in 0..dim / 20 {
+                let bit = rng.gen_range(0..dim);
+                q.set(bit, !q.get(bit));
+            }
+            q
+        })
+        .collect();
+    let batch = QueryBatch::from_vectors(&queries).expect("batch");
+    let plan = CascadePlan::from_widths(dim, &[64, 192, 1792]).expect("plan");
+    let bound = BoundCascade::new(std::sync::Arc::new(memory.clone()), plan).expect("bound");
+    let fused = memory.topk_batch(&batch, K).expect("topk");
+    let cascade = bound.search_topk(&batch, K).expect("cascade topk");
+    eprintln!(
+        "topk_unprunable: activation fraction {:.3} (stage shortlists {:?})",
+        cascade.stats().activation_fraction(),
+        cascade.stats().stage_rows()
+    );
+    assert_eq!(cascade.topk(), &fused, "cascade lists must equal the fused sweep's");
+
+    let mut group = c.benchmark_group("topk_search");
+    group.throughput(Throughput::Elements(n_queries as u64));
+    group.bench_with_input(
+        BenchmarkId::new("exact_k5_unprunable_1024x2048", n_queries),
+        &batch,
+        |b, batch| b.iter(|| memory.topk_batch(batch, K).expect("topk").hits(0)[0].0),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("cascade_k5_unprunable_1024x2048", n_queries),
+        &batch,
+        |b, batch| {
+            b.iter(|| bound.search_topk(batch, K).expect("cascade topk").topk().hits(0)[0].0)
+        },
+    );
+    group.finish();
+}
+
+criterion_group!(benches, bench_topk_fused, bench_topk_cascade, bench_topk_unprunable);
 criterion_main!(benches);

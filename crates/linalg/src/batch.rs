@@ -67,24 +67,6 @@ pub(crate) fn dot_words(a: &[u64], b: &[u64]) -> u32 {
     }
 }
 
-/// Multi-row popcount dot: adds each row's `popcount(row & qs)` into the
-/// matching `out` slot, dispatched like [`dot_words`]. One call scores a
-/// whole cascade shortlist against one staged query segment, letting the
-/// AVX-512 path share each 512-bit query load across four rows.
-#[inline]
-pub(crate) fn multi_dot_words(qs: &[u64], rows: &[&[u64]], out: &mut [u32]) {
-    debug_assert_eq!(rows.len(), out.len());
-    if qs.len() < DISPATCH_MIN_WORDS {
-        kernel::scalar::multi_dot_words(qs, rows, out);
-    } else {
-        assert_eq!(rows.len(), out.len(), "multi_dot_words: rows/out length mismatch");
-        for r in rows {
-            assert_eq!(r.len(), qs.len(), "multi_dot_words: length mismatch");
-        }
-        (kernel::active_table().multi_dot_words)(qs, rows, out)
-    }
-}
-
 /// Popcount XOR (Hamming distance) of two equal-length word slices,
 /// dispatched like [`dot_words`].
 #[inline]
@@ -115,9 +97,7 @@ impl MemoryRef<'_> {
     /// Sweeps every query of `batch` into `out` on the layout's kernels —
     /// the row-major tiled kernels, or the active backend's blocked
     /// sweep — in query chunks across threads under the `rayon` feature
-    /// (see [`chunk_queries`]). The batch may be wider than the memory (a cascade stage-0 sweep
-    /// drives a prefix sub-memory with full-width queries): only the
-    /// memory's words participate.
+    /// (see [`chunk_queries`]).
     pub(crate) fn sweep(self, batch: &QueryBatch, out: SweepOut<'_>) {
         let words = match self {
             MemoryRef::Rows(m) => m.rows() * m.words_per_row_pub(),
@@ -772,13 +752,6 @@ impl ScoreMatrix {
         self.data.clear();
         self.data.resize(queries * rows, 0);
     }
-
-    /// The full row-major score buffer — kernel-facing access for the
-    /// blocked sweep implementations.
-    #[inline]
-    pub(crate) fn data_mut(&mut self) -> &mut [u32] {
-        &mut self.data
-    }
 }
 
 /// Winner selection over a score row: highest score, ties toward the
@@ -1062,9 +1035,6 @@ fn kernel_fixed<const W: usize>(
     while q + QUERY_TILE <= q_count {
         let mut qw = [[0u64; W]; QUERY_TILE];
         for (j, qj) in qw.iter_mut().enumerate() {
-            // Queries may be wider than the memory (a cascade stage-0
-            // sweep drives a prefix sub-memory with full-width queries);
-            // only the memory's words participate.
             qj.copy_from_slice(&batch.query_words(q_offset + q + j)[..W]);
         }
         let mut outs = tile_outputs(out, q, rows);

@@ -34,6 +34,7 @@ use crate::bits::{BitMatrix, BitVector};
 use crate::error::{LinalgError, Result};
 use crate::kernel::{self, Backend};
 use crate::QueryBatch;
+use std::marker::PhantomData;
 
 /// Rows per interleaved block — one 512-bit panel of `u64` lanes.
 pub const LANES: usize = 8;
@@ -364,8 +365,8 @@ impl BlockedBitMatrix {
 /// matrices) should hold: batched searches skip the per-call packing that
 /// [`BitMatrix::dot_batch`] would otherwise perform, and on the scalar
 /// backend it stays a plain [`BitMatrix`] with zero overhead. Cascade
-/// searches additionally cache their derived bound forms (prefix
-/// sub-memory, row-suffix table) here, keyed by plan — see
+/// searches additionally cache their derived bound forms (row-suffix
+/// tables) here, keyed by plan — see
 /// [`SearchMemory::search_cascade`]. Equality compares the logical
 /// matrix only, and a clone starts with an empty cascade cache (forms
 /// re-derive lazily).
@@ -472,8 +473,8 @@ impl SearchMemory {
     /// actually mutated the matrix and the blocked mirror is rebuilt only
     /// then — so sweeps that touch every cell but flip none (e.g. a
     /// zero-probability fault pass) stay free. A reported mutation also
-    /// drops every cached cascade bound form: the prefix sub-memory and
-    /// row-suffix tables describe the old bits, and the next
+    /// drops every cached cascade bound form: the row-suffix tables
+    /// describe the old bits, and the next
     /// [`SearchMemory::search_cascade`] re-derives them. Returns the
     /// closure's report.
     pub fn modify_reporting(&mut self, f: impl FnOnce(&mut BitMatrix) -> bool) -> bool {
@@ -665,17 +666,18 @@ pub(crate) trait LaneVec: Copy {
 }
 
 /// One backend's blocked kernel: only the panel accumulation of one
-/// query against one block. [`sweep_blocks`] is written once over it and
-/// the [`LaneVec`] ops of its accumulator; each SIMD backend instantiates
-/// the loop through its one `#[target_feature]` wrapper,
-/// [`Lanes::sweep`], so `block_acc` and the lane ops inline into a loop
-/// compiled for that backend's features.
+/// query against one block. The loops over it — the blocked sweep and
+/// the cascade's [`BlockPass`] — are written once over it and the
+/// [`LaneVec`] ops of its accumulator; each SIMD backend instantiates
+/// them through its one `#[target_feature]` wrapper, [`Lanes::run`], so
+/// `block_acc` and the lane ops inline into a loop compiled for that
+/// backend's features.
 ///
 /// # Safety
 ///
 /// As [`LaneVec`]; `block_acc` additionally needs `panels` to point at
-/// `qw.len()` readable panels of [`LANES`] words, and `sweep` the
-/// conditions of [`sweep_blocks`].
+/// `qw.len()` readable panels of [`LANES`] words, and `run` the
+/// conditions of the job it runs.
 pub(crate) trait Lanes: Sized {
     /// The block accumulator.
     type Acc: LaneVec;
@@ -683,16 +685,40 @@ pub(crate) trait Lanes: Sized {
     /// Accumulates `popcount(panel & query word)` per lane over one
     /// block: the `qw.len()` panels starting at `panels`.
     unsafe fn block_acc(panels: *const u64, qw: &[u64]) -> Self::Acc;
-    /// [`sweep_blocks`] for sink `S`; SIMD backends override it with the
-    /// one `#[target_feature]` wrapper that compiles the loop for them.
-    unsafe fn sweep<S: PanelSink<Self>>(
-        m: &BlockedBitMatrix,
-        batch: &QueryBatch,
-        q_offset: usize,
-        out: Slots<'_, S::Slot>,
-    ) {
-        sweep_blocks::<Self, S>(m, batch, q_offset, out)
+    /// The cascade's prune compare over one block's partial scores: the
+    /// lanes where `partial + min(row_suffix, q_suffix) >= kth`.
+    #[inline(always)]
+    unsafe fn keep_lanes(
+        partial: &[u32; LANES],
+        row_suffix: &[u32; LANES],
+        q_suffix: u32,
+        kth: u32,
+    ) -> u8 {
+        lanes_where(|l| partial[l] + row_suffix[l].min(q_suffix) >= kth)
     }
+    /// The lanes of a block's `partial` scores strictly above `thr`.
+    #[inline(always)]
+    unsafe fn lanes_above(partial: &[u32; LANES], thr: u32) -> u8 {
+        lanes_where(|l| partial[l] > thr)
+    }
+    /// Runs `job`; SIMD backends override it with the one
+    /// `#[target_feature]` wrapper that compiles every job's loop for
+    /// them.
+    unsafe fn run<J: LaneJob<Self>>(job: J) {
+        job.run()
+    }
+}
+
+/// A loop over backend `L`'s blocked kernel — the blocked sweep or the
+/// cascade's block pass — run through [`Lanes::run`].
+///
+/// # Safety
+///
+/// `run` needs backend `L` to be available on this host, plus the
+/// job's own conditions.
+pub(crate) trait LaneJob<L: Lanes> {
+    /// Runs the loop (inlined into the backend's wrapper).
+    unsafe fn run(self);
 }
 
 /// What the sweep does with each block's accumulators — one impl per
@@ -723,33 +749,38 @@ pub(crate) trait PanelSink<L: Lanes> {
     unsafe fn finish(_: Self::State, _: &mut [Self::Slot], _: usize) {}
 }
 
-/// The one query × row-block loop: for every query of `out` (queries
-/// `q_offset..` of `batch`), every block's accumulators go to sink `S`.
-/// Memory is streamed in panel order, each panel load feeding
-/// [`LANES`] lanes.
-///
-/// # Safety
-///
-/// Backend `L` is available on this host. Panel reads stay in bounds by
-/// construction: each query is cut to the memory's `wpr` words (a
-/// shorter query panics), and every block holds `wpr` panels.
-#[inline(always)]
-unsafe fn sweep_blocks<L: Lanes, S: PanelSink<L>>(
-    m: &BlockedBitMatrix,
-    batch: &QueryBatch,
+/// The one query × row-block loop of the blocked sweep: for every query
+/// of `out` (queries `q_offset..` of `batch`), every block's accumulators
+/// over `m` go to sink `S`. Memory is streamed in panel order, each panel
+/// load feeding [`LANES`] lanes.
+struct Sweep<'a, S, T> {
+    m: &'a BlockedBitMatrix,
+    batch: &'a QueryBatch,
     q_offset: usize,
-    out: Slots<'_, S::Slot>,
-) {
-    let (rows, wpr) = (m.rows(), m.words_per_row());
-    let data = m.data().as_ptr();
-    for (q, slots) in out.data.chunks_exact_mut(out.per_query).enumerate() {
-        let qw = &batch.query_words(q_offset + q)[..wpr];
-        let mut state = S::start();
-        for b in 0..m.row_blocks() {
-            let acc = L::block_acc(data.add(b * wpr * LANES), qw);
-            S::block(&mut state, slots, rows, b, acc);
+    out: Slots<'a, T>,
+    sink: PhantomData<S>,
+}
+
+impl<L: Lanes, S: PanelSink<L, Slot = T>, T> LaneJob<L> for Sweep<'_, S, T> {
+    /// # Safety
+    ///
+    /// Backend `L` is available on this host. Panel reads stay in bounds
+    /// by construction: each query is cut to the memory's `wpr` words (a
+    /// shorter query panics), and every block holds `wpr` panels.
+    #[inline(always)]
+    unsafe fn run(self) {
+        let Sweep { m, batch, q_offset, out, .. } = self;
+        let (rows, wpr) = (m.rows(), m.words_per_row());
+        let data = m.data().as_ptr();
+        for (q, slots) in out.data.chunks_exact_mut(out.per_query).enumerate() {
+            let qw = &batch.query_words(q_offset + q)[..wpr];
+            let mut state = S::start();
+            for b in 0..m.row_blocks() {
+                let acc = L::block_acc(data.add(b * wpr * LANES), qw);
+                S::block(&mut state, slots, rows, b, acc);
+            }
+            S::finish(state, slots, rows);
         }
-        S::finish(state, slots, rows);
     }
 }
 
@@ -763,15 +794,19 @@ pub(crate) fn blocked_sweep<L: Lanes>(
 ) {
     // SAFETY: a kernel table publishes `blocked_sweep::<L>` only for a
     // backend whose features were detected on this host; panels stay in
-    // bounds because `sweep_blocks` hands `block_acc` exactly `wpr` query
+    // bounds because the sweep hands `block_acc` exactly `wpr` query
     // words for a block that holds `wpr` panels.
     unsafe {
         match out {
-            SweepOut::Dot(out) => L::sweep::<DotSink>(m, batch, q_offset, out),
-            SweepOut::KBest(out) if out.per_query == 1 => {
-                L::sweep::<WinnersSink>(m, batch, q_offset, out)
+            SweepOut::Dot(out) => {
+                L::run(Sweep::<DotSink, _> { m, batch, q_offset, out, sink: PhantomData })
             }
-            SweepOut::KBest(out) => L::sweep::<TopKSink>(m, batch, q_offset, out),
+            SweepOut::KBest(out) if out.per_query == 1 => {
+                L::run(Sweep::<WinnersSink, _> { m, batch, q_offset, out, sink: PhantomData })
+            }
+            SweepOut::KBest(out) => {
+                L::run(Sweep::<TopKSink, _> { m, batch, q_offset, out, sink: PhantomData })
+            }
         }
     }
 }
@@ -889,6 +924,272 @@ impl<L: Lanes> PanelSink<L> for TopKSink {
     }
 }
 
+/// One segment memory as the cascade's [`BlockPass`] scores it: the
+/// row-major rows and, on a SIMD backend, their blocked mirror (the
+/// scalar backend keeps none and walks live rows instead).
+pub(crate) struct PassPart<'a> {
+    pub(crate) rows: &'a BitMatrix,
+    pub(crate) blocked: Option<&'a BlockedBitMatrix>,
+}
+
+/// One word window of a cascade stage: part `part`'s rows against bits
+/// `[lo, hi)` of `queries` (the full batch for a contiguous memory, the
+/// partition's segment batch for a segmented one), scored over words
+/// `[lo / 64, ⌈hi / 64⌉)`.
+pub(crate) struct Window<'a> {
+    pub(crate) stage: usize,
+    pub(crate) part: usize,
+    pub(crate) queries: &'a QueryBatch,
+    pub(crate) lo: usize,
+    pub(crate) hi: usize,
+}
+
+impl Window<'_> {
+    fn words(&self) -> std::ops::Range<usize> {
+        self.lo / 64..self.hi.div_ceil(64)
+    }
+
+    /// Whether a stage boundary cuts one of the window's words, which the
+    /// pass then masks in a staged copy of the query's words.
+    fn cut(&self) -> bool {
+        !self.lo.is_multiple_of(64)
+            || (!self.hi.is_multiple_of(64) && self.hi != self.queries.dim())
+    }
+}
+
+/// Everything a cascade's block pass reads, shared by its query
+/// chunks: the parts, every stage's word windows in stage order (between
+/// them they cover each query bit once), the row-suffix table
+/// (`row_suffix[s * stride + r]` = ones of row `r` after stage `s`,
+/// `stride` = the rows rounded up to whole blocks), and the flat dot
+/// kernel that scores lone live rows and counts query bits.
+pub(crate) struct BlockPass<'a> {
+    pub(crate) parts: Vec<PassPart<'a>>,
+    pub(crate) windows: &'a [Window<'a>],
+    pub(crate) row_suffix: &'a [u32],
+    pub(crate) dot: fn(&[u64], &[u64]) -> u32,
+}
+
+/// One stage's work, summed over queries: the rows entering it, the row
+/// blocks it scores, and how many of those held a lone live lane.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StageWork {
+    pub(crate) rows: u64,
+    pub(crate) blocks: u64,
+    pub(crate) lone: u64,
+}
+
+/// The kernel-table entry of backend `L`: the block pass of queries
+/// `q_offset..` into their k-best `lists`, tallied per stage into `work`.
+///
+/// # Panics
+///
+/// Panics if the parts or their mirrors disagree on shape, or a window
+/// overruns its part's words.
+pub(crate) fn cascade_pass<L: Lanes>(
+    pass: &BlockPass<'_>,
+    q_offset: usize,
+    lists: Slots<'_, (usize, u32)>,
+    work: &mut [StageWork],
+) {
+    let rows = pass.parts[0].rows.rows();
+    let same_rows = |p: &PassPart<'_>| {
+        let wpr = p.rows.words_per_row_pub();
+        p.rows.rows() == rows
+            && p.blocked.is_none_or(|m| m.rows() == rows && m.words_per_row() == wpr)
+    };
+    assert!(pass.parts.iter().all(same_rows), "block pass: parts disagree on shape");
+    let fits = |w: &Window<'_>| {
+        w.lo < w.hi && w.words().end <= pass.parts[w.part].rows.words_per_row_pub()
+    };
+    assert!(pass.windows.iter().all(fits), "block pass: window overruns its part");
+    // SAFETY: a kernel table publishes `cascade_pass::<L>` only for a
+    // backend whose features were detected on this host; the pass reads
+    // the panels of a window's words inside one block, which the checks
+    // above keep within the mirror.
+    unsafe { L::run(PassJob { pass, rows, q_offset, lists, work }) }
+}
+
+/// One query chunk of a [`BlockPass`].
+struct PassJob<'a, 'p> {
+    pass: &'a BlockPass<'p>,
+    rows: usize,
+    q_offset: usize,
+    lists: Slots<'a, (usize, u32)>,
+    work: &'a mut [StageWork],
+}
+
+impl<L: Lanes> LaneJob<L> for PassJob<'_, '_> {
+    /// Per query, stage by stage: every row block that still holds a
+    /// live lane is scored over the stage's word windows and its lane
+    /// counts are added to the query's partial scores. The live mask of
+    /// the next stage is a lane compare of the Hamming bound against the
+    /// k-th best partial, which the stage's own k-best list tracks (the
+    /// final stage's list is the answer): the row-side bound `partial +
+    /// row_suffix >= kth` first, then — only once more than `k` rows
+    /// survive it — `partial + min(q_suffix, row_suffix) >= kth`, with
+    /// the query's suffix popcounts taken the first time they are
+    /// needed. See [`crate::cascade`] for why that prune is exact.
+    ///
+    /// # Safety
+    ///
+    /// As [`cascade_pass`].
+    #[inline(always)]
+    unsafe fn run(self) {
+        let PassJob { pass, rows, q_offset, lists, work } = self;
+        let k = lists.per_query;
+        let stages = work.len();
+        let blocks = rows.div_ceil(LANES);
+        // Stage `s` owns `windows[stage_at[s]..stage_at[s + 1]]`; a cut
+        // window's masked query words sit at `staged_at` in `qbuf`.
+        let mut stage_at = vec![0usize; stages + 1];
+        let (mut staged_at, mut at) = (Vec::with_capacity(pass.windows.len()), 0usize);
+        for (i, w) in pass.windows.iter().enumerate() {
+            stage_at[w.stage + 1] = i + 1;
+            staged_at.push(w.cut().then(|| {
+                at += w.words().len();
+                at - w.words().len()
+            }));
+        }
+        let (row_suffix, _) = pass.row_suffix.as_chunks::<LANES>();
+        let mut partial = vec![[0u32; LANES]; blocks];
+        let mut live = vec![0u8; blocks];
+        let mut qbuf: Vec<u64> = Vec::new();
+        let mut q_suffix = vec![0u32; stages];
+        // Padding lanes never enter: with every bound 0 against a kth of
+        // 0 they would pass any compare.
+        let last_mask = u8::MAX >> (blocks * LANES - rows);
+        for (q, list) in lists.data.chunks_exact_mut(k).enumerate() {
+            let q = q_offset + q;
+            // The cut windows' query words, boundary bits masked.
+            qbuf.clear();
+            for w in pass.windows.iter().filter(|w| w.cut()) {
+                let start = qbuf.len();
+                qbuf.extend_from_slice(&w.queries.query_words(q)[w.words()]);
+                qbuf[start] &= u64::MAX << (w.lo % 64);
+                let last = qbuf.len() - 1;
+                qbuf[last] &= u64::MAX >> ((64 - w.hi % 64) % 64);
+            }
+            let query = |i: usize| {
+                let (w, words) = (&pass.windows[i], pass.windows[i].words());
+                match staged_at[i] {
+                    Some(at) => &qbuf[at..at + words.len()],
+                    None => &w.queries.query_words(q)[words],
+                }
+            };
+            partial.fill([0; LANES]);
+            let mut kth = 0u32;
+            let mut q_suffix_ready = false;
+            for s in 0..stages {
+                // The stage's live lanes: every real lane at stage 0, then
+                // the bound's lane compare against the last k-th best.
+                if s == 0 {
+                    live.fill(u8::MAX);
+                    live[blocks - 1] = last_mask;
+                } else {
+                    let rs = &row_suffix[(s - 1) * blocks..s * blocks];
+                    let mut survivors = 0usize;
+                    for ((&mask, p), rs) in live.iter().zip(&partial).zip(rs) {
+                        survivors +=
+                            (mask & L::keep_lanes(p, rs, u32::MAX, kth)).count_ones() as usize;
+                        if survivors > k {
+                            break;
+                        }
+                    }
+                    let q_suf = if survivors > k {
+                        if !q_suffix_ready {
+                            // Each stage's query ones, then the ones after it.
+                            q_suffix.fill(0);
+                            for (i, w) in pass.windows.iter().enumerate() {
+                                q_suffix[w.stage] += (pass.dot)(query(i), query(i));
+                            }
+                            let mut after = 0u32;
+                            for ones in q_suffix.iter_mut().rev() {
+                                (*ones, after) = (after, after + *ones);
+                            }
+                            q_suffix_ready = true;
+                        }
+                        q_suffix[s - 1]
+                    } else {
+                        u32::MAX
+                    };
+                    for ((mask, p), rs) in live.iter_mut().zip(&partial).zip(rs) {
+                        if *mask != 0 {
+                            *mask &= L::keep_lanes(p, rs, q_suf, kth);
+                        }
+                    }
+                }
+                // Score the live blocks, window by window.
+                for i in stage_at[s]..stage_at[s + 1] {
+                    let (w, qs) = (&pass.windows[i], query(i));
+                    let (part, words) = (&pass.parts[w.part], w.words());
+                    // Each block's first panel of the window, `stride` words apart.
+                    let panels = part.blocked.map(|m| {
+                        (m.data()[words.start * LANES..].as_ptr(), m.words_per_row() * LANES)
+                    });
+                    for (b, (p, &mask)) in partial.iter_mut().zip(&live).enumerate() {
+                        match panels {
+                            _ if mask == 0 => {}
+                            Some((first, stride)) if mask & (mask - 1) != 0 => {
+                                let mut counts = [0u32; LANES];
+                                L::block_acc(first.add(b * stride), qs).store(&mut counts);
+                                for (x, c) in p.iter_mut().zip(counts) {
+                                    *x += c;
+                                }
+                            }
+                            // A lone live lane, or no mirror: the flat
+                            // kernel on each live row-major row, so a few
+                            // wide rows never pay LANES lanes each.
+                            _ => {
+                                let mut bits = mask;
+                                while bits != 0 {
+                                    let l = bits.trailing_zeros() as usize;
+                                    let row = part.rows.row_words_pub(b * LANES + l);
+                                    p[l] += (pass.dot)(&row[words.clone()], qs);
+                                    bits &= bits - 1;
+                                }
+                            }
+                        }
+                    }
+                }
+                // The stage's k-best list: its k-th entry is the next
+                // stage's pruning threshold, the last stage's list is the
+                // answer.
+                let mut filled = 0usize;
+                let tally = &mut work[s];
+                for (b, (p, &mask)) in partial.iter().zip(&live).enumerate() {
+                    if mask == 0 {
+                        continue;
+                    }
+                    let n = mask.count_ones();
+                    tally.rows += u64::from(n);
+                    tally.blocks += 1;
+                    tally.lone += u64::from(n == 1);
+                    let mut hits = mask;
+                    if filled == k {
+                        hits &= L::lanes_above(p, list[k - 1].1);
+                    }
+                    while hits != 0 {
+                        let l = hits.trailing_zeros() as usize;
+                        topk_insert(list, &mut filled, b * LANES + l, p[l]);
+                        hits &= hits - 1;
+                    }
+                }
+                // At least k rows hold a partial >= kth and every bound
+                // keeps them, so the list always fills.
+                debug_assert_eq!(filled, k);
+                kth = list[k - 1].1;
+            }
+        }
+    }
+}
+
+/// The lanes where `f` holds, as a bit mask.
+#[inline(always)]
+fn lanes_where(f: impl Fn(usize) -> bool) -> u8 {
+    (0..LANES).fold(0u8, |m, l| m | (u8::from(f(l)) << l))
+}
+
 /// Portable blocked kernel: eight scalar accumulator lanes per panel —
 /// the reference the SIMD backends are tested against.
 pub(crate) struct ScalarLanes;
@@ -949,10 +1250,38 @@ pub(crate) use x86_lanes::{Avx2Lanes, Avx512Lanes};
 /// AVX2 and AVX-512 lane ops.
 #[cfg(target_arch = "x86_64")]
 mod x86_lanes {
-    use super::{sweep_blocks, BlockedBitMatrix, LaneVec, Lanes, PanelSink, Slots, LANES};
+    use super::{LaneJob, LaneVec, Lanes, LANES};
     use crate::kernel::x86::popcnt_bytes_avx2;
-    use crate::QueryBatch;
     use std::arch::x86_64::*;
+
+    /// [`Lanes::keep_lanes`] on AVX2 (both x86 backends; the sums stay
+    /// far below 2³¹, so the unsigned compares are exact).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn keep_lanes_avx2(
+        partial: &[u32; LANES],
+        row_suffix: &[u32; LANES],
+        q_suffix: u32,
+        kth: u32,
+    ) -> u8 {
+        let p = _mm256_loadu_si256(partial.as_ptr() as *const __m256i);
+        let rs = _mm256_loadu_si256(row_suffix.as_ptr() as *const __m256i);
+        let bound = _mm256_add_epi32(p, _mm256_min_epu32(rs, _mm256_set1_epi32(q_suffix as i32)));
+        // bound >= kth  <=>  max(bound, kth) == bound
+        let kth = _mm256_set1_epi32(kth as i32);
+        let ge = _mm256_cmpeq_epi32(_mm256_max_epu32(bound, kth), bound);
+        _mm256_movemask_ps(_mm256_castsi256_ps(ge)) as u8
+    }
+
+    /// [`Lanes::lanes_above`] on AVX2 (both x86 backends).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn lanes_above_avx2(partial: &[u32; LANES], thr: u32) -> u8 {
+        let p = _mm256_loadu_si256(partial.as_ptr() as *const __m256i);
+        // p <= thr  <=>  min(p, thr) == p
+        let le = _mm256_cmpeq_epi32(_mm256_min_epu32(p, _mm256_set1_epi32(thr as i32)), p);
+        !(_mm256_movemask_ps(_mm256_castsi256_ps(le)) as u8)
+    }
 
     /// AVX-512 `VPOPCNTDQ`: a block's 8 × u64 lane counts in one ZMM
     /// register.
@@ -973,14 +1302,19 @@ mod x86_lanes {
             acc
         }
 
+        #[inline(always)]
+        unsafe fn keep_lanes(p: &[u32; LANES], rs: &[u32; LANES], qs: u32, kth: u32) -> u8 {
+            keep_lanes_avx2(p, rs, qs, kth)
+        }
+
+        #[inline(always)]
+        unsafe fn lanes_above(p: &[u32; LANES], thr: u32) -> u8 {
+            lanes_above_avx2(p, thr)
+        }
+
         #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-        unsafe fn sweep<S: PanelSink<Self>>(
-            m: &BlockedBitMatrix,
-            batch: &QueryBatch,
-            q_offset: usize,
-            out: Slots<'_, S::Slot>,
-        ) {
-            sweep_blocks::<Self, S>(m, batch, q_offset, out)
+        unsafe fn run<J: LaneJob<Self>>(job: J) {
+            job.run()
         }
     }
 
@@ -1048,14 +1382,19 @@ mod x86_lanes {
             (acc_lo, acc_hi)
         }
 
+        #[inline(always)]
+        unsafe fn keep_lanes(p: &[u32; LANES], rs: &[u32; LANES], qs: u32, kth: u32) -> u8 {
+            keep_lanes_avx2(p, rs, qs, kth)
+        }
+
+        #[inline(always)]
+        unsafe fn lanes_above(p: &[u32; LANES], thr: u32) -> u8 {
+            lanes_above_avx2(p, thr)
+        }
+
         #[target_feature(enable = "avx2")]
-        unsafe fn sweep<S: PanelSink<Self>>(
-            m: &BlockedBitMatrix,
-            batch: &QueryBatch,
-            q_offset: usize,
-            out: Slots<'_, S::Slot>,
-        ) {
-            sweep_blocks::<Self, S>(m, batch, q_offset, out)
+        unsafe fn run<J: LaneJob<Self>>(job: J) {
+            job.run()
         }
     }
 
@@ -1115,8 +1454,7 @@ pub(crate) use neon_lanes::NeonLanes;
 /// per block, whose lane ops are the portable ones.
 #[cfg(target_arch = "aarch64")]
 mod neon_lanes {
-    use super::{sweep_blocks, BlockedBitMatrix, Lanes, PanelSink, Slots, LANES};
-    use crate::QueryBatch;
+    use super::{LaneJob, Lanes, LANES};
     use std::arch::aarch64::*;
 
     pub(crate) struct NeonLanes;
@@ -1154,13 +1492,8 @@ mod neon_lanes {
         }
 
         #[target_feature(enable = "neon")]
-        unsafe fn sweep<S: PanelSink<Self>>(
-            m: &BlockedBitMatrix,
-            batch: &QueryBatch,
-            q_offset: usize,
-            out: Slots<'_, S::Slot>,
-        ) {
-            sweep_blocks::<Self, S>(m, batch, q_offset, out)
+        unsafe fn run<J: LaneJob<Self>>(job: J) {
+            job.run()
         }
     }
 }

@@ -1,18 +1,20 @@
 //! Once-per-host micro-calibration of the cascade tuner's cost model.
 //!
 //! [`crate::CascadePlan::tuned`] scores candidate stage plans with a
-//! deterministic cost model: a tiled stage-0 SIMD sweep priced at one
-//! unit per row-word, a per-row pruning continuation priced at a
-//! multiple of that, and fixed per-row / per-(query, stage) overheads.
-//! Those relative prices used to be hand-tuned constants; they are
-//! really properties of the host's kernels (how much faster the
-//! register-tiled sweep is than the shortlist-indirected continuation on
-//! *this* CPU with *this* dispatched backend). This module measures them
-//! once per host by timing the two real kernels — the blocked
-//! winners sweep and the `multi_dot_words` continuation, both through
-//! the same dispatch table the search paths use — on a small synthetic
-//! workload, and caches the result so every later process (and every
-//! later call in this one) resolves the same [`CostModel`].
+//! deterministic cost model of the cascade's block pass: stage 0 priced
+//! at one unit per row-word of the blocked sweep, a later stage at
+//! [`crate::BLOCK_LANES`] lanes per word for every row block it still
+//! scores (or the lone-row weight for a block with one live row, which
+//! goes through the flat kernel), plus fixed per-block and
+//! per-(query, stage) overheads. Those relative prices are properties of
+//! the host's kernels (how the flat kernel compares with one lane of the
+//! blocked sweep, and what a block's prune compare and k-best tracking
+//! cost on *this* CPU with *this* dispatched backend). This module
+//! measures them once per host by timing the real kernels — the blocked
+//! winners sweep and the cascade's block pass, both through the same
+//! dispatch table the search paths use — on a small synthetic workload,
+//! and caches the result so every later process (and every later call
+//! in this one) resolves the same [`CostModel`].
 //!
 //! Resolution order of [`CostModel::active`]:
 //!
@@ -23,8 +25,9 @@
 //!    values. Unrecognized values warn once and fall back.
 //! 2. A scalar kernel backend — the `force-scalar` feature or
 //!    `HD_LINALG_BACKEND=scalar` — resolves to the fallback constants:
-//!    both "kernels" are the same portable loop there, so timing them
-//!    says nothing, and the scalar-forced CI leg stays reproducible.
+//!    there is no blocked layout there (every pass walks row-major rows),
+//!    so the model's shape does not apply, and the scalar-forced CI leg
+//!    stays reproducible.
 //! 3. The per-host cache file (`HD_LINALG_CALIBRATION_CACHE`, else
 //!    `$XDG_CACHE_HOME`/`$HOME/.cache` under `hd-linalg/`, else the
 //!    system temp dir), keyed by kernel backend.
@@ -36,9 +39,9 @@
 //! can stretch a timing, not invert the model's shape) and quantized, so
 //! a cached model is bit-stable across loads.
 
-use crate::blocked::SearchMemory;
+use crate::blocked::{SearchMemory, LANES};
 use crate::kernel::{self, Backend};
-use crate::{BitVector, QueryBatch};
+use crate::{BitVector, CascadePlan, QueryBatch};
 use std::fmt;
 use std::hint::black_box;
 use std::io::Write as _;
@@ -47,22 +50,23 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Cache-format version; bump when the measurement or clamps change.
-const CACHE_VERSION: u32 = 1;
+const CACHE_VERSION: u32 = 2;
 
 /// The calibrated parameters of the cascade tuner's cost model, in
-/// stage-0 row-word units (one unit = the tiled SIMD sweep scoring one
+/// stage-0 row-word units (one unit = the blocked sweep scoring one
 /// packed word of one row).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
-    /// Relative per-word cost of the per-row pruning continuation vs.
-    /// the tiled stage-0 sweep (shortlist indirection, no register
-    /// tiling). Clamped to `[1.25, 8.0]`.
+    /// Per-word cost of scoring a lone live row through the flat kernel,
+    /// relative to one lane of the blocked sweep. Clamped to
+    /// `[0.25, 8.0]`.
     pub cont_weight: f64,
-    /// Fixed per-row continuation overhead (candidate bookkeeping).
-    /// Clamped to `[0.0, 16.0]`.
+    /// Fixed cost of each row block a later stage scores (its prune
+    /// compare, count merge and k-best tracking). Clamped to
+    /// `[0.0, 256.0]`.
     pub row_overhead_words: f64,
-    /// Fixed per-query, per-stage overhead (pruning pass, lazy suffix
-    /// popcounts). Clamped to `[2.0, 64.0]`.
+    /// Fixed per-query, per-stage overhead (loop set-up, lazy suffix
+    /// popcounts). Clamped to `[2.0, 1024.0]`.
     pub stage_overhead_words: f64,
 }
 
@@ -176,26 +180,28 @@ impl CostModel {
     pub fn clamped(self) -> Self {
         let q = |x: f64| (x * 1024.0).round() / 1024.0;
         CostModel {
-            cont_weight: q(self.cont_weight.clamp(1.25, 8.0)),
-            row_overhead_words: q(self.row_overhead_words.clamp(0.0, 16.0)),
-            stage_overhead_words: q(self.stage_overhead_words.clamp(2.0, 64.0)),
+            cont_weight: q(self.cont_weight.clamp(0.25, 8.0)),
+            row_overhead_words: q(self.row_overhead_words.clamp(0.0, 256.0)),
+            stage_overhead_words: q(self.stage_overhead_words.clamp(2.0, 1024.0)),
         }
     }
 
-    /// Measures the model for `backend` on a synthetic workload: a
-    /// deterministic 256-row × 4096-bit memory swept by 32 queries
-    /// (stage-0 unit price), `multi_dot_words` continuations at two
-    /// segment widths (per-word weight and per-row intercept), and the
-    /// per-(query, stage) pruning bookkeeping (lazy suffix popcounts +
-    /// shortlist rescan). Timing noise is bounded by best-of-reps and
-    /// the clamps; a degenerate measurement (zero or non-finite unit
-    /// price) returns [`CostModel::fallback`].
+    /// Measures the model for `backend` on a synthetic workload of
+    /// deterministic 4096-bit rows and 32 queries, timing the real
+    /// kernels through the explicit-backend hooks: the stage-0 unit
+    /// price is the blocked winners sweep of 256 random rows; the
+    /// per-block and per-(query, stage) overheads come from the extra
+    /// stage boundary of a cascade that cannot prune (identical rows)
+    /// at two row counts; the lone-row weight is the per-word slope of a
+    /// cascade whose first stage leaves one live row, at two widths.
+    /// Timing noise is bounded by best-of-reps and the clamps; a
+    /// degenerate measurement (zero or non-finite unit price) returns
+    /// [`CostModel::fallback`].
     pub fn measure(backend: Backend) -> Self {
         const ROWS: usize = 256;
         const WORDS: usize = 64;
         const DIM: usize = WORDS * 64;
         const QUERIES: usize = 32;
-        const SHORTLIST: usize = 8;
         const REPS: usize = 5;
 
         let mut state = 0x243f_6a88_85a3_08d3u64;
@@ -212,76 +218,79 @@ impl CostModel {
             .map(|_| BitVector::from_words(DIM, packed(WORDS)).expect("whole words"))
             .collect();
         let memory = SearchMemory::from_rows(&rows).expect("non-empty synthetic memory");
-        let queries: Vec<BitVector> = (0..QUERIES)
-            .map(|_| BitVector::from_words(DIM, packed(WORDS)).expect("whole words"))
-            .collect();
-        let batch = QueryBatch::from_vectors(&queries).expect("non-empty synthetic batch");
+        let query_words: Vec<Vec<u64>> = (0..QUERIES).map(|_| packed(WORDS)).collect();
+        // The queries cut to their first `words` words.
+        let batch = |words: usize| {
+            let queries: Vec<BitVector> = query_words
+                .iter()
+                .map(|q| {
+                    BitVector::from_words(words * 64, q[..words].to_vec()).expect("whole words")
+                })
+                .collect();
+            QueryBatch::from_vectors(&queries).expect("non-empty synthetic batch")
+        };
+        let full = batch(WORDS);
 
         // Stage-0 unit price: the real fused winners sweep (blocked
-        // layout, query tiling) through the explicit-backend hook. On a
-        // scalar host no blocked mirror exists; the row-major sweep is
-        // the stage-0 kernel there.
+        // layout) through the explicit-backend hook. On a scalar host no
+        // blocked mirror exists; the row-major sweep is the stage-0
+        // kernel there.
         let sweep_ns = min_time(REPS, || {
             let winners = match memory.blocked() {
                 Some(blocked) => {
-                    blocked.winners_batch_with(&batch, backend).expect("validated shapes")
+                    blocked.winners_batch_with(&full, backend).expect("validated shapes")
                 }
-                None => memory.winners_batch(&batch).expect("validated shapes"),
+                None => memory.winners_batch(&full).expect("validated shapes"),
             };
             black_box(winners);
         });
         let t0 = sweep_ns / (QUERIES * ROWS * WORDS) as f64;
 
-        // Continuation price at two widths: per-row cost is
-        // `intercept + width × slope`, so two measurements solve both.
-        let row_words: Vec<&[u64]> = rows.iter().take(SHORTLIST).map(|r| r.as_words()).collect();
-        let mut out = [0u32; SHORTLIST];
-        let mut cont_per_row = |width: usize| -> f64 {
-            const ITERS: usize = 8;
-            let ns = min_time(REPS, || {
-                for _ in 0..ITERS {
-                    for q in 0..QUERIES {
-                        let qs = &batch.query_words(q)[..width];
-                        let rows_w: Vec<&[u64]> = row_words.iter().map(|r| &r[..width]).collect();
-                        kernel::multi_dot_words_with(backend, qs, &rows_w, &mut out);
-                        black_box(&out);
-                    }
+        // One cascade search on `backend`: best of reps of 8 calls.
+        let cascade_ns = |memory: &SearchMemory, batch: &QueryBatch, ends: &[usize]| {
+            let mut prev = 0usize;
+            let widths: Vec<usize> =
+                ends.iter().map(|&e| e - std::mem::replace(&mut prev, e)).collect();
+            let plan = CascadePlan::from_widths(batch.dim(), &widths).expect("increasing ends");
+            min_time(REPS, || {
+                for _ in 0..8 {
+                    black_box(memory.search_cascade_topk_with(batch, &plan, 1, backend).ok());
                 }
-            });
-            ns / (ITERS * QUERIES * SHORTLIST) as f64
-        };
-        let (w_short, w_long) = (8usize, 32usize);
-        let per_row_short = cont_per_row(w_short);
-        let per_row_long = cont_per_row(w_long);
-        let t1 = (per_row_long - per_row_short) / (w_long - w_short) as f64;
-        let row_fix = per_row_short - w_short as f64 * t1;
-
-        // Per-(query, stage) bookkeeping: the lazy query-suffix popcount
-        // plus one shortlist rescan against the pruning bound.
-        let stage_ns = {
-            const ITERS: usize = 8;
-            let partials: Vec<u32> = (0..SHORTLIST as u32 * 2).collect();
-            let ns = min_time(REPS, || {
-                for _ in 0..ITERS {
-                    for q in 0..QUERIES {
-                        let suffix: u32 =
-                            batch.query_words(q)[WORDS / 2..].iter().map(|w| w.count_ones()).sum();
-                        let bound = black_box(suffix);
-                        let survivors = partials.iter().filter(|&&p| p + suffix >= bound).count();
-                        black_box(survivors);
-                    }
-                }
-            });
-            ns / (ITERS * QUERIES) as f64
+            }) / 8.0
         };
 
-        if !(t0.is_finite() && t0 > 0.0 && t1.is_finite() && row_fix.is_finite()) {
+        // Overheads: identical rows tie every bound, so every block stays
+        // fully live through every stage, and one more stage boundary
+        // costs one block overhead per block plus one stage overhead per
+        // query; two row counts separate the two.
+        let extra_stage = |count: usize| {
+            let same = SearchMemory::from_rows(&vec![rows[0].clone(); count]).expect("rows");
+            cascade_ns(&same, &full, &[64, 512, DIM]) - cascade_ns(&same, &full, &[64, DIM])
+        };
+        let (many, few) = (ROWS, LANES);
+        let (d_many, d_few) = (extra_stage(many), extra_stage(few));
+        let block_ns = (d_many - d_few) / (QUERIES * (many - few) / LANES) as f64;
+        let stage_ns = d_few / QUERIES as f64 - (few / LANES) as f64 * block_ns;
+
+        // Lone rows: one all-ones row over seven all-zero ones, so stage
+        // 0 prunes every other row and stage 1 scores one lone lane
+        // through the flat kernel; two widths give its per-word price.
+        let lone = |words: usize| {
+            let mut rows = vec![BitVector::zeros(words * 64); LANES];
+            rows[0] = BitVector::ones(words * 64);
+            let memory = SearchMemory::from_rows(&rows).expect("rows");
+            cascade_ns(&memory, &batch(words), &[64, words * 64])
+        };
+        let (w_short, w_long) = (8usize, WORDS);
+        let t1 = (lone(w_long) - lone(w_short)) / (QUERIES * (w_long - w_short)) as f64;
+
+        if !(t0.is_finite() && t0 > 0.0 && t1.is_finite() && block_ns.is_finite()) {
             return Self::fallback();
         }
         CostModel {
             cont_weight: t1 / t0,
-            row_overhead_words: (row_fix / t0).max(0.0),
-            stage_overhead_words: stage_ns / t0,
+            row_overhead_words: (block_ns / t0).max(0.0),
+            stage_overhead_words: (stage_ns / t0).max(0.0),
         }
         .clamped()
     }
@@ -353,7 +362,7 @@ impl CostModel {
 
 /// The per-host cache file for `backend`'s calibration:
 /// `HD_LINALG_CALIBRATION_CACHE` verbatim when set, else
-/// `<cache-base>/hd-linalg/cascade-cost-v1-<backend>.txt` where the base
+/// `<cache-base>/hd-linalg/cascade-cost-v2-<backend>.txt` where the base
 /// is `$XDG_CACHE_HOME`, `$HOME/.cache`, or the system temp dir.
 pub fn cache_path(backend: Backend) -> Option<PathBuf> {
     cache_path_from(
@@ -435,9 +444,9 @@ mod tests {
     fn measure_stays_inside_the_clamp_regime() {
         let m = CostModel::measure(kernel::active());
         assert_eq!(m, m.clamped(), "measured model must be clamped+quantized: {m}");
-        assert!((1.25..=8.0).contains(&m.cont_weight), "{m}");
-        assert!((0.0..=16.0).contains(&m.row_overhead_words), "{m}");
-        assert!((2.0..=64.0).contains(&m.stage_overhead_words), "{m}");
+        assert!((0.25..=8.0).contains(&m.cont_weight), "{m}");
+        assert!((0.0..=256.0).contains(&m.row_overhead_words), "{m}");
+        assert!((2.0..=1024.0).contains(&m.stage_overhead_words), "{m}");
     }
 
     #[test]
@@ -469,11 +478,11 @@ mod tests {
             ("junk.txt", Some("not a cache file")),
             (
                 "out-of-regime.txt",
-                Some("version=1\nbackend=BACKEND\ncont_weight=99\nrow_overhead_words=1\nstage_overhead_words=8\n"),
+                Some("version=2\nbackend=BACKEND\ncont_weight=99\nrow_overhead_words=1\nstage_overhead_words=8\n"),
             ),
             (
                 "old-version.txt",
-                Some("version=0\nbackend=BACKEND\ncont_weight=4\nrow_overhead_words=2\nstage_overhead_words=8\n"),
+                Some("version=1\nbackend=BACKEND\ncont_weight=4\nrow_overhead_words=2\nstage_overhead_words=8\n"),
             ),
         ];
         for (name, contents) in cases {
@@ -510,7 +519,7 @@ mod tests {
             model.clamped(),
             "degraded path must still return a valid model: {model}"
         );
-        assert!((1.25..=8.0).contains(&model.cont_weight), "{model}");
+        assert!((0.25..=8.0).contains(&model.cont_weight), "{model}");
         assert_eq!(CostModel::load(&path, backend), None, "nothing may have been stored");
         // No cache location at all (unset HOME on a tmpdir-less host):
         // same degradation, same valid model.

@@ -25,28 +25,47 @@
 //!
 //! because its final score is then *strictly* below another row's final
 //! score: it can neither win nor tie, so the winner **and** the
-//! workspace's low-row tie-break are unchanged. Row suffix popcounts are
-//! a property of the stored memory (in the paper's hardware they are
-//! known when the array is programmed) and are computed once per search,
-//! amortized over the whole batch; query suffix popcounts cost one pass
-//! over each query's words. A one-stage [`CascadePlan`] degenerates to
-//! the exact search; a plan of `D` one-dimension stages is the paper's
-//! column-by-column evaluation. The `cascade_equivalence` proptest suite
-//! pins winner/score/tie-break identity against
+//! workspace's low-row tie-break are unchanged. Top-k prunes against the
+//! k-th best partial instead, with the row-side bound `ones(r_suffix)`
+//! first and the query side only once more than `k` rows survive it. Row
+//! suffix popcounts are a property of the stored memory (in the paper's
+//! hardware they are known when the array is programmed) and are derived
+//! once per plan and memory; query suffix popcounts cost one pass over
+//! a query's words, taken only when needed. A one-stage [`CascadePlan`]
+//! degenerates to the exact search; a plan of `D` one-dimension stages is
+//! the paper's column-by-column evaluation. The `cascade_equivalence`
+//! proptest suite pins winner/score/tie-break identity against
 //! [`crate::SearchMemory::search_batch`] for arbitrary plans on every
-//! reachable kernel backend.
+//! reachable kernel backend, and the telemetry against a row-at-a-time
+//! replay of the prune rule.
+//!
+//! Every stage runs as a word-window pass of the one blocked sweep
+//! ([`crate::blocked`]): per query, stage `s` accumulates the panels of
+//! words `[ends[s-1] / 64, word_end(ends[s]))` — the query's boundary
+//! words masked — only for the 8-row blocks that still hold a live lane,
+//! adds the lane counts to the query's partial scores, and tracks the
+//! k-th best partial as it goes; the prune is a lane compare that yields
+//! the next stage's live mask. A block with one live lane scores that
+//! row through the flat kernel on the row-major copy instead. Stage 0 is
+//! the same pass over every block, so a stage that cannot prune costs
+//! about what the exact sweep does, and no stage materializes a
+//! queries × rows score matrix. A segmented memory runs the same pass
+//! with one window per partition a stage covers.
 //!
 //! Every search also returns [`CascadeStats`] — per-stage shortlist
 //! sizes and the total number of activated row-dimensions — which is the
 //! telemetry `imc_sim` converts back into the paper's energy ladder.
 
-use crate::batch::{self, multi_dot_words, topk_insert, Slots, SweepOut, TopK};
+use crate::batch::{self, Slots, TopK};
 use crate::bits::BitMatrix;
-use crate::blocked::SearchMemory;
+use crate::blocked::{
+    BlockPass, BlockedBitMatrix, PassPart, SearchMemory, StageWork, Window, LANES,
+};
 use crate::calibrate::CostModel;
 use crate::error::{LinalgError, Result};
-use crate::kernel::{self, Backend};
-use crate::{QueryBatch, QueryBatchBuilder, ScoreMatrix};
+use crate::kernel::{self, Backend, CascadePass};
+use crate::{QueryBatch, QueryBatchBuilder};
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 /// Stage layout of a cascade search: strictly increasing dimension
@@ -242,15 +261,30 @@ impl CascadePlan {
     /// sample — the expected pruning threshold is a function of the
     /// memory's row-popcount profile and the sample's query popcounts,
     /// and replaying the bound on the sample measures it directly. Each
-    /// candidate's measured per-stage shortlist sizes feed a deterministic
-    /// cost model (tiled SIMD prefix sweep vs. the pricier per-row
-    /// continuation) whose relative prices come from the once-per-host
-    /// kernel calibration ([`crate::CostModel::active`]; pin
-    /// `HD_LINALG_CALIBRATION=fallback` for fully host-independent
-    /// plans), a three-stage refinement of the best prefix is
-    /// tried, and the winner is kept only if it beats the exact sweep's
-    /// modeled cost — workloads whose rows never separate early get
-    /// [`CascadePlan::exact`] back, which *is* the right plan for them.
+    /// candidate's measured per-stage work — the row blocks each later
+    /// stage's pass still scores, and how many of them hold a lone live
+    /// row — feeds a deterministic cost model whose relative prices come
+    /// from the once-per-host kernel calibration
+    /// ([`crate::CostModel::active`]; pin `HD_LINALG_CALIBRATION=fallback`
+    /// for fully host-independent plans), a three-stage refinement of the
+    /// best prefix is tried, and the winner is kept only if it beats the
+    /// exact sweep's modeled cost — workloads whose rows never separate
+    /// early get [`CascadePlan::exact`] back, which *is* the right plan
+    /// for them.
+    ///
+    /// Two blind spots to plan around. The replay runs at `k = 1`
+    /// whatever `k` the traffic asks for: a short first stage that cuts
+    /// the argmax's rivals may leave most rows alive at `k = 5` (on a
+    /// 2048 × 2048 memory of one dense, four moderate and 2043 near-empty
+    /// rows, the tuner picks `[64, 256, 2048]`, which measured 10 µs per
+    /// query at `k = 5` against 5-6 µs for `[256, 2048]`, with both near
+    /// 6 µs at `k = 1`). And the plan is tuned for the memory it is given:
+    /// a row shard of it prunes only against its own rows, so
+    /// `hd_serve`'s `ShardedSearcher::with_cascade_tuned`, which tunes on
+    /// the whole memory, can hand a shard of near-empty rows a plan that
+    /// prunes almost nothing there (activation 0.997 on the second shard
+    /// of that memory). When either bites, measure candidate plans at the
+    /// traffic's `k` and shard shape and pass the winner explicitly.
     ///
     /// The tuned plan is workload advice, not a correctness knob: every
     /// plan yields bit-identical winners; tuning only moves where the
@@ -389,7 +423,7 @@ impl CascadePlan {
         let mut best: Option<(CascadePlan, f64)> = None;
         for &w in &widths {
             let plan = CascadePlan::prefix(dim, w).expect("0 < w < dim");
-            let cost = modeled_cost(&plan, &probe_stats(memory, sub, &plan), model, unit);
+            let cost = modeled_cost(&plan, sub.len(), &probe(memory, sub, &plan), model, unit);
             if best.as_ref().is_none_or(|(_, c)| cost < *c) {
                 best = Some((plan, cost));
             }
@@ -404,7 +438,7 @@ impl CascadePlan {
             if mid > e0 && mid < dim {
                 let plan = CascadePlan::from_widths(dim, &[e0, mid - e0, dim - mid])
                     .expect("strictly increasing boundaries");
-                let cost = modeled_cost(&plan, &probe_stats(memory, sub, &plan), model, unit);
+                let cost = modeled_cost(&plan, sub.len(), &probe(memory, sub, &plan), model, unit);
                 if best.as_ref().is_none_or(|(_, c)| cost < *c) {
                     best = Some((plan, cost));
                 }
@@ -420,11 +454,14 @@ impl CascadePlan {
 /// Queries the tuner replays candidate plans over, at most.
 const TUNE_SAMPLE_CAP: usize = 64;
 
-/// Telemetry of `plan` replayed over `sample`. The candidate's bound form
-/// is derived fresh and dropped, so the tuner's throwaway candidates never
-/// evict the forms the memory caches for real traffic.
-fn probe_stats(memory: &SearchMemory, sample: &QueryBatch, plan: &CascadePlan) -> CascadeStats {
-    BoundForm::derive(memory.matrix(), plan).search_topk(memory, sample, plan, 1).stats
+/// The per-stage work of `plan` replayed over `sample`. The
+/// candidate's bound form is derived fresh and dropped, so the tuner's
+/// throwaway candidates never evict the forms the memory caches for real
+/// traffic. The replay runs at `k = 1`, whatever `k` the traffic asks
+/// for: a plan whose first stage prunes to the argmax may keep far more
+/// rows alive at `k = 5` (see [`CascadePlan::tuned`]).
+fn probe(memory: &SearchMemory, sample: &QueryBatch, plan: &CascadePlan) -> Vec<StageWork> {
+    BoundForm::derive(memory.matrix(), plan).search_topk(memory, sample, plan, 1, None).1
 }
 
 /// Packed words one stage `[prev, e)` drives per (query, row) on a
@@ -451,21 +488,33 @@ fn stage_words(prev: usize, e: usize, unit: usize) -> usize {
     }
 }
 
-/// Deterministic cost of one measured cascade under `model`, in stage-0
-/// word units, on a layout whose stage grid is `unit`-bit segments.
-fn modeled_cost(plan: &CascadePlan, stats: &CascadeStats, model: &CostModel, unit: usize) -> f64 {
-    let queries = stats.queries() as f64;
+/// Deterministic cost of one measured cascade (`queries` queries and
+/// their per-stage block tally) under `model`, in stage-0 row-word
+/// units, on a layout whose stage grid is `unit`-bit segments. Stage 0
+/// scores every row; a later stage pays what its block pass does: a
+/// live block with several live lanes scores all [`LANES`] of them, a
+/// lone live lane is one row through the flat kernel at `cont_weight`
+/// per word, and every live block pays `row_overhead_words` for its
+/// prune compare and k-best tracking.
+fn modeled_cost(
+    plan: &CascadePlan,
+    queries: usize,
+    work: &[StageWork],
+    model: &CostModel,
+    unit: usize,
+) -> f64 {
     let mut prev = 0usize;
     let mut cost = 0.0;
-    for (k, &e) in plan.ends().iter().enumerate() {
+    for (s, (&e, w)) in plan.ends().iter().zip(work).enumerate() {
         let words = stage_words(prev, e, unit) as f64;
-        let rows_in = stats.stage_rows()[k] as f64;
-        cost += if k == 0 {
-            rows_in * words
+        let (blocks, lone) = (w.blocks as f64, w.lone as f64);
+        cost += if s == 0 {
+            w.rows as f64 * words
         } else {
-            model.cont_weight * rows_in * words + model.row_overhead_words * rows_in
+            ((blocks - lone) * LANES as f64 + lone * model.cont_weight) * words
+                + blocks * model.row_overhead_words
         };
-        cost += queries * model.stage_overhead_words;
+        cost += queries as f64 * model.stage_overhead_words;
         prev = e;
     }
     cost
@@ -660,63 +709,15 @@ fn word_end(hi: usize) -> usize {
     (hi - 1) / 64 + 1
 }
 
-/// The query words covering bits `[lo, hi)`, ready for a word-slice dot
-/// over `[lo/64, word_end(hi))`: borrowed directly when the stage is
-/// word-aligned (a final stage ending at `dim` counts — both operands
-/// keep clean tails), otherwise boundary-masked into `scratch`.
-fn stage_query<'a>(
-    qw: &'a [u64],
-    lo: usize,
-    hi: usize,
-    dim: usize,
-    scratch: &'a mut Vec<u64>,
-) -> &'a [u64] {
-    let wlo = lo / 64;
-    let whi = word_end(hi);
-    if lo.is_multiple_of(64) && (hi.is_multiple_of(64) || hi == dim) {
-        &qw[wlo..whi]
-    } else {
-        mask_stage(qw, lo, hi, scratch);
-        scratch
-    }
-}
-
-/// Copies the query words covering bits `[lo, hi)` into `out`, masking
-/// the boundary words so only that dimension range contributes. The
-/// masked copy is built once per (query, stage); per-row scoring then
-/// reduces to a plain word-slice dot over `[lo/64, word_end(hi))`.
-fn mask_stage(qw: &[u64], lo: usize, hi: usize, out: &mut Vec<u64>) {
+/// Ones of `words`' bits in `[lo, hi)` without copying: the flat
+/// kernel's popcount `dot(w, w)` of the covering words, less the bits
+/// below `lo` and from `hi` on.
+fn ones_in_range(words: &[u64], lo: usize, hi: usize, dot: Dot) -> u32 {
     debug_assert!(lo < hi);
-    let wlo = lo / 64;
-    let whi = word_end(hi);
-    out.clear();
-    out.extend_from_slice(&qw[wlo..whi]);
-    let lo_rem = lo % 64;
-    if lo_rem != 0 {
-        out[0] &= u64::MAX << lo_rem;
-    }
-    let hi_rem = hi % 64;
-    if hi_rem != 0 {
-        let last = out.len() - 1;
-        out[last] &= (1u64 << hi_rem) - 1;
-    }
-}
-
-/// Ones of `words`' bits in `[lo, hi)` without copying. Boundary words
-/// are handled outside the interior loop so the hot path is a plain
-/// branch-free popcount sweep.
-fn ones_in_range(words: &[u64], lo: usize, hi: usize) -> u32 {
-    debug_assert!(lo < hi);
-    let wlo = lo / 64;
-    let whi = word_end(hi);
-    let lo_mask = u64::MAX << (lo % 64);
-    let hi_mask = if hi.is_multiple_of(64) { u64::MAX } else { (1u64 << (hi % 64)) - 1 };
-    if whi - wlo == 1 {
-        return (words[wlo] & lo_mask & hi_mask).count_ones();
-    }
-    let mut total = (words[wlo] & lo_mask).count_ones() + (words[whi - 1] & hi_mask).count_ones();
-    total += words[wlo + 1..whi - 1].iter().map(|w| w.count_ones()).sum::<u32>();
-    total
+    let w = &words[lo / 64..word_end(hi)];
+    let below = w[0] & !(u64::MAX << (lo % 64));
+    let above = w[w.len() - 1] & !(u64::MAX >> ((64 - hi % 64) % 64));
+    dot(w, w) - below.count_ones() - above.count_ones()
 }
 
 /// Fills `suffix` (one slot per stage) with the popcount of `words` in
@@ -724,12 +725,11 @@ fn ones_in_range(words: &[u64], lo: usize, hi: usize) -> u32 {
 /// ones(words[ends[k]..dim))` (0 for the final stage). One pass over the
 /// suffix words (stage 0's own bits are never needed): per-stage counts,
 /// then a reverse cumulative sum.
-fn suffix_ones(words: &[u64], ends: &[usize], suffix: &mut [u32]) {
+fn suffix_ones(words: &[u64], ends: &[usize], suffix: &mut [u32], dot: Dot) {
     debug_assert_eq!(suffix.len(), ends.len());
-    let stages = ends.len();
     suffix[0] = 0;
-    for k in 1..stages {
-        suffix[k] = ones_in_range(words, ends[k - 1], ends[k]);
+    for k in 1..ends.len() {
+        suffix[k] = ones_in_range(words, ends[k - 1], ends[k], dot);
     }
     // suffix[k] currently holds stage k's own ones; shift into "ones
     // after stage k" by accumulating from the back.
@@ -741,317 +741,144 @@ fn suffix_ones(words: &[u64], ends: &[usize], suffix: &mut [u32]) {
     }
 }
 
-/// Row-major copy of each row's leading `e0` bits (boundary word
-/// masked) — the stage-0 sub-memory the tiled batched kernels sweep.
-fn prefix_matrix(m: &BitMatrix, e0: usize) -> BitMatrix {
-    let w0 = word_end(e0);
-    let mask = if e0.is_multiple_of(64) { u64::MAX } else { (1u64 << (e0 % 64)) - 1 };
-    let mut data = Vec::with_capacity(m.rows() * w0);
-    for r in 0..m.rows() {
-        data.extend_from_slice(&m.row_words_pub(r)[..w0]);
-        let last = data.len() - 1;
-        data[last] &= mask;
-    }
-    BitMatrix::from_raw_words(m.rows(), e0, data)
-}
+/// A flat popcount-dot kernel: what a block pass scores lone rows and
+/// counts query bits with, and what the suffix tables count row bits
+/// with.
+type Dot = fn(&[u64], &[u64]) -> u32;
 
-/// The k-th best of `values(..)`, via a descending scratch buffer of
-/// `k` scores pre-filled with zeros (every score is ≥ 0 and callers
-/// guarantee at least `k` values, so the zeros are always displaced —
-/// or the k-th best really is 0). The manual shift-insert keeps the
-/// per-query cost branch-light: values at or below the current k-th
-/// fall through on one compare.
-fn kth_score(values: impl Iterator<Item = u32>, k: usize, buf: &mut Vec<u32>) -> u32 {
-    buf.clear();
-    buf.resize(k, 0);
-    let b = &mut buf[..k];
-    for s in values {
-        if s > b[k - 1] {
-            let mut i = k - 1;
-            while i > 0 && b[i - 1] < s {
-                b[i] = b[i - 1];
-                i -= 1;
-            }
-            b[i] = s;
-        }
-    }
-    b[k - 1]
-}
-
-/// The pruning skeleton of every cascade continuation, over one query
-/// [`Chunk`]: takes each query's stage-0 partial scores (updated in
-/// place), prunes with the Hamming bound against the k-th best
-/// partial score, finishes the survivors stage by stage through
-/// `score_stage`, and writes the k-best lists. This skeleton is the
-/// exactness-critical core — the contiguous and segmented continuations
-/// differ **only** in how a shortlist row collects one stage's dot
-/// contribution — and the argmax cascade is its `k = 1` case.
-///
-/// The bound stays exact: the k rows holding the k best partials can
-/// only grow, so the final k-th best score is at least the current k-th
-/// best partial — any row whose bound-capped potential falls strictly
-/// below it can neither enter the top-k nor tie into it. Those same k
-/// rows also always survive the prune (their own bound is ≥ their
-/// partial), so the shortlist never drops below `k`, and the k-th best
-/// over the shortlist equals the k-th best over all scored rows.
-/// `score_stage(k, global_query, cands, partials)` adds stage `k`'s dot
-/// to every shortlist row. The lists are filled score-desc then row-asc.
-/// Stage-0 telemetry is accounted by the caller; this function
-/// accumulates stages `1..`.
-fn prune_continuation<S>(
-    rows: usize,
-    ends: &[usize],
-    row_suffix: &[u32],
-    batch: &QueryBatch,
-    chunk: Chunk<'_>,
-    mut score_stage: S,
-) where
-    S: FnMut(usize, usize, &[u32], &mut [u32]),
-{
-    let Chunk { q_offset, scores, lists, stats } = chunk;
-    let stages = ends.len();
-    let (k, out) = (lists.per_query, lists.data);
-    debug_assert!(k >= 1 && k <= rows);
-    debug_assert_eq!(scores.len() * k, out.len() * rows);
-    // Bounded-insert selection over an ascending row scan yields the
-    // exact score-desc/row-asc order (strict shifts leave a tying later
-    // row behind the earlier one).
-    fn select(rs: impl Iterator<Item = usize>, partials: &[u32], slots: &mut [(usize, u32)]) {
-        let mut filled = 0usize;
-        for r in rs {
-            topk_insert(slots, &mut filled, r, partials[r]);
-        }
-        debug_assert_eq!(filled, slots.len());
-    }
-    let mut q_suffix = vec![0u32; stages];
-    let mut cands: Vec<u32> = Vec::with_capacity(rows);
-    let mut kbuf: Vec<u32> = Vec::with_capacity(k);
-    stats.queries += out.len() / k;
-    for (q, slots) in out.chunks_exact_mut(k).enumerate() {
-        let partials = &mut scores[q * rows..(q + 1) * rows];
-        if stages == 1 {
-            // Degenerate plan: stage 0 was the exact search.
-            select(0..rows, partials, slots);
-            continue;
-        }
-        let mut kth = kth_score(partials.iter().copied(), k, &mut kbuf);
-        let gq = q_offset + q;
-        let qw = batch.query_words(gq);
-        // The query-side suffix popcounts cost a pass over the query's
-        // words; computed lazily — only for queries whose shortlist the
-        // (free) row-side bound alone fails to cut to `k`. Both bounds
-        // are exact, so pruning with the weaker one first never changes
-        // the lists, only how much work survives.
-        let mut q_suffix_ready = false;
-        // Prune after stage `s`: row-side Hamming bound first, then the
-        // full min(q, r) bound when more than `k` candidates remain.
-        let mut prune =
-            |cands: &mut Vec<u32>, partials: &[u32], s: usize, kth: u32, from_all_rows: bool| {
-                let row_suf = &row_suffix[s * rows..(s + 1) * rows];
-                let keep_r = |r: usize| partials[r] as u64 + row_suf[r] as u64 >= kth as u64;
-                if from_all_rows {
-                    cands.clear();
-                    cands.extend((0..rows).filter(|&r| keep_r(r)).map(|r| r as u32));
-                } else {
-                    cands.retain(|&r| keep_r(r as usize));
-                }
-                if cands.len() > k {
-                    if !q_suffix_ready {
-                        suffix_ones(qw, ends, &mut q_suffix);
-                        q_suffix_ready = true;
-                    }
-                    let qs = q_suffix[s];
-                    cands.retain(|&r| {
-                        let r = r as usize;
-                        partials[r] as u64 + qs.min(row_suf[r]) as u64 >= kth as u64
-                    });
-                }
-            };
-        prune(&mut cands, partials, 0, kth, true);
-        for s in 1..stages {
-            score_stage(s, gq, &cands, partials);
-            stats.stage_rows[s] += cands.len() as u64;
-            stats.activated_dims += (cands.len() * (ends[s] - ends[s - 1])) as u64;
-            if s + 1 == stages {
-                break;
-            }
-            kth = kth_score(cands.iter().map(|&r| partials[r as usize]), k, &mut kbuf);
-            prune(&mut cands, partials, s, kth, false);
-        }
-        // After the final stage every survivor holds its exact score and
-        // the shortlist provably contains the true top-k rows; `cands`
-        // stays in ascending row order, so the bounded insert reproduces
-        // the workspace tie-break.
-        select(cands.iter().map(|&r| r as usize), partials, slots);
-    }
-}
-
-/// Contiguous-memory continuation: [`prune_continuation`] with
-/// a row-major stage scorer. `multi` is the multi-row word-slice popcount
-/// kernel (the active-backend dispatcher in production; an explicit
-/// backend's table entry under test): one call per (query, stage) scores
-/// the whole shortlist, so the SIMD path shares each staged-query load
-/// across rows instead of re-streaming it per flat-kernel call.
-fn contiguous_continuation<M: Fn(&[u64], &[&[u64]], &mut [u32])>(
-    m: &BitMatrix,
-    batch: &QueryBatch,
-    plan: &CascadePlan,
-    row_suffix: &[u32],
-    chunk: Chunk<'_>,
-    multi: M,
-) {
-    let ends = plan.ends();
-    let mut qmasked: Vec<u64> = Vec::new();
-    let mut row_refs: Vec<&[u64]> = Vec::new();
-    let mut acc: Vec<u32> = Vec::new();
-    prune_continuation(m.rows(), ends, row_suffix, batch, chunk, |s, gq, cands, partials| {
-        let (lo, hi) = (ends[s - 1], ends[s]);
-        let qs = stage_query(batch.query_words(gq), lo, hi, m.cols(), &mut qmasked);
-        let (wlo, whi) = (lo / 64, word_end(hi));
-        row_refs.clear();
-        row_refs.extend(cands.iter().map(|&r| &m.row_words_pub(r as usize)[wlo..whi]));
-        acc.clear();
-        acc.resize(cands.len(), 0);
-        multi(qs, &row_refs, &mut acc);
-        for (&r, &d) in cands.iter().zip(&acc) {
-            partials[r as usize] += d;
-        }
-    });
-}
-
-/// Row suffix popcounts at every stage boundary (`row_suffix[k * rows +
-/// r]` = ones of row `r` after stage `k`): a property of the stored
-/// memory (known when a hardware array is programmed), computed once per
-/// search and amortized over the whole batch. Empty for a one-stage plan,
-/// which never prunes.
+/// Row suffix popcounts at every stage boundary: entry `k * stride + r`
+/// holds the ones of row `r` after stage `k`, with `stride` the rows
+/// rounded up to whole [`LANES`] blocks (padding lanes 0). A property of
+/// the stored memory (known when a hardware array is programmed),
+/// computed once per bound form and amortized over every batch. Empty
+/// for a one-stage plan, which never prunes.
 fn row_suffix_table(m: &BitMatrix, ends: &[usize]) -> Vec<u32> {
     let rows = m.rows();
     let stages = ends.len();
     if stages == 1 {
         return Vec::new();
     }
-    let mut table = vec![0u32; stages * rows];
+    let stride = rows.next_multiple_of(LANES);
+    let mut table = vec![0u32; stages * stride];
     let mut scratch = vec![0u32; stages];
     for r in 0..rows {
-        suffix_ones(m.row_words_pub(r), ends, &mut scratch);
+        suffix_ones(m.row_words_pub(r), ends, &mut scratch, batch::dot_words);
         for (k, &s) in scratch.iter().enumerate() {
-            table[k * rows + r] = s;
+            table[k * stride + r] = s;
         }
     }
     table
 }
 
-/// One query chunk of a cascade continuation: queries `q_offset..` with
-/// their stage-0 partial scores (`rows` per query, finished in place),
-/// their k-best lists (`k` slots per query, `k` pre-clamped to the row
-/// count) and the chunk's telemetry.
-struct Chunk<'a> {
-    q_offset: usize,
-    scores: &'a mut [u32],
-    lists: Slots<'a, (usize, u32)>,
-    stats: &'a mut CascadeStats,
-}
-
-/// The shared tail of every cascade entry point: from the stage-0
-/// partial scores (`Q × rows` in `scores`), allocates the k-best lists,
-/// accounts stage 0 in the telemetry, and runs the pruning continuation
-/// `run` on each [`Chunk`] of queries from [`batch::chunk_queries`]
-/// (across threads under the `rayon` feature). Each chunk owns disjoint
-/// score and list slices plus its own telemetry, merged after the join
-/// — bit-identical to the serial order because queries are independent.
-/// Chunk-local stage-0 counters stay 0 (continuations never write stage
-/// 0), so the merge adds exactly the later stages. `k` is the caller's
-/// request; lists hold `min(k, rows)` entries per query.
-fn run_continuation<F>(
-    (rows, dim): (usize, usize),
-    ends: &[usize],
-    k: usize,
-    scores: &mut [u32],
-    run: F,
-) -> CascadeTopK
-where
-    F: Fn(Chunk<'_>) + Sync,
-{
-    let q_total = scores.len() / rows;
-    let per_query = k.min(rows);
-    let mut entries = vec![(0usize, 0u32); q_total * per_query];
-    let mut stats = CascadeStats::zeroed(rows, dim, ends.len());
-    stats.stage_rows[0] = (q_total * rows) as u64;
-    stats.activated_dims = (q_total * rows * ends[0]) as u64;
-    let parts = (Slots::new(scores, rows), Slots::new(&mut entries, per_query));
-    let work = rows * dim.div_ceil(64);
-    let locals = batch::chunk_queries(q_total, work, parts, |q_offset, (scores, lists)| {
-        let mut local = CascadeStats::zeroed(rows, dim, ends.len());
-        run(Chunk { q_offset, scores: scores.data, lists, stats: &mut local });
-        local
-    });
-    for local in &locals {
-        stats.merge(local);
+/// The blocked mirror a block pass on `backend` (the active one for
+/// `None`) sweeps over `memory`: none for the scalar backend, which
+/// walks the row-major rows; for an explicit SIMD backend on a memory
+/// that holds none (a scalar-active host), one packed on the fly.
+fn pass_mirror(
+    memory: &SearchMemory,
+    backend: Option<Backend>,
+) -> Option<Cow<'_, BlockedBitMatrix>> {
+    match backend {
+        None => memory.blocked().map(Cow::Borrowed),
+        Some(Backend::Scalar) => None,
+        Some(_) => Some(memory.blocked().map_or_else(
+            || Cow::Owned(BlockedBitMatrix::from_matrix(memory.matrix())),
+            Cow::Borrowed,
+        )),
     }
-    CascadeTopK { topk: TopK::from_flat(q_total, k, per_query, entries), stats }
 }
 
-/// The per-(plan, memory) derived artifacts of a cascade: the stage-0
-/// prefix sub-memory (pre-packed for the active SIMD backend) and the
-/// row-suffix table. Deriving one costs a pass over the memory; every
-/// cached search reuses it for free.
+/// The shared core of every cascade entry point: one block pass
+/// ([`crate::blocked::BlockPass`]) of `batch` over `parts`, stage by
+/// stage through `windows` (in stage order), run on `backend` (the
+/// active one for `None`) in query chunks across threads under the
+/// `rayon` feature ([`batch::chunk_queries`]; queries are independent,
+/// so the merged result is bit-identical to the serial order). Returns
+/// the k-best lists (`min(k, rows)` per query), the telemetry, and the
+/// per-stage work the tuner prices.
+fn search_pass(
+    parts: Vec<PassPart<'_>>,
+    windows: &[Window<'_>],
+    batch: &QueryBatch,
+    ends: &[usize],
+    row_suffix: &[u32],
+    k: usize,
+    backend: Option<Backend>,
+) -> (CascadeTopK, Vec<StageWork>) {
+    let (run, dot): (CascadePass, Dot) = match backend {
+        None => (kernel::active_table().cascade_pass, batch::dot_words),
+        Some(b) => (kernel::table_for(b).cascade_pass, kernel::table_for(b).dot_words),
+    };
+    let (rows, dim, stages) = (parts[0].rows.rows(), batch.dim(), ends.len());
+    let pass = BlockPass { parts, windows, row_suffix, dot };
+    let per_query = k.min(rows);
+    let mut entries = vec![(0usize, 0u32); batch.len() * per_query];
+    let lists = Slots::new(&mut entries, per_query);
+    let chunks = batch::chunk_queries(batch.len(), rows * dim.div_ceil(64), lists, |q0, lists| {
+        let mut work = vec![StageWork::default(); stages];
+        run(&pass, q0, lists, &mut work);
+        work
+    });
+    let mut work = vec![StageWork::default(); stages];
+    let mut stats = CascadeStats::zeroed(rows, dim, stages);
+    stats.queries = batch.len();
+    let mut prev = 0usize;
+    for (s, &e) in ends.iter().enumerate() {
+        for c in chunks.iter().map(|chunk| chunk[s]) {
+            (work[s].rows, work[s].blocks, work[s].lone) =
+                (work[s].rows + c.rows, work[s].blocks + c.blocks, work[s].lone + c.lone);
+        }
+        stats.stage_rows[s] = work[s].rows;
+        stats.activated_dims += work[s].rows * (e - prev) as u64;
+        prev = e;
+    }
+    (CascadeTopK { topk: TopK::from_flat(batch.len(), k, per_query, entries), stats }, work)
+}
+
+/// The per-(plan, memory) derived artifact of a cascade: the row-suffix
+/// table. Deriving one costs a pass over the memory; every cached search
+/// reuses it for free.
 #[derive(Debug)]
 pub(crate) struct BoundForm {
     /// Stage boundaries this form was derived for (the cache key).
     ends: Vec<usize>,
-    /// Boundary-masked stage-0 sub-memory; `None` when stage 0 covers the
-    /// full width (the bound memory's own packed form serves directly).
-    prefix: Option<SearchMemory>,
     row_suffix: Vec<u32>,
 }
 
 impl BoundForm {
     fn derive(m: &BitMatrix, plan: &CascadePlan) -> Self {
-        let e0 = plan.ends()[0];
-        let prefix = (e0 != m.cols()).then(|| SearchMemory::new(prefix_matrix(m, e0)));
-        BoundForm {
-            ends: plan.ends().to_vec(),
-            prefix,
-            row_suffix: row_suffix_table(m, plan.ends()),
-        }
+        BoundForm { ends: plan.ends().to_vec(), row_suffix: row_suffix_table(m, plan.ends()) }
     }
 
     /// Cascade top-k of `batch` over `memory`, the memory this form was
-    /// derived from under `plan`. Stage 0 is the full batched tiled sweep
-    /// (SIMD blocked layout, `rayon` chunking) over the pre-derived prefix
-    /// sub-memory — or the memory's own packed form for a full-width
-    /// stage 0 — driven by the **full-width** queries: the kernels read
-    /// only the memory's word width per row, and the prefix memory's
-    /// masked boundary word keeps out-of-stage query bits from
-    /// contributing. The pruning continuation then finishes the
-    /// survivors.
+    /// derived from under `plan`, as one block pass on `backend` (the
+    /// active one for `None`): stage `s` scores words `[ends[s-1] / 64,
+    /// word_end(ends[s]))` of every row block that still holds a live
+    /// lane, the query's boundary words masked.
     fn search_topk(
         &self,
         memory: &SearchMemory,
         batch: &QueryBatch,
         plan: &CascadePlan,
         k: usize,
-    ) -> CascadeTopK {
-        let mut scores = match &self.prefix {
-            Some(prefix) => {
-                let mut out = ScoreMatrix::zeros(batch.len(), memory.rows());
-                let scores = Slots::new(out.data_mut(), memory.rows());
-                prefix.memory_ref().sweep(batch, SweepOut::Dot(scores));
-                out
-            }
-            None => memory.dot_batch(batch).expect("dimensions validated by caller"),
-        };
-        let m = memory.matrix();
-        run_continuation(m.shape(), plan.ends(), k, scores.data_mut(), |chunk| {
-            contiguous_continuation(m, batch, plan, &self.row_suffix, chunk, multi_dot_words)
-        })
+        backend: Option<Backend>,
+    ) -> (CascadeTopK, Vec<StageWork>) {
+        let mut prev = 0usize;
+        let windows: Vec<Window<'_>> = (plan.ends().iter().enumerate())
+            .map(|(stage, &hi)| {
+                let lo = std::mem::replace(&mut prev, hi);
+                Window { stage, part: 0, queries: batch, lo, hi }
+            })
+            .collect();
+        let mirror = pass_mirror(memory, backend);
+        let parts = vec![PassPart { rows: memory.matrix(), blocked: mirror.as_deref() }];
+        search_pass(parts, &windows, batch, plan.ends(), &self.row_suffix, k, backend)
     }
 }
 
 /// How many distinct plans a memory caches bound forms for. Repeated-batch
 /// loops use one plan (sometimes one tuned + one hand-picked); anything
-/// past a handful is churn, and each form costs a prefix copy of the
-/// memory.
+/// past a handful is churn, and each form costs a row-suffix table.
 const BOUND_CACHE_CAP: usize = 4;
 
 /// Per-memory cache of [`BoundForm`]s, keyed by plan stage boundaries and
@@ -1161,7 +988,7 @@ pub struct BoundCascade {
 
 impl BoundCascade {
     /// Binds `plan` to `memory`, deriving (or reusing from the memory's
-    /// cache) the stage-0 prefix sub-memory and the row-suffix table.
+    /// cache) the row-suffix table.
     ///
     /// # Errors
     ///
@@ -1227,7 +1054,7 @@ impl BoundCascade {
                 found: batch.dim(),
             });
         }
-        Ok(self.form.search_topk(&self.memory, batch, &self.plan, k))
+        Ok(self.form.search_topk(&self.memory, batch, &self.plan, k, None).0)
     }
 }
 
@@ -1277,8 +1104,8 @@ pub struct SegmentedCascade {
     rows: usize,
     seg_len: usize,
     /// Logical row-suffix popcounts at every stage boundary, assembled
-    /// from per-partition row popcounts (layout: `stages × rows`, like
-    /// the contiguous table).
+    /// from per-partition row popcounts (laid out like the contiguous
+    /// table: `stages` rows of whole blocks).
     row_suffix: Vec<u32>,
     /// Total popcount of every partition at derivation time — a cheap
     /// staleness fingerprint: debug builds assert it against the
@@ -1304,23 +1131,24 @@ impl SegmentedCascade {
         let (rows, seg_len) = check_segments(parts, plan)?;
         let stages = plan.stages();
         let ends = plan.ends();
-        let mut row_suffix = vec![0u32; stages * rows];
+        let stride = rows.next_multiple_of(LANES);
+        let mut row_suffix = vec![0u32; stages * stride];
         if stages > 1 {
             // Suffix-accumulate whole partitions from the back: segment
             // popcounts are a property of the programmed layout, computed
             // once here and reused by every search.
-            let mut acc = vec![0u32; rows];
+            let mut acc = vec![0u32; stride];
             let mut next_part = parts.len();
             for k in (0..stages).rev() {
                 let boundary_seg = ends[k] / seg_len;
                 while next_part > boundary_seg {
                     next_part -= 1;
                     let m = parts[next_part].matrix();
-                    for (r, slot) in acc.iter_mut().enumerate() {
+                    for (r, slot) in acc.iter_mut().enumerate().take(rows) {
                         *slot += m.row_words_pub(r).iter().map(|w| w.count_ones()).sum::<u32>();
                     }
                 }
-                row_suffix[k * rows..(k + 1) * rows].copy_from_slice(&acc);
+                row_suffix[k * stride..(k + 1) * stride].copy_from_slice(&acc);
             }
         }
         Ok(SegmentedCascade {
@@ -1366,6 +1194,39 @@ impl SegmentedCascade {
         batch: &QueryBatch,
         k: usize,
     ) -> Result<CascadeTopK> {
+        self.search_on(parts, batch, k, None)
+    }
+
+    /// [`SegmentedCascade::search_topk`] on an explicit backend — the
+    /// equivalence-testing hook (a SIMD backend packs blocked mirrors
+    /// the partitions lack on the fly; query-chunked under `rayon` like
+    /// every cascade).
+    ///
+    /// # Errors
+    ///
+    /// As [`SegmentedCascade::search_topk`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `backend` is unavailable on this host.
+    pub fn search_topk_with(
+        &self,
+        parts: &[SearchMemory],
+        batch: &QueryBatch,
+        k: usize,
+        backend: Backend,
+    ) -> Result<CascadeTopK> {
+        assert!(backend.is_available(), "backend {backend} not available on this host");
+        self.search_on(parts, batch, k, Some(backend))
+    }
+
+    fn search_on(
+        &self,
+        parts: &[SearchMemory],
+        batch: &QueryBatch,
+        k: usize,
+        backend: Option<Backend>,
+    ) -> Result<CascadeTopK> {
         if k == 0 {
             return Err(LinalgError::Empty { op: "SegmentedCascade::search_topk" });
         }
@@ -1393,41 +1254,31 @@ impl SegmentedCascade {
             "SegmentedCascade::search called with partitions whose bits changed since \
              SegmentedCascade::new — re-derive the handle"
         );
-        let q = batch.len();
-        let ends = self.plan.ends();
-
         // Per-partition query segment batches, via the batch's cached
         // segmented view: word-aligned segments are zero-copy windows
         // over the packed queries, unaligned ones were per-bit packed
         // exactly once — repeat searches over the same batch reuse the
         // same derivation instead of rebuilding it every flush.
         let seg_batches = batch.segments(seg_len)?;
-
-        // Stage 0: every covered partition's full tiled sweep,
-        // accumulated digitally — identical structure to the exact
-        // partitioned batch search.
-        let mut scores = ScoreMatrix::zeros(q, rows);
-        let mut scratch = ScoreMatrix::zeros(0, 0);
-        for (p, part) in parts.iter().enumerate().take(ends[0] / seg_len) {
-            if p == 0 {
-                part.dot_batch_into(&seg_batches[p], &mut scores)
-                    .expect("segment width matches partition matrix");
-            } else {
-                part.dot_batch_into(&seg_batches[p], &mut scratch)
-                    .expect("segment width matches partition matrix");
-                for i in 0..q {
-                    let partials = scratch.scores(i);
-                    for (dst, &s) in scores.scores_mut(i).iter_mut().zip(partials) {
-                        *dst += s;
-                    }
-                }
+        // Stage `s` is one window per partition it covers: the same
+        // block pass as a contiguous memory, summing partitions' lane
+        // counts per block.
+        let ends = self.plan.ends();
+        let mut prev = 0usize;
+        let mut windows = Vec::with_capacity(parts.len());
+        for (stage, &e) in ends.iter().enumerate() {
+            for (p, queries) in
+                seg_batches.iter().enumerate().take(e / seg_len).skip(prev / seg_len)
+            {
+                windows.push(Window { stage, part: p, queries, lo: 0, hi: seg_len });
             }
+            prev = e;
         }
-
-        Ok(run_continuation((rows, self.plan.dim()), ends, k, scores.data_mut(), |chunk| {
-            let suffix = &self.row_suffix;
-            segmented_continuation(parts, &seg_batches, batch, seg_len, ends, suffix, chunk)
-        }))
+        let mirrors: Vec<_> = parts.iter().map(|part| pass_mirror(part, backend)).collect();
+        let layout = (parts.iter().zip(&mirrors))
+            .map(|(part, mirror)| PassPart { rows: part.matrix(), blocked: mirror.as_deref() })
+            .collect();
+        Ok(search_pass(layout, &windows, batch, ends, &self.row_suffix, k, backend).0)
     }
 }
 
@@ -1491,47 +1342,6 @@ fn check_segments(parts: &[SearchMemory], plan: &CascadePlan) -> Result<(usize, 
     Ok((rows, seg_len))
 }
 
-/// The segmented analogue of [`contiguous_continuation`]: the same
-/// pruning skeleton (row suffixes from the pre-derived table, query
-/// suffixes lazily from the full-width query words, which stage
-/// boundaries slice contiguously), with a stage scorer that collects each
-/// shortlist row's contribution partition by partition.
-fn segmented_continuation(
-    parts: &[SearchMemory],
-    seg_batches: &[QueryBatch],
-    batch: &QueryBatch,
-    seg_len: usize,
-    ends: &[usize],
-    row_suffix: &[u32],
-    chunk: Chunk<'_>,
-) {
-    let mut row_refs: Vec<&[u64]> = Vec::new();
-    let mut acc: Vec<u32> = Vec::new();
-    prune_continuation(
-        parts[0].rows(),
-        ends,
-        row_suffix,
-        batch,
-        chunk,
-        |s, gq, cands, partials| {
-            let (lo, hi) = (ends[s - 1], ends[s]);
-            let (p_lo, p_hi) = (lo / seg_len, hi / seg_len);
-            acc.clear();
-            acc.resize(cands.len(), 0);
-            for (p, part) in parts.iter().enumerate().take(p_hi).skip(p_lo) {
-                let qs: &[u64] = seg_batches[p].query_words(gq);
-                let pm = part.matrix();
-                row_refs.clear();
-                row_refs.extend(cands.iter().map(|&r| pm.row_words_pub(r as usize)));
-                multi_dot_words(qs, &row_refs, &mut acc);
-            }
-            for (&r, &d) in cands.iter().zip(&acc) {
-                partials[r as usize] += d;
-            }
-        },
-    );
-}
-
 fn check_cascade(m: &BitMatrix, batch: &QueryBatch, plan: &CascadePlan) -> Result<()> {
     if m.rows() == 0 {
         return Err(LinalgError::Empty { op: "search_cascade" });
@@ -1562,14 +1372,12 @@ impl SearchMemory {
     /// reports how many row-dimensions were activated. This is the top-1
     /// of [`SearchMemory::search_cascade_topk`].
     ///
-    /// Stage 0 runs the tiled batched sweep over the (boundary-masked)
-    /// dimension prefix of every row; the shortlist stages use row-major
-    /// candidate access, so wide rows still ride the active SIMD backend
-    /// through the flat word kernels.
+    /// Every stage is a word-window pass of the blocked sweep over the
+    /// row blocks that still hold a live lane (see the module docs).
     ///
-    /// The plan's derived artifacts (prefix sub-memory, row-suffix
-    /// table) are cached on this memory keyed by the plan's stage
-    /// boundaries, so repeated-batch loops — QAT epochs, eval sweeps,
+    /// The plan's derived artifact (the row-suffix table) is cached on
+    /// this memory keyed by the plan's stage boundaries, so
+    /// repeated-batch loops — QAT epochs, eval sweeps,
     /// serving flushes — derive them once per (plan, memory) instead of
     /// once per call. Any mutation through [`SearchMemory::modify`] /
     /// [`SearchMemory::modify_reporting`] invalidates the cache, and the
@@ -1600,16 +1408,28 @@ impl SearchMemory {
         plan: &CascadePlan,
         k: usize,
     ) -> Result<CascadeTopK> {
+        self.cascade_on(batch, plan, k, None)
+    }
+
+    /// [`SearchMemory::search_cascade_topk`] on `backend`, the active
+    /// one for `None`.
+    fn cascade_on(
+        &self,
+        batch: &QueryBatch,
+        plan: &CascadePlan,
+        k: usize,
+        backend: Option<Backend>,
+    ) -> Result<CascadeTopK> {
         if k == 0 {
             return Err(LinalgError::Empty { op: "search_cascade_topk" });
         }
         check_cascade(self.matrix(), batch, plan)?;
-        Ok(self.bound_form(plan).search_topk(self, batch, plan, k))
+        Ok(self.bound_form(plan).search_topk(self, batch, plan, k, backend).0)
     }
 
     /// `plan`'s bound form over this memory, from the cache. One-stage
-    /// plans derive nothing worth caching (no prefix sub-memory, no
-    /// suffix table), so they stay out of the LRU slots.
+    /// plans derive nothing worth caching (no suffix table), so they
+    /// stay out of the LRU slots.
     fn bound_form(&self, plan: &CascadePlan) -> Arc<BoundForm> {
         if plan.stages() == 1 {
             Arc::new(BoundForm::derive(self.matrix(), plan))
@@ -1619,11 +1439,11 @@ impl SearchMemory {
     }
 
     /// [`SearchMemory::search_cascade_topk`] on an explicit backend — the
-    /// equivalence-testing hook: stage 0 runs serially per row through
-    /// the backend's flat word kernel, the continuation through its
-    /// multi-row kernel (query-chunked under `rayon` like every cascade),
-    /// both bit-identical by the kernel contract. `k = 1` is the
-    /// explicit-backend argmax cascade.
+    /// equivalence-testing hook: the same block pass through that
+    /// backend's kernel-table entry (the scalar backend walks row-major
+    /// rows, a SIMD one sweeps the blocked mirror, packed on the fly when
+    /// the memory holds none), query-chunked under `rayon` like every
+    /// cascade. `k = 1` is the explicit-backend argmax cascade.
     ///
     /// # Errors
     ///
@@ -1640,30 +1460,7 @@ impl SearchMemory {
         backend: Backend,
     ) -> Result<CascadeTopK> {
         assert!(backend.is_available(), "backend {backend} not available on this host");
-        let m = self.matrix();
-        check_cascade(m, batch, plan)?;
-        let table = kernel::table_for(backend);
-        let rows = m.rows();
-        let q_total = batch.len();
-        let ends = plan.ends();
-        let e0 = ends[0];
-        let w0 = word_end(e0);
-        // Serial stage 0 through the explicit backend's flat kernel.
-        let mut scores = vec![0u32; q_total * rows];
-        let mut qmasked = Vec::new();
-        for q in 0..q_total {
-            mask_stage(batch.query_words(q), 0, e0, &mut qmasked);
-            let out_row = &mut scores[q * rows..(q + 1) * rows];
-            for (r, slot) in out_row.iter_mut().enumerate() {
-                *slot = (table.dot_words)(&m.row_words_pub(r)[..w0], &qmasked);
-            }
-        }
-        let row_suffix = row_suffix_table(m, ends);
-        let multi =
-            |qs: &[u64], rs: &[&[u64]], out: &mut [u32]| (table.multi_dot_words)(qs, rs, out);
-        Ok(run_continuation(m.shape(), ends, k, &mut scores, |chunk| {
-            contiguous_continuation(m, batch, plan, &row_suffix, chunk, multi)
-        }))
+        self.cascade_on(batch, plan, k, Some(backend))
     }
 }
 
@@ -2056,25 +1853,21 @@ mod tests {
     }
 
     #[test]
-    fn mask_stage_partitions_bits_exactly() {
+    fn ones_in_range_partitions_bits_exactly() {
         let mut rng = seeded(24);
         let q = random_bits(200, &mut rng);
-        let row = random_bits(200, &mut rng);
-        // Any split into stages must reproduce the full dot exactly.
+        // Any split into stages must reproduce the full popcount exactly.
         for plan in [
             CascadePlan::uniform(200, 7).unwrap(),
             CascadePlan::from_widths(200, &[1, 63, 64, 65, 7]).unwrap(),
         ] {
-            let mut total = 0u32;
-            let mut masked = Vec::new();
+            let mut ones = 0u32;
             let mut lo = 0usize;
             for &hi in plan.ends() {
-                mask_stage(q.as_words(), lo, hi, &mut masked);
-                let (wlo, whi) = (lo / 64, word_end(hi));
-                total += batch::dot_words(&row.as_words()[wlo..whi], &masked);
+                ones += ones_in_range(q.as_words(), lo, hi, batch::dot_words);
                 lo = hi;
             }
-            assert_eq!(total, q.dot(&row), "{plan:?}");
+            assert_eq!(ones, q.count_ones(), "{plan:?}");
         }
     }
 
@@ -2109,28 +1902,28 @@ mod tests {
         let model =
             CostModel { cont_weight: 2.0, row_overhead_words: 1.0, stage_overhead_words: 4.0 };
         let plan = CascadePlan::from_widths(200, &[100, 100]).unwrap();
-        let mut stats = CascadeStats::zeroed(10, 200, 2);
-        stats.queries = 2;
-        stats.stage_rows = vec![20, 6];
+        // Two queries over 10 rows; stage 1 scores 3 live blocks, one of
+        // them with a lone live lane.
+        let probe =
+            [StageWork { rows: 20, blocks: 4, lone: 0 }, StageWork { rows: 6, blocks: 3, lone: 1 }];
         // unit = 100: both stages drive one 100-bit segment = 2 padded
         // words. Stage 0: 20 rows × 2 words + 2 queries × 4 overhead.
-        // Stage 1: 2.0 × 6 rows × 2 words + 1.0 × 6 rows + 2 × 4.
-        let cost = modeled_cost(&plan, &stats, &model, 100);
-        assert_eq!(cost, (20.0 * 2.0 + 8.0) + (2.0 * 6.0 * 2.0 + 6.0 + 8.0));
+        // Stage 1: (2 blocks × 8 lanes + 1 lone row × 2.0) × 2 words +
+        // 3 blocks × 1.0 + 2 × 4.
+        let stage1 = |words: f64| (2.0 * 8.0 + 2.0) * words + 3.0 + 8.0;
+        let cost = modeled_cost(&plan, 2, &probe, &model, 100);
+        assert_eq!(cost, (20.0 * 2.0 + 8.0) + stage1(2.0));
         // The pre-fix contiguous formula would have priced stage 1 at
-        // word_end(200) - 100/64 = 3 words (cost 98 total, not 86).
-        assert_ne!(cost, (20.0 * 2.0 + 8.0) + (2.0 * 6.0 * 3.0 + 6.0 + 8.0));
+        // word_end(200) - 100/64 = 3 words.
+        assert_ne!(cost, (20.0 * 2.0 + 8.0) + stage1(3.0));
         // Exact cost on the same segmented grid: 200 bits = two 100-bit
         // segments = 4 padded words per (query, row).
         let exact = modeled_exact_cost(10, 200, 2, &model, 100);
         assert_eq!(exact, (2 * 10 * 4) as f64 + 2.0 * 4.0);
         // The word grid keeps the contiguous window untouched.
         let aligned = CascadePlan::from_widths(256, &[128, 128]).unwrap();
-        let mut astats = CascadeStats::zeroed(10, 256, 2);
-        astats.queries = 2;
-        astats.stage_rows = vec![20, 6];
-        let acost = modeled_cost(&aligned, &astats, &model, 64);
-        assert_eq!(acost, (20.0 * 2.0 + 8.0) + (2.0 * 6.0 * 2.0 + 6.0 + 8.0));
+        let acost = modeled_cost(&aligned, 2, &probe, &model, 64);
+        assert_eq!(acost, (20.0 * 2.0 + 8.0) + stage1(2.0));
     }
 
     #[test]

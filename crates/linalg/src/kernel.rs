@@ -26,8 +26,8 @@
 //! which the `simd_equivalence` proptest suite pins for every backend
 //! reachable on the host.
 
-use crate::batch::SweepOut;
-use crate::blocked::{self, blocked_sweep, BlockedBitMatrix};
+use crate::batch::{Slots, SweepOut};
+use crate::blocked::{self, blocked_sweep, cascade_pass, BlockPass, BlockedBitMatrix, StageWork};
 use crate::QueryBatch;
 use std::sync::OnceLock;
 
@@ -165,26 +165,6 @@ pub fn dot_words_with(backend: Backend, a: &[u64], b: &[u64]) -> u32 {
     (table_for(backend).dot_words)(a, b)
 }
 
-/// Multi-row popcount dot with an explicit backend: adds row `i`'s dot
-/// with `qs` into `out[i]`. The multi-row form is what the cascade
-/// continuations run — one pass per shortlist instead of one kernel
-/// call per row, so query loads and call overhead amortize across the
-/// shortlist. Bit-identical to `rows.len()` separate
-/// [`dot_words_with`] calls.
-///
-/// # Panics
-///
-/// Panics if the backend is unavailable on this host, `rows` and `out`
-/// have different lengths, or any row's length differs from `qs`.
-pub fn multi_dot_words_with(backend: Backend, qs: &[u64], rows: &[&[u64]], out: &mut [u32]) {
-    assert!(backend.is_available(), "backend {backend} not available on this host");
-    assert_eq!(rows.len(), out.len(), "multi_dot_words: rows/out length mismatch");
-    for r in rows {
-        assert_eq!(r.len(), qs.len(), "multi_dot_words: length mismatch");
-    }
-    (table_for(backend).multi_dot_words)(qs, rows, out)
-}
-
 /// Popcount XOR (Hamming) with an explicit backend.
 ///
 /// # Panics
@@ -199,53 +179,56 @@ pub fn hamming_words_with(backend: Backend, a: &[u64], b: &[u64]) -> u32 {
 
 /// Dispatch table of one backend's kernel entry points. Built once per
 /// backend; the active table is what every batched search routes through.
-/// Three flat word kernels plus one blocked sweep, whose sink (dot,
-/// winners or top-k) follows from the output it is handed.
+/// Two flat word kernels plus the two loops over the backend's blocked
+/// kernel: the sweep, whose sink (dot, winners or top-k) follows from
+/// the output it is handed, and the cascade's block pass.
 pub(crate) struct KernelTable {
     /// `popcount(a & b)` over equal-length word slices.
     pub(crate) dot_words: fn(&[u64], &[u64]) -> u32,
-    /// Adds each row's `popcount(row & qs)` into the matching `out`
-    /// slot — the cascade-shortlist form that amortizes query loads and
-    /// call overhead across rows. Callers guarantee `rows.len() ==
-    /// out.len()` and every row's length equals `qs.len()`.
-    pub(crate) multi_dot_words: fn(&[u64], &[&[u64]], &mut [u32]),
     /// `popcount(a ^ b)` over equal-length word slices.
     pub(crate) hamming_words: fn(&[u64], &[u64]) -> u32,
     /// The blocked sweep ([`crate::blocked`]): queries `q_offset..` of the
     /// batch against every row of the blocked memory, into a dot or
     /// k-best output (one slot per query is the winners sink).
     pub(crate) blocked_sweep: fn(&BlockedBitMatrix, &QueryBatch, usize, SweepOut<'_>),
+    /// The cascade's block pass ([`crate::blocked::BlockPass`]): queries
+    /// `q_offset..` stage by stage over the row blocks that still hold a
+    /// live lane, into their k-best lists and the per-stage work tally.
+    pub(crate) cascade_pass: CascadePass,
 }
+
+/// The signature of [`KernelTable::cascade_pass`].
+pub(crate) type CascadePass = fn(&BlockPass<'_>, usize, Slots<'_, (usize, u32)>, &mut [StageWork]);
 
 static SCALAR_TABLE: KernelTable = KernelTable {
     dot_words: scalar::dot_words,
-    multi_dot_words: scalar::multi_dot_words,
     hamming_words: scalar::hamming_words,
     blocked_sweep: blocked_sweep::<blocked::ScalarLanes>,
+    cascade_pass: cascade_pass::<blocked::ScalarLanes>,
 };
 
 #[cfg(target_arch = "x86_64")]
 static AVX2_TABLE: KernelTable = KernelTable {
     dot_words: x86::words_avx2::<false>,
-    multi_dot_words: x86::multi_dot_words_avx2,
     hamming_words: x86::words_avx2::<true>,
     blocked_sweep: blocked_sweep::<blocked::Avx2Lanes>,
+    cascade_pass: cascade_pass::<blocked::Avx2Lanes>,
 };
 
 #[cfg(target_arch = "x86_64")]
 static AVX512_TABLE: KernelTable = KernelTable {
     dot_words: x86::words_avx512::<false>,
-    multi_dot_words: x86::multi_dot_words_avx512,
     hamming_words: x86::words_avx512::<true>,
     blocked_sweep: blocked_sweep::<blocked::Avx512Lanes>,
+    cascade_pass: cascade_pass::<blocked::Avx512Lanes>,
 };
 
 #[cfg(target_arch = "aarch64")]
 static NEON_TABLE: KernelTable = KernelTable {
     dot_words: aarch64::words_neon::<false>,
-    multi_dot_words: aarch64::multi_dot_words_neon,
     hamming_words: aarch64::words_neon::<true>,
     blocked_sweep: blocked_sweep::<blocked::NeonLanes>,
+    cascade_pass: cascade_pass::<blocked::NeonLanes>,
 };
 
 /// The dispatch table of an explicit backend (assumed available).
@@ -284,14 +267,6 @@ pub(crate) mod scalar {
     pub(crate) fn hamming_words(a: &[u64], b: &[u64]) -> u32 {
         debug_assert_eq!(a.len(), b.len());
         a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum()
-    }
-
-    /// Adds each row's dot with `qs` into the matching `out` slot.
-    pub(crate) fn multi_dot_words(qs: &[u64], rows: &[&[u64]], out: &mut [u32]) {
-        debug_assert_eq!(rows.len(), out.len());
-        for (row, slot) in rows.iter().zip(out) {
-            *slot += dot_words(qs, row);
-        }
     }
 }
 
@@ -371,87 +346,6 @@ pub(crate) mod x86 {
         total
     }
 
-    /// Multi-row dot via per-row AVX2 sweeps: the nibble-LUT popcount
-    /// dominates each row's cost, so sharing query loads buys little —
-    /// the win over separate `dot_words` calls is the amortized dispatch.
-    pub(super) fn multi_dot_words_avx2(qs: &[u64], rows: &[&[u64]], out: &mut [u32]) {
-        debug_assert_eq!(rows.len(), out.len());
-        for (row, slot) in rows.iter().zip(out) {
-            *slot += words_avx2::<false>(qs, row);
-        }
-    }
-
-    /// Multi-row dot with shared query loads: rows are processed in
-    /// register-width groups (up to 8 at a time, with a const-generic
-    /// remainder pass), each 512-bit query load feeding one
-    /// AND+VPOPCNTDQ accumulator per row — the cascade-shortlist shape
-    /// where per-call overhead and query streaming would otherwise
-    /// dominate. A top-5 shortlist is a single pass over the staged
-    /// query segment.
-    pub(super) fn multi_dot_words_avx512(qs: &[u64], rows: &[&[u64]], out: &mut [u32]) {
-        assert_eq!(rows.len(), out.len(), "multi_dot_words: rows/out length mismatch");
-        for r in rows {
-            assert_eq!(r.len(), qs.len(), "multi_dot_words: length mismatch");
-        }
-        // SAFETY (all calls below): published only behind an
-        // avx512f+vpopcntdq detection check; slice lengths are enforced
-        // above and each group slice is in bounds by construction.
-        unsafe {
-            let mut r = 0usize;
-            while rows.len() - r >= 8 {
-                multi_group_avx512::<8>(qs, &rows[r..r + 8], &mut out[r..r + 8]);
-                r += 8;
-            }
-            match rows.len() - r {
-                0 => {}
-                1 => multi_group_avx512::<1>(qs, &rows[r..], &mut out[r..]),
-                2 => multi_group_avx512::<2>(qs, &rows[r..], &mut out[r..]),
-                3 => multi_group_avx512::<3>(qs, &rows[r..], &mut out[r..]),
-                4 => multi_group_avx512::<4>(qs, &rows[r..], &mut out[r..]),
-                5 => multi_group_avx512::<5>(qs, &rows[r..], &mut out[r..]),
-                6 => multi_group_avx512::<6>(qs, &rows[r..], &mut out[r..]),
-                _ => multi_group_avx512::<7>(qs, &rows[r..], &mut out[r..]),
-            }
-        }
-    }
-
-    /// One group of `W` rows against the shared query segment: `W`
-    /// accumulators (`W` ≤ 8 keeps them all in zmm registers alongside
-    /// the query), one query load per 8 words.
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    unsafe fn multi_group_avx512<const W: usize>(qs: &[u64], rows: &[&[u64]], out: &mut [u32]) {
-        debug_assert_eq!(rows.len(), W);
-        let n = qs.len();
-        let mut ptrs = [std::ptr::null::<u64>(); W];
-        for j in 0..W {
-            ptrs[j] = rows[j].as_ptr();
-        }
-        let mut acc = [_mm512_setzero_si512(); W];
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let q = _mm512_loadu_si512(qs.as_ptr().add(i) as *const _);
-            for j in 0..W {
-                let w = _mm512_loadu_si512(ptrs[j].add(i) as *const _);
-                acc[j] = _mm512_add_epi64(acc[j], _mm512_popcnt_epi64(_mm512_and_si512(q, w)));
-            }
-            i += 8;
-        }
-        let mut tot = [0u32; W];
-        for j in 0..W {
-            tot[j] = _mm512_reduce_add_epi64(acc[j]) as u32;
-        }
-        while i < n {
-            let q = qs[i];
-            for j in 0..W {
-                tot[j] += (q & *ptrs[j].add(i)).count_ones();
-            }
-            i += 1;
-        }
-        for j in 0..W {
-            out[j] += tot[j];
-        }
-    }
-
     /// `popcount(a OP b)` with native 64-bit lane popcounts (VPOPCNTDQ),
     /// 8 words per vector.
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
@@ -488,15 +382,6 @@ mod aarch64 {
         // SAFETY: published only behind a neon detection check; every
         // caller enforces a.len() == b.len() before the call.
         unsafe { combine_words_neon::<XOR>(a, b) }
-    }
-
-    /// Multi-row dot via per-row NEON sweeps; the win over separate
-    /// `dot_words` calls is the amortized dispatch.
-    pub(super) fn multi_dot_words_neon(qs: &[u64], rows: &[&[u64]], out: &mut [u32]) {
-        debug_assert_eq!(rows.len(), out.len());
-        for (row, slot) in rows.iter().zip(out) {
-            *slot += words_neon::<false>(qs, row);
-        }
     }
 
     /// `popcount(a OP b)` via `vcnt` with byte accumulation over runs of

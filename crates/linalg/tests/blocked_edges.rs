@@ -4,11 +4,13 @@
 //! row matrices, and all-tie score fields — asserting on **every backend
 //! reachable on this host** that the blocked sweep is bit-identical to
 //! the row-major reference (scores, winners, top-k lists, and the
-//! low-row tie-break).
+//! low-row tie-break) — and that the cascade's block pass over the same
+//! layout keeps its lists and telemetry at those edges.
 
 use hd_linalg::kernel::Backend;
 use hd_linalg::{
-    BitMatrix, BitVector, BlockedBitMatrix, LinalgError, QueryBatch, SearchMemory, BLOCK_LANES,
+    BitMatrix, BitVector, BlockedBitMatrix, CascadePlan, LinalgError, QueryBatch, SearchMemory,
+    SegmentedCascade, BLOCK_LANES,
 };
 use proptest::prelude::*;
 
@@ -173,6 +175,99 @@ fn degenerate_single_row_and_query() {
     let m = deterministic_matrix(1, 65, 21);
     let batch = deterministic_batch(1, 65, 22);
     assert_blocked_matches(&m, &batch, "1x65 single query");
+}
+
+/// `len` deterministic bits, each set with probability `1 / 2^sparsity`.
+fn lcg_bits(len: usize, sparsity: u32, salt: u64) -> BitVector {
+    let mut state = salt | 1;
+    let bits: Vec<bool> = (0..len)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> (64 - sparsity) == 0
+        })
+        .collect();
+    BitVector::from_bools(&bits)
+}
+
+/// The cascade's block pass at the edges of the block and word grids, on
+/// every reachable backend, contiguous and segmented: every row count
+/// residue mod 8; `k` in {1, 5, rows, rows + 1}; all-zero queries (every
+/// bound is then 0 against a k-th best of 0 — exactly where a padding
+/// lane could slip into a list); stage windows of 1, 7, 8 and 9 words
+/// and unaligned interior boundaries; and live blocks with one live lane
+/// (one query-like row per block at k = 1) or all eight (k ≥ rows).
+/// Lists must equal the sorted reference, and every backend's lists and
+/// telemetry must equal the scalar backend's row walk.
+#[test]
+fn cascade_block_pass_edges() {
+    let dim = 1600; // 25 words
+    let dense = lcg_bits(dim, 1, 0x0d15_ea5e);
+    let mut noisy = dense.clone();
+    for bit in (0..dim).step_by(37) {
+        noisy.set(bit, !noisy.get(bit));
+    }
+    let queries = [BitVector::zeros(dim), dense.clone(), noisy, lcg_bits(dim, 1, 0xbeef)];
+    let batch = QueryBatch::from_vectors(&queries).unwrap();
+    let plans = [
+        CascadePlan::from_widths(dim, &[64, 7 * 64, 8 * 64, 9 * 64]).unwrap(),
+        CascadePlan::from_widths(dim, &[77, 430, 518, 575]).unwrap(),
+        CascadePlan::from_widths(dim, &[1, 1599]).unwrap(),
+        CascadePlan::exact(dim),
+    ];
+    // 25 word-aligned segments, and 16 unaligned 100-bit ones.
+    let segmentations = [64usize, 100];
+    for rows in 1..=17usize {
+        // Lane 3 of every block holds a near copy of the dense pattern,
+        // the other rows are sparse.
+        let stored: Vec<BitVector> = (0..rows)
+            .map(|r| {
+                if r % BLOCK_LANES == 3 {
+                    let mut row = dense.clone();
+                    row.set(r, !row.get(r));
+                    row
+                } else {
+                    lcg_bits(dim, 4, r as u64 * 7919)
+                }
+            })
+            .collect();
+        let m = BitMatrix::from_rows(&stored).unwrap();
+        let mem = SearchMemory::new(m.clone());
+        let scores = m.dot_batch(&batch).unwrap();
+        for plan in &plans {
+            for k in [1, 5, rows, rows + 1] {
+                let label = format!("rows {rows} plan {:?} k {k}", plan.ends());
+                let walk = mem.search_cascade_topk_with(&batch, plan, k, Backend::Scalar).unwrap();
+                for q in 0..batch.len() {
+                    let mut hits: Vec<(usize, u32)> =
+                        scores.scores(q).iter().copied().enumerate().collect();
+                    hits.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                    hits.truncate(k.min(rows));
+                    assert_eq!(walk.topk().hits(q), hits.as_slice(), "{label} query {q}");
+                }
+                for backend in Backend::available() {
+                    let out = mem.search_cascade_topk_with(&batch, plan, k, backend).unwrap();
+                    assert_eq!(out, walk, "{label} on {backend}");
+                }
+                for seg in segmentations {
+                    let parts: Vec<SearchMemory> = (0..dim / seg)
+                        .map(|p| {
+                            let segs: Vec<BitVector> =
+                                stored.iter().map(|r| r.slice(p * seg, seg)).collect();
+                            SearchMemory::from_rows(&segs).unwrap()
+                        })
+                        .collect();
+                    let snapped = plan.snapped(seg).unwrap();
+                    let contiguous =
+                        mem.search_cascade_topk_with(&batch, &snapped, k, Backend::Scalar).unwrap();
+                    let cascade = SegmentedCascade::new(&parts, &snapped).unwrap();
+                    for backend in Backend::available() {
+                        let out = cascade.search_topk_with(&parts, &batch, k, backend).unwrap();
+                        assert_eq!(out, contiguous, "{label} segments of {seg} on {backend}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {

@@ -5,7 +5,8 @@
 //! tie-break — for arbitrary stage plans (including the degenerate
 //! one-stage plan and the `D` one-dimension-stage plan), every tail
 //! geometry, and every kernel backend reachable on the host. Telemetry
-//! must never claim more activation than the exact search performs.
+//! must never claim more activation than the exact search performs, and
+//! must equal a row-at-a-time replay of the prune rule exactly.
 
 use hd_linalg::kernel::Backend;
 use hd_linalg::{
@@ -109,6 +110,72 @@ fn assert_top1_is_cascade(cascade: &CascadeResults, top1: &CascadeTopK, what: &s
         prop_assert_eq!(lists.hits(q), &[cascade.winner(q)][..], "{} query {}", what, q);
     }
     prop_assert_eq!(top1.stats(), cascade.stats(), "{}", what);
+}
+
+/// What a cascade top-k search must return: per-query k-best lists
+/// (score desc, row asc), rows entering each stage, and activated
+/// row-dimensions.
+type Reference = (Vec<Vec<(usize, u32)>>, Vec<u64>, u64);
+
+/// Row-at-a-time reference of the cascade's prune rule: per query, each
+/// stage adds every shortlisted row's dot over the stage's dimensions.
+/// After a non-final stage, with `kth` the k-th best partial over the
+/// shortlist, the row-side bound `partial + ones(row suffix) >= kth`
+/// filters first; then, only while more than `k` rows remain, so does
+/// `partial + min(ones(query suffix), ones(row suffix)) >= kth`.
+fn reference_cascade(
+    rows: &[BitVector],
+    queries: &[BitVector],
+    ends: &[usize],
+    k: usize,
+) -> Reference {
+    let dim = rows[0].len();
+    let k = k.min(rows.len());
+    let ones_after = |v: &BitVector, e: usize| v.slice(e, dim - e).count_ones();
+    let mut stage_rows = vec![0u64; ends.len()];
+    let mut activated = 0u64;
+    let mut lists = Vec::with_capacity(queries.len());
+    for q in queries {
+        let mut partial = vec![0u32; rows.len()];
+        let mut cands: Vec<usize> = (0..rows.len()).collect();
+        let mut lo = 0usize;
+        for (s, &hi) in ends.iter().enumerate() {
+            stage_rows[s] += cands.len() as u64;
+            activated += (cands.len() * (hi - lo)) as u64;
+            let qs = q.slice(lo, hi - lo);
+            for &r in &cands {
+                partial[r] += rows[r].slice(lo, hi - lo).dot(&qs);
+            }
+            lo = hi;
+            if s + 1 == ends.len() {
+                break;
+            }
+            let mut best: Vec<u32> = cands.iter().map(|&r| partial[r]).collect();
+            best.sort_unstable_by(|a, b| b.cmp(a));
+            let kth = best[k - 1];
+            cands.retain(|&r| partial[r] + ones_after(&rows[r], hi) >= kth);
+            if cands.len() > k {
+                let q_suffix = ones_after(q, hi);
+                cands.retain(|&r| partial[r] + q_suffix.min(ones_after(&rows[r], hi)) >= kth);
+            }
+        }
+        let mut hits: Vec<(usize, u32)> = cands.iter().map(|&r| (r, partial[r])).collect();
+        hits.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        hits.truncate(k);
+        lists.push(hits);
+    }
+    (lists, stage_rows, activated)
+}
+
+/// Asserts a cascade top-k result equals [`reference_cascade`]: lists,
+/// per-stage shortlists and activated dimensions.
+fn assert_matches_reference(out: &CascadeTopK, reference: &Reference, what: &str) {
+    let (lists, stage_rows, activated) = reference;
+    for (q, expect) in lists.iter().enumerate() {
+        prop_assert_eq!(out.topk().hits(q), expect.as_slice(), "{} query {}", what, q);
+    }
+    prop_assert_eq!(out.stats().stage_rows(), stage_rows.as_slice(), "{}", what);
+    prop_assert_eq!(out.stats().activated_dims(), *activated, "{}", what);
 }
 
 proptest! {
@@ -255,5 +322,52 @@ proptest! {
             "SegmentedCascade",
         );
         prop_assert_eq!(seg_cascade.winners(), cascade.winners());
+    }
+
+    /// `CascadeStats` (per-stage shortlists, activated dimensions) and
+    /// the k-best lists equal the row-at-a-time reference of the prune
+    /// rule, for arbitrary plans and every `k` up to past the row count,
+    /// on every reachable backend — contiguous and segmented.
+    #[test]
+    fn cascade_stats_match_row_at_a_time_reference(
+        (rows, queries, plan, k, parts) in (1usize..20, dims()).prop_flat_map(|(r, d)| {
+            (
+                bit_rows(r, d),
+                bit_rows(6, d),
+                plans(d),
+                1usize..r + 2,
+                prop::sample::select(vec![1usize, 2, 4]),
+            )
+        })
+    ) {
+        let dim = rows[0].len();
+        let mem = SearchMemory::from_rows(&rows).unwrap();
+        let batch = QueryBatch::from_vectors(&queries).unwrap();
+        let reference = reference_cascade(&rows, &queries, plan.ends(), k);
+        assert_matches_reference(&mem.search_cascade_topk(&batch, &plan, k).unwrap(), &reference, "active");
+        for backend in Backend::available() {
+            let out = mem.search_cascade_topk_with(&batch, &plan, k, backend).unwrap();
+            assert_matches_reference(&out, &reference, &format!("backend {backend}"));
+        }
+        // Segmented: `parts` equal segments when they divide the width,
+        // the plan snapped onto the segment grid.
+        if dim % parts == 0 {
+            let seg = dim / parts;
+            let segments: Vec<SearchMemory> = (0..parts)
+                .map(|p| {
+                    let segs: Vec<BitVector> = rows.iter().map(|r| r.slice(p * seg, seg)).collect();
+                    SearchMemory::from_rows(&segs).unwrap()
+                })
+                .collect();
+            let snapped = plan.snapped(seg).unwrap();
+            let reference = reference_cascade(&rows, &queries, snapped.ends(), k);
+            let segmented = SegmentedCascade::new(&segments, &snapped).unwrap();
+            let out = segmented.search_topk(&segments, &batch, k).unwrap();
+            assert_matches_reference(&out, &reference, "segmented");
+            for backend in Backend::available() {
+                let out = segmented.search_topk_with(&segments, &batch, k, backend).unwrap();
+                assert_matches_reference(&out, &reference, &format!("segmented {backend}"));
+            }
+        }
     }
 }

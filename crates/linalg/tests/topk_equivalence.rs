@@ -5,10 +5,9 @@
 //! per-query k-best lists must be **bit-identical** (same rows, same
 //! order) to stable-sorting the full score column by score desc then row
 //! asc. The k-th-score cascade prune and the segmented cascade inherit
-//! the same contract, and the multi-row flat kernel that powers the
-//! cascade continuation must agree with a per-row `dot_words` loop.
+//! the same contract.
 
-use hd_linalg::kernel::{self, Backend};
+use hd_linalg::kernel::Backend;
 use hd_linalg::{
     BitMatrix, BitVector, BlockedBitMatrix, BoundCascade, CascadePlan, QueryBatch, SearchMemory,
     SegmentedCascade,
@@ -238,32 +237,6 @@ proptest! {
             for (q, expect) in expected.iter().enumerate() {
                 prop_assert_eq!(
                     topk.hits(q), expect.as_slice(), "P={} {:?} query {}", p, plan.ends(), q
-                );
-            }
-        }
-    }
-
-    /// The multi-row flat kernel agrees with a per-row `dot_words` loop
-    /// on every backend — including the accumulate-into-`out` contract
-    /// and every const-generic group width (0..=18 rows covers the
-    /// 8-wide groups plus each remainder).
-    #[test]
-    fn multi_dot_words_matches_dot_loop(
-        (qs, rows, seed) in dims()
-            .prop_flat_map(|d| (bits(d), bit_rows(18, d), any::<u32>()))
-    ) {
-        for take in [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 18] {
-            let refs: Vec<&[u64]> = rows[..take].iter().map(|r| r.as_words()).collect();
-            let mut expected: Vec<u32> = (0..take).map(|i| seed.wrapping_add(i as u32)).collect();
-            let base = expected.clone();
-            for (slot, row) in expected.iter_mut().zip(&refs) {
-                *slot += kernel::dot_words_with(Backend::Scalar, qs.as_words(), row);
-            }
-            for backend in Backend::available() {
-                let mut got = base.clone();
-                kernel::multi_dot_words_with(backend, qs.as_words(), &refs, &mut got);
-                prop_assert_eq!(
-                    &got, &expected, "backend {} rows {}", backend, take
                 );
             }
         }
