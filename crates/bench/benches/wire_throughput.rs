@@ -9,8 +9,12 @@
 //! extra copy through the kernel socket buffer, not round-trip stalls.
 //!
 //! Ids: `wire_tcp_32x8` = TCP, frames of 32 queries, 8 frames in
-//! flight; `wire_uds_32x8` = the same over a Unix-domain socket. Model
-//! shape matches `serve_throughput` (MEMHD flagship 128 × 128).
+//! flight; `wire_uds_32x8` = the same over a Unix-domain socket;
+//! `wire_uds_1x1` = 1-query frames over a Unix-domain socket with one in
+//! flight (a closed loop, so each iteration is `LONE_QUERIES` round
+//! trips: the thin-traffic case, where a query's latency is whatever
+//! makes the server flush a batch of one). Model shape matches
+//! `serve_throughput` (MEMHD flagship 128 × 128).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hd_linalg::rng::seeded;
@@ -26,6 +30,8 @@ const QUERIES: usize = 8192;
 const DIM: usize = 128;
 const FRAME: usize = 32;
 const WINDOW_FRAMES: usize = 8;
+/// Round trips per `wire_uds_1x1` iteration.
+const LONE_QUERIES: usize = 256;
 
 fn random_am(k: usize, vectors: usize, dim: usize, seed: u64) -> BinaryAm {
     let mut rng = seeded(seed);
@@ -51,17 +57,17 @@ fn packed_queries(n: usize, dim: usize, seed: u64) -> Vec<u64> {
     words
 }
 
-/// Pushes every query through `client` as pipelined `FRAME`-query
-/// frames with `WINDOW_FRAMES` frames outstanding, returning a checksum
-/// of winning rows.
-fn drive(client: &mut WireClient, words: &[u64]) -> usize {
+/// Pushes every query through `client` as pipelined `frame`-query
+/// frames with `window` frames outstanding, returning a checksum of
+/// winning rows.
+fn drive(client: &mut WireClient, words: &[u64], frame: usize, window: usize) -> usize {
     let wpq = client.words_per_query() as usize;
     let mut sum = 0usize;
     let mut outstanding = 0usize;
-    for frame in words.chunks(FRAME * wpq) {
-        client.send_packed_words(frame, 1).expect("send");
-        outstanding += frame.len() / wpq;
-        while outstanding > (WINDOW_FRAMES - 1) * FRAME {
+    for chunk in words.chunks(frame * wpq) {
+        client.send_packed_words(chunk, 1).expect("send");
+        outstanding += chunk.len() / wpq;
+        while outstanding > (window - 1) * frame {
             let (_, hits) = client.recv_response().expect("recv");
             sum += hits[0].row;
             outstanding -= 1;
@@ -102,7 +108,7 @@ fn bench_wire(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new(format!("wire_tcp_{FRAME}x{WINDOW_FRAMES}"), QUERIES),
             &words,
-            |b, words| b.iter(|| drive(&mut client, words)),
+            |b, words| b.iter(|| drive(&mut client, words, FRAME, WINDOW_FRAMES)),
         );
     }
 
@@ -114,8 +120,13 @@ fn bench_wire(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new(format!("wire_uds_{FRAME}x{WINDOW_FRAMES}"), QUERIES),
             &words,
-            |b, words| b.iter(|| drive(&mut client, words)),
+            |b, words| b.iter(|| drive(&mut client, words, FRAME, WINDOW_FRAMES)),
         );
+        group.throughput(Throughput::Elements(LONE_QUERIES as u64));
+        let lone = &words[..LONE_QUERIES * DIM.div_ceil(64)];
+        group.bench_with_input(BenchmarkId::new("wire_uds_1x1", LONE_QUERIES), lone, |b, words| {
+            b.iter(|| drive(&mut client, words, 1, 1))
+        });
     }
 
     group.finish();

@@ -8,11 +8,27 @@
 //! streams each micro-batch flush back the moment it publishes —
 //! responses are per-flush, never a per-connection barrier.
 //!
+//! **Buffered ingest.** The reader pulls bytes into a per-connection
+//! user-space buffer, one `read` per refill, and parses frames out of it:
+//! a window of pipelined frames costs one syscall, not three per frame.
+//! A payload larger than the buffer is read straight into the query
+//! words.
+//!
 //! **Zero-repack ingest.** The QUERY payload *is* the
 //! [`hd_linalg::QueryBatchBuilder`] row layout: `count` rows of
 //! `words_per_query` packed little-endian `u64`s. The reader hands the
 //! whole payload to [`crate::Server::submit_packed`], which lands it in
 //! the pending batch as one word copy under one queue-lock acquisition.
+//!
+//! **Flush on ingest drain.** When the buffer holds no more bytes, every
+//! frame at hand has been submitted; just before going back to the socket
+//! the reader flushes the server's pending batch inline (an *ingest
+//! flush*, counted in [`crate::ServerStats::ingest_flushes`]). Pipelined
+//! frames that arrive together still coalesce into one batch, while a
+//! lone frame is answered at once instead of at the
+//! [`crate::ServeConfig::max_delay`] deadline. The flush runs on the
+//! reader thread, so the connection's next frames wait in the socket
+//! until it publishes.
 //!
 //! **Backpressure.** Two independent bounds:
 //! * per server — [`crate::ServeConfig::max_in_flight`] sheds whole
@@ -42,7 +58,7 @@ pub use wire::{
 };
 
 use crate::{PendingTopK, ServeError, Server};
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -683,6 +699,9 @@ fn connection_reader(
         return;
     };
     read_frames(shared, &mut stream, &tx, state);
+    // What the reader submitted last is at hand too: flush it now rather
+    // than have the writer wait out the deadline before the close.
+    shared.server.flush_pending();
     // Deregister before closing the channel: the registry holds a sender
     // clone (for drain broadcasts), and the writer only exits once every
     // sender is gone.
@@ -697,6 +716,30 @@ fn connection_reader(
     // Unblock a peer still writing into a connection we abandoned.
     stream.shutdown();
 }
+
+/// Bytes a connection's reader pulls from its socket per refill: a full
+/// window of the pipelined frames typical clients send. A payload larger
+/// than this bypasses the buffer.
+const INGEST_BUFFER: usize = 64 << 10;
+
+/// The socket under a connection's read buffer. The buffer only reads
+/// from it once every buffered byte has been parsed — every complete
+/// frame at hand is submitted by then — so each read first runs the
+/// ingest flush (see the module docs).
+struct IngestSocket<'a> {
+    stream: &'a mut Stream,
+    server: &'a Server,
+}
+
+impl Read for IngestSocket<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.server.flush_pending();
+        self.stream.read(buf)
+    }
+}
+
+/// A connection's buffered read side.
+type Ingest<'a> = BufReader<IngestSocket<'a>>;
 
 /// Outcome of one budgeted header read (see [`read_header_budgeted`]).
 enum HeaderRead {
@@ -719,10 +762,12 @@ enum HeaderRead {
 /// Unlike `read_exact`, partial progress survives a read timeout, so a
 /// slow-but-live peer is never desynchronized by the probe: either the
 /// full header eventually arrives ([`HeaderRead::Frame`]), or the caller
-/// learns exactly what state the connection is in. Total time mid-header
-/// is bounded by `2 × idle` (the same `idle_timeout + grace` budget an
-/// idle connection gets), which also caps a byte-at-a-time slow-loris.
-fn read_header_budgeted(stream: &mut Stream, idle: Option<Duration>) -> HeaderRead {
+/// learns exactly what state the connection is in. Header bytes already
+/// buffered count as progress the moment they are parsed. Total time
+/// mid-header is bounded by `2 × idle` (the same `idle_timeout + grace`
+/// budget an idle connection gets), which also caps a byte-at-a-time
+/// slow-loris.
+fn read_header_budgeted(stream: &mut impl Read, idle: Option<Duration>) -> HeaderRead {
     let mut buf = [0u8; HEADER_LEN];
     let mut filled = 0usize;
     let mut started: Option<Instant> = None;
@@ -759,12 +804,12 @@ fn read_header_budgeted(stream: &mut Stream, idle: Option<Duration>) -> HeaderRe
 /// frame's payload: each chunk still runs under the socket's per-read
 /// timeout, and any read past `deadline` fails immediately — so a peer
 /// dribbling one byte per timeout period cannot stretch a frame forever.
-struct DeadlineRead<'a> {
-    inner: &'a mut Stream,
+struct DeadlineRead<'a, R> {
+    inner: &'a mut R,
     deadline: Option<Instant>,
 }
 
-impl Read for DeadlineRead<'_> {
+impl<R: Read> Read for DeadlineRead<'_, R> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         if let Some(deadline) = self.deadline {
             if Instant::now() >= deadline {
@@ -797,6 +842,8 @@ fn read_frames(
     if stream.set_read_timeout(idle).is_err() {
         return;
     }
+    let mut stream = BufReader::with_capacity(INGEST_BUFFER, IngestSocket { stream, server });
+    let stream = &mut stream;
     let mut words: Vec<u64> = Vec::new();
     let mut pinged = false;
     let mut ping_nonce: u64 = 0;
@@ -943,7 +990,7 @@ fn read_frames(
 /// is fatal exactly like a QUERY's. Returns `false` to close.
 fn reject_liveness_payload(
     shared: &Arc<WireShared>,
-    stream: &mut Stream,
+    stream: &mut Ingest<'_>,
     tx: &SyncSender<Outgoing>,
     header: &Header,
 ) -> bool {
@@ -987,7 +1034,7 @@ fn reject_liveness_payload(
 /// close (fatal error or disconnect).
 fn handle_query_frame(
     shared: &Arc<WireShared>,
-    stream: &mut Stream,
+    stream: &mut Ingest<'_>,
     tx: &SyncSender<Outgoing>,
     state: &Arc<ConnState>,
     header: &Header,
@@ -1028,7 +1075,7 @@ fn handle_query_frame(
     // Recoverable rejections: consume the declared payload so the next
     // frame parses, answer with a typed error frame, keep going. A
     // truncated payload (peer died mid-frame) exits silently.
-    let reject = |stream: &mut DeadlineRead<'_>, code: u16, message: String| -> bool {
+    let reject = |stream: &mut DeadlineRead<'_, Ingest<'_>>, code: u16, message: String| -> bool {
         let first_id = match wire::read_u64(stream) {
             Ok(id) => id,
             Err(_) => return false,

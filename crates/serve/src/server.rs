@@ -12,16 +12,25 @@
 //!   queue and executes it *inline* on its own thread. No hand-off, no
 //!   wake-up latency: on the hot path the batcher costs one short mutex
 //!   section per query plus the amortized sweep.
+//! * **Ingest flush** — a wire connection's reader (see [`crate::net`])
+//!   that has submitted every frame at hand flushes the pending batch
+//!   inline just before it goes back to its socket for more bytes. Frames
+//!   that arrive together still coalesce into one batch, but a lone frame
+//!   is answered at once instead of waiting out the deadline. In-process
+//!   submitters never trigger it: for them a batch flushes full or at the
+//!   deadline.
 //! * **Deadline flush** — a background flusher thread watches the oldest
 //!   pending query and flushes whatever has accumulated once it has
-//!   waited [`ServeConfig::max_delay`], bounding tail latency when
-//!   traffic is too thin to fill batches.
+//!   waited [`ServeConfig::max_delay`] (up to twice that when the query
+//!   arrived while the flusher was lingering, see `run_flusher`),
+//!   bounding tail latency when traffic is too thin to fill batches.
 //!
 //! Every flush answers its entire batch from **one** model snapshot
 //! ([`crate::ModelRegistry`]), so hot swaps never mix generations within
 //! a batch, and a submission is *never lost*: it is answered by a full
-//! flush, a deadline flush, or the drain that runs at shutdown (after
-//! which new submissions fail with [`ServeError::Shutdown`]).
+//! flush, an ingest flush, a deadline flush, or the drain that runs at
+//! shutdown (after which new submissions fail with
+//! [`ServeError::Shutdown`]).
 
 use crate::error::{Result, ServeError};
 use crate::registry::ModelRegistry;
@@ -40,8 +49,12 @@ pub struct ServeConfig {
     /// pre-packed [`crate::ShardedSearcher`] memories amortize at any
     /// size, with diminishing returns past a few hundred.
     pub max_batch: usize,
-    /// Flush the pending batch once its oldest query has waited this
-    /// long — the per-query latency budget under thin traffic.
+    /// The deadline flush's latency budget under thin traffic: the
+    /// pending batch is flushed once its oldest query has waited this
+    /// long, or up to twice this long when that query opened its cycle
+    /// while the flusher was lingering between timed checks. Wire
+    /// connections usually flush sooner (see the ingest flush in the
+    /// module docs).
     pub max_delay: Duration,
     /// Admission limit: queries accepted but not yet answered by a
     /// flush. At the limit new submissions are shed with
@@ -254,10 +267,13 @@ pub struct ServerStats {
     /// Queries answered by flushes (accepted queries still pending in the
     /// current batch cycle are not counted yet).
     pub queries: u64,
-    /// Batches flushed (full + deadline + shutdown drain).
+    /// Batches flushed (full + ingest + deadline + shutdown drain).
     pub batches: u64,
     /// Flushes triggered by a full batch.
     pub full_flushes: u64,
+    /// Flushes run by a wire connection's reader once it had submitted
+    /// every frame at hand (see [`crate::net`]).
+    pub ingest_flushes: u64,
     /// Flushes triggered by the latency deadline (or shutdown drain).
     pub deadline_flushes: u64,
     /// Largest batch flushed so far.
@@ -275,6 +291,7 @@ struct StatCounters {
     queries: AtomicU64,
     batches: AtomicU64,
     full_flushes: AtomicU64,
+    ingest_flushes: AtomicU64,
     deadline_flushes: AtomicU64,
     largest_batch: AtomicU64,
     shed: AtomicU64,
@@ -310,6 +327,7 @@ impl Queue {
 
 enum FlushKind {
     Full,
+    Ingest,
     Deadline,
 }
 
@@ -345,6 +363,7 @@ impl Shared {
         self.stats.largest_batch.fetch_max(queries as u64, Ordering::Relaxed);
         match kind {
             FlushKind::Full => self.stats.full_flushes.fetch_add(1, Ordering::Relaxed),
+            FlushKind::Ingest => self.stats.ingest_flushes.fetch_add(1, Ordering::Relaxed),
             FlushKind::Deadline => self.stats.deadline_flushes.fetch_add(1, Ordering::Relaxed),
         };
         let generation = snapshot.id();
@@ -535,6 +554,7 @@ impl Server {
             queries: s.queries.load(Ordering::Relaxed),
             batches: s.batches.load(Ordering::Relaxed),
             full_flushes: s.full_flushes.load(Ordering::Relaxed),
+            ingest_flushes: s.ingest_flushes.load(Ordering::Relaxed),
             deadline_flushes: s.deadline_flushes.load(Ordering::Relaxed),
             largest_batch: s.largest_batch.load(Ordering::Relaxed),
             shed: s.shed.load(Ordering::Relaxed),
@@ -558,11 +578,13 @@ impl Server {
     /// at the largest pending k in one fused sweep (the argmax sweep when
     /// that is 1), and every handle truncates back to its own k.
     ///
-    /// Under thin traffic the answer waits up to
-    /// [`ServeConfig::max_delay`] for the deadline flush — the latency
-    /// budget buying batch amortization; latency-critical single callers
-    /// should lower it, or bound their own wait with
-    /// [`PendingTopK::wait_until`].
+    /// Under thin traffic the answer waits for the deadline flush:
+    /// [`ServeConfig::max_delay`], and up to twice that when the query
+    /// opens a cycle while the flusher lingers — the latency budget
+    /// buying batch amortization. Latency-critical single callers should
+    /// lower it, bound their own wait with [`PendingTopK::wait_until`],
+    /// or come in over [`crate::net`], whose readers flush as soon as
+    /// they run out of frames at hand.
     ///
     /// # Errors
     ///
@@ -674,6 +696,20 @@ impl Server {
     fn flush_full(&self, work: Option<Work>) {
         if let Some((batch, state, max_k)) = work {
             self.shared.flush(batch, state, max_k, FlushKind::Full);
+        }
+    }
+
+    /// Flushes the pending batch inline on the calling thread, if there
+    /// is one — the ingest flush a wire reader runs once it has submitted
+    /// every frame at hand. The batch is taken exactly as a full flush
+    /// takes it, whatever its size and whoever queued it.
+    pub(crate) fn flush_pending(&self) {
+        let work = {
+            let mut q = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            (!q.builder.is_empty()).then(|| q.take_work())
+        };
+        if let Some((batch, state, max_k)) = work {
+            self.shared.flush(batch, state, max_k, FlushKind::Ingest);
         }
     }
 

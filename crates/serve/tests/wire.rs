@@ -1,22 +1,24 @@
 //! Loopback end-to-end tests for the wire front-end: results over the
 //! socket must be bit-identical to in-process submission (including
-//! under forced shard degradation), malformed frames must answer typed
-//! error frames without losing any in-flight query, and overload must
-//! shed whole frames with a typed error.
+//! under forced shard degradation and however the frames are split
+//! across socket reads), a lone frame must be answered by the reader's
+//! ingest flush rather than the deadline, malformed frames must answer
+//! typed error frames without losing any in-flight query, and overload
+//! must shed whole frames with a typed error.
 
 use hd_linalg::rng::seeded;
 use hd_linalg::{BitVector, QueryBatch, SearchMemory};
 use hd_serve::net::wire::{self, ErrorBody};
 use hd_serve::net::{
     code, Header, WireClient, WireConfig, WireEvent, WireServer, CONNECTION_ERROR_ID, FT_ERROR,
-    FT_GOAWAY, FT_HELLO_ACK, FT_PING, FT_QUERY, FT_RESPONSE, GOAWAY_NONE, HEADER_LEN,
+    FT_GOAWAY, FT_HELLO_ACK, FT_PING, FT_PONG, FT_QUERY, FT_RESPONSE, GOAWAY_NONE, HEADER_LEN,
 };
 use hd_serve::{Prediction, Searchable, ServeConfig, Server, ShardedSearcher, Winner};
 use rand::Rng;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 const DIM: usize = 128;
@@ -42,15 +44,21 @@ fn sharded_fixture(seed: u64) -> Arc<ShardedSearcher> {
 
 /// A served sharded fixture with a TCP listener on an ephemeral port.
 fn wire_fixture(seed: u64) -> (Arc<ShardedSearcher>, Arc<Server>, WireServer, SocketAddr) {
+    wire_fixture_with(seed, Duration::from_micros(200))
+}
+
+/// [`wire_fixture`] with a chosen deadline. A `max_delay` far beyond any
+/// test's run time leaves full and ingest flushes as the only ways a
+/// query gets answered.
+fn wire_fixture_with(
+    seed: u64,
+    max_delay: Duration,
+) -> (Arc<ShardedSearcher>, Arc<Server>, WireServer, SocketAddr) {
     let sharded = sharded_fixture(seed);
     let server = Arc::new(
         Server::start(
             Arc::clone(&sharded) as Arc<dyn Searchable>,
-            ServeConfig {
-                max_batch: 8,
-                max_delay: Duration::from_micros(200),
-                ..Default::default()
-            },
+            ServeConfig { max_batch: 8, max_delay, ..Default::default() },
         )
         .unwrap(),
     );
@@ -59,9 +67,33 @@ fn wire_fixture(seed: u64) -> (Arc<ShardedSearcher>, Arc<Server>, WireServer, So
     (sharded, server, wire, addr)
 }
 
+/// Shuts a server down when dropped. Bound after the front-end on
+/// fixtures whose deadline is out of reach, so that a failing assertion
+/// drains the queue first: the front-end's shutdown then joins writers
+/// that would otherwise wait on that far-off deadline.
+struct DrainOnDrop(Arc<Server>);
+
+impl Drop for DrainOnDrop {
+    fn drop(&mut self) {
+        self.0.shutdown();
+    }
+}
+
 /// In-process ground truth for one query at one k, via the same server.
 fn expected(server: &Server, q: &BitVector, k: usize) -> Vec<Prediction> {
     server.submit(q.as_view(), k).unwrap().wait().unwrap()
+}
+
+/// Ground truth straight from the served model as `(row, class, score)`
+/// slates, bypassing the server's queue — which, on a fixture whose
+/// deadline is out of reach, only a full or ingest flush would answer.
+fn direct(model: &ShardedSearcher, queries: &[BitVector], k: usize) -> Vec<Vec<(u32, u32, u32)>> {
+    let batch = Arc::new(QueryBatch::from_vectors(queries).unwrap());
+    let slates = model.search_topk(batch, k).unwrap();
+    slates
+        .iter()
+        .map(|s| s.iter().map(|w| (w.row as u32, w.class as u32, w.score)).collect())
+        .collect()
 }
 
 /// Drives `n` queries through `client` (first `split` at k=1, rest at
@@ -321,6 +353,63 @@ fn in_flight_queries_are_answered_before_a_fatal_error_closes() {
 }
 
 #[test]
+fn buffered_ingest_parses_coalesced_and_byte_split_frames_bit_exactly() {
+    let (sharded, server, wire, addr) = wire_fixture_with(479, Duration::from_secs(600));
+    let _drain = DrainOnDrop(Arc::clone(&server));
+    let wpq = (DIM / 64) as u32;
+    let queries = random_queries(7, 480);
+    let words =
+        |qs: &[BitVector]| qs.iter().flat_map(|q| q.as_words().to_vec()).collect::<Vec<_>>();
+    let mut stream = raw_connect(addr);
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+
+    // Four QUERY frames of mixed k with a PING between the second and
+    // the third, all in one write.
+    let frames = [(0..2, 1u16), (2..3, 3), (3..6, 2), (6..7, 1)];
+    let mut burst = Vec::new();
+    for (i, (range, k)) in frames.iter().enumerate() {
+        if i == 2 {
+            wire::write_ping(&mut burst, 99).unwrap();
+        }
+        wire::write_query(&mut burst, *k, 100 * i as u64, wpq, &words(&queries[range.clone()]))
+            .unwrap();
+    }
+    stream.write_all(&burst).unwrap();
+    for (i, (range, k)) in frames.iter().enumerate() {
+        if i == 2 {
+            let header = wire::read_header(&mut stream).unwrap();
+            assert_eq!((header.frame_type, header.model_key), (FT_PONG, 99));
+        }
+        for (j, want) in
+            direct(&sharded, &queries[range.clone()], *k as usize).into_iter().enumerate()
+        {
+            assert_eq!(read_response_frame(&mut stream), (100 * i as u64 + j as u64, want));
+        }
+    }
+
+    // One frame written a byte at a time: the reader goes back to the
+    // socket after every partial read and submits the frame only whole,
+    // so exactly one more ingest flush answers it.
+    let flushed = server.stats().ingest_flushes;
+    let mut frame = Vec::new();
+    wire::write_query(&mut frame, 2, 500, wpq, &words(&queries[..3])).unwrap();
+    stream.set_nodelay(true).unwrap();
+    for byte in &frame {
+        stream.write_all(std::slice::from_ref(byte)).unwrap();
+        std::thread::sleep(Duration::from_micros(500));
+    }
+    for (j, want) in direct(&sharded, &queries[..3], 2).into_iter().enumerate() {
+        assert_eq!(read_response_frame(&mut stream), (500 + j as u64, want));
+    }
+    let stats = server.stats();
+    assert_eq!(stats.ingest_flushes, flushed + 1);
+    assert_eq!((stats.queries, stats.deadline_flushes), (10, 0));
+    drop(stream);
+    wire.shutdown();
+    server.shutdown();
+}
+
+#[test]
 fn mid_frame_disconnect_is_dropped_cleanly_and_server_keeps_serving() {
     let (_sharded, server, wire, addr) = wire_fixture(461);
     let query = random_queries(1, 462).pop().unwrap();
@@ -389,34 +478,167 @@ fn overload_sheds_whole_frames_with_a_typed_error_frame() {
     );
     let wire = WireServer::start(Arc::clone(&server), WireConfig::default()).unwrap();
     let addr = wire.listen_tcp("127.0.0.1:0").unwrap();
-    let mut client = WireClient::connect_tcp(addr).unwrap();
+    let mut client_a = WireClient::connect_tcp(addr).unwrap();
+    let mut client_b = WireClient::connect_tcp(addr).unwrap();
     let queries = random_queries(12, 472);
     // Frame A (6 queries) occupies the gauge for the model's 150 ms;
-    // frame B (6 more) exceeds max_in_flight = 8 and is shed whole.
-    client.send_queries(&queries[..6], 1).unwrap();
+    // frame B (6 more) exceeds max_in_flight = 8 and is shed whole. B
+    // comes in on a second connection: A's own reader may be the thread
+    // running A's flush, and then reads nothing until it publishes.
+    client_a.send_queries(&queries[..6], 1).unwrap();
     std::thread::sleep(Duration::from_millis(20)); // let A reach admission
-    let ids_b = client.send_queries(&queries[6..], 1).unwrap();
-    // FIFO: frame A's six answers first, then frame B's shed notice
-    // carrying the frame's first id.
+    let ids_b = client_b.send_queries(&queries[6..], 1).unwrap();
+    // Frame A's six answers, then frame B's shed notice carrying the
+    // frame's first id.
     for i in 0..6u64 {
-        let (id, hits) = client.recv_response().unwrap();
+        let (id, hits) = client_a.recv_response().unwrap();
         assert_eq!(id, i);
         assert_eq!(hits.len(), 1);
     }
-    match client.recv().unwrap() {
+    match client_b.recv().unwrap() {
         WireEvent::Error(body) => {
             assert_eq!((body.id, body.code), (ids_b.start, code::OVERLOADED));
         }
         other => panic!("expected an OVERLOADED error frame, got {other:?}"),
     }
     // The connection survives a shed: retry succeeds once capacity frees.
-    let retry = client.send_queries(&queries[6..7], 1).unwrap();
-    let (id, hits) = client.recv_response().unwrap();
+    let retry = client_b.send_queries(&queries[6..7], 1).unwrap();
+    let (id, hits) = client_b.recv_response().unwrap();
     assert_eq!(id, retry.start);
     assert_eq!(hits.len(), 1);
     assert!(server.stats().shed >= 6, "the whole frame was shed");
     wire.shutdown();
     server.shutdown();
+}
+
+/// Wraps a model so that each flush reports its start and then holds
+/// until the test releases it, which lets a test send bytes while a
+/// flush is running without relying on sleeps.
+struct GatedModel {
+    inner: Arc<dyn Searchable>,
+    entered: Mutex<mpsc::Sender<()>>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl GatedModel {
+    fn hold(&self) {
+        let _ = self.entered.lock().unwrap().send(());
+        // Bounded, so a failing test cannot wedge the flush forever.
+        let _ = self.release.lock().unwrap().recv_timeout(Duration::from_secs(10));
+    }
+}
+
+impl Searchable for GatedModel {
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+
+    fn rows(&self) -> usize {
+        self.inner.rows()
+    }
+
+    fn search_winners(&self, batch: Arc<QueryBatch>) -> hd_serve::Result<Vec<Winner>> {
+        self.hold();
+        self.inner.search_winners(batch)
+    }
+
+    fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> hd_serve::Result<Vec<Vec<Winner>>> {
+        self.hold();
+        self.inner.search_topk(batch, k)
+    }
+}
+
+#[test]
+fn a_frame_behind_its_readers_ingest_flush_waits_instead_of_being_shed() {
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let gated = GatedModel {
+        inner: sharded_fixture(473),
+        entered: Mutex::new(entered_tx),
+        release: Mutex::new(release_rx),
+    };
+    // No deadline flush within the test: frame A can only be answered by
+    // its reader's ingest flush.
+    let server = Arc::new(
+        Server::start(
+            Arc::new(gated) as Arc<dyn Searchable>,
+            ServeConfig { max_batch: 8, max_delay: Duration::from_secs(600), max_in_flight: 8 },
+        )
+        .unwrap(),
+    );
+    let wire = WireServer::start(Arc::clone(&server), WireConfig::default()).unwrap();
+    let _drain = DrainOnDrop(Arc::clone(&server));
+    let addr = wire.listen_tcp("127.0.0.1:0").unwrap();
+    let mut client = WireClient::connect_tcp(addr).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let queries = random_queries(12, 474);
+    let flush_started = || entered.recv_timeout(Duration::from_secs(10)).unwrap();
+
+    client.send_queries(&queries[..6], 1).unwrap();
+    flush_started(); // frame A's flush holds its reader
+    let ids_b = client.send_queries(&queries[6..], 1).unwrap();
+    release.send(()).unwrap();
+    // Frame B waited in the socket until A's flush freed its slots, then
+    // was admitted and flushed in turn: answered after A, not shed.
+    flush_started();
+    release.send(()).unwrap();
+    for i in 0..12u64 {
+        let (id, hits) = client.recv_response().unwrap();
+        assert_eq!(id, i);
+        assert_eq!(hits.len(), 1);
+    }
+    assert_eq!(ids_b, 6..12);
+    let stats = server.stats();
+    assert_eq!(stats.shed, 0, "frame B was admitted, not shed");
+    assert_eq!((stats.ingest_flushes, stats.deadline_flushes), (2, 0));
+    wire.shutdown();
+    server.shutdown();
+}
+
+/// Sends one 1-query frame to an idle server whose deadline flush is ten
+/// minutes away, over the connection `connect` opens, and asserts that
+/// the reader's ingest flush answered it.
+fn assert_lone_frame_answered_by_ingest_flush(
+    seed: u64,
+    connect: impl FnOnce(&WireServer, SocketAddr) -> WireClient,
+) {
+    let query = random_queries(1, seed + 1).pop().unwrap();
+    let (sharded, server, wire, addr) = wire_fixture_with(seed, Duration::from_secs(600));
+    let _drain = DrainOnDrop(Arc::clone(&server));
+    let mut client = connect(&wire, addr);
+    // Fail rather than hang if nothing but the deadline could answer.
+    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let ids = client.send_queries(std::slice::from_ref(&query), 3).unwrap();
+    let (id, hits) = client.recv_response().unwrap();
+    assert_eq!(id, ids.start);
+    assert!(hits.iter().all(|h| h.generation == 1 && !h.degraded));
+    let hits: Vec<_> = hits.iter().map(|h| (h.row as u32, h.class as u32, h.score)).collect();
+    assert_eq!(vec![hits], direct(&sharded, std::slice::from_ref(&query), 3));
+    let stats = server.stats();
+    assert_eq!(
+        (stats.ingest_flushes, stats.deadline_flushes, stats.full_flushes),
+        (1, 0, 0),
+        "only the reader's ingest flush can have answered"
+    );
+    wire.shutdown();
+    server.shutdown();
+}
+
+#[test]
+fn a_lone_tcp_frame_is_answered_by_the_ingest_flush() {
+    assert_lone_frame_answered_by_ingest_flush(475, |_, addr| {
+        WireClient::connect_tcp(addr).unwrap()
+    });
+}
+
+#[cfg(unix)]
+#[test]
+fn a_lone_uds_frame_is_answered_by_the_ingest_flush() {
+    assert_lone_frame_answered_by_ingest_flush(477, |wire, _| {
+        let path = std::env::temp_dir().join(format!("hd-wire-ingest-{}.sock", std::process::id()));
+        wire.listen_uds(&path).unwrap();
+        WireClient::connect_uds(&path).unwrap()
+    });
 }
 
 /// A wire fixture with a short idle budget, for the liveness tests.
