@@ -30,7 +30,7 @@ pub use memory::{baseline_memory, BaselineKind};
 pub use quanthd::{QuantHd, QuantHdConfig};
 pub use searchd::{SearcHd, SearcHdConfig};
 
-use hd_linalg::Matrix;
+use hd_linalg::{LabeledMemory, Matrix, QueryBatch, TopK};
 use memhd::MemoryReport;
 
 /// Common surface of every baseline classifier.
@@ -84,6 +84,32 @@ pub trait HdcClassifier {
     /// Hypervector dimensionality `D`.
     fn dim(&self) -> usize;
 }
+
+/// Implements [`LabeledMemory`] for a baseline by serving its quantized
+/// AM: queries are pre-encoded hypervectors.
+macro_rules! labeled_by_am {
+    ($($ty:ty),* $(,)?) => {$(
+        impl LabeledMemory for $ty {
+            fn dim(&self) -> usize {
+                self.binary_am().dim()
+            }
+
+            fn rows(&self) -> usize {
+                self.binary_am().num_centroids()
+            }
+
+            fn class_of(&self, row: usize) -> usize {
+                self.binary_am().class_of(row)
+            }
+
+            fn topk(&self, batch: &QueryBatch, k: usize) -> hd_linalg::Result<TopK> {
+                self.binary_am().topk(batch, k)
+            }
+        }
+    )*};
+}
+
+labeled_by_am!(BasicHdc, QuantHd, SearcHd, LeHdc);
 
 #[cfg(test)]
 pub(crate) mod testutil {

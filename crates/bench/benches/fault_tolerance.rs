@@ -85,11 +85,15 @@ fn main() {
     for ber in BERS {
         let model = if ber == 0.0 { FaultModel::ideal() } else { FaultModel::bit_flip(ber) };
         let plain = FaultyAmMapping::program(&golden, model, 92).expect("program");
-        let plain_acc =
-            accuracy_pct(&plain.search_batch(&batch).expect("search").predicted_classes, &labels);
+        let plain_acc = accuracy_pct(
+            &plain.as_mapping().search_batch(&batch).expect("search").predicted_classes,
+            &labels,
+        );
         let rep = ReplicatedAmMapping::program(&golden, model, 3, 92).expect("program");
-        let rep_acc =
-            accuracy_pct(&rep.search_batch(&batch).expect("search").predicted_classes, &labels);
+        let rep_acc = accuracy_pct(
+            &rep.majority_mapping().search_batch(&batch).expect("search").predicted_classes,
+            &labels,
+        );
         record(&mut out, &format!("fault_tolerance/accuracy_pct/plain/ber_{ber}"), plain_acc);
         record(&mut out, &format!("fault_tolerance/accuracy_pct/rep3/ber_{ber}"), rep_acc);
     }

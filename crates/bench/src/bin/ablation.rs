@@ -139,8 +139,10 @@ fn main() {
                 .expect("faulty");
             let fb = FaultyAmMapping::program(&basic_map, FaultModel::bit_flip(ber), seed)
                 .expect("faulty");
-            let preds_m = fm.search_batch(&memhd_batch).expect("search").predicted_classes;
-            let preds_b = fb.search_batch(&basic_batch).expect("search").predicted_classes;
+            let preds_m =
+                fm.as_mapping().search_batch(&memhd_batch).expect("search").predicted_classes;
+            let preds_b =
+                fb.as_mapping().search_batch(&basic_batch).expect("search").predicted_classes;
             let correct_m = preds_m.iter().zip(&ds.test_labels).filter(|(p, l)| p == l).count();
             let correct_b = preds_b.iter().zip(&ds.test_labels).filter(|(p, l)| p == l).count();
             memhd_acc[bi].push(correct_m as f64 / ds.test_len() as f64 * 100.0);

@@ -10,7 +10,8 @@
 
 use crate::error::{HdcError, Result};
 use hd_linalg::{
-    BitMatrix, BitVector, CascadePlan, CascadeStats, Matrix, QueryBatch, ScoreMatrix, SearchMemory,
+    BitMatrix, BitVector, CascadePlan, CascadeStats, LabeledMemory, Matrix, QueryBatch,
+    ScoreMatrix, SearchMemory, TopK,
 };
 
 /// Identifies one centroid: the class it belongs to plus a per-class
@@ -719,6 +720,26 @@ impl BinaryAm {
     /// Associative memory footprint in bits: `C × D` (Table I).
     pub fn memory_bits(&self) -> u64 {
         self.vectors.matrix().payload_bits()
+    }
+}
+
+/// Centroid rows with their class labels, searched by the fused k-best
+/// sweep.
+impl LabeledMemory for BinaryAm {
+    fn dim(&self) -> usize {
+        self.dim()
+    }
+
+    fn rows(&self) -> usize {
+        self.num_centroids()
+    }
+
+    fn class_of(&self, row: usize) -> usize {
+        self.classes[row]
+    }
+
+    fn topk(&self, batch: &QueryBatch, k: usize) -> hd_linalg::Result<TopK> {
+        self.vectors.topk_batch(batch, k)
     }
 }
 

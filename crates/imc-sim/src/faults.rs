@@ -8,9 +8,8 @@
 //! sweeps bit-error rate against accuracy for MEMHD and BasicHDC).
 
 use crate::error::{ImcError, Result};
-use crate::mapping::{AmMapping, InferenceStats};
+use crate::mapping::AmMapping;
 use hd_linalg::rng::{derive_seed, seeded};
-use hd_linalg::BitVector;
 use rand::Rng;
 
 /// Stochastic fault model for programmed IMC cells.
@@ -102,7 +101,7 @@ impl Default for FaultModel {
 /// let faulty = FaultyAmMapping::program(&ideal, FaultModel::bit_flip(0.0), 1)?;
 /// let q = BitVector::from_bools(&[true; 64]);
 /// // Zero BER: identical to the ideal mapping.
-/// assert_eq!(faulty.search(&q)?.scores, ideal.search(&q)?.scores);
+/// assert_eq!(faulty.as_mapping().search(&q)?.scores, ideal.search(&q)?.scores);
 /// # Ok(())
 /// # }
 /// ```
@@ -205,59 +204,10 @@ impl FaultyAmMapping {
         self.mapping.diff_cells(ideal)
     }
 
-    /// Associative search on the faulty arrays.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ImcError::QueryDimensionMismatch`] on a bad query width.
-    pub fn search(&self, query: &BitVector) -> Result<InferenceStats> {
-        self.mapping.search(query)
-    }
-
-    /// Batched associative search on the faulty arrays (the preferred
-    /// path for accuracy sweeps over whole test sets).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ImcError::QueryDimensionMismatch`] on a bad batch width.
-    pub fn search_batch(
-        &self,
-        batch: &hd_linalg::QueryBatch,
-    ) -> Result<crate::mapping::BatchInferenceStats> {
-        self.mapping.search_batch(batch)
-    }
-
-    /// Batched top-k associative search on the faulty arrays.
-    ///
-    /// # Errors
-    ///
-    /// As [`AmMapping::search_batch_topk`].
-    pub fn search_batch_topk(
-        &self,
-        batch: &hd_linalg::QueryBatch,
-        k: usize,
-    ) -> Result<crate::mapping::TopKBatchStats> {
-        self.mapping.search_batch_topk(batch, k)
-    }
-
-    /// Batched cascade search on the faulty arrays: predictions are
-    /// bit-exact against [`FaultyAmMapping::search_batch`] on the same
-    /// perturbed cells (fault injection invalidates any cascade bound
-    /// artifacts cached before the flips, so the pruning bound always
-    /// describes the bits actually programmed).
-    ///
-    /// # Errors
-    ///
-    /// As [`AmMapping::search_batch_cascade`].
-    pub fn search_batch_cascade(
-        &self,
-        batch: &hd_linalg::QueryBatch,
-        plan: &hd_linalg::CascadePlan,
-    ) -> Result<crate::mapping::CascadeBatchStats> {
-        self.mapping.search_batch_cascade(batch, plan)
-    }
-
-    /// The underlying (perturbed) mapping.
+    /// The underlying (perturbed) mapping: every search on the faulty
+    /// arrays runs on it. Fault injection invalidates any cascade bound
+    /// artifacts cached before the flips, so a cascade's pruning bound
+    /// always describes the bits actually programmed.
     pub fn as_mapping(&self) -> &AmMapping {
         &self.mapping
     }
@@ -273,6 +223,7 @@ impl FaultyAmMapping {
 mod tests {
     use super::*;
     use crate::{ArraySpec, MappingStrategy};
+    use hd_linalg::BitVector;
     use hdc::BinaryAm;
 
     fn small_am(dim: usize, seed: u64) -> BinaryAm {
@@ -298,7 +249,10 @@ mod tests {
         let mut rng = seeded(3);
         let bits: Vec<bool> = (0..96).map(|_| rng.gen()).collect();
         let q = BitVector::from_bools(&bits);
-        assert_eq!(faulty.search(&q).unwrap().scores, ideal.search(&q).unwrap().scores);
+        assert_eq!(
+            faulty.as_mapping().search(&q).unwrap().scores,
+            ideal.search(&q).unwrap().scores
+        );
     }
 
     #[test]
@@ -325,7 +279,7 @@ mod tests {
         let faulty = FaultyAmMapping::program(&ideal, model, 5).unwrap();
         // Every query now scores popcount(query) against every centroid.
         let q = BitVector::from_bools(&[true; 64]);
-        let scores = faulty.search(&q).unwrap().scores;
+        let scores = faulty.as_mapping().search(&q).unwrap().scores;
         assert!(scores.iter().all(|&s| s == 64));
     }
 
@@ -337,7 +291,10 @@ mod tests {
         let mut rng = seeded(6);
         let bits: Vec<bool> = (0..128).map(|_| rng.gen()).collect();
         let q = BitVector::from_bools(&bits);
-        assert_eq!(a.search(&q).unwrap().scores, b.search(&q).unwrap().scores);
+        assert_eq!(
+            a.as_mapping().search(&q).unwrap().scores,
+            b.as_mapping().search(&q).unwrap().scores
+        );
         assert_eq!(a.flipped_cells(), b.flipped_cells());
     }
 
@@ -352,12 +309,12 @@ mod tests {
         let mut rng = seeded(8);
         let bits: Vec<bool> = (0..256).map(|_| rng.gen()).collect();
         let q = BitVector::from_bools(&bits);
-        let before = first.search(&q).unwrap().scores.clone();
-        let _ = degraded.search(&q).unwrap();
-        assert_eq!(first.search(&q).unwrap().scores, before);
+        let before = first.as_mapping().search(&q).unwrap().scores.clone();
+        let _ = degraded.as_mapping().search(&q).unwrap();
+        assert_eq!(first.as_mapping().search(&q).unwrap().scores, before);
         // Zero-rate injection is an identity on the cells.
         let same = first.inject(FaultModel::ideal(), 9).unwrap();
-        assert_eq!(same.search(&q).unwrap().scores, before);
+        assert_eq!(same.as_mapping().search(&q).unwrap().scores, before);
         assert_eq!(same.flipped_cells(), first.flipped_cells());
     }
 
@@ -398,8 +355,8 @@ mod tests {
             let mut faulty =
                 FaultyAmMapping::program(&ideal, FaultModel::bit_flip(0.2), 13).unwrap();
             for round in 0..2 {
-                let exact = faulty.search_batch(&batch).unwrap();
-                let cascade = faulty.search_batch_cascade(&batch, &plan).unwrap();
+                let exact = faulty.as_mapping().search_batch(&batch).unwrap();
+                let cascade = faulty.as_mapping().search_batch_cascade(&batch, &plan).unwrap();
                 assert_eq!(
                     cascade.predicted_rows, exact.predicted_rows,
                     "{strategy:?} round {round}: cascade must track the faulty bits"

@@ -33,6 +33,34 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Implements [`hd_linalg::LabeledMemory`] for a mapping wrapper by
+/// delegating to the [`AmMapping`] its searches read.
+macro_rules! labeled_via_mapping {
+    ($($ty:ty => $mapping:ident),* $(,)?) => {$(
+        impl hd_linalg::LabeledMemory for $ty {
+            fn dim(&self) -> usize {
+                self.$mapping().dim()
+            }
+
+            fn rows(&self) -> usize {
+                self.$mapping().num_vectors()
+            }
+
+            fn class_of(&self, row: usize) -> usize {
+                hd_linalg::LabeledMemory::class_of(self.$mapping(), row)
+            }
+
+            fn topk(
+                &self,
+                batch: &hd_linalg::QueryBatch,
+                k: usize,
+            ) -> hd_linalg::Result<hd_linalg::TopK> {
+                hd_linalg::LabeledMemory::topk(self.$mapping(), batch, k)
+            }
+        }
+    )*};
+}
+
 mod adc;
 mod energy;
 mod error;
@@ -55,3 +83,5 @@ pub use replicate::ReplicatedAmMapping;
 pub use scrub::{ScrubConfig, ScrubReport, Scrubber};
 pub use spec::{tile_grid, ArraySpec, TileGrid};
 pub use system::{batch_system_report, system_report, BatchSystemReport, SystemReport};
+
+labeled_via_mapping!(FaultyAmMapping => as_mapping, ReplicatedAmMapping => majority_mapping);

@@ -11,8 +11,8 @@ use crate::energy::EnergyModel;
 use crate::error::{ImcError, Result};
 use crate::spec::{tile_grid, ArraySpec};
 use hd_linalg::{
-    BitMatrix, BitVector, CascadePlan, CascadeStats, QueryBatch, ScoreMatrix, SearchMemory,
-    SegmentedCascade,
+    BitMatrix, BitVector, CascadePlan, CascadeStats, CascadeTopK, LabeledMemory, QueryBatch,
+    ScoreMatrix, SearchMemory, SegmentedCascade, TopK,
 };
 use hdc::{BinaryAm, SearchHit};
 use std::sync::{Arc, Mutex};
@@ -248,7 +248,8 @@ pub struct AmMapping {
     /// once instead of per batch.
     partitions: Vec<SearchMemory>,
     /// Most-recent partitioned cascade handle (the logical row-suffix
-    /// table), keyed by its plan. Rebuilt when a different plan arrives
+    /// table), keyed by its plan — a cascade's, or the exact one-stage
+    /// plan of the fused k-best. Rebuilt when a different plan arrives
     /// and dropped whenever fault injection flips a programmed cell —
     /// basic layouts instead ride the [`SearchMemory`]-internal bound
     /// cache of their single partition.
@@ -471,11 +472,9 @@ impl AmMapping {
     /// Executes a batched **top-k** associative search on the mapped
     /// arrays: per query, the `min(k, V)` best centroids sorted by score
     /// descending then row ascending — bit-exact against stably sorting
-    /// the full [`AmMapping::search_batch`] score row. The basic layout
-    /// runs the fused bounded k-best sweep directly on its one partition;
-    /// a partitioned layout accumulates per-segment partials and selects
-    /// at the end (every column must be driven through every partition
-    /// regardless, so there is nothing for a threshold to skip).
+    /// the full [`AmMapping::search_batch`] score row. This is the
+    /// mapping's [`LabeledMemory::topk`] sweep with class labels and
+    /// cycles attached.
     ///
     /// # Errors
     ///
@@ -492,44 +491,15 @@ impl AmMapping {
                 found: batch.dim(),
             });
         }
-        let q = batch.len();
-        let hits = if self.partitions.len() == 1 {
-            let raw = self.partitions[0]
-                .topk_batch(batch, k)
-                .expect("dimensions validated above and mappings store at least one vector");
-            (0..raw.len())
-                .map(|i| {
-                    raw.hits(i)
-                        .iter()
-                        .map(|&(row, score)| SearchHit { row, class: self.classes[row], score })
-                        .collect()
-                })
-                .collect()
-        } else {
-            let mut scores = ScoreMatrix::zeros(q, self.num_vectors);
-            let seg_batches =
-                batch.segments(self.seg_len).expect("mapping width is partitions x seg_len");
-            let mut scratch = ScoreMatrix::zeros(0, 0);
-            for (part, memory) in self.partitions.iter().enumerate() {
-                memory
-                    .dot_batch_into(&seg_batches[part], &mut scratch)
-                    .expect("segment width matches partition matrix");
-                for i in 0..q {
-                    let partials = scratch.scores(i);
-                    for (dst, &s) in scores.scores_mut(i).iter_mut().zip(partials) {
-                        *dst += s;
-                    }
-                }
-            }
-            (0..q)
-                .map(|i| {
-                    select_topk(scores.scores(i), k)
-                        .into_iter()
-                        .map(|(row, score)| SearchHit { row, class: self.classes[row], score })
-                        .collect()
-                })
-                .collect()
-        };
+        let raw = self.topk(batch, k).expect("k and dimensions validated above");
+        let hits = (0..raw.len())
+            .map(|i| {
+                raw.hits(i)
+                    .iter()
+                    .map(|&(row, score)| SearchHit { row, class: self.classes[row], score })
+                    .collect()
+            })
+            .collect();
         Ok(TopKBatchStats { hits, cycles_per_query: self.stats().cycles })
     }
 
@@ -933,24 +903,31 @@ impl AmMapping {
     }
 }
 
-/// Bounded k-best selection over one query's score row: scan rows
-/// ascending, keep a sorted slate of the `min(k, rows)` best. Equal
-/// scores insert after their peers, so the ascending scan yields the
-/// workspace tie-break (score descending, then row ascending) exactly.
-fn select_topk(scores: &[u32], k: usize) -> Vec<(usize, u32)> {
-    let k = k.min(scores.len());
-    let mut slots: Vec<(usize, u32)> = Vec::with_capacity(k);
-    for (row, &score) in scores.iter().enumerate() {
-        if slots.len() == k {
-            if score <= slots[k - 1].1 {
-                continue;
-            }
-            slots.pop();
-        }
-        let pos = slots.partition_point(|&(_, s)| s >= score);
-        slots.insert(pos, (row, score));
+/// The mapped arrays as a labelled memory: one fused k-best sweep, with
+/// no `Q × V` score matrix. The basic layout sweeps its one partition;
+/// a partitioned layout runs a one-stage segmented pass, which sums the
+/// partitions' lane counts per row block before selecting (through the
+/// same cached handle as [`AmMapping::search_batch_cascade`]).
+impl LabeledMemory for AmMapping {
+    fn dim(&self) -> usize {
+        self.dim
     }
-    slots
+
+    fn rows(&self) -> usize {
+        self.num_vectors
+    }
+
+    fn class_of(&self, row: usize) -> usize {
+        self.classes[row]
+    }
+
+    fn topk(&self, batch: &QueryBatch, k: usize) -> hd_linalg::Result<TopK> {
+        if self.partitions.len() == 1 {
+            return self.partitions[0].topk_batch(batch, k);
+        }
+        let bound = self.segmented_bound(&CascadePlan::exact(self.dim));
+        bound.search_topk(&self.partitions, batch, k).map(CascadeTopK::into_topk)
+    }
 }
 
 #[cfg(test)]

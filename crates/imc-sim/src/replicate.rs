@@ -18,11 +18,9 @@
 
 use crate::error::{ImcError, Result};
 use crate::faults::{FaultModel, FaultyAmMapping};
-use crate::mapping::{
-    AmMapping, BatchInferenceStats, CascadeBatchStats, InferenceStats, TopKBatchStats,
-};
+use crate::mapping::AmMapping;
 use hd_linalg::rng::derive_seed;
-use hd_linalg::{BitMatrix, BitVector};
+use hd_linalg::BitMatrix;
 
 /// An associative memory programmed onto `R` independently-faulted
 /// replica arrays, searched through their bitwise-majority readout.
@@ -45,7 +43,7 @@ use hd_linalg::{BitMatrix, BitVector};
 /// ])?;
 /// let ideal = AmMapping::new(&am, ArraySpec::default(), MappingStrategy::Basic)?;
 /// let replicated = ReplicatedAmMapping::program(&ideal, FaultModel::bit_flip(0.05), 3, 7)?;
-/// let hit = replicated.search(&BitVector::from_bools(&[true; 64]))?;
+/// let hit = replicated.majority_mapping().search(&BitVector::from_bools(&[true; 64]))?;
 /// assert_eq!(hit.predicted_class, 0);
 /// # Ok(())
 /// # }
@@ -136,54 +134,6 @@ impl ReplicatedAmMapping {
     pub fn residual_flipped(&self, ideal: &AmMapping) -> Result<usize> {
         self.majority.diff_cells(ideal)
     }
-
-    /// Associative search on the majority readout.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ImcError::QueryDimensionMismatch`] on a bad query width.
-    pub fn search(&self, query: &BitVector) -> Result<InferenceStats> {
-        self.majority.search(query)
-    }
-
-    /// Batched associative search on the majority readout. Partitioned
-    /// layouts reuse the batch's cached per-segment views
-    /// ([`hd_linalg::QueryBatch::segments`]) through the underlying
-    /// [`AmMapping`], so repeated batches pay no per-call re-pack.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ImcError::QueryDimensionMismatch`] on a bad batch width.
-    pub fn search_batch(&self, batch: &hd_linalg::QueryBatch) -> Result<BatchInferenceStats> {
-        self.majority.search_batch(batch)
-    }
-
-    /// Batched top-k associative search on the majority readout.
-    ///
-    /// # Errors
-    ///
-    /// As [`AmMapping::search_batch_topk`].
-    pub fn search_batch_topk(
-        &self,
-        batch: &hd_linalg::QueryBatch,
-        k: usize,
-    ) -> Result<TopKBatchStats> {
-        self.majority.search_batch_topk(batch, k)
-    }
-
-    /// Batched cascade search on the majority readout, bit-exact against
-    /// [`ReplicatedAmMapping::search_batch`].
-    ///
-    /// # Errors
-    ///
-    /// As [`AmMapping::search_batch_cascade`].
-    pub fn search_batch_cascade(
-        &self,
-        batch: &hd_linalg::QueryBatch,
-        plan: &hd_linalg::CascadePlan,
-    ) -> Result<CascadeBatchStats> {
-        self.majority.search_batch_cascade(batch, plan)
-    }
 }
 
 #[cfg(test)]
@@ -191,6 +141,7 @@ mod tests {
     use super::*;
     use crate::{ArraySpec, MappingStrategy};
     use hd_linalg::rng::seeded;
+    use hd_linalg::BitVector;
     use hdc::BinaryAm;
     use rand::Rng;
 
@@ -267,11 +218,11 @@ mod tests {
             .map(|_| BitVector::from_bools(&(0..512).map(|_| rng.gen()).collect::<Vec<_>>()))
             .collect();
         let batch = QueryBatch::from_vectors(&queries).unwrap();
-        let exact = rep.search_batch(&batch).unwrap();
+        let exact = rep.majority_mapping().search_batch(&batch).unwrap();
         let plan = CascadePlan::prefix(512, 128).unwrap();
-        let cascade = rep.search_batch_cascade(&batch, &plan).unwrap();
+        let cascade = rep.majority_mapping().search_batch_cascade(&batch, &plan).unwrap();
         assert_eq!(cascade.predicted_rows, exact.predicted_rows);
-        let topk = rep.search_batch_topk(&batch, 1).unwrap();
+        let topk = rep.majority_mapping().search_batch_topk(&batch, 1).unwrap();
         for (q, hits) in topk.hits.iter().enumerate() {
             assert_eq!(hits[0].row, exact.predicted_rows[q]);
         }

@@ -353,13 +353,13 @@ mod tests {
         let plan = CascadePlan::prefix(512, 128).unwrap();
         // Warm the faulty mapping's cascade bound cache, then repair: the
         // repair must invalidate it or pruning would use stale bounds.
-        let _ = deployed.search_batch_cascade(&batch, &plan).unwrap();
+        let _ = deployed.as_mapping().search_batch_cascade(&batch, &plan).unwrap();
         scrubber.scrub_full(&mut deployed).unwrap();
         let exact = golden.search_batch(&batch).unwrap();
-        let cascade = deployed.search_batch_cascade(&batch, &plan).unwrap();
+        let cascade = deployed.as_mapping().search_batch_cascade(&batch, &plan).unwrap();
         assert_eq!(cascade.predicted_rows, exact.predicted_rows);
         assert_eq!(cascade.predicted_classes, exact.predicted_classes);
-        let repaired_exact = deployed.search_batch(&batch).unwrap();
+        let repaired_exact = deployed.as_mapping().search_batch(&batch).unwrap();
         assert_eq!(repaired_exact.predicted_rows, exact.predicted_rows);
     }
 

@@ -120,19 +120,19 @@ proptest! {
             FaultyAmMapping::program(&golden, FaultModel::bit_flip(ber), seed).unwrap();
         // Warm the corrupted mapping's cascade bound cache so the repair
         // path must invalidate it.
-        let _ = deployed.search_batch_cascade(&batch, &plan).unwrap();
+        let _ = deployed.as_mapping().search_batch_cascade(&batch, &plan).unwrap();
         let corrupted = deployed.effective_flipped(&golden).unwrap();
         let report = scrubber.scrub_full(&mut deployed).unwrap();
         prop_assert_eq!(report.cells_healed, corrupted);
         prop_assert_eq!(deployed.effective_flipped(&golden).unwrap(), 0);
 
         let exact = golden.search_batch(&batch).unwrap();
-        let cascade = deployed.search_batch_cascade(&batch, &plan).unwrap();
+        let cascade = deployed.as_mapping().search_batch_cascade(&batch, &plan).unwrap();
         prop_assert_eq!(&cascade.predicted_rows, &exact.predicted_rows);
         prop_assert_eq!(&cascade.predicted_classes, &exact.predicted_classes);
 
         let golden_topk = golden.search_batch_topk(&batch, 3).unwrap();
-        let repaired_topk = deployed.search_batch_topk(&batch, 3).unwrap();
+        let repaired_topk = deployed.as_mapping().search_batch_topk(&batch, 3).unwrap();
         for (g, r) in golden_topk.hits.iter().zip(&repaired_topk.hits) {
             for (gh, rh) in g.iter().zip(r) {
                 prop_assert_eq!(gh.row, rh.row);
@@ -199,9 +199,9 @@ fn replication_recovers_accuracy_at_ber_5e2() {
     let ideal = accuracy(&golden.search_batch(&batch).unwrap().predicted_classes);
     let model = FaultModel::bit_flip(0.05);
     let plain = FaultyAmMapping::program(&golden, model, 92).unwrap();
-    let plain_acc = accuracy(&plain.search_batch(&batch).unwrap().predicted_classes);
+    let plain_acc = accuracy(&plain.as_mapping().search_batch(&batch).unwrap().predicted_classes);
     let rep = ReplicatedAmMapping::program(&golden, model, 3, 92).unwrap();
-    let rep_acc = accuracy(&rep.search_batch(&batch).unwrap().predicted_classes);
+    let rep_acc = accuracy(&rep.majority_mapping().search_batch(&batch).unwrap().predicted_classes);
     assert!(plain_acc < 0.91 * ideal, "plain must degrade: {plain_acc} vs ideal {ideal}");
     assert!(rep_acc >= 0.90 * ideal, "R=3 must recover >=90% of ideal: {rep_acc} vs {ideal}");
 }

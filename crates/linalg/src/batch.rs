@@ -897,11 +897,6 @@ impl TopK {
     pub(crate) fn into_flat(self) -> Vec<(usize, u32)> {
         self.entries
     }
-
-    /// Consumes the results into one owned list per query.
-    pub fn into_vecs(self) -> Vec<Vec<(usize, u32)>> {
-        self.entries.chunks(self.per_query.max(1)).map(|c| c.to_vec()).collect()
-    }
 }
 
 /// Bounded k-best insertion for an **ascending-row** scan: `list[..

@@ -658,11 +658,6 @@ impl CascadeResults {
         &self.winners
     }
 
-    /// Consumes the results, yielding the winners without a copy.
-    pub fn into_winners(self) -> Vec<(usize, u32)> {
-        self.winners
-    }
-
     /// Activation telemetry of the search.
     pub fn stats(&self) -> &CascadeStats {
         &self.stats
@@ -960,7 +955,7 @@ impl std::fmt::Debug for CascadeCache {
 /// [`SearchMemory::search_cascade`] caches internally. Constructing one
 /// warms the memory's cache, pins the derived artifacts for the handle's
 /// lifetime (immune to cache eviction), and carries the `Arc` a serving
-/// thread needs — this is what `hd_serve`'s cascade adapters hold.
+/// thread needs — this is what `hd_serve`'s cascade shards hold.
 ///
 /// One-shot callers can simply call [`SearchMemory::search_cascade`]:
 /// since the cache landed there, repeated batches against the same

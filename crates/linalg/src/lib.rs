@@ -46,6 +46,11 @@
 //! calibrated [`CostModel`] (see [`calibrate`]); scalar-forced and
 //! env-pinned runs resolve to deterministic fallback constants.
 //!
+//! **Labelled memories share one search surface.** [`LabeledMemory`]
+//! (dimensionality, rows, per-row class, batched k-best) is implemented
+//! by each model crate for the types it owns; a serving layer needs
+//! nothing else.
+//!
 //! # Example
 //!
 //! ```
@@ -75,6 +80,7 @@ mod cascade;
 mod error;
 #[allow(unsafe_code)]
 pub mod kernel;
+mod labeled;
 mod matrix;
 pub mod rng;
 pub mod stats;
@@ -90,5 +96,6 @@ pub use cascade::{
     BoundCascade, CascadePlan, CascadeResults, CascadeStats, CascadeTopK, SegmentedCascade,
 };
 pub use error::{LinalgError, Result};
+pub use labeled::LabeledMemory;
 pub use matrix::Matrix;
 pub use vector::{argmax, axpy, dot, l2_norm, mean, normalize_l2, scale_in_place, variance};

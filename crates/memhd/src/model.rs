@@ -6,7 +6,7 @@ use crate::init;
 use crate::memory::MemoryReport;
 use crate::train::{quantization_aware_train, TrainOptions, TrainingHistory};
 use hd_linalg::rng::derive_seed;
-use hd_linalg::{BitVector, CascadePlan, Matrix, QueryBatch};
+use hd_linalg::{BitVector, CascadePlan, LabeledMemory, Matrix, QueryBatch, TopK};
 use hdc::{encode_dataset, BinaryAm, EncodedDataset, Encoder, FloatAm, RandomProjectionEncoder};
 
 /// A trained MEMHD classifier: binary projection encoder plus fully-utilized
@@ -397,6 +397,27 @@ impl MemhdModel {
     /// Memory requirements per Table I: EM `f × D` bits, AM `C × D` bits.
     pub fn memory_report(&self) -> MemoryReport {
         MemoryReport::new(self.encoder.memory_bits(), self.binary_am.memory_bits())
+    }
+}
+
+/// Serves the quantized AM. Queries are pre-encoded `D`-bit
+/// hypervectors: encoding stays with the caller, as the paper keeps the
+/// encoding module and the AM in separate IMC structures.
+impl LabeledMemory for MemhdModel {
+    fn dim(&self) -> usize {
+        self.binary_am.dim()
+    }
+
+    fn rows(&self) -> usize {
+        self.binary_am.num_centroids()
+    }
+
+    fn class_of(&self, row: usize) -> usize {
+        self.binary_am.class_of(row)
+    }
+
+    fn topk(&self, batch: &QueryBatch, k: usize) -> hd_linalg::Result<TopK> {
+        self.binary_am.topk(batch, k)
     }
 }
 

@@ -20,29 +20,31 @@
 //!   each pinned to a worker thread with its own pre-packed blocked
 //!   mirror; per-shard winners merge under the workspace's exact
 //!   highest-score / lowest-row tie-break.
-//! * **Cascade serving** ([`CascadeSearcher`],
-//!   [`ShardedSearcher::with_cascade`]) — batches are answered through
-//!   the progressive-precision cascade of `hd_linalg`: dimension
-//!   prefixes first, provably-losing centroids pruned, survivors
-//!   finished. Winners stay bit-identical to the exact adapters; shards
-//!   prune independently and the strict merge is unchanged.
+//! * **Cascade serving** ([`ShardedSearcher::with_cascade`], one shard
+//!   or many) — batches are answered through the progressive-precision
+//!   cascade of `hd_linalg`: dimension prefixes first, provably-losing
+//!   centroids pruned, survivors finished. Winners stay bit-identical to
+//!   the exact sweep; shards prune independently and the strict merge
+//!   is unchanged.
 //! * **Hot model swap** ([`ModelRegistry`]) — the served model lives
 //!   behind an `Arc` snapshot; [`Server::publish`] swaps generations
 //!   atomically while in-flight flushes finish on the snapshot they
 //!   hold, so a batch never mixes generations. This is the hook the
 //!   `imc_sim` fault-injection path uses to republish a degraded mapping
-//!   (see [`imc_sim::FaultyAmMapping::inject`]).
+//!   (`imc_sim::FaultyAmMapping::inject`).
 //! * **Wire front-end** ([`net::WireServer`] / [`net::WireClient`]) — a
 //!   std-only TCP / Unix-domain-socket protocol whose QUERY payload *is*
 //!   the packed batch layout, so frames land in the pending batch as one
 //!   word copy ([`Server::submit_packed`]); responses stream back
 //!   per-flush with typed error frames for malformed input.
 //!
-//! Any associative memory in the workspace plugs in through the
-//! [`Searchable`] trait: `hdc::BinaryAm`, `memhd::MemhdModel` (its
-//! quantized AM), `imc_sim::AmMapping` / `FaultyAmMapping`, the four
-//! baselines, raw `hd_linalg::SearchMemory`, or a [`ShardedSearcher`]
-//! wrapping any of their row stores.
+//! The crate depends on `hd_linalg` alone. Any associative memory
+//! plugs in through the [`Searchable`] trait, which every
+//! [`hd_linalg::LabeledMemory`] implements: raw `hd_linalg::SearchMemory`,
+//! `hdc::BinaryAm`, `memhd::MemhdModel` (its quantized AM), the four
+//! `hd_baselines` models, and `imc_sim::AmMapping` / `FaultyAmMapping` /
+//! `ReplicatedAmMapping` — each implemented in the crate that owns the
+//! type. A [`ShardedSearcher`] wraps any of their row stores.
 //!
 //! # Example
 //!
@@ -59,7 +61,8 @@
 //!     (1, BitVector::from_bools(&[false, false, true, true])),
 //! ])?;
 //! // Shard the AM's rows (2 shards) and serve with a 100 µs budget.
-//! let sharded = ShardedSearcher::from_am(&am, 2)?;
+//! let sharded =
+//!     ShardedSearcher::new(am.search_memory().clone(), am.class_labels().to_vec(), 2)?;
 //! let server = Server::start(Arc::new(sharded), ServeConfig {
 //!     max_batch: 64,
 //!     max_delay: Duration::from_micros(100),
@@ -75,7 +78,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cascade;
 mod error;
 pub mod net;
 mod registry;
@@ -83,7 +85,6 @@ mod searchable;
 mod server;
 mod shard;
 
-pub use cascade::CascadeSearcher;
 pub use error::{Result, ServeError};
 pub use registry::{Generation, ModelRegistry};
 pub use searchable::{Searchable, Winner};

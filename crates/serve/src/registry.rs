@@ -11,8 +11,8 @@
 //!   micro-batcher stress suite pins.
 //!
 //! This is the hook the `imc_sim` fault-injection path uses: program a
-//! degraded [`imc_sim::FaultyAmMapping`] off-line (e.g. via
-//! [`imc_sim::FaultyAmMapping::inject`]) and republish it mid-traffic.
+//! degraded `imc_sim::FaultyAmMapping` off-line (e.g. via
+//! `imc_sim::FaultyAmMapping::inject`) and republish it mid-traffic.
 
 use crate::error::{Result, ServeError};
 use crate::searchable::Searchable;

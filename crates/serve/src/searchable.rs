@@ -1,29 +1,21 @@
-//! The model interface the server batches over, plus adapters for every
-//! associative memory in the workspace.
+//! The model interface the server batches over.
 //!
 //! A [`Searchable`] answers a packed [`QueryBatch`] with one [`Winner`]
 //! per query. The server hands each flush a single `Arc<QueryBatch>` so
 //! sharded implementations can ship the batch to worker threads without
 //! copying; plain implementations just deref.
 //!
-//! Adapters are provided for:
-//!
-//! * [`hd_linalg::SearchMemory`] — raw row store, `class == row`;
-//! * [`hdc::BinaryAm`] — centroid rows with class labels;
-//! * [`memhd::MemhdModel`] — serves the model's quantized AM (queries are
-//!   pre-encoded `D`-bit hypervectors; encoding stays with the client,
-//!   matching the paper's architecture where the encoding module and AM
-//!   are separate IMC structures);
-//! * [`imc_sim::AmMapping`] / [`imc_sim::FaultyAmMapping`] /
-//!   [`imc_sim::ReplicatedAmMapping`] — mapped (possibly fault-injected,
-//!   possibly replicated-with-majority-readout) arrays, bit-exact
-//!   against software search;
-//! * the four baselines ([`hd_baselines::BasicHdc`],
-//!   [`hd_baselines::QuantHd`], [`hd_baselines::SearcHd`],
-//!   [`hd_baselines::LeHdc`]) via their binary AMs.
+//! Every [`hd_linalg::LabeledMemory`] is a [`Searchable`] through one
+//! blanket impl. The model crates implement that trait for their own
+//! types: `hd_linalg::SearchMemory` (`class == row`), `hdc::BinaryAm`,
+//! `memhd::MemhdModel` and the four `hd_baselines` models (their
+//! quantized AMs, queried with pre-encoded hypervectors), and
+//! `imc_sim::AmMapping` / `FaultyAmMapping` / `ReplicatedAmMapping`
+//! (mapped arrays, bit-exact against the software search).
+//! [`crate::ShardedSearcher`] implements [`Searchable`] itself.
 
 use crate::error::{Result, ServeError};
-use hd_linalg::QueryBatch;
+use hd_linalg::{LabeledMemory, QueryBatch, TopK};
 use std::sync::Arc;
 
 /// The winning centroid of one served query.
@@ -64,10 +56,9 @@ pub trait Searchable: Send + Sync {
 
     /// Answers every query with its `min(k, rows)` best rows, sorted by
     /// score descending then row ascending — the top-1 entry is exactly
-    /// the [`Searchable::search_winners`] winner. Every workspace adapter
-    /// runs the fused bounded k-best sweep
-    /// ([`hd_linalg::SearchMemory::topk_batch`] or its layer's
-    /// equivalent).
+    /// the [`Searchable::search_winners`] winner. Every
+    /// [`LabeledMemory`] runs its fused bounded k-best sweep
+    /// ([`LabeledMemory::topk`]).
     ///
     /// # Errors
     ///
@@ -86,13 +77,6 @@ pub trait Searchable: Send + Sync {
     }
 }
 
-fn check_dim(expected: usize, batch: &QueryBatch) -> Result<()> {
-    if batch.dim() != expected {
-        return Err(ServeError::DimensionMismatch { expected, found: batch.dim() });
-    }
-    Ok(())
-}
-
 pub(crate) fn check_topk(k: usize) -> Result<()> {
     if k == 0 {
         return Err(ServeError::InvalidConfig { reason: "top-k search requires k >= 1".into() });
@@ -100,225 +84,50 @@ pub(crate) fn check_topk(k: usize) -> Result<()> {
     Ok(())
 }
 
-impl Searchable for hd_linalg::SearchMemory {
+/// The typed serve checks (`k`, then width) ahead of a labelled
+/// memory's k-best sweep.
+fn labeled_topk<T: LabeledMemory>(memory: &T, batch: &QueryBatch, k: usize) -> Result<TopK> {
+    check_topk(k)?;
+    let expected = memory.dim();
+    if batch.dim() != expected {
+        return Err(ServeError::DimensionMismatch { expected, found: batch.dim() });
+    }
+    memory.topk(batch, k).map_err(|e| ServeError::Model { reason: e.to_string() })
+}
+
+/// Every labelled memory serves through its k-best sweep; the winners
+/// are its `k = 1` projection.
+impl<T: LabeledMemory> Searchable for T {
     fn dim(&self) -> usize {
-        self.cols()
+        LabeledMemory::dim(self)
     }
 
     fn rows(&self) -> usize {
-        self.rows()
+        LabeledMemory::rows(self)
     }
 
     fn search_winners(&self, batch: Arc<QueryBatch>) -> Result<Vec<Winner>> {
-        check_dim(self.cols(), &batch)?;
-        let winners =
-            self.winners_batch(&batch).map_err(|e| ServeError::Model { reason: e.to_string() })?;
-        Ok(winners.into_iter().map(|(row, score)| Winner { row, class: row, score }).collect())
-    }
-
-    fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> Result<Vec<Vec<Winner>>> {
-        check_topk(k)?;
-        check_dim(self.cols(), &batch)?;
-        let raw =
-            self.topk_batch(&batch, k).map_err(|e| ServeError::Model { reason: e.to_string() })?;
-        Ok((0..raw.len())
+        let top = labeled_topk(self, &batch, 1)?;
+        Ok((0..top.len())
             .map(|q| {
-                raw.hits(q).iter().map(|&(row, score)| Winner { row, class: row, score }).collect()
+                let (row, score) = top.hits(q)[0];
+                Winner { row, class: self.class_of(row), score }
             })
             .collect())
     }
-}
-
-impl Searchable for hdc::BinaryAm {
-    fn dim(&self) -> usize {
-        self.dim()
-    }
-
-    fn rows(&self) -> usize {
-        self.num_centroids()
-    }
-
-    fn search_winners(&self, batch: Arc<QueryBatch>) -> Result<Vec<Winner>> {
-        check_dim(self.dim(), &batch)?;
-        let winners = self
-            .search_memory()
-            .winners_batch(&batch)
-            .map_err(|e| ServeError::Model { reason: e.to_string() })?;
-        Ok(winners
-            .into_iter()
-            .map(|(row, score)| Winner { row, class: self.class_of(row), score })
-            .collect())
-    }
 
     fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> Result<Vec<Vec<Winner>>> {
-        check_topk(k)?;
-        check_dim(self.dim(), &batch)?;
-        let hits =
-            self.search_topk(&batch, k).map_err(|e| ServeError::Model { reason: e.to_string() })?;
-        Ok(hits
-            .into_iter()
-            .map(|per_query| {
-                per_query
-                    .into_iter()
-                    .map(|h| Winner { row: h.row, class: h.class, score: h.score })
+        let top = labeled_topk(self, &batch, k)?;
+        Ok((0..top.len())
+            .map(|q| {
+                top.hits(q)
+                    .iter()
+                    .map(|&(row, score)| Winner { row, class: self.class_of(row), score })
                     .collect()
             })
             .collect())
     }
 }
-
-impl Searchable for memhd::MemhdModel {
-    fn dim(&self) -> usize {
-        self.binary_am().dim()
-    }
-
-    fn rows(&self) -> usize {
-        self.binary_am().num_centroids()
-    }
-
-    fn search_winners(&self, batch: Arc<QueryBatch>) -> Result<Vec<Winner>> {
-        self.binary_am().search_winners(batch)
-    }
-
-    fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> Result<Vec<Vec<Winner>>> {
-        Searchable::search_topk(self.binary_am(), batch, k)
-    }
-}
-
-/// Projects a mapped batch search's results into per-query [`Winner`]s
-/// (shared by the ideal and fault-injected mapping adapters).
-fn winners_from_mapped(stats: &imc_sim::BatchInferenceStats) -> Vec<Winner> {
-    (0..stats.len())
-        .map(|q| {
-            let row = stats.predicted_rows[q];
-            Winner { row, class: stats.predicted_classes[q], score: stats.scores.scores(q)[row] }
-        })
-        .collect()
-}
-
-/// Projects a mapped top-k search's results into per-query [`Winner`]
-/// lists (shared by the ideal and fault-injected mapping adapters).
-fn topk_from_mapped(stats: imc_sim::TopKBatchStats) -> Vec<Vec<Winner>> {
-    stats
-        .hits
-        .into_iter()
-        .map(|per_query| {
-            per_query
-                .into_iter()
-                .map(|h| Winner { row: h.row, class: h.class, score: h.score })
-                .collect()
-        })
-        .collect()
-}
-
-impl Searchable for imc_sim::AmMapping {
-    fn dim(&self) -> usize {
-        self.dim()
-    }
-
-    fn rows(&self) -> usize {
-        self.num_vectors()
-    }
-
-    fn search_winners(&self, batch: Arc<QueryBatch>) -> Result<Vec<Winner>> {
-        check_dim(self.dim(), &batch)?;
-        let stats =
-            self.search_batch(&batch).map_err(|e| ServeError::Model { reason: e.to_string() })?;
-        Ok(winners_from_mapped(&stats))
-    }
-
-    fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> Result<Vec<Vec<Winner>>> {
-        check_topk(k)?;
-        check_dim(self.dim(), &batch)?;
-        let stats = self
-            .search_batch_topk(&batch, k)
-            .map_err(|e| ServeError::Model { reason: e.to_string() })?;
-        Ok(topk_from_mapped(stats))
-    }
-}
-
-impl Searchable for imc_sim::FaultyAmMapping {
-    fn dim(&self) -> usize {
-        self.as_mapping().dim()
-    }
-
-    fn rows(&self) -> usize {
-        Searchable::rows(self.as_mapping())
-    }
-
-    fn search_winners(&self, batch: Arc<QueryBatch>) -> Result<Vec<Winner>> {
-        check_dim(Searchable::dim(self.as_mapping()), &batch)?;
-        let stats =
-            self.search_batch(&batch).map_err(|e| ServeError::Model { reason: e.to_string() })?;
-        Ok(winners_from_mapped(&stats))
-    }
-
-    fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> Result<Vec<Vec<Winner>>> {
-        check_topk(k)?;
-        check_dim(Searchable::dim(self.as_mapping()), &batch)?;
-        let stats = self
-            .search_batch_topk(&batch, k)
-            .map_err(|e| ServeError::Model { reason: e.to_string() })?;
-        Ok(topk_from_mapped(stats))
-    }
-}
-
-impl Searchable for imc_sim::ReplicatedAmMapping {
-    fn dim(&self) -> usize {
-        self.majority_mapping().dim()
-    }
-
-    fn rows(&self) -> usize {
-        Searchable::rows(self.majority_mapping())
-    }
-
-    fn search_winners(&self, batch: Arc<QueryBatch>) -> Result<Vec<Winner>> {
-        check_dim(Searchable::dim(self.majority_mapping()), &batch)?;
-        let stats =
-            self.search_batch(&batch).map_err(|e| ServeError::Model { reason: e.to_string() })?;
-        Ok(winners_from_mapped(&stats))
-    }
-
-    fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> Result<Vec<Vec<Winner>>> {
-        check_topk(k)?;
-        check_dim(Searchable::dim(self.majority_mapping()), &batch)?;
-        let stats = self
-            .search_batch_topk(&batch, k)
-            .map_err(|e| ServeError::Model { reason: e.to_string() })?;
-        Ok(topk_from_mapped(stats))
-    }
-}
-
-/// Implements [`Searchable`] for a baseline model by delegating to its
-/// quantized AM.
-macro_rules! baseline_searchable {
-    ($($ty:ty),* $(,)?) => {$(
-        impl Searchable for $ty {
-            fn dim(&self) -> usize {
-                self.binary_am().dim()
-            }
-
-            fn rows(&self) -> usize {
-                self.binary_am().num_centroids()
-            }
-
-            fn search_winners(&self, batch: Arc<QueryBatch>) -> Result<Vec<Winner>> {
-                self.binary_am().search_winners(batch)
-            }
-
-            fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> Result<Vec<Vec<Winner>>> {
-                Searchable::search_topk(self.binary_am(), batch, k)
-            }
-        }
-    )*};
-}
-
-baseline_searchable!(
-    hd_baselines::BasicHdc,
-    hd_baselines::QuantHd,
-    hd_baselines::SearcHd,
-    hd_baselines::LeHdc,
-);
 
 #[cfg(test)]
 mod tests {
@@ -354,6 +163,75 @@ mod tests {
         assert_eq!(Searchable::rows(&am), 2);
     }
 
+    /// `memory`'s fused k-best lists labelled by `classes`: the software
+    /// oracle every implementor must match bit for bit.
+    fn oracle(
+        memory: &SearchMemory,
+        classes: &[usize],
+        batch: &QueryBatch,
+        k: usize,
+    ) -> Vec<Vec<Winner>> {
+        let top = memory.topk_batch(batch, k).unwrap();
+        (0..top.len())
+            .map(|q| {
+                top.hits(q)
+                    .iter()
+                    .map(|&(row, score)| Winner { row, class: classes[row], score })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Checks `model` against the oracle over `memory` / `classes` at
+    /// k in {1, 4, rows + 1}, and that its winners are its top-1.
+    fn assert_matches_oracle(
+        name: &str,
+        model: &dyn Searchable,
+        memory: &SearchMemory,
+        classes: &[usize],
+        batch: &Arc<QueryBatch>,
+    ) {
+        assert_eq!((model.dim(), model.rows()), (memory.cols(), memory.rows()), "{name}");
+        for k in [1, 4, memory.rows() + 1] {
+            assert_eq!(
+                model.search_topk(Arc::clone(batch), k).unwrap(),
+                oracle(memory, classes, batch, k),
+                "{name}: k {k}"
+            );
+        }
+        let top1 = model.search_topk(Arc::clone(batch), 1).unwrap();
+        let winners = model.search_winners(Arc::clone(batch)).unwrap();
+        assert_eq!(winners.len(), top1.len(), "{name}");
+        for (q, (w, slate)) in winners.iter().zip(&top1).enumerate() {
+            assert_eq!(slate.as_slice(), [*w], "{name}: query {q}");
+        }
+        assert!(
+            matches!(
+                model.search_topk(Arc::clone(batch), 0),
+                Err(ServeError::InvalidConfig { .. })
+            ),
+            "{name}"
+        );
+    }
+
+    /// Six random 96-bit centroids over three classes, plus five queries.
+    fn random_am(seed: u64) -> (hdc::BinaryAm, Arc<QueryBatch>) {
+        use hd_linalg::rng::seeded;
+        use rand::Rng;
+        let mut rng = seeded(seed);
+        let centroids: Vec<(usize, BitVector)> = (0..6)
+            .map(|v| {
+                let b: Vec<bool> = (0..96).map(|_| rng.gen()).collect();
+                (v % 3, BitVector::from_bools(&b))
+            })
+            .collect();
+        let am = hdc::BinaryAm::from_centroids(3, centroids).unwrap();
+        let queries: Vec<BitVector> = (0..5)
+            .map(|_| BitVector::from_bools(&(0..96).map(|_| rng.gen()).collect::<Vec<_>>()))
+            .collect();
+        (am, Arc::new(QueryBatch::from_vectors(&queries).unwrap()))
+    }
+
     #[test]
     fn adapters_agree_on_topk() {
         let mem = SearchMemory::from_rows(&[
@@ -378,30 +256,42 @@ mod tests {
         // The top-1 entry is the argmax winner.
         let top1 = Searchable::search_topk(&mem, Arc::clone(&batch), 1).unwrap();
         assert_eq!(vec![top1[0][0]], mem.search_winners(batch).unwrap());
+
+        // Every software implementor agrees with the fused sweep over its
+        // own rows and labels.
+        let (am, batch) = random_am(9);
+        let memory = am.search_memory();
+        let rows: Vec<usize> = (0..memory.rows()).collect();
+        assert_matches_oracle("SearchMemory", memory, memory, &rows, &batch);
+        assert_matches_oracle("BinaryAm", &am, memory, am.class_labels(), &batch);
+        let features = hd_linalg::Matrix::from_rows(&[
+            &[0.9f32, 0.1, 0.9, 0.1][..],
+            &[0.1, 0.9, 0.1, 0.9][..],
+            &[0.5, 0.5, 0.9, 0.9][..],
+        ])
+        .unwrap();
+        let basic = hd_baselines::BasicHdc::fit(96, &features, &[0, 1, 2], 3, 42).unwrap();
+        let base_am = basic.binary_am();
+        let base_memory = base_am.search_memory();
+        assert_matches_oracle("BasicHdc", &basic, base_memory, base_am.class_labels(), &batch);
     }
 
     #[test]
     fn mapping_adapter_topk_matches_am_topk() {
-        use hd_linalg::rng::seeded;
-        use rand::Rng;
-        let mut rng = seeded(9);
-        let centroids: Vec<(usize, BitVector)> = (0..6)
-            .map(|v| {
-                let b: Vec<bool> = (0..96).map(|_| rng.gen()).collect();
-                (v % 3, BitVector::from_bools(&b))
-            })
-            .collect();
-        let am = hdc::BinaryAm::from_centroids(3, centroids).unwrap();
-        let queries: Vec<BitVector> = (0..5)
-            .map(|_| BitVector::from_bools(&(0..96).map(|_| rng.gen()).collect::<Vec<_>>()))
-            .collect();
-        let batch = Arc::new(QueryBatch::from_vectors(&queries).unwrap());
+        use imc_sim::{
+            AmMapping, ArraySpec, FaultModel, FaultyAmMapping, MappingStrategy, ReplicatedAmMapping,
+        };
+        let (am, batch) = random_am(9);
+        let map = |strategy| AmMapping::new(&am, ArraySpec::default(), strategy).unwrap();
+        // D = 96: the 3-way split has unaligned 32-bit segments.
         for strategy in [
-            imc_sim::MappingStrategy::Basic,
-            imc_sim::MappingStrategy::Partitioned { partitions: 2 },
+            MappingStrategy::Basic,
+            MappingStrategy::Partitioned { partitions: 2 },
+            MappingStrategy::Partitioned { partitions: 3 },
         ] {
-            let mapping =
-                imc_sim::AmMapping::new(&am, imc_sim::ArraySpec::default(), strategy).unwrap();
+            let name = format!("AmMapping {strategy:?}");
+            let mapping = map(strategy);
+            assert_matches_oracle(&name, &mapping, am.search_memory(), am.class_labels(), &batch);
             for k in [1usize, 4, 8] {
                 assert_eq!(
                     mapping.search_topk(Arc::clone(&batch), k).unwrap(),
@@ -410,6 +300,29 @@ mod tests {
                 );
             }
         }
+        // Faulted arrays answer exactly as software over the bits they
+        // actually hold.
+        let faulted_rows = |mapping: &AmMapping| {
+            let rows: Vec<BitVector> =
+                (0..mapping.num_vectors()).map(|v| mapping.logical_row(v).unwrap()).collect();
+            SearchMemory::from_rows(&rows).unwrap()
+        };
+        let ideal = map(MappingStrategy::Partitioned { partitions: 3 });
+        let faulty = FaultyAmMapping::program(&ideal, FaultModel::bit_flip(0.05), 3).unwrap();
+        assert!(faulty.effective_flipped(&ideal).unwrap() > 0);
+        let memory = faulted_rows(faulty.as_mapping());
+        assert_matches_oracle("FaultyAmMapping", &faulty, &memory, am.class_labels(), &batch);
+        let ideal = map(MappingStrategy::Partitioned { partitions: 2 });
+        let replicated =
+            ReplicatedAmMapping::program(&ideal, FaultModel::bit_flip(0.05), 3, 4).unwrap();
+        let memory = faulted_rows(replicated.majority_mapping());
+        assert_matches_oracle(
+            "ReplicatedAmMapping",
+            &replicated,
+            &memory,
+            am.class_labels(),
+            &batch,
+        );
     }
 
     #[test]

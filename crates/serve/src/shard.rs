@@ -5,17 +5,20 @@
 //! [`SearchMemory::split_rows`]); each shard owns its rows **and its own
 //! pre-packed blocked mirror**, and — when more than one shard exists —
 //! is pinned to a dedicated worker thread that lives for the searcher's
-//! lifetime. A flush sends the shared `Arc<QueryBatch>` to every worker,
-//! collects per-shard winners, and merges them in ascending-shard order
-//! with a strict `>` comparison, which reproduces the global
-//! highest-score / lowest-row tie-break exactly (the property the SIMD
-//! equivalence suite pins for the underlying kernels).
+//! lifetime. A flush sends the shared `Arc<QueryBatch>` and its `k` to
+//! every worker, collects per-shard k-best lists (`k = 1` is the
+//! winners), and merges them in ascending-shard order, where a later
+//! shard displaces an entry only on a strictly higher score — which
+//! reproduces the global highest-score / lowest-row tie-break exactly
+//! (the property the SIMD equivalence suite pins for the underlying
+//! kernels).
 //!
 //! [`ShardedSearcher::with_cascade`] runs a [`CascadePlan`] inside every
-//! shard instead of the exact sweep: shards prune independently against
-//! their own rows, and because each shard's cascade winners are
-//! bit-identical to its exact winners, the strict merge is untouched and
-//! the sharded cascade equals the unsharded search exactly.
+//! shard instead of the exact sweep — with one shard, it is the
+//! unsharded cascade searcher: shards prune independently against their
+//! own rows, and because each shard's cascade lists are bit-identical to
+//! its exact lists, the strict merge is untouched and the sharded
+//! cascade equals the unsharded search exactly.
 //!
 //! # Worker supervision
 //!
@@ -33,50 +36,29 @@
 
 use crate::error::{Result, ServeError};
 use crate::searchable::{check_topk, Searchable, Winner};
-use hd_linalg::{BoundCascade, CascadePlan, QueryBatch, SearchMemory};
+use hd_linalg::{BoundCascade, CascadePlan, CascadeTopK, QueryBatch, SearchMemory, TopK};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-/// What one flush asks each shard to compute.
-#[derive(Clone, Copy)]
-enum ShardTask {
-    /// The argmax winner per query.
-    Winners,
-    /// The `min(k, shard rows)` best rows per query.
-    TopK(usize),
-}
-
-/// A shard's answer, matching the dispatched [`ShardTask`] variant.
-enum ShardAnswer {
-    Winners(Vec<(usize, u32)>),
-    TopK(Vec<Vec<(usize, u32)>>),
-}
-
-/// One shard's per-query `(local_row, score)` winners in the merge
-/// input, `None` when the shard has degraded out.
-type ShardWinners = Option<Vec<(usize, u32)>>;
-
-/// One shard's per-query score-descending k-best lists in the merge
-/// input, `None` when the shard has degraded out.
-type ShardTopKLists = Option<Vec<Vec<(usize, u32)>>>;
-
-/// What a worker computed for one job: the shard-local answer (or the
-/// deterministic kernel failure), or the panic that killed the worker.
+/// What a worker computed for one job: the shard-local k-best lists
+/// (or the deterministic kernel failure), or the panic that killed the
+/// worker.
 enum ShardOutcome {
-    Answer(hd_linalg::Result<ShardAnswer>),
+    Answer(hd_linalg::Result<TopK>),
     Panicked(String),
 }
 
 /// What a worker posts back per job: its shard index plus the outcome.
 type ShardReply = (usize, ShardOutcome);
 
-/// One dispatched unit of shard work: the shared batch, the task, and
-/// the reply channel the worker posts a [`ShardReply`] to.
+/// One dispatched unit of shard work: the shared batch, the `k` of the
+/// shard's k-best sweep, and the reply channel the worker posts a
+/// [`ShardReply`] to.
 struct Job {
     batch: Arc<QueryBatch>,
-    task: ShardTask,
+    k: usize,
     reply: SyncSender<ShardReply>,
 }
 
@@ -144,7 +126,7 @@ fn spawn_worker(
                     {
                         panic!("injected chaos panic");
                     }
-                    shard_answer(&memory, &job.batch, cascade.as_deref(), job.task)
+                    shard_answer(&memory, &job.batch, cascade.as_deref(), job.k)
                 }));
                 match outcome {
                     Ok(answer) => {
@@ -169,42 +151,31 @@ fn spawn_worker(
     Ok((tx, handle))
 }
 
-/// Shard-local answer: the exact winners / fused top-k sweep, or the
-/// bound cascade equivalents when a plan is installed. Both paths
-/// produce bit-identical results; only the activation cost differs, and
-/// neither re-packs anything.
+/// Shard-local k-best lists: the fused sweep, or the bound cascade when
+/// a plan is installed (`k == 1` takes the winners sink either way).
+/// Both paths produce bit-identical results; only the activation cost
+/// differs, and neither re-packs anything.
 fn shard_answer(
     memory: &SearchMemory,
     batch: &QueryBatch,
     cascade: Option<&BoundCascade>,
-    task: ShardTask,
-) -> hd_linalg::Result<ShardAnswer> {
-    match (task, cascade) {
-        (ShardTask::Winners, Some(bound)) => {
-            bound.search(batch).map(|r| ShardAnswer::Winners(r.into_winners()))
-        }
-        (ShardTask::Winners, None) => memory.winners_batch(batch).map(ShardAnswer::Winners),
-        (ShardTask::TopK(k), Some(bound)) => {
-            bound.search_topk(batch, k).map(|r| ShardAnswer::TopK(r.into_topk().into_vecs()))
-        }
-        (ShardTask::TopK(k), None) => {
-            memory.topk_batch(batch, k).map(|t| ShardAnswer::TopK(t.into_vecs()))
-        }
+    k: usize,
+) -> hd_linalg::Result<TopK> {
+    match cascade {
+        Some(bound) => bound.search_topk(batch, k).map(CascadeTopK::into_topk),
+        None => memory.topk_batch(batch, k),
     }
 }
 
 /// Rejects a shard answer whose length disagrees with the batch — the
-/// invariant the merge paths index on (`winners[q]` / `lists[q]`). The
-/// search kernels uphold it by construction; converting a violation into
-/// a typed error here means a buggy kernel degrades one request instead
-/// of panicking the calling thread (which, on a direct
-/// [`ShardedSearcher`] user outside [`crate::Server`]'s catch_unwind,
-/// would unwind into the caller).
-fn check_answer_len(answer: &ShardAnswer, queries: usize, shard: usize) -> Result<()> {
-    let got = match answer {
-        ShardAnswer::Winners(w) => w.len(),
-        ShardAnswer::TopK(lists) => lists.len(),
-    };
+/// invariant the merge indexes on (`hits(q)`). The search kernels
+/// uphold it by construction; converting a violation into a typed error
+/// here means a buggy kernel degrades one request instead of panicking
+/// the calling thread (which, on a direct [`ShardedSearcher`] user
+/// outside [`crate::Server`]'s catch_unwind, would unwind into the
+/// caller).
+fn check_answer_len(answer: &TopK, queries: usize, shard: usize) -> Result<()> {
+    let got = answer.len();
     if got != queries {
         return Err(ServeError::Model {
             reason: format!("shard {shard} answered {got} queries for a {queries}-query batch"),
@@ -365,16 +336,6 @@ impl ShardedSearcher {
         })
     }
 
-    /// Builds a sharded searcher over a [`hdc::BinaryAm`]'s centroid rows
-    /// and class labels.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedSearcher::new`].
-    pub fn from_am(am: &hdc::BinaryAm, num_shards: usize) -> Result<Self> {
-        ShardedSearcher::new(am.search_memory().clone(), am.class_labels().to_vec(), num_shards)
-    }
-
     /// Like [`ShardedSearcher::with_cascade`] but the stage plan is
     /// auto-tuned from a sample of real queries before sharding
     /// ([`CascadePlan::tuned`] on the whole memory): every shard then
@@ -396,42 +357,6 @@ impl ShardedSearcher {
         let plan = CascadePlan::tuned(&memory, sample)
             .map_err(|e| ServeError::InvalidConfig { reason: e.to_string() })?;
         Self::with_cascade(memory, classes, num_shards, plan)
-    }
-
-    /// Builds a cascade-mode sharded searcher over a [`hdc::BinaryAm`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedSearcher::with_cascade`].
-    pub fn from_am_cascade(
-        am: &hdc::BinaryAm,
-        num_shards: usize,
-        plan: CascadePlan,
-    ) -> Result<Self> {
-        ShardedSearcher::with_cascade(
-            am.search_memory().clone(),
-            am.class_labels().to_vec(),
-            num_shards,
-            plan,
-        )
-    }
-
-    /// [`ShardedSearcher::with_cascade_tuned`] over a [`hdc::BinaryAm`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedSearcher::with_cascade_tuned`].
-    pub fn from_am_cascade_tuned(
-        am: &hdc::BinaryAm,
-        num_shards: usize,
-        sample: &QueryBatch,
-    ) -> Result<Self> {
-        ShardedSearcher::with_cascade_tuned(
-            am.search_memory().clone(),
-            am.class_labels().to_vec(),
-            num_shards,
-            sample,
-        )
     }
 
     /// The cascade plan shards run, when one is installed.
@@ -497,14 +422,14 @@ impl ShardedSearcher {
         Ok(())
     }
 
-    /// Sends one `task` job for shard `idx` to its worker, respawning on
+    /// Sends one k-best job for shard `idx` to its worker, respawning on
     /// a dead channel. Returns the worker generation the job landed on,
     /// or `None` when the shard is (or just became) degraded.
     fn dispatch(
         &self,
         idx: usize,
         batch: &Arc<QueryBatch>,
-        task: ShardTask,
+        k: usize,
         reply: &SyncSender<ShardReply>,
     ) -> Option<u64> {
         let shard = &self.shards[idx];
@@ -512,7 +437,7 @@ impl ShardedSearcher {
         let mut sup = sup.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             let sender = sup.jobs.as_ref()?;
-            let job = Job { batch: Arc::clone(batch), task, reply: reply.clone() };
+            let job = Job { batch: Arc::clone(batch), k, reply: reply.clone() };
             if sender.send(job).is_ok() {
                 return Some(sup.generation);
             }
@@ -564,11 +489,11 @@ impl ShardedSearcher {
         self.respawn_locked(idx, &mut sup)
     }
 
-    /// Runs `task` on every shard — inline when no workers exist, else
-    /// fanned out to the pinned workers under death-and-respawn
-    /// supervision — and collects the answers in shard order. A degraded
-    /// shard yields `None`; the merge then answers exactly over the
-    /// surviving rows.
+    /// Runs the k-best sweep on every shard — inline when no workers
+    /// exist, else fanned out to the pinned workers under
+    /// death-and-respawn supervision — and collects the answers in shard
+    /// order. A degraded shard yields `None`; the merge then answers
+    /// exactly over the surviving rows.
     ///
     /// Collection is round-based: every round opens a **fresh** reply
     /// channel, dispatches the still-unanswered shards, drops its own
@@ -576,16 +501,11 @@ impl ShardedSearcher {
     /// either the worker replied, or it died and dropped the queued job
     /// (so a dead worker can never block the round). Shards whose
     /// workers died are revived (or degraded) and retried next round.
-    fn per_shard_answers(
-        &self,
-        batch: &Arc<QueryBatch>,
-        task: ShardTask,
-    ) -> Result<Vec<Option<ShardAnswer>>> {
-        let mut per_shard: Vec<Option<ShardAnswer>> =
-            (0..self.shards.len()).map(|_| None).collect();
+    fn per_shard_answers(&self, batch: &Arc<QueryBatch>, k: usize) -> Result<Vec<Option<TopK>>> {
+        let mut per_shard: Vec<Option<TopK>> = (0..self.shards.len()).map(|_| None).collect();
         if !self.has_workers() {
             for (idx, (slot, shard)) in per_shard.iter_mut().zip(&self.shards).enumerate() {
-                let answer = shard_answer(&shard.memory, batch, shard.cascade.as_deref(), task)
+                let answer = shard_answer(&shard.memory, batch, shard.cascade.as_deref(), k)
                     .map_err(|e| ServeError::Model { reason: e.to_string() })?;
                 check_answer_len(&answer, batch.len(), idx)?;
                 *slot = Some(answer);
@@ -599,7 +519,7 @@ impl ShardedSearcher {
             let (reply_tx, reply_rx) = mpsc::sync_channel(pending.len());
             let mut dispatched: Vec<(usize, u64)> = Vec::with_capacity(pending.len());
             for idx in pending.drain(..) {
-                match self.dispatch(idx, batch, task, &reply_tx) {
+                match self.dispatch(idx, batch, k, &reply_tx) {
                     Some(generation) => dispatched.push((idx, generation)),
                     None => dead[idx] = true,
                 }
@@ -637,71 +557,52 @@ impl ShardedSearcher {
         Ok(per_shard)
     }
 
-    /// Merges per-shard winners (ordered by ascending shard) into global
-    /// winners. Indexing `winners[q]` cannot panic: every present answer
-    /// was length-checked against the batch by `check_answer_len`.
-    /// Strict `>` keeps the earliest (lowest-offset) shard on
-    /// ties, and each shard's local winner already carries its own
-    /// lowest-row tie-break, so the merged winner is exactly the
-    /// unsharded one. Degraded shards (`None`) simply don't compete:
-    /// the winner is exact over the surviving rows.
-    fn merge(&self, per_shard: Vec<ShardWinners>, queries: usize) -> Vec<Winner> {
-        (0..queries)
-            .map(|q| {
-                let mut best = (0usize, 0u32);
-                let mut first = true;
-                for (shard, winners) in self.shards.iter().zip(&per_shard) {
-                    let Some(winners) = winners else { continue };
-                    let (local_row, score) = winners[q];
-                    if first || score > best.1 {
-                        best = (shard.offset + local_row, score);
-                        first = false;
-                    }
-                }
-                Winner { row: best.0, class: self.classes[best.0], score: best.1 }
-            })
-            .collect()
-    }
-
-    /// Merges per-shard k-best lists (ordered by ascending shard) into
-    /// the global k-best. Equal scores insert after their peers and
+    /// Runs the k-best sweep on every shard and merges the per-shard
+    /// lists (ordered by ascending shard) into each query's global
+    /// slate, handed to `slate` in query order. Indexing `hits(q)` cannot
+    /// panic: every present answer was length-checked against the batch
+    /// by `check_answer_len`. Equal scores insert after their peers and
     /// shards contribute in ascending-offset order (each shard list
-    /// already score-descending / local-row-ascending), so the merged
-    /// slate carries the global highest-score / lowest-row tie-break
-    /// exactly — bit-identical to the unsharded top-k. Degraded shards
-    /// (`None`) contribute nothing: the slate is exact over the
-    /// surviving rows (and may come up short of `k`).
-    fn merge_topk(
+    /// already score-descending / local-row-ascending), so the slate
+    /// carries the global highest-score / lowest-row tie-break exactly —
+    /// bit-identical to the unsharded top-k; at `k = 1` a later shard
+    /// replaces the leader only on a strictly higher score. Degraded
+    /// shards contribute nothing: the slate is exact over the surviving
+    /// rows (and may come up short of `k`).
+    fn merge(
         &self,
-        per_shard: Vec<ShardTopKLists>,
-        queries: usize,
+        batch: &Arc<QueryBatch>,
         k: usize,
-    ) -> Vec<Vec<Winner>> {
+        mut slate: impl FnMut(&[Winner]),
+    ) -> Result<()> {
+        check_topk(k)?;
+        if batch.dim() != self.dim {
+            return Err(ServeError::DimensionMismatch { expected: self.dim, found: batch.dim() });
+        }
+        let per_shard = self.per_shard_answers(batch, k)?;
         let k = k.min(self.rows);
-        (0..queries)
-            .map(|q| {
-                let mut slots: Vec<(usize, u32)> = Vec::with_capacity(k);
-                for (shard, lists) in self.shards.iter().zip(&per_shard) {
-                    let Some(lists) = lists else { continue };
-                    for &(local_row, score) in &lists[q] {
-                        if slots.len() == k {
-                            if score <= slots[k - 1].1 {
-                                // Shard lists are score-descending:
-                                // nothing later here can make the slate.
-                                break;
-                            }
-                            slots.pop();
+        let mut slots: Vec<Winner> = Vec::with_capacity(k);
+        for q in 0..batch.len() {
+            slots.clear();
+            for (shard, lists) in self.shards.iter().zip(&per_shard) {
+                let Some(lists) = lists else { continue };
+                for &(local_row, score) in lists.hits(q) {
+                    if slots.len() == k {
+                        if score <= slots[k - 1].score {
+                            // Shard lists are score-descending: nothing
+                            // later here can make the slate.
+                            break;
                         }
-                        let pos = slots.partition_point(|&(_, s)| s >= score);
-                        slots.insert(pos, (shard.offset + local_row, score));
+                        slots.pop();
                     }
+                    let row = shard.offset + local_row;
+                    let pos = slots.partition_point(|w| w.score >= score);
+                    slots.insert(pos, Winner { row, class: self.classes[row], score });
                 }
-                slots
-                    .into_iter()
-                    .map(|(row, score)| Winner { row, class: self.classes[row], score })
-                    .collect()
-            })
-            .collect()
+            }
+            slate(&slots);
+        }
+        Ok(())
     }
 }
 
@@ -715,40 +616,15 @@ impl Searchable for ShardedSearcher {
     }
 
     fn search_winners(&self, batch: Arc<QueryBatch>) -> Result<Vec<Winner>> {
-        if batch.dim() != self.dim {
-            return Err(ServeError::DimensionMismatch { expected: self.dim, found: batch.dim() });
-        }
-        let queries = batch.len();
-        let per_shard: Vec<ShardWinners> = self
-            .per_shard_answers(&batch, ShardTask::Winners)?
-            .into_iter()
-            .map(|a| {
-                a.map(|a| match a {
-                    ShardAnswer::Winners(w) => w,
-                    ShardAnswer::TopK(_) => unreachable!("winners task answered with top-k"),
-                })
-            })
-            .collect();
-        Ok(self.merge(per_shard, queries))
+        let mut winners = Vec::with_capacity(batch.len());
+        self.merge(&batch, 1, |slate| winners.push(slate[0]))?;
+        Ok(winners)
     }
 
     fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> Result<Vec<Vec<Winner>>> {
-        check_topk(k)?;
-        if batch.dim() != self.dim {
-            return Err(ServeError::DimensionMismatch { expected: self.dim, found: batch.dim() });
-        }
-        let queries = batch.len();
-        let per_shard: Vec<ShardTopKLists> = self
-            .per_shard_answers(&batch, ShardTask::TopK(k))?
-            .into_iter()
-            .map(|a| {
-                a.map(|a| match a {
-                    ShardAnswer::TopK(lists) => lists,
-                    ShardAnswer::Winners(_) => unreachable!("top-k task answered with winners"),
-                })
-            })
-            .collect();
-        Ok(self.merge_topk(per_shard, queries, k))
+        let mut slates = Vec::with_capacity(batch.len());
+        self.merge(&batch, k, |slate| slates.push(slate.to_vec()))?;
+        Ok(slates)
     }
 
     fn missing_shards(&self) -> Vec<usize> {
@@ -967,6 +843,93 @@ mod tests {
             ShardedSearcher::with_cascade(memory, classes, 2, CascadePlan::prefix(64, 16).unwrap())
                 .unwrap();
         assert!(ok.cascade_plan().is_some());
+    }
+
+    #[test]
+    fn one_shard_cascade_matches_exact() {
+        let (memory, classes) = random_memory(24, 128, 51);
+        let batch = random_batch(13, 128, 52);
+        let reference = memory.winners_batch(&batch).unwrap();
+        for plan in [
+            CascadePlan::exact(128),
+            CascadePlan::prefix(128, 32).unwrap(),
+            CascadePlan::uniform(128, 4).unwrap(),
+        ] {
+            let searcher =
+                ShardedSearcher::with_cascade(memory.clone(), classes.clone(), 1, plan).unwrap();
+            assert!(!searcher.has_workers());
+            let winners = searcher.search_winners(Arc::clone(&batch)).unwrap();
+            for (q, w) in winners.iter().enumerate() {
+                assert_eq!((w.row, w.score), reference[q]);
+                assert_eq!(w.class, classes[w.row]);
+            }
+        }
+    }
+
+    #[test]
+    fn one_shard_cascade_topk_matches_fused_sweep() {
+        let (memory, classes) = random_memory(24, 128, 61);
+        let batch = random_batch(13, 128, 62);
+        for plan in [
+            CascadePlan::exact(128),
+            CascadePlan::prefix(128, 32).unwrap(),
+            CascadePlan::uniform(128, 4).unwrap(),
+        ] {
+            let searcher =
+                ShardedSearcher::with_cascade(memory.clone(), classes.clone(), 1, plan).unwrap();
+            for k in [1usize, 4, 24, 30] {
+                let reference = memory.topk_batch(&batch, k).unwrap();
+                let lists = searcher.search_topk(Arc::clone(&batch), k).unwrap();
+                for (q, list) in lists.iter().enumerate() {
+                    let got: Vec<(usize, u32)> = list.iter().map(|w| (w.row, w.score)).collect();
+                    assert_eq!(got, reference.hits(q), "k {k}, query {q}");
+                    for w in list {
+                        assert_eq!(w.class, classes[w.row]);
+                    }
+                }
+            }
+            assert!(searcher.search_topk(Arc::clone(&batch), 0).is_err());
+            let bad = random_batch(1, 63, 63);
+            assert!(searcher.search_topk(bad, 2).is_err());
+        }
+    }
+
+    #[test]
+    fn one_shard_tuned_cascade_matches_exact() {
+        let (memory, classes) = random_memory(24, 512, 54);
+        let batch = random_batch(20, 512, 55);
+        let searcher =
+            ShardedSearcher::with_cascade_tuned(memory.clone(), classes.clone(), 1, &batch)
+                .unwrap();
+        let reference = memory.winners_batch(&batch).unwrap();
+        let winners = searcher.search_winners(Arc::clone(&batch)).unwrap();
+        for (q, w) in winners.iter().enumerate() {
+            assert_eq!((w.row, w.score), reference[q]);
+        }
+        // Empty / off-dimension samples are configuration errors.
+        let empty = QueryBatch::from_matrix(hd_linalg::BitMatrix::zeros(0, 512));
+        assert!(ShardedSearcher::with_cascade_tuned(memory.clone(), classes.clone(), 1, &empty)
+            .is_err());
+        let wrong = random_batch(1, 64, 56);
+        assert!(ShardedSearcher::with_cascade_tuned(memory, classes, 1, &wrong).is_err());
+    }
+
+    #[test]
+    fn one_shard_cascade_config_validated() {
+        let (memory, classes) = random_memory(8, 64, 53);
+        let with = |classes: &[usize], plan| {
+            ShardedSearcher::with_cascade(memory.clone(), classes.to_vec(), 1, plan)
+        };
+        assert!(with(&classes[..4], CascadePlan::exact(64)).is_err());
+        assert!(with(&classes, CascadePlan::exact(65)).is_err());
+        let ok = with(&classes, CascadePlan::prefix(64, 16).unwrap()).unwrap();
+        assert_eq!(ok.cascade_plan().map(CascadePlan::stages), Some(2));
+        assert_eq!((Searchable::dim(&ok), Searchable::rows(&ok)), (64, 8));
+        let bad = random_batch(1, 63, 57);
+        assert!(matches!(
+            ok.search_winners(bad),
+            Err(ServeError::DimensionMismatch { expected: 64, found: 63 })
+        ));
     }
 
     #[test]

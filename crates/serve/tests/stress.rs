@@ -12,7 +12,7 @@
 
 use hd_linalg::rng::seeded;
 use hd_linalg::{BitVector, CascadePlan};
-use hd_serve::{CascadeSearcher, PendingTopK, Searchable, ServeConfig, Server, ShardedSearcher};
+use hd_serve::{PendingTopK, Searchable, ServeConfig, Server, ShardedSearcher};
 use hdc::BinaryAm;
 use rand::Rng;
 use std::collections::HashMap;
@@ -33,6 +33,12 @@ fn random_am(vectors: usize, dim: usize, seed: u64) -> BinaryAm {
     BinaryAm::from_centroids(7, centroids.collect()).unwrap()
 }
 
+/// A cascade-mode searcher over `am`'s rows and labels.
+fn cascade_searcher(am: &BinaryAm, shards: usize, plan: CascadePlan) -> ShardedSearcher {
+    let (memory, classes) = (am.search_memory().clone(), am.class_labels().to_vec());
+    ShardedSearcher::with_cascade(memory, classes, shards, plan).unwrap()
+}
+
 /// Submitters on many threads, pipelining windows of single-query
 /// submissions: every query is answered and matches the direct search.
 /// Shared by the per-configuration stress tests below.
@@ -42,7 +48,9 @@ fn run_lost_queries_stress(shards: usize, config: ServeConfig, expect_coalesce: 
     const WINDOW: usize = 50;
     let dim = 128;
     let am = Arc::new(random_am(64, dim, 1));
-    let sharded = ShardedSearcher::from_am(&am, shards).unwrap();
+    let sharded =
+        ShardedSearcher::new(am.search_memory().clone(), am.class_labels().to_vec(), shards)
+            .unwrap();
     let server = Arc::new(Server::start(Arc::new(sharded) as Arc<dyn Searchable>, config).unwrap());
     let answered: Vec<usize> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
@@ -132,7 +140,7 @@ fn cascade_served_submitters_never_lose_queries() {
     let dim = 256;
     let am = Arc::new(random_am(64, dim, 7));
     let plan = CascadePlan::prefix(dim, 64).unwrap();
-    let sharded = ShardedSearcher::from_am_cascade(&am, 2, plan).unwrap();
+    let sharded = cascade_searcher(&am, 2, plan);
     assert!(sharded.cascade_plan().is_some());
     let server = Arc::new(
         Server::start(
@@ -425,8 +433,8 @@ fn cascade_swap_agrees_with_unsharded_and_never_mixes_generations() {
         )
         .unwrap();
         match variant % 3 {
-            0 => Arc::new(ShardedSearcher::from_am_cascade(&am, 3, plan.clone()).unwrap()),
-            1 => Arc::new(CascadeSearcher::from_am(&am, plan.clone()).unwrap()),
+            0 => Arc::new(cascade_searcher(&am, 3, plan.clone())),
+            1 => Arc::new(cascade_searcher(&am, 1, plan.clone())),
             _ => Arc::new(am),
         }
     };

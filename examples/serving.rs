@@ -32,7 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (0..queries.len()).map(|i| queries.query(i).to_bit_vector()).collect();
 
     // 2. Serve the model's AM, sharded across two pinned workers.
-    let sharded = ShardedSearcher::from_am(model.binary_am(), 2)?;
+    let am = model.binary_am();
+    let sharded = ShardedSearcher::new(am.search_memory().clone(), am.class_labels().to_vec(), 2)?;
     println!(
         "sharded AM: {} rows x {} bits over {} shard(s), workers: {}",
         Searchable::rows(&sharded),

@@ -28,7 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let encoded = model.encoder().encode_binary_batch(&ds.test_features)?;
     let queries: Vec<hd_linalg::BitVector> =
         (0..encoded.len()).map(|i| encoded.query(i).to_bit_vector()).collect();
-    let sharded = ShardedSearcher::from_am(model.binary_am(), 2)?;
+    let am = model.binary_am();
+    let sharded = ShardedSearcher::new(am.search_memory().clone(), am.class_labels().to_vec(), 2)?;
     let server = Arc::new(Server::start(
         Arc::new(sharded),
         ServeConfig { max_batch: 64, max_delay: Duration::from_micros(200), ..Default::default() },
