@@ -184,13 +184,9 @@ fn bench_cascade_search(c: &mut Criterion) {
         &batch,
         |b, batch| {
             b.iter(|| {
-                bound
-                    .search(batch)
-                    .expect("search")
-                    .winners()
-                    .iter()
-                    .map(|&(row, _)| am.class_of(row))
-                    .sum::<usize>()
+                let out = bound.search_topk(batch, 1).expect("search");
+                let lists = out.topk();
+                (0..lists.len()).map(|q| am.class_of(lists.hits(q)[0].0)).sum::<usize>()
             })
         },
     );
@@ -199,13 +195,9 @@ fn bench_cascade_search(c: &mut Criterion) {
         &batch,
         |b, batch| {
             b.iter(|| {
-                tuned_bound
-                    .search(batch)
-                    .expect("search")
-                    .winners()
-                    .iter()
-                    .map(|&(row, _)| am.class_of(row))
-                    .sum::<usize>()
+                let out = tuned_bound.search_topk(batch, 1).expect("search");
+                let lists = out.topk();
+                (0..lists.len()).map(|q| am.class_of(lists.hits(q)[0].0)).sum::<usize>()
             })
         },
     );
@@ -342,10 +334,9 @@ fn bench_cascade_calibrated(c: &mut Criterion) {
     let plan = CascadePlan::tuned(&mem, &batch).expect("tuned plan");
     assert!(plan.stages() > 1, "calibrated tuner must cascade here: {plan:?}");
     assert!(plan.ends()[0] <= dim / 8, "prefix should be short: {plan:?}");
-    assert_eq!(
-        mem.search_cascade(&batch, &plan).expect("cascade").winners(),
-        mem.winners_batch(&batch).expect("exact").as_slice()
-    );
+    let cascade = mem.search_cascade_topk(&batch, &plan, 1).expect("cascade");
+    let winners = mem.winners_batch(&batch).expect("exact");
+    assert!((0..batch.len()).all(|q| cascade.topk().hits(q) == [winners[q]]));
     eprintln!("cascade_calibrated: tuned plan ends {:?}", plan.ends());
 
     let mut group = c.benchmark_group("cascade_calibrated");

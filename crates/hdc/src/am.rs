@@ -623,11 +623,12 @@ impl BinaryAm {
         batch: &QueryBatch,
         plan: &CascadePlan,
     ) -> Result<CascadeSearchResults> {
-        let raw = self.vectors.search_cascade(batch, plan).map_err(cascade_error)?;
-        let hits = raw
-            .winners()
-            .iter()
-            .map(|&(row, score)| SearchHit { row, class: self.classes[row], score })
+        let raw = self.vectors.search_cascade_topk(batch, plan, 1).map_err(cascade_error)?;
+        let hits = (0..batch.len())
+            .map(|q| {
+                let (row, score) = raw.topk().hits(q)[0];
+                SearchHit { row, class: self.classes[row], score }
+            })
             .collect();
         let stats = raw.stats().clone();
         Ok(CascadeSearchResults { hits, stats })
@@ -651,8 +652,8 @@ impl BinaryAm {
         batch: &QueryBatch,
         plan: &CascadePlan,
     ) -> Result<Vec<usize>> {
-        let raw = self.vectors.search_cascade(batch, plan).map_err(cascade_error)?;
-        Ok(raw.winners().iter().map(|&(row, _)| self.classes[row]).collect())
+        let raw = self.vectors.search_cascade_topk(batch, plan, 1).map_err(cascade_error)?;
+        Ok((0..batch.len()).map(|q| self.classes[raw.topk().hits(q)[0].0]).collect())
     }
 
     /// Auto-tunes a cascade stage plan for this AM from a sample of real
@@ -707,7 +708,7 @@ impl BinaryAm {
     }
 
     /// Borrows the search-optimized memory (row-major matrix plus its
-    /// SIMD-blocked mirror when the active kernel backend uses one).
+    /// blocked layout).
     pub fn search_memory(&self) -> &SearchMemory {
         &self.vectors
     }

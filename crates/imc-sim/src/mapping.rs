@@ -545,7 +545,9 @@ impl AmMapping {
             return Err(ImcError::QueryDimensionMismatch { expected: self.dim, found: plan.dim() });
         }
         let results = if self.partitions.len() == 1 {
-            self.partitions[0].search_cascade(batch, plan).expect("dimensions validated above")
+            self.partitions[0]
+                .search_cascade_topk(batch, plan, 1)
+                .expect("dimensions validated above")
         } else {
             for (stage, &end) in plan.ends()[..plan.stages() - 1].iter().enumerate() {
                 if !end.is_multiple_of(self.seg_len) {
@@ -557,9 +559,10 @@ impl AmMapping {
                 }
             }
             let bound = self.segmented_bound(plan);
-            bound.search(&self.partitions, batch).expect("layout and plan validated above")
+            bound.search_topk(&self.partitions, batch, 1).expect("layout and plan validated above")
         };
-        let predicted_rows: Vec<usize> = results.winners().iter().map(|&(row, _)| row).collect();
+        let predicted_rows: Vec<usize> =
+            (0..batch.len()).map(|q| results.topk().hits(q)[0].0).collect();
         let predicted_classes = predicted_rows.iter().map(|&r| self.classes[r]).collect();
         let cascade = results.stats().clone();
         Ok(CascadeBatchStats {

@@ -1,22 +1,19 @@
-//! Batched associative-search kernels.
+//! Batched associative search: the query batch, the result types, and
+//! the plumbing every sweep shares.
 //!
 //! The MEMHD hardware answers *many* queries per array activation; the
-//! software analogue is a popcount sweep that amortizes every load of the
-//! memory matrix across a register-blocked tile of queries. This module is
-//! the single popcount engine of the workspace: the one-query entry points
-//! ([`BitMatrix::dot_all`], [`BitVector::dot`]) and the batched ones
-//! ([`BitMatrix::dot_batch`], [`BitMatrix::search_batch`]) all bottom out
-//! in the same word kernels, so there is exactly one implementation to
-//! test and optimize.
+//! software analogue is one sweep of a [`crate::SearchMemory`] that
+//! amortizes every load of the memory across the batch. The batched
+//! entry points ([`crate::SearchMemory::dot_batch`],
+//! [`crate::SearchMemory::topk_batch`] and their projections) all run the
+//! one blocked sweep of [`crate::blocked`]; the one-query entry points
+//! ([`BitMatrix::dot_all`], [`BitVector::dot`]) bottom out in the same
+//! flat word kernels the cascade scores lone rows with.
 //!
 //! Layout: a [`QueryBatch`] packs `Q` equal-length queries row-major (the
 //! same packing as [`BitMatrix`]); a [`ScoreMatrix`] holds the resulting
-//! `Q × R` scores with one contiguous row per query. Kernels tile over
-//! queries in blocks of [`QUERY_TILE`] so each memory-row word is loaded
-//! once per tile and feeds independent popcount accumulator chains; for
-//! the short packed rows typical of MEMHD-sized memories (≤ 8 words, i.e.
-//! `D ≤ 512`) a const-generic kernel with fully unrolled word loops
-//! removes all per-row slicing overhead.
+//! `Q × R` scores with one contiguous row per query, and a [`TopK`] the
+//! per-query k-best lists (one entry per query is the winner).
 //!
 //! With the `rayon` feature enabled, batches above a size threshold are
 //! swept in parallel query chunks (scoped threads; this offline
@@ -25,12 +22,12 @@
 //! are bit-identical with and without the feature.
 
 use crate::bits::{BitMatrix, BitVector, BitView};
-use crate::blocked::BlockedBitMatrix;
 use crate::error::{LinalgError, Result};
 use crate::kernel;
 use std::sync::{Arc, Mutex};
 
-/// Queries per register-blocked tile in the batched kernels.
+/// Query granularity of the thread chunks [`chunk_queries`] cuts a
+/// batch into.
 pub(crate) const QUERY_TILE: usize = 8;
 
 /// Minimum `Q × R` word-products before the `rayon` feature spreads a
@@ -41,13 +38,6 @@ const PARALLEL_THRESHOLD: usize = 1 << 16;
 /// beat the inline scalar loop; below this the indirect call costs more
 /// than the vectorization saves (a MEMHD-sized 128-bit row is 2 words).
 const DISPATCH_MIN_WORDS: usize = 8;
-
-/// Minimum batch size before the SIMD entry points re-pack a row-major
-/// memory into the interleaved [`BlockedBitMatrix`] layout on the fly;
-/// below this the packing cost cannot amortize and the scalar tiled
-/// kernels win. Long-lived memories should hold a
-/// [`crate::SearchMemory`], which packs once at construction.
-const MIN_PACK_QUERIES: usize = 32;
 
 /// Popcount dot product of two equal-length word slices. Routes through
 /// the active [`crate::kernel`] backend for wide slices; short slices
@@ -80,46 +70,6 @@ pub(crate) fn hamming_words(a: &[u64], b: &[u64]) -> u32 {
     }
 }
 
-/// A borrowed associative memory in either storage layout — what the
-/// batched sweeps run over. Entry points choose the representation
-/// ([`BlockedBitMatrix`] when the active backend is SIMD and the batch is
-/// large enough to amortize packing) and the query chunking of
-/// [`chunk_queries`] composes identically on top of both.
-#[derive(Clone, Copy)]
-pub(crate) enum MemoryRef<'a> {
-    /// Row-major packed rows (the scalar tiled kernels).
-    Rows(&'a BitMatrix),
-    /// Interleaved row blocks (the active backend's blocked sweep).
-    Blocked(&'a BlockedBitMatrix),
-}
-
-impl MemoryRef<'_> {
-    /// Sweeps every query of `batch` into `out` on the layout's kernels —
-    /// the row-major tiled kernels, or the active backend's blocked
-    /// sweep — in query chunks across threads under the `rayon` feature
-    /// (see [`chunk_queries`]).
-    pub(crate) fn sweep(self, batch: &QueryBatch, out: SweepOut<'_>) {
-        let words = match self {
-            MemoryRef::Rows(m) => m.rows() * m.words_per_row_pub(),
-            MemoryRef::Blocked(b) => b.rows() * b.words_per_row(),
-        };
-        chunk_queries(batch.len(), words, out, |q_offset, out| match (self, out) {
-            (MemoryRef::Blocked(b), out) => {
-                (kernel::active_table().blocked_sweep)(b, batch, q_offset, out)
-            }
-            (MemoryRef::Rows(m), SweepOut::Dot(s)) => {
-                dot_batch_kernel(m, batch, q_offset, s.queries(), s.data)
-            }
-            (MemoryRef::Rows(m), SweepOut::KBest(s)) if s.per_query == 1 => {
-                winners_rows(m, batch, q_offset, s.data)
-            }
-            (MemoryRef::Rows(m), SweepOut::KBest(s)) => {
-                topk_rows(m, batch, q_offset, s.per_query, s.data)
-            }
-        });
-    }
-}
-
 /// A flat per-query output buffer: `per_query` consecutive slots for
 /// each query, queries in order.
 pub(crate) struct Slots<'a, T> {
@@ -132,15 +82,10 @@ impl<'a, T> Slots<'a, T> {
         debug_assert!(per_query > 0 && data.len().is_multiple_of(per_query));
         Slots { data, per_query }
     }
-
-    /// Number of queries the buffer holds.
-    pub(crate) fn queries(&self) -> usize {
-        self.data.len() / self.per_query
-    }
 }
 
 /// What one batched sweep writes per query — the three sinks every
-/// layout and backend serves.
+/// backend serves.
 pub(crate) enum SweepOut<'a> {
     /// Every row's score (`rows` slots per query).
     Dot(Slots<'a, u32>),
@@ -192,10 +137,9 @@ impl QuerySplit for SweepOut<'_> {
 /// is spread across threads. Without the `rayon` feature, and for
 /// batches below [`PARALLEL_THRESHOLD`] word-products (`queries ×
 /// words_per_query`) or two query tiles, it is a single serial
-/// `run(0, parts)`. Otherwise chunks align to [`QUERY_TILE`] (so only
-/// the final chunk runs a kernel's query tail) and run on scoped
-/// threads; queries are independent and chunks own disjoint outputs, so
-/// the result is bit-identical to the serial call.
+/// `run(0, parts)`. Otherwise chunks align to [`QUERY_TILE`] and run on
+/// scoped threads; queries are independent and chunks own disjoint
+/// outputs, so the result is bit-identical to the serial call.
 pub(crate) fn chunk_queries<P: QuerySplit, R: Send>(
     queries: usize,
     words_per_query: usize,
@@ -232,9 +176,8 @@ pub(crate) fn chunk_queries<P: QuerySplit, R: Send>(
     })
 }
 
-/// Entry validation shared by every batched search on [`BitMatrix`],
-/// [`BlockedBitMatrix`] and [`crate::SearchMemory`]: the batch must be
-/// `cols` bits wide.
+/// Entry validation shared by every batched search of a
+/// [`crate::SearchMemory`]: the batch must be `cols` bits wide.
 fn check_width(op: &'static str, cols: usize, batch: &QueryBatch) -> Result<()> {
     if batch.dim() != cols {
         return Err(LinalgError::ShapeMismatch { op, expected: cols, found: batch.dim() });
@@ -695,7 +638,7 @@ pub struct ScoreMatrix {
 
 impl ScoreMatrix {
     /// Creates a zeroed `queries × rows` score matrix (reusable scratch for
-    /// [`BitMatrix::dot_batch_into`]).
+    /// [`crate::SearchMemory::dot_batch_into`]).
     pub fn zeros(queries: usize, rows: usize) -> Self {
         ScoreMatrix { queries, rows, data: vec![0; queries * rows] }
     }
@@ -837,7 +780,8 @@ impl SearchResults {
 /// every query, the `min(k, rows)` best `(row, score)` pairs sorted by
 /// score descending, ties toward the lower row — the same order a stable
 /// sort of the full score row by `(score desc, row asc)` produces, so the
-/// list's first entry IS the [`BitMatrix::winners_batch`] winner.
+/// list's first entry IS the [`crate::SearchMemory::winners_batch`]
+/// winner.
 ///
 /// Storage is one flat buffer with [`TopK::hits_per_query`] slots per
 /// query; [`TopK::hits`] slices it per query without copying.
@@ -975,382 +919,11 @@ impl BitVector {
     }
 }
 
-/// Core tiled kernel: scores `q_count` queries of `batch` starting at
-/// `q_offset` against every row of `memory`, writing row-major into `out`
-/// (`q_count × rows` values). Queries advance in tiles of [`QUERY_TILE`]
-/// so each memory word is loaded once per tile and feeds independent
-/// popcount accumulator chains (ILP), with no per-query allocation.
-///
-/// Packed-row widths up to 8 words (`D ≤ 512` — every MEMHD AM shape)
-/// dispatch to a const-generic kernel whose word loops unroll completely;
-/// wider memories take the generic sliced path, where per-word popcounts
-/// dominate anyway.
-fn dot_batch_kernel(
-    memory: &BitMatrix,
-    batch: &QueryBatch,
-    q_offset: usize,
-    q_count: usize,
-    out: &mut [u32],
-) {
-    debug_assert_eq!(out.len(), q_count * memory.rows());
-    match memory.words_per_row_pub() {
-        1 => kernel_fixed::<1>(memory, batch, q_offset, q_count, out),
-        2 => kernel_fixed::<2>(memory, batch, q_offset, q_count, out),
-        3 => kernel_fixed::<3>(memory, batch, q_offset, q_count, out),
-        4 => kernel_fixed::<4>(memory, batch, q_offset, q_count, out),
-        5 => kernel_fixed::<5>(memory, batch, q_offset, q_count, out),
-        6 => kernel_fixed::<6>(memory, batch, q_offset, q_count, out),
-        7 => kernel_fixed::<7>(memory, batch, q_offset, q_count, out),
-        8 => kernel_fixed::<8>(memory, batch, q_offset, q_count, out),
-        _ => kernel_generic(memory, batch, q_offset, q_count, out),
-    }
-}
-
-/// Splits the output block of one query tile into per-query score rows.
-#[inline]
-fn tile_outputs(out: &mut [u32], q: usize, rows: usize) -> [&mut [u32]; QUERY_TILE] {
-    let mut chunks = out[q * rows..(q + QUERY_TILE) * rows].chunks_exact_mut(rows);
-    std::array::from_fn(|_| chunks.next().expect("tile output block is QUERY_TILE rows"))
-}
-
-/// Fixed-width kernel: `W` = packed words per memory row, known at compile
-/// time so the per-row word loop unrolls into straight-line popcounts and
-/// the tile's query words live in registers across the whole row sweep.
-fn kernel_fixed<const W: usize>(
-    memory: &BitMatrix,
-    batch: &QueryBatch,
-    q_offset: usize,
-    q_count: usize,
-    out: &mut [u32],
-) {
-    let rows = memory.rows();
-    let words = memory.data_words_pub();
-    debug_assert_eq!(words.len(), rows * W);
-    let mut q = 0usize;
-    while q + QUERY_TILE <= q_count {
-        let mut qw = [[0u64; W]; QUERY_TILE];
-        for (j, qj) in qw.iter_mut().enumerate() {
-            qj.copy_from_slice(&batch.query_words(q_offset + q + j)[..W]);
-        }
-        let mut outs = tile_outputs(out, q, rows);
-        for (r, rw) in words.chunks_exact(W).enumerate() {
-            let mut acc = [0u32; QUERY_TILE];
-            for i in 0..W {
-                let w = rw[i];
-                for (a, qj) in acc.iter_mut().zip(&qw) {
-                    *a += (w & qj[i]).count_ones();
-                }
-            }
-            for (o, a) in outs.iter_mut().zip(acc) {
-                o[r] = a;
-            }
-        }
-        q += QUERY_TILE;
-    }
-    kernel_tail(memory, batch, q_offset, q, q_count, out);
-}
-
-/// Generic-width kernel for memories wider than 8 packed words; the
-/// re-sliced word loop lets the compiler elide bounds checks, and the
-/// per-word popcount stream dominates the per-row overhead at this size.
-fn kernel_generic(
-    memory: &BitMatrix,
-    batch: &QueryBatch,
-    q_offset: usize,
-    q_count: usize,
-    out: &mut [u32],
-) {
-    let rows = memory.rows();
-    let mut q = 0usize;
-    while q + QUERY_TILE <= q_count {
-        let qs: [&[u64]; QUERY_TILE] = std::array::from_fn(|j| batch.query_words(q_offset + q + j));
-        let mut outs = tile_outputs(out, q, rows);
-        for r in 0..rows {
-            let row = memory.row_words_pub(r);
-            let n = row.len();
-            let mut acc = [0u32; QUERY_TILE];
-            for (a, qj) in acc.iter_mut().zip(qs) {
-                *a = dot_words(row, &qj[..n]);
-            }
-            for (o, a) in outs.iter_mut().zip(acc) {
-                o[r] = a;
-            }
-        }
-        q += QUERY_TILE;
-    }
-    kernel_tail(memory, batch, q_offset, q, q_count, out);
-}
-
-/// Scores the final `q_count - q` queries one at a time through the
-/// shared word kernel.
-fn kernel_tail(
-    memory: &BitMatrix,
-    batch: &QueryBatch,
-    q_offset: usize,
-    mut q: usize,
-    q_count: usize,
-    out: &mut [u32],
-) {
-    let rows = memory.rows();
-    let wpr = memory.words_per_row_pub();
-    while q < q_count {
-        let qw = &batch.query_words(q_offset + q)[..wpr];
-        let row_out = &mut out[q * rows..(q + 1) * rows];
-        for (r, slot) in row_out.iter_mut().enumerate() {
-            *slot = dot_words(memory.row_words_pub(r), qw);
-        }
-        q += 1;
-    }
-}
-
-impl BitMatrix {
-    /// Dot similarity of every row against every query of `batch` — the
-    /// batched associative search (`Q` in-memory MVMs in the paper's
-    /// architecture, answered in one sweep).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the batch dimensionality
-    /// differs from `cols`.
-    pub fn dot_batch(&self, batch: &QueryBatch) -> Result<ScoreMatrix> {
-        let mut out = ScoreMatrix::zeros(batch.len(), self.rows());
-        self.dot_batch_into(batch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`BitMatrix::dot_batch`] but reuses `out` as scratch (resized
-    /// as needed) — the zero-allocation path for tiled sweeps that call
-    /// the kernel repeatedly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the batch dimensionality
-    /// differs from `cols`.
-    pub fn dot_batch_into(&self, batch: &QueryBatch, out: &mut ScoreMatrix) -> Result<()> {
-        dot_search(self.shape(), batch, out, |out| self.sweep(batch, out))
-    }
-
-    /// Sweeps `batch` on the layout the active backend runs fastest for
-    /// it: a blocked copy packed on the fly for SIMD backends and batches
-    /// of at least [`MIN_PACK_QUERIES`], the row-major kernels otherwise.
-    fn sweep(&self, batch: &QueryBatch, out: SweepOut<'_>) {
-        if kernel::active() != kernel::Backend::Scalar && batch.len() >= MIN_PACK_QUERIES {
-            MemoryRef::Blocked(&BlockedBitMatrix::from_matrix(self)).sweep(batch, out)
-        } else {
-            MemoryRef::Rows(self).sweep(batch, out)
-        }
-    }
-
-    /// Batched associative search: per query, the winning row under dot
-    /// similarity (ties toward the lower row) plus the full score matrix.
-    ///
-    /// When only the winners are needed, prefer
-    /// [`BitMatrix::winners_batch`], which never materializes the `Q × R`
-    /// score matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the batch dimensionality
-    /// differs from `cols` and [`LinalgError::Empty`] when the memory has
-    /// no rows.
-    pub fn search_batch(&self, batch: &QueryBatch) -> Result<SearchResults> {
-        SearchResults::from_scores(self.dot_batch(batch)?)
-    }
-
-    /// Batched associative search returning only the winning `(row,
-    /// score)` per query.
-    ///
-    /// Runs the same tiled kernel as [`BitMatrix::dot_batch`] but in
-    /// query blocks whose score scratch stays cache-resident: scores are
-    /// reduced to winners while hot instead of being streamed out, which
-    /// is what makes large-batch classification markedly faster than the
-    /// per-query loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Empty`] when the memory has no rows (there
-    /// is no winner) and [`LinalgError::ShapeMismatch`] if the batch
-    /// dimensionality differs from `cols`.
-    pub fn winners_batch(&self, batch: &QueryBatch) -> Result<Vec<(usize, u32)>> {
-        kbest_search("winners_batch", self.shape(), batch, 1, |out| self.sweep(batch, out))
-            .map(TopK::into_flat)
-    }
-
-    /// Batched top-k associative search: per query, the `min(k, rows)`
-    /// best `(row, score)` pairs under dot similarity, sorted by score
-    /// descending with ties toward the lower row — fused into the sweep
-    /// (a bounded k-best list per query, threshold = the running k-th
-    /// score), never materializing the `Q × R` score matrix.
-    ///
-    /// `k == 1` is exactly [`BitMatrix::winners_batch`]; `k >= rows`
-    /// returns every row in sorted order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Empty`] when `k == 0` or the memory has no
-    /// rows, and [`LinalgError::ShapeMismatch`] if the batch
-    /// dimensionality differs from `cols`.
-    pub fn topk_batch(&self, batch: &QueryBatch, k: usize) -> Result<TopK> {
-        kbest_search("topk_batch", self.shape(), batch, k, |out| self.sweep(batch, out))
-    }
-}
-
-/// Row-major winners sweep over queries `[q_offset, q_offset + out.len())`.
-///
-/// Fixed-width memories use a fused kernel that tracks each tile query's
-/// running winner in registers (no score matrix is ever written); wider
-/// memories fill a cache-resident scratch block and reduce it while hot.
-fn winners_rows(memory: &BitMatrix, batch: &QueryBatch, q_offset: usize, out: &mut [(usize, u32)]) {
-    match memory.words_per_row_pub() {
-        1 => winners_kernel_fixed::<1>(memory, batch, q_offset, out),
-        2 => winners_kernel_fixed::<2>(memory, batch, q_offset, out),
-        3 => winners_kernel_fixed::<3>(memory, batch, q_offset, out),
-        4 => winners_kernel_fixed::<4>(memory, batch, q_offset, out),
-        5 => winners_kernel_fixed::<5>(memory, batch, q_offset, out),
-        6 => winners_kernel_fixed::<6>(memory, batch, q_offset, out),
-        7 => winners_kernel_fixed::<7>(memory, batch, q_offset, out),
-        8 => winners_kernel_fixed::<8>(memory, batch, q_offset, out),
-        _ => winners_blocked(memory, batch, q_offset, out),
-    }
-}
-
-/// Query-side width of the fused winners kernel's 2-D register block.
-/// Small enough that the tile's query words stay in registers.
-const WINNER_QT: usize = 4;
-/// Row-side depth of the 2-D block: each loaded memory word feeds
-/// [`WINNER_QT`] queries, and each loaded query word feeds this many rows.
-const WINNER_RT: usize = 4;
-
-/// Fused fixed-width winners kernel: a 2-D register block (4 rows × 4
-/// queries) so every loaded word — memory or query — feeds four popcount
-/// chains, and each query's best `(row, score)` is tracked in registers
-/// with a strict `>` compare (which preserves the lowest-row tie-break).
-/// No score ever touches memory.
-fn winners_kernel_fixed<const W: usize>(
-    memory: &BitMatrix,
-    batch: &QueryBatch,
-    q_offset: usize,
-    out: &mut [(usize, u32)],
-) {
-    let rows = memory.rows();
-    let words = memory.data_words_pub();
-    debug_assert_eq!(words.len(), rows * W);
-    let q_count = out.len();
-    let mut q = 0usize;
-    while q + WINNER_QT <= q_count {
-        let mut qw = [[0u64; W]; WINNER_QT];
-        for (j, qj) in qw.iter_mut().enumerate() {
-            qj.copy_from_slice(&batch.query_words(q_offset + q + j)[..W]);
-        }
-        let mut best_score = [0u32; WINNER_QT];
-        let mut best_row = [0u32; WINNER_QT];
-        let mut r = 0usize;
-        while r + WINNER_RT <= rows {
-            let block = &words[r * W..(r + WINNER_RT) * W];
-            let mut acc = [[0u32; WINNER_QT]; WINNER_RT];
-            for i in 0..W {
-                for t in 0..WINNER_RT {
-                    let w = block[t * W + i];
-                    for j in 0..WINNER_QT {
-                        acc[t][j] += (w & qw[j][i]).count_ones();
-                    }
-                }
-            }
-            for (t, acc_row) in acc.iter().enumerate() {
-                for j in 0..WINNER_QT {
-                    if acc_row[j] > best_score[j] {
-                        best_score[j] = acc_row[j];
-                        best_row[j] = (r + t) as u32;
-                    }
-                }
-            }
-            r += WINNER_RT;
-        }
-        // Tail rows of the memory.
-        while r < rows {
-            let rw = &words[r * W..(r + 1) * W];
-            for j in 0..WINNER_QT {
-                let s = dot_words(rw, &qw[j]);
-                if s > best_score[j] {
-                    best_score[j] = s;
-                    best_row[j] = r as u32;
-                }
-            }
-            r += 1;
-        }
-        for j in 0..WINNER_QT {
-            out[q + j] = (best_row[j] as usize, best_score[j]);
-        }
-        q += WINNER_QT;
-    }
-    // Tail queries: same strict-> winner scan, one query at a time.
-    while q < q_count {
-        let qw = &batch.query_words(q_offset + q)[..W];
-        let mut best = (0usize, 0u32);
-        for (r, rw) in words.chunks_exact(W).enumerate() {
-            let s = dot_words(rw, qw);
-            if s > best.1 {
-                best = (r, s);
-            }
-        }
-        out[q] = best;
-        q += 1;
-    }
-}
-
-/// Winners for wide memories: the tiled kernel fills a cache-resident
-/// scratch block, which is reduced to per-query winners while hot.
-fn winners_blocked(
-    memory: &BitMatrix,
-    batch: &QueryBatch,
-    q_offset: usize,
-    out: &mut [(usize, u32)],
-) {
-    let rows = memory.rows();
-    // Keep (block × rows) u32 scratch around L1 size.
-    let block = (8192 / rows.max(1)).clamp(QUERY_TILE, 256).next_multiple_of(QUERY_TILE);
-    let q_total = out.len();
-    let mut scratch = vec![0u32; block.min(q_total.max(1)) * rows];
-    let mut done = 0usize;
-    while done < q_total {
-        let count = block.min(q_total - done);
-        let scores = &mut scratch[..count * rows];
-        dot_batch_kernel(memory, batch, q_offset + done, count, scores);
-        for q in 0..count {
-            out[done + q] = argmax_scores(&scores[q * rows..(q + 1) * rows]);
-        }
-        done += count;
-    }
-}
-
-/// Row-major fused top-k sweep: per query, one bounded k-best list
-/// updated row by row through [`topk_insert`] — the `>` threshold against
-/// the running k-th score keeps the common case to a single compare, and
-/// no score row is ever materialized. `k` here is already clamped to the
-/// row count by the entry points.
-fn topk_rows(
-    memory: &BitMatrix,
-    batch: &QueryBatch,
-    q_offset: usize,
-    k: usize,
-    out: &mut [(usize, u32)],
-) {
-    let wpr = memory.words_per_row_pub();
-    for (q, slots) in out.chunks_exact_mut(k).enumerate() {
-        let qw = &batch.query_words(q_offset + q)[..wpr];
-        let mut filled = 0usize;
-        for (r, rw) in memory.data_words_pub().chunks_exact(wpr.max(1)).enumerate() {
-            let s = dot_words(rw, qw);
-            topk_insert(slots, &mut filled, r, s);
-        }
-        debug_assert_eq!(filled, k);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::seeded;
+    use crate::SearchMemory;
     use rand::Rng;
 
     fn random_bits(len: usize, rng: &mut rand::rngs::StdRng) -> BitVector {
@@ -1363,7 +936,7 @@ mod tests {
         let mut rng = seeded(1);
         for dim in [1usize, 63, 64, 65, 128, 257] {
             let rows: Vec<BitVector> = (0..13).map(|_| random_bits(dim, &mut rng)).collect();
-            let m = BitMatrix::from_rows(&rows).unwrap();
+            let m = SearchMemory::from_rows(&rows).unwrap();
             let queries: Vec<BitVector> = (0..9).map(|_| random_bits(dim, &mut rng)).collect();
             let batch = QueryBatch::from_vectors(&queries).unwrap();
             let scores = m.dot_batch(&batch).unwrap();
@@ -1377,7 +950,7 @@ mod tests {
     fn search_batch_winners_match_argmax() {
         let mut rng = seeded(2);
         let rows: Vec<BitVector> = (0..7).map(|_| random_bits(100, &mut rng)).collect();
-        let m = BitMatrix::from_rows(&rows).unwrap();
+        let m = SearchMemory::from_rows(&rows).unwrap();
         let queries: Vec<BitVector> = (0..21).map(|_| random_bits(100, &mut rng)).collect();
         let batch = QueryBatch::from_vectors(&queries).unwrap();
         let results = m.search_batch(&batch).unwrap();
@@ -1411,7 +984,7 @@ mod tests {
     fn scratch_reuse_resets_state() {
         let mut rng = seeded(4);
         let rows: Vec<BitVector> = (0..3).map(|_| random_bits(64, &mut rng)).collect();
-        let m = BitMatrix::from_rows(&rows).unwrap();
+        let m = SearchMemory::from_rows(&rows).unwrap();
         let q1: Vec<BitVector> = (0..5).map(|_| random_bits(64, &mut rng)).collect();
         let q2: Vec<BitVector> = (0..2).map(|_| random_bits(64, &mut rng)).collect();
         let mut scratch = ScoreMatrix::zeros(0, 0);
@@ -1424,7 +997,7 @@ mod tests {
 
     #[test]
     fn dimension_mismatch_rejected() {
-        let m = BitMatrix::zeros(2, 64);
+        let m = SearchMemory::new(BitMatrix::zeros(2, 64));
         let batch = QueryBatch::from_vectors(&[BitVector::zeros(65)]).unwrap();
         assert!(matches!(
             m.dot_batch(&batch),
@@ -1446,7 +1019,7 @@ mod tests {
         let mut rng = seeded(7);
         for (n_rows, dim, n_queries) in [(3usize, 64usize, 5usize), (128, 128, 300)] {
             let rows: Vec<BitVector> = (0..n_rows).map(|_| random_bits(dim, &mut rng)).collect();
-            let m = BitMatrix::from_rows(&rows).unwrap();
+            let m = SearchMemory::from_rows(&rows).unwrap();
             let queries: Vec<BitVector> =
                 (0..n_queries).map(|_| random_bits(dim, &mut rng)).collect();
             let batch = QueryBatch::from_vectors(&queries).unwrap();
@@ -1458,7 +1031,7 @@ mod tests {
             }
         }
         // Dimension mismatch is rejected.
-        let m = BitMatrix::zeros(2, 64);
+        let m = SearchMemory::new(BitMatrix::zeros(2, 64));
         let bad = QueryBatch::from_vectors(&[BitVector::zeros(63)]).unwrap();
         assert!(m.winners_batch(&bad).is_err());
     }
@@ -1658,10 +1231,10 @@ mod tests {
 
     #[test]
     fn large_batch_exercises_tiling_tails() {
-        // 10 queries: two full tiles of 4 plus a tail of 2.
+        // 10 queries over 5 rows: one partially padded row block.
         let mut rng = seeded(5);
         let rows: Vec<BitVector> = (0..5).map(|_| random_bits(65, &mut rng)).collect();
-        let m = BitMatrix::from_rows(&rows).unwrap();
+        let m = SearchMemory::from_rows(&rows).unwrap();
         let queries: Vec<BitVector> = (0..10).map(|_| random_bits(65, &mut rng)).collect();
         let batch = QueryBatch::from_vectors(&queries).unwrap();
         let scores = m.dot_batch(&batch).unwrap();

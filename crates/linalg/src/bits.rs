@@ -593,13 +593,6 @@ impl BitMatrix {
         self.words_per_row
     }
 
-    /// The full packed word buffer (row-major) — crate-internal access for
-    /// the fixed-width batched kernels.
-    #[inline]
-    pub(crate) fn data_words_pub(&self) -> &[u64] {
-        &self.data
-    }
-
     /// Returns bit `(r, c)`.
     ///
     /// # Panics
@@ -721,10 +714,9 @@ impl BitMatrix {
     /// Dot similarity of every row with a binary query — a full associative
     /// search (one in-memory MVM in the paper's architecture).
     ///
-    /// This is the single-query slice of the batched kernel
-    /// ([`BitMatrix::dot_batch`]); both paths reduce to the same word-level
-    /// popcount implementation. Prefer the batched entry point when
-    /// answering many queries.
+    /// This is the flat-kernel row walk the batched sweep
+    /// ([`crate::SearchMemory::dot_batch`]) is tested against. Prefer the
+    /// batched entry point when answering many queries.
     ///
     /// # Panics
     ///

@@ -1,4 +1,5 @@
-//! Cache-conscious interleaved associative-memory storage.
+//! Cache-conscious interleaved associative-memory storage, and the one
+//! type that searches it.
 //!
 //! The row-major [`BitMatrix`] stores one class vector per packed row —
 //! natural for construction and mutation, but a SIMD sweep wants the
@@ -13,24 +14,28 @@
 //! search (scores are non-negative and ties break toward lower, real,
 //! rows).
 //!
-//! A batched sweep over this layout streams the memory exactly once per
-//! query in perfectly sequential panel order, and every loaded panel
-//! feeds [`LANES`] independent accumulator lanes. The sweep is written
-//! once: one query × row-block loop that hands each block's accumulator
-//! to a sink — dot (score rows), winners (per-lane best kept in
-//! registers) or top-k (threshold skip, then a bounded insert). A
-//! backend supplies only its `block_acc` and the lane ops of its
-//! accumulator type, and each SIMD backend compiles the loop through one
-//! `#[target_feature]` wrapper, published in the [`crate::kernel`]
-//! dispatch table. Every backend is bit-identical to the scalar
-//! row-major path (the `simd_equivalence` and `blocked_edges` suites pin
-//! this for every reachable backend).
+//! [`SearchMemory`] holds a matrix together with its blocked layout and
+//! the kernel backend it searches on. Every batched search is one sweep
+//! of the blocked layout, which streams the memory exactly once per query
+//! in sequential panel order, each loaded panel feeding [`LANES`]
+//! independent accumulator lanes. The sweep is written once: one query ×
+//! row-block loop that hands each block's accumulator to a sink — dot
+//! (score rows), winners (per-lane best kept in registers) or top-k
+//! (threshold skip, then a bounded insert). A backend supplies only its
+//! `block_acc` and the lane ops of its accumulator type (the scalar
+//! backend's portable lanes included), and each SIMD backend compiles the
+//! loop through one `#[target_feature]` wrapper, published in the
+//! [`crate::kernel`] dispatch table. Every backend is bit-identical to
+//! the flat-kernel row walk of [`BitMatrix::dot_all`] (the
+//! `simd_equivalence` and `blocked_edges` suites pin this for every
+//! reachable backend).
 
 use crate::batch::{
-    dot_search, kbest_search, topk_insert, MemoryRef, ScoreMatrix, SearchResults, Slots, SweepOut,
-    TopK,
+    chunk_queries, dot_search, kbest_search, topk_insert, ScoreMatrix, SearchResults, Slots,
+    SweepOut, TopK,
 };
 use crate::bits::{BitMatrix, BitVector};
+use crate::cascade::CascadeCache;
 use crate::error::{LinalgError, Result};
 use crate::kernel::{self, Backend};
 use crate::QueryBatch;
@@ -41,15 +46,15 @@ pub const LANES: usize = 8;
 
 /// A [`BitMatrix`] re-packed into interleaved row blocks for SIMD sweeps.
 ///
-/// Construction packs once ([`BlockedBitMatrix::from_matrix`]); searches
-/// then run the active [`crate::kernel`] backend. The layout is purely an
-/// execution detail: [`BlockedBitMatrix::to_matrix`] recovers the
-/// original matrix bit-for-bit.
+/// Construction packs once ([`BlockedBitMatrix::from_matrix`]); a
+/// [`SearchMemory`] holds one and runs every batched search over it. The
+/// layout is purely an execution detail: [`BlockedBitMatrix::to_matrix`]
+/// recovers the original matrix bit-for-bit.
 ///
 /// # Example
 ///
 /// ```
-/// use hd_linalg::{BitMatrix, BitVector, BlockedBitMatrix, QueryBatch};
+/// use hd_linalg::{BitMatrix, BitVector, BlockedBitMatrix};
 ///
 /// let rows = vec![
 ///     BitVector::from_bools(&[true, false, true]),
@@ -57,9 +62,8 @@ pub const LANES: usize = 8;
 /// ];
 /// let m = BitMatrix::from_rows(&rows).unwrap();
 /// let blocked = BlockedBitMatrix::from_matrix(&m);
-/// let batch = QueryBatch::from_vectors(&[BitVector::from_bools(&[true, true, true])]).unwrap();
-/// let scores = blocked.dot_batch(&batch).unwrap();
-/// assert_eq!(scores.scores(0), &[2, 2]);
+/// assert_eq!(blocked.row_blocks(), 1); // two rows, six padding lanes
+/// assert_eq!(blocked.row(1), rows[1]);
 /// assert_eq!(blocked.to_matrix(), m);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -227,156 +231,30 @@ impl BlockedBitMatrix {
             data,
         })
     }
-
-    /// Batched dot-similarity sweep on the active backend (the blocked
-    /// analogue of [`BitMatrix::dot_batch`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the batch dimensionality
-    /// differs from `cols`.
-    pub fn dot_batch(&self, batch: &QueryBatch) -> Result<ScoreMatrix> {
-        let mut out = ScoreMatrix::zeros(batch.len(), self.rows);
-        self.dot_batch_into(batch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`BlockedBitMatrix::dot_batch`] but reuses `out` as scratch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the batch dimensionality
-    /// differs from `cols`.
-    pub fn dot_batch_into(&self, batch: &QueryBatch, out: &mut ScoreMatrix) -> Result<()> {
-        dot_search(self.shape(), batch, out, |out| MemoryRef::Blocked(self).sweep(batch, out))
-    }
-
-    /// Batched associative search with the full score matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the batch dimensionality
-    /// differs from `cols` and [`LinalgError::Empty`] when the memory has
-    /// no rows.
-    pub fn search_batch(&self, batch: &QueryBatch) -> Result<SearchResults> {
-        SearchResults::from_scores(self.dot_batch(batch)?)
-    }
-
-    /// Winners-only batched search (low-row tie-break), never
-    /// materializing scores.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Empty`] when the memory has no rows and
-    /// [`LinalgError::ShapeMismatch`] if the batch dimensionality differs
-    /// from `cols`.
-    pub fn winners_batch(&self, batch: &QueryBatch) -> Result<Vec<(usize, u32)>> {
-        kbest_search("winners_batch", self.shape(), batch, 1, |out| {
-            MemoryRef::Blocked(self).sweep(batch, out)
-        })
-        .map(TopK::into_flat)
-    }
-
-    /// Fused top-k batched search on the active backend (the blocked
-    /// analogue of [`BitMatrix::topk_batch`]): per-query bounded k-best
-    /// lists carried through the 8-row panel sweep, never materializing
-    /// scores.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Empty`] for `k == 0` or a memory with no
-    /// rows, and [`LinalgError::ShapeMismatch`] on a dimensionality
-    /// mismatch.
-    pub fn topk_batch(&self, batch: &QueryBatch, k: usize) -> Result<TopK> {
-        kbest_search("topk_batch", self.shape(), batch, k, |out| {
-            MemoryRef::Blocked(self).sweep(batch, out)
-        })
-    }
-
-    /// The blocked sweep of an explicit backend over the whole batch —
-    /// what the `_with` equivalence-testing hooks run (serial; no thread
-    /// chunking).
-    fn sweep_with<'a>(
-        &'a self,
-        backend: Backend,
-        batch: &'a QueryBatch,
-    ) -> impl FnOnce(SweepOut<'_>) + 'a {
-        assert!(backend.is_available(), "backend {backend} not available on this host");
-        let sweep = kernel::table_for(backend).blocked_sweep;
-        move |out| sweep(self, batch, 0, out)
-    }
-
-    /// [`BlockedBitMatrix::dot_batch`] on an explicit backend — the
-    /// equivalence-testing hook (serial; no thread chunking).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] on a dimensionality
-    /// mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backend` is unavailable on this host.
-    pub fn dot_batch_with(&self, batch: &QueryBatch, backend: Backend) -> Result<ScoreMatrix> {
-        let mut out = ScoreMatrix::zeros(batch.len(), self.rows);
-        dot_search(self.shape(), batch, &mut out, self.sweep_with(backend, batch))?;
-        Ok(out)
-    }
-
-    /// [`BlockedBitMatrix::winners_batch`] on an explicit backend — the
-    /// equivalence-testing hook (serial; no thread chunking).
-    ///
-    /// # Errors
-    ///
-    /// As [`BlockedBitMatrix::winners_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backend` is unavailable on this host.
-    pub fn winners_batch_with(
-        &self,
-        batch: &QueryBatch,
-        backend: Backend,
-    ) -> Result<Vec<(usize, u32)>> {
-        let sweep = self.sweep_with(backend, batch);
-        kbest_search("winners_batch", self.shape(), batch, 1, sweep).map(TopK::into_flat)
-    }
-
-    /// [`BlockedBitMatrix::topk_batch`] on an explicit backend — the
-    /// equivalence-testing hook (serial; no thread chunking).
-    ///
-    /// # Errors
-    ///
-    /// As [`BlockedBitMatrix::topk_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backend` is unavailable on this host.
-    pub fn topk_batch_with(&self, batch: &QueryBatch, k: usize, backend: Backend) -> Result<TopK> {
-        kbest_search("topk_batch", self.shape(), batch, k, self.sweep_with(backend, batch))
-    }
 }
 
-/// A search-optimized associative memory: the row-major matrix plus, when
-/// the active backend is SIMD, its interleaved blocked mirror built once
-/// at construction.
+/// A search-optimized associative memory: the row-major matrix, its
+/// interleaved [`BlockedBitMatrix`] layout built once at construction,
+/// and the kernel backend its searches run on.
 ///
-/// This is the type long-lived memories (class AMs, per-partition IMC
-/// matrices) should hold: batched searches skip the per-call packing that
-/// [`BitMatrix::dot_batch`] would otherwise perform, and on the scalar
-/// backend it stays a plain [`BitMatrix`] with zero overhead. Cascade
-/// searches additionally cache their derived bound forms (row-suffix
-/// tables) here, keyed by plan — see
-/// [`SearchMemory::search_cascade`]. Equality compares the logical
+/// This is the one type with batched search, and the type long-lived
+/// memories (class AMs, per-partition IMC matrices) hold. Every batched
+/// search is one blocked sweep on the memory's backend: the active one
+/// for [`SearchMemory::new`], a pinned one for
+/// [`SearchMemory::with_backend`], kept by clones, row ranges, shards and
+/// mutations. Cascade searches additionally cache their derived bound
+/// forms (row-suffix tables) here, keyed by plan — see
+/// [`SearchMemory::search_cascade_topk`]. Equality compares the logical
 /// matrix only, and a clone starts with an empty cascade cache (forms
 /// re-derive lazily).
 #[derive(Debug)]
 pub struct SearchMemory {
     matrix: BitMatrix,
-    blocked: Option<BlockedBitMatrix>,
+    blocked: BlockedBitMatrix,
+    backend: Backend,
     /// Derived cascade bound forms, keyed by plan; invalidated on any
     /// mutation of `matrix`.
-    cascade_cache: crate::cascade::CascadeCache,
+    cascade_cache: CascadeCache,
 }
 
 impl Clone for SearchMemory {
@@ -384,7 +262,8 @@ impl Clone for SearchMemory {
         SearchMemory {
             matrix: self.matrix.clone(),
             blocked: self.blocked.clone(),
-            cascade_cache: crate::cascade::CascadeCache::new(),
+            backend: self.backend,
+            cascade_cache: CascadeCache::new(),
         }
     }
 }
@@ -404,17 +283,34 @@ impl From<BitMatrix> for SearchMemory {
 }
 
 impl SearchMemory {
-    /// Wraps a matrix, building the blocked mirror iff the active backend
-    /// is a SIMD one.
+    /// Wraps a matrix searched on the active kernel backend
+    /// ([`kernel::active`]).
     pub fn new(matrix: BitMatrix) -> Self {
-        let blocked = (kernel::active() != Backend::Scalar && matrix.rows() > 0)
-            .then(|| BlockedBitMatrix::from_matrix(&matrix));
-        SearchMemory { matrix, blocked, cascade_cache: crate::cascade::CascadeCache::new() }
+        Self::with_backend(matrix, kernel::active())
+    }
+
+    /// Wraps a matrix searched on `backend` — how the equivalence suites
+    /// and [`crate::CostModel::measure`] run one explicit backend through
+    /// the same entry points as the active one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `backend` is unavailable on this host.
+    pub fn with_backend(matrix: BitMatrix, backend: Backend) -> Self {
+        assert!(backend.is_available(), "backend {backend} not available on this host");
+        let blocked = BlockedBitMatrix::from_matrix(&matrix);
+        SearchMemory { matrix, blocked, backend, cascade_cache: CascadeCache::new() }
+    }
+
+    /// The kernel backend every search of this memory runs on.
+    #[inline]
+    pub fn backend(&self) -> Backend {
+        self.backend
     }
 
     /// The memory's cascade bound-form cache.
     #[inline]
-    pub(crate) fn cascade_cache(&self) -> &crate::cascade::CascadeCache {
+    pub(crate) fn cascade_cache(&self) -> &CascadeCache {
         &self.cascade_cache
     }
 
@@ -439,10 +335,10 @@ impl SearchMemory {
         self.matrix
     }
 
-    /// The blocked mirror, when one was built (SIMD backends only).
+    /// The blocked layout every batched search sweeps.
     #[inline]
-    pub fn blocked(&self) -> Option<&BlockedBitMatrix> {
-        self.blocked.as_ref()
+    pub fn blocked(&self) -> &BlockedBitMatrix {
+        &self.blocked
     }
 
     /// Number of rows.
@@ -458,7 +354,7 @@ impl SearchMemory {
     }
 
     /// Mutates the underlying matrix and unconditionally rebuilds the
-    /// blocked mirror. Prefer [`SearchMemory::modify_reporting`] when the
+    /// blocked layout. Prefer [`SearchMemory::modify_reporting`] when the
     /// closure can tell whether it changed anything.
     pub fn modify<R>(&mut self, f: impl FnOnce(&mut BitMatrix) -> R) -> R {
         let mut out = None;
@@ -470,28 +366,26 @@ impl SearchMemory {
     }
 
     /// Like [`SearchMemory::modify`], but the closure reports whether it
-    /// actually mutated the matrix and the blocked mirror is rebuilt only
+    /// actually mutated the matrix and the blocked layout is rebuilt only
     /// then — so sweeps that touch every cell but flip none (e.g. a
     /// zero-probability fault pass) stay free. A reported mutation also
     /// drops every cached cascade bound form: the row-suffix tables
     /// describe the old bits, and the next
-    /// [`SearchMemory::search_cascade`] re-derives them. Returns the
+    /// [`SearchMemory::search_cascade_topk`] re-derives them. Returns the
     /// closure's report.
     pub fn modify_reporting(&mut self, f: impl FnOnce(&mut BitMatrix) -> bool) -> bool {
         let changed = f(&mut self.matrix);
         if changed {
-            if self.blocked.is_some() {
-                self.blocked = Some(BlockedBitMatrix::from_matrix(&self.matrix));
-            }
+            self.blocked = BlockedBitMatrix::from_matrix(&self.matrix);
             self.cascade_cache.invalidate();
         }
         changed
     }
 
     /// Copies rows `[start, start + count)` into a standalone
-    /// [`SearchMemory`]. When a blocked mirror exists and `start` is
-    /// block-aligned, the mirror is sliced directly (contiguous panel
-    /// copy) instead of being re-packed.
+    /// [`SearchMemory`] on the same backend. When `start` is
+    /// block-aligned, the blocked layout is sliced directly (contiguous
+    /// panel copy) instead of being re-packed.
     ///
     /// # Errors
     ///
@@ -499,23 +393,23 @@ impl SearchMemory {
     /// [`LinalgError::IndexOutOfBounds`] when the range overruns `rows()`.
     pub fn row_range(&self, start: usize, count: usize) -> Result<SearchMemory> {
         let matrix = self.matrix.row_range(start, count)?;
-        let blocked = match &self.blocked {
-            Some(b) if start.is_multiple_of(LANES) => {
-                Some(b.row_range(start, count).expect("range validated by row-major slice"))
-            }
-            Some(_) => Some(BlockedBitMatrix::from_matrix(&matrix)),
-            None => None,
+        let blocked = if start.is_multiple_of(LANES) {
+            self.blocked.row_range(start, count).expect("range validated by row-major slice")
+        } else {
+            BlockedBitMatrix::from_matrix(&matrix)
         };
-        Ok(SearchMemory { matrix, blocked, cascade_cache: crate::cascade::CascadeCache::new() })
+        let backend = self.backend;
+        Ok(SearchMemory { matrix, blocked, backend, cascade_cache: CascadeCache::new() })
     }
 
     /// Splits the memory into `shards` contiguous row ranges for
     /// data-parallel serving: each returned `(row_offset, memory)` pair
-    /// owns its rows (and its own pre-packed blocked mirror), so the
-    /// shards are independently `Send` to per-shard worker threads.
+    /// owns its rows (and its own pre-packed blocked layout, on this
+    /// memory's backend), so the shards are independently `Send` to
+    /// per-shard worker threads.
     ///
     /// Boundaries are aligned to [`LANES`] so every shard except possibly
-    /// the last starts on a block boundary and the mirrors slice without
+    /// the last starts on a block boundary and the layouts slice without
     /// re-packing; a shard count above `rows().div_ceil(LANES)` is
     /// clamped, so fewer (never empty) shards may be returned. Global row
     /// indices are recovered as `row_offset + local_row`, and because
@@ -550,12 +444,15 @@ impl SearchMemory {
         Ok(out)
     }
 
-    #[inline]
-    pub(crate) fn memory_ref(&self) -> MemoryRef<'_> {
-        match &self.blocked {
-            Some(b) => MemoryRef::Blocked(b),
-            None => MemoryRef::Rows(&self.matrix),
-        }
+    /// Sweeps every query of `batch` into `out` on the memory's backend,
+    /// in query chunks across threads under the `rayon` feature (see
+    /// [`chunk_queries`]).
+    fn sweep(&self, batch: &QueryBatch, out: SweepOut<'_>) {
+        let sweep = kernel::table_for(self.backend).blocked_sweep;
+        let words = self.rows() * self.blocked.words_per_row();
+        chunk_queries(batch.len(), words, out, |q_offset, out| {
+            sweep(&self.blocked, batch, q_offset, out)
+        });
     }
 
     /// Dot similarity of every row against one query (single-query slice;
@@ -577,8 +474,9 @@ impl SearchMemory {
         self.matrix.row_dot(r, query)
     }
 
-    /// Batched dot-similarity sweep (pre-packed; see
-    /// [`BitMatrix::dot_batch`]).
+    /// Dot similarity of every row against every query of `batch` — the
+    /// batched associative search (`Q` in-memory MVMs in the paper's
+    /// architecture, answered in one sweep).
     ///
     /// # Errors
     ///
@@ -590,17 +488,22 @@ impl SearchMemory {
         Ok(out)
     }
 
-    /// Like [`SearchMemory::dot_batch`] but reusing `out` as scratch.
+    /// Like [`SearchMemory::dot_batch`] but reusing `out` as scratch
+    /// (resized as needed) — the zero-allocation path for loops that
+    /// re-score batches.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] on a dimensionality
     /// mismatch.
     pub fn dot_batch_into(&self, batch: &QueryBatch, out: &mut ScoreMatrix) -> Result<()> {
-        dot_search(self.matrix.shape(), batch, out, |out| self.memory_ref().sweep(batch, out))
+        dot_search(self.matrix.shape(), batch, out, |out| self.sweep(batch, out))
     }
 
-    /// Batched associative search with the full score matrix.
+    /// Batched associative search with the full score matrix: per query,
+    /// the winning row (ties toward the lower row) plus every score. When
+    /// only the winners are needed, prefer [`SearchMemory::winners_batch`],
+    /// which never materializes the `Q × R` score matrix.
     ///
     /// # Errors
     ///
@@ -610,23 +513,26 @@ impl SearchMemory {
         SearchResults::from_scores(self.dot_batch(batch)?)
     }
 
-    /// Winners-only batched search (low-row tie-break).
+    /// Winners-only batched search (low-row tie-break): the top-1 of
+    /// [`SearchMemory::topk_batch`], which the sweep answers from a
+    /// register-resident per-lane best.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::Empty`] when the memory has no rows and
     /// [`LinalgError::ShapeMismatch`] on a dimensionality mismatch.
     pub fn winners_batch(&self, batch: &QueryBatch) -> Result<Vec<(usize, u32)>> {
-        kbest_search("winners_batch", self.matrix.shape(), batch, 1, |out| {
-            self.memory_ref().sweep(batch, out)
-        })
-        .map(TopK::into_flat)
+        kbest_search("winners_batch", self.matrix.shape(), batch, 1, |out| self.sweep(batch, out))
+            .map(TopK::into_flat)
     }
 
-    /// Fused batched top-k search (pre-packed; see
-    /// [`BitMatrix::topk_batch`] for the result contract): each query's
-    /// `min(k, rows)` best rows by `(score desc, row asc)`, selected
-    /// inside the sweep with no score matrix.
+    /// Batched top-k associative search: per query, the `min(k, rows)`
+    /// best `(row, score)` pairs under dot similarity, sorted by score
+    /// descending with ties toward the lower row — fused into the sweep
+    /// (a bounded k-best list per query, threshold = the running k-th
+    /// score), never materializing the `Q × R` score matrix. `k == 1` is
+    /// exactly [`SearchMemory::winners_batch`]; `k >= rows` returns every
+    /// row in sorted order.
     ///
     /// # Errors
     ///
@@ -634,9 +540,7 @@ impl SearchMemory {
     /// rows, and [`LinalgError::ShapeMismatch`] on a dimensionality
     /// mismatch.
     pub fn topk_batch(&self, batch: &QueryBatch, k: usize) -> Result<TopK> {
-        kbest_search("topk_batch", self.matrix.shape(), batch, k, |out| {
-            self.memory_ref().sweep(batch, out)
-        })
+        kbest_search("topk_batch", self.matrix.shape(), batch, k, |out| self.sweep(batch, out))
     }
 }
 
@@ -924,14 +828,6 @@ impl<L: Lanes> PanelSink<L> for TopKSink {
     }
 }
 
-/// One segment memory as the cascade's [`BlockPass`] scores it: the
-/// row-major rows and, on a SIMD backend, their blocked mirror (the
-/// scalar backend keeps none and walks live rows instead).
-pub(crate) struct PassPart<'a> {
-    pub(crate) rows: &'a BitMatrix,
-    pub(crate) blocked: Option<&'a BlockedBitMatrix>,
-}
-
 /// One word window of a cascade stage: part `part`'s rows against bits
 /// `[lo, hi)` of `queries` (the full batch for a contiguous memory, the
 /// partition's segment batch for a segmented one), scored over words
@@ -958,13 +854,15 @@ impl Window<'_> {
 }
 
 /// Everything a cascade's block pass reads, shared by its query
-/// chunks: the parts, every stage's word windows in stage order (between
+/// chunks: the parts (one memory for a contiguous cascade, one per
+/// partition for a segmented one), every stage's word windows in stage
+/// order (between
 /// them they cover each query bit once), the row-suffix table
 /// (`row_suffix[s * stride + r]` = ones of row `r` after stage `s`,
 /// `stride` = the rows rounded up to whole blocks), and the flat dot
 /// kernel that scores lone live rows and counts query bits.
 pub(crate) struct BlockPass<'a> {
-    pub(crate) parts: Vec<PassPart<'a>>,
+    pub(crate) parts: &'a [SearchMemory],
     pub(crate) windows: &'a [Window<'a>],
     pub(crate) row_suffix: &'a [u32],
     pub(crate) dot: fn(&[u64], &[u64]) -> u32,
@@ -984,29 +882,25 @@ pub(crate) struct StageWork {
 ///
 /// # Panics
 ///
-/// Panics if the parts or their mirrors disagree on shape, or a window
-/// overruns its part's words.
+/// Panics if the parts disagree on their row count, or a window overruns
+/// its part's words.
 pub(crate) fn cascade_pass<L: Lanes>(
     pass: &BlockPass<'_>,
     q_offset: usize,
     lists: Slots<'_, (usize, u32)>,
     work: &mut [StageWork],
 ) {
-    let rows = pass.parts[0].rows.rows();
-    let same_rows = |p: &PassPart<'_>| {
-        let wpr = p.rows.words_per_row_pub();
-        p.rows.rows() == rows
-            && p.blocked.is_none_or(|m| m.rows() == rows && m.words_per_row() == wpr)
-    };
-    assert!(pass.parts.iter().all(same_rows), "block pass: parts disagree on shape");
+    let rows = pass.parts[0].rows();
+    assert!(pass.parts.iter().all(|p| p.rows() == rows), "block pass: parts disagree on shape");
     let fits = |w: &Window<'_>| {
-        w.lo < w.hi && w.words().end <= pass.parts[w.part].rows.words_per_row_pub()
+        w.lo < w.hi && w.words().end <= pass.parts[w.part].blocked().words_per_row()
     };
     assert!(pass.windows.iter().all(fits), "block pass: window overruns its part");
     // SAFETY: a kernel table publishes `cascade_pass::<L>` only for a
     // backend whose features were detected on this host; the pass reads
     // the panels of a window's words inside one block, which the checks
-    // above keep within the mirror.
+    // above keep within the blocked layout (a part's row-major rows have
+    // the same words per row).
     unsafe { L::run(PassJob { pass, rows, q_offset, lists, work }) }
 }
 
@@ -1124,31 +1018,26 @@ impl<L: Lanes> LaneJob<L> for PassJob<'_, '_> {
                     let (w, qs) = (&pass.windows[i], query(i));
                     let (part, words) = (&pass.parts[w.part], w.words());
                     // Each block's first panel of the window, `stride` words apart.
-                    let panels = part.blocked.map(|m| {
-                        (m.data()[words.start * LANES..].as_ptr(), m.words_per_row() * LANES)
-                    });
+                    let blocked = part.blocked();
+                    let first = blocked.data()[words.start * LANES..].as_ptr();
+                    let stride = blocked.words_per_row() * LANES;
                     for (b, (p, &mask)) in partial.iter_mut().zip(&live).enumerate() {
-                        match panels {
-                            _ if mask == 0 => {}
-                            Some((first, stride)) if mask & (mask - 1) != 0 => {
-                                let mut counts = [0u32; LANES];
-                                L::block_acc(first.add(b * stride), qs).store(&mut counts);
-                                for (x, c) in p.iter_mut().zip(counts) {
-                                    *x += c;
-                                }
+                        if mask == 0 {
+                            continue;
+                        }
+                        if mask & (mask - 1) != 0 {
+                            let mut counts = [0u32; LANES];
+                            L::block_acc(first.add(b * stride), qs).store(&mut counts);
+                            for (x, c) in p.iter_mut().zip(counts) {
+                                *x += c;
                             }
-                            // A lone live lane, or no mirror: the flat
-                            // kernel on each live row-major row, so a few
-                            // wide rows never pay LANES lanes each.
-                            _ => {
-                                let mut bits = mask;
-                                while bits != 0 {
-                                    let l = bits.trailing_zeros() as usize;
-                                    let row = part.rows.row_words_pub(b * LANES + l);
-                                    p[l] += (pass.dot)(&row[words.clone()], qs);
-                                    bits &= bits - 1;
-                                }
-                            }
+                        } else {
+                            // A lone live lane: the flat kernel on its
+                            // row-major row, so a few wide rows never pay
+                            // LANES lanes each.
+                            let l = mask.trailing_zeros() as usize;
+                            let row = part.matrix().row_words_pub(b * LANES + l);
+                            p[l] += (pass.dot)(&row[words.clone()], qs);
                         }
                     }
                 }
@@ -1191,7 +1080,7 @@ fn lanes_where(f: impl Fn(usize) -> bool) -> u8 {
 }
 
 /// Portable blocked kernel: eight scalar accumulator lanes per panel —
-/// the reference the SIMD backends are tested against.
+/// the scalar backend's sweep and block pass.
 pub(crate) struct ScalarLanes;
 
 impl Lanes for ScalarLanes {
@@ -1550,9 +1439,12 @@ mod tests {
             (0..9).map(|i| sample_matrix(1, 96).row(0).rotate_left(i)).collect();
         let batch = QueryBatch::from_vectors(&queries).unwrap();
         let scores = mem.dot_batch(&batch).unwrap();
-        let reference = m.dot_batch(&batch).unwrap();
-        assert_eq!(scores, reference);
-        assert_eq!(mem.winners_batch(&batch).unwrap(), m.winners_batch(&batch).unwrap());
+        let winners = mem.winners_batch(&batch).unwrap();
+        for (q, query) in queries.iter().enumerate() {
+            let reference = m.dot_all(query);
+            assert_eq!(scores.scores(q), reference.as_slice(), "query {q}");
+            assert_eq!(winners[q], crate::argmax_u32(&reference), "query {q}");
+        }
         assert_eq!(mem, SearchMemory::new(m));
     }
 
@@ -1562,17 +1454,15 @@ mod tests {
         let mut mem = SearchMemory::new(m);
         mem.modify(|mat| mat.set(8, 69, true));
         assert!(mem.matrix().get(8, 69));
-        if let Some(blocked) = mem.blocked() {
-            assert!(blocked.row(8).get(69), "blocked mirror must track mutation");
-        }
+        assert!(mem.blocked().row(8).get(69), "blocked layout must track mutation");
     }
 
     #[test]
     fn dimension_mismatch_rejected() {
-        let blocked = BlockedBitMatrix::from_matrix(&sample_matrix(4, 64));
+        let mem = SearchMemory::new(sample_matrix(4, 64));
         let batch = QueryBatch::from_vectors(&[BitVector::zeros(65)]).unwrap();
-        assert!(blocked.dot_batch(&batch).is_err());
-        assert!(blocked.winners_batch(&batch).is_err());
+        assert!(mem.dot_batch(&batch).is_err());
+        assert!(mem.winners_batch(&batch).is_err());
     }
 
     #[test]

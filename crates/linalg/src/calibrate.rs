@@ -25,9 +25,11 @@
 //!    values. Unrecognized values warn once and fall back.
 //! 2. A scalar kernel backend — the `force-scalar` feature or
 //!    `HD_LINALG_BACKEND=scalar` — resolves to the fallback constants:
-//!    there is no blocked layout there (every pass walks row-major rows),
-//!    so the model's shape does not apply, and the scalar-forced CI leg
-//!    stays reproducible.
+//!    the scalar backend is the portable reference, and its runs (the
+//!    scalar-forced CI legs) must plan identically on every host, which
+//!    a timed model would not. It runs the same blocked sweep and block
+//!    pass as the SIMD backends, so an explicit
+//!    `CostModel::measure(Backend::Scalar)` still prices real kernels.
 //! 3. The per-host cache file (`HD_LINALG_CALIBRATION_CACHE`, else
 //!    `$XDG_CACHE_HOME`/`$HOME/.cache` under `hd-linalg/`, else the
 //!    system temp dir), keyed by kernel backend.
@@ -39,9 +41,10 @@
 //! can stretch a timing, not invert the model's shape) and quantized, so
 //! a cached model is bit-stable across loads.
 
+use crate::batch::{Slots, SweepOut};
 use crate::blocked::{SearchMemory, LANES};
 use crate::kernel::{self, Backend};
-use crate::{BitVector, CascadePlan, QueryBatch};
+use crate::{BitMatrix, BitVector, CascadePlan, QueryBatch};
 use std::fmt;
 use std::hint::black_box;
 use std::io::Write as _;
@@ -117,9 +120,8 @@ impl CostModel {
         }
         let backend = kernel::active();
         if backend == Backend::Scalar {
-            // Scalar sweep and scalar continuation are the same portable
-            // loop — there is nothing host-specific to measure, and the
-            // scalar-forced CI legs must stay reproducible.
+            // The portable reference plans identically on every host, so
+            // the scalar-forced CI legs stay reproducible.
             return Self::fallback();
         }
         if let Some(cached) = cache_path(backend).and_then(|p| Self::load(&p, backend)) {
@@ -188,8 +190,8 @@ impl CostModel {
 
     /// Measures the model for `backend` on a synthetic workload of
     /// deterministic 4096-bit rows and 32 queries, timing the real
-    /// kernels through the explicit-backend hooks: the stage-0 unit
-    /// price is the blocked winners sweep of 256 random rows; the
+    /// kernels on search memories pinned to `backend`: the stage-0 unit
+    /// price is the serial blocked winners sweep of 256 random rows; the
     /// per-block and per-(query, stage) overheads come from the extra
     /// stage boundary of a cascade that cannot prune (identical rows)
     /// at two row counts; the lone-row weight is the per-word slope of a
@@ -217,7 +219,11 @@ impl CostModel {
         let rows: Vec<BitVector> = (0..ROWS)
             .map(|_| BitVector::from_words(DIM, packed(WORDS)).expect("whole words"))
             .collect();
-        let memory = SearchMemory::from_rows(&rows).expect("non-empty synthetic memory");
+        let pinned = |rows: &[BitVector]| {
+            let matrix = BitMatrix::from_rows(rows).expect("non-empty synthetic memory");
+            SearchMemory::with_backend(matrix, backend)
+        };
+        let memory = pinned(&rows);
         let query_words: Vec<Vec<u64>> = (0..QUERIES).map(|_| packed(WORDS)).collect();
         // The queries cut to their first `words` words.
         let batch = |words: usize| {
@@ -231,22 +237,18 @@ impl CostModel {
         };
         let full = batch(WORDS);
 
-        // Stage-0 unit price: the real fused winners sweep (blocked
-        // layout) through the explicit-backend hook. On a scalar host no
-        // blocked mirror exists; the row-major sweep is the stage-0
-        // kernel there.
+        // Stage-0 unit price: the real fused winners sweep of the blocked
+        // layout, one serial kernel-table call over the whole batch (no
+        // thread chunking, whatever the features).
+        let sweep = kernel::table_for(memory.backend()).blocked_sweep;
         let sweep_ns = min_time(REPS, || {
-            let winners = match memory.blocked() {
-                Some(blocked) => {
-                    blocked.winners_batch_with(&full, backend).expect("validated shapes")
-                }
-                None => memory.winners_batch(&full).expect("validated shapes"),
-            };
+            let mut winners = vec![(0usize, 0u32); QUERIES];
+            sweep(memory.blocked(), &full, 0, SweepOut::KBest(Slots::new(&mut winners, 1)));
             black_box(winners);
         });
         let t0 = sweep_ns / (QUERIES * ROWS * WORDS) as f64;
 
-        // One cascade search on `backend`: best of reps of 8 calls.
+        // One cascade search of a pinned memory: best of reps of 8 calls.
         let cascade_ns = |memory: &SearchMemory, batch: &QueryBatch, ends: &[usize]| {
             let mut prev = 0usize;
             let widths: Vec<usize> =
@@ -254,7 +256,7 @@ impl CostModel {
             let plan = CascadePlan::from_widths(batch.dim(), &widths).expect("increasing ends");
             min_time(REPS, || {
                 for _ in 0..8 {
-                    black_box(memory.search_cascade_topk_with(batch, &plan, 1, backend).ok());
+                    black_box(memory.search_cascade_topk(batch, &plan, 1).ok());
                 }
             }) / 8.0
         };
@@ -264,7 +266,7 @@ impl CostModel {
         // costs one block overhead per block plus one stage overhead per
         // query; two row counts separate the two.
         let extra_stage = |count: usize| {
-            let same = SearchMemory::from_rows(&vec![rows[0].clone(); count]).expect("rows");
+            let same = pinned(&vec![rows[0].clone(); count]);
             cascade_ns(&same, &full, &[64, 512, DIM]) - cascade_ns(&same, &full, &[64, DIM])
         };
         let (many, few) = (ROWS, LANES);
@@ -278,8 +280,7 @@ impl CostModel {
         let lone = |words: usize| {
             let mut rows = vec![BitVector::zeros(words * 64); LANES];
             rows[0] = BitVector::ones(words * 64);
-            let memory = SearchMemory::from_rows(&rows).expect("rows");
-            cascade_ns(&memory, &batch(words), &[64, words * 64])
+            cascade_ns(&pinned(&rows), &batch(words), &[64, words * 64])
         };
         let (w_short, w_long) = (8usize, WORDS);
         let t1 = (lone(w_long) - lone(w_short)) / (QUERIES * (w_long - w_short)) as f64;

@@ -33,11 +33,16 @@
 //! once per plan and memory; query suffix popcounts cost one pass over
 //! a query's words, taken only when needed. A one-stage [`CascadePlan`]
 //! degenerates to the exact search; a plan of `D` one-dimension stages is
-//! the paper's column-by-column evaluation. The `cascade_equivalence`
-//! proptest suite pins winner/score/tie-break identity against
-//! [`crate::SearchMemory::search_batch`] for arbitrary plans on every
-//! reachable kernel backend, and the telemetry against a row-at-a-time
-//! replay of the prune rule.
+//! the paper's column-by-column evaluation.
+//!
+//! Each entry point — [`crate::SearchMemory::search_cascade_topk`],
+//! [`BoundCascade::search_topk`] and [`SegmentedCascade::search_topk`] —
+//! returns per-query k-best lists; `k = 1` is the argmax. The
+//! `cascade_equivalence` proptest suite pins list/score/tie-break
+//! identity against the exact sweep for arbitrary plans on every
+//! reachable kernel backend (memories pinned with
+//! [`crate::SearchMemory::with_backend`]), and the telemetry against a
+//! row-at-a-time replay of the prune rule.
 //!
 //! Every stage runs as a word-window pass of the one blocked sweep
 //! ([`crate::blocked`]): per query, stage `s` accumulates the panels of
@@ -50,7 +55,9 @@
 //! the same pass over every block, so a stage that cannot prune costs
 //! about what the exact sweep does, and no stage materializes a
 //! queries × rows score matrix. A segmented memory runs the same pass
-//! with one window per partition a stage covers.
+//! with one window per partition a stage covers. The pass runs on the
+//! searched memory's backend: the scalar backend's portable lanes go
+//! through the same kernel-table entry as every SIMD backend's.
 //!
 //! Every search also returns [`CascadeStats`] — per-stage shortlist
 //! sizes and the total number of activated row-dimensions — which is the
@@ -58,14 +65,11 @@
 
 use crate::batch::{self, Slots, TopK};
 use crate::bits::BitMatrix;
-use crate::blocked::{
-    BlockPass, BlockedBitMatrix, PassPart, SearchMemory, StageWork, Window, LANES,
-};
+use crate::blocked::{BlockPass, SearchMemory, StageWork, Window, LANES};
 use crate::calibrate::CostModel;
 use crate::error::{LinalgError, Result};
-use crate::kernel::{self, Backend, CascadePass};
+use crate::kernel;
 use crate::{QueryBatch, QueryBatchBuilder};
-use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 /// Stage layout of a cascade search: strictly increasing dimension
@@ -311,7 +315,7 @@ impl CascadePlan {
     /// let plan = CascadePlan::tuned(&memory, &sample).unwrap();
     /// assert_eq!(plan.dim(), 256);
     /// assert_eq!(
-    ///     memory.search_cascade(&sample, &plan).unwrap().winners(),
+    ///     memory.search_cascade_topk(&sample, &plan, 1).unwrap().topk().hits(0),
     ///     memory.winners_batch(&sample).unwrap()
     /// );
     /// ```
@@ -461,7 +465,7 @@ const TUNE_SAMPLE_CAP: usize = 64;
 /// for: a plan whose first stage prunes to the argmax may keep far more
 /// rows alive at `k = 5` (see [`CascadePlan::tuned`]).
 fn probe(memory: &SearchMemory, sample: &QueryBatch, plan: &CascadePlan) -> Vec<StageWork> {
-    BoundForm::derive(memory.matrix(), plan).search_topk(memory, sample, plan, 1, None).1
+    BoundForm::derive(memory.matrix(), plan).search_topk(memory, sample, plan, 1).1
 }
 
 /// Packed words one stage `[prev, e)` drives per (query, row) on a
@@ -624,50 +628,11 @@ impl CascadeStats {
     }
 }
 
-/// Winners plus activation telemetry of one cascade search. Winners are
-/// bit-identical to [`crate::BitMatrix::winners_batch`] — same rows,
-/// same scores, same low-row tie-break.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CascadeResults {
-    winners: Vec<(usize, u32)>,
-    stats: CascadeStats,
-}
-
-impl CascadeResults {
-    /// Number of queries answered.
-    pub fn len(&self) -> usize {
-        self.winners.len()
-    }
-
-    /// Whether there are no results.
-    pub fn is_empty(&self) -> bool {
-        self.winners.is_empty()
-    }
-
-    /// Winning `(row, score)` of query `q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q >= len()`.
-    pub fn winner(&self, q: usize) -> (usize, u32) {
-        self.winners[q]
-    }
-
-    /// All winners, parallel to the batch's queries.
-    pub fn winners(&self) -> &[(usize, u32)] {
-        &self.winners
-    }
-
-    /// Activation telemetry of the search.
-    pub fn stats(&self) -> &CascadeStats {
-        &self.stats
-    }
-}
-
 /// Per-query k-best lists plus activation telemetry of one cascade
-/// top-k search. The lists are bit-identical to
-/// [`crate::BitMatrix::topk_batch`] — same rows, same scores, same
-/// score-desc/row-asc order.
+/// search. The lists are bit-identical to
+/// [`crate::SearchMemory::topk_batch`] — same rows, same scores, same
+/// score-desc/row-asc order; at `k = 1` each query's one entry is its
+/// winner.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CascadeTopK {
     topk: TopK,
@@ -688,13 +653,6 @@ impl CascadeTopK {
     /// Activation telemetry of the search.
     pub fn stats(&self) -> &CascadeStats {
         &self.stats
-    }
-
-    /// A `k = 1` search as argmax results: the one-entry-per-query flat
-    /// buffer moves across as the winners, without a copy.
-    fn into_top1(self) -> CascadeResults {
-        debug_assert_eq!(self.topk.hits_per_query(), 1);
-        CascadeResults { winners: self.topk.into_flat(), stats: self.stats }
     }
 }
 
@@ -765,46 +723,30 @@ fn row_suffix_table(m: &BitMatrix, ends: &[usize]) -> Vec<u32> {
     table
 }
 
-/// The blocked mirror a block pass on `backend` (the active one for
-/// `None`) sweeps over `memory`: none for the scalar backend, which
-/// walks the row-major rows; for an explicit SIMD backend on a memory
-/// that holds none (a scalar-active host), one packed on the fly.
-fn pass_mirror(
-    memory: &SearchMemory,
-    backend: Option<Backend>,
-) -> Option<Cow<'_, BlockedBitMatrix>> {
-    match backend {
-        None => memory.blocked().map(Cow::Borrowed),
-        Some(Backend::Scalar) => None,
-        Some(_) => Some(memory.blocked().map_or_else(
-            || Cow::Owned(BlockedBitMatrix::from_matrix(memory.matrix())),
-            Cow::Borrowed,
-        )),
-    }
-}
-
 /// The shared core of every cascade entry point: one block pass
 /// ([`crate::blocked::BlockPass`]) of `batch` over `parts`, stage by
-/// stage through `windows` (in stage order), run on `backend` (the
-/// active one for `None`) in query chunks across threads under the
-/// `rayon` feature ([`batch::chunk_queries`]; queries are independent,
-/// so the merged result is bit-identical to the serial order). Returns
-/// the k-best lists (`min(k, rows)` per query), the telemetry, and the
-/// per-stage work the tuner prices.
+/// stage through `windows` (in stage order), on the first part's backend
+/// in query chunks across threads under the `rayon` feature
+/// ([`batch::chunk_queries`]; queries are independent, so the merged
+/// result is bit-identical to the serial order). Returns the k-best
+/// lists (`min(k, rows)` per query), the telemetry, and the per-stage
+/// work the tuner prices.
 fn search_pass(
-    parts: Vec<PassPart<'_>>,
+    parts: &[SearchMemory],
     windows: &[Window<'_>],
     batch: &QueryBatch,
     ends: &[usize],
     row_suffix: &[u32],
     k: usize,
-    backend: Option<Backend>,
 ) -> (CascadeTopK, Vec<StageWork>) {
-    let (run, dot): (CascadePass, Dot) = match backend {
-        None => (kernel::active_table().cascade_pass, batch::dot_words),
-        Some(b) => (kernel::table_for(b).cascade_pass, kernel::table_for(b).dot_words),
-    };
-    let (rows, dim, stages) = (parts[0].rows.rows(), batch.dim(), ends.len());
+    let backend = parts[0].backend();
+    let table = kernel::table_for(backend);
+    // The active backend scores lone rows through the dispatching flat
+    // kernel (inline scalar below 8 words); a pinned backend runs its
+    // own flat kernel at every width.
+    let dot: Dot = if backend == kernel::active() { batch::dot_words } else { table.dot_words };
+    let run = table.cascade_pass;
+    let (rows, dim, stages) = (parts[0].rows(), batch.dim(), ends.len());
     let pass = BlockPass { parts, windows, row_suffix, dot };
     let per_query = k.min(rows);
     let mut entries = vec![(0usize, 0u32); batch.len() * per_query];
@@ -846,8 +788,8 @@ impl BoundForm {
     }
 
     /// Cascade top-k of `batch` over `memory`, the memory this form was
-    /// derived from under `plan`, as one block pass on `backend` (the
-    /// active one for `None`): stage `s` scores words `[ends[s-1] / 64,
+    /// derived from under `plan`, as one block pass on the memory's
+    /// backend: stage `s` scores words `[ends[s-1] / 64,
     /// word_end(ends[s]))` of every row block that still holds a live
     /// lane, the query's boundary words masked.
     fn search_topk(
@@ -856,7 +798,6 @@ impl BoundForm {
         batch: &QueryBatch,
         plan: &CascadePlan,
         k: usize,
-        backend: Option<Backend>,
     ) -> (CascadeTopK, Vec<StageWork>) {
         let mut prev = 0usize;
         let windows: Vec<Window<'_>> = (plan.ends().iter().enumerate())
@@ -865,9 +806,8 @@ impl BoundForm {
                 Window { stage, part: 0, queries: batch, lo, hi }
             })
             .collect();
-        let mirror = pass_mirror(memory, backend);
-        let parts = vec![PassPart { rows: memory.matrix(), blocked: mirror.as_deref() }];
-        search_pass(parts, &windows, batch, plan.ends(), &self.row_suffix, k, backend)
+        let parts = std::slice::from_ref(memory);
+        search_pass(parts, &windows, batch, plan.ends(), &self.row_suffix, k)
     }
 }
 
@@ -880,7 +820,7 @@ const BOUND_CACHE_CAP: usize = 4;
 /// kept in most-recently-used order. Attached to every [`SearchMemory`];
 /// invalidated whenever the memory mutates (see
 /// [`SearchMemory::modify_reporting`]). Interior mutability keeps
-/// [`SearchMemory::search_cascade`] a `&self` call.
+/// [`SearchMemory::search_cascade_topk`] a `&self` call.
 pub(crate) struct CascadeCache {
     entries: Mutex<Vec<Arc<BoundForm>>>,
 }
@@ -952,12 +892,12 @@ impl std::fmt::Debug for CascadeCache {
 
 /// A cascade plan explicitly bound to one shared memory: a cheap handle
 /// over the same per-(plan, memory) bound form that
-/// [`SearchMemory::search_cascade`] caches internally. Constructing one
+/// [`SearchMemory::search_cascade_topk`] caches internally. Constructing one
 /// warms the memory's cache, pins the derived artifacts for the handle's
 /// lifetime (immune to cache eviction), and carries the `Arc` a serving
 /// thread needs — this is what `hd_serve`'s cascade shards hold.
 ///
-/// One-shot callers can simply call [`SearchMemory::search_cascade`]:
+/// One-shot callers can simply call [`SearchMemory::search_cascade_topk`]:
 /// since the cache landed there, repeated batches against the same
 /// memory and plan reuse the derived form either way.
 ///
@@ -972,7 +912,8 @@ impl std::fmt::Debug for CascadeCache {
 /// let memory = Arc::new(SearchMemory::from_rows(&rows).unwrap());
 /// let bound = BoundCascade::new(Arc::clone(&memory), CascadePlan::prefix(4, 2).unwrap()).unwrap();
 /// let batch = QueryBatch::from_vectors(&[BitVector::from_bools(&[true; 4])]).unwrap();
-/// assert_eq!(bound.search(&batch).unwrap().winners(), memory.winners_batch(&batch).unwrap());
+/// let top1 = bound.search_topk(&batch, 1).unwrap();
+/// assert_eq!(top1.topk().hits(0), memory.winners_batch(&batch).unwrap());
 /// ```
 #[derive(Debug, Clone)]
 pub struct BoundCascade {
@@ -1016,18 +957,6 @@ impl BoundCascade {
         &self.memory
     }
 
-    /// Cascade search over the bound memory — bit-identical winners to
-    /// [`SearchMemory::winners_batch`], with no per-call re-derivation.
-    /// The top-1 of [`BoundCascade::search_topk`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] when the batch
-    /// dimensionality differs from the memory's.
-    pub fn search(&self, batch: &QueryBatch) -> Result<CascadeResults> {
-        self.search_topk(batch, 1).map(CascadeTopK::into_top1)
-    }
-
     /// Top-k cascade search over the bound memory — bit-identical lists
     /// to [`SearchMemory::topk_batch`] (score desc, row asc), with no
     /// per-call re-derivation. `k` is clamped to the row count.
@@ -1049,7 +978,7 @@ impl BoundCascade {
                 found: batch.dim(),
             });
         }
-        Ok(self.form.search_topk(&self.memory, batch, &self.plan, k, None).0)
+        Ok(self.form.search_topk(&self.memory, batch, &self.plan, k).0)
     }
 }
 
@@ -1059,9 +988,9 @@ impl BoundCascade {
 /// mappings store (one [`SearchMemory`] per partition). Stage boundaries
 /// must land on segment boundaries (snap a tuned plan with
 /// [`CascadePlan::snapped`]): a prefix of logical dimensions is then a
-/// prefix of whole segments, so stage 0 runs each covered partition's
-/// tiled SIMD sweep and the pruning continuation finishes survivors
-/// segment by segment. Winners (scores and the low-row tie-break
+/// prefix of whole segments, so each stage is one block pass that sums
+/// the lane counts of the partitions it covers, and the pruning carries
+/// survivors segment by segment. Lists (scores and the low-row tie-break
 /// included) are bit-identical to accumulating every partition's exact
 /// scores.
 ///
@@ -1069,9 +998,10 @@ impl BoundCascade {
 /// row-suffix table assembled from per-partition row popcounts — so
 /// repeated batches skip the derivation. The segment memories themselves
 /// stay with the caller (who owns and may mutate them): pass the **same**
-/// partitions to every [`SegmentedCascade::search`] call, and re-derive
-/// the handle when their bits change. `imc_sim::AmMapping` wraps exactly
-/// that contract, invalidating its cached handle on fault injection.
+/// partitions to every [`SegmentedCascade::search_topk`] call, and
+/// re-derive the handle when their bits change. `imc_sim::AmMapping`
+/// wraps exactly that contract, invalidating its cached handle on fault
+/// injection.
 ///
 /// # Example
 ///
@@ -1090,8 +1020,8 @@ impl BoundCascade {
 /// let plan = CascadePlan::prefix(8, 4).unwrap(); // boundary on the segment seam
 /// let cascade = SegmentedCascade::new(&parts, &plan).unwrap();
 /// let batch = QueryBatch::from_vectors(&[BitVector::from_bools(&[true; 8])]).unwrap();
-/// let results = cascade.search(&parts, &batch).unwrap();
-/// assert_eq!(results.winner(0), (0, 8));
+/// let results = cascade.search_topk(&parts, &batch, 1).unwrap();
+/// assert_eq!(results.topk().hits(0), &[(0, 8)]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SegmentedCascade {
@@ -1104,7 +1034,7 @@ pub struct SegmentedCascade {
     row_suffix: Vec<u32>,
     /// Total popcount of every partition at derivation time — a cheap
     /// staleness fingerprint: debug builds assert it against the
-    /// partitions passed to [`SegmentedCascade::search`], catching
+    /// partitions passed to [`SegmentedCascade::search_topk`], catching
     /// callers that mutated a segment (or swapped in a different
     /// same-shape layout) without re-deriving the handle.
     ones_fingerprint: u64,
@@ -1160,77 +1090,40 @@ impl SegmentedCascade {
         &self.plan
     }
 
-    /// Cascade search over the segment memories the handle was derived
-    /// from. Winners are bit-identical to summing every partition's
-    /// exact scores and taking the low-row argmax: the top-1 of
-    /// [`SegmentedCascade::search_topk`].
+    /// Top-k cascade search over the segment memories the handle was
+    /// derived from, on the first partition's backend — per-query k-best
+    /// lists bit-identical to summing every partition's exact scores and
+    /// selecting with the score-desc/row-asc order (at `k = 1`, the
+    /// low-row argmax). `k` is clamped to the row count.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] when `parts` disagrees
-    /// with the bound layout or the batch dimensionality differs from
-    /// the plan's, and [`LinalgError::Empty`] for empty partitions.
-    pub fn search(&self, parts: &[SearchMemory], batch: &QueryBatch) -> Result<CascadeResults> {
-        self.search_topk(parts, batch, 1).map(CascadeTopK::into_top1)
-    }
-
-    /// Top-k cascade search over the segment memories — per-query k-best
-    /// lists bit-identical to summing every partition's exact scores and
-    /// selecting with the score-desc/row-asc order. `k` is clamped to
-    /// the row count.
-    ///
-    /// # Errors
-    ///
-    /// As [`SegmentedCascade::search`], plus [`LinalgError::Empty`] for
-    /// `k == 0`.
+    /// with the bound layout (row count or segment width) or the batch
+    /// dimensionality differs from the plan's, and [`LinalgError::Empty`]
+    /// for `k == 0` or empty partitions.
     pub fn search_topk(
         &self,
         parts: &[SearchMemory],
         batch: &QueryBatch,
         k: usize,
     ) -> Result<CascadeTopK> {
-        self.search_on(parts, batch, k, None)
-    }
-
-    /// [`SegmentedCascade::search_topk`] on an explicit backend — the
-    /// equivalence-testing hook (a SIMD backend packs blocked mirrors
-    /// the partitions lack on the fly; query-chunked under `rayon` like
-    /// every cascade).
-    ///
-    /// # Errors
-    ///
-    /// As [`SegmentedCascade::search_topk`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backend` is unavailable on this host.
-    pub fn search_topk_with(
-        &self,
-        parts: &[SearchMemory],
-        batch: &QueryBatch,
-        k: usize,
-        backend: Backend,
-    ) -> Result<CascadeTopK> {
-        assert!(backend.is_available(), "backend {backend} not available on this host");
-        self.search_on(parts, batch, k, Some(backend))
-    }
-
-    fn search_on(
-        &self,
-        parts: &[SearchMemory],
-        batch: &QueryBatch,
-        k: usize,
-        backend: Option<Backend>,
-    ) -> Result<CascadeTopK> {
         if k == 0 {
             return Err(LinalgError::Empty { op: "SegmentedCascade::search_topk" });
         }
         let (rows, seg_len) = check_segments(parts, &self.plan)?;
-        if rows != self.rows || seg_len != self.seg_len {
+        if rows != self.rows {
             return Err(LinalgError::ShapeMismatch {
                 op: "SegmentedCascade::search",
                 expected: self.rows,
                 found: rows,
+            });
+        }
+        if seg_len != self.seg_len {
+            return Err(LinalgError::ShapeMismatch {
+                op: "SegmentedCascade segment width",
+                expected: self.seg_len,
+                found: seg_len,
             });
         }
         if batch.dim() != self.plan.dim() {
@@ -1246,7 +1139,7 @@ impl SegmentedCascade {
         debug_assert_eq!(
             segments_fingerprint(parts),
             self.ones_fingerprint,
-            "SegmentedCascade::search called with partitions whose bits changed since \
+            "SegmentedCascade::search_topk called with partitions whose bits changed since \
              SegmentedCascade::new — re-derive the handle"
         );
         // Per-partition query segment batches, via the batch's cached
@@ -1269,11 +1162,7 @@ impl SegmentedCascade {
             }
             prev = e;
         }
-        let mirrors: Vec<_> = parts.iter().map(|part| pass_mirror(part, backend)).collect();
-        let layout = (parts.iter().zip(&mirrors))
-            .map(|(part, mirror)| PassPart { rows: part.matrix(), blocked: mirror.as_deref() })
-            .collect();
-        Ok(search_pass(layout, &windows, batch, ends, &self.row_suffix, k, backend).0)
+        Ok(search_pass(parts, &windows, batch, ends, &self.row_suffix, k).0)
     }
 }
 
@@ -1339,18 +1228,18 @@ fn check_segments(parts: &[SearchMemory], plan: &CascadePlan) -> Result<(usize, 
 
 fn check_cascade(m: &BitMatrix, batch: &QueryBatch, plan: &CascadePlan) -> Result<()> {
     if m.rows() == 0 {
-        return Err(LinalgError::Empty { op: "search_cascade" });
+        return Err(LinalgError::Empty { op: "search_cascade_topk" });
     }
     if batch.dim() != m.cols() {
         return Err(LinalgError::ShapeMismatch {
-            op: "search_cascade",
+            op: "search_cascade_topk",
             expected: m.cols(),
             found: batch.dim(),
         });
     }
     if plan.dim() != m.cols() {
         return Err(LinalgError::ShapeMismatch {
-            op: "search_cascade(plan)",
+            op: "search_cascade_topk(plan)",
             expected: m.cols(),
             found: plan.dim(),
         });
@@ -1359,22 +1248,24 @@ fn check_cascade(m: &BitMatrix, batch: &QueryBatch, plan: &CascadePlan) -> Resul
 }
 
 impl SearchMemory {
-    /// Progressive-precision batched search: prefix-scores every row
-    /// with the tiled batched kernels, prunes rows that provably cannot
-    /// win (Hamming bound), and finishes only the survivors. Winners
-    /// (rows, scores, and the low-row tie-break) are bit-identical to
-    /// [`SearchMemory::winners_batch`]; the returned [`CascadeStats`]
-    /// reports how many row-dimensions were activated. This is the top-1
-    /// of [`SearchMemory::search_cascade_topk`].
+    /// Progressive-precision batched top-k search: prefix-scores every
+    /// row, prunes rows that provably cannot reach a query's running
+    /// k-th-best score (Hamming bound), and finishes only the survivors.
+    /// The per-query k-best `(row, score)` lists are bit-identical to
+    /// [`SearchMemory::topk_batch`] (score desc, row asc; at `k = 1`, the
+    /// winners of [`SearchMemory::winners_batch`]), and the returned
+    /// [`CascadeStats`] report how many row-dimensions were activated.
+    /// `k` is clamped to the row count.
     ///
     /// Every stage is a word-window pass of the blocked sweep over the
-    /// row blocks that still hold a live lane (see the module docs).
+    /// row blocks that still hold a live lane (see the module docs), on
+    /// the memory's backend.
     ///
     /// The plan's derived artifact (the row-suffix table) is cached on
     /// this memory keyed by the plan's stage boundaries, so
-    /// repeated-batch loops — QAT epochs, eval sweeps,
-    /// serving flushes — derive them once per (plan, memory) instead of
-    /// once per call. Any mutation through [`SearchMemory::modify`] /
+    /// repeated-batch loops — QAT epochs, eval sweeps, serving flushes —
+    /// derive it once per (plan, memory) instead of once per call. Any
+    /// mutation through [`SearchMemory::modify`] /
     /// [`SearchMemory::modify_reporting`] invalidates the cache, and the
     /// next search re-derives against the new bits.
     ///
@@ -1382,44 +1273,18 @@ impl SearchMemory {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] when the batch or plan
     /// dimensionality differs from `cols`, and [`LinalgError::Empty`]
-    /// for a memory with no rows.
-    pub fn search_cascade(&self, batch: &QueryBatch, plan: &CascadePlan) -> Result<CascadeResults> {
-        self.search_cascade_topk(batch, plan, 1).map(CascadeTopK::into_top1)
-    }
-
-    /// Top-k cascade search: per-query k-best `(row, score)` lists
-    /// bit-identical to [`SearchMemory::topk_batch`] (score desc, row
-    /// asc), pruned against each query's running k-th-best score, with
-    /// the same per-(plan, memory) bound-form caching as
-    /// [`SearchMemory::search_cascade`]. `k` is clamped to the row count.
-    ///
-    /// # Errors
-    ///
-    /// As [`SearchMemory::search_cascade`], plus [`LinalgError::Empty`]
-    /// for `k == 0`.
+    /// for `k == 0` or a memory with no rows.
     pub fn search_cascade_topk(
         &self,
         batch: &QueryBatch,
         plan: &CascadePlan,
         k: usize,
     ) -> Result<CascadeTopK> {
-        self.cascade_on(batch, plan, k, None)
-    }
-
-    /// [`SearchMemory::search_cascade_topk`] on `backend`, the active
-    /// one for `None`.
-    fn cascade_on(
-        &self,
-        batch: &QueryBatch,
-        plan: &CascadePlan,
-        k: usize,
-        backend: Option<Backend>,
-    ) -> Result<CascadeTopK> {
         if k == 0 {
             return Err(LinalgError::Empty { op: "search_cascade_topk" });
         }
         check_cascade(self.matrix(), batch, plan)?;
-        Ok(self.bound_form(plan).search_topk(self, batch, plan, k, backend).0)
+        Ok(self.bound_form(plan).search_topk(self, batch, plan, k).0)
     }
 
     /// `plan`'s bound form over this memory, from the cache. One-stage
@@ -1432,31 +1297,6 @@ impl SearchMemory {
             self.cascade_cache().get_or_derive(self.matrix(), plan)
         }
     }
-
-    /// [`SearchMemory::search_cascade_topk`] on an explicit backend — the
-    /// equivalence-testing hook: the same block pass through that
-    /// backend's kernel-table entry (the scalar backend walks row-major
-    /// rows, a SIMD one sweeps the blocked mirror, packed on the fly when
-    /// the memory holds none), query-chunked under `rayon` like every
-    /// cascade. `k = 1` is the explicit-backend argmax cascade.
-    ///
-    /// # Errors
-    ///
-    /// As [`SearchMemory::search_cascade_topk`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backend` is unavailable on this host.
-    pub fn search_cascade_topk_with(
-        &self,
-        batch: &QueryBatch,
-        plan: &CascadePlan,
-        k: usize,
-        backend: Backend,
-    ) -> Result<CascadeTopK> {
-        assert!(backend.is_available(), "backend {backend} not available on this host");
-        self.cascade_on(batch, plan, k, Some(backend))
-    }
 }
 
 #[cfg(test)]
@@ -1465,6 +1305,11 @@ mod tests {
     use crate::rng::seeded;
     use crate::BitVector;
     use rand::Rng;
+
+    /// Each query's one entry of a `k = 1` cascade: its winner.
+    fn top1(out: &CascadeTopK) -> Vec<(usize, u32)> {
+        (0..out.topk().len()).map(|q| out.topk().hits(q)[0]).collect()
+    }
 
     fn random_bits(len: usize, rng: &mut rand::rngs::StdRng) -> BitVector {
         let bits: Vec<bool> = (0..len).map(|_| rng.gen()).collect();
@@ -1502,8 +1347,8 @@ mod tests {
                 CascadePlan::uniform(dim, dim.min(4)).unwrap(),
                 CascadePlan::uniform(dim, dim).unwrap(), // one dim per stage
             ] {
-                let out = mem.search_cascade(&batch, &plan).unwrap();
-                assert_eq!(out.winners(), reference.as_slice(), "dim {dim} plan {plan:?}");
+                let out = mem.search_cascade_topk(&batch, &plan, 1).unwrap();
+                assert_eq!(top1(&out), reference, "dim {dim} plan {plan:?}");
             }
         }
     }
@@ -1515,7 +1360,7 @@ mod tests {
         let mem = SearchMemory::from_rows(&rows).unwrap();
         let queries: Vec<BitVector> = (0..5).map(|_| random_bits(130, &mut rng)).collect();
         let batch = QueryBatch::from_vectors(&queries).unwrap();
-        let out = mem.search_cascade(&batch, &CascadePlan::exact(130)).unwrap();
+        let out = mem.search_cascade_topk(&batch, &CascadePlan::exact(130), 1).unwrap();
         let stats = out.stats();
         assert_eq!(stats.queries(), 5);
         assert_eq!(stats.activated_dims(), stats.exact_dims());
@@ -1535,8 +1380,8 @@ mod tests {
         let mem = SearchMemory::from_rows(&rows).unwrap();
         let batch = QueryBatch::from_vectors(&[hot]).unwrap();
         let plan = CascadePlan::prefix(dim, 64).unwrap();
-        let out = mem.search_cascade(&batch, &plan).unwrap();
-        assert_eq!(out.winner(0), (1, 256));
+        let out = mem.search_cascade_topk(&batch, &plan, 1).unwrap();
+        assert_eq!(out.topk().hits(0)[0], (1, 256));
         let stats = out.stats();
         assert!(stats.activated_dims() < stats.exact_dims());
         // Stage 0 admits all 4 rows; only the hot row survives to stage 1.
@@ -1559,8 +1404,8 @@ mod tests {
             CascadePlan::prefix(100, 30).unwrap(),
             CascadePlan::uniform(100, 100).unwrap(),
         ] {
-            let out = mem.search_cascade(&batch, &plan).unwrap();
-            assert_eq!(out.winner(0), (1, pattern.count_ones()), "{plan:?}");
+            let out = mem.search_cascade_topk(&batch, &plan, 1).unwrap();
+            assert_eq!(out.topk().hits(0)[0], (1, pattern.count_ones()), "{plan:?}");
         }
     }
 
@@ -1586,12 +1431,12 @@ mod tests {
         let batch = QueryBatch::from_vectors(&[BitVector::zeros(64)]).unwrap();
         let wrong_batch = QueryBatch::from_vectors(&[BitVector::zeros(65)]).unwrap();
         assert!(matches!(
-            mem.search_cascade(&wrong_batch, &CascadePlan::exact(64)),
-            Err(LinalgError::ShapeMismatch { op: "search_cascade", .. })
+            mem.search_cascade_topk(&wrong_batch, &CascadePlan::exact(64), 1),
+            Err(LinalgError::ShapeMismatch { op: "search_cascade_topk", .. })
         ));
         assert!(matches!(
-            mem.search_cascade(&batch, &CascadePlan::exact(65)),
-            Err(LinalgError::ShapeMismatch { op: "search_cascade(plan)", .. })
+            mem.search_cascade_topk(&batch, &CascadePlan::exact(65), 1),
+            Err(LinalgError::ShapeMismatch { op: "search_cascade_topk(plan)", .. })
         ));
     }
 
@@ -1655,8 +1500,8 @@ mod tests {
         assert!(plan.ends()[0].is_multiple_of(64), "tuned boundaries are word-aligned");
         // Tuning is deterministic and exact.
         assert_eq!(plan, CascadePlan::tuned(&mem, &batch).unwrap());
-        let cascade = mem.search_cascade(&batch, &plan).unwrap();
-        assert_eq!(cascade.winners(), mem.winners_batch(&batch).unwrap().as_slice());
+        let cascade = mem.search_cascade_topk(&batch, &plan, 1).unwrap();
+        assert_eq!(top1(&cascade), mem.winners_batch(&batch).unwrap());
         assert!(cascade.stats().activation_fraction() < 0.5, "pruning must fire");
     }
 
@@ -1702,25 +1547,26 @@ mod tests {
                 .unwrap();
         assert_eq!(mem.cascade_cache().len(), 0);
         let plan = CascadePlan::prefix(256, 64).unwrap();
-        let a = mem.search_cascade(&batch, &plan).unwrap();
+        let a = mem.search_cascade_topk(&batch, &plan, 1).unwrap();
         assert_eq!(mem.cascade_cache().len(), 1);
         // A second search with an equal plan reuses the cached form.
-        let b = mem.search_cascade(&batch, &plan.clone()).unwrap();
+        let b = mem.search_cascade_topk(&batch, &plan.clone(), 1).unwrap();
         assert_eq!(a, b);
         assert_eq!(mem.cascade_cache().len(), 1);
         // One-stage plans derive nothing.
-        mem.search_cascade(&batch, &CascadePlan::exact(256)).unwrap();
+        mem.search_cascade_topk(&batch, &CascadePlan::exact(256), 1).unwrap();
         assert_eq!(mem.cascade_cache().len(), 1);
         // Distinct multi-stage plans each get an entry, LRU-capped.
         for stages in 2..=6 {
-            mem.search_cascade(&batch, &CascadePlan::uniform(256, stages).unwrap()).unwrap();
+            mem.search_cascade_topk(&batch, &CascadePlan::uniform(256, stages).unwrap(), 1)
+                .unwrap();
         }
         assert_eq!(mem.cascade_cache().len(), BOUND_CACHE_CAP);
         // An explicit handle shares the memory's cached form.
         let shared = Arc::new(mem.clone());
         let bound = BoundCascade::new(Arc::clone(&shared), plan.clone()).unwrap();
         assert_eq!(shared.cascade_cache().len(), 1);
-        assert_eq!(bound.search(&batch).unwrap(), a);
+        assert_eq!(bound.search_topk(&batch, 1).unwrap(), a);
     }
 
     #[test]
@@ -1733,7 +1579,7 @@ mod tests {
         )
         .unwrap();
         let plan = CascadePlan::from_widths(200, &[64, 70, 66]).unwrap();
-        mem.search_cascade(&batch, &plan).unwrap();
+        mem.search_cascade_topk(&batch, &plan, 1).unwrap();
         assert_eq!(mem.cascade_cache().len(), 1);
         // Flip a suffix bit of the winning region: the cached row-suffix
         // table is now stale and MUST be dropped.
@@ -1742,8 +1588,8 @@ mod tests {
             m.set(3, 190, flipped)
         });
         assert_eq!(mem.cascade_cache().len(), 0, "mutation must invalidate the cache");
-        let after = mem.search_cascade(&batch, &plan).unwrap();
-        assert_eq!(after.winners(), mem.winners_batch(&batch).unwrap().as_slice());
+        let after = mem.search_cascade_topk(&batch, &plan, 1).unwrap();
+        assert_eq!(top1(&after), mem.winners_batch(&batch).unwrap());
         assert_eq!(mem.cascade_cache().len(), 1, "next search re-derives");
         // A reported no-op keeps the cache warm.
         mem.modify_reporting(|_| false);
@@ -1751,7 +1597,7 @@ mod tests {
         // Clones start cold but stay exact.
         let cloned = mem.clone();
         assert_eq!(cloned.cascade_cache().len(), 0);
-        assert_eq!(cloned.search_cascade(&batch, &plan).unwrap(), after);
+        assert_eq!(cloned.search_cascade_topk(&batch, &plan, 1).unwrap(), after);
     }
 
     /// Splits `rows` into `p` equal-width segment memories.
@@ -1785,8 +1631,8 @@ mod tests {
             }
             for plan in plans {
                 let cascade = SegmentedCascade::new(&parts, &plan).unwrap();
-                let out = cascade.search(&parts, &batch).unwrap();
-                assert_eq!(out.winners(), reference.as_slice(), "dim {dim} P{p} {plan:?}");
+                let out = cascade.search_topk(&parts, &batch, 1).unwrap();
+                assert_eq!(top1(&out), reference, "dim {dim} P{p} {plan:?}");
                 assert!(out.stats().activated_dims() <= out.stats().exact_dims());
                 assert_eq!(out.stats().queries(), 17);
             }
@@ -1813,8 +1659,8 @@ mod tests {
         let plan = CascadePlan::prefix(dim, 128).unwrap();
         let cascade = SegmentedCascade::new(&parts, &plan).unwrap();
         let batch = QueryBatch::from_vectors(std::slice::from_ref(&hot)).unwrap();
-        let out = cascade.search(&parts, &batch).unwrap();
-        assert_eq!(out.winner(0), (1, hot.count_ones()), "low-row tie-break");
+        let out = cascade.search_topk(&parts, &batch, 1).unwrap();
+        assert_eq!(out.topk().hits(0)[0], (1, hot.count_ones()), "low-row tie-break");
         assert!(out.stats().activated_dims() < out.stats().exact_dims(), "pruning fires");
     }
 
@@ -1840,11 +1686,31 @@ mod tests {
         let plan = CascadePlan::prefix(256, 64).unwrap();
         let cascade = SegmentedCascade::new(&parts, &plan).unwrap();
         let bad_batch = QueryBatch::from_vectors(&[BitVector::zeros(255)]).unwrap();
-        assert!(cascade.search(&parts, &bad_batch).is_err());
+        assert!(cascade.search_topk(&parts, &bad_batch, 1).is_err());
         let fewer = &parts[..3];
         assert!(cascade
-            .search(fewer, &QueryBatch::from_vectors(&[BitVector::zeros(256)]).unwrap())
+            .search_topk(fewer, &QueryBatch::from_vectors(&[BitVector::zeros(256)]).unwrap(), 1)
             .is_err());
+    }
+
+    /// A handle derived from 2 × 64-bit partitions, searched with
+    /// 4 × 32-bit partitions of the same rows (the plan fits both grids):
+    /// the mismatch is the segment width, and the error says so.
+    #[test]
+    fn segmented_cascade_reports_segment_width_mismatch() {
+        let mut rng = seeded(49);
+        let stored: Vec<BitVector> = (0..3).map(|_| random_bits(128, &mut rng)).collect();
+        let plan = CascadePlan::prefix(128, 64).unwrap();
+        let cascade = SegmentedCascade::new(&segment_rows(&stored, 2), &plan).unwrap();
+        let batch = QueryBatch::from_vectors(&[random_bits(128, &mut rng)]).unwrap();
+        assert!(matches!(
+            cascade.search_topk(&segment_rows(&stored, 4), &batch, 1),
+            Err(LinalgError::ShapeMismatch {
+                op: "SegmentedCascade segment width",
+                expected: 64,
+                found: 32,
+            })
+        ));
     }
 
     #[test]
@@ -1933,7 +1799,7 @@ mod tests {
         for &e in plan.ends() {
             assert!(e == 500 || e.is_multiple_of(100), "boundary {e} off the unit grid");
         }
-        let out = mem.search_cascade(&batch, &plan).unwrap();
-        assert_eq!(out.winners(), mem.winners_batch(&batch).unwrap().as_slice());
+        let out = mem.search_cascade_topk(&batch, &plan, 1).unwrap();
+        assert_eq!(top1(&out), mem.winners_batch(&batch).unwrap());
     }
 }

@@ -5,9 +5,12 @@
 //! (Hamming) — plus the blocked sweeps over a [`BlockedBitMatrix`]. This
 //! module selects, **once per process**, the fastest implementation the
 //! host CPU offers and publishes it as a dispatch table
-//! (`KernelTable`) that the batched entry points
-//! ([`crate::BitMatrix::dot_batch`], [`crate::BitMatrix::winners_batch`],
-//! [`crate::BitVector::dot_many`], …) route through:
+//! (`KernelTable`) that the search entry points
+//! ([`crate::SearchMemory::topk_batch`], the cascade,
+//! [`crate::BitVector::dot_many`], …) route through; a
+//! [`crate::SearchMemory`] built with
+//! [`crate::SearchMemory::with_backend`] routes through an explicit
+//! backend's table instead:
 //!
 //! * [`Backend::Avx512`] — AVX-512 `VPOPCNTDQ`: one `vpopcntq` per eight
 //!   packed words, with vectorized winner tracking.
@@ -178,7 +181,8 @@ pub fn hamming_words_with(backend: Backend, a: &[u64], b: &[u64]) -> u32 {
 }
 
 /// Dispatch table of one backend's kernel entry points. Built once per
-/// backend; the active table is what every batched search routes through.
+/// backend; a search memory's backend selects the table its batched
+/// searches route through.
 /// Two flat word kernels plus the two loops over the backend's blocked
 /// kernel: the sweep, whose sink (dot, winners or top-k) follows from
 /// the output it is handed, and the cascade's block pass.

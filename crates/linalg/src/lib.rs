@@ -17,29 +17,33 @@
 //! with the small, well-tested subset of operations this workspace needs.
 //!
 //! **Batched search is the preferred entry point.** Many-query workloads
-//! should pack their queries into a [`QueryBatch`] and call
-//! [`BitMatrix::dot_batch`] / [`BitMatrix::search_batch`] (or
-//! [`BitMatrix::winners_batch`] when only predictions are needed): one
-//! tiled popcount sweep answers the whole batch with no per-query
-//! allocation. The single-query operations are thin slices of the same
+//! should pack their queries into a [`QueryBatch`] and search a
+//! [`SearchMemory`] — [`SearchMemory::topk_batch`] (`k = 1` is the
+//! argmax, also spelled [`SearchMemory::winners_batch`]), or
+//! [`SearchMemory::dot_batch`] / [`SearchMemory::search_batch`] when the
+//! scores are needed: one blocked popcount sweep answers the whole batch
+//! with no per-query allocation. The single-query operations
+//! ([`BitMatrix::dot_all`], [`BitVector::dot`]) run the same flat word
 //! kernels.
 //!
 //! **Kernels are runtime-dispatched.** The [`kernel`] module detects the
 //! host CPU once at startup and routes every popcount through the fastest
 //! available backend (AVX-512 `VPOPCNTDQ`, AVX2 nibble-LUT, NEON, or the
 //! portable scalar loops); set `HD_LINALG_BACKEND=scalar|avx2|avx512|neon`
-//! to force one. SIMD sweeps run on [`BlockedBitMatrix`], an interleaved
-//! associative-memory layout that packs register-width column panels of
-//! eight class rows; long-lived memories should hold a [`SearchMemory`],
-//! which pairs the row-major matrix with a pre-packed blocked mirror.
+//! to force one. Batched sweeps run on [`BlockedBitMatrix`], an
+//! interleaved associative-memory layout that packs register-width column
+//! panels of eight class rows; a [`SearchMemory`] pairs the row-major
+//! matrix with that layout, packed once, and picks its backend at
+//! construction ([`SearchMemory::with_backend`] pins one explicitly).
 //! Every backend is bit-identical to scalar (ties, tail words, and
 //! padding included).
 //!
 //! **Cascade search prunes provably-losing rows.** [`CascadePlan`] splits
-//! the dimensions into stages; [`SearchMemory::search_cascade`] scores a
-//! prefix for every row, discards rows whose best possible completion
-//! cannot reach the current leader, and finishes only the survivors —
-//! winners, scores, and tie-breaks stay bit-identical to the exact sweep,
+//! the dimensions into stages; [`SearchMemory::search_cascade_topk`]
+//! scores a prefix for every row, discards rows whose best possible
+//! completion cannot reach the current k-th best, and finishes only the
+//! survivors — lists, scores, and tie-breaks stay bit-identical to the
+//! exact sweep,
 //! and the returned [`CascadeStats`] reports how many row-dimensions were
 //! actually activated (the paper's Fig. 7 energy proxy).
 //! [`CascadePlan::tuned`] prices candidate plans with a once-per-host
@@ -92,9 +96,7 @@ pub use batch::{
 pub use bits::{majority_words, BitMatrix, BitVector, BitView};
 pub use blocked::{BlockedBitMatrix, SearchMemory, LANES as BLOCK_LANES};
 pub use calibrate::CostModel;
-pub use cascade::{
-    BoundCascade, CascadePlan, CascadeResults, CascadeStats, CascadeTopK, SegmentedCascade,
-};
+pub use cascade::{BoundCascade, CascadePlan, CascadeStats, CascadeTopK, SegmentedCascade};
 pub use error::{LinalgError, Result};
 pub use labeled::LabeledMemory;
 pub use matrix::Matrix;

@@ -1,18 +1,22 @@
-//! Edge-geometry coverage for the interleaved [`BlockedBitMatrix`]
-//! layout: dimensions that are not a multiple of the 64-bit panel word,
-//! row counts that are not a multiple of the 8-row block, degenerate 0/1
-//! row matrices, and all-tie score fields — asserting on **every backend
-//! reachable on this host** that the blocked sweep is bit-identical to
-//! the row-major reference (scores, winners, top-k lists, and the
-//! low-row tie-break) — and that the cascade's block pass over the same
-//! layout keeps its lists and telemetry at those edges.
+//! Edge-geometry coverage for the interleaved blocked layout every
+//! [`SearchMemory`] sweeps: dimensions that are not a multiple of the
+//! 64-bit panel word, row counts that are not a multiple of the 8-row
+//! block, degenerate 0/1 row matrices, and all-tie score fields —
+//! asserting on **every backend reachable on this host** (a memory
+//! pinned with [`SearchMemory::with_backend`]) that the blocked sweep is
+//! bit-identical to the flat-kernel row walk of [`BitMatrix::dot_all`]
+//! (scores, winners, top-k lists, and the low-row tie-break) — that the
+//! cascade's block pass over the same layout keeps its lists and
+//! telemetry at those edges, and that a pinned backend survives every
+//! derived memory.
 
 use hd_linalg::kernel::Backend;
 use hd_linalg::{
-    BitMatrix, BitVector, BlockedBitMatrix, CascadePlan, LinalgError, QueryBatch, SearchMemory,
+    BitMatrix, BitVector, BoundCascade, CascadePlan, LinalgError, QueryBatch, SearchMemory,
     SegmentedCascade, BLOCK_LANES,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn deterministic_matrix(rows: usize, cols: usize, salt: u64) -> BitMatrix {
     let mut m = BitMatrix::zeros(rows, cols);
@@ -33,30 +37,43 @@ fn deterministic_batch(queries: usize, cols: usize, salt: u64) -> QueryBatch {
     QueryBatch::from_matrix(m)
 }
 
-/// Blocked scores, winners and top-k lists must equal the row-major
-/// reference on every reachable backend, for the given geometry. Top-k
-/// is checked at k = 1, 3, rows and rows + 1 against a stable sort of
-/// the reference scores (score desc, row asc).
-fn assert_blocked_matches(m: &BitMatrix, batch: &QueryBatch, label: &str) {
-    let blocked = BlockedBitMatrix::from_matrix(m);
-    let ref_scores = m.dot_batch(batch).expect("reference dot_batch");
-    let ref_winners: Vec<(usize, u32)> =
-        (0..batch.len()).map(|q| hd_linalg::argmax_u32(ref_scores.scores(q))).collect();
-    let ref_sorted: Vec<Vec<(usize, u32)>> = (0..batch.len())
-        .map(|q| {
-            let mut hits: Vec<(usize, u32)> =
-                ref_scores.scores(q).iter().copied().enumerate().collect();
+/// Per query, every row's score from the flat-kernel row walk.
+fn reference_scores(m: &BitMatrix, batch: &QueryBatch) -> Vec<Vec<u32>> {
+    (0..batch.len()).map(|q| m.dot_all(&batch.query(q).to_bit_vector())).collect()
+}
+
+/// Per query, every `(row, score)` stable-sorted by score desc, row asc.
+fn sorted_hits(scores: &[Vec<u32>]) -> Vec<Vec<(usize, u32)>> {
+    scores
+        .iter()
+        .map(|row| {
+            let mut hits: Vec<(usize, u32)> = row.iter().copied().enumerate().collect();
             hits.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             hits
         })
-        .collect();
+        .collect()
+}
+
+/// Blocked scores, winners and top-k lists must equal the flat-kernel
+/// row walk on every reachable backend, for the given geometry. Top-k
+/// is checked at k = 1, 3, rows and rows + 1 against a stable sort of
+/// the reference scores (score desc, row asc).
+fn assert_blocked_matches(m: &BitMatrix, batch: &QueryBatch, label: &str) {
+    let ref_scores = reference_scores(m, batch);
+    let ref_winners: Vec<(usize, u32)> =
+        ref_scores.iter().map(|row| hd_linalg::argmax_u32(row)).collect();
+    let ref_sorted = sorted_hits(&ref_scores);
     for backend in Backend::available() {
-        let scores = blocked.dot_batch_with(batch, backend).expect("blocked dot");
-        assert_eq!(scores, ref_scores, "{label}: scores diverge on {backend}");
-        let winners = blocked.winners_batch_with(batch, backend).expect("blocked winners");
+        let mem = SearchMemory::with_backend(m.clone(), backend);
+        let scores = mem.dot_batch(batch).expect("blocked dot");
+        assert_eq!(scores.shape(), (batch.len(), m.rows()), "{label}: shape on {backend}");
+        for (q, expect) in ref_scores.iter().enumerate() {
+            assert_eq!(scores.scores(q), expect.as_slice(), "{label}: scores diverge on {backend}");
+        }
+        let winners = mem.winners_batch(batch).expect("blocked winners");
         assert_eq!(winners, ref_winners, "{label}: winners diverge on {backend}");
         for k in [1, 3, m.rows(), m.rows() + 1] {
-            let topk = blocked.topk_batch_with(batch, k, backend).expect("blocked top-k");
+            let topk = mem.topk_batch(batch, k).expect("blocked top-k");
             assert_eq!(topk.hits_per_query(), k.min(m.rows()), "{label}: k={k} on {backend}");
             for (q, sorted) in ref_sorted.iter().enumerate() {
                 assert_eq!(
@@ -103,30 +120,35 @@ fn byte_counter_run_boundary_geometries() {
     }
 }
 
-/// A zero-row memory has no winner: winners (like top-k at every k)
-/// must be `Empty`, never a made-up row 0, on every type and backend and
-/// on both the row-major and the packed batch paths.
+/// A zero-row memory has no winner: winners, top-k at every k and the
+/// cascade (contiguous, bound and segmented) must be `Empty`, never a
+/// made-up row 0, on every backend and for single- and many-query
+/// batches.
 #[test]
 fn zero_row_memories_have_no_winner() {
     let empty = BitMatrix::zeros(0, 8);
-    let blocked = BlockedBitMatrix::from_matrix(&empty);
-    let memory = SearchMemory::new(empty.clone());
-    for queries in [1usize, 40] {
-        let batch = QueryBatch::from_vectors(&vec![BitVector::zeros(8); queries]).unwrap();
-        let is_empty = |r: Result<_, LinalgError>| matches!(r, Err(LinalgError::Empty { .. }));
-        assert!(is_empty(empty.winners_batch(&batch).map(drop)), "BitMatrix winners");
-        assert!(is_empty(blocked.winners_batch(&batch).map(drop)), "blocked winners");
-        assert!(is_empty(memory.winners_batch(&batch).map(drop)), "SearchMemory winners");
-        for k in [1usize, 2] {
-            assert!(is_empty(empty.topk_batch(&batch, k).map(drop)), "BitMatrix top-{k}");
-            assert!(is_empty(blocked.topk_batch(&batch, k).map(drop)), "blocked top-{k}");
-            assert!(is_empty(memory.topk_batch(&batch, k).map(drop)), "SearchMemory top-{k}");
+    let plans = [CascadePlan::exact(8), CascadePlan::prefix(8, 4).unwrap()];
+    let is_empty = |r: Result<(), LinalgError>| matches!(r, Err(LinalgError::Empty { .. }));
+    for backend in Backend::available() {
+        let memory = SearchMemory::with_backend(empty.clone(), backend);
+        for queries in [1usize, 40] {
+            let batch = QueryBatch::from_vectors(&vec![BitVector::zeros(8); queries]).unwrap();
+            assert!(is_empty(memory.winners_batch(&batch).map(drop)), "winners on {backend}");
+            for k in [1usize, 2] {
+                assert!(is_empty(memory.topk_batch(&batch, k).map(drop)), "top-{k} on {backend}");
+                for plan in &plans {
+                    let cascade = memory.search_cascade_topk(&batch, plan, k);
+                    assert!(is_empty(cascade.map(drop)), "cascade top-{k} on {backend}");
+                }
+            }
+            assert_eq!(memory.dot_batch(&batch).unwrap().shape(), (queries, 0));
         }
-        for backend in Backend::available() {
-            assert!(is_empty(blocked.winners_batch_with(&batch, backend).map(drop)), "{backend}");
-            assert!(is_empty(blocked.topk_batch_with(&batch, 1, backend).map(drop)), "{backend}");
+        for plan in &plans {
+            let bound = BoundCascade::new(Arc::new(memory.clone()), plan.clone());
+            assert!(is_empty(bound.map(drop)), "bound cascade on {backend}");
+            let segmented = SegmentedCascade::new(std::slice::from_ref(&memory), plan);
+            assert!(is_empty(segmented.map(drop)), "segmented cascade on {backend}");
         }
-        assert_eq!(memory.dot_batch(&batch).unwrap().shape(), (queries, 0));
     }
 }
 
@@ -139,10 +161,10 @@ fn padded_final_block_never_wins() {
     // row 0, not a padding lane.
     for rows in 1..=9usize {
         let m = BitMatrix::zeros(rows, 70);
-        let blocked = BlockedBitMatrix::from_matrix(&m);
         let batch = deterministic_batch(3, 70, 99);
         for backend in Backend::available() {
-            for &(row, score) in &blocked.winners_batch_with(&batch, backend).unwrap() {
+            let mem = SearchMemory::with_backend(m.clone(), backend);
+            for &(row, score) in &mem.winners_batch(&batch).unwrap() {
                 assert_eq!((row, score), (0, 0), "{rows} rows on {backend}");
             }
         }
@@ -157,15 +179,46 @@ fn all_tie_rows_resolve_to_row_zero() {
         let proto = deterministic_matrix(1, 130, 7).row(0);
         let m = BitMatrix::from_rows(&vec![proto; rows]).unwrap();
         let batch = deterministic_batch(6, 130, 13);
-        let blocked = BlockedBitMatrix::from_matrix(&m);
         for backend in Backend::available() {
-            for (q, &(row, score)) in
-                blocked.winners_batch_with(&batch, backend).unwrap().iter().enumerate()
-            {
+            let mem = SearchMemory::with_backend(m.clone(), backend);
+            for (q, &(row, score)) in mem.winners_batch(&batch).unwrap().iter().enumerate() {
                 assert_eq!(row, 0, "{rows} tied rows, query {q}, backend {backend}");
                 assert_eq!(score, m.row_dot(0, &batch.query(q).to_bit_vector()));
             }
         }
+    }
+}
+
+/// A memory pinned to a backend keeps it through every derived memory —
+/// a clone, a block-aligned and an unaligned row range, every shard of
+/// `split_rows`, and a reported mutation — and each still answers top-k
+/// bit-identically to the flat-kernel row walk of its own rows.
+#[test]
+fn pinned_backend_survives_derivations() {
+    let batch = deterministic_batch(5, 130, 0x51de);
+    let check = |mem: &SearchMemory, backend: Backend, label: &str| {
+        assert_eq!(mem.backend(), backend, "{label}");
+        let sorted = sorted_hits(&reference_scores(mem.matrix(), &batch));
+        let topk = mem.topk_batch(&batch, 3).unwrap();
+        for (q, hits) in sorted.iter().enumerate() {
+            assert_eq!(topk.hits(q), &hits[..3.min(mem.rows())], "{label} query {q}");
+        }
+    };
+    for backend in Backend::available() {
+        let mut mem = SearchMemory::with_backend(deterministic_matrix(21, 130, 77), backend);
+        check(&mem, backend, &format!("pinned {backend}"));
+        check(&mem.clone(), backend, &format!("clone on {backend}"));
+        check(&mem.row_range(8, 13).unwrap(), backend, &format!("aligned range on {backend}"));
+        check(&mem.row_range(3, 11).unwrap(), backend, &format!("unaligned range on {backend}"));
+        for (offset, shard) in mem.split_rows(3).unwrap() {
+            check(&shard, backend, &format!("shard at {offset} on {backend}"));
+        }
+        assert!(mem.modify_reporting(|m| {
+            let flipped = !m.get(20, 129);
+            m.set(20, 129, flipped);
+            true
+        }));
+        check(&mem, backend, &format!("mutated on {backend}"));
     }
 }
 
@@ -197,7 +250,7 @@ fn lcg_bits(len: usize, sparsity: u32, salt: u64) -> BitVector {
 /// and unaligned interior boundaries; and live blocks with one live lane
 /// (one query-like row per block at k = 1) or all eight (k ≥ rows).
 /// Lists must equal the sorted reference, and every backend's lists and
-/// telemetry must equal the scalar backend's row walk.
+/// telemetry must equal the scalar backend's.
 #[test]
 fn cascade_block_pass_edges() {
     let dim = 1600; // 25 words
@@ -231,39 +284,42 @@ fn cascade_block_pass_edges() {
             })
             .collect();
         let m = BitMatrix::from_rows(&stored).unwrap();
-        let mem = SearchMemory::new(m.clone());
-        let scores = m.dot_batch(&batch).unwrap();
+        let pinned = |backend| SearchMemory::with_backend(m.clone(), backend);
+        let scalar = pinned(Backend::Scalar);
+        let mems: Vec<(Backend, SearchMemory)> =
+            Backend::available().into_iter().map(|b| (b, pinned(b))).collect();
+        // Per backend and segment width, the segment memories.
+        let segmented: Vec<(Backend, usize, Vec<SearchMemory>)> = (mems.iter())
+            .flat_map(|&(backend, _)| segmentations.map(|seg| (backend, seg)))
+            .map(|(backend, seg)| {
+                let parts = (0..dim / seg)
+                    .map(|p| {
+                        let segs: Vec<BitVector> =
+                            stored.iter().map(|r| r.slice(p * seg, seg)).collect();
+                        SearchMemory::with_backend(BitMatrix::from_rows(&segs).unwrap(), backend)
+                    })
+                    .collect();
+                (backend, seg, parts)
+            })
+            .collect();
+        let sorted = sorted_hits(&reference_scores(&m, &batch));
         for plan in &plans {
             for k in [1, 5, rows, rows + 1] {
                 let label = format!("rows {rows} plan {:?} k {k}", plan.ends());
-                let walk = mem.search_cascade_topk_with(&batch, plan, k, Backend::Scalar).unwrap();
-                for q in 0..batch.len() {
-                    let mut hits: Vec<(usize, u32)> =
-                        scores.scores(q).iter().copied().enumerate().collect();
-                    hits.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                    hits.truncate(k.min(rows));
-                    assert_eq!(walk.topk().hits(q), hits.as_slice(), "{label} query {q}");
+                let walk = scalar.search_cascade_topk(&batch, plan, k).unwrap();
+                for (q, hits) in sorted.iter().enumerate() {
+                    assert_eq!(walk.topk().hits(q), &hits[..k.min(rows)], "{label} query {q}");
                 }
-                for backend in Backend::available() {
-                    let out = mem.search_cascade_topk_with(&batch, plan, k, backend).unwrap();
+                for (backend, mem) in &mems {
+                    let out = mem.search_cascade_topk(&batch, plan, k).unwrap();
                     assert_eq!(out, walk, "{label} on {backend}");
                 }
-                for seg in segmentations {
-                    let parts: Vec<SearchMemory> = (0..dim / seg)
-                        .map(|p| {
-                            let segs: Vec<BitVector> =
-                                stored.iter().map(|r| r.slice(p * seg, seg)).collect();
-                            SearchMemory::from_rows(&segs).unwrap()
-                        })
-                        .collect();
-                    let snapped = plan.snapped(seg).unwrap();
-                    let contiguous =
-                        mem.search_cascade_topk_with(&batch, &snapped, k, Backend::Scalar).unwrap();
-                    let cascade = SegmentedCascade::new(&parts, &snapped).unwrap();
-                    for backend in Backend::available() {
-                        let out = cascade.search_topk_with(&parts, &batch, k, backend).unwrap();
-                        assert_eq!(out, contiguous, "{label} segments of {seg} on {backend}");
-                    }
+                for (backend, seg, parts) in &segmented {
+                    let snapped = plan.snapped(*seg).unwrap();
+                    let contiguous = scalar.search_cascade_topk(&batch, &snapped, k).unwrap();
+                    let cascade = SegmentedCascade::new(parts, &snapped).unwrap();
+                    let out = cascade.search_topk(parts, &batch, k).unwrap();
+                    assert_eq!(out, contiguous, "{label} segments of {seg} on {backend}");
                 }
             }
         }
@@ -299,13 +355,12 @@ proptest! {
         salt in any::<u64>(),
     ) {
         let rows = (blocks - 1) * BLOCK_LANES + extra.max(1);
-        let m = deterministic_matrix(rows, cols, salt);
-        let blocked = BlockedBitMatrix::from_matrix(&m);
+        let mem = SearchMemory::new(deterministic_matrix(rows, cols, salt));
         let batch = deterministic_batch(4, cols, salt ^ 0x5a5a);
         let start = BLOCK_LANES;
         let count = rows - start;
-        let sub = blocked.row_range(start, count).unwrap();
-        let full = blocked.dot_batch(&batch).unwrap();
+        let sub = mem.row_range(start, count).unwrap();
+        let full = mem.dot_batch(&batch).unwrap();
         let sliced = sub.dot_batch(&batch).unwrap();
         for q in 0..batch.len() {
             prop_assert_eq!(sliced.scores(q), &full.scores(q)[start..], "query {}", q);

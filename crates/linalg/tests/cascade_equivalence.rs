@@ -10,8 +10,8 @@
 
 use hd_linalg::kernel::Backend;
 use hd_linalg::{
-    BitMatrix, BitVector, BoundCascade, CascadePlan, CascadeResults, CascadeTopK, QueryBatch,
-    SearchMemory, SegmentedCascade,
+    BitMatrix, BitVector, BoundCascade, CascadePlan, CascadeTopK, QueryBatch, SearchMemory,
+    SegmentedCascade,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -53,16 +53,34 @@ fn plans(dim: usize) -> impl Strategy<Value = CascadePlan> {
     })
 }
 
-/// Asserts cascade output is bit-identical to the exact per-query oracle
-/// and that its telemetry is internally consistent.
+/// `rows` as a memory pinned to `backend`.
+fn pinned(rows: &[BitVector], backend: Backend) -> SearchMemory {
+    SearchMemory::with_backend(BitMatrix::from_rows(rows).unwrap(), backend)
+}
+
+/// `rows` cut into `parts` equal-width segment memories pinned to
+/// `backend`.
+fn segments(rows: &[BitVector], parts: usize, backend: Backend) -> Vec<SearchMemory> {
+    let seg = rows[0].len() / parts;
+    (0..parts)
+        .map(|p| {
+            let segs: Vec<BitVector> = rows.iter().map(|r| r.slice(p * seg, seg)).collect();
+            pinned(&segs, backend)
+        })
+        .collect()
+}
+
+/// Asserts the `k = 1` cascade of `mem` (on its backend) is bit-identical
+/// to the exact per-query oracle and that its telemetry is internally
+/// consistent.
 fn assert_cascade_exact(
     mem: &SearchMemory,
     queries: &[BitVector],
     batch: &QueryBatch,
     plan: &CascadePlan,
-    backend: Backend,
 ) {
-    let out = mem.search_cascade_topk_with(batch, plan, 1, backend).unwrap();
+    let backend = mem.backend();
+    let out = mem.search_cascade_topk(batch, plan, 1).unwrap();
     let winner = |q: usize| out.topk().hits(q)[0];
     prop_assert_eq!(out.topk().len(), queries.len());
     for (q, query) in queries.iter().enumerate() {
@@ -100,16 +118,15 @@ fn assert_cascade_exact(
     }
 }
 
-/// Asserts `top1` (a `k = 1` cascade top-k) is `cascade` exactly: the
-/// same winners and field-for-field equal telemetry.
-fn assert_top1_is_cascade(cascade: &CascadeResults, top1: &CascadeTopK, what: &str) {
+/// Asserts `top1` (a `k = 1` cascade) holds exactly `winners`: one entry
+/// per query, the winner.
+fn assert_top1_winners(top1: &CascadeTopK, winners: &[(usize, u32)], what: &str) {
     let lists = top1.topk();
-    prop_assert_eq!(lists.len(), cascade.len(), "{}", what);
+    prop_assert_eq!(lists.len(), winners.len(), "{}", what);
     prop_assert_eq!(lists.hits_per_query(), 1, "{}", what);
-    for q in 0..cascade.len() {
-        prop_assert_eq!(lists.hits(q), &[cascade.winner(q)][..], "{} query {}", what, q);
+    for (q, winner) in winners.iter().enumerate() {
+        prop_assert_eq!(lists.hits(q), &[*winner][..], "{} query {}", what, q);
     }
-    prop_assert_eq!(top1.stats(), cascade.stats(), "{}", what);
 }
 
 /// What a cascade top-k search must return: per-query k-best lists
@@ -187,10 +204,9 @@ proptest! {
             (bit_rows(r, d), bit_rows(9, d), plans(d))
         })
     ) {
-        let mem = SearchMemory::from_rows(&rows).unwrap();
         let batch = QueryBatch::from_vectors(&queries).unwrap();
         for backend in Backend::available() {
-            assert_cascade_exact(&mem, &queries, &batch, &plan, backend);
+            assert_cascade_exact(&pinned(&rows, backend), &queries, &batch, &plan);
         }
     }
 
@@ -209,12 +225,13 @@ proptest! {
         let one_dim = CascadePlan::uniform(dim, dim).unwrap();
         prop_assert_eq!(one_dim.stages(), dim);
         for backend in Backend::available() {
-            assert_cascade_exact(&mem, &queries, &batch, &exact, backend);
-            assert_cascade_exact(&mem, &queries, &batch, &one_dim, backend);
+            let pinned = pinned(&rows, backend);
+            assert_cascade_exact(&pinned, &queries, &batch, &exact);
+            assert_cascade_exact(&pinned, &queries, &batch, &one_dim);
         }
         // The one-stage plan can never prune: telemetry reports exactly
         // the full activation of the exact search.
-        let stats_exact = mem.search_cascade(&batch, &exact).unwrap();
+        let stats_exact = mem.search_cascade_topk(&batch, &exact, 1).unwrap();
         prop_assert_eq!(stats_exact.stats().activated_dims(), stats_exact.stats().exact_dims());
     }
 
@@ -232,10 +249,9 @@ proptest! {
         })
     ) {
         let rows: Vec<BitVector> = picks.iter().map(|&i| patterns[i].clone()).collect();
-        let mem = SearchMemory::from_rows(&rows).unwrap();
         let batch = QueryBatch::from_vectors(&queries).unwrap();
         for backend in Backend::available() {
-            assert_cascade_exact(&mem, &queries, &batch, &plan, backend);
+            assert_cascade_exact(&pinned(&rows, backend), &queries, &batch, &plan);
         }
     }
 
@@ -252,27 +268,28 @@ proptest! {
         let mem = SearchMemory::new(m.clone());
         let batch = QueryBatch::from_vectors(&queries).unwrap();
         let reference = mem.winners_batch(&batch).unwrap();
-        let via_memory = mem.search_cascade(&batch, &plan).unwrap();
-        let via_cold = SearchMemory::new(m).search_cascade(&batch, &plan).unwrap();
-        prop_assert_eq!(via_memory.winners(), reference.as_slice());
-        prop_assert_eq!(via_cold.winners(), reference.as_slice());
+        let via_memory = mem.search_cascade_topk(&batch, &plan, 1).unwrap();
+        let via_cold = SearchMemory::new(m).search_cascade_topk(&batch, &plan, 1).unwrap();
+        assert_top1_winners(&via_memory, &reference, "memory");
+        assert_top1_winners(&via_cold, &reference, "cold memory");
         prop_assert_eq!(&via_cold, &via_memory);
         // Full-score search agrees with the cascade winner too.
         let full = mem.search_batch(&batch).unwrap();
         for q in 0..queries.len() {
-            prop_assert_eq!(full.winner(q), via_memory.winner(q));
+            prop_assert_eq!(full.winner(q), via_memory.topk().hits(q)[0]);
         }
         // The bound (pre-derived) form answers identically, telemetry
         // included, and keeps answering identically across reuse.
         let bound = BoundCascade::new(Arc::new(mem.clone()), plan.clone()).unwrap();
-        prop_assert_eq!(&bound.search(&batch).unwrap(), &via_memory);
-        prop_assert_eq!(&bound.search(&batch).unwrap(), &via_memory);
+        prop_assert_eq!(&bound.search_topk(&batch, 1).unwrap(), &via_memory);
+        prop_assert_eq!(&bound.search_topk(&batch, 1).unwrap(), &via_memory);
     }
 
-    /// Argmax is top-1: every cascade entry point's winners and
-    /// `CascadeStats` equal the top-1 of its k-best twin at `k = 1` —
-    /// the cached memory path, the bound handle, the segmented layout
-    /// (segment-aligned plans) and every reachable explicit backend.
+    /// Top-1 is the argmax: every cascade entry point's `k = 1` lists
+    /// are the exact winners, with equal `CascadeStats` wherever the plan
+    /// is the same — the cached memory path, the bound handle, every
+    /// reachable backend, and the segmented layout (segment-aligned
+    /// plans).
     #[test]
     fn cascade_is_top1_of_cascade_topk(
         (rows, queries, plan, parts) in
@@ -281,47 +298,25 @@ proptest! {
                 (bit_rows(r, d), bit_rows(37, d), plans(d), prop::sample::select(vec![1usize, 2, 4]))
             })
     ) {
-        let dim = rows[0].len();
         let mem = SearchMemory::from_rows(&rows).unwrap();
         let batch = QueryBatch::from_vectors(&queries).unwrap();
-        let cascade = mem.search_cascade(&batch, &plan).unwrap();
-        assert_top1_is_cascade(
-            &cascade,
-            &mem.search_cascade_topk(&batch, &plan, 1).unwrap(),
-            "SearchMemory",
-        );
+        let winners = mem.winners_batch(&batch).unwrap();
+        let cascade = mem.search_cascade_topk(&batch, &plan, 1).unwrap();
+        assert_top1_winners(&cascade, &winners, "SearchMemory");
         let bound = BoundCascade::new(Arc::new(mem.clone()), plan.clone()).unwrap();
-        assert_top1_is_cascade(
-            &bound.search(&batch).unwrap(),
-            &bound.search_topk(&batch, 1).unwrap(),
-            "BoundCascade",
-        );
-        prop_assert_eq!(&bound.search(&batch).unwrap(), &cascade);
+        prop_assert_eq!(&bound.search_topk(&batch, 1).unwrap(), &cascade);
         for backend in Backend::available() {
-            assert_top1_is_cascade(
-                &cascade,
-                &mem.search_cascade_topk_with(&batch, &plan, 1, backend).unwrap(),
-                &format!("backend {backend}"),
-            );
+            let out = pinned(&rows, backend).search_cascade_topk(&batch, &plan, 1).unwrap();
+            prop_assert_eq!(&out, &cascade, "backend {}", backend);
         }
         // Segmented layout: `parts` equal segments, with the arbitrary
         // plan's boundaries snapped onto the segment grid.
-        let seg = dim / parts;
-        let segments: Vec<SearchMemory> = (0..parts)
-            .map(|p| {
-                let segs: Vec<BitVector> = rows.iter().map(|r| r.slice(p * seg, seg)).collect();
-                SearchMemory::from_rows(&segs).unwrap()
-            })
-            .collect();
-        let snapped = plan.snapped(seg).unwrap();
+        let segments = segments(&rows, parts, hd_linalg::kernel::active());
+        let snapped = plan.snapped(rows[0].len() / parts).unwrap();
         let segmented = SegmentedCascade::new(&segments, &snapped).unwrap();
-        let seg_cascade = segmented.search(&segments, &batch).unwrap();
-        assert_top1_is_cascade(
-            &seg_cascade,
-            &segmented.search_topk(&segments, &batch, 1).unwrap(),
-            "SegmentedCascade",
-        );
-        prop_assert_eq!(seg_cascade.winners(), cascade.winners());
+        let seg_cascade = segmented.search_topk(&segments, &batch, 1).unwrap();
+        assert_top1_winners(&seg_cascade, &winners, "SegmentedCascade");
+        prop_assert_eq!(seg_cascade.topk(), cascade.topk());
     }
 
     /// `CascadeStats` (per-stage shortlists, activated dimensions) and
@@ -346,26 +341,21 @@ proptest! {
         let reference = reference_cascade(&rows, &queries, plan.ends(), k);
         assert_matches_reference(&mem.search_cascade_topk(&batch, &plan, k).unwrap(), &reference, "active");
         for backend in Backend::available() {
-            let out = mem.search_cascade_topk_with(&batch, &plan, k, backend).unwrap();
+            let out = pinned(&rows, backend).search_cascade_topk(&batch, &plan, k).unwrap();
             assert_matches_reference(&out, &reference, &format!("backend {backend}"));
         }
         // Segmented: `parts` equal segments when they divide the width,
         // the plan snapped onto the segment grid.
         if dim % parts == 0 {
-            let seg = dim / parts;
-            let segments: Vec<SearchMemory> = (0..parts)
-                .map(|p| {
-                    let segs: Vec<BitVector> = rows.iter().map(|r| r.slice(p * seg, seg)).collect();
-                    SearchMemory::from_rows(&segs).unwrap()
-                })
-                .collect();
-            let snapped = plan.snapped(seg).unwrap();
+            let snapped = plan.snapped(dim / parts).unwrap();
             let reference = reference_cascade(&rows, &queries, snapped.ends(), k);
-            let segmented = SegmentedCascade::new(&segments, &snapped).unwrap();
-            let out = segmented.search_topk(&segments, &batch, k).unwrap();
+            let active = segments(&rows, parts, hd_linalg::kernel::active());
+            let segmented = SegmentedCascade::new(&active, &snapped).unwrap();
+            let out = segmented.search_topk(&active, &batch, k).unwrap();
             assert_matches_reference(&out, &reference, "segmented");
             for backend in Backend::available() {
-                let out = segmented.search_topk_with(&segments, &batch, k, backend).unwrap();
+                let pinned_parts = segments(&rows, parts, backend);
+                let out = segmented.search_topk(&pinned_parts, &batch, k).unwrap();
                 assert_matches_reference(&out, &reference, &format!("segmented {backend}"));
             }
         }

@@ -10,7 +10,9 @@
 //! (partitioned-layout) cascade obeys the same contract.
 
 use hd_linalg::kernel::Backend;
-use hd_linalg::{BitVector, CascadePlan, CostModel, QueryBatch, SearchMemory, SegmentedCascade};
+use hd_linalg::{
+    BitVector, CascadePlan, CascadeTopK, CostModel, QueryBatch, SearchMemory, SegmentedCascade,
+};
 use proptest::prelude::*;
 
 fn bool_vec(len: usize) -> impl Strategy<Value = Vec<bool>> {
@@ -47,6 +49,11 @@ fn mixed_density_rows(rows: usize, len: usize) -> impl Strategy<Value = Vec<BitV
             out
         },
     )
+}
+
+/// Each query's one entry of a `k = 1` cascade: its winner.
+fn top1(out: &CascadeTopK) -> Vec<(usize, u32)> {
+    (0..out.topk().len()).map(|q| out.topk().hits(q)[0]).collect()
 }
 
 /// Dimensions with and without tuning candidates (below 128 every
@@ -88,13 +95,13 @@ proptest! {
         // Bit-identical to the exact sweep everywhere.
         let reference = mem.winners_batch(&batch).unwrap();
         for backend in Backend::available() {
-            let out = mem.search_cascade_topk_with(&batch, &plan, 1, backend).unwrap();
-            let winners: Vec<(usize, u32)> = (0..out.topk().len()).map(|q| out.topk().hits(q)[0]).collect();
-            prop_assert_eq!(winners, reference.clone(), "backend {}", backend);
+            let pinned = SearchMemory::with_backend(mem.matrix().clone(), backend);
+            let out = pinned.search_cascade_topk(&batch, &plan, 1).unwrap();
+            prop_assert_eq!(top1(&out), reference.clone(), "backend {}", backend);
         }
-        let first = mem.search_cascade(&batch, &plan).unwrap();
-        prop_assert_eq!(first.winners(), reference.as_slice());
-        prop_assert_eq!(&mem.search_cascade(&batch, &plan).unwrap(), &first);
+        let first = mem.search_cascade_topk(&batch, &plan, 1).unwrap();
+        prop_assert_eq!(top1(&first), reference.clone());
+        prop_assert_eq!(&mem.search_cascade_topk(&batch, &plan, 1).unwrap(), &first);
     }
 
     /// Mutating a memory invalidates its cached bound forms: cascades
@@ -116,7 +123,7 @@ proptest! {
         let batch = QueryBatch::from_vectors(&queries).unwrap();
         let plan = CascadePlan::prefix(dim, dim / 2).unwrap();
         // Warm the cache with pre-mutation derivations.
-        mem.search_cascade(&batch, &plan).unwrap();
+        mem.search_cascade_topk(&batch, &plan, 1).unwrap();
         mem.modify(|m| {
             for &(r, c) in &flips {
                 let flipped = !m.get(r, c);
@@ -126,14 +133,11 @@ proptest! {
         let fresh = SearchMemory::new(mem.matrix().clone());
         let expected = fresh.winners_batch(&batch).unwrap();
         prop_assert_eq!(mem.winners_batch(&batch).unwrap(), expected.clone());
-        let cascade = mem.search_cascade(&batch, &plan).unwrap();
-        prop_assert_eq!(cascade.winners(), expected.as_slice());
+        let cascade = mem.search_cascade_topk(&batch, &plan, 1).unwrap();
+        prop_assert_eq!(top1(&cascade), expected.clone());
         // The tuned plan of the mutated memory is exact too.
         let tuned = CascadePlan::tuned(&mem, &batch).unwrap();
-        prop_assert_eq!(
-            mem.search_cascade(&batch, &tuned).unwrap().winners(),
-            expected.as_slice()
-        );
+        prop_assert_eq!(top1(&mem.search_cascade_topk(&batch, &tuned, 1).unwrap()), expected);
     }
 
     /// The segmented (partitioned-layout) cascade matches the contiguous
@@ -170,10 +174,10 @@ proptest! {
         plans.push(aligned_tuned);
         for plan in plans {
             let cascade = SegmentedCascade::new(&parts, &plan).unwrap();
-            let out = cascade.search(&parts, &batch).unwrap();
-            prop_assert_eq!(out.winners(), reference.as_slice(), "P={} {:?}", p, plan);
+            let out = cascade.search_topk(&parts, &batch, 1).unwrap();
+            prop_assert_eq!(top1(&out), reference.clone(), "P={} {:?}", p, plan);
             // Reuse of the derived handle answers identically.
-            prop_assert_eq!(&cascade.search(&parts, &batch).unwrap(), &out);
+            prop_assert_eq!(&cascade.search_topk(&parts, &batch, 1).unwrap(), &out);
             let stats = out.stats();
             prop_assert!(stats.activated_dims() <= stats.exact_dims());
             prop_assert_eq!(stats.queries(), queries.len());

@@ -1,6 +1,6 @@
 //! Property-based tests for the linear algebra substrate.
 
-use hd_linalg::{argmax, dot, BitMatrix, BitVector, Matrix, QueryBatch};
+use hd_linalg::{argmax, dot, BitMatrix, BitVector, Matrix, QueryBatch, SearchMemory};
 use proptest::prelude::*;
 
 fn bool_vec(len: usize) -> impl Strategy<Value = Vec<bool>> {
@@ -112,7 +112,7 @@ proptest! {
 
     /// Batched dot scores equal N sequential dot_all sweeps, across
     /// tail-word widths (the dims straddle 64-bit word boundaries) and
-    /// query counts that exercise both full tiles and scalar tails.
+    /// row counts that leave the final row block partially padded.
     #[test]
     fn dot_batch_equals_sequential(
         dim in prop::sample::select(vec![1usize, 63, 64, 65, 127, 128, 257]),
@@ -134,7 +134,7 @@ proptest! {
                 &(0..dim).map(|d| pattern(2, q, d)).collect::<Vec<_>>(),
             ))
             .collect();
-        let m = BitMatrix::from_rows(&rows).unwrap();
+        let m = SearchMemory::from_rows(&rows).unwrap();
         let batch = QueryBatch::from_vectors(&queries).unwrap();
         let scores = m.dot_batch(&batch).unwrap();
         for (q, query) in queries.iter().enumerate() {
@@ -150,7 +150,7 @@ proptest! {
         queries in prop::collection::vec(bool_vec(70), 1..9),
     ) {
         let bvs: Vec<BitVector> = rows.iter().map(|r| BitVector::from_bools(r)).collect();
-        let m = BitMatrix::from_rows(&bvs).unwrap();
+        let m = SearchMemory::from_rows(&bvs).unwrap();
         let qvs: Vec<BitVector> = queries.iter().map(|q| BitVector::from_bools(q)).collect();
         let batch = QueryBatch::from_vectors(&qvs).unwrap();
         let results = m.search_batch(&batch).unwrap();

@@ -2,10 +2,11 @@
 //!
 //! Every kernel backend reachable on the host must be **bit-identical**
 //! to the portable scalar reference — dot products, Hamming distances,
-//! blocked batched sweeps, and winner selection including the low-row
-//! tie-break, across tail-word widths and padding configurations. These
-//! properties are the contract that lets the dispatch table swap backends
-//! freely at startup.
+//! blocked batched sweeps (a [`SearchMemory`] pinned to each backend with
+//! [`SearchMemory::with_backend`]), and winner selection including the
+//! low-row tie-break, across tail-word widths and padding configurations.
+//! These properties are the contract that lets the dispatch table swap
+//! backends freely at startup.
 
 use hd_linalg::kernel::{self, Backend};
 use hd_linalg::{BitMatrix, BitVector, BlockedBitMatrix, QueryBatch, SearchMemory};
@@ -62,10 +63,9 @@ proptest! {
         })
     ) {
         let m = BitMatrix::from_rows(&rows).unwrap();
-        let blocked = BlockedBitMatrix::from_matrix(&m);
         let batch = QueryBatch::from_vectors(&queries).unwrap();
         for backend in Backend::available() {
-            let scores = blocked.dot_batch_with(&batch, backend).unwrap();
+            let scores = SearchMemory::with_backend(m.clone(), backend).dot_batch(&batch).unwrap();
             for (q, query) in queries.iter().enumerate() {
                 prop_assert_eq!(
                     scores.scores(q),
@@ -85,10 +85,10 @@ proptest! {
         })
     ) {
         let m = BitMatrix::from_rows(&rows).unwrap();
-        let blocked = BlockedBitMatrix::from_matrix(&m);
         let batch = QueryBatch::from_vectors(&queries).unwrap();
         for backend in Backend::available() {
-            let winners = blocked.winners_batch_with(&batch, backend).unwrap();
+            let mem = SearchMemory::with_backend(m.clone(), backend);
+            let winners = mem.winners_batch(&batch).unwrap();
             for (q, query) in queries.iter().enumerate() {
                 let expected = hd_linalg::argmax_u32(&m.dot_all(query));
                 prop_assert_eq!(
@@ -115,10 +115,10 @@ proptest! {
         // Rows repeat the few patterns (duplicates => exact ties).
         let rows: Vec<BitVector> = picks.iter().map(|&i| patterns[i].clone()).collect();
         let m = BitMatrix::from_rows(&rows).unwrap();
-        let blocked = BlockedBitMatrix::from_matrix(&m);
         let batch = QueryBatch::from_vectors(&queries).unwrap();
         for backend in Backend::available() {
-            let winners = blocked.winners_batch_with(&batch, backend).unwrap();
+            let mem = SearchMemory::with_backend(m.clone(), backend);
+            let winners = mem.winners_batch(&batch).unwrap();
             for (q, query) in queries.iter().enumerate() {
                 let scores = m.dot_all(query);
                 let (row, score) = winners[q];
@@ -150,9 +150,10 @@ proptest! {
         prop_assert_eq!(BlockedBitMatrix::from_rows(&rows).unwrap().to_matrix(), m);
     }
 
-    /// The public entry points (active-backend dispatch, SearchMemory,
-    /// on-the-fly packing in BitMatrix::dot_batch / winners_batch) all
-    /// agree with each other — large batches so the packing path engages.
+    /// The active-backend entry points (`new`, `from_rows`, `From`) and a
+    /// memory pinned to the active backend all agree with each other and
+    /// with the flat-kernel row walk — large batches, so the rayon
+    /// feature's thread chunking engages where the host has threads.
     #[test]
     fn entry_points_agree(
         (rows, queries) in (1usize..17, prop::sample::select(vec![64usize, 128, 200]))
@@ -160,16 +161,20 @@ proptest! {
     ) {
         let m = BitMatrix::from_rows(&rows).unwrap();
         let mem = SearchMemory::new(m.clone());
-        let blocked = BlockedBitMatrix::from_matrix(&m);
+        let pinned = SearchMemory::with_backend(m.clone(), kernel::active());
+        let from_rows = SearchMemory::from_rows(&rows).unwrap();
         let batch = QueryBatch::from_vectors(&queries).unwrap();
 
-        let reference = m.dot_batch(&batch).unwrap();
-        prop_assert_eq!(&mem.dot_batch(&batch).unwrap(), &reference);
-        prop_assert_eq!(&blocked.dot_batch(&batch).unwrap(), &reference);
+        let reference = mem.dot_batch(&batch).unwrap();
+        for (q, query) in queries.iter().enumerate() {
+            prop_assert_eq!(reference.scores(q), m.dot_all(query).as_slice());
+        }
+        prop_assert_eq!(&pinned.dot_batch(&batch).unwrap(), &reference);
+        prop_assert_eq!(&SearchMemory::from(m).dot_batch(&batch).unwrap(), &reference);
 
-        let ref_winners = m.winners_batch(&batch).unwrap();
-        prop_assert_eq!(&mem.winners_batch(&batch).unwrap(), &ref_winners);
-        prop_assert_eq!(&blocked.winners_batch(&batch).unwrap(), &ref_winners);
+        let ref_winners = mem.winners_batch(&batch).unwrap();
+        prop_assert_eq!(&pinned.winners_batch(&batch).unwrap(), &ref_winners);
+        prop_assert_eq!(&from_rows.winners_batch(&batch).unwrap(), &ref_winners);
         for (q, &(row, score)) in ref_winners.iter().enumerate() {
             prop_assert_eq!(reference.scores(q)[row], score);
         }

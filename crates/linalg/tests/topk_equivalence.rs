@@ -9,8 +9,7 @@
 
 use hd_linalg::kernel::Backend;
 use hd_linalg::{
-    BitMatrix, BitVector, BlockedBitMatrix, BoundCascade, CascadePlan, QueryBatch, SearchMemory,
-    SegmentedCascade,
+    BitMatrix, BitVector, BoundCascade, CascadePlan, QueryBatch, SearchMemory, SegmentedCascade,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -65,6 +64,11 @@ fn plans(dim: usize) -> impl Strategy<Value = CascadePlan> {
     })
 }
 
+/// `rows` as a memory pinned to `backend`.
+fn pinned(rows: &[BitVector], backend: Backend) -> SearchMemory {
+    SearchMemory::with_backend(BitMatrix::from_rows(rows).unwrap(), backend)
+}
+
 /// The oracle: full scores, stable-sorted by score desc then row asc,
 /// truncated to `k`.
 fn sorted_topk(rows: &[BitVector], queries: &[BitVector], k: usize) -> Vec<Vec<(usize, u32)>> {
@@ -81,8 +85,8 @@ fn sorted_topk(rows: &[BitVector], queries: &[BitVector], k: usize) -> Vec<Vec<(
 
 proptest! {
     /// Fused top-k equals the sort oracle for arbitrary geometries and
-    /// every reachable backend, through both the pre-packed
-    /// `SearchMemory` path and the explicit-backend blocked hook.
+    /// every reachable backend, through both the active-backend
+    /// `SearchMemory` and memories pinned to each backend.
     #[test]
     fn fused_topk_matches_sorted_reference(
         (rows, queries, k) in (1usize..20, dims())
@@ -96,16 +100,12 @@ proptest! {
         for (q, expect) in expected.iter().enumerate() {
             prop_assert_eq!(fused.hits(q), expect.as_slice(), "SearchMemory query {}", q);
         }
-        let m = BitMatrix::from_rows(&rows).unwrap();
-        let fused_m = m.topk_batch(&batch, k).unwrap();
-        let blocked = BlockedBitMatrix::from_matrix(&m);
         for backend in Backend::available() {
-            let out = blocked.topk_batch_with(&batch, k, backend).unwrap();
+            let out = pinned(&rows, backend).topk_batch(&batch, k).unwrap();
             for (q, expect) in expected.iter().enumerate() {
                 prop_assert_eq!(
                     out.hits(q), expect.as_slice(), "backend {} query {}", backend, q
                 );
-                prop_assert_eq!(fused_m.hits(q), expect.as_slice());
             }
         }
     }
@@ -155,9 +155,8 @@ proptest! {
             .prop_flat_map(|(r, d)| (tie_rows(r, d), bit_rows(4, d), 1usize..10))
     ) {
         let expected = sorted_topk(&rows, &queries, k);
-        let blocked = BlockedBitMatrix::from_rows(&rows).unwrap();
         for backend in Backend::available() {
-            let out = blocked.topk_batch_with(&queries_batch(&queries), k, backend).unwrap();
+            let out = pinned(&rows, backend).topk_batch(&queries_batch(&queries), k).unwrap();
             for (q, expect) in expected.iter().enumerate() {
                 prop_assert_eq!(
                     out.hits(q), expect.as_slice(), "backend {} query {}", backend, q
@@ -169,7 +168,7 @@ proptest! {
     /// The k-th-score cascade prune is exact: for arbitrary stage plans
     /// and every backend, cascade top-k lists are bit-identical to the
     /// fused sweep, through every entry point (cold and cached memory,
-    /// bound handle, explicit backend), and telemetry never claims more
+    /// bound handle, pinned backend), and telemetry never claims more
     /// activation than the exact search performs.
     #[test]
     fn cascade_topk_matches_fused(
@@ -194,7 +193,7 @@ proptest! {
         check_lists(&bound.search_topk(&batch, k).unwrap().into_topk(), &expected, "BoundCascade");
         for backend in Backend::available() {
             check_lists(
-                &mem.search_cascade_topk_with(&batch, &plan, k, backend).unwrap().into_topk(),
+                &pinned(&rows, backend).search_cascade_topk(&batch, &plan, k).unwrap().into_topk(),
                 &expected,
                 &format!("backend {backend}"),
             );
