@@ -9,13 +9,17 @@
 //! 256 in-flight, `served_4x64` = 4 threads with 64 in-flight each), and
 //! the micro-batcher flushes every `max_batch` inline.
 //!
-//! All shapes use the paper's flagship MEMHD 128 centroids × 128 bits AM,
-//! matching `associative_search_batched` in `BENCH_search.json`.
+//! The served shapes use the paper's flagship MEMHD 128 centroids × 128
+//! bits AM, matching `associative_search_batched` in `BENCH_search.json`.
+//! `sharded_wide_k5/256` calls a 2-shard tuned-cascade `ShardedSearcher`
+//! directly on the graded 2048 × 2048 memory of servebench's
+//! `inproc_wide_topk5`: the flush that workload's server runs, without
+//! the queueing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hd_linalg::rng::seeded;
-use hd_linalg::{BitVector, QueryBatch};
-use hd_serve::{PendingTopK, Searchable, ServeConfig, Server};
+use hd_linalg::{BitVector, QueryBatch, SearchMemory};
+use hd_serve::{PendingTopK, Searchable, ServeConfig, Server, ShardedSearcher};
 use hdc::BinaryAm;
 use rand::Rng;
 use std::sync::Arc;
@@ -40,6 +44,38 @@ fn random_queries(n: usize, dim: usize, seed: u64) -> Vec<BitVector> {
     (0..n)
         .map(|_| BitVector::from_bools(&(0..dim).map(|_| rng.gen()).collect::<Vec<_>>()))
         .collect()
+}
+
+/// The graded wide memory (one dense row, four moderate ones, a
+/// near-empty rest; 2048 × 2048 bits) and `n` queries that are
+/// 5%-perturbed copies of its rows, 99% of them of the dense row 0.
+fn wide_memory(n: usize) -> (SearchMemory, Vec<BitVector>) {
+    const WIDE: usize = 2048;
+    let mut rng = seeded(0x7769_6465);
+    let rows: Vec<BitVector> = (0..WIDE)
+        .map(|r| {
+            let density = match r {
+                0 => 0.5,
+                1..=4 => 0.3,
+                _ => 0.005,
+            };
+            BitVector::from_bools(
+                &(0..WIDE).map(|_| rng.gen::<f32>() < density).collect::<Vec<_>>(),
+            )
+        })
+        .collect();
+    let queries = (0..n)
+        .map(|i| {
+            let base = if i % 100 != 0 { 0 } else { rng.gen_range(1..WIDE) };
+            let mut q = rows[base].clone();
+            for _ in 0..WIDE / 20 {
+                let bit = rng.gen_range(0..WIDE);
+                q.set(bit, !q.get(bit));
+            }
+            q
+        })
+        .collect();
+    (SearchMemory::from_rows(&rows).expect("wide memory"), queries)
 }
 
 /// Pushes `queries` through `server` as pipelined single-query
@@ -123,6 +159,36 @@ fn bench_serve(c: &mut Criterion) {
             })
         });
         server.shutdown();
+    }
+
+    // One 256-query flush of the wide top-5 workload, straight into the
+    // 2-shard tuned cascade.
+    {
+        const WIDE_QUERIES: usize = 256;
+        const K: usize = 5;
+        let (memory, queries) = wide_memory(2 * WIDE_QUERIES);
+        let sample = QueryBatch::from_vectors(&queries[WIDE_QUERIES..]).expect("sample");
+        let batch =
+            Arc::new(QueryBatch::from_vectors(&queries[..WIDE_QUERIES]).expect("wide batch"));
+        let classes = (0..memory.rows()).map(|r| r % 64).collect();
+        let sharded = ShardedSearcher::with_cascade_tuned(memory.clone(), classes, 2, &sample)
+            .expect("tuned sharded cascade");
+        let reference = memory.topk_batch(&batch, K).expect("exact top-k");
+        let lists = sharded.search_topk(Arc::clone(&batch), K).expect("sharded top-k");
+        for (q, list) in lists.iter().enumerate() {
+            let got: Vec<(usize, u32)> = list.iter().map(|w| (w.row, w.score)).collect();
+            assert_eq!(got, reference.hits(q), "query {q}");
+        }
+        group.throughput(Throughput::Elements(WIDE_QUERIES as u64));
+        group.bench_with_input(
+            BenchmarkId::new("sharded_wide_k5", WIDE_QUERIES),
+            &batch,
+            |b, batch| {
+                b.iter(|| {
+                    sharded.search_topk(Arc::clone(batch), K).expect("sharded top-k")[0][0].row
+                })
+            },
+        );
     }
 
     group.finish();

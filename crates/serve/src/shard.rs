@@ -6,12 +6,12 @@
 //! pre-packed blocked mirror**, and — when more than one shard exists —
 //! is pinned to a dedicated worker thread that lives for the searcher's
 //! lifetime. A flush sends the shared `Arc<QueryBatch>` and its `k` to
-//! every worker, collects per-shard k-best lists (`k = 1` is the
-//! winners), and merges them in ascending-shard order, where a later
-//! shard displaces an entry only on a strictly higher score — which
-//! reproduces the global highest-score / lowest-row tie-break exactly
-//! (the property the SIMD equivalence suite pins for the underlying
-//! kernels).
+//! every worker that can contribute (see *Floor-gated fan-out* below),
+//! collects per-shard k-best lists (`k = 1` is the winners), and merges
+//! them in ascending-shard order, where a later shard displaces an entry
+//! only on a strictly higher score — which reproduces the global
+//! highest-score / lowest-row tie-break exactly (the property the SIMD
+//! equivalence suite pins for the underlying kernels).
 //!
 //! [`ShardedSearcher::with_cascade`] runs a [`CascadePlan`] inside every
 //! shard instead of the exact sweep — with one shard, it is the
@@ -19,6 +19,28 @@
 //! own rows, and because each shard's cascade lists are bit-identical to
 //! its exact lists, the strict merge is untouched and the sharded
 //! cascade equals the unsharded search exactly.
+//!
+//! # Floor-gated fan-out
+//!
+//! A row's score is at most its popcount, so a shard whose heaviest row
+//! cannot reach a query's top-k need not search that query. At
+//! construction the searcher records each shard's largest row popcount
+//! (`max_ones`) and keeps a *pilot*: the [`hd_linalg::BLOCK_LANES`] rows
+//! with the most set bits (ties to the lower row), as one small
+//! [`SearchMemory`] on the memory's backend. For `k` up to the pilot's
+//! size, each flush first searches the pilot: a query's k-th best pilot
+//! score `F` is a floor under its global k-th best score (k real rows
+//! score at least `F`). Shard `s` then serves only the queries with
+//! `F <= max_ones[s]` — the shared batch when all qualify, a sub-batch
+//! copy of their words when some do, no dispatch when none do. The rule
+//! is exact: every row of a skipped shard scores strictly below `F`,
+//! hence strictly below the global k-th entry, so it can neither enter
+//! the top-k nor tie the k-th entry, and lists stay bit-identical,
+//! low-row tie-break included. Floors are computed only when the pilot's
+//! k-th popcount exceeds some shard's `max_ones` (otherwise none could
+//! skip anything: one shard, `k` above the pilot, even popcounts), and
+//! never while a shard is missing, since the floor may come from rows
+//! that are gone.
 //!
 //! # Worker supervision
 //!
@@ -32,11 +54,16 @@
 //! reported through [`ShardedSearcher::missing_shards`] so the serving
 //! layer can flag the answers (see `Prediction::degraded`) instead of
 //! failing them. Deterministic kernel errors (e.g. a bad `k`) still fail
-//! the whole request — only worker *death* degrades.
+//! the whole request — only worker *death* degrades. When a shard dies
+//! in a flush whose floors skipped work, every surviving shard that sat
+//! out a query re-runs the whole batch without floors.
 
 use crate::error::{Result, ServeError};
 use crate::searchable::{check_topk, Searchable, Winner};
-use hd_linalg::{BoundCascade, CascadePlan, CascadeTopK, QueryBatch, SearchMemory, TopK};
+use hd_linalg::{
+    BitMatrix, BoundCascade, CascadePlan, CascadeTopK, QueryBatch, QueryBatchBuilder, SearchMemory,
+    TopK, BLOCK_LANES,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -79,6 +106,8 @@ struct Shard {
     /// Global row index of this shard's first row.
     offset: usize,
     memory: Arc<SearchMemory>,
+    /// Largest row popcount in the shard: no row here scores above it.
+    max_ones: u32,
     /// The cascade plan bound to this shard's rows (prefix sub-memory
     /// and row-suffix table derived once at construction); `None` runs
     /// the exact winners sweep.
@@ -89,6 +118,60 @@ struct Shard {
     /// Chaos failpoint: every pending count makes the worker panic on
     /// its next job (see [`ShardedSearcher::inject_shard_panics`]).
     chaos_panics: Arc<AtomicUsize>,
+}
+
+impl Shard {
+    /// Whether the shard's worker degraded out of the row space.
+    fn missing(&self) -> bool {
+        self.supervisor
+            .as_ref()
+            .is_some_and(|m| m.lock().unwrap_or_else(PoisonError::into_inner).jobs.is_none())
+    }
+}
+
+/// The memory's heaviest rows, searched ahead of the shards to floor
+/// each query's k-th best score (see the module docs).
+struct Pilot {
+    memory: SearchMemory,
+    /// Largest `k` whose floor can skip some shard: the pilot's first
+    /// `max_k` popcounts exceed the smallest shard `max_ones`.
+    max_k: usize,
+}
+
+/// Which of a flush's queries one shard serves.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Share {
+    /// Every query: the shard gets the shared batch.
+    All,
+    /// These queries (ascending): the shard gets a sub-batch of them.
+    Only(Vec<usize>),
+    /// No query: the shard is not dispatched.
+    Skip,
+}
+
+/// The batch shard work runs on under `share`.
+fn share_batch(batch: &Arc<QueryBatch>, share: &Share) -> Option<Arc<QueryBatch>> {
+    match share {
+        Share::All => Some(Arc::clone(batch)),
+        Share::Only(queries) => {
+            let mut sub = QueryBatchBuilder::with_capacity(batch.dim(), queries.len());
+            for &q in queries {
+                sub.push(batch.query(q)).expect("a query has its batch's width");
+            }
+            Some(Arc::new(sub.take_batch().expect("a served share is non-empty")))
+        }
+        Share::Skip => None,
+    }
+}
+
+/// One flush's shard answers, in shard order.
+struct Collected {
+    /// k-best lists over each shard's batch; `None` for a shard that
+    /// was not dispatched or degraded.
+    answers: Vec<Option<TopK>>,
+    /// Whether a dispatched shard degraded instead of answering.
+    lost: bool,
+    last_panic: Option<String>,
 }
 
 /// Renders a `catch_unwind` payload for the panic reply.
@@ -211,6 +294,8 @@ pub struct ShardedSearcher {
     /// Stage plan each shard runs (`None` = exact winners sweep).
     plan: Option<Arc<CascadePlan>>,
     shards: Vec<Shard>,
+    /// Floors the fan-out; `None` when no floor could skip a shard.
+    pilot: Option<Pilot>,
     /// Join handles of every worker ever spawned (respawns append from
     /// `&self`, hence the mutex); drained and joined on drop.
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -246,8 +331,11 @@ impl ShardedSearcher {
 
     /// Like [`ShardedSearcher::new`] but every shard answers its rows
     /// through the progressive-precision cascade under `plan`. Shards
-    /// prune independently; merged winners are bit-identical to the
-    /// exact sharded (and unsharded) search.
+    /// prune independently, and a shard sits out the queries whose pilot
+    /// floor exceeds its heaviest row (a row scores at most its
+    /// popcount, so none of its rows could reach their top-k — see the
+    /// module docs); merged winners are bit-identical to the exact
+    /// sharded (and unsharded) search.
     ///
     /// # Errors
     ///
@@ -289,9 +377,11 @@ impl ShardedSearcher {
         };
         let dim = memory.cols();
         let rows = memory.rows();
+        let ones: Vec<u32> = (0..rows).map(|r| memory.matrix().row_view(r).count_ones()).collect();
         let parts = memory
             .split_rows(num_shards)
             .map_err(|e| ServeError::InvalidConfig { reason: e.to_string() })?;
+        let pilot = Self::pilot(&memory, &ones, &parts);
         let spawn_workers = parts.len() > 1;
         let mut shards = Vec::with_capacity(parts.len());
         let mut workers = Vec::new();
@@ -307,6 +397,7 @@ impl ShardedSearcher {
                 )),
                 None => None,
             };
+            let max_ones = ones[offset..offset + memory.rows()].iter().copied().max().unwrap_or(0);
             let chaos_panics = Arc::new(AtomicUsize::new(0));
             let supervisor = if spawn_workers {
                 let (tx, handle) = spawn_worker(
@@ -324,7 +415,7 @@ impl ShardedSearcher {
             } else {
                 None
             };
-            shards.push(Shard { offset, memory, cascade, supervisor, chaos_panics });
+            shards.push(Shard { offset, memory, max_ones, cascade, supervisor, chaos_panics });
         }
         Ok(ShardedSearcher {
             dim,
@@ -332,14 +423,42 @@ impl ShardedSearcher {
             classes: Arc::new(classes),
             plan,
             shards,
+            pilot,
             workers: Mutex::new(workers),
         })
+    }
+
+    /// The [`BLOCK_LANES`] heaviest rows of `memory` (row popcounts
+    /// `ones`, ties to the lower row) as a pilot memory, or `None` when
+    /// the heaviest rows of all shards in `parts` weigh the same (one
+    /// shard included): then no floor could ever skip a shard.
+    fn pilot(
+        memory: &SearchMemory,
+        ones: &[u32],
+        parts: &[(usize, SearchMemory)],
+    ) -> Option<Pilot> {
+        let lightest_shard = parts
+            .iter()
+            .map(|(offset, part)| ones[*offset..offset + part.rows()].iter().copied().max())
+            .min()
+            .flatten()?;
+        let mut heaviest: Vec<usize> = (0..ones.len()).collect();
+        heaviest.sort_by_key(|&r| (std::cmp::Reverse(ones[r]), r));
+        heaviest.truncate(BLOCK_LANES);
+        let max_k = heaviest.iter().take_while(|&&r| ones[r] > lightest_shard).count();
+        if max_k == 0 {
+            return None;
+        }
+        let rows: Vec<_> = heaviest.iter().map(|&r| memory.matrix().row(r)).collect();
+        let matrix = BitMatrix::from_rows(&rows).expect("a non-empty memory yields pilot rows");
+        Some(Pilot { memory: SearchMemory::with_backend(matrix, memory.backend()), max_k })
     }
 
     /// Like [`ShardedSearcher::with_cascade`] but the stage plan is
     /// auto-tuned from a sample of real queries before sharding
     /// ([`CascadePlan::tuned`] on the whole memory): every shard then
-    /// runs the same tuned plan against its own rows, so the merged
+    /// runs the same tuned plan against its own rows, on the queries its
+    /// heaviest row can still serve under the pilot floor, so the merged
     /// winners stay bit-identical to the unsharded search under any plan
     /// the tuner picks.
     ///
@@ -380,16 +499,7 @@ impl ShardedSearcher {
     /// cover the full row space, which the serving layer surfaces as
     /// `Prediction::degraded` instead of failing the queries.
     pub fn missing_shards(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| {
-                s.supervisor.as_ref().is_some_and(|m| {
-                    m.lock().unwrap_or_else(PoisonError::into_inner).jobs.is_none()
-                })
-            })
-            .map(|(idx, _)| idx)
-            .collect()
+        self.shards.iter().enumerate().filter(|(_, s)| s.missing()).map(|(idx, _)| idx).collect()
     }
 
     /// Whether any shard has degraded out of the row space. See
@@ -489,11 +599,46 @@ impl ShardedSearcher {
         self.respawn_locked(idx, &mut sup)
     }
 
-    /// Runs the k-best sweep on every shard — inline when no workers
-    /// exist, else fanned out to the pinned workers under
-    /// death-and-respawn supervision — and collects the answers in shard
-    /// order. A degraded shard yields `None`; the merge then answers
-    /// exactly over the surviving rows.
+    /// Which queries of `batch` each shard serves at `k`: all of them,
+    /// unless the pilot floors some queries above a shard's `max_ones`
+    /// (see the module docs).
+    fn shares(&self, batch: &QueryBatch, k: usize) -> Result<Vec<Share>> {
+        let all = vec![Share::All; self.shards.len()];
+        let Some(pilot) = self.pilot.as_ref().filter(|p| k <= p.max_k) else {
+            return Ok(all);
+        };
+        // A floor may come from a pilot row whose shard is gone.
+        if self.shards.iter().any(Shard::missing) {
+            return Ok(all);
+        }
+        let top = pilot
+            .memory
+            .topk_batch(batch, k)
+            .map_err(|e| ServeError::Model { reason: e.to_string() })?;
+        let mut served: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        for q in 0..batch.len() {
+            let floor = top.hits(q)[k - 1].1;
+            for (queries, shard) in served.iter_mut().zip(&self.shards) {
+                if floor <= shard.max_ones {
+                    queries.push(q);
+                }
+            }
+        }
+        Ok(served
+            .into_iter()
+            .map(|queries| match queries.len() {
+                0 => Share::Skip,
+                n if n == batch.len() => Share::All,
+                _ => Share::Only(queries),
+            })
+            .collect())
+    }
+
+    /// Runs the k-best sweep of every shard with a batch (`None` sits
+    /// the shard out) — inline when no workers exist, else fanned out to
+    /// the pinned workers under death-and-respawn supervision — and
+    /// collects the answers in shard order. A degraded shard yields
+    /// `None` and sets [`Collected::lost`].
     ///
     /// Collection is round-based: every round opens a **fresh** reply
     /// channel, dispatches the still-unanswered shards, drops its own
@@ -501,26 +646,32 @@ impl ShardedSearcher {
     /// either the worker replied, or it died and dropped the queued job
     /// (so a dead worker can never block the round). Shards whose
     /// workers died are revived (or degraded) and retried next round.
-    fn per_shard_answers(&self, batch: &Arc<QueryBatch>, k: usize) -> Result<Vec<Option<TopK>>> {
-        let mut per_shard: Vec<Option<TopK>> = (0..self.shards.len()).map(|_| None).collect();
+    fn per_shard_answers(
+        &self,
+        batches: &[Option<Arc<QueryBatch>>],
+        k: usize,
+    ) -> Result<Collected> {
+        let mut answers: Vec<Option<TopK>> = (0..self.shards.len()).map(|_| None).collect();
+        let jobs = || batches.iter().enumerate().filter_map(|(idx, b)| Some((idx, b.as_ref()?)));
         if !self.has_workers() {
-            for (idx, (slot, shard)) in per_shard.iter_mut().zip(&self.shards).enumerate() {
+            for (idx, batch) in jobs() {
+                let shard = &self.shards[idx];
                 let answer = shard_answer(&shard.memory, batch, shard.cascade.as_deref(), k)
                     .map_err(|e| ServeError::Model { reason: e.to_string() })?;
                 check_answer_len(&answer, batch.len(), idx)?;
-                *slot = Some(answer);
+                answers[idx] = Some(answer);
             }
-            return Ok(per_shard);
+            return Ok(Collected { answers, lost: false, last_panic: None });
         }
         let mut dead = vec![false; self.shards.len()];
         let mut last_panic: Option<String> = None;
-        let mut pending: Vec<usize> = (0..self.shards.len()).collect();
+        let mut pending: Vec<(usize, &Arc<QueryBatch>)> = jobs().collect();
         while !pending.is_empty() {
             let (reply_tx, reply_rx) = mpsc::sync_channel(pending.len());
-            let mut dispatched: Vec<(usize, u64)> = Vec::with_capacity(pending.len());
-            for idx in pending.drain(..) {
+            let mut dispatched = Vec::with_capacity(pending.len());
+            for (idx, batch) in pending.drain(..) {
                 match self.dispatch(idx, batch, k, &reply_tx) {
-                    Some(generation) => dispatched.push((idx, generation)),
+                    Some(generation) => dispatched.push((idx, batch, generation)),
                     None => dead[idx] = true,
                 }
             }
@@ -530,45 +681,42 @@ impl ShardedSearcher {
                     ShardOutcome::Answer(answer) => {
                         let answer =
                             answer.map_err(|e| ServeError::Model { reason: e.to_string() })?;
-                        check_answer_len(&answer, batch.len(), idx)?;
-                        per_shard[idx] = Some(answer);
+                        let queries = batches[idx].as_ref().map_or(0, |b| b.len());
+                        check_answer_len(&answer, queries, idx)?;
+                        answers[idx] = Some(answer);
                     }
                     // The worker died; the retry below (keyed on the
                     // missing answer) revives or degrades the shard.
                     ShardOutcome::Panicked(msg) => last_panic = Some(msg),
                 }
             }
-            for (idx, generation) in dispatched {
-                if per_shard[idx].is_none() && !dead[idx] {
+            for (idx, batch, generation) in dispatched {
+                if answers[idx].is_none() && !dead[idx] {
                     if self.revive(idx, generation) {
-                        pending.push(idx);
+                        pending.push((idx, batch));
                     } else {
                         dead[idx] = true;
                     }
                 }
             }
         }
-        if per_shard.iter().all(Option::is_none) {
-            let detail = last_panic.map_or(String::new(), |msg| format!(" (last panic: {msg})"));
-            return Err(ServeError::Model {
-                reason: format!("all shard workers degraded{detail}"),
-            });
-        }
-        Ok(per_shard)
+        Ok(Collected { answers, lost: dead.contains(&true), last_panic })
     }
 
-    /// Runs the k-best sweep on every shard and merges the per-shard
-    /// lists (ordered by ascending shard) into each query's global
-    /// slate, handed to `slate` in query order. Indexing `hits(q)` cannot
-    /// panic: every present answer was length-checked against the batch
-    /// by `check_answer_len`. Equal scores insert after their peers and
-    /// shards contribute in ascending-offset order (each shard list
-    /// already score-descending / local-row-ascending), so the slate
-    /// carries the global highest-score / lowest-row tie-break exactly —
-    /// bit-identical to the unsharded top-k; at `k = 1` a later shard
-    /// replaces the leader only on a strictly higher score. Degraded
-    /// shards contribute nothing: the slate is exact over the surviving
-    /// rows (and may come up short of `k`).
+    /// Runs the k-best sweep on the shards each query needs and merges
+    /// the per-shard lists (ordered by ascending shard) into each
+    /// query's global slate, handed to `slate` in query order. Indexing
+    /// `hits` cannot panic: every present answer was length-checked
+    /// against its shard's batch by `check_answer_len`, and a shard
+    /// serving [`Share::Only`] answers its queries in ascending order.
+    /// Equal scores insert after their peers and shards contribute in
+    /// ascending-offset order (each shard list already score-descending /
+    /// local-row-ascending), so the slate carries the global
+    /// highest-score / lowest-row tie-break exactly — bit-identical to
+    /// the unsharded top-k; at `k = 1` a later shard replaces the leader
+    /// only on a strictly higher score. Floor-skipped shards hold no row
+    /// of the slate; degraded shards contribute nothing, so the slate is
+    /// exact over the surviving rows (and may come up short of `k`).
     fn merge(
         &self,
         batch: &Arc<QueryBatch>,
@@ -579,14 +727,51 @@ impl ShardedSearcher {
         if batch.dim() != self.dim {
             return Err(ServeError::DimensionMismatch { expected: self.dim, found: batch.dim() });
         }
-        let per_shard = self.per_shard_answers(batch, k)?;
+        let mut shares = self.shares(batch, k)?;
+        let batches: Vec<_> = shares.iter().map(|share| share_batch(batch, share)).collect();
+        let mut collected = self.per_shard_answers(&batches, k)?;
+        if collected.lost && shares.iter().any(|share| *share != Share::All) {
+            // The floors may have come from rows that just died: every
+            // shard that sat out a query re-runs the whole batch without
+            // them (a dead one answers `None`), so each present answer
+            // covers every query.
+            let rerun: Vec<_> = shares
+                .iter()
+                .map(|share| (*share != Share::All).then(|| Arc::clone(batch)))
+                .collect();
+            let again = self.per_shard_answers(&rerun, k)?;
+            for (idx, answer) in again.answers.into_iter().enumerate() {
+                if rerun[idx].is_some() {
+                    collected.answers[idx] = answer;
+                    shares[idx] = Share::All;
+                }
+            }
+            collected.last_panic = again.last_panic.or(collected.last_panic);
+        }
+        if collected.answers.iter().all(Option::is_none) {
+            let detail =
+                collected.last_panic.map_or(String::new(), |msg| format!(" (last panic: {msg})"));
+            return Err(ServeError::Model {
+                reason: format!("all shard workers degraded{detail}"),
+            });
+        }
         let k = k.min(self.rows);
         let mut slots: Vec<Winner> = Vec::with_capacity(k);
+        // Per shard, how many of its `Share::Only` queries are merged.
+        let mut cursors = vec![0usize; self.shards.len()];
         for q in 0..batch.len() {
             slots.clear();
-            for (shard, lists) in self.shards.iter().zip(&per_shard) {
+            for (s, (shard, lists)) in self.shards.iter().zip(&collected.answers).enumerate() {
                 let Some(lists) = lists else { continue };
-                for &(local_row, score) in lists.hits(q) {
+                let local_q = match &shares[s] {
+                    Share::All => q,
+                    Share::Only(queries) if queries.get(cursors[s]) == Some(&q) => {
+                        cursors[s] += 1;
+                        cursors[s] - 1
+                    }
+                    Share::Only(_) | Share::Skip => continue,
+                };
+                for &(local_row, score) in lists.hits(local_q) {
                     if slots.len() == k {
                         if score <= slots[k - 1].score {
                             // Shard lists are score-descending: nothing
@@ -662,6 +847,62 @@ mod tests {
         (SearchMemory::from_rows(&vectors).unwrap(), classes)
     }
 
+    /// A memory with a graded popcount profile, so that pilot floors
+    /// skip shard work: four dense rows and four moderate ones up front,
+    /// one mid-weight row in each later block, near-empty rows elsewhere.
+    /// Returns the rows as well.
+    fn graded_memory(rows: usize, dim: usize, seed: u64) -> (Vec<BitVector>, Vec<usize>) {
+        let mut rng = seeded(seed);
+        let vectors = (0..rows)
+            .map(|r| {
+                let density = match r {
+                    0..=3 => 0.5,
+                    4..=7 => 0.3,
+                    _ if r % 8 == 3 => 0.1,
+                    _ => 0.02,
+                };
+                BitVector::from_bools(
+                    &(0..dim).map(|_| rng.gen::<f64>() < density).collect::<Vec<_>>(),
+                )
+            })
+            .collect();
+        (vectors, (0..rows).map(|r| r % 7).collect())
+    }
+
+    /// `n` queries that are 5%-perturbed copies of `rows[base(i)]`.
+    fn perturbed_batch(
+        rows: &[BitVector],
+        n: usize,
+        seed: u64,
+        base: impl Fn(usize) -> usize,
+    ) -> Arc<QueryBatch> {
+        let mut rng = seeded(seed);
+        let dim = rows[0].len();
+        let queries: Vec<BitVector> = (0..n)
+            .map(|i| {
+                let mut q = rows[base(i)].clone();
+                for _ in 0..dim / 20 {
+                    let bit = rng.gen_range(0..dim);
+                    q.set(bit, !q.get(bit));
+                }
+                q
+            })
+            .collect();
+        Arc::new(QueryBatch::from_vectors(&queries).unwrap())
+    }
+
+    /// The graded memory's equivalence inputs: queries near a dense row
+    /// (every light shard sits out), near a light row, and near rows of
+    /// every weight (shards serve sub-batches).
+    fn graded_batches(rows: &[BitVector], seed: u64) -> [Arc<QueryBatch>; 3] {
+        let light = rows.len() - 1;
+        [
+            perturbed_batch(rows, 9, seed, |i| i % 4),
+            perturbed_batch(rows, 5, seed + 1, |_| light),
+            perturbed_batch(rows, 17, seed + 2, |i| (i * 5) % rows.len()),
+        ]
+    }
+
     fn random_batch(n: usize, dim: usize, seed: u64) -> Arc<QueryBatch> {
         let mut rng = seeded(seed);
         let queries: Vec<BitVector> = (0..n)
@@ -703,6 +944,32 @@ mod tests {
         assert_eq!((w[0].row, w[0].score), (0, 64));
     }
 
+    /// Checks `sharded`'s top-k and winners against the unsharded sweep
+    /// over `memory`, and returns the shares the flush ran under.
+    fn assert_exact(
+        sharded: &ShardedSearcher,
+        memory: &SearchMemory,
+        classes: &[usize],
+        batch: &Arc<QueryBatch>,
+        k: usize,
+        what: &str,
+    ) -> Vec<Share> {
+        let reference = memory.topk_batch(batch, k).unwrap();
+        let lists = sharded.search_topk(Arc::clone(batch), k).unwrap();
+        for (q, list) in lists.iter().enumerate() {
+            let got: Vec<(usize, u32)> = list.iter().map(|w| (w.row, w.score)).collect();
+            assert_eq!(got, reference.hits(q), "{what}, k {k}, query {q}");
+            for w in list {
+                assert_eq!(w.class, classes[w.row]);
+            }
+        }
+        let winners = sharded.search_winners(Arc::clone(batch)).unwrap();
+        let top1 = memory.winners_batch(batch).unwrap();
+        let got: Vec<(usize, u32)> = winners.iter().map(|w| (w.row, w.score)).collect();
+        assert_eq!(got, top1, "{what}: winners");
+        sharded.shares(batch, k).unwrap()
+    }
+
     #[test]
     fn sharded_topk_matches_unsharded_for_every_shard_count() {
         let (memory, classes) = random_memory(53, 96, 21);
@@ -710,18 +977,59 @@ mod tests {
         for shards in [1usize, 2, 3, 4, 9] {
             let sharded = ShardedSearcher::new(memory.clone(), classes.clone(), shards).unwrap();
             for k in [1usize, 3, 7, 53, 60] {
-                let reference = memory.topk_batch(&batch, k).unwrap();
-                let lists = sharded.search_topk(Arc::clone(&batch), k).unwrap();
-                for (q, list) in lists.iter().enumerate() {
-                    let got: Vec<(usize, u32)> = list.iter().map(|w| (w.row, w.score)).collect();
-                    assert_eq!(got, reference.hits(q), "shards {shards}, k {k}, query {q}");
-                    for w in list {
-                        assert_eq!(w.class, classes[w.row]);
-                    }
-                }
+                assert_exact(&sharded, &memory, &classes, &batch, k, &format!("shards {shards}"));
             }
             assert!(sharded.search_topk(Arc::clone(&batch), 0).is_err());
         }
+        // Graded popcounts: the pilot floors skip shard work.
+        let (rows, classes) = graded_memory(53, 192, 23);
+        let memory = SearchMemory::from_rows(&rows).unwrap();
+        let (mut sub_batches, mut skipped) = (0, 0);
+        for shards in [2usize, 3, 4] {
+            let sharded = ShardedSearcher::new(memory.clone(), classes.clone(), shards).unwrap();
+            for (b, batch) in graded_batches(&rows, 24).iter().enumerate() {
+                for k in [1usize, 5, 8, 9] {
+                    let what = format!("graded, shards {shards}, batch {b}");
+                    let shares = assert_exact(&sharded, &memory, &classes, batch, k, &what);
+                    if k > BLOCK_LANES {
+                        assert!(shares.iter().all(|s| *s == Share::All), "{what}: k {k}");
+                    }
+                    sub_batches += shares.iter().filter(|s| matches!(s, Share::Only(_))).count();
+                    skipped += shares.iter().filter(|s| **s == Share::Skip).count();
+                }
+            }
+        }
+        assert!(sub_batches > 0 && skipped > 0, "{sub_batches} sub-batches, {skipped} skips");
+    }
+
+    #[test]
+    fn floor_tie_keeps_the_lower_row() {
+        // Shard 0 (rows 0..8) is light: row 0 holds bits 0..4, the rest
+        // are empty, so its max_ones is 4. Shard 1 (rows 8..16) is the
+        // pilot: row 8 holds bits 0..32, row 9 bits 28..60, rows 10..16
+        // bits 32..64.
+        let span = |lo: usize, hi: usize| {
+            BitVector::from_bools(&(0..64).map(|b| (lo..hi).contains(&b)).collect::<Vec<_>>())
+        };
+        let mut rows = vec![span(0, 4)];
+        rows.extend((1..8).map(|_| BitVector::zeros(64)));
+        rows.push(span(0, 32));
+        rows.push(span(28, 60));
+        rows.extend((10..16).map(|_| span(32, 64)));
+        let memory = SearchMemory::from_rows(&rows).unwrap();
+        let classes: Vec<usize> = (0..16).collect();
+        let sharded = ShardedSearcher::new(memory.clone(), classes.clone(), 2).unwrap();
+        assert_eq!(sharded.pilot.as_ref().map(|p| p.max_k), Some(BLOCK_LANES));
+        // Query 0 = bits 0..32: the pilot's 2nd best is row 9 at 4, so
+        // F = 4 = max_ones of shard 0, which serves it; row 0 ties row 9
+        // at the floor and displaces it as the lower row. Query 1 = bits
+        // 32..64 floors at 32 and skips shard 0.
+        let batch = Arc::new(QueryBatch::from_vectors(&[span(0, 32), span(32, 64)]).unwrap());
+        let shares = assert_exact(&sharded, &memory, &classes, &batch, 2, "floor tie");
+        assert_eq!(shares, vec![Share::Only(vec![0]), Share::All]);
+        let lists = sharded.search_topk(Arc::clone(&batch), 2).unwrap();
+        let got: Vec<(usize, u32)> = lists[0].iter().map(|w| (w.row, w.score)).collect();
+        assert_eq!(got, vec![(8, 32), (0, 4)]);
     }
 
     #[test]
@@ -749,7 +1057,11 @@ mod tests {
     fn cascade_sharded_topk_matches_unsharded() {
         let (memory, classes) = random_memory(53, 192, 25);
         let batch = random_batch(17, 192, 26);
-        for shards in [1usize, 3] {
+        let (rows, graded_classes) = graded_memory(53, 192, 27);
+        let graded = SearchMemory::from_rows(&rows).unwrap();
+        let graded_batches = graded_batches(&rows, 28);
+        let (mut sub_batches, mut skipped) = (0, 0);
+        for shards in [1usize, 2, 3, 4] {
             for plan in [CascadePlan::exact(192), CascadePlan::prefix(192, 64).unwrap()] {
                 let sharded = ShardedSearcher::with_cascade(
                     memory.clone(),
@@ -759,20 +1071,32 @@ mod tests {
                 )
                 .unwrap();
                 for k in [1usize, 5] {
-                    let reference = memory.topk_batch(&batch, k).unwrap();
-                    let lists = sharded.search_topk(Arc::clone(&batch), k).unwrap();
-                    for (q, list) in lists.iter().enumerate() {
-                        let got: Vec<(usize, u32)> =
-                            list.iter().map(|w| (w.row, w.score)).collect();
-                        assert_eq!(
-                            got,
-                            reference.hits(q),
-                            "shards {shards}, plan {plan:?}, k {k}, query {q}"
-                        );
+                    let what = format!("shards {shards}, plan {plan:?}");
+                    assert_exact(&sharded, &memory, &classes, &batch, k, &what);
+                }
+                let sharded = ShardedSearcher::with_cascade(
+                    graded.clone(),
+                    graded_classes.clone(),
+                    shards,
+                    plan.clone(),
+                )
+                .unwrap();
+                for (b, batch) in graded_batches.iter().enumerate() {
+                    for k in [1usize, 5, 8, 9] {
+                        let what = format!("graded, shards {shards}, plan {plan:?}, batch {b}");
+                        let shares =
+                            assert_exact(&sharded, &graded, &graded_classes, batch, k, &what);
+                        if shards == 1 || k > BLOCK_LANES {
+                            assert!(shares.iter().all(|s| *s == Share::All), "{what}: k {k}");
+                        }
+                        sub_batches +=
+                            shares.iter().filter(|s| matches!(s, Share::Only(_))).count();
+                        skipped += shares.iter().filter(|s| **s == Share::Skip).count();
                     }
                 }
             }
         }
+        assert!(sub_batches > 0 && skipped > 0, "{sub_batches} sub-batches, {skipped} skips");
     }
 
     #[test]
@@ -1009,6 +1333,41 @@ mod tests {
         }
         // Degradation is sticky; later searches stay degraded but exact.
         assert_eq!(sharded.missing_shards(), vec![0]);
+    }
+
+    #[test]
+    fn shard_dying_in_a_skipping_flush_reruns_the_skipped_queries() {
+        // Every pilot row lives in shard 0; queries near a dense row
+        // floor far above shard 1's heaviest row, so shard 1 sits the
+        // flush out. Shard 0 then dies during it (respawn, then degrade).
+        let dim = 192;
+        let (rows, classes) = graded_memory(16, dim, 81);
+        let memory = SearchMemory::from_rows(&rows).unwrap();
+        let batch = perturbed_batch(&rows, 9, 82, |i| i % 4);
+        let survivors = SearchMemory::from_rows(&rows[8..]).unwrap();
+        for k in [1usize, 5] {
+            let sharded = ShardedSearcher::new(memory.clone(), classes.clone(), 2).unwrap();
+            assert_eq!(sharded.shares(&batch, k).unwrap(), vec![Share::All, Share::Skip]);
+            sharded.inject_shard_panics(0, 2).unwrap();
+            let lists = if k == 1 {
+                let winners = sharded.search_winners(Arc::clone(&batch)).unwrap();
+                assert_eq!(winners.len(), batch.len(), "one winner per query");
+                winners.into_iter().map(|w| vec![w]).collect()
+            } else {
+                sharded.search_topk(Arc::clone(&batch), k).unwrap()
+            };
+            assert_eq!(sharded.missing_shards(), vec![0]);
+            let reference = survivors.topk_batch(&batch, k).unwrap();
+            for (q, list) in lists.iter().enumerate() {
+                let got: Vec<(usize, u32)> = list.iter().map(|w| (w.row - 8, w.score)).collect();
+                assert_eq!(got, reference.hits(q), "k {k}, query {q}");
+                for w in list {
+                    assert_eq!(w.class, classes[w.row]);
+                }
+            }
+            // With a shard missing, later flushes run without floors.
+            assert_eq!(sharded.shares(&batch, k).unwrap(), vec![Share::All, Share::All]);
+        }
     }
 
     #[test]
