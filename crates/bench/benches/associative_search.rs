@@ -289,13 +289,15 @@ fn bench_cascade_repeat(c: &mut Criterion) {
     group.finish();
 }
 
-/// PR 8's calibrated-tuner and zero-repack segment-view paths.
+/// The plan tuner and the zero-repack segment-view paths (the group
+/// keeps its historical `cascade_calibrated` id, which baselines are
+/// keyed by).
 ///
 /// `tuned_plan_10240x10` times `CascadePlan::tuned` itself — candidate
-/// plans priced with the once-per-host calibrated `CostModel` — on the
-/// imbalanced 10240×10 workload, asserting first that the calibrated
-/// tuner still converges to a multi-stage plan with a short prefix that
-/// classifies bit-identically to the exact sweep. The `segview_*` pair
+/// plans priced with the compiled-in `CostModel` — on the imbalanced
+/// 10240×10 workload, asserting first that the tuner converges to a
+/// multi-stage plan with a short prefix that classifies bit-identically
+/// to the exact sweep. The `segview_*` pair
 /// isolates the per-call segment re-pack the partitioned layouts used to
 /// pay on unaligned segment grids (dim 1600, P=16 → 100-bit segments,
 /// off the word grid): `segview_reuse` drives every partition through
@@ -304,7 +306,7 @@ fn bench_cascade_repeat(c: &mut Criterion) {
 /// call — the pre-PR 8 `AmMapping` behavior, kept here as the reference.
 /// Scores are asserted bit-identical across the two paths before timing.
 fn bench_cascade_calibrated(c: &mut Criterion) {
-    eprintln!("cascade_calibrated: calibrated cost model {}", CostModel::active());
+    eprintln!("cascade_calibrated: cost model {}", CostModel::active());
 
     // Tuner latency on the imbalanced 10240x10 workload (one dense
     // majority centroid, nine sparse; mostly-majority traffic).
@@ -332,7 +334,7 @@ fn bench_cascade_calibrated(c: &mut Criterion) {
     let mem = SearchMemory::from_rows(&rows).expect("memory");
     let batch = QueryBatch::from_vectors(&queries).expect("batch");
     let plan = CascadePlan::tuned(&mem, &batch).expect("tuned plan");
-    assert!(plan.stages() > 1, "calibrated tuner must cascade here: {plan:?}");
+    assert!(plan.stages() > 1, "tuner must cascade here: {plan:?}");
     assert!(plan.ends()[0] <= dim / 8, "prefix should be short: {plan:?}");
     let cascade = mem.search_cascade_topk(&batch, &plan, 1).expect("cascade");
     let winners = mem.winners_batch(&batch).expect("exact");

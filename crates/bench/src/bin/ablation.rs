@@ -13,7 +13,7 @@
 //!    accuracy as programmed cells flip, exercising the HDC noise-
 //!    robustness claim from the paper's introduction on mapped arrays.
 //!
-//! Usage: `cargo run --release -p memhd-bench --bin ablation [--quick|--full]`
+//! Usage: `cargo run --release -p memhd_bench --bin ablation [--quick|--full]`
 
 use hd_baselines::BasicHdc;
 use hd_linalg::rng::derive_seed;

@@ -114,6 +114,17 @@ fn run_benches(benches: &[String]) -> Result<BTreeMap<String, f64>, String> {
     results
 }
 
+/// Parses a `--threshold` percentage. NaN, infinite and negative values
+/// are rejected: a NaN threshold makes every ratio compare false, so the
+/// gate would pass every id silently.
+fn parse_threshold(v: &str) -> Result<f64, String> {
+    match v.parse::<f64>() {
+        Ok(t) if t.is_finite() && t >= 0.0 => Ok(t),
+        Ok(_) => Err(format!("--threshold must be a finite percentage >= 0, got {v}")),
+        Err(e) => Err(format!("--threshold: {e}")),
+    }
+}
+
 fn usage() -> String {
     "usage: bench_check [--baseline <json>] [--current <json> | --run | --smoke] \
      [--bench <name>]... [--threshold <pct>] [--allow-backend-mismatch]"
@@ -136,9 +147,9 @@ fn main() -> ExitCode {
             "--baseline" => take("--baseline").map(|v| baseline_path = v),
             "--current" => take("--current").map(|v| current_path = Some(v)),
             "--bench" => take("--bench").map(|v| benches.push(v)),
-            "--threshold" => take("--threshold").and_then(|v| {
-                v.parse::<f64>().map(|t| threshold = t).map_err(|e| format!("--threshold: {e}"))
-            }),
+            "--threshold" => {
+                take("--threshold").and_then(|v| parse_threshold(&v)).map(|t| threshold = t)
+            }
             "--run" => {
                 run = true;
                 Ok(())
@@ -277,7 +288,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_results;
+    use super::{parse_results, parse_threshold};
 
     #[test]
     fn parses_baseline_schema() {
@@ -315,5 +326,14 @@ mod tests {
         assert_eq!(r.len(), 1);
         assert_eq!(r["ok"], 7.0);
         assert!(!r.contains_key("broken"));
+    }
+
+    #[test]
+    fn threshold_must_be_a_finite_non_negative_percentage() {
+        assert_eq!(parse_threshold("10"), Ok(10.0));
+        assert_eq!(parse_threshold("0"), Ok(0.0));
+        for bad in ["nan", "NaN", "inf", "-inf", "-5", "ten"] {
+            assert!(parse_threshold(bad).is_err(), "{bad:?} should be rejected");
+        }
     }
 }

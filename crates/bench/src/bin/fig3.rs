@@ -5,7 +5,7 @@
 //! column sizes for ISOLET; baselines sweep dimensionality. Each point is
 //! averaged over trials (5 with `--full`, matching the paper's protocol).
 //!
-//! Usage: `cargo run --release -p memhd-bench --bin fig3 [--quick|--full]`
+//! Usage: `cargo run --release -p memhd_bench --bin fig3 [--quick|--full]`
 
 use hd_baselines::{
     BasicHdc, HdcClassifier, LeHdc, LeHdcConfig, QuantHd, QuantHdConfig, SearcHd, SearcHdConfig,

@@ -8,7 +8,7 @@
 //! samples per class) peaks at moderate column counts and *degrades* when
 //! columns over-fragment the classes.
 //!
-//! Usage: `cargo run --release -p memhd-bench --bin fig4 [--quick|--full]`
+//! Usage: `cargo run --release -p memhd_bench --bin fig4 [--quick|--full]`
 
 use hd_linalg::rng::derive_seed;
 use hd_linalg::stats::Welford;

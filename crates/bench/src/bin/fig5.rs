@@ -5,7 +5,7 @@
 //! (+8.69% on MNIST 512x512, +19.95% on ISOLET 1024x256), converges in
 //! fewer epochs, and ends slightly ahead.
 //!
-//! Usage: `cargo run --release -p memhd-bench --bin fig5 [--quick|--full]`
+//! Usage: `cargo run --release -p memhd_bench --bin fig5 [--quick|--full]`
 
 use hd_linalg::rng::derive_seed;
 use hd_linalg::stats::Welford;

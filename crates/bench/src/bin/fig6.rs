@@ -5,7 +5,7 @@
 //! matters at narrow ones (512x64) with an optimum around 0.8–0.9, and
 //! ISOLET prefers `R = 1.0`.
 //!
-//! Usage: `cargo run --release -p memhd-bench --bin fig6 [--quick|--full]`
+//! Usage: `cargo run --release -p memhd_bench --bin fig6 [--quick|--full]`
 
 use hd_linalg::rng::derive_seed;
 use hd_linalg::stats::Welford;

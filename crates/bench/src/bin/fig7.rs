@@ -6,12 +6,14 @@
 //! (and P=10), LeHDC 400×10 (and P=4), and MEMHD 128×128. All models use
 //! MVM-based associative search, so their AMs map with the same machinery.
 //!
-//! Usage: `cargo run -p memhd-bench --bin fig7`
+//! Usage: `cargo run -p memhd_bench --bin fig7 [--quick|--full]` (the
+//! output is deterministic and the same in both modes)
 
 use hd_linalg::rng::seeded;
 use hd_linalg::BitVector;
 use hdc::BinaryAm;
 use imc_sim::{AmMapping, ArraySpec, EnergyModel, MappingStrategy};
+use memhd_bench::runconfig::RunConfig;
 use memhd_bench::table::Table;
 use rand::Rng;
 
@@ -35,6 +37,8 @@ struct Config {
 }
 
 fn main() {
+    // Only validates the flags: an unknown one exits 2.
+    RunConfig::from_env();
     let spec = ArraySpec::default();
     let energy = EnergyModel::default();
     // SearcHD's multi-model AM is k*N columns wide; the paper's Fig. 7

@@ -4,15 +4,19 @@
 //! width at representative dimensionalities, matching the paper's setup:
 //! `L = 256`, `N = 64`.
 //!
-//! Usage: `cargo run -p memhd-bench --bin table1`
+//! Usage: `cargo run -p memhd_bench --bin table1 [--quick|--full]` (the
+//! output is deterministic and the same in both modes)
 
 use hd_baselines::{baseline_memory, BaselineKind};
+use memhd_bench::runconfig::RunConfig;
 use memhd_bench::table::Table;
 
 const LEVELS: usize = 256;
 const SEARCHD_N: usize = 64;
 
 fn main() {
+    // Only validates the flags: an unknown one exits 2.
+    RunConfig::from_env();
     println!("Table I: memory requirements of baseline HDC models");
     println!("(L = {LEVELS} levels, SearcHD N = {SEARCHD_N}; sizes in KB)\n");
 

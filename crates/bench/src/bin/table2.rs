@@ -6,12 +6,14 @@
 //! prints per-mapping cycles / arrays / utilization plus the improvement
 //! factors the paper headlines (80× cycles, 71× arrays on MNIST).
 //!
-//! Usage: `cargo run -p memhd-bench --bin table2`
+//! Usage: `cargo run -p memhd_bench --bin table2 [--quick|--full]` (the
+//! output is deterministic and the same in both modes)
 
 use hd_linalg::rng::seeded;
 use hd_linalg::BitVector;
 use hdc::BinaryAm;
 use imc_sim::{system_report, AmMapping, ArraySpec, MappingStrategy, SystemReport};
+use memhd_bench::runconfig::RunConfig;
 use memhd_bench::table::Table;
 use rand::Rng;
 
@@ -96,6 +98,8 @@ fn print_dataset(title: &str, features: usize, k: usize, rows: &[RowSpec], spec:
 }
 
 fn main() {
+    // Only validates the flags: an unknown one exits 2.
+    RunConfig::from_env();
     let spec = ArraySpec::default();
     println!("Table II: computation cycles, arrays and AM utilization (128x128 IMC array)\n");
 

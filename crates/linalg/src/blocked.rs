@@ -290,8 +290,8 @@ impl SearchMemory {
     }
 
     /// Wraps a matrix searched on `backend` — how the equivalence suites
-    /// and [`crate::CostModel::measure`] run one explicit backend through
-    /// the same entry points as the active one.
+    /// run one explicit backend through the same entry points as the
+    /// active one.
     ///
     /// # Panics
     ///

@@ -66,10 +66,10 @@
 use crate::batch::{self, Slots, TopK};
 use crate::bits::BitMatrix;
 use crate::blocked::{BlockPass, SearchMemory, StageWork, Window, LANES};
-use crate::calibrate::CostModel;
 use crate::error::{LinalgError, Result};
 use crate::kernel;
 use crate::{QueryBatch, QueryBatchBuilder};
+use std::fmt;
 use std::sync::{Arc, Mutex};
 
 /// Stage layout of a cascade search: strictly increasing dimension
@@ -267,14 +267,12 @@ impl CascadePlan {
     /// and replaying the bound on the sample measures it directly. Each
     /// candidate's measured per-stage work — the row blocks each later
     /// stage's pass still scores, and how many of them hold a lone live
-    /// row — feeds a deterministic cost model whose relative prices come
-    /// from the once-per-host kernel calibration
-    /// ([`crate::CostModel::active`]; pin `HD_LINALG_CALIBRATION=fallback`
-    /// for fully host-independent plans), a three-stage refinement of the
-    /// best prefix is tried, and the winner is kept only if it beats the
-    /// exact sweep's modeled cost — workloads whose rows never separate
-    /// early get [`CascadePlan::exact`] back, which *is* the right plan
-    /// for them.
+    /// row — feeds the compiled-in [`CostModel`], a three-stage
+    /// refinement of the best prefix is tried, and the winner is kept
+    /// only if it beats the exact sweep's modeled cost — workloads whose
+    /// rows never separate early get [`CascadePlan::exact`] back, which
+    /// *is* the right plan for them. The model is the same on every host,
+    /// so a memory and sample tune to the same plan everywhere.
     ///
     /// Two blind spots to plan around. The replay runs at `k = 1`
     /// whatever `k` the traffic asks for: a short first stage that cuts
@@ -355,19 +353,6 @@ impl CascadePlan {
     /// }
     /// ```
     pub fn tuned_aligned(memory: &SearchMemory, sample: &QueryBatch, unit: usize) -> Result<Self> {
-        Self::tuned_aligned_with(memory, sample, unit, &CostModel::active())
-    }
-
-    /// [`CascadePlan::tuned_aligned`] under an explicit [`CostModel`] —
-    /// the hook deterministic tests and offline what-if analyses pin a
-    /// model with; production callers use the calibrated
-    /// [`CostModel::active`] via the public entry points.
-    fn tuned_aligned_with(
-        memory: &SearchMemory,
-        sample: &QueryBatch,
-        unit: usize,
-        model: &CostModel,
-    ) -> Result<Self> {
         let m = memory.matrix();
         if unit == 0 {
             return Err(LinalgError::Empty { op: "CascadePlan::tuned_aligned" });
@@ -386,6 +371,7 @@ impl CascadePlan {
             });
         }
         let dim = m.cols();
+        let model = &CostModel::active();
 
         // Strided subsample: candidate evaluation replays the pruning on
         // every kept query, so cap the work while staying representative
@@ -489,6 +475,43 @@ fn stage_words(prev: usize, e: usize, unit: usize) -> usize {
         word_end(e) - prev / 64
     } else {
         (e - prev).div_ceil(unit) * word_end(unit)
+    }
+}
+
+/// The cascade tuner's cost model, in stage-0 row-word units (one unit
+/// = the blocked sweep scoring one packed word of one row).
+///
+/// The prices are compiled in rather than timed on the host, so every
+/// host prices a candidate plan the same way and tunes a memory to the
+/// same plan.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CostModel {
+    /// Per-word cost of scoring a lone live row through the flat kernel,
+    /// relative to one lane of the blocked sweep.
+    pub cont_weight: f64,
+    /// Fixed cost of each row block a later stage scores (its prune
+    /// compare, count merge and k-best tracking).
+    pub row_overhead_words: f64,
+    /// Fixed per-query, per-stage overhead (loop set-up, lazy suffix
+    /// popcounts).
+    pub stage_overhead_words: f64,
+}
+
+impl CostModel {
+    /// The model [`CascadePlan::tuned`] prices candidate plans with:
+    /// `cont=4,row=2,stage=8`.
+    pub const fn active() -> Self {
+        CostModel { cont_weight: 4.0, row_overhead_words: 2.0, stage_overhead_words: 8.0 }
+    }
+}
+
+impl fmt::Display for CostModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "cont={},row={},stage={}",
+            self.cont_weight, self.row_overhead_words, self.stage_overhead_words
+        )
     }
 }
 
@@ -884,8 +907,8 @@ impl CascadeCache {
     }
 }
 
-impl std::fmt::Debug for CascadeCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for CascadeCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CascadeCache").field("entries", &self.lock().len()).finish()
     }
 }
@@ -1788,14 +1811,13 @@ mod tests {
     }
 
     #[test]
-    fn tuned_aligned_with_pinned_model_is_deterministic_on_unaligned_units() {
-        // The explicit-model hook on an unaligned unit must produce a
-        // valid unit-gridded plan, stay deterministic, and stay exact.
+    fn tuned_aligned_is_deterministic_on_unaligned_units() {
+        // The tuner on an unaligned unit must produce a valid
+        // unit-gridded plan, stay deterministic, and stay exact.
         let mut rng = seeded(48);
         let (mem, batch) = imbalanced_setup(10, 500, 60, &mut rng);
-        let model = CostModel::fallback();
-        let plan = CascadePlan::tuned_aligned_with(&mem, &batch, 100, &model).unwrap();
-        assert_eq!(plan, CascadePlan::tuned_aligned_with(&mem, &batch, 100, &model).unwrap());
+        let plan = CascadePlan::tuned_aligned(&mem, &batch, 100).unwrap();
+        assert_eq!(plan, CascadePlan::tuned_aligned(&mem, &batch, 100).unwrap());
         for &e in plan.ends() {
             assert!(e == 500 || e.is_multiple_of(100), "boundary {e} off the unit grid");
         }

@@ -46,9 +46,8 @@
 //! exact sweep,
 //! and the returned [`CascadeStats`] reports how many row-dimensions were
 //! actually activated (the paper's Fig. 7 energy proxy).
-//! [`CascadePlan::tuned`] prices candidate plans with a once-per-host
-//! calibrated [`CostModel`] (see [`calibrate`]); scalar-forced and
-//! env-pinned runs resolve to deterministic fallback constants.
+//! [`CascadePlan::tuned`] prices candidate plans with a compiled-in
+//! [`CostModel`], so a memory tunes to the same plan on every host.
 //!
 //! **Labelled memories share one search surface.** [`LabeledMemory`]
 //! (dimensionality, rows, per-row class, batched k-best) is implemented
@@ -79,7 +78,6 @@ mod batch;
 mod bits;
 #[allow(unsafe_code)]
 mod blocked;
-pub mod calibrate;
 mod cascade;
 mod error;
 #[allow(unsafe_code)]
@@ -95,8 +93,9 @@ pub use batch::{
 };
 pub use bits::{majority_words, BitMatrix, BitVector, BitView};
 pub use blocked::{BlockedBitMatrix, SearchMemory, LANES as BLOCK_LANES};
-pub use calibrate::CostModel;
-pub use cascade::{BoundCascade, CascadePlan, CascadeStats, CascadeTopK, SegmentedCascade};
+pub use cascade::{
+    BoundCascade, CascadePlan, CascadeStats, CascadeTopK, CostModel, SegmentedCascade,
+};
 pub use error::{LinalgError, Result};
 pub use labeled::LabeledMemory;
 pub use matrix::Matrix;

@@ -7,13 +7,16 @@
 //! The bound-form cache attached to `SearchMemory` must be equally
 //! invisible: repeated searches reuse the cached derivation, mutation
 //! invalidates it, and results stay exact either way. The segmented
-//! (partitioned-layout) cascade obeys the same contract.
+//! (partitioned-layout) cascade obeys the same contract. The tuner's
+//! cost model is compiled in, so tuned plans are pinned exactly too.
 
 use hd_linalg::kernel::Backend;
+use hd_linalg::rng::seeded;
 use hd_linalg::{
     BitVector, CascadePlan, CascadeTopK, CostModel, QueryBatch, SearchMemory, SegmentedCascade,
 };
 use proptest::prelude::*;
+use rand::Rng;
 
 fn bool_vec(len: usize) -> impl Strategy<Value = Vec<bool>> {
     prop::collection::vec(any::<bool>(), len)
@@ -183,48 +186,67 @@ proptest! {
             prop_assert_eq!(stats.queries(), queries.len());
         }
     }
-
-    /// Any in-regime cost model survives the calibration cache's decimal
-    /// text format bit-identically, and repeated loads are deterministic
-    /// — the property that makes calibrated tuning stable across
-    /// processes on one host.
-    #[test]
-    fn calibration_cache_roundtrip_is_deterministic(
-        (cont, row, stage, case) in (0u32..=16_384, 0u32..=32_768, 0u32..=131_072, 0u64..u64::MAX)
-    ) {
-        // Quantized in-regime values (the cache only ever stores these).
-        let model = CostModel {
-            cont_weight: 1.25 + f64::from(cont) / 1024.0 * (8.0 - 1.25) / 16.0,
-            row_overhead_words: f64::from(row) / 1024.0 / 2.0,
-            stage_overhead_words: 2.0 + f64::from(stage) / 1024.0 * 62.0 / 128.0,
-        }
-        .clamped();
-        let dir = std::env::temp_dir()
-            .join(format!("hd-linalg-proptest-{}-{case:016x}", std::process::id()));
-        let path = dir.join("model.txt");
-        let backend = hd_linalg::kernel::active();
-        model.store(&path, backend).unwrap();
-        let first = CostModel::load(&path, backend);
-        prop_assert_eq!(first, Some(model));
-        // Deterministic across repeat loads, and store∘load is a fixed
-        // point (no drift through the decimal format).
-        prop_assert_eq!(CostModel::load(&path, backend), first);
-        first.unwrap().store(&path, backend).unwrap();
-        prop_assert_eq!(CostModel::load(&path, backend), first);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 }
 
-/// The calibrated process-wide model is stable across calls and always
-/// inside the clamp regime, so every tuned plan in this suite prices
-/// candidates consistently. Under the compile-time scalar kill switch
-/// (the scalar-forced CI leg) it must be exactly the deterministic
-/// fallback constants.
+/// The imbalanced memory of the `cascade_calibrated` bench at width
+/// `dim`: one dense majority row over nine sparse ones, and 256 queries
+/// that are noisy copies of the majority row except every fiftieth.
+fn imbalanced(dim: usize) -> (SearchMemory, QueryBatch) {
+    let vectors = 10usize;
+    let mut rng = seeded(23);
+    let mut density_bits = |density: f32| -> BitVector {
+        BitVector::from_bools(&(0..dim).map(|_| rng.gen::<f32>() < density).collect::<Vec<_>>())
+    };
+    let mut rows = vec![density_bits(0.5)];
+    for _ in 1..vectors {
+        rows.push(density_bits(0.02));
+    }
+    let queries: Vec<BitVector> = (0..256)
+        .map(|i| {
+            let base = if i % 50 != 0 { 0 } else { 1 + i % (vectors - 1) };
+            let mut q = rows[base].clone();
+            for _ in 0..dim / 20 {
+                let bit = rng.gen_range(0..dim);
+                q.set(bit, !q.get(bit));
+            }
+            q
+        })
+        .collect();
+    (SearchMemory::from_rows(&rows).unwrap(), QueryBatch::from_vectors(&queries).unwrap())
+}
+
+/// The tuner prices plans with compiled-in constants, and servebench's
+/// provenance line prints them in this form.
 #[test]
-fn active_cost_model_is_stable_and_in_regime() {
+fn cost_model_is_the_compiled_in_constants() {
     let model = CostModel::active();
-    assert_eq!(model, CostModel::active());
-    assert_eq!(model, model.clamped());
-    #[cfg(feature = "force-scalar")]
-    assert_eq!(model, CostModel::fallback());
+    assert_eq!(
+        (model.cont_weight, model.row_overhead_words, model.stage_overhead_words),
+        (4.0, 2.0, 8.0)
+    );
+    assert_eq!(model.to_string(), "cont=4,row=2,stage=8");
+}
+
+/// Tuned plans depend on the memory and sample alone, not on the host or
+/// its kernel backend, so their ends are pinned exactly.
+#[test]
+fn tuned_plans_are_golden() {
+    // The imbalanced 10240x10 workload cuts after ten words.
+    let (mem, batch) = imbalanced(10240);
+    assert_eq!(CascadePlan::tuned(&mem, &batch).unwrap().ends(), &[640, 10240]);
+
+    // Balanced random rows never separate early: the exact plan wins.
+    let mut rng = seeded(7);
+    let mut random_bits =
+        || BitVector::from_bools(&(0..1024).map(|_| rng.gen::<bool>()).collect::<Vec<_>>());
+    let rows: Vec<BitVector> = (0..64).map(|_| random_bits()).collect();
+    let queries: Vec<BitVector> = (0..64).map(|_| random_bits()).collect();
+    let mem = SearchMemory::from_rows(&rows).unwrap();
+    let batch = QueryBatch::from_vectors(&queries).unwrap();
+    assert_eq!(CascadePlan::tuned(&mem, &batch).unwrap(), CascadePlan::exact(1024));
+
+    // On a 100-bit segment grid the two-segment prefix beats the
+    // one-segment one.
+    let (mem, batch) = imbalanced(2000);
+    assert_eq!(CascadePlan::tuned_aligned(&mem, &batch, 100).unwrap().ends(), &[200, 2000]);
 }
