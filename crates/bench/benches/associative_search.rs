@@ -8,7 +8,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hd_linalg::rng::seeded;
 use hd_linalg::{
-    BitVector, BoundCascade, CascadePlan, CostModel, QueryBatch, ScoreMatrix, SearchMemory,
+    BitVector, BoundCascade, CascadePlan, CascadeTopK, CostModel, LabeledMemory, QueryBatch,
+    ScoreMatrix, SearchMemory,
 };
 use hdc::BinaryAm;
 use imc_sim::{AmMapping, ArraySpec, MappingStrategy};
@@ -29,6 +30,11 @@ fn random_query(dim: usize, seed: u64) -> BitVector {
     let mut rng = seeded(seed);
     let bits: Vec<bool> = (0..dim).map(|_| rng.gen()).collect();
     BitVector::from_bools(&bits)
+}
+
+/// Class of each query's top-1 row in a cascade result.
+fn top1_classes(memory: &impl LabeledMemory, out: &CascadeTopK) -> Vec<usize> {
+    (0..out.topk().len()).map(|q| memory.class_of(out.topk().hits(q)[0].0)).collect()
 }
 
 fn bench_search(c: &mut Criterion) {
@@ -139,7 +145,7 @@ fn bench_cascade_search(c: &mut Criterion) {
     // Auto-tuned plan: the tuner replays the Hamming bound on a strided
     // subsample of the real traffic and picks the stage widths itself —
     // the id pins that it is no slower than the hand-picked D/16 plan.
-    let tuned_plan = am.tuned_cascade_plan(&batch).expect("tuned plan");
+    let tuned_plan = CascadePlan::tuned(am.search_memory(), &batch).expect("tuned plan");
     let tuned_bound =
         BoundCascade::new(std::sync::Arc::new(am.search_memory().clone()), tuned_plan.clone())
             .expect("tuned bound cascade");
@@ -156,20 +162,23 @@ fn bench_cascade_search(c: &mut Criterion) {
     // The cascade is an execution strategy, not an approximation: pin
     // prediction equality (and report the pruning rate) before timing.
     let exact = am.classify_batch(&batch).expect("exact");
-    assert_eq!(exact, am.classify_batch_cascade(&batch, &plan).expect("cascade"));
-    assert_eq!(exact, am.classify_batch_cascade(&batch, &tuned_plan).expect("tuned cascade"));
-    let part_out = mapping.search_batch_cascade(&batch, &part_plan).expect("partitioned cascade");
-    assert_eq!(exact, part_out.predicted_classes);
-    let stats = am.search_cascade(&batch, &plan).expect("cascade");
+    let memory = am.search_memory();
+    let stats = memory.search_cascade_topk(&batch, &plan, 1).expect("cascade");
+    assert_eq!(exact, top1_classes(&am, &stats));
+    let tuned_out = memory.search_cascade_topk(&batch, &tuned_plan, 1).expect("tuned cascade");
+    assert_eq!(exact, top1_classes(&am, &tuned_out));
+    let part_out =
+        mapping.search_batch_cascade(&batch, &part_plan, 1).expect("partitioned cascade");
+    assert_eq!(exact, top1_classes(&mapping, &part_out));
     eprintln!(
         "cascade_search: activation fraction {:.3} (stage shortlists {:?}); tuned plan ends \
          {:?} (activation {:.3}); partitioned P={partitions} plan ends {:?} (activation {:.3})",
         stats.stats().activation_fraction(),
         stats.stats().stage_rows(),
         tuned_plan.ends(),
-        am.search_cascade(&batch, &tuned_plan).expect("tuned").stats().activation_fraction(),
+        tuned_out.stats().activation_fraction(),
         part_plan.ends(),
-        part_out.activation_fraction(),
+        part_out.stats().activation_fraction(),
     );
 
     let mut group = c.benchmark_group("cascade_search");
@@ -206,12 +215,9 @@ fn bench_cascade_search(c: &mut Criterion) {
         &batch,
         |b, batch| {
             b.iter(|| {
-                mapping
-                    .search_batch_cascade(batch, &part_plan)
-                    .expect("search")
-                    .predicted_classes
-                    .iter()
-                    .sum::<usize>()
+                let out = mapping.search_batch_cascade(batch, &part_plan, 1).expect("search");
+                let lists = out.topk();
+                (0..lists.len()).map(|q| mapping.class_of(lists.hits(q)[0].0)).sum::<usize>()
             })
         },
     );
@@ -219,8 +225,8 @@ fn bench_cascade_search(c: &mut Criterion) {
 }
 
 /// Repeated-batch cascade loops at the model layer: the cached bound
-/// handle (`MemhdModel::predict_encoded_batch_cascade`, whose binary AM
-/// caches the plan's prefix sub-memory and row-suffix table). Small
+/// handle (`search_cascade_topk` on the model's binary-AM memory, which
+/// caches the plan's row-suffix table). Small
 /// batches against a wide imbalanced AM — exactly the QAT-epoch /
 /// eval-sweep shape the caching targets.
 fn bench_cascade_repeat(c: &mut Criterion) {
@@ -264,11 +270,13 @@ fn bench_cascade_repeat(c: &mut Criterion) {
         })
         .collect();
     let batch = QueryBatch::from_vectors(&queries).expect("batch");
-    let plan = am.tuned_cascade_plan(&batch).expect("tuned plan");
+    let memory = am.search_memory();
+    let plan = CascadePlan::tuned(memory, &batch).expect("tuned plan");
     assert!(plan.stages() > 1, "imbalanced workload must tune to a cascade: {plan:?}");
 
     let exact = am.classify_batch(&batch).expect("exact");
-    assert_eq!(exact, model.predict_encoded_batch_cascade(&batch, &plan).expect("cached"));
+    let cached = memory.search_cascade_topk(&batch, &plan, 1).expect("cached");
+    assert_eq!(exact, top1_classes(&model, &cached));
     eprintln!("cascade_repeat: tuned plan ends {:?} over {vectors}x{dim}", plan.ends());
 
     let mut group = c.benchmark_group("cascade_repeat");
@@ -278,11 +286,13 @@ fn bench_cascade_repeat(c: &mut Criterion) {
         &batch,
         |b, batch| {
             b.iter(|| {
-                model
-                    .predict_encoded_batch_cascade(batch, &plan)
-                    .expect("search")
-                    .iter()
-                    .sum::<usize>()
+                let out = model
+                    .binary_am()
+                    .search_memory()
+                    .search_cascade_topk(batch, &plan, 1)
+                    .expect("search");
+                let lists = out.topk();
+                (0..lists.len()).map(|q| model.class_of(lists.hits(q)[0].0)).sum::<usize>()
             })
         },
     );

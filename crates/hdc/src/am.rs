@@ -10,8 +10,7 @@
 
 use crate::error::{HdcError, Result};
 use hd_linalg::{
-    BitMatrix, BitVector, CascadePlan, CascadeStats, LabeledMemory, Matrix, QueryBatch,
-    ScoreMatrix, SearchMemory, TopK,
+    BitMatrix, BitVector, LabeledMemory, Matrix, QueryBatch, ScoreMatrix, SearchMemory, TopK,
 };
 
 /// Identifies one centroid: the class it belongs to plus a per-class
@@ -333,67 +332,6 @@ impl SearchResults {
     }
 }
 
-/// Results of a cascade associative search against a [`BinaryAm`]: the
-/// same winners [`BinaryAm::search_batch`] would produce (bit-identical
-/// rows, classes, scores, and tie-breaks) plus the activation telemetry
-/// of the prefix-pruned sweep. No score matrix exists — pruned rows were
-/// never fully scored; that is the point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CascadeSearchResults {
-    hits: Vec<SearchHit>,
-    stats: CascadeStats,
-}
-
-impl CascadeSearchResults {
-    /// Number of queries answered.
-    pub fn len(&self) -> usize {
-        self.hits.len()
-    }
-
-    /// Whether the result set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.hits.is_empty()
-    }
-
-    /// The winning hit of query `q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q >= len()`.
-    pub fn hit(&self, q: usize) -> &SearchHit {
-        &self.hits[q]
-    }
-
-    /// All hits, parallel to the batch's queries.
-    pub fn hits(&self) -> &[SearchHit] {
-        &self.hits
-    }
-
-    /// Predicted classes, one per query.
-    pub fn classes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.hits.iter().map(|h| h.class)
-    }
-
-    /// Activation telemetry of the cascade (see
-    /// [`hd_linalg::CascadeStats`]).
-    pub fn stats(&self) -> &CascadeStats {
-        &self.stats
-    }
-}
-
-/// Maps a cascade-search substrate error: shape disagreements (batch or
-/// plan vs the AM's dimensionality) become [`HdcError::DimensionMismatch`]
-/// with the actual offending widths; anything else passes through as
-/// [`HdcError::Linalg`].
-fn cascade_error(e: hd_linalg::LinalgError) -> HdcError {
-    match e {
-        hd_linalg::LinalgError::ShapeMismatch { expected, found, .. } => {
-            HdcError::DimensionMismatch { expected, found }
-        }
-        other => HdcError::Linalg(other),
-    }
-}
-
 /// 1-bit quantized associative memory — what actually maps onto the IMC
 /// array (§III-D).
 ///
@@ -542,17 +480,13 @@ impl BinaryAm {
     ///
     /// Returns [`HdcError::DimensionMismatch`] if `batch.dim() != dim()`.
     pub fn search_batch(&self, batch: &QueryBatch) -> Result<SearchResults> {
-        let raw = self.vectors.search_batch(batch).map_err(|_| HdcError::DimensionMismatch {
-            expected: self.dim(),
-            found: batch.dim(),
-        })?;
-        let hits = (0..raw.len())
+        let scores = self.scores_batch(batch)?;
+        let hits = (0..scores.num_queries())
             .map(|q| {
-                let (row, score) = raw.winner(q);
+                let (row, score) = scores.argmax(q);
                 SearchHit { row, class: self.classes[row], score }
             })
             .collect();
-        let scores = raw.into_score_matrix();
         Ok(SearchResults { hits, scores })
     }
 
@@ -572,127 +506,6 @@ impl BinaryAm {
         Ok(winners.into_iter().map(|(row, _)| self.classes[row]).collect())
     }
 
-    /// Top-k associative search: the k best `(row, class, score)` hits
-    /// per query, ordered score-descending with the workspace's low-row
-    /// tie-break. `k` is clamped to the centroid count. Runs the fused
-    /// k-best blocked sweep — scores are never materialized.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if `batch.dim() != dim()`
-    /// and [`HdcError::Linalg`] for `k == 0`.
-    pub fn search_topk(&self, batch: &QueryBatch, k: usize) -> Result<Vec<Vec<SearchHit>>> {
-        let raw = self.vectors.topk_batch(batch, k).map_err(cascade_error)?;
-        Ok((0..raw.len())
-            .map(|q| {
-                raw.hits(q)
-                    .iter()
-                    .map(|&(row, score)| SearchHit { row, class: self.classes[row], score })
-                    .collect()
-            })
-            .collect())
-    }
-
-    /// The k best classes per query, in hit order (a class appears once
-    /// per winning centroid, so multi-centroid layouts may repeat one —
-    /// rankers that want distinct labels should dedup downstream).
-    ///
-    /// # Errors
-    ///
-    /// As [`BinaryAm::search_topk`].
-    pub fn classify_batch_topk(&self, batch: &QueryBatch, k: usize) -> Result<Vec<Vec<usize>>> {
-        let raw = self.vectors.topk_batch(batch, k).map_err(cascade_error)?;
-        Ok((0..raw.len())
-            .map(|q| raw.hits(q).iter().map(|&(row, _)| self.classes[row]).collect())
-            .collect())
-    }
-
-    /// Progressive-precision associative search: scores a dimension
-    /// prefix per centroid, prunes centroids that provably cannot win
-    /// (Hamming bound), and finishes only the survivors. Winners are
-    /// bit-identical to [`BinaryAm::search_batch`]; the returned
-    /// telemetry reports how many centroid-dimensions were activated —
-    /// the paper's Fig. 7 energy proxy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the batch or plan
-    /// dimensionality differs from `dim()`.
-    pub fn search_cascade(
-        &self,
-        batch: &QueryBatch,
-        plan: &CascadePlan,
-    ) -> Result<CascadeSearchResults> {
-        let raw = self.vectors.search_cascade_topk(batch, plan, 1).map_err(cascade_error)?;
-        let hits = (0..batch.len())
-            .map(|q| {
-                let (row, score) = raw.topk().hits(q)[0];
-                SearchHit { row, class: self.classes[row], score }
-            })
-            .collect();
-        let stats = raw.stats().clone();
-        Ok(CascadeSearchResults { hits, stats })
-    }
-
-    /// Predicted class per query via the cascade — the classification
-    /// fast path for plans whose early stages separate winners (same
-    /// predictions as [`BinaryAm::classify_batch`], bit for bit).
-    ///
-    /// The plan's derived artifacts are cached on the AM's
-    /// [`SearchMemory`], so repeated-batch loops (QAT epochs, eval
-    /// sweeps) derive the stage-0 prefix sub-memory and row-suffix table
-    /// once per plan, not once per call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the batch or plan
-    /// dimensionality differs from `dim()`.
-    pub fn classify_batch_cascade(
-        &self,
-        batch: &QueryBatch,
-        plan: &CascadePlan,
-    ) -> Result<Vec<usize>> {
-        let raw = self.vectors.search_cascade_topk(batch, plan, 1).map_err(cascade_error)?;
-        Ok((0..batch.len()).map(|q| self.classes[raw.topk().hits(q)[0].0]).collect())
-    }
-
-    /// Auto-tunes a cascade stage plan for this AM from a sample of real
-    /// queries (see [`hd_linalg::CascadePlan::tuned`]): the centroid
-    /// popcount profile plus the sample's measured pruning pick the
-    /// stage widths, replacing hand-picked prefixes. Workloads the
-    /// Hamming bound cannot separate early get the exact one-stage plan
-    /// back.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the sample's
-    /// dimensionality differs from `dim()` and [`HdcError::Linalg`] for
-    /// an empty sample.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use hd_linalg::{BitVector, QueryBatch};
-    /// use hdc::BinaryAm;
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let am = BinaryAm::from_centroids(2, vec![
-    ///     (0, BitVector::from_bools(&[true; 256])),
-    ///     (1, BitVector::from_bools(&[false; 256])),
-    /// ])?;
-    /// let sample = QueryBatch::from_vectors(&[BitVector::from_bools(&[true; 256])])?;
-    /// let plan = am.tuned_cascade_plan(&sample)?;
-    /// assert_eq!(
-    ///     am.classify_batch_cascade(&sample, &plan)?,
-    ///     am.classify_batch(&sample)?,
-    /// );
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn tuned_cascade_plan(&self, sample: &QueryBatch) -> Result<CascadePlan> {
-        CascadePlan::tuned(&self.vectors, sample).map_err(cascade_error)
-    }
-
     /// Borrows centroid row `row`.
     ///
     /// # Panics
@@ -708,7 +521,11 @@ impl BinaryAm {
     }
 
     /// Borrows the search-optimized memory (row-major matrix plus its
-    /// blocked layout).
+    /// blocked layout). Cascade search runs on it
+    /// ([`SearchMemory::search_cascade_topk`], which caches each plan's
+    /// derived artifacts here), as does plan tuning
+    /// ([`hd_linalg::CascadePlan::tuned`]); map rows to classes with
+    /// [`BinaryAm::class_of`].
     pub fn search_memory(&self) -> &SearchMemory {
         &self.vectors
     }
@@ -859,6 +676,7 @@ mod tests {
     #[test]
     fn cascade_matches_batched_search() {
         use hd_linalg::rng::seeded;
+        use hd_linalg::CascadePlan;
         use rand::Rng;
         let mut rng = seeded(31);
         let dim = 192;
@@ -879,10 +697,16 @@ mod tests {
             CascadePlan::prefix(dim, 64).unwrap(),
             CascadePlan::uniform(dim, 5).unwrap(),
         ] {
-            let cascade = am.search_cascade(&batch, &plan).unwrap();
-            assert_eq!(cascade.hits(), exact.hits(), "{plan:?}");
+            let cascade = am.search_memory().search_cascade_topk(&batch, &plan, 1).unwrap();
+            let hits: Vec<SearchHit> = (0..batch.len())
+                .map(|q| {
+                    let (row, score) = cascade.topk().hits(q)[0];
+                    SearchHit { row, class: am.class_of(row), score }
+                })
+                .collect();
+            assert_eq!(hits, exact.hits(), "{plan:?}");
             assert_eq!(
-                am.classify_batch_cascade(&batch, &plan).unwrap(),
+                hits.iter().map(|h| h.class).collect::<Vec<_>>(),
                 am.classify_batch(&batch).unwrap(),
                 "{plan:?}"
             );
@@ -909,8 +733,7 @@ mod tests {
         let batch = QueryBatch::from_vectors(&queries).unwrap();
         let exact = am.search_batch(&batch).unwrap();
         for k in [1usize, 3, 9, 12] {
-            let topk = am.search_topk(&batch, k).unwrap();
-            let classes = am.classify_batch_topk(&batch, k).unwrap();
+            let topk = am.topk(&batch, k).unwrap();
             for (q, query) in queries.iter().enumerate() {
                 // Oracle: stable sort of the full score vector by
                 // (score desc, row asc), truncated to k.
@@ -918,38 +741,34 @@ mod tests {
                     am.scores(query).unwrap().into_iter().enumerate().collect();
                 rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
                 rows.truncate(k.min(am.num_centroids()));
-                let got: Vec<(usize, u32)> = topk[q].iter().map(|h| (h.row, h.score)).collect();
-                assert_eq!(got, rows, "query {q} k {k}");
-                // Hits carry each row's owning class, in hit order.
-                for hit in &topk[q] {
-                    assert_eq!(hit.class, am.class_of(hit.row));
-                }
-                let want_classes: Vec<usize> = topk[q].iter().map(|h| h.class).collect();
-                assert_eq!(classes[q], want_classes, "query {q} k {k}");
+                assert_eq!(topk.hits(q), rows.as_slice(), "query {q} k {k}");
                 // The top-1 entry is exactly the argmax search winner.
+                let (row, score) = topk.hits(q)[0];
                 assert_eq!(
-                    (topk[q][0].row, topk[q][0].class, topk[q][0].score),
+                    (row, am.class_of(row), score),
                     (exact.hits()[q].row, exact.hits()[q].class, exact.hits()[q].score),
                     "query {q} k {k}"
                 );
             }
         }
-        assert!(am.search_topk(&batch, 0).is_err());
+        assert!(am.topk(&batch, 0).is_err());
     }
 
     #[test]
     fn cascade_dimension_checked() {
+        use hd_linalg::{CascadePlan, LinalgError};
         let am = BinaryAm::from_centroids(1, vec![(0, BitVector::zeros(64))]).unwrap();
         let batch = QueryBatch::from_vectors(&[BitVector::zeros(64)]).unwrap();
         let bad_batch = QueryBatch::from_vectors(&[BitVector::zeros(65)]).unwrap();
         let plan = CascadePlan::exact(64);
+        let memory = am.search_memory();
         assert!(matches!(
-            am.search_cascade(&bad_batch, &plan),
-            Err(HdcError::DimensionMismatch { expected: 64, found: 65 })
+            memory.search_cascade_topk(&bad_batch, &plan, 1),
+            Err(LinalgError::ShapeMismatch { expected: 64, found: 65, .. })
         ));
         assert!(matches!(
-            am.classify_batch_cascade(&batch, &CascadePlan::exact(63)),
-            Err(HdcError::DimensionMismatch { expected: 64, found: 63 })
+            memory.search_cascade_topk(&batch, &CascadePlan::exact(63), 1),
+            Err(LinalgError::ShapeMismatch { expected: 64, found: 63, .. })
         ));
     }
 

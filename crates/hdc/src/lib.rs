@@ -22,7 +22,10 @@
 //! feature matrices with [`Encoder::encode_binary_batch`] and answer them
 //! with [`BinaryAm::search_batch`] / [`BinaryAm::classify_batch`] — one
 //! tiled popcount sweep per batch, identical results to the per-query
-//! methods.
+//! methods. The k best rows per query come from the
+//! [`hd_linalg::LabeledMemory::topk`] impl (rows map to classes through
+//! [`BinaryAm::class_of`]); cascade search runs on
+//! [`BinaryAm::search_memory`].
 //!
 //! # Example
 //!
@@ -47,7 +50,7 @@ pub mod similarity;
 mod text;
 pub mod train;
 
-pub use am::{BinaryAm, CascadeSearchResults, CentroidId, FloatAm, SearchHit, SearchResults};
+pub use am::{BinaryAm, CentroidId, FloatAm, SearchHit, SearchResults};
 pub use encoder::{
     encode_dataset, EncodedDataset, Encoder, IdLevelEncoder, RandomProjectionEncoder,
 };

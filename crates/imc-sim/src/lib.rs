@@ -17,7 +17,12 @@
 //! The simulation is **functional**: [`AmMapping::search`] computes real
 //! popcount MVMs over the programmed tiles, so mapped inference is
 //! bit-exact against the software associative search — a property the test
-//! suite checks — while also reporting cycle/energy telemetry.
+//! suite checks — while also reporting cycle/energy telemetry. Batched
+//! k-best search is the mapping's [`hd_linalg::LabeledMemory::topk`]
+//! (class labels through `class_of`; [`AmMapping::search_batch_topk`]
+//! attaches them with the cycle count), and
+//! [`AmMapping::search_batch_cascade`] returns the same lists with the
+//! activated-dimension telemetry of [`hd_linalg::CascadeTopK`].
 //!
 //! Three mapping strategies are modeled (paper Fig. 1):
 //!
@@ -76,8 +81,7 @@ pub use energy::EnergyModel;
 pub use error::{ImcError, Result};
 pub use faults::{FaultModel, FaultyAmMapping};
 pub use mapping::{
-    AmMapping, BatchInferenceStats, CascadeBatchStats, InferenceStats, MappingStats,
-    MappingStrategy, TopKBatchStats,
+    AmMapping, BatchInferenceStats, InferenceStats, MappingStats, MappingStrategy, TopKBatchStats,
 };
 pub use replicate::ReplicatedAmMapping;
 pub use scrub::{ScrubConfig, ScrubReport, Scrubber};

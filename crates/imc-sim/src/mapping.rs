@@ -11,8 +11,8 @@ use crate::energy::EnergyModel;
 use crate::error::{ImcError, Result};
 use crate::spec::{tile_grid, ArraySpec};
 use hd_linalg::{
-    BitMatrix, BitVector, CascadePlan, CascadeStats, CascadeTopK, LabeledMemory, QueryBatch,
-    ScoreMatrix, SearchMemory, SegmentedCascade, TopK,
+    BitMatrix, BitVector, CascadePlan, CascadeTopK, LabeledMemory, QueryBatch, ScoreMatrix,
+    SearchMemory, SegmentedCascade, TopK,
 };
 use hdc::{BinaryAm, SearchHit};
 use std::sync::{Arc, Mutex};
@@ -131,79 +131,6 @@ impl TopKBatchStats {
     /// Total tile activations for the whole batch.
     pub fn total_cycles(&self) -> usize {
         self.cycles_per_query * self.len()
-    }
-}
-
-/// Result of a batched **cascade** search on the mapped arrays
-/// ([`AmMapping::search_batch_cascade`]): the same predictions the exact
-/// mapped search produces, plus the activated-dimension telemetry the
-/// paper's Fig. 7 energy ladder is proportional to.
-///
-/// The array evaluates an associative search column group by column
-/// group; a cascade gates the bitlines of centroids that provably cannot
-/// win, so the energy of the batch scales with `activated_dims` instead
-/// of `queries × centroids × D`. With a one-stage plan no pruning can
-/// fire and [`CascadeBatchStats::activation_fraction`] is exactly 1 — the
-/// exact search's energy is recovered, which is how the Fig. 7 ladder
-/// re-derives from this telemetry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CascadeBatchStats {
-    /// Winning centroid row per query — bit-exact against
-    /// [`AmMapping::search_batch`].
-    pub predicted_rows: Vec<usize>,
-    /// Class owning the winning centroid, per query.
-    pub predicted_classes: Vec<usize>,
-    /// Activation telemetry of the prefix-pruned sweep.
-    pub cascade: CascadeStats,
-    /// Tile activations an **exact** search costs per query (the Fig. 7
-    /// denominator this mapping contributes).
-    pub exact_cycles_per_query: usize,
-}
-
-impl CascadeBatchStats {
-    /// Number of queries answered.
-    pub fn len(&self) -> usize {
-        self.predicted_rows.len()
-    }
-
-    /// Whether the batch was empty.
-    pub fn is_empty(&self) -> bool {
-        self.predicted_rows.is_empty()
-    }
-
-    /// Total `(centroid, dimension)` products activated across the
-    /// batch.
-    pub fn activated_dims(&self) -> u64 {
-        self.cascade.activated_dims()
-    }
-
-    /// `(centroid, dimension)` products an exact search would activate:
-    /// `queries × centroids × D`.
-    pub fn exact_dims(&self) -> u64 {
-        self.cascade.exact_dims()
-    }
-
-    /// Activated fraction in `(0, 1]` — the batch's relative energy
-    /// under the activation-proportional model (1.0 when no pruning
-    /// fired).
-    pub fn activation_fraction(&self) -> f64 {
-        self.cascade.activation_fraction()
-    }
-
-    /// Equivalent whole-batch tile activations: the exact batch cost
-    /// scaled by the activated fraction. Fractional because a partially
-    /// gated activation costs a fraction of a full one.
-    pub fn equivalent_cycles(&self) -> f64 {
-        (self.exact_cycles_per_query * self.len()) as f64 * self.activation_fraction()
-    }
-
-    /// Whole-batch inference energy under `model`: the exact batch
-    /// energy scaled by the activated fraction.
-    pub fn inference_energy_pj(&self, model: &EnergyModel) -> f64 {
-        model.scaled_inference_energy_pj(
-            self.exact_cycles_per_query * self.len(),
-            self.activation_fraction(),
-        )
     }
 }
 
@@ -482,15 +409,7 @@ impl AmMapping {
     /// [`ImcError::QueryDimensionMismatch`] if the batch width is not
     /// `D`.
     pub fn search_batch_topk(&self, batch: &QueryBatch, k: usize) -> Result<TopKBatchStats> {
-        if k == 0 {
-            return Err(ImcError::InvalidSpec { reason: "top-k search requires k >= 1".into() });
-        }
-        if batch.dim() != self.dim {
-            return Err(ImcError::QueryDimensionMismatch {
-                expected: self.dim,
-                found: batch.dim(),
-            });
-        }
+        self.check_topk(batch, k)?;
         let raw = self.topk(batch, k).expect("k and dimensions validated above");
         let hits = (0..raw.len())
             .map(|i| {
@@ -503,13 +422,17 @@ impl AmMapping {
         Ok(TopKBatchStats { hits, cycles_per_query: self.stats().cycles })
     }
 
-    /// Executes a batched **cascade** search on the mapped arrays:
+    /// Executes a batched **cascade** top-k search on the mapped arrays:
     /// dimension prefixes are driven first, centroid columns that
-    /// provably cannot win are gated off (Hamming bound), and only the
-    /// survivors see the remaining wordlines. Predictions are bit-exact
-    /// against [`AmMapping::search_batch`]; the returned telemetry
-    /// reports the activated-dimension count the paper's Fig. 7 energy
-    /// ladder is proportional to.
+    /// provably cannot reach a query's k best are gated off (Hamming
+    /// bound), and only the survivors see the remaining wordlines. The
+    /// lists are bit-exact against [`AmMapping::search_batch_topk`] (at
+    /// `k = 1`, the winners of [`AmMapping::search_batch`]); the returned
+    /// [`hd_linalg::CascadeStats`] report the activated-dimension count
+    /// the paper's Fig. 7 energy ladder is proportional to. Map rows to
+    /// classes with [`LabeledMemory::class_of`]; the batch's energy is
+    /// [`EnergyModel::scaled_inference_energy_pj`] of
+    /// `stats().cycles × queries` at the activation fraction.
     ///
     /// Both layouts cascade. The basic (MEMHD fully-utilized) layout
     /// prunes at arbitrary stage boundaries; a partitioned layout drives
@@ -520,75 +443,77 @@ impl AmMapping {
     /// across partitions: a column gated off after one segment's
     /// activation stays off for every later segment.
     ///
-    /// The plan's derived artifacts (prefix sub-memory or logical
-    /// row-suffix table) are cached on the mapping and reused across
-    /// batches; fault injection invalidates them.
+    /// The plan's derived artifacts (row-suffix table, or the logical
+    /// one of a partitioned layout) are cached on the mapping and reused
+    /// across batches; fault injection invalidates them.
     ///
     /// # Errors
     ///
-    /// Returns [`ImcError::QueryDimensionMismatch`] if the batch or plan
-    /// width is not `D`, and [`ImcError::CascadeStageMisaligned`] when a
+    /// Returns [`ImcError::InvalidSpec`] when `k == 0`,
+    /// [`ImcError::QueryDimensionMismatch`] if the batch or plan width is
+    /// not `D`, and [`ImcError::CascadeStageMisaligned`] when a
     /// partitioned layout gets a plan whose stage boundary misses every
     /// segment boundary.
     pub fn search_batch_cascade(
         &self,
         batch: &QueryBatch,
         plan: &CascadePlan,
-    ) -> Result<CascadeBatchStats> {
+        k: usize,
+    ) -> Result<CascadeTopK> {
+        self.check_topk(batch, k)?;
+        if plan.dim() != self.dim {
+            return Err(ImcError::QueryDimensionMismatch { expected: self.dim, found: plan.dim() });
+        }
+        if self.partitions.len() == 1 {
+            return Ok(self.partitions[0]
+                .search_cascade_topk(batch, plan, k)
+                .expect("k and dimensions validated above"));
+        }
+        for (stage, &end) in plan.ends()[..plan.stages() - 1].iter().enumerate() {
+            if !end.is_multiple_of(self.seg_len) {
+                return Err(ImcError::CascadeStageMisaligned { stage, end, seg_len: self.seg_len });
+            }
+        }
+        Ok(self.segmented_search(batch, plan, k).expect("layout and plan validated above"))
+    }
+
+    /// Rejects `k == 0` and a batch whose width is not `D`.
+    fn check_topk(&self, batch: &QueryBatch, k: usize) -> Result<()> {
+        if k == 0 {
+            return Err(ImcError::InvalidSpec { reason: "top-k search requires k >= 1".into() });
+        }
         if batch.dim() != self.dim {
             return Err(ImcError::QueryDimensionMismatch {
                 expected: self.dim,
                 found: batch.dim(),
             });
         }
-        if plan.dim() != self.dim {
-            return Err(ImcError::QueryDimensionMismatch { expected: self.dim, found: plan.dim() });
-        }
-        let results = if self.partitions.len() == 1 {
-            self.partitions[0]
-                .search_cascade_topk(batch, plan, 1)
-                .expect("dimensions validated above")
-        } else {
-            for (stage, &end) in plan.ends()[..plan.stages() - 1].iter().enumerate() {
-                if !end.is_multiple_of(self.seg_len) {
-                    return Err(ImcError::CascadeStageMisaligned {
-                        stage,
-                        end,
-                        seg_len: self.seg_len,
-                    });
-                }
-            }
-            let bound = self.segmented_bound(plan);
-            bound.search_topk(&self.partitions, batch, 1).expect("layout and plan validated above")
-        };
-        let predicted_rows: Vec<usize> =
-            (0..batch.len()).map(|q| results.topk().hits(q)[0].0).collect();
-        let predicted_classes = predicted_rows.iter().map(|&r| self.classes[r]).collect();
-        let cascade = results.stats().clone();
-        Ok(CascadeBatchStats {
-            predicted_rows,
-            predicted_classes,
-            cascade,
-            exact_cycles_per_query: self.stats().cycles,
-        })
+        Ok(())
     }
 
-    /// The cached partitioned cascade handle for `plan`, re-derived when
-    /// the plan differs from the cached one. Callers must have validated
-    /// the plan's dimensionality and stage alignment.
-    fn segmented_bound(&self, plan: &CascadePlan) -> Arc<SegmentedCascade> {
-        let mut guard =
-            self.segmented_bound.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some(bound) = guard.as_ref() {
-            if bound.plan() == plan {
-                return Arc::clone(bound);
+    /// The partitioned layout's one segmented search: `plan` (the exact
+    /// one-stage plan for [`LabeledMemory::topk`]) through the cached
+    /// handle, re-derived when the plan differs from the cached one.
+    /// Callers must have validated the plan's stage alignment.
+    fn segmented_search(
+        &self,
+        batch: &QueryBatch,
+        plan: &CascadePlan,
+        k: usize,
+    ) -> hd_linalg::Result<CascadeTopK> {
+        let bound = {
+            let mut guard =
+                self.segmented_bound.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+            match guard.as_ref() {
+                Some(bound) if bound.plan() == plan => Arc::clone(bound),
+                _ => {
+                    let bound = Arc::new(SegmentedCascade::new(&self.partitions, plan)?);
+                    *guard = Some(Arc::clone(&bound));
+                    bound
+                }
             }
-        }
-        let bound = Arc::new(
-            SegmentedCascade::new(&self.partitions, plan).expect("caller validated the plan"),
-        );
-        *guard = Some(Arc::clone(&bound));
-        bound
+        };
+        bound.search_topk(&self.partitions, batch, k)
     }
 
     /// Auto-tunes a cascade stage plan for this mapping from a sample of
@@ -626,8 +551,8 @@ impl AmMapping {
     /// )?;
     /// let sample = QueryBatch::from_vectors(&[BitVector::from_bools(&[true; 256])])?;
     /// let plan = mapping.tuned_cascade_plan(&sample)?;
-    /// let out = mapping.search_batch_cascade(&sample, &plan)?; // always aligned
-    /// assert_eq!(out.predicted_rows, vec![0]);
+    /// let out = mapping.search_batch_cascade(&sample, &plan, 1)?; // always aligned
+    /// assert_eq!(out.topk().hits(0)[0].0, 0);
     /// # Ok(())
     /// # }
     /// ```
@@ -650,28 +575,8 @@ impl AmMapping {
         // Reassemble the logical D-bit rows once: tuning is a
         // per-deployment derivation, and replaying candidate plans wants
         // the contiguous layout the tuner's cost model describes.
-        // Word-aligned segments (every power-of-two partitioning)
-        // concatenate as whole packed words; only unaligned segment
-        // lengths fall back to per-bit assembly.
         let rows: Vec<BitVector> = (0..self.num_vectors)
-            .map(|v| {
-                if self.seg_len.is_multiple_of(64) {
-                    let mut words = Vec::with_capacity(self.dim / 64);
-                    for memory in &self.partitions {
-                        words.extend_from_slice(memory.matrix().row(v).as_words());
-                    }
-                    BitVector::from_words(self.dim, words).expect("aligned segments concatenate")
-                } else {
-                    let mut bools = vec![false; self.dim];
-                    for (part, memory) in self.partitions.iter().enumerate() {
-                        let m = memory.matrix();
-                        for c in 0..self.seg_len {
-                            bools[part * self.seg_len + c] = m.get(v, c);
-                        }
-                    }
-                    BitVector::from_bools(&bools)
-                }
-            })
+            .map(|v| self.logical_row(v).expect("every stored vector is in range"))
             .collect();
         let logical = BitMatrix::from_rows(&rows).expect("mappings store at least one vector");
         tune_on(&SearchMemory::new(logical), self.seg_len)
@@ -908,9 +813,9 @@ impl AmMapping {
 
 /// The mapped arrays as a labelled memory: one fused k-best sweep, with
 /// no `Q × V` score matrix. The basic layout sweeps its one partition;
-/// a partitioned layout runs a one-stage segmented pass, which sums the
-/// partitions' lane counts per row block before selecting (through the
-/// same cached handle as [`AmMapping::search_batch_cascade`]).
+/// a partitioned layout runs the exact one-stage plan through the
+/// segmented search [`AmMapping::search_batch_cascade`] uses, which sums
+/// the partitions' lane counts per row block before selecting.
 impl LabeledMemory for AmMapping {
     fn dim(&self) -> usize {
         self.dim
@@ -928,8 +833,7 @@ impl LabeledMemory for AmMapping {
         if self.partitions.len() == 1 {
             return self.partitions[0].topk_batch(batch, k);
         }
-        let bound = self.segmented_bound(&CascadePlan::exact(self.dim));
-        bound.search_topk(&self.partitions, batch, k).map(CascadeTopK::into_topk)
+        self.segmented_search(batch, &CascadePlan::exact(self.dim), k).map(CascadeTopK::into_topk)
     }
 }
 
@@ -1060,9 +964,9 @@ mod tests {
 
         let plan = CascadePlan::from_widths(300, &[100, 200]).unwrap();
         for _ in 0..2 {
-            let cascade = part.search_batch_cascade(&batch, &plan).unwrap();
-            assert_eq!(cascade.predicted_rows, reference.predicted_rows);
-            assert_eq!(cascade.predicted_classes, reference.predicted_classes);
+            let cascade = part.search_batch_cascade(&batch, &plan, 1).unwrap();
+            assert_eq!(winners(&cascade), reference.predicted_rows);
+            assert_eq!(classes(&part, &cascade), reference.predicted_classes);
         }
     }
 
@@ -1221,6 +1125,23 @@ mod tests {
         QueryBatch::from_vectors(&queries).unwrap()
     }
 
+    /// Each query's top-1 row of a cascade result.
+    fn winners(out: &CascadeTopK) -> Vec<usize> {
+        (0..out.topk().len()).map(|q| out.topk().hits(q)[0].0).collect()
+    }
+
+    /// Classes of each query's top-1 row.
+    fn classes(mapping: &AmMapping, out: &CascadeTopK) -> Vec<usize> {
+        winners(out).into_iter().map(|row| mapping.class_of(row)).collect()
+    }
+
+    /// Whole-batch energy of a cascade: the exact batch energy scaled by
+    /// the activated fraction.
+    fn cascade_energy(mapping: &AmMapping, out: &CascadeTopK, model: &EnergyModel) -> f64 {
+        let cycles = mapping.stats().cycles * out.topk().len();
+        model.scaled_inference_energy_pj(cycles, out.stats().activation_fraction())
+    }
+
     #[test]
     fn cascade_predictions_bit_exact_and_full_activation_without_pruning() {
         let am = random_am(4, 3, 256, 31);
@@ -1230,23 +1151,24 @@ mod tests {
         // One-stage plan: pruning cannot fire, so the activated-dimension
         // telemetry must sum to exactly the exact search's dimension
         // count — queries × centroids × D.
-        let stats = m.search_batch_cascade(&batch, &CascadePlan::exact(256)).unwrap();
-        assert_eq!(stats.predicted_rows, exact.predicted_rows);
-        assert_eq!(stats.predicted_classes, exact.predicted_classes);
+        let out = m.search_batch_cascade(&batch, &CascadePlan::exact(256), 1).unwrap();
+        let stats = out.stats();
+        assert_eq!(winners(&out), exact.predicted_rows);
+        assert_eq!(classes(&m, &out), exact.predicted_classes);
         assert_eq!(stats.activated_dims(), stats.exact_dims());
         assert_eq!(stats.exact_dims(), 9 * 12 * 256);
         assert!((stats.activation_fraction() - 1.0).abs() < 1e-12);
-        assert_eq!(stats.exact_cycles_per_query, m.stats().cycles);
+        let equivalent_cycles = (m.stats().cycles * 9) as f64 * stats.activation_fraction();
         assert!(
-            (stats.equivalent_cycles() - exact.total_cycles() as f64).abs() < 1e-9,
+            (equivalent_cycles - exact.total_cycles() as f64).abs() < 1e-9,
             "exact-plan cascade must recover the exact cycle count"
         );
         // Multi-stage plans stay bit-exact regardless of whether pruning
         // fires.
         for plan in [CascadePlan::prefix(256, 64).unwrap(), CascadePlan::uniform(256, 4).unwrap()] {
-            let s = m.search_batch_cascade(&batch, &plan).unwrap();
-            assert_eq!(s.predicted_rows, exact.predicted_rows, "{plan:?}");
-            assert!(s.activated_dims() <= s.exact_dims(), "{plan:?}");
+            let s = m.search_batch_cascade(&batch, &plan, 1).unwrap();
+            assert_eq!(winners(&s), exact.predicted_rows, "{plan:?}");
+            assert!(s.stats().activated_dims() <= s.stats().exact_dims(), "{plan:?}");
         }
     }
 
@@ -1267,8 +1189,9 @@ mod tests {
         let m = AmMapping::new(&am, ArraySpec::default(), MappingStrategy::Basic).unwrap();
         let batch = QueryBatch::from_vectors(&[BitVector::from_bools(&hot)]).unwrap();
         let plan = CascadePlan::prefix(dim, 128).unwrap();
-        let stats = m.search_batch_cascade(&batch, &plan).unwrap();
-        assert_eq!(stats.predicted_rows, vec![0]);
+        let out = m.search_batch_cascade(&batch, &plan, 1).unwrap();
+        let stats = out.stats();
+        assert_eq!(winners(&out), vec![0]);
         assert!(
             stats.activated_dims() < stats.exact_dims(),
             "pruning must strictly reduce activation: {} vs {}",
@@ -1276,11 +1199,12 @@ mod tests {
             stats.exact_dims()
         );
         assert!(stats.activation_fraction() < 1.0);
-        assert!(stats.equivalent_cycles() < (stats.exact_cycles_per_query * stats.len()) as f64);
+        let exact_cycles = m.stats().cycles * batch.len();
+        assert!((exact_cycles as f64 * stats.activation_fraction()) < exact_cycles as f64);
         // Energy scales with the activated fraction.
         let model = EnergyModel::default();
-        let exact_energy = model.inference_energy_pj(stats.exact_cycles_per_query * stats.len());
-        let cascade_energy = stats.inference_energy_pj(&model);
+        let exact_energy = model.inference_energy_pj(exact_cycles);
+        let cascade_energy = cascade_energy(&m, &out, &model);
         assert!(cascade_energy < exact_energy);
         assert!(
             (cascade_energy / exact_energy - stats.activation_fraction()).abs() < 1e-12,
@@ -1294,13 +1218,17 @@ mod tests {
         let batch = random_batch(2, 256, 500);
         let basic = AmMapping::new(&am, ArraySpec::default(), MappingStrategy::Basic).unwrap();
         assert!(matches!(
-            basic.search_batch_cascade(&batch, &CascadePlan::exact(128)),
+            basic.search_batch_cascade(&batch, &CascadePlan::exact(128), 1),
             Err(ImcError::QueryDimensionMismatch { expected: 256, found: 128 })
         ));
         let bad_batch = random_batch(2, 128, 501);
         assert!(matches!(
-            basic.search_batch_cascade(&bad_batch, &CascadePlan::exact(256)),
+            basic.search_batch_cascade(&bad_batch, &CascadePlan::exact(256), 1),
             Err(ImcError::QueryDimensionMismatch { expected: 256, found: 128 })
+        ));
+        assert!(matches!(
+            basic.search_batch_cascade(&batch, &CascadePlan::exact(256), 0),
+            Err(ImcError::InvalidSpec { .. })
         ));
     }
 
@@ -1322,15 +1250,79 @@ mod tests {
                 plans.push(CascadePlan::from_widths(320, &[seg, seg, 320 - 2 * seg]).unwrap());
             }
             for plan in plans {
-                let out = mapping.search_batch_cascade(&batch, &plan).unwrap();
-                assert_eq!(out.predicted_rows, exact.predicted_rows, "P={p} {plan:?}");
-                assert_eq!(out.predicted_classes, exact.predicted_classes, "P={p} {plan:?}");
-                assert!(out.activated_dims() <= out.exact_dims(), "P={p} {plan:?}");
-                assert_eq!(out.exact_cycles_per_query, mapping.stats().cycles);
+                let out = mapping.search_batch_cascade(&batch, &plan, 1).unwrap();
+                let stats = out.stats();
+                assert_eq!(winners(&out), exact.predicted_rows, "P={p} {plan:?}");
+                assert_eq!(classes(&mapping, &out), exact.predicted_classes, "P={p} {plan:?}");
+                assert!(stats.activated_dims() <= stats.exact_dims(), "P={p} {plan:?}");
                 if plan.stages() == 1 {
-                    assert!((out.activation_fraction() - 1.0).abs() < 1e-12);
+                    assert!((stats.activation_fraction() - 1.0).abs() < 1e-12);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn partitioned_cascade_topk_matches_stably_sorted_scores() {
+        // Rows 0 and 1 tie on every query across the seam of segments 0
+        // and 1: row 1 is row 0 with bit 63 moved to bit 64, and every
+        // query sets both bits, so equal totals come from different
+        // per-segment partials. Row 2 duplicates row 3, and the sparse
+        // rows let the multi-stage plan prune.
+        let dim = 256;
+        let mut rng = seeded(38);
+        let mut random_row =
+            |density: f32| -> Vec<bool> { (0..dim).map(|_| rng.gen::<f32>() < density).collect() };
+        let mut seam = random_row(0.5);
+        seam[63] = true;
+        seam[64] = false;
+        let mut moved = seam.clone();
+        moved[63] = false;
+        moved[64] = true;
+        let dup = random_row(0.5);
+        let mut rows = vec![seam, moved, dup.clone(), dup];
+        rows.extend((0..3).map(|_| random_row(0.5)));
+        rows.extend((0..4).map(|_| random_row(0.05)));
+        let v = rows.len();
+        let centroids: Vec<(usize, BitVector)> =
+            rows.iter().enumerate().map(|(i, r)| (i % 3, BitVector::from_bools(r))).collect();
+        let am = BinaryAm::from_centroids(3, centroids).unwrap();
+        let queries: Vec<BitVector> = (0..13)
+            .map(|i| {
+                let mut q = if i % 4 == 0 { rows[0].clone() } else { random_row(0.5) };
+                q[63] = true;
+                q[64] = true;
+                BitVector::from_bools(&q)
+            })
+            .collect();
+        let batch = QueryBatch::from_vectors(&queries).unwrap();
+        let mapping = AmMapping::new(
+            &am,
+            ArraySpec::default(),
+            MappingStrategy::Partitioned { partitions: 4 },
+        )
+        .unwrap();
+        let scores = mapping.search_batch(&batch).unwrap().scores;
+        let snapped = CascadePlan::from_widths(dim, &[40, 90, 126]).unwrap().snapped(64).unwrap();
+        assert_eq!(snapped.ends(), &[64, 128, 256]);
+        for plan in [CascadePlan::exact(dim), snapped] {
+            for k in [1usize, 3, v] {
+                // Twice: the second call reuses the cached handle.
+                for _ in 0..2 {
+                    let out = mapping.search_batch_cascade(&batch, &plan, k).unwrap();
+                    for q in 0..batch.len() {
+                        let mut want: Vec<(usize, u32)> =
+                            scores.scores(q).iter().copied().enumerate().collect();
+                        want.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                        want.truncate(k);
+                        assert_eq!(out.topk().hits(q), want.as_slice(), "{plan:?} k {k} q {q}");
+                    }
+                }
+            }
+        }
+        // The seam tie is real: rows 0 and 1 score equally on every query.
+        for q in 0..batch.len() {
+            assert_eq!(scores.scores(q)[0], scores.scores(q)[1], "query {q}");
         }
     }
 
@@ -1346,7 +1338,7 @@ mod tests {
         let batch = random_batch(2, 256, 700);
         // Stage 0 ends at 100, between the segment boundaries 64 and 128.
         let misaligned = CascadePlan::prefix(256, 100).unwrap();
-        let err = mapping.search_batch_cascade(&batch, &misaligned).unwrap_err();
+        let err = mapping.search_batch_cascade(&batch, &misaligned, 1).unwrap_err();
         assert_eq!(
             err,
             ImcError::CascadeStageMisaligned { stage: 0, end: 100, seg_len: 64 },
@@ -1356,13 +1348,13 @@ mod tests {
         // A later misaligned stage is reported at its own index.
         let late = CascadePlan::from_widths(256, &[64, 70, 122]).unwrap();
         assert!(matches!(
-            mapping.search_batch_cascade(&batch, &late),
+            mapping.search_batch_cascade(&batch, &late, 1),
             Err(ImcError::CascadeStageMisaligned { stage: 1, end: 134, seg_len: 64 })
         ));
         // Snapping repairs the plan.
         let snapped = misaligned.snapped(64).unwrap();
-        let out = mapping.search_batch_cascade(&batch, &snapped).unwrap();
-        assert_eq!(out.predicted_rows, mapping.search_batch(&batch).unwrap().predicted_rows);
+        let out = mapping.search_batch_cascade(&batch, &snapped, 1).unwrap();
+        assert_eq!(winners(&out), mapping.search_batch(&batch).unwrap().predicted_rows);
     }
 
     #[test]
@@ -1387,13 +1379,14 @@ mod tests {
         .unwrap();
         let batch = QueryBatch::from_vectors(&[BitVector::from_bools(&hot)]).unwrap();
         let plan = CascadePlan::prefix(dim, 128).unwrap(); // one segment
-        let stats = mapping.search_batch_cascade(&batch, &plan).unwrap();
-        assert_eq!(stats.predicted_rows, vec![0]);
+        let out = mapping.search_batch_cascade(&batch, &plan, 1).unwrap();
+        let stats = out.stats();
+        assert_eq!(winners(&out), vec![0]);
         assert!(stats.activated_dims() < stats.exact_dims());
         assert!(stats.activation_fraction() < 1.0);
         let model = EnergyModel::default();
-        let exact_energy = model.inference_energy_pj(stats.exact_cycles_per_query * stats.len());
-        assert!(stats.inference_energy_pj(&model) < exact_energy);
+        let exact_energy = model.inference_energy_pj(mapping.stats().cycles * batch.len());
+        assert!(cascade_energy(&mapping, &out, &model) < exact_energy);
     }
 
     #[test]
@@ -1442,8 +1435,8 @@ mod tests {
                 assert!(plan.stages() > 1, "basic tuned plan should cascade here: {plan:?}");
             }
             // And the tuned plan runs, bit-exactly.
-            let out = mapping.search_batch_cascade(&batch, &plan).unwrap();
-            assert_eq!(out.predicted_rows, mapping.search_batch(&batch).unwrap().predicted_rows);
+            let out = mapping.search_batch_cascade(&batch, &plan, 1).unwrap();
+            assert_eq!(winners(&out), mapping.search_batch(&batch).unwrap().predicted_rows);
         }
         let wrong = random_batch(2, 128, 900);
         let basic = AmMapping::new(&am, ArraySpec::default(), MappingStrategy::Basic).unwrap();

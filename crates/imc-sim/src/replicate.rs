@@ -220,8 +220,10 @@ mod tests {
         let batch = QueryBatch::from_vectors(&queries).unwrap();
         let exact = rep.majority_mapping().search_batch(&batch).unwrap();
         let plan = CascadePlan::prefix(512, 128).unwrap();
-        let cascade = rep.majority_mapping().search_batch_cascade(&batch, &plan).unwrap();
-        assert_eq!(cascade.predicted_rows, exact.predicted_rows);
+        let cascade = rep.majority_mapping().search_batch_cascade(&batch, &plan, 1).unwrap();
+        for (q, &row) in exact.predicted_rows.iter().enumerate() {
+            assert_eq!(cascade.topk().hits(q)[0].0, row);
+        }
         let topk = rep.majority_mapping().search_batch_topk(&batch, 1).unwrap();
         for (q, hits) in topk.hits.iter().enumerate() {
             assert_eq!(hits[0].row, exact.predicted_rows[q]);

@@ -340,7 +340,7 @@ mod tests {
 
     #[test]
     fn repaired_cascade_results_match_exact_search() {
-        use hd_linalg::{CascadePlan, QueryBatch};
+        use hd_linalg::{CascadePlan, LabeledMemory, QueryBatch};
         let golden = mapping(512, 8, MappingStrategy::Partitioned { partitions: 4 }, 4);
         let scrubber = Scrubber::new(&golden, ScrubConfig::default(), 23).unwrap();
         let mut deployed =
@@ -353,12 +353,14 @@ mod tests {
         let plan = CascadePlan::prefix(512, 128).unwrap();
         // Warm the faulty mapping's cascade bound cache, then repair: the
         // repair must invalidate it or pruning would use stale bounds.
-        let _ = deployed.as_mapping().search_batch_cascade(&batch, &plan).unwrap();
+        let _ = deployed.as_mapping().search_batch_cascade(&batch, &plan, 1).unwrap();
         scrubber.scrub_full(&mut deployed).unwrap();
         let exact = golden.search_batch(&batch).unwrap();
-        let cascade = deployed.as_mapping().search_batch_cascade(&batch, &plan).unwrap();
-        assert_eq!(cascade.predicted_rows, exact.predicted_rows);
-        assert_eq!(cascade.predicted_classes, exact.predicted_classes);
+        let cascade = deployed.as_mapping().search_batch_cascade(&batch, &plan, 1).unwrap();
+        let rows: Vec<usize> = (0..batch.len()).map(|q| cascade.topk().hits(q)[0].0).collect();
+        let classes: Vec<usize> = rows.iter().map(|&r| deployed.class_of(r)).collect();
+        assert_eq!(rows, exact.predicted_rows);
+        assert_eq!(classes, exact.predicted_classes);
         let repaired_exact = deployed.as_mapping().search_batch(&batch).unwrap();
         assert_eq!(repaired_exact.predicted_rows, exact.predicted_rows);
     }

@@ -5,7 +5,7 @@
 //! cached cascade bounds).
 
 use hd_linalg::rng::{derive_seed, seeded};
-use hd_linalg::{BitVector, CascadePlan, QueryBatch};
+use hd_linalg::{BitVector, CascadePlan, LabeledMemory, QueryBatch};
 use hdc::BinaryAm;
 use imc_sim::{
     AmMapping, ArraySpec, FaultModel, FaultyAmMapping, MappingStrategy, ReplicatedAmMapping,
@@ -120,16 +120,18 @@ proptest! {
             FaultyAmMapping::program(&golden, FaultModel::bit_flip(ber), seed).unwrap();
         // Warm the corrupted mapping's cascade bound cache so the repair
         // path must invalidate it.
-        let _ = deployed.as_mapping().search_batch_cascade(&batch, &plan).unwrap();
+        let _ = deployed.as_mapping().search_batch_cascade(&batch, &plan, 1).unwrap();
         let corrupted = deployed.effective_flipped(&golden).unwrap();
         let report = scrubber.scrub_full(&mut deployed).unwrap();
         prop_assert_eq!(report.cells_healed, corrupted);
         prop_assert_eq!(deployed.effective_flipped(&golden).unwrap(), 0);
 
         let exact = golden.search_batch(&batch).unwrap();
-        let cascade = deployed.as_mapping().search_batch_cascade(&batch, &plan).unwrap();
-        prop_assert_eq!(&cascade.predicted_rows, &exact.predicted_rows);
-        prop_assert_eq!(&cascade.predicted_classes, &exact.predicted_classes);
+        let cascade = deployed.as_mapping().search_batch_cascade(&batch, &plan, 1).unwrap();
+        let rows: Vec<usize> = (0..batch.len()).map(|q| cascade.topk().hits(q)[0].0).collect();
+        let classes: Vec<usize> = rows.iter().map(|&r| deployed.class_of(r)).collect();
+        prop_assert_eq!(&rows, &exact.predicted_rows);
+        prop_assert_eq!(&classes, &exact.predicted_classes);
 
         let golden_topk = golden.search_batch_topk(&batch, 3).unwrap();
         let repaired_topk = deployed.as_mapping().search_batch_topk(&batch, 3).unwrap();

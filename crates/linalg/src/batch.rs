@@ -716,66 +716,6 @@ pub fn argmax_scores(scores: &[u32]) -> (usize, u32) {
     (idx, max)
 }
 
-/// Winners of a batched associative search: per query, the best memory row
-/// under dot similarity (ties toward the lower row), plus the full score
-/// matrix for callers that need runner-ups (e.g. within-class argmax during
-/// training).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SearchResults {
-    scores: ScoreMatrix,
-    winners: Vec<(usize, u32)>,
-}
-
-impl SearchResults {
-    /// Picks each query's winner; a zero-row matrix has none.
-    pub(crate) fn from_scores(scores: ScoreMatrix) -> Result<Self> {
-        if scores.num_rows() == 0 {
-            return Err(LinalgError::Empty { op: "search_batch" });
-        }
-        let winners = (0..scores.num_queries()).map(|q| scores.argmax(q)).collect();
-        Ok(SearchResults { scores, winners })
-    }
-
-    /// Number of queries.
-    pub fn len(&self) -> usize {
-        self.winners.len()
-    }
-
-    /// Whether there are no results.
-    pub fn is_empty(&self) -> bool {
-        self.winners.is_empty()
-    }
-
-    /// Winning `(row, score)` of query `q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q >= len()`.
-    pub fn winner(&self, q: usize) -> (usize, u32) {
-        self.winners[q]
-    }
-
-    /// Winning row indices, one per query.
-    pub fn rows(&self) -> impl Iterator<Item = usize> + '_ {
-        self.winners.iter().map(|&(r, _)| r)
-    }
-
-    /// The full `Q × R` score matrix.
-    pub fn score_matrix(&self) -> &ScoreMatrix {
-        &self.scores
-    }
-
-    /// Consumes the results, yielding the score matrix without a copy.
-    pub fn into_score_matrix(self) -> ScoreMatrix {
-        self.scores
-    }
-
-    /// Scores of query `q` against every memory row.
-    pub fn scores(&self, q: usize) -> &[u32] {
-        self.scores.scores(q)
-    }
-}
-
 /// Per-query k-best results of a batched top-k associative search: for
 /// every query, the `min(k, rows)` best `(row, score)` pairs sorted by
 /// score descending, ties toward the lower row — the same order a stable
@@ -947,17 +887,17 @@ mod tests {
     }
 
     #[test]
-    fn search_batch_winners_match_argmax() {
+    fn dot_batch_argmax_matches_dot_all() {
         let mut rng = seeded(2);
         let rows: Vec<BitVector> = (0..7).map(|_| random_bits(100, &mut rng)).collect();
         let m = SearchMemory::from_rows(&rows).unwrap();
         let queries: Vec<BitVector> = (0..21).map(|_| random_bits(100, &mut rng)).collect();
         let batch = QueryBatch::from_vectors(&queries).unwrap();
-        let results = m.search_batch(&batch).unwrap();
-        assert_eq!(results.len(), 21);
+        let results = m.dot_batch(&batch).unwrap();
+        assert_eq!(results.num_queries(), 21);
         for (q, query) in queries.iter().enumerate() {
             let scores = m.dot_all(query);
-            let (row, score) = results.winner(q);
+            let (row, score) = results.argmax(q);
             assert_eq!(score, scores[row]);
             // Low-row tie-break: no earlier row may match the best score.
             for (r, &s) in scores.iter().enumerate().take(row) {
@@ -1015,7 +955,7 @@ mod tests {
     }
 
     #[test]
-    fn winners_batch_matches_search_batch() {
+    fn winners_batch_matches_dot_batch_argmax() {
         let mut rng = seeded(7);
         for (n_rows, dim, n_queries) in [(3usize, 64usize, 5usize), (128, 128, 300)] {
             let rows: Vec<BitVector> = (0..n_rows).map(|_| random_bits(dim, &mut rng)).collect();
@@ -1024,10 +964,10 @@ mod tests {
                 (0..n_queries).map(|_| random_bits(dim, &mut rng)).collect();
             let batch = QueryBatch::from_vectors(&queries).unwrap();
             let winners = m.winners_batch(&batch).unwrap();
-            let full = m.search_batch(&batch).unwrap();
+            let full = m.dot_batch(&batch).unwrap();
             assert_eq!(winners.len(), n_queries);
             for (q, &w) in winners.iter().enumerate() {
-                assert_eq!(w, full.winner(q), "query {q}");
+                assert_eq!(w, full.argmax(q), "query {q}");
             }
         }
         // Dimension mismatch is rejected.

@@ -63,13 +63,13 @@ impl BitVector {
 
     /// Builds a vector from booleans (`true` ⇒ 1).
     pub fn from_bools(bits: &[bool]) -> Self {
-        let mut v = BitVector::zeros(bits.len());
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                v.set(i, true);
-            }
-        }
-        v
+        // A word at a time, branch-free: bit `i` of a word is `chunk[i]`,
+        // and a short final chunk leaves the tail bits zero.
+        let words = bits
+            .chunks(WORD_BITS)
+            .map(|chunk| chunk.iter().rev().fold(0u64, |w, &b| (w << 1) | u64::from(b)))
+            .collect();
+        BitVector { len: bits.len(), words }
     }
 
     /// Builds a vector by thresholding `values`: bit `i` is 1 iff
@@ -926,6 +926,21 @@ mod tests {
         v.set(64, false);
         assert!(!v.get(64));
         assert_eq!(v.count_ones(), 2);
+    }
+
+    #[test]
+    fn from_bools_places_every_bit_across_word_seams() {
+        for len in [0, 1, 63, 64, 65, 127, 128, 130] {
+            let bools: Vec<bool> = (0..len).map(|i| i % 3 == 0 || i % 7 == 5).collect();
+            let v = BitVector::from_bools(&bools);
+            assert_eq!(v.len(), len);
+            assert_eq!(v.as_words().len(), len.div_ceil(64), "len {len}");
+            for (i, &b) in bools.iter().enumerate() {
+                assert_eq!(v.get(i), b, "len {len} bit {i}");
+            }
+            // The tail stays zero: from_words accepts exactly valid tails.
+            assert_eq!(BitVector::from_words(len, v.as_words().to_vec()).unwrap(), v);
+        }
     }
 
     #[test]

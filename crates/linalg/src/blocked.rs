@@ -31,8 +31,7 @@
 //! reachable backend).
 
 use crate::batch::{
-    chunk_queries, dot_search, kbest_search, topk_insert, ScoreMatrix, SearchResults, Slots,
-    SweepOut, TopK,
+    chunk_queries, dot_search, kbest_search, topk_insert, ScoreMatrix, Slots, SweepOut, TopK,
 };
 use crate::bits::{BitMatrix, BitVector};
 use crate::cascade::CascadeCache;
@@ -498,19 +497,6 @@ impl SearchMemory {
     /// mismatch.
     pub fn dot_batch_into(&self, batch: &QueryBatch, out: &mut ScoreMatrix) -> Result<()> {
         dot_search(self.matrix.shape(), batch, out, |out| self.sweep(batch, out))
-    }
-
-    /// Batched associative search with the full score matrix: per query,
-    /// the winning row (ties toward the lower row) plus every score. When
-    /// only the winners are needed, prefer [`SearchMemory::winners_batch`],
-    /// which never materializes the `Q × R` score matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] on a dimensionality
-    /// mismatch and [`LinalgError::Empty`] when the memory has no rows.
-    pub fn search_batch(&self, batch: &QueryBatch) -> Result<SearchResults> {
-        SearchResults::from_scores(self.dot_batch(batch)?)
     }
 
     /// Winners-only batched search (low-row tie-break): the top-1 of

@@ -20,9 +20,10 @@
 //! should pack their queries into a [`QueryBatch`] and search a
 //! [`SearchMemory`] — [`SearchMemory::topk_batch`] (`k = 1` is the
 //! argmax, also spelled [`SearchMemory::winners_batch`]), or
-//! [`SearchMemory::dot_batch`] / [`SearchMemory::search_batch`] when the
-//! scores are needed: one blocked popcount sweep answers the whole batch
-//! with no per-query allocation. The single-query operations
+//! [`SearchMemory::dot_batch`] when the scores are needed
+//! ([`ScoreMatrix::argmax`] picks each query's winner from them): one
+//! blocked popcount sweep answers the whole batch with no per-query
+//! allocation. The single-query operations
 //! ([`BitMatrix::dot_all`], [`BitVector::dot`]) run the same flat word
 //! kernels.
 //!
@@ -88,9 +89,7 @@ pub mod rng;
 pub mod stats;
 mod vector;
 
-pub use batch::{
-    argmax_scores as argmax_u32, QueryBatch, QueryBatchBuilder, ScoreMatrix, SearchResults, TopK,
-};
+pub use batch::{argmax_scores as argmax_u32, QueryBatch, QueryBatchBuilder, ScoreMatrix, TopK};
 pub use bits::{majority_words, BitMatrix, BitVector, BitView};
 pub use blocked::{BlockedBitMatrix, SearchMemory, LANES as BLOCK_LANES};
 pub use cascade::{

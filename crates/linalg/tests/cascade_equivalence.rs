@@ -258,7 +258,7 @@ proptest! {
     /// The public dispatch entry points (active backend, thread chunking
     /// when the `rayon` feature is on) agree with each other — a warm
     /// cache and a cold memory over the same matrix — and with
-    /// `search_batch`/`winners_batch`.
+    /// `dot_batch`/`winners_batch`.
     #[test]
     fn cascade_entry_points_agree(
         (rows, queries, plan) in (1usize..10, prop::sample::select(vec![64usize, 128, 200]))
@@ -274,9 +274,9 @@ proptest! {
         assert_top1_winners(&via_cold, &reference, "cold memory");
         prop_assert_eq!(&via_cold, &via_memory);
         // Full-score search agrees with the cascade winner too.
-        let full = mem.search_batch(&batch).unwrap();
+        let full = mem.dot_batch(&batch).unwrap();
         for q in 0..queries.len() {
-            prop_assert_eq!(full.winner(q), via_memory.topk().hits(q)[0]);
+            prop_assert_eq!(full.argmax(q), via_memory.topk().hits(q)[0]);
         }
         // The bound (pre-derived) form answers identically, telemetry
         // included, and keeps answering identically across reuse.

@@ -142,8 +142,8 @@ proptest! {
         }
     }
 
-    /// search_batch winners equal per-query argmax with the low-row
-    /// tie-break.
+    /// Batched-score winners (`dot_batch` + `ScoreMatrix::argmax`) equal
+    /// per-query argmax with the low-row tie-break.
     #[test]
     fn search_batch_equals_sequential(
         rows in prop::collection::vec(bool_vec(70), 1..6),
@@ -153,10 +153,10 @@ proptest! {
         let m = SearchMemory::from_rows(&bvs).unwrap();
         let qvs: Vec<BitVector> = queries.iter().map(|q| BitVector::from_bools(q)).collect();
         let batch = QueryBatch::from_vectors(&qvs).unwrap();
-        let results = m.search_batch(&batch).unwrap();
+        let results = m.dot_batch(&batch).unwrap();
         for (q, query) in qvs.iter().enumerate() {
             let scores = m.dot_all(query);
-            let (row, score) = results.winner(q);
+            let (row, score) = results.argmax(q);
             let (expect_row, expect_score) = hd_linalg::argmax_u32(&scores);
             prop_assert_eq!(row, expect_row);
             prop_assert_eq!(score, expect_score);

@@ -26,7 +26,11 @@
 //!    argmax on the true side), followed by per-centroid normalization and
 //!    re-binarization each epoch.
 //!
-//! The one-stop entry point is [`MemhdModel::fit`]:
+//! The one-stop entry point is [`MemhdModel::fit`]; a fitted model
+//! classifies with [`MemhdModel::predict_batch`] and serves pre-encoded
+//! queries through its [`hd_linalg::LabeledMemory`] impl (k best rows
+//! per query, `class_of` per row). Cascade search runs on
+//! `binary_am().search_memory()`.
 //!
 //! ```
 //! use memhd::{MemhdConfig, MemhdModel};

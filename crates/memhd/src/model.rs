@@ -6,7 +6,7 @@ use crate::init;
 use crate::memory::MemoryReport;
 use crate::train::{quantization_aware_train, TrainOptions, TrainingHistory};
 use hd_linalg::rng::derive_seed;
-use hd_linalg::{BitVector, CascadePlan, LabeledMemory, Matrix, QueryBatch, TopK};
+use hd_linalg::{BitVector, LabeledMemory, Matrix, QueryBatch, TopK};
 use hdc::{encode_dataset, BinaryAm, EncodedDataset, Encoder, FloatAm, RandomProjectionEncoder};
 
 /// A trained MEMHD classifier: binary projection encoder plus fully-utilized
@@ -231,6 +231,13 @@ impl MemhdModel {
     /// [`hd_linalg::QueryBatch`] and answers all queries with one batched
     /// associative sweep. This is the preferred inference entry point.
     ///
+    /// Other searches run on the encoded batch
+    /// ([`Encoder::encode_binary_batch`] on [`MemhdModel::encoder`]): the
+    /// k best rows through the [`LabeledMemory::topk`] impl, the cascade
+    /// through [`hd_linalg::SearchMemory::search_cascade_topk`] on
+    /// `binary_am().search_memory()`, which caches each plan's derived
+    /// artifacts.
+    ///
     /// # Errors
     ///
     /// Same as [`MemhdModel::predict`].
@@ -240,108 +247,6 @@ impl MemhdModel {
         }
         let batch = self.encoder.encode_binary_batch(features).map_err(MemhdError::Hdc)?;
         self.binary_am.classify_batch(&batch).map_err(MemhdError::Hdc)
-    }
-
-    /// The k best classes per row of `features`, ordered by descending
-    /// associative-search score (centroid ties break toward the lower
-    /// row, and a class repeats when several of its centroids place).
-    /// `predict_topk(features, 1)` agrees with
-    /// [`MemhdModel::predict_batch`] query for query; larger `k` serves
-    /// rankers and top-k-accuracy evaluation. `k` is clamped to the
-    /// centroid count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MemhdModel::predict`], plus [`MemhdError::Hdc`] for
-    /// `k == 0`.
-    pub fn predict_topk(&self, features: &Matrix, k: usize) -> Result<Vec<Vec<usize>>> {
-        // Validate k before the empty-batch shortcut, mirroring the
-        // cascade entry points' plan validation.
-        if k == 0 {
-            return Err(MemhdError::Hdc(hdc::HdcError::Linalg(hd_linalg::LinalgError::Empty {
-                op: "MemhdModel::predict_topk",
-            })));
-        }
-        if features.rows() == 0 {
-            return Ok(Vec::new());
-        }
-        let batch = self.encoder.encode_binary_batch(features).map_err(MemhdError::Hdc)?;
-        self.binary_am.classify_batch_topk(&batch, k).map_err(MemhdError::Hdc)
-    }
-
-    /// Like [`MemhdModel::predict_batch`] but answers the associative
-    /// searches through the progressive-precision cascade: a dimension
-    /// prefix is scored for every centroid and provably-losing centroids
-    /// are pruned before the remaining dimensions are spent. Predictions
-    /// are bit-identical to [`MemhdModel::predict_batch`]; only the
-    /// activation cost differs (see [`hd_linalg::CascadeStats`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MemhdModel::predict_batch`], plus
-    /// [`MemhdError::Hdc`] when the plan dimensionality differs from the
-    /// model's.
-    pub fn predict_batch_cascade(
-        &self,
-        features: &Matrix,
-        plan: &CascadePlan,
-    ) -> Result<Vec<usize>> {
-        // Validate the plan before the empty-batch shortcut: a
-        // misconfigured plan must surface even when the first batch
-        // happens to be empty.
-        if plan.dim() != self.binary_am.dim() {
-            return Err(MemhdError::Hdc(hdc::HdcError::DimensionMismatch {
-                expected: self.binary_am.dim(),
-                found: plan.dim(),
-            }));
-        }
-        if features.rows() == 0 {
-            return Ok(Vec::new());
-        }
-        let batch = self.encoder.encode_binary_batch(features).map_err(MemhdError::Hdc)?;
-        self.predict_encoded_batch_cascade(&batch, plan)
-    }
-
-    /// The encoded-query slice of [`MemhdModel::predict_batch_cascade`]:
-    /// classifies pre-binarized hypervectors through the cascade,
-    /// skipping re-encoding — the fast path for sweeps and repeated-batch
-    /// loops over one encoding (the [`MemhdModel::evaluate_encoded`]
-    /// convention). The plan's derived artifacts are cached on the binary
-    /// AM, so a loop of batches pays the bound derivation once, not per
-    /// call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemhdError::Hdc`] if the batch or plan dimensionality
-    /// differs from the model's.
-    pub fn predict_encoded_batch_cascade(
-        &self,
-        batch: &QueryBatch,
-        plan: &CascadePlan,
-    ) -> Result<Vec<usize>> {
-        self.binary_am.classify_batch_cascade(batch, plan).map_err(MemhdError::Hdc)
-    }
-
-    /// Auto-tunes a cascade stage plan for this model from a sample of
-    /// real feature vectors: the sample is encoded with the model's
-    /// encoder and handed to [`hdc::BinaryAm::tuned_cascade_plan`], so
-    /// the returned plan reflects both the trained AM's popcount profile
-    /// and the traffic the deployment will actually see. Use the result
-    /// with [`MemhdModel::predict_batch_cascade`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemhdError::InvalidData`] for an empty sample and
-    /// [`MemhdError::Hdc`] if the feature width differs from the
-    /// encoder's.
-    pub fn tuned_cascade_plan(&self, features: &Matrix) -> Result<CascadePlan> {
-        if features.rows() == 0 {
-            return Err(MemhdError::InvalidData {
-                reason: "cascade plan tuning needs a non-empty feature sample".into(),
-            });
-        }
-        let batch = self.encoder.encode_binary_batch(features).map_err(MemhdError::Hdc)?;
-        self.binary_am.tuned_cascade_plan(&batch).map_err(MemhdError::Hdc)
     }
 
     /// Accuracy on a labeled feature set.
@@ -425,6 +330,7 @@ impl LabeledMemory for MemhdModel {
 mod tests {
     use super::*;
     use hd_linalg::rng::{seeded, Normal};
+    use hd_linalg::CascadePlan;
 
     fn toy_features(per_class: usize, seed: u64) -> (Matrix, Vec<usize>) {
         let mut rng = seeded(seed);
@@ -469,32 +375,41 @@ mod tests {
         assert_eq!(a.history(), b.history());
     }
 
+    /// Classes of each query's cascade winner.
+    fn cascade_classes(model: &MemhdModel, batch: &QueryBatch, plan: &CascadePlan) -> Vec<usize> {
+        let out = model.binary_am().search_memory().search_cascade_topk(batch, plan, 1).unwrap();
+        (0..batch.len()).map(|q| model.class_of(out.topk().hits(q)[0].0)).collect()
+    }
+
     #[test]
     fn topk_predictions_rank_classes() {
         let (x, y) = toy_features(15, 13);
         let cfg = MemhdConfig::new(256, 9, 3).unwrap().with_epochs(5).with_seed(8);
         let model = MemhdModel::fit(&cfg, &x, &y).unwrap();
-        let top1 = model.predict_topk(&x, 1).unwrap();
+        let batch = model.encoder().encode_binary_batch(&x).unwrap();
+        let slates = |k: usize| -> Vec<Vec<usize>> {
+            let top = model.topk(&batch, k).unwrap();
+            (0..top.len())
+                .map(|q| top.hits(q).iter().map(|&(row, _)| model.class_of(row)).collect())
+                .collect()
+        };
+        let top1 = slates(1);
         let exact = model.predict_batch(&x).unwrap();
         assert_eq!(top1.iter().map(|t| t[0]).collect::<Vec<_>>(), exact);
         assert!(top1.iter().all(|t| t.len() == 1));
-        // k is clamped to the centroid count; the slate is the per-row
-        // class sequence of the AM's own full top-k ranking.
-        let slates = model.predict_topk(&x, 12).unwrap();
-        let batch = model.encoder().encode_binary_batch(&x).unwrap();
-        let want = model.binary_am().classify_batch_topk(&batch, 12).unwrap();
-        assert_eq!(slates, want);
-        assert!(slates.iter().all(|t| t.len() == 9));
+        // k is clamped to the centroid count; the model ranks with its
+        // binary AM's own full top-k.
+        assert_eq!(model.topk(&batch, 12).unwrap(), model.binary_am().topk(&batch, 12).unwrap());
+        assert!(slates(12).iter().all(|t| t.len() == 9));
         // Top-k accuracy is monotone in k and hits 100% at k == rows.
         let hit_at = |k: usize| {
-            let pred = model.predict_topk(&x, k).unwrap();
+            let pred = slates(k);
             pred.iter().zip(&y).filter(|(slate, &label)| slate.contains(&label)).count() as f64
                 / y.len() as f64
         };
         assert!(hit_at(1) <= hit_at(3));
         assert_eq!(hit_at(9), 1.0);
-        assert!(model.predict_topk(&x, 0).is_err());
-        assert!(model.predict_topk(&Matrix::zeros(0, x.cols()), 3).unwrap().is_empty());
+        assert!(model.topk(&batch, 0).is_err());
     }
 
     #[test]
@@ -503,21 +418,17 @@ mod tests {
         let cfg = MemhdConfig::new(256, 9, 3).unwrap().with_epochs(5).with_seed(6);
         let model = MemhdModel::fit(&cfg, &x, &y).unwrap();
         let exact = model.predict_batch(&x).unwrap();
+        let batch = model.encoder().encode_binary_batch(&x).unwrap();
         for plan in [
             CascadePlan::exact(256),
             CascadePlan::prefix(256, 64).unwrap(),
             CascadePlan::uniform(256, 4).unwrap(),
         ] {
-            assert_eq!(model.predict_batch_cascade(&x, &plan).unwrap(), exact, "{plan:?}");
+            assert_eq!(cascade_classes(&model, &batch, &plan), exact, "{plan:?}");
         }
-        // A plan of the wrong dimensionality is rejected — even when
-        // the feature batch is empty.
-        assert!(model.predict_batch_cascade(&x, &CascadePlan::exact(128)).is_err());
-        let empty_bad = Matrix::zeros(0, x.cols());
-        assert!(model.predict_batch_cascade(&empty_bad, &CascadePlan::exact(128)).is_err());
-        // An empty feature set short-circuits like predict_batch.
-        let empty = Matrix::zeros(0, x.cols());
-        assert!(model.predict_batch_cascade(&empty, &CascadePlan::exact(256)).unwrap().is_empty());
+        // A plan of the wrong dimensionality is rejected.
+        let memory = model.binary_am().search_memory();
+        assert!(memory.search_cascade_topk(&batch, &CascadePlan::exact(128), 1).is_err());
     }
 
     #[test]
@@ -591,16 +502,11 @@ mod tests {
         let (x, y) = toy_features(15, 12);
         let cfg = MemhdConfig::new(256, 9, 3).unwrap().with_epochs(5).with_seed(8);
         let model = MemhdModel::fit(&cfg, &x, &y).unwrap();
-        let plan = model.tuned_cascade_plan(&x).unwrap();
+        let encoded = model.encoder().encode_binary_batch(&x).unwrap();
+        let plan = CascadePlan::tuned(model.binary_am().search_memory(), &encoded).unwrap();
         assert_eq!(plan.dim(), 256);
         let exact = model.predict_batch(&x).unwrap();
-        assert_eq!(model.predict_batch_cascade(&x, &plan).unwrap(), exact);
-        // The encoded-query slice agrees with the feature-level path.
-        let encoded = model.encoder().encode_binary_batch(&x).unwrap();
-        assert_eq!(model.predict_encoded_batch_cascade(&encoded, &plan).unwrap(), exact);
-        // An empty tuning sample is rejected.
-        let empty = Matrix::zeros(0, x.cols());
-        assert!(matches!(model.tuned_cascade_plan(&empty), Err(MemhdError::InvalidData { .. })));
+        assert_eq!(cascade_classes(&model, &encoded, &plan), exact);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! thread-per-connection accept loop, and each connection runs a reader
 //! thread (parse frames → [`crate::Server::submit_packed`]) plus a
 //! writer thread (wait pendings in FIFO order → stream response
-//! frames). Because co-flushed queries complete together, FIFO waiting
+//! frames; see *inline answers* below for the frames the reader answers
+//! itself). Because co-flushed queries complete together, FIFO waiting
 //! streams each micro-batch flush back the moment it publishes —
 //! responses are per-flush, never a per-connection barrier.
 //!
@@ -29,6 +30,16 @@
 //! [`crate::ServeConfig::max_delay`] deadline. The flush runs on the
 //! reader thread, so the connection's next frames wait in the socket
 //! until it publishes.
+//!
+//! **Inline answers.** When the last frame at hand is a QUERY and the
+//! writer has nothing queued, the reader runs that ingest flush right
+//! after submitting and writes the frame's answers to the socket itself.
+//! A closed-loop caller's round trip then crosses one server thread, not
+//! two: no wake-up of the writer, and nothing for the scheduler to
+//! interleave between the flush and the write. Both threads write
+//! through one locked output, and the reader answers inline only while
+//! no queued message is waiting ahead of its answers, so responses keep
+//! the FIFO order of the frames.
 //!
 //! **Backpressure.** Two independent bounds:
 //! * per server — [`crate::ServeConfig::max_in_flight`] sheds whole
@@ -237,21 +248,37 @@ struct ConnState {
     /// ([`GOAWAY_NONE`] until the first one) — what a GOAWAY frame
     /// reports so the client knows which submissions will be answered.
     last_accepted: AtomicU64,
-    /// Answers queued for the writer but not yet written back. Drain
-    /// waits for this to hit zero on every connection.
+    /// Accepted answers not yet written back to the socket. Drain waits
+    /// for this to hit zero on every connection.
     in_flight: AtomicU64,
     /// Set once a GOAWAY has been queued for this connection, so drain
     /// broadcasts and the reader's own draining check don't spam.
     goaway_queued: AtomicBool,
+    /// The buffered write side. The writer thread writes each queued
+    /// message through it, and the reader writes inline answers through
+    /// it; the lock orders their bytes.
+    out: Mutex<BufWriter<Stream>>,
+    /// Messages queued for the writer that it has not yet written into
+    /// `out`: incremented before each send, decremented (release) once
+    /// the message's bytes are in `out`. The reader answers inline only
+    /// when it loads 0 (acquire) while holding the `out` lock, so an
+    /// inline answer never overtakes a queued frame.
+    queued: AtomicU64,
 }
 
 impl ConnState {
-    fn new() -> Self {
+    fn new(out: Stream) -> Self {
         ConnState {
             last_accepted: AtomicU64::new(GOAWAY_NONE),
             in_flight: AtomicU64::new(0),
             goaway_queued: AtomicBool::new(false),
+            out: Mutex::new(BufWriter::new(out)),
+            queued: AtomicU64::new(0),
         }
+    }
+
+    fn out(&self) -> std::sync::MutexGuard<'_, BufWriter<Stream>> {
+        self.out.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -480,10 +507,15 @@ impl WireServer {
                     // accepting queries. try_send: a full FIFO means the
                     // writer is busy flushing answers — retry next poll.
                     if !conn.state.goaway_queued.load(Ordering::Relaxed) {
+                        conn.state.queued.fetch_add(1, Ordering::AcqRel);
                         match conn.outgoing.try_send(Outgoing::GoAway) {
                             Ok(()) => conn.state.goaway_queued.store(true, Ordering::Relaxed),
-                            Err(TrySendError::Full(_)) => pending += 1, // not announced yet
-                            Err(TrySendError::Disconnected(_)) => {}
+                            Err(e) => {
+                                conn.state.queued.fetch_sub(1, Ordering::AcqRel);
+                                if let TrySendError::Full(_) = e {
+                                    pending += 1; // not announced yet
+                                }
+                            }
                         }
                     }
                 }
@@ -628,11 +660,11 @@ fn register_connection(shared: &Arc<WireShared>, mut stream: Stream) {
         return;
     }
     let Ok(write_half) = stream.try_clone() else { return };
+    let Ok(out) = stream.try_clone() else { return };
     let write_half = Arc::new(write_half);
-    let state = Arc::new(ConnState::new());
+    let state = Arc::new(ConnState::new(out));
     let (tx, rx) = mpsc::sync_channel::<Outgoing>(shared.config.conn_in_flight);
     let conn_shared = Arc::clone(shared);
-    let conn_write = Arc::clone(&write_half);
     let conn_state = Arc::clone(&state);
     let conn_tx = tx.clone();
     // The registry lock is held across the spawn and the push: the
@@ -640,9 +672,10 @@ fn register_connection(shared: &Arc<WireShared>, mut stream: Stream) {
     // connection that dies instantly cannot deregister *before* its
     // entry exists — that would strand a registry sender clone, and the
     // writer (which drains until every sender is gone) would never exit.
-    let Ok(handle) = std::thread::Builder::new().name("hd-wire-conn".into()).spawn(move || {
-        connection_reader(&conn_shared, stream, &conn_write, &conn_state, conn_tx, rx)
-    }) else {
+    let Ok(handle) = std::thread::Builder::new()
+        .name("hd-wire-conn".into())
+        .spawn(move || connection_reader(&conn_shared, stream, &conn_state, conn_tx, rx))
+    else {
         return;
     };
     conns.push(ConnEntry { stream: write_half, outgoing: tx, state, handle });
@@ -676,28 +709,35 @@ enum Outgoing {
     GoAway,
 }
 
+/// The reader's end of a connection's writer FIFO: every message it
+/// queues counts in [`ConnState::queued`] until the writer has written
+/// it.
+struct Outbox {
+    tx: SyncSender<Outgoing>,
+    state: Arc<ConnState>,
+}
+
 /// Per-connection reader loop: parses frames, submits packed queries,
-/// queues outgoing work. Exits on disconnect, fatal protocol error,
-/// idle-timeout reaping, or forced socket shutdown; always joins its
-/// writer before returning so every in-flight query's response (or the
-/// final error frame) is written first.
+/// queues outgoing work or answers inline. Exits on disconnect, fatal
+/// protocol error, idle-timeout reaping, or forced socket shutdown;
+/// always joins its writer before returning so every in-flight query's
+/// response (or the final error frame) is written first.
 fn connection_reader(
     shared: &Arc<WireShared>,
     mut stream: Stream,
-    write_half: &Arc<Stream>,
     state: &Arc<ConnState>,
     tx: SyncSender<Outgoing>,
     rx: Receiver<Outgoing>,
 ) {
     let writer_shared = Arc::clone(shared);
-    let writer_half = Arc::clone(write_half);
     let writer_state = Arc::clone(state);
     let Ok(writer) = std::thread::Builder::new()
         .name("hd-wire-write".into())
-        .spawn(move || connection_writer(&writer_shared, &writer_half, &rx, &writer_state))
+        .spawn(move || connection_writer(&writer_shared, &rx, &writer_state))
     else {
         return;
     };
+    let tx = Outbox { tx, state: Arc::clone(state) };
     read_frames(shared, &mut stream, &tx, state);
     // What the reader submitted last is at hand too: flush it now rather
     // than have the writer wait out the deadline before the close.
@@ -826,16 +866,16 @@ impl<R: Read> Read for DeadlineRead<'_, R> {
 /// Sends on the bounded channel, blocking for backpressure. Returns
 /// `false` when the writer is gone (its socket died) — the reader then
 /// stops consuming frames.
-fn send_outgoing(tx: &SyncSender<Outgoing>, msg: Outgoing) -> bool {
-    tx.send(msg).is_ok()
+fn send_outgoing(tx: &Outbox, msg: Outgoing) -> bool {
+    tx.state.queued.fetch_add(1, Ordering::AcqRel);
+    let sent = tx.tx.send(msg).is_ok();
+    if !sent {
+        tx.state.queued.fetch_sub(1, Ordering::AcqRel);
+    }
+    sent
 }
 
-fn read_frames(
-    shared: &Arc<WireShared>,
-    stream: &mut Stream,
-    tx: &SyncSender<Outgoing>,
-    state: &Arc<ConnState>,
-) {
+fn read_frames(shared: &Arc<WireShared>, stream: &mut Stream, tx: &Outbox, state: &Arc<ConnState>) {
     let server = &shared.server;
     let words_per_query = server.dim().div_ceil(64) as u32;
     let idle = shared.config.idle_timeout;
@@ -991,7 +1031,7 @@ fn read_frames(
 fn reject_liveness_payload(
     shared: &Arc<WireShared>,
     stream: &mut Ingest<'_>,
-    tx: &SyncSender<Outgoing>,
+    tx: &Outbox,
     header: &Header,
 ) -> bool {
     let payload_words = header.count as u64 * header.words_per_query as u64;
@@ -1035,7 +1075,7 @@ fn reject_liveness_payload(
 fn handle_query_frame(
     shared: &Arc<WireShared>,
     stream: &mut Ingest<'_>,
-    tx: &SyncSender<Outgoing>,
+    tx: &Outbox,
     state: &Arc<ConnState>,
     header: &Header,
     words_per_query: u32,
@@ -1134,13 +1174,23 @@ fn handle_query_frame(
     match server.submit_packed(words, header.k as usize) {
         Ok(pendings) => {
             state.last_accepted.store(first_id + header.count as u64 - 1, Ordering::Release);
+            // Count before answering or queueing so drain never observes
+            // a window where an accepted answer is neither counted nor
+            // written.
+            let count = pendings.len() as u64;
+            state.in_flight.fetch_add(count, Ordering::AcqRel);
+            let pendings = if stream.inner.buffer().is_empty() {
+                match answer_inline(server, state, first_id, pendings) {
+                    Ok(written) => return written,
+                    Err(pendings) => pendings,
+                }
+            } else {
+                pendings
+            };
             for (i, pending) in pendings.into_iter().enumerate() {
-                // Count before queueing so drain never observes a window
-                // where an accepted answer is neither counted nor
-                // written; undo if the writer is already gone.
-                state.in_flight.fetch_add(1, Ordering::AcqRel);
                 if !send_outgoing(tx, Outgoing::Answer { id: first_id + i as u64, pending }) {
-                    state.in_flight.fetch_sub(1, Ordering::AcqRel);
+                    // The writer is gone: release what it will never see.
+                    state.in_flight.fetch_sub(count - i as u64, Ordering::AcqRel);
                     return false;
                 }
             }
@@ -1162,32 +1212,50 @@ fn handle_query_frame(
     }
 }
 
+/// Answers the last frame at hand on the reader thread (see the module
+/// docs' *inline answers*): runs the ingest flush now and writes the
+/// answers straight into the connection's output, with no hand-off to
+/// the writer thread. Hands the pendings back untouched while the writer
+/// still has queued messages to write, since the answers must not
+/// overtake them; otherwise returns whether the answers reached the
+/// socket.
+fn answer_inline(
+    server: &Server,
+    state: &ConnState,
+    first_id: u64,
+    pendings: Vec<PendingTopK>,
+) -> Result<bool, Vec<PendingTopK>> {
+    let mut out = state.out();
+    if state.queued.load(Ordering::Acquire) != 0 {
+        return Err(pendings);
+    }
+    // Waiting under the lock cannot deadlock: the flush needs nothing
+    // the writer holds, and the writer takes the lock only to write.
+    server.flush_pending();
+    let count = pendings.len() as u64;
+    let mut io = Ok(());
+    for (i, pending) in pendings.into_iter().enumerate() {
+        let id = first_id + i as u64;
+        io = io.and_then(|()| match pending.wait() {
+            Ok(hits) => wire::write_response(&mut *out, id, &hits),
+            Err(e) => wire::write_error(&mut *out, id, serve_error_code(&e), &e.to_string()),
+        });
+    }
+    let io = io.and_then(|()| out.flush());
+    state.in_flight.fetch_sub(count, Ordering::AcqRel);
+    Ok(io.is_ok())
+}
+
 /// Per-connection writer loop: redeems pendings in FIFO order and
-/// streams frames back. The `BufWriter` is flushed whenever the queue
-/// goes momentarily empty, so each micro-batch flush leaves as one
-/// syscall burst without waiting for the connection to go idle.
+/// streams frames back. The output is flushed whenever the queue goes
+/// momentarily empty, so each micro-batch flush leaves as one syscall
+/// burst without waiting for the connection to go idle.
 ///
 /// The connection's `in_flight` gauge (what [`WireServer::drain`] waits
 /// on) is decremented only after the answers actually reach the socket —
 /// a flush, not just a buffered write — so drain can never close a
 /// socket under answers still sitting in the `BufWriter`.
-fn connection_writer(
-    shared: &Arc<WireShared>,
-    stream: &Arc<Stream>,
-    rx: &Receiver<Outgoing>,
-    state: &Arc<ConnState>,
-) {
-    let Ok(write_stream) = stream.try_clone() else {
-        // No write half: nothing will ever be written; release the
-        // gauge for anything the reader queues until it notices.
-        for msg in rx.iter() {
-            if let Outgoing::Answer { .. } = msg {
-                state.in_flight.fetch_sub(1, Ordering::AcqRel);
-            }
-        }
-        return;
-    };
-    let mut out = BufWriter::new(write_stream);
+fn connection_writer(shared: &Arc<WireShared>, rx: &Receiver<Outgoing>, state: &Arc<ConnState>) {
     // Answers written into the BufWriter but not yet flushed to the
     // socket; settled against `state.in_flight` at each flush.
     let mut unflushed: u64 = 0;
@@ -1214,7 +1282,7 @@ fn connection_writer(
         let msg = match rx.try_recv() {
             Ok(msg) => msg,
             Err(mpsc::TryRecvError::Empty) => {
-                if out.flush().is_err() {
+                if state.out().flush().is_err() {
                     abandon(state, unflushed, rx);
                     return;
                 }
@@ -1232,7 +1300,7 @@ fn connection_writer(
                 let clamp = |v: usize| u32::try_from(v).unwrap_or(u32::MAX);
                 let snapshot = server.registry().snapshot();
                 wire::write_hello_ack(
-                    &mut out,
+                    &mut *state.out(),
                     FLAG_LIVENESS,
                     clamp(server.dim()),
                     clamp(snapshot.model().rows()),
@@ -1240,32 +1308,42 @@ fn connection_writer(
                 )
             }
             Outgoing::Answer { id, pending } => {
-                let res = match pending.wait() {
-                    Ok(hits) => wire::write_response(&mut out, id, &hits),
-                    Err(e) => wire::write_error(&mut out, id, serve_error_code(&e), &e.to_string()),
+                // Awaited before the output is locked: the lock is never
+                // held across a wait on someone else's flush.
+                let answer = pending.wait();
+                let mut out = state.out();
+                let res = match answer {
+                    Ok(hits) => wire::write_response(&mut *out, id, &hits),
+                    Err(e) => {
+                        wire::write_error(&mut *out, id, serve_error_code(&e), &e.to_string())
+                    }
                 };
                 if res.is_ok() {
                     unflushed += 1;
                 }
                 res
             }
-            Outgoing::Ping { nonce } => wire::write_ping(&mut out, nonce),
-            Outgoing::Pong { nonce } => wire::write_pong(&mut out, nonce),
+            Outgoing::Ping { nonce } => wire::write_ping(&mut *state.out(), nonce),
+            Outgoing::Pong { nonce } => wire::write_pong(&mut *state.out(), nonce),
             Outgoing::GoAway => {
-                wire::write_goaway(&mut out, state.last_accepted.load(Ordering::Acquire))
+                wire::write_goaway(&mut *state.out(), state.last_accepted.load(Ordering::Acquire))
             }
             Outgoing::Error { id, code, message, fatal } => {
-                let res = wire::write_error(&mut out, id, code, &message);
+                let mut out = state.out();
+                let res = wire::write_error(&mut *out, id, code, &message);
                 if fatal {
                     if res.and_then(|()| out.flush()).is_ok() {
                         settle(state, &mut unflushed);
                     }
+                    drop(out);
                     abandon(state, unflushed, rx);
                     return;
                 }
                 res
             }
         };
+        // Written (or failed): the reader may answer inline behind it.
+        state.queued.fetch_sub(1, Ordering::AcqRel);
         if io.is_err() {
             // The peer stopped reading; drain remaining messages without
             // writing so blocked reader sends unblock, then exit. The
@@ -1274,7 +1352,7 @@ fn connection_writer(
             return;
         }
     }
-    if out.flush().is_ok() {
+    if state.out().flush().is_ok() {
         settle(state, &mut unflushed);
     } else if unflushed > 0 {
         state.in_flight.fetch_sub(unflushed, Ordering::AcqRel);

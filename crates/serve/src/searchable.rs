@@ -295,7 +295,7 @@ mod tests {
             for k in [1usize, 4, 8] {
                 assert_eq!(
                     mapping.search_topk(Arc::clone(&batch), k).unwrap(),
-                    Searchable::search_topk(&am, Arc::clone(&batch), k).unwrap(),
+                    am.search_topk(Arc::clone(&batch), k).unwrap(),
                     "mapped top-k must stay bit-exact against the software AM"
                 );
             }

@@ -346,8 +346,9 @@ struct Shared {
     stats: StatCounters,
     /// Queries accepted but not yet answered by a flush — the admission
     /// gauge [`ServeConfig::max_in_flight`] sheds against. Incremented
-    /// under the queue lock at admission; decremented after each flush
-    /// publishes its results. Only maintained while admission control is
+    /// under the queue lock at admission; decremented by each flush just
+    /// before it publishes its results, so it reads 0 once every admitted
+    /// query is answered. Only maintained while admission control is
     /// on (`max_in_flight != 0`): with it off the counter steers nothing,
     /// and the per-query atomic increment sits inside the contended queue
     /// critical section — measurable on the serve-throughput benches.
@@ -433,13 +434,16 @@ impl Shared {
             }
             Ok(answers)
         });
-        state.fill(results);
-        // Release the admission slots only after the results are
-        // published: a freed slot means a new submission can take the
-        // answered query's place in the next cycle.
+        // Release the admission slots before publishing the results:
+        // `fill` publishes with release ordering, so a waiter that sees
+        // its answers also sees its batch's slots freed, and the gauge
+        // reads 0 once every admitted query is answered. The batch has
+        // already left the queue, so a submission admitted in between
+        // still waits behind a bounded queue.
         if self.config.max_in_flight != 0 {
             self.in_flight.fetch_sub(queries as u64, Ordering::Relaxed);
         }
+        state.fill(results);
     }
 }
 
@@ -807,7 +811,7 @@ fn run_flusher(shared: &Shared) {
 mod tests {
     use super::*;
     use hd_linalg::rng::seeded;
-    use hd_linalg::{BitVector, SearchMemory};
+    use hd_linalg::{BitVector, LabeledMemory, SearchMemory};
     use rand::Rng;
 
     fn random_am(vectors: usize, dim: usize, seed: u64) -> Arc<hdc::BinaryAm> {
@@ -895,33 +899,29 @@ mod tests {
             }
         }
         let batch = hd_linalg::QueryBatch::from_vectors(&queries).unwrap();
-        let reference = am.search_topk(&batch, 45).unwrap();
+        let reference = am.topk(&batch, 45).unwrap();
+        let want = |i: usize| reference.hits(i).iter().map(|&(r, s)| (r, am.class_of(r), s));
         for (i, p) in plain {
             let slate = p.wait().unwrap();
             assert_eq!(slate.len(), 1, "query {i}");
-            let (got, want) = (slate[0], &reference[i][0]);
-            assert_eq!((got.row, got.class, got.score), (want.row, want.class, want.score));
+            let got = slate[0];
+            assert_eq!((got.row, got.class, got.score), want(i).next().unwrap());
         }
         for (i, k, p) in ranked {
             let slate = p.wait().unwrap();
             assert_eq!(slate.len(), k.min(am.num_centroids()), "query {i} k {k}");
-            for (got, want) in slate.iter().zip(&reference[i]) {
-                assert_eq!(
-                    (got.row, got.class, got.score),
-                    (want.row, want.class, want.score),
-                    "query {i} k {k}"
-                );
+            for (got, want) in slate.iter().zip(want(i)) {
+                assert_eq!((got.row, got.class, got.score), want, "query {i} k {k}");
                 assert_eq!(got.generation, 1);
             }
         }
         assert!(server.submit(queries[0].as_view(), 0).is_err());
         // A lone submit-and-wait returns the same slate.
         let slate = server.submit(queries[0].as_view(), 3).unwrap().wait().unwrap();
-        let want: Vec<(usize, usize, u32)> =
-            reference[0][..3].iter().map(|h| (h.row, h.class, h.score)).collect();
+        let lone: Vec<(usize, usize, u32)> = want(0).take(3).collect();
         let got: Vec<(usize, usize, u32)> =
             slate.iter().map(|p| (p.row, p.class, p.score)).collect();
-        assert_eq!(got, want);
+        assert_eq!(got, lone);
     }
 
     #[test]
@@ -1200,15 +1200,15 @@ mod tests {
         pendings.extend(server.submit_packed(&words[16 * wpq..], 3).unwrap());
         assert_eq!(pendings.len(), queries.len());
         let batch = hd_linalg::QueryBatch::from_vectors(&queries).unwrap();
-        let reference = am.search_topk(&batch, 3).unwrap();
+        let reference = am.topk(&batch, 3).unwrap();
         for (i, p) in pendings.into_iter().enumerate() {
             let slate = p.wait().unwrap();
             let want_len = if i < 16 { 1 } else { 3 };
             assert_eq!(slate.len(), want_len, "query {i}");
-            for (got, want) in slate.iter().zip(&reference[i]) {
+            for (got, &(row, score)) in slate.iter().zip(reference.hits(i)) {
                 assert_eq!(
                     (got.row, got.class, got.score),
-                    (want.row, want.class, want.score),
+                    (row, am.class_of(row), score),
                     "query {i}"
                 );
             }

@@ -2,9 +2,10 @@
 //! socket must be bit-identical to in-process submission (including
 //! under forced shard degradation and however the frames are split
 //! across socket reads), a lone frame must be answered by the reader's
-//! ingest flush rather than the deadline, malformed frames must answer
-//! typed error frames without losing any in-flight query, and overload
-//! must shed whole frames with a typed error.
+//! ingest flush rather than the deadline, an answer the reader writes
+//! itself must not overtake replies queued before it, malformed frames
+//! must answer typed error frames without losing any in-flight query,
+//! and overload must shed whole frames with a typed error.
 
 use hd_linalg::rng::seeded;
 use hd_linalg::{BitVector, QueryBatch, SearchMemory};
@@ -591,6 +592,46 @@ fn a_frame_behind_its_readers_ingest_flush_waits_instead_of_being_shed() {
     let stats = server.stats();
     assert_eq!(stats.shed, 0, "frame B was admitted, not shed");
     assert_eq!((stats.ingest_flushes, stats.deadline_flushes), (2, 0));
+    wire.shutdown();
+    server.shutdown();
+}
+
+/// The reader answers the last QUERY frame at hand itself when its
+/// writer has nothing queued; replies queued before it (a PONG, an
+/// earlier frame's answer) must still leave first. Many rounds, so the
+/// writer is caught both idle and still busy.
+#[test]
+fn inline_answers_keep_frame_order_behind_queued_replies() {
+    let (sharded, server, wire, addr) = wire_fixture_with(481, Duration::from_secs(600));
+    let _drain = DrainOnDrop(Arc::clone(&server));
+    let wpq = (DIM / 64) as u32;
+    let queries = random_queries(2, 482);
+    let want = direct(&sharded, &queries, 1);
+    let query = |burst: &mut Vec<u8>, id: u64, q: usize| {
+        wire::write_query(burst, 1, id, wpq, queries[q].as_words()).unwrap();
+    };
+    let mut stream = raw_connect(addr);
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    for round in 0..200u64 {
+        let id = 10 * round;
+        // Even rounds: PING, QUERY. Odd rounds: QUERY, PING, QUERY.
+        let mut burst = Vec::new();
+        if round % 2 == 1 {
+            query(&mut burst, id, 0);
+        }
+        wire::write_ping(&mut burst, round).unwrap();
+        query(&mut burst, id + 1, 1);
+        stream.write_all(&burst).unwrap();
+        if round % 2 == 1 {
+            assert_eq!(read_response_frame(&mut stream), (id, want[0].clone()), "round {round}");
+        }
+        let header = wire::read_header(&mut stream).unwrap();
+        assert_eq!((header.frame_type, header.model_key), (FT_PONG, round), "round {round}");
+        assert_eq!(read_response_frame(&mut stream), (id + 1, want[1].clone()), "round {round}");
+    }
+    let stats = server.stats();
+    assert_eq!((stats.queries, stats.deadline_flushes), (300, 0));
+    drop(stream);
     wire.shutdown();
     server.shutdown();
 }
