@@ -35,8 +35,9 @@
 //! * **Wire front-end** ([`net::WireServer`] / [`net::WireClient`]) — a
 //!   std-only TCP / Unix-domain-socket protocol whose QUERY payload *is*
 //!   the packed batch layout, so frames land in the pending batch as one
-//!   word copy ([`Server::submit_packed`]); responses stream back
-//!   per-flush with typed error frames for malformed input.
+//!   word copy ([`Server::submit_packed`]). Each connection runs one
+//!   thread, which reads its frames and writes every reply, answers
+//!   per flush and typed error frames for malformed input.
 //!
 //! The crate depends on `hd_linalg` alone. Any associative memory
 //! plugs in through the [`Searchable`] trait, which every

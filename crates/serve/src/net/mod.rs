@@ -1,13 +1,9 @@
 //! TCP / Unix-domain-socket front-end for the micro-batching server.
 //!
 //! A std-only network layer (no external runtime): each listener runs a
-//! thread-per-connection accept loop, and each connection runs a reader
-//! thread (parse frames → [`crate::Server::submit_packed`]) plus a
-//! writer thread (wait pendings in FIFO order → stream response
-//! frames; see *inline answers* below for the frames the reader answers
-//! itself). Because co-flushed queries complete together, FIFO waiting
-//! streams each micro-batch flush back the moment it publishes —
-//! responses are per-flush, never a per-connection barrier.
+//! thread-per-connection accept loop, and each connection runs one
+//! thread, its reader. The reader parses frames, submits queries through
+//! [`crate::Server::submit_packed`] and writes every reply itself.
 //!
 //! **Buffered ingest.** The reader pulls bytes into a per-connection
 //! user-space buffer, one `read` per refill, and parses frames out of it:
@@ -21,40 +17,39 @@
 //! whole payload to [`crate::Server::submit_packed`], which lands it in
 //! the pending batch as one word copy under one queue-lock acquisition.
 //!
-//! **Flush on ingest drain.** When the buffer holds no more bytes, every
-//! frame at hand has been submitted; just before going back to the socket
-//! the reader flushes the server's pending batch inline (an *ingest
-//! flush*, counted in [`crate::ServerStats::ingest_flushes`]). Pipelined
-//! frames that arrive together still coalesce into one batch, while a
-//! lone frame is answered at once instead of at the
-//! [`crate::ServeConfig::max_delay`] deadline. The flush runs on the
-//! reader thread, so the connection's next frames wait in the socket
-//! until it publishes.
+//! **Settle points.** The reader keeps the replies it owes (answers,
+//! HELLO_ACK, PONG, its grace PING, error frames, its GOAWAY) in an
+//! outbox, in frame order, and settles the outbox:
+//! * right before every socket read. The buffer reads only once it holds
+//!   no more bytes, so every frame at hand has been submitted by then;
+//! * whenever it holds [`WireConfig::conn_in_flight`] unanswered queries;
+//! * once on exit, so a final error frame follows the answers before it.
 //!
-//! **Inline answers.** When the last frame at hand is a QUERY and the
-//! writer has nothing queued, the reader runs that ingest flush right
-//! after submitting and writes the frame's answers to the socket itself.
-//! A closed-loop caller's round trip then crosses one server thread, not
-//! two: no wake-up of the writer, and nothing for the scheduler to
-//! interleave between the flush and the write. Both threads write
-//! through one locked output, and the reader answers inline only while
-//! no queued message is waiting ahead of its answers, so responses keep
-//! the FIFO order of the frames.
+//! A settle flushes the server's pending batch inline (an *ingest
+//! flush*, counted in [`crate::ServerStats::ingest_flushes`]), waits on
+//! each answer in order, and writes every reply to the socket at once.
+//! Pipelined frames that arrive together still coalesce into one batch,
+//! while a lone frame is answered at once instead of at the
+//! [`crate::ServeConfig::max_delay`] deadline, and its round trip
+//! crosses one server thread. The connection's next frames wait in the
+//! socket until the settle has written.
 //!
 //! **Backpressure.** Two independent bounds:
 //! * per server — [`crate::ServeConfig::max_in_flight`] sheds whole
 //!   frames at admission with a typed `OVERLOADED` error frame;
 //! * per connection — [`WireConfig::conn_in_flight`] bounds queries
-//!   submitted but not yet written back. At the bound the reader stops
-//!   reading, which propagates to the client through TCP flow control.
+//!   submitted but not yet written back: at the bound the reader settles
+//!   before it reads on. A peer that does not read its answers stalls the
+//!   reader's write, and TCP flow control carries that back to the peer.
 //!
 //! **Malformed input never panics a worker.** Recoverable violations
 //! (wrong dimensionality, `k == 0`, unknown model key, zero-query
-//! frames, shed frames) answer with a typed error frame and keep the
-//! connection open; unrecoverable ones (bad magic, unknown frame type,
-//! oversized declarations) answer with a final error frame and close —
-//! after every already-submitted query's response has been written.
-//! Queries in flight are never lost to a later bad frame.
+//! frames, query ids past `u64::MAX - 1`, shed frames) answer with a
+//! typed error frame and keep the connection open; unrecoverable ones
+//! (bad magic, unknown frame type, oversized declarations) answer with a
+//! final error frame and close — after every already-submitted query's
+//! response has been written. Queries in flight are never lost to a
+//! later bad frame.
 
 mod client;
 mod resilient;
@@ -69,14 +64,13 @@ pub use wire::{
 };
 
 use crate::{PendingTopK, ServeError, Server};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -187,6 +181,16 @@ impl Stream {
             Stream::Unix(s) => s.set_read_timeout(timeout),
         }
     }
+
+    /// Bounds every blocking write on this stream and its clones, as
+    /// [`Stream::set_read_timeout`] bounds reads.
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_write_timeout(timeout),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.set_write_timeout(timeout),
+        }
+    }
 }
 
 /// Whether an i/o error is a read-timeout expiry (`set_read_timeout`
@@ -241,29 +245,24 @@ impl AcceptWaker {
     }
 }
 
-/// Per-connection state shared between the reader, the writer, and the
-/// front-end's drain/shutdown machinery.
+/// Per-connection state shared between the reader and the front-end's
+/// drain/shutdown machinery.
 struct ConnState {
     /// Id of the last query this connection accepted for answering
     /// ([`GOAWAY_NONE`] until the first one) — what a GOAWAY frame
     /// reports so the client knows which submissions will be answered.
     last_accepted: AtomicU64,
-    /// Accepted answers not yet written back to the socket. Drain waits
-    /// for this to hit zero on every connection.
+    /// Accepted answers not yet written back to the socket. Only the
+    /// reader changes it: up at submission, back to zero (release) once
+    /// its settle has written them or lost them with the connection.
+    /// Drain waits for this to hit zero on every connection.
     in_flight: AtomicU64,
-    /// Set once a GOAWAY has been queued for this connection, so drain
-    /// broadcasts and the reader's own draining check don't spam.
-    goaway_queued: AtomicBool,
-    /// The buffered write side. The writer thread writes each queued
-    /// message through it, and the reader writes inline answers through
-    /// it; the lock orders their bytes.
-    out: Mutex<BufWriter<Stream>>,
-    /// Messages queued for the writer that it has not yet written into
-    /// `out`: incremented before each send, decremented (release) once
-    /// the message's bytes are in `out`. The reader answers inline only
-    /// when it loads 0 (acquire) while holding the `out` lock, so an
-    /// inline answer never overtakes a queued frame.
-    queued: AtomicU64,
+    /// Set by whichever of the reader and drain announces the drain's
+    /// GOAWAY first, so the connection gets it once.
+    goaway_sent: AtomicBool,
+    /// The write side. The reader writes each settle's replies through
+    /// it and drain its GOAWAY; the lock keeps their frames whole.
+    out: Mutex<Stream>,
 }
 
 impl ConnState {
@@ -271,25 +270,50 @@ impl ConnState {
         ConnState {
             last_accepted: AtomicU64::new(GOAWAY_NONE),
             in_flight: AtomicU64::new(0),
-            goaway_queued: AtomicBool::new(false),
-            out: Mutex::new(BufWriter::new(out)),
-            queued: AtomicU64::new(0),
+            goaway_sent: AtomicBool::new(false),
+            out: Mutex::new(out),
         }
-    }
-
-    fn out(&self) -> std::sync::MutexGuard<'_, BufWriter<Stream>> {
-        self.out.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 /// One live connection in the front-end's registry.
 struct ConnEntry {
-    /// Write-half clone, force-closed at shutdown.
-    stream: Arc<Stream>,
-    /// The reader→writer queue; drain uses it to broadcast GOAWAY.
-    outgoing: SyncSender<Outgoing>,
+    /// A clone of the socket, force-closed at shutdown without taking the
+    /// `out` lock (a reader blocked writing to a peer that stopped
+    /// reading holds it).
+    stream: Stream,
     state: Arc<ConnState>,
     handle: JoinHandle<()>,
+}
+
+impl ConnEntry {
+    /// Writes the drain's GOAWAY unless the reader has announced it, and
+    /// returns whether the connection has it. `false` is retried at the
+    /// next poll: while the reader holds the output, its write may be
+    /// blocked on a peer that stopped reading, and drain must not wait
+    /// past its deadline for it.
+    fn announce_drain(&self, remaining: Duration) -> bool {
+        let mut out = match self.state.out.try_lock() {
+            Ok(out) => out,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return false,
+        };
+        if self.state.goaway_sent.swap(true, Ordering::Relaxed) {
+            return true;
+        }
+        // A full send buffer could block even this one header: bound the
+        // write by the deadline. The reader cannot write while the lock
+        // is held, so the timeout applies to this write alone.
+        let _ = self.stream.set_write_timeout(Some(remaining.max(Duration::from_millis(1))));
+        let last_accepted = self.state.last_accepted.load(Ordering::Acquire);
+        let written = wire::write_goaway(&mut *out, last_accepted).is_ok();
+        let _ = self.stream.set_write_timeout(None);
+        if !written {
+            // A frame cut short leaves the stream unusable.
+            self.stream.shutdown();
+        }
+        written
+    }
 }
 
 struct WireShared {
@@ -478,10 +502,11 @@ impl WireServer {
     /// still be answered, everything after it was never accepted and
     /// must be retried elsewhere, (3) QUERY frames arriving after the
     /// drain began are not submitted; their payloads are consumed and
-    /// answered with (another) GOAWAY, (4) all in-flight answers flush
-    /// through the per-connection writer FIFOs. Once every accepted
-    /// answer is written — or `deadline` expires — the front-end shuts
-    /// down exactly like [`WireServer::shutdown`].
+    /// answered with (another) GOAWAY, (4) each connection's reader
+    /// writes its in-flight answers at its next settle (see the module
+    /// docs). Once every accepted answer is written — or `deadline`
+    /// expires — the front-end shuts down exactly like
+    /// [`WireServer::shutdown`].
     ///
     /// Returns `true` when every accepted in-flight answer was flushed
     /// before the deadline, `false` when the deadline cut the flush
@@ -504,19 +529,13 @@ impl WireServer {
                 for conn in conns.iter() {
                     pending += conn.state.in_flight.load(Ordering::Acquire);
                     // Tell the peer (once) that this connection stops
-                    // accepting queries. try_send: a full FIFO means the
-                    // writer is busy flushing answers — retry next poll.
-                    if !conn.state.goaway_queued.load(Ordering::Relaxed) {
-                        conn.state.queued.fetch_add(1, Ordering::AcqRel);
-                        match conn.outgoing.try_send(Outgoing::GoAway) {
-                            Ok(()) => conn.state.goaway_queued.store(true, Ordering::Relaxed),
-                            Err(e) => {
-                                conn.state.queued.fetch_sub(1, Ordering::AcqRel);
-                                if let TrySendError::Full(_) = e {
-                                    pending += 1; // not announced yet
-                                }
-                            }
-                        }
+                    // accepting queries. Drain writes the GOAWAY itself:
+                    // the reader may sit in an idle read for up to
+                    // `idle_timeout` before it would.
+                    if !conn.state.goaway_sent.load(Ordering::Relaxed)
+                        && !conn.announce_drain(deadline.saturating_sub(start.elapsed()))
+                    {
+                        pending += 1; // not announced yet
                     }
                 }
             }
@@ -553,18 +572,11 @@ impl WireServer {
         }
         let conns: Vec<ConnEntry> =
             self.shared.conns.lock().unwrap_or_else(PoisonError::into_inner).drain(..).collect();
-        // Drop the registry's sender clones alongside the socket
-        // shutdowns: a writer only exits once every sender of its
-        // channel is gone, so holding `outgoing` across the joins would
-        // deadlock.
-        let mut handles = Vec::with_capacity(conns.len());
-        for ConnEntry { stream, outgoing, state: _, handle } in conns {
-            stream.shutdown();
-            drop(outgoing);
-            handles.push(handle);
+        for conn in &conns {
+            conn.stream.shutdown();
         }
-        for handle in handles {
-            let _ = handle.join();
+        for conn in conns {
+            let _ = conn.handle.join();
         }
         #[cfg(unix)]
         for path in self.shared.uds_paths.lock().unwrap_or_else(PoisonError::into_inner).drain(..) {
@@ -623,8 +635,8 @@ fn accept_loop_uds(shared: &Arc<WireShared>, listener: UnixListener) {
     }
 }
 
-/// Accept-gates a fresh connection, then spawns its reader/writer pair
-/// and registers the entry for forced shutdown and drain broadcasts.
+/// Accept-gates a fresh connection, then spawns its reader and
+/// registers the entry for forced shutdown and drain broadcasts.
 ///
 /// Gate order: a draining front-end answers with GOAWAY and closes
 /// (nothing was accepted on this connection, so [`GOAWAY_NONE`]); a full
@@ -640,6 +652,9 @@ fn register_connection(shared: &Arc<WireShared>, mut stream: Stream) {
         stream.shutdown();
         return;
     }
+    // The registry lock is held from the gate's count to the push: with
+    // several listeners, their accept threads could otherwise both pass
+    // the gate for the last free slot.
     let mut conns = shared.conns.lock().unwrap_or_else(PoisonError::into_inner);
     // Reap finished connections so the registry doesn't grow with
     // churn and the gate counts only live peers.
@@ -659,32 +674,23 @@ fn register_connection(shared: &Arc<WireShared>, mut stream: Stream) {
         stream.shutdown();
         return;
     }
-    let Ok(write_half) = stream.try_clone() else { return };
+    let Ok(registry_half) = stream.try_clone() else { return };
     let Ok(out) = stream.try_clone() else { return };
-    let write_half = Arc::new(write_half);
     let state = Arc::new(ConnState::new(out));
-    let (tx, rx) = mpsc::sync_channel::<Outgoing>(shared.config.conn_in_flight);
     let conn_shared = Arc::clone(shared);
     let conn_state = Arc::clone(&state);
-    let conn_tx = tx.clone();
-    // The registry lock is held across the spawn and the push: the
-    // reader's exit path deregisters itself through this same lock, so a
-    // connection that dies instantly cannot deregister *before* its
-    // entry exists — that would strand a registry sender clone, and the
-    // writer (which drains until every sender is gone) would never exit.
     let Ok(handle) = std::thread::Builder::new()
         .name("hd-wire-conn".into())
-        .spawn(move || connection_reader(&conn_shared, stream, &conn_state, conn_tx, rx))
+        .spawn(move || connection_reader(&conn_shared, stream, &conn_state))
     else {
         return;
     };
-    conns.push(ConnEntry { stream: write_half, outgoing: tx, state, handle });
+    conns.push(ConnEntry { stream: registry_half, state, handle });
 }
 
-/// What the reader queues for the writer thread. FIFO order *is* the
-/// response order: answers of one flush cycle complete together, so the
-/// writer streams each flush as it publishes.
-enum Outgoing {
+/// A reply the reader owes its peer. The outbox holds them in frame
+/// order, which is the order they are written in.
+enum Reply {
     HelloAck,
     Answer {
         id: u64,
@@ -694,7 +700,6 @@ enum Outgoing {
         id: u64,
         code: u16,
         message: String,
-        fatal: bool,
     },
     /// Server-initiated liveness probe (idle-timeout grace).
     Ping {
@@ -704,55 +709,29 @@ enum Outgoing {
     Pong {
         nonce: u64,
     },
-    /// Drain announcement; the writer stamps the connection's
-    /// last-accepted id at write time.
+    /// Drain announcement, stamped with the connection's last-accepted id
+    /// when it is written.
     GoAway,
 }
 
-/// The reader's end of a connection's writer FIFO: every message it
-/// queues counts in [`ConnState::queued`] until the writer has written
-/// it.
-struct Outbox {
-    tx: SyncSender<Outgoing>,
-    state: Arc<ConnState>,
-}
-
-/// Per-connection reader loop: parses frames, submits packed queries,
-/// queues outgoing work or answers inline. Exits on disconnect, fatal
-/// protocol error, idle-timeout reaping, or forced socket shutdown;
-/// always joins its writer before returning so every in-flight query's
-/// response (or the final error frame) is written first.
-fn connection_reader(
-    shared: &Arc<WireShared>,
-    mut stream: Stream,
-    state: &Arc<ConnState>,
-    tx: SyncSender<Outgoing>,
-    rx: Receiver<Outgoing>,
-) {
-    let writer_shared = Arc::clone(shared);
-    let writer_state = Arc::clone(state);
-    let Ok(writer) = std::thread::Builder::new()
-        .name("hd-wire-write".into())
-        .spawn(move || connection_writer(&writer_shared, &rx, &writer_state))
-    else {
-        return;
-    };
-    let tx = Outbox { tx, state: Arc::clone(state) };
-    read_frames(shared, &mut stream, &tx, state);
-    // What the reader submitted last is at hand too: flush it now rather
-    // than have the writer wait out the deadline before the close.
-    shared.server.flush_pending();
-    // Deregister before closing the channel: the registry holds a sender
-    // clone (for drain broadcasts), and the writer only exits once every
-    // sender is gone.
-    {
-        let mut conns = shared.conns.lock().unwrap_or_else(PoisonError::into_inner);
-        conns.retain(|c| !Arc::ptr_eq(&c.state, state));
+/// The connection's thread: reads frames until the connection ends (on
+/// disconnect, fatal protocol error, idle-timeout reaping, a failed
+/// write or forced socket shutdown), then settles once more, so every
+/// in-flight query's response and a final error frame are written in
+/// frame order, and closes the socket.
+fn connection_reader(shared: &WireShared, mut stream: Stream, state: &ConnState) {
+    if stream.set_read_timeout(shared.config.idle_timeout).is_ok() {
+        let socket = IngestSocket {
+            stream: &mut stream,
+            server: &shared.server,
+            state,
+            outbox: Vec::new(),
+            bytes: Vec::new(),
+        };
+        let mut ingest = BufReader::with_capacity(INGEST_BUFFER, socket);
+        read_frames(shared, &mut ingest, state);
+        let _ = ingest.get_mut().settle();
     }
-    // Closing the channel lets the writer drain queued answers and exit;
-    // a fatal error frame queued last is written after them.
-    drop(tx);
-    let _ = writer.join();
     // Unblock a peer still writing into a connection we abandoned.
     stream.shutdown();
 }
@@ -762,18 +741,70 @@ fn connection_reader(
 /// than this bypasses the buffer.
 const INGEST_BUFFER: usize = 64 << 10;
 
-/// The socket under a connection's read buffer. The buffer only reads
-/// from it once every buffered byte has been parsed — every complete
-/// frame at hand is submitted by then — so each read first runs the
-/// ingest flush (see the module docs).
+/// The socket under a connection's read buffer, with the replies the
+/// reader owes. The buffer only reads from the socket once every buffered
+/// byte has been parsed — every complete frame at hand is submitted by
+/// then — so each read first settles the outbox (see the module docs).
 struct IngestSocket<'a> {
     stream: &'a mut Stream,
     server: &'a Server,
+    state: &'a ConnState,
+    /// Replies owed, in frame order.
+    outbox: Vec<Reply>,
+    /// The outbox's frames, encoded by a settle (kept for its capacity).
+    bytes: Vec<u8>,
+}
+
+impl IngestSocket<'_> {
+    /// Settles the outbox: runs the ingest flush, waits on each answer in
+    /// order with the output unlocked, then writes every reply under one
+    /// lock acquisition. The answers leave `in_flight` whether the write
+    /// reached the socket or failed, since a failed write loses the
+    /// connection.
+    fn settle(&mut self) -> std::io::Result<()> {
+        self.server.flush_pending();
+        if self.outbox.is_empty() {
+            return Ok(());
+        }
+        let (server, state, bytes) = (self.server, self.state, &mut self.bytes);
+        bytes.clear();
+        for reply in self.outbox.drain(..) {
+            let encoded = match reply {
+                Reply::HelloAck => {
+                    let clamp = |v: usize| u32::try_from(v).unwrap_or(u32::MAX);
+                    let snapshot = server.registry().snapshot();
+                    wire::write_hello_ack(
+                        bytes,
+                        FLAG_LIVENESS,
+                        clamp(server.dim()),
+                        clamp(snapshot.model().rows()),
+                        snapshot.id(),
+                    )
+                }
+                Reply::Answer { id, pending } => match pending.wait() {
+                    Ok(hits) => wire::write_response(bytes, id, &hits),
+                    Err(e) => wire::write_error(bytes, id, serve_error_code(&e), &e.to_string()),
+                },
+                Reply::Error { id, code, message } => wire::write_error(bytes, id, code, &message),
+                Reply::Ping { nonce } => wire::write_ping(bytes, nonce),
+                Reply::Pong { nonce } => wire::write_pong(bytes, nonce),
+                Reply::GoAway => {
+                    wire::write_goaway(bytes, state.last_accepted.load(Ordering::Acquire))
+                }
+            };
+            encoded.expect("encoding into a Vec cannot fail");
+        }
+        let written = state.out.lock().unwrap_or_else(PoisonError::into_inner).write_all(bytes);
+        state.in_flight.store(0, Ordering::Release);
+        written
+    }
 }
 
 impl Read for IngestSocket<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.server.flush_pending();
+        // A failed write ends the connection. As `Other`, the header
+        // reader takes it for a close, never for an idle timeout.
+        self.settle().map_err(std::io::Error::other)?;
         self.stream.read(buf)
     }
 }
@@ -863,39 +894,22 @@ impl<R: Read> Read for DeadlineRead<'_, R> {
     }
 }
 
-/// Sends on the bounded channel, blocking for backpressure. Returns
-/// `false` when the writer is gone (its socket died) — the reader then
-/// stops consuming frames.
-fn send_outgoing(tx: &Outbox, msg: Outgoing) -> bool {
-    tx.state.queued.fetch_add(1, Ordering::AcqRel);
-    let sent = tx.tx.send(msg).is_ok();
-    if !sent {
-        tx.state.queued.fetch_sub(1, Ordering::AcqRel);
-    }
-    sent
-}
-
-fn read_frames(shared: &Arc<WireShared>, stream: &mut Stream, tx: &Outbox, state: &Arc<ConnState>) {
-    let server = &shared.server;
-    let words_per_query = server.dim().div_ceil(64) as u32;
+fn read_frames(shared: &WireShared, stream: &mut Ingest<'_>, state: &ConnState) {
+    let words_per_query = shared.server.dim().div_ceil(64) as u32;
     let idle = shared.config.idle_timeout;
-    if stream.set_read_timeout(idle).is_err() {
-        return;
-    }
-    let mut stream = BufReader::with_capacity(INGEST_BUFFER, IngestSocket { stream, server });
-    let stream = &mut stream;
     let mut words: Vec<u64> = Vec::new();
     let mut pinged = false;
     let mut ping_nonce: u64 = 0;
+    let fatal = |stream: &mut Ingest<'_>, code: u16, message: String| {
+        stream.get_mut().outbox.push(Reply::Error { id: CONNECTION_ERROR_ID, code, message });
+    };
     loop {
-        // Announce a drain the moment the reader notices it (the drain
-        // loop also broadcasts through the registry sender, whichever
-        // side gets there first).
+        // Announce a drain the moment the reader notices it (drain also
+        // writes it, whichever side gets there first).
         if shared.draining.load(Ordering::Relaxed)
-            && !state.goaway_queued.swap(true, Ordering::Relaxed)
-            && !send_outgoing(tx, Outgoing::GoAway)
+            && !state.goaway_sent.swap(true, Ordering::Relaxed)
         {
-            return;
+            stream.get_mut().outbox.push(Reply::GoAway);
         }
         let header = match read_header_budgeted(stream, idle) {
             HeaderRead::Frame(header) => {
@@ -905,88 +919,45 @@ fn read_frames(shared: &Arc<WireShared>, stream: &mut Stream, tx: &Outbox, state
             HeaderRead::Idle => {
                 if pinged {
                     // The grace PING went unanswered: reap.
-                    let _ = send_outgoing(
-                        tx,
-                        Outgoing::Error {
-                            id: CONNECTION_ERROR_ID,
-                            code: code::IDLE_TIMEOUT,
-                            message: "connection idle past idle_timeout and unresponsive to PING"
-                                .into(),
-                            fatal: true,
-                        },
-                    );
-                    return;
+                    let message = "connection idle past idle_timeout and unresponsive to PING";
+                    return fatal(stream, code::IDLE_TIMEOUT, message.into());
                 }
                 ping_nonce += 1;
-                if !send_outgoing(tx, Outgoing::Ping { nonce: ping_nonce }) {
-                    return;
-                }
+                stream.get_mut().outbox.push(Reply::Ping { nonce: ping_nonce });
                 pinged = true;
                 continue;
             }
             HeaderRead::Stalled => {
                 // Slow-loris: bytes owed, none arriving. No PING can
                 // help; answer a typed reap notice and close.
-                let _ = send_outgoing(
-                    tx,
-                    Outgoing::Error {
-                        id: CONNECTION_ERROR_ID,
-                        code: code::IDLE_TIMEOUT,
-                        message: "frame stalled past the liveness budget".into(),
-                        fatal: true,
-                    },
-                );
-                return;
+                let message = "frame stalled past the liveness budget";
+                return fatal(stream, code::IDLE_TIMEOUT, message.into());
             }
             HeaderRead::Closed => return,
-            HeaderRead::BadMagic(what) => {
-                let _ = send_outgoing(
-                    tx,
-                    Outgoing::Error {
-                        id: CONNECTION_ERROR_ID,
-                        code: code::BAD_MAGIC,
-                        message: what,
-                        fatal: true,
-                    },
-                );
-                return;
-            }
+            HeaderRead::BadMagic(what) => return fatal(stream, code::BAD_MAGIC, what),
         };
         match header.frame_type {
-            FT_HELLO => {
-                if !send_outgoing(tx, Outgoing::HelloAck) {
-                    return;
-                }
-            }
+            FT_HELLO => stream.get_mut().outbox.push(Reply::HelloAck),
             FT_QUERY => {
-                if !handle_query_frame(
-                    shared,
-                    stream,
-                    tx,
-                    state,
-                    &header,
-                    words_per_query,
-                    &mut words,
-                ) {
+                if !handle_query_frame(shared, stream, state, &header, words_per_query, &mut words)
+                {
                     return;
                 }
             }
             FT_PING => {
                 if !header.is_payload_free() {
-                    if !reject_liveness_payload(shared, stream, tx, &header) {
+                    if !reject_liveness_payload(shared, stream, &header) {
                         return;
                     }
-                } else if !send_outgoing(tx, Outgoing::Pong { nonce: header.model_key }) {
-                    return;
+                } else {
+                    stream.get_mut().outbox.push(Reply::Pong { nonce: header.model_key });
                 }
             }
             FT_PONG | FT_GOAWAY => {
                 // A PONG answers our grace probe; a client GOAWAY is a
                 // polite leave notice. Either way the peer is alive and
                 // there is nothing to answer.
-                if !header.is_payload_free()
-                    && !reject_liveness_payload(shared, stream, tx, &header)
-                {
+                if !header.is_payload_free() && !reject_liveness_payload(shared, stream, &header) {
                     return;
                 }
             }
@@ -994,31 +965,17 @@ fn read_frames(shared: &Arc<WireShared>, stream: &mut Stream, tx: &Outbox, state
                 // Unknown but header-only: the stream is still
                 // synchronized, so reject recoverably (the
                 // forward-compatibility contract for future frames).
-                if !send_outgoing(
-                    tx,
-                    Outgoing::Error {
-                        id: CONNECTION_ERROR_ID,
-                        code: code::BAD_FRAME_TYPE,
-                        message: format!("unknown header-only frame type {other} (skipped)"),
-                        fatal: false,
-                    },
-                ) {
-                    return;
-                }
+                stream.get_mut().outbox.push(Reply::Error {
+                    id: CONNECTION_ERROR_ID,
+                    code: code::BAD_FRAME_TYPE,
+                    message: format!("unknown header-only frame type {other} (skipped)"),
+                });
             }
             other => {
                 // Unknown type declaring payload bytes: the stream
                 // position cannot be trusted. Fatal.
-                let _ = send_outgoing(
-                    tx,
-                    Outgoing::Error {
-                        id: CONNECTION_ERROR_ID,
-                        code: code::BAD_FRAME_TYPE,
-                        message: format!("unknown frame type {other} with declared payload"),
-                        fatal: true,
-                    },
-                );
-                return;
+                let message = format!("unknown frame type {other} with declared payload");
+                return fatal(stream, code::BAD_FRAME_TYPE, message);
             }
         }
     }
@@ -1028,83 +985,64 @@ fn read_frames(shared: &Arc<WireShared>, stream: &mut Stream, tx: &Outbox, state
 /// violates the header-only contract. If the declaration is within
 /// limits, consume it and reject recoverably; an oversized declaration
 /// is fatal exactly like a QUERY's. Returns `false` to close.
-fn reject_liveness_payload(
-    shared: &Arc<WireShared>,
-    stream: &mut Ingest<'_>,
-    tx: &Outbox,
-    header: &Header,
-) -> bool {
+fn reject_liveness_payload(shared: &WireShared, stream: &mut Ingest<'_>, header: &Header) -> bool {
     let payload_words = header.count as u64 * header.words_per_query as u64;
     if header.count > shared.config.max_frame_queries || header.words_per_query > (1 << 16) {
-        let _ = send_outgoing(
-            tx,
-            Outgoing::Error {
-                id: CONNECTION_ERROR_ID,
-                code: code::OVERSIZED_FRAME,
-                message: format!(
-                    "liveness frame type {} declares {} x {} payload words (must be header-only)",
-                    header.frame_type, header.count, header.words_per_query
-                ),
-                fatal: true,
-            },
-        );
+        stream.get_mut().outbox.push(Reply::Error {
+            id: CONNECTION_ERROR_ID,
+            code: code::OVERSIZED_FRAME,
+            message: format!(
+                "liveness frame type {} declares {} x {} payload words (must be header-only)",
+                header.frame_type, header.count, header.words_per_query
+            ),
+        });
         return false;
     }
     let idle = shared.config.idle_timeout;
     let mut bounded =
-        DeadlineRead { inner: stream, deadline: idle.map(|d| Instant::now() + d + d) };
+        DeadlineRead { inner: &mut *stream, deadline: idle.map(|d| Instant::now() + d + d) };
     if wire::drain(&mut bounded, payload_words * 8).is_err() {
         return false;
     }
-    send_outgoing(
-        tx,
-        Outgoing::Error {
-            id: CONNECTION_ERROR_ID,
-            code: code::MALFORMED,
-            message: format!(
-                "liveness frame type {} must be header-only (declared payload ignored)",
-                header.frame_type
-            ),
-            fatal: false,
-        },
-    )
+    stream.get_mut().outbox.push(Reply::Error {
+        id: CONNECTION_ERROR_ID,
+        code: code::MALFORMED,
+        message: format!(
+            "liveness frame type {} must be header-only (declared payload ignored)",
+            header.frame_type
+        ),
+    });
+    true
 }
 
 /// Handles one QUERY frame; returns `false` when the connection must
-/// close (fatal error or disconnect).
+/// close (fatal error, disconnect or a failed write).
 fn handle_query_frame(
-    shared: &Arc<WireShared>,
+    shared: &WireShared,
     stream: &mut Ingest<'_>,
-    tx: &Outbox,
-    state: &Arc<ConnState>,
+    state: &ConnState,
     header: &Header,
     words_per_query: u32,
     words: &mut Vec<u64>,
 ) -> bool {
     let server = &shared.server;
     let payload_words = header.count as u64 * header.words_per_query as u64;
-    let recoverable =
-        |id: u64, code: u16, message: String| Outgoing::Error { id, code, message, fatal: false };
     // Declared-size sanity first: everything past this point may trust
     // `count` and `words_per_query` enough to drain the payload.
     if header.count > shared.config.max_frame_queries
         || header.words_per_query > words_per_query.max(1 << 16)
     {
-        let _ = send_outgoing(
-            tx,
-            Outgoing::Error {
-                id: CONNECTION_ERROR_ID,
-                code: code::OVERSIZED_FRAME,
-                message: format!(
-                    "frame declares {} queries x {} words (limits: {} queries, {} words)",
-                    header.count,
-                    header.words_per_query,
-                    shared.config.max_frame_queries,
-                    words_per_query
-                ),
-                fatal: true,
-            },
-        );
+        stream.get_mut().outbox.push(Reply::Error {
+            id: CONNECTION_ERROR_ID,
+            code: code::OVERSIZED_FRAME,
+            message: format!(
+                "frame declares {} queries x {} words (limits: {} queries, {} words)",
+                header.count,
+                header.words_per_query,
+                shared.config.max_frame_queries,
+                words_per_query
+            ),
+        });
         return false;
     }
     // Every payload byte from here on is read under the liveness budget:
@@ -1112,44 +1050,23 @@ fn handle_query_frame(
     // bounds a dribbling peer's total hold on this frame.
     let frame_deadline = shared.config.idle_timeout.map(|d| Instant::now() + d + d);
     let mut stream = DeadlineRead { inner: stream, deadline: frame_deadline };
-    // Recoverable rejections: consume the declared payload so the next
-    // frame parses, answer with a typed error frame, keep going. A
-    // truncated payload (peer died mid-frame) exits silently.
-    let reject = |stream: &mut DeadlineRead<'_, Ingest<'_>>, code: u16, message: String| -> bool {
-        let first_id = match wire::read_u64(stream) {
-            Ok(id) => id,
-            Err(_) => return false,
-        };
-        if wire::drain(stream, payload_words * 8).is_err() {
-            return false;
-        }
-        send_outgoing(tx, recoverable(first_id, code, message))
-    };
-    // A draining front-end accepts no further queries: consume the frame
-    // and answer with GOAWAY again — the last-accepted id tells the
-    // client exactly where the cut happened.
-    if shared.draining.load(Ordering::Relaxed) {
-        if wire::read_u64(&mut stream).is_err()
-            || wire::drain(&mut stream, payload_words * 8).is_err()
-        {
-            return false;
-        }
-        state.goaway_queued.store(true, Ordering::Relaxed);
-        return send_outgoing(tx, Outgoing::GoAway);
-    }
-    if header.model_key != 0 {
-        return reject(
-            &mut stream,
-            code::UNKNOWN_MODEL_KEY,
-            format!("model key {} unknown (this server serves key 0)", header.model_key),
-        );
-    }
-    if header.count == 0 {
-        return reject(&mut stream, code::MALFORMED, "QUERY frame declares zero queries".into());
-    }
-    if header.words_per_query != words_per_query {
-        return reject(
-            &mut stream,
+    // A truncated frame (peer died mid-frame) exits silently.
+    let Ok(first_id) = wire::read_u64(&mut stream) else { return false };
+    let error = |code: u16, message: String| Reply::Error { id: first_id, code, message };
+    // Recoverable rejections consume the declared payload so the next
+    // frame parses, answer with a typed reply, and keep going. A
+    // draining front-end accepts no further queries: it answers GOAWAY
+    // again, whose last-accepted id tells the client where the cut was.
+    let rejection = if shared.draining.load(Ordering::Relaxed) {
+        state.goaway_sent.store(true, Ordering::Relaxed);
+        Some(Reply::GoAway)
+    } else if header.model_key != 0 {
+        let message = format!("model key {} unknown (this server serves key 0)", header.model_key);
+        Some(error(code::UNKNOWN_MODEL_KEY, message))
+    } else if header.count == 0 {
+        Some(error(code::MALFORMED, "QUERY frame declares zero queries".into()))
+    } else if header.words_per_query != words_per_query {
+        Some(error(
             code::DIMENSION_MISMATCH,
             format!(
                 "frame packs {} words per query; D = {} needs {}",
@@ -1157,205 +1074,52 @@ fn handle_query_frame(
                 server.dim(),
                 words_per_query
             ),
-        );
-    }
-    if header.k == 0 {
-        return reject(&mut stream, code::BAD_K, "k must be at least 1".into());
-    }
-    let first_id = match wire::read_u64(&mut stream) {
-        Ok(id) => id,
-        Err(_) => return false,
+        ))
+    } else if header.k == 0 {
+        Some(error(code::BAD_K, "k must be at least 1".into()))
+    } else if first_id.checked_add(u64::from(header.count)).is_none() {
+        // The last id would overflow or be u64::MAX, which is reserved
+        // for connection-level errors and GOAWAY_NONE.
+        let message = format!("query ids {first_id} + {} run past u64::MAX - 1", header.count);
+        Some(error(code::MALFORMED, message))
+    } else {
+        None
     };
+    if let Some(reply) = rejection {
+        if wire::drain(&mut stream, payload_words * 8).is_err() {
+            return false;
+        }
+        stream.inner.get_mut().outbox.push(reply);
+        return true;
+    }
     if wire::read_words(&mut stream, payload_words as usize, words).is_err() {
         // Mid-frame disconnect: nothing was submitted for this frame;
-        // earlier frames' answers still drain through the writer.
+        // earlier frames' answers still go out at the exit settle.
         return false;
     }
+    let socket = stream.inner.get_mut();
     match server.submit_packed(words, header.k as usize) {
         Ok(pendings) => {
-            state.last_accepted.store(first_id + header.count as u64 - 1, Ordering::Release);
-            // Count before answering or queueing so drain never observes
-            // a window where an accepted answer is neither counted nor
-            // written.
             let count = pendings.len() as u64;
-            state.in_flight.fetch_add(count, Ordering::AcqRel);
-            let pendings = if stream.inner.buffer().is_empty() {
-                match answer_inline(server, state, first_id, pendings) {
-                    Ok(written) => return written,
-                    Err(pendings) => pendings,
-                }
-            } else {
-                pendings
-            };
-            for (i, pending) in pendings.into_iter().enumerate() {
-                if !send_outgoing(tx, Outgoing::Answer { id: first_id + i as u64, pending }) {
-                    // The writer is gone: release what it will never see.
-                    state.in_flight.fetch_sub(count - i as u64, Ordering::AcqRel);
-                    return false;
-                }
+            state.last_accepted.store(first_id + count - 1, Ordering::Release);
+            // Counted before the settle so drain never observes a window
+            // where an accepted answer is neither counted nor written.
+            let unanswered = state.in_flight.fetch_add(count, Ordering::AcqRel) + count;
+            for (pending, id) in pendings.into_iter().zip(first_id..) {
+                socket.outbox.push(Reply::Answer { id, pending });
             }
-            true
+            // At the bound, answer before reading on.
+            unanswered < shared.config.conn_in_flight as u64 || socket.settle().is_ok()
         }
         Err(e @ ServeError::Shutdown) => {
-            let _ = send_outgoing(
-                tx,
-                Outgoing::Error {
-                    id: first_id,
-                    code: code::SHUTDOWN,
-                    message: e.to_string(),
-                    fatal: true,
-                },
-            );
+            let message = e.to_string();
+            socket.outbox.push(Reply::Error { id: first_id, code: code::SHUTDOWN, message });
             false
         }
-        Err(e) => send_outgoing(tx, recoverable(first_id, serve_error_code(&e), e.to_string())),
-    }
-}
-
-/// Answers the last frame at hand on the reader thread (see the module
-/// docs' *inline answers*): runs the ingest flush now and writes the
-/// answers straight into the connection's output, with no hand-off to
-/// the writer thread. Hands the pendings back untouched while the writer
-/// still has queued messages to write, since the answers must not
-/// overtake them; otherwise returns whether the answers reached the
-/// socket.
-fn answer_inline(
-    server: &Server,
-    state: &ConnState,
-    first_id: u64,
-    pendings: Vec<PendingTopK>,
-) -> Result<bool, Vec<PendingTopK>> {
-    let mut out = state.out();
-    if state.queued.load(Ordering::Acquire) != 0 {
-        return Err(pendings);
-    }
-    // Waiting under the lock cannot deadlock: the flush needs nothing
-    // the writer holds, and the writer takes the lock only to write.
-    server.flush_pending();
-    let count = pendings.len() as u64;
-    let mut io = Ok(());
-    for (i, pending) in pendings.into_iter().enumerate() {
-        let id = first_id + i as u64;
-        io = io.and_then(|()| match pending.wait() {
-            Ok(hits) => wire::write_response(&mut *out, id, &hits),
-            Err(e) => wire::write_error(&mut *out, id, serve_error_code(&e), &e.to_string()),
-        });
-    }
-    let io = io.and_then(|()| out.flush());
-    state.in_flight.fetch_sub(count, Ordering::AcqRel);
-    Ok(io.is_ok())
-}
-
-/// Per-connection writer loop: redeems pendings in FIFO order and
-/// streams frames back. The output is flushed whenever the queue goes
-/// momentarily empty, so each micro-batch flush leaves as one syscall
-/// burst without waiting for the connection to go idle.
-///
-/// The connection's `in_flight` gauge (what [`WireServer::drain`] waits
-/// on) is decremented only after the answers actually reach the socket —
-/// a flush, not just a buffered write — so drain can never close a
-/// socket under answers still sitting in the `BufWriter`.
-fn connection_writer(shared: &Arc<WireShared>, rx: &Receiver<Outgoing>, state: &Arc<ConnState>) {
-    // Answers written into the BufWriter but not yet flushed to the
-    // socket; settled against `state.in_flight` at each flush.
-    let mut unflushed: u64 = 0;
-    let settle = |state: &ConnState, unflushed: &mut u64| {
-        if *unflushed > 0 {
-            state.in_flight.fetch_sub(*unflushed, Ordering::AcqRel);
-            *unflushed = 0;
+        Err(e) => {
+            socket.outbox.push(error(serve_error_code(&e), e.to_string()));
+            true
         }
-    };
-    // On any terminal path, release the gauge for everything queued but
-    // never written, so drain is not held hostage by a dead peer.
-    let abandon = |state: &ConnState, unflushed: u64, rx: &Receiver<Outgoing>| {
-        let mut orphaned = unflushed;
-        for msg in rx.iter() {
-            if let Outgoing::Answer { .. } = msg {
-                orphaned += 1;
-            }
-        }
-        if orphaned > 0 {
-            state.in_flight.fetch_sub(orphaned, Ordering::AcqRel);
-        }
-    };
-    loop {
-        let msg = match rx.try_recv() {
-            Ok(msg) => msg,
-            Err(mpsc::TryRecvError::Empty) => {
-                if state.out().flush().is_err() {
-                    abandon(state, unflushed, rx);
-                    return;
-                }
-                settle(state, &mut unflushed);
-                match rx.recv() {
-                    Ok(msg) => msg,
-                    Err(_) => break, // reader closed the channel
-                }
-            }
-            Err(mpsc::TryRecvError::Disconnected) => break,
-        };
-        let io = match msg {
-            Outgoing::HelloAck => {
-                let server = &shared.server;
-                let clamp = |v: usize| u32::try_from(v).unwrap_or(u32::MAX);
-                let snapshot = server.registry().snapshot();
-                wire::write_hello_ack(
-                    &mut *state.out(),
-                    FLAG_LIVENESS,
-                    clamp(server.dim()),
-                    clamp(snapshot.model().rows()),
-                    snapshot.id(),
-                )
-            }
-            Outgoing::Answer { id, pending } => {
-                // Awaited before the output is locked: the lock is never
-                // held across a wait on someone else's flush.
-                let answer = pending.wait();
-                let mut out = state.out();
-                let res = match answer {
-                    Ok(hits) => wire::write_response(&mut *out, id, &hits),
-                    Err(e) => {
-                        wire::write_error(&mut *out, id, serve_error_code(&e), &e.to_string())
-                    }
-                };
-                if res.is_ok() {
-                    unflushed += 1;
-                }
-                res
-            }
-            Outgoing::Ping { nonce } => wire::write_ping(&mut *state.out(), nonce),
-            Outgoing::Pong { nonce } => wire::write_pong(&mut *state.out(), nonce),
-            Outgoing::GoAway => {
-                wire::write_goaway(&mut *state.out(), state.last_accepted.load(Ordering::Acquire))
-            }
-            Outgoing::Error { id, code, message, fatal } => {
-                let mut out = state.out();
-                let res = wire::write_error(&mut *out, id, code, &message);
-                if fatal {
-                    if res.and_then(|()| out.flush()).is_ok() {
-                        settle(state, &mut unflushed);
-                    }
-                    drop(out);
-                    abandon(state, unflushed, rx);
-                    return;
-                }
-                res
-            }
-        };
-        // Written (or failed): the reader may answer inline behind it.
-        state.queued.fetch_sub(1, Ordering::AcqRel);
-        if io.is_err() {
-            // The peer stopped reading; drain remaining messages without
-            // writing so blocked reader sends unblock, then exit. The
-            // queries themselves are still answered server-side.
-            abandon(state, unflushed, rx);
-            return;
-        }
-    }
-    if state.out().flush().is_ok() {
-        settle(state, &mut unflushed);
-    } else if unflushed > 0 {
-        state.in_flight.fetch_sub(unflushed, Ordering::AcqRel);
     }
 }
 

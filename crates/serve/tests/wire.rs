@@ -2,10 +2,11 @@
 //! socket must be bit-identical to in-process submission (including
 //! under forced shard degradation and however the frames are split
 //! across socket reads), a lone frame must be answered by the reader's
-//! ingest flush rather than the deadline, an answer the reader writes
-//! itself must not overtake replies queued before it, malformed frames
-//! must answer typed error frames without losing any in-flight query,
-//! and overload must shed whole frames with a typed error.
+//! ingest flush rather than the deadline, replies must leave in frame
+//! order, a connection at its in-flight bound must answer rather than
+//! stall, malformed frames must answer typed error frames without losing
+//! any in-flight query, overload must shed whole frames with a typed
+//! error, and drain must keep its deadline.
 
 use hd_linalg::rng::seeded;
 use hd_linalg::{BitVector, QueryBatch, SearchMemory};
@@ -70,8 +71,8 @@ fn wire_fixture_with(
 
 /// Shuts a server down when dropped. Bound after the front-end on
 /// fixtures whose deadline is out of reach, so that a failing assertion
-/// drains the queue first: the front-end's shutdown then joins writers
-/// that would otherwise wait on that far-off deadline.
+/// answers every query still pending first: the front-end's shutdown
+/// then joins readers that can no longer wait on that far-off deadline.
 struct DrainOnDrop(Arc<Server>);
 
 impl Drop for DrainOnDrop {
@@ -226,6 +227,8 @@ fn assert_eof(stream: &mut TcpStream) {
 fn recoverable_bad_frames_answer_typed_errors_and_keep_the_connection() {
     let (_sharded, server, wire, addr) = wire_fixture(431);
     let mut stream = raw_connect(addr);
+    // Fail rather than hang if a frame goes unanswered.
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let wpq = (DIM / 64) as u32;
     let query = random_queries(1, 432).pop().unwrap();
 
@@ -269,6 +272,15 @@ fn recoverable_bad_frames_answer_typed_errors_and_keep_the_connection() {
     stream.write_all(&Header::new(99).encode()).unwrap();
     let err = read_error_frame(&mut stream);
     assert_eq!((err.id, err.code), (CONNECTION_ERROR_ID, code::BAD_FRAME_TYPE));
+
+    // Query ids past u64::MAX - 1: with 2 queries the last id would be
+    // the reserved u64::MAX, with 3 it would overflow.
+    for count in [2, 3] {
+        let words: Vec<u64> = (0..count).flat_map(|_| query.as_words().to_vec()).collect();
+        wire::write_query(&mut stream, 1, u64::MAX - 1, wpq, &words).unwrap();
+        let err = read_error_frame(&mut stream);
+        assert_eq!((err.id, err.code), (u64::MAX - 1, code::MALFORMED), "{count} queries");
+    }
 
     // After all of that, a good frame still answers on this connection.
     wire::write_query(&mut stream, 1, 50, wpq, query.as_words()).unwrap();
@@ -596,10 +608,10 @@ fn a_frame_behind_its_readers_ingest_flush_waits_instead_of_being_shed() {
     server.shutdown();
 }
 
-/// The reader answers the last QUERY frame at hand itself when its
-/// writer has nothing queued; replies queued before it (a PONG, an
-/// earlier frame's answer) must still leave first. Many rounds, so the
-/// writer is caught both idle and still busy.
+/// The reader writes every reply itself, at its settle points; replies
+/// owed before an answer (a PONG, an earlier frame's answer) must still
+/// leave first, whether or not they share a settle with it. Many rounds,
+/// so the frames of one burst are read both together and apart.
 #[test]
 fn inline_answers_keep_frame_order_behind_queued_replies() {
     let (sharded, server, wire, addr) = wire_fixture_with(481, Duration::from_secs(600));
@@ -631,6 +643,48 @@ fn inline_answers_keep_frame_order_behind_queued_replies() {
     }
     let stats = server.stats();
     assert_eq!((stats.queries, stats.deadline_flushes), (300, 0));
+    drop(stream);
+    wire.shutdown();
+    server.shutdown();
+}
+
+/// A reader holding `conn_in_flight` unanswered queries answers them
+/// before it reads on: each frame at the bound gets its own ingest
+/// flush, and nothing waits for the deadline.
+#[test]
+fn a_connection_at_its_in_flight_bound_answers_instead_of_stalling() {
+    let sharded = sharded_fixture(483);
+    let server = Arc::new(
+        Server::start(
+            Arc::clone(&sharded) as Arc<dyn Searchable>,
+            ServeConfig {
+                max_batch: 64,
+                max_delay: Duration::from_secs(600),
+                ..Default::default()
+            },
+        )
+        .unwrap(),
+    );
+    let config = WireConfig { conn_in_flight: 4, ..Default::default() };
+    let wire = WireServer::start(Arc::clone(&server), config).unwrap();
+    let _drain = DrainOnDrop(Arc::clone(&server));
+    let addr = wire.listen_tcp("127.0.0.1:0").unwrap();
+    let wpq = (DIM / 64) as u32;
+    let queries = random_queries(12, 484);
+    let mut stream = raw_connect(addr);
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    // Three 4-query frames in one write.
+    let mut burst = Vec::new();
+    for (i, frame) in queries.chunks(4).enumerate() {
+        let words: Vec<u64> = frame.iter().flat_map(|q| q.as_words().to_vec()).collect();
+        wire::write_query(&mut burst, 1, 4 * i as u64, wpq, &words).unwrap();
+    }
+    stream.write_all(&burst).unwrap();
+    for (id, want) in direct(&sharded, &queries, 1).into_iter().enumerate() {
+        assert_eq!(read_response_frame(&mut stream), (id as u64, want));
+    }
+    let stats = server.stats();
+    assert_eq!((stats.ingest_flushes, stats.deadline_flushes), (3, 0));
     drop(stream);
     wire.shutdown();
     server.shutdown();
@@ -878,6 +932,34 @@ fn drain_flushes_in_flight_answers_then_says_goaway() {
 
     // Idempotent: draining an already-drained front-end is a no-op true.
     assert!(wire.drain(Duration::from_millis(1)));
+    server.shutdown();
+}
+
+#[test]
+fn drain_keeps_its_deadline_when_a_peer_stops_reading() {
+    let (_sharded, server, wire, addr) = wire_fixture(531);
+    let wire = Arc::new(wire);
+    let wpq = (DIM / 64) as u32;
+    let queries = random_queries(64, 532);
+    let words: Vec<u64> = queries.iter().flat_map(|q| q.as_words().to_vec()).collect();
+    let mut stream = raw_connect(addr);
+    // Pipeline full-slate frames without reading a single answer, until
+    // the answers fill the socket buffers, the reader blocks writing
+    // them, and stops reading in turn.
+    stream.set_write_timeout(Some(Duration::from_millis(500))).unwrap();
+    let mut first_id = 0;
+    while wire::write_query(&mut stream, ROWS as u16, first_id, wpq, &words).is_ok() {
+        first_id += queries.len() as u64;
+    }
+    let (done, drained) = mpsc::channel();
+    let drainer = {
+        let wire = Arc::clone(&wire);
+        std::thread::spawn(move || done.send(wire.drain(Duration::from_millis(200))).unwrap())
+    };
+    let flushed = drained.recv_timeout(Duration::from_secs(10)).expect("drain kept its deadline");
+    assert!(!flushed, "answers the peer never read were not flushed");
+    drainer.join().unwrap();
+    assert_eq!(wire.connections(), 0);
     server.shutdown();
 }
 
