@@ -1,10 +1,13 @@
 //! Encoding-module throughput: random projection (MVM, the MEMHD/BasicHDC
 //! path) vs ID-Level binding (the SearcHD/QuantHD/LeHDC path), across the
-//! dimensionalities the paper evaluates.
+//! dimensionalities the paper evaluates, plus a whole training set
+//! through `encode_dataset` (what `MemhdModel::fit` pays before it
+//! clusters).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use hd_datasets::synthetic::SyntheticSpec;
 use hd_linalg::rng::seeded;
-use hdc::{Encoder, IdLevelEncoder, RandomProjectionEncoder};
+use hdc::{encode_dataset, Encoder, IdLevelEncoder, RandomProjectionEncoder};
 use rand::Rng;
 
 fn feature_vector(f: usize, seed: u64) -> Vec<f32> {
@@ -44,5 +47,18 @@ fn bench_id_level(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_projection, bench_id_level);
+/// The fmnist-like training set (2,000 rows of 784 features, many of
+/// them exact zeros) into the flagship D = 128.
+fn bench_dataset(c: &mut Criterion) {
+    let ds = SyntheticSpec::fmnist_like(200, 1).generate(0x004d_454d_4844).expect("valid preset");
+    let enc = RandomProjectionEncoder::new(ds.train_features.cols(), 128, 7);
+    let mut group = c.benchmark_group("encode");
+    group.throughput(Throughput::Elements(ds.train_features.rows() as u64));
+    group.bench_function("dataset_fmnist_2000", |b| {
+        b.iter(|| encode_dataset(&enc, &ds.train_features).expect("encode"))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_projection, bench_id_level, bench_dataset);
 criterion_main!(benches);

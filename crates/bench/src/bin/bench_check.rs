@@ -24,8 +24,9 @@
 //! `--current <path>` (a `CRITERION_JSON` lines file), `--run` (invoke
 //! `cargo bench` itself; repeat `--bench <name>` to override which
 //! benches, default `associative_search` + `serve_throughput` +
-//! `wire_throughput` + `topk_search` + `fault_tolerance` — the last records deterministic
-//! accuracy percentages, not times, so its ratios are always 1.00x),
+//! `wire_throughput` + `topk_search` + `fault_tolerance` + `encoding` —
+//! `fault_tolerance` records deterministic accuracy percentages, not
+//! times, so its ratios are always 1.00x),
 //! `--smoke` (CI mode: like `--run` but only id presence is checked),
 //! `--threshold <pct>` (default 10). Numbers are only comparable
 //! like-for-like: same machine class and same kernel backend
@@ -186,6 +187,7 @@ fn main() -> ExitCode {
             "wire_throughput".to_string(),
             "topk_search".to_string(),
             "fault_tolerance".to_string(),
+            "encoding".to_string(),
         ];
     }
 

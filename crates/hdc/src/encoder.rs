@@ -40,19 +40,29 @@ pub trait Encoder: Send + Sync {
     /// `features.len() != input_width()`.
     fn encode(&self, features: &[f32]) -> Result<Vec<f32>>;
 
-    /// Encodes a feature vector into a binary hypervector.
+    /// Binarizes a floating-point hypervector produced by [`encode`].
     ///
-    /// The default implementation binarizes the floating-point hypervector
-    /// at its own mean — the same 1-bit quantization rule MEMHD applies to
-    /// its associative memory (§III-B), keeping the query and memory
-    /// distributions matched.
+    /// The default thresholds it at its own mean — the same 1-bit
+    /// quantization rule MEMHD applies to its associative memory (§III-B),
+    /// keeping the query and memory distributions matched.
+    ///
+    /// [`encode`]: Encoder::encode
+    fn binarize(&self, fp: &[f32]) -> BitVector {
+        BitVector::from_mean_threshold(fp)
+    }
+
+    /// Encodes a feature vector into a binary hypervector: [`encode`],
+    /// then [`binarize`].
     ///
     /// # Errors
     ///
     /// Returns [`HdcError::FeatureWidthMismatch`] if
     /// `features.len() != input_width()`.
+    ///
+    /// [`encode`]: Encoder::encode
+    /// [`binarize`]: Encoder::binarize
     fn encode_binary(&self, features: &[f32]) -> Result<BitVector> {
-        Ok(BitVector::from_mean_threshold(&self.encode(features)?))
+        Ok(self.binarize(&self.encode(features)?))
     }
 
     /// Encodes every row of `features` into binary hypervectors, packed as
@@ -60,9 +70,9 @@ pub trait Encoder: Send + Sync {
     /// preferred inference-path entry point.
     ///
     /// The default implementation encodes rows in parallel across the
-    /// machine's cores (same strategy as [`encode_dataset`] — encoding is
-    /// the dominant cost of batched inference) and packs once at the end;
-    /// implementations with a cheaper bulk path may override it.
+    /// machine's cores (same strategy as [`encode_dataset`]) and packs
+    /// once at the end; implementations with a cheaper bulk path may
+    /// override it.
     ///
     /// # Errors
     ///
@@ -114,9 +124,12 @@ pub trait Encoder: Send + Sync {
 
 /// Binary random-projection encoder: `H = Mᵀ F` (Eq. 1).
 ///
-/// The projection matrix is stored transposed and bit-packed (`D` rows of
-/// `f` bits), so one encoding is `D` selective sums over the feature
-/// vector.
+/// The projection matrix `M` is held once, feature-major and bit-packed:
+/// `f` rows of `D` bits, row `i` naming the outputs feature `i` feeds.
+/// An encoding runs [`BitMatrix::matvec_t_f32`] over it: for each feature
+/// in ascending order, one masked add of `x_i` into every selected output.
+/// Each output performs the same f32 additions in the same order as a
+/// per-output selective sum, so the result is bit-identical to it.
 ///
 /// # Example
 ///
@@ -130,8 +143,9 @@ pub trait Encoder: Send + Sync {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RandomProjectionEncoder {
-    /// Transposed projection: row `j` holds column `j` of `M` (`f` bits).
-    projection_t: BitMatrix,
+    /// The projection `M`, feature-major: row `i` holds the `D` bits of
+    /// feature `i`.
+    projection: BitMatrix,
     input_width: usize,
     dim: usize,
 }
@@ -147,40 +161,41 @@ impl RandomProjectionEncoder {
         assert!(input_width > 0, "input_width must be positive");
         assert!(dim > 0, "dim must be positive");
         let mut rng = seeded(derive_seed(seed, 0x70726f6a)); // "proj"
-        let mut projection_t = BitMatrix::zeros(dim, input_width);
+        let mut projection = BitMatrix::zeros(input_width, dim);
+        // Bits are drawn output by output, each output's features in
+        // order, so a seed names the same projection in either layout.
         for j in 0..dim {
             for i in 0..input_width {
                 if rng.gen::<bool>() {
-                    projection_t.set(j, i, true);
+                    projection.set(i, j, true);
                 }
             }
         }
-        RandomProjectionEncoder { projection_t, input_width, dim }
+        RandomProjectionEncoder { projection, input_width, dim }
     }
 
-    /// Borrows the transposed binary projection matrix (`D × f`), as mapped
-    /// into the IMC encoding-module arrays.
-    pub fn projection_t(&self) -> &BitMatrix {
-        &self.projection_t
+    /// Borrows the binary projection matrix `M`, feature-major (`f × D`).
+    pub fn projection(&self) -> &BitMatrix {
+        &self.projection
     }
 
-    /// Reconstructs an encoder from an explicit transposed projection
-    /// matrix (`D` rows of `f` bits) — the inverse of
-    /// [`RandomProjectionEncoder::projection_t`], for deserialization.
+    /// Reconstructs an encoder from an explicit feature-major projection
+    /// matrix (`f` rows of `D` bits) — the inverse of
+    /// [`RandomProjectionEncoder::projection`], for deserialization.
     ///
     /// # Errors
     ///
     /// Returns [`HdcError::InvalidParameter`] if the matrix has zero rows
     /// or columns.
-    pub fn from_projection_t(projection_t: BitMatrix) -> Result<Self> {
-        let (dim, input_width) = projection_t.shape();
+    pub fn from_projection(projection: BitMatrix) -> Result<Self> {
+        let (input_width, dim) = projection.shape();
         if dim == 0 || input_width == 0 {
             return Err(HdcError::InvalidParameter {
-                name: "projection_t",
-                reason: format!("projection shape {dim}x{input_width} has a zero dimension"),
+                name: "projection",
+                reason: format!("projection shape {input_width}x{dim} has a zero dimension"),
             });
         }
-        Ok(RandomProjectionEncoder { projection_t, input_width, dim })
+        Ok(RandomProjectionEncoder { projection, input_width, dim })
     }
 }
 
@@ -200,7 +215,7 @@ impl Encoder for RandomProjectionEncoder {
                 found: features.len(),
             });
         }
-        Ok(self.projection_t.matvec_f32(features))
+        Ok(self.projection.matvec_t_f32(features))
     }
 
     fn memory_bits(&self) -> u64 {
@@ -319,10 +334,10 @@ impl Encoder for IdLevelEncoder {
         Ok(acc)
     }
 
-    fn encode_binary(&self, features: &[f32]) -> Result<BitVector> {
+    fn binarize(&self, fp: &[f32]) -> BitVector {
         // Bundled sums are symmetric around zero, so the majority rule
         // (threshold at 0) is the natural binarization here.
-        Ok(BitVector::from_threshold(&self.encode(features)?, 0.0))
+        BitVector::from_threshold(fp, 0.0)
     }
 
     fn memory_bits(&self) -> u64 {
@@ -410,7 +425,7 @@ pub fn encode_dataset<E: Encoder + ?Sized>(
                         .iter()
                         .map(|r| {
                             let fp = encoder.encode(r)?;
-                            let bin = encoder.encode_binary(r)?;
+                            let bin = encoder.binarize(&fp);
                             Ok((fp, bin))
                         })
                         .collect::<Result<Vec<_>>>()
@@ -459,8 +474,7 @@ mod tests {
         let x = [1.0, 2.0, 4.0, 8.0];
         let h = enc.encode(&x).unwrap();
         for (j, &hj) in h.iter().enumerate() {
-            let expected: f32 =
-                (0..4).filter(|&i| enc.projection_t().get(j, i)).map(|i| x[i]).sum();
+            let expected: f32 = (0..4).filter(|&i| enc.projection().get(i, j)).map(|i| x[i]).sum();
             assert_eq!(hj, expected);
         }
     }
@@ -528,19 +542,39 @@ mod tests {
         assert_eq!(i.memory_bits(), (784 + 256) * 1024);
     }
 
-    #[test]
-    fn encode_dataset_parallel_matches_serial() {
-        let enc = RandomProjectionEncoder::new(6, 128, 9);
+    /// `encode_dataset` encodes each row once and binarizes that
+    /// encoding; its rows equal per-row `encode` (to the bit) and
+    /// `encode_binary` for both encoders and their binarization rules.
+    fn assert_dataset_matches_rowwise(enc: &dyn Encoder) {
+        let f = enc.input_width();
         let rows: Vec<Vec<f32>> =
-            (0..37).map(|i| (0..6).map(|j| ((i * 7 + j) % 10) as f32 / 10.0).collect()).collect();
+            (0..37).map(|i| (0..f).map(|j| ((i * 7 + j) % 10) as f32 / 10.0).collect()).collect();
         let m = Matrix::from_rows(&rows).unwrap();
-        let ds = encode_dataset(&enc, &m).unwrap();
+        let ds = encode_dataset(enc, &m).unwrap();
         assert_eq!(ds.len(), 37);
-        assert_eq!(ds.dim(), 128);
+        assert_eq!(ds.dim(), enc.dim());
         for (i, row) in rows.iter().enumerate() {
-            assert_eq!(ds.fp.row(i), enc.encode(row).unwrap().as_slice());
-            assert_eq!(ds.bin[i], enc.encode_binary(row).unwrap());
+            let fp = enc.encode(row).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(ds.fp.row(i)), bits(&fp), "row {i}");
+            assert_eq!(ds.bin[i], enc.encode_binary(row).unwrap(), "row {i}");
+            assert_eq!(ds.bin[i], enc.binarize(&fp), "row {i}");
         }
+    }
+
+    #[test]
+    fn encode_dataset_matches_rowwise_projection() {
+        assert_dataset_matches_rowwise(&RandomProjectionEncoder::new(70, 130, 9));
+    }
+
+    #[test]
+    fn encode_dataset_matches_rowwise_id_level() {
+        let enc = IdLevelEncoder::new(6, 130, 16, 9);
+        assert_dataset_matches_rowwise(&enc);
+        // ID-level binarizes at 0, not at the mean.
+        let fp = [-2.0, 3.0, 0.5, 2.0];
+        assert_eq!(enc.binarize(&fp), BitVector::from_bools(&[false, true, true, true]));
+        assert_ne!(enc.binarize(&fp), BitVector::from_mean_threshold(&fp));
     }
 
     #[test]

@@ -192,7 +192,7 @@ impl BitVector {
     /// Selective sum: `Σ values[i]` over set bits `i`.
     ///
     /// Equivalent to the dot product of this binary vector with a real
-    /// vector — the kernel of binary random-projection encoding.
+    /// vector — one output of a binary random projection.
     ///
     /// # Panics
     ///
@@ -728,7 +728,9 @@ impl BitMatrix {
     }
 
     /// Dot product of every row with a real-valued input — a binary-weight
-    /// MVM (`y = B·x`), the kernel of binary random-projection encoding.
+    /// MVM (`y = B·x`): a set-bit walk into one serial f32 sum per row.
+    /// It is the reference [`BitMatrix::matvec_t_f32`] (the projection
+    /// encoder's kernel) is tested against.
     ///
     /// # Panics
     ///
@@ -750,6 +752,36 @@ impl BitMatrix {
                 acc
             })
             .collect()
+    }
+
+    /// Dot product of every column with a real-valued input — the
+    /// transposed binary-weight MVM (`y = Bᵀ·x`), on the active kernel
+    /// backend. Output `c` sums `x[r]` over the rows `r` whose bit `c` is
+    /// set, in ascending `r`, from `+0.0`: the same f32 additions in the
+    /// same order as [`BitMatrix::matvec_f32`] on the transpose, so the
+    /// two are bit-identical. Every backend adds `x[r]` into a run of
+    /// outputs at once: a masked add straight from row `r`'s words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != rows`.
+    pub fn matvec_t_f32(&self, x: &[f32]) -> Vec<f32> {
+        crate::kernel::matvec_t_f32_with(crate::kernel::active(), self, x)
+    }
+
+    /// The transpose: bit `(c, r)` of the result is bit `(r, c)` of `self`.
+    pub fn transpose(&self) -> BitMatrix {
+        let mut t = BitMatrix::zeros(self.cols, self.rows);
+        for r in 0..self.rows {
+            for (wi, &word) in self.row_words(r).iter().enumerate() {
+                let mut w = word;
+                while w != 0 {
+                    t.set(wi * WORD_BITS + w.trailing_zeros() as usize, r, true);
+                    w &= w - 1;
+                }
+            }
+        }
+        t
     }
 
     /// Total number of set bits in the matrix.
@@ -1070,6 +1102,23 @@ mod tests {
         let m = BitMatrix::from_rows(&rows).unwrap();
         let x = [0.5f32, 1.5, 2.5, 3.5];
         assert_eq!(m.matvec_f32(&x), vec![6.5, 3.5]);
+        assert_eq!(m.transpose().matvec_t_f32(&x), vec![6.5, 3.5]);
+    }
+
+    #[test]
+    fn transpose_swaps_indices() {
+        let mut m = BitMatrix::zeros(3, 70);
+        for (r, c) in [(0, 0), (0, 69), (1, 64), (2, 5), (2, 63)] {
+            m.set(r, c, true);
+        }
+        let t = m.transpose();
+        assert_eq!(t.shape(), (70, 3));
+        for r in 0..3 {
+            for c in 0..70 {
+                assert_eq!(t.get(c, r), m.get(r, c), "({r},{c})");
+            }
+        }
+        assert_eq!(t.transpose(), m);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //!
 //! Every similarity in the workspace bottoms out in one of two word-level
 //! primitives — `popcount(a AND b)` (dot) and `popcount(a XOR b)`
-//! (Hamming) — plus the blocked sweeps over a [`BlockedBitMatrix`]. This
+//! (Hamming) — plus the blocked sweeps over a [`BlockedBitMatrix`], and
+//! every projection encoding in one transposed f32 MVM
+//! ([`crate::BitMatrix::matvec_t_f32`]; NEON runs the portable form). This
 //! module selects, **once per process**, the fastest implementation the
 //! host CPU offers and publishes it as a dispatch table
 //! (`KernelTable`) that the search entry points
@@ -31,7 +33,7 @@
 
 use crate::batch::{Slots, SweepOut};
 use crate::blocked::{self, blocked_sweep, cascade_pass, BlockPass, BlockedBitMatrix, StageWork};
-use crate::QueryBatch;
+use crate::{BitMatrix, QueryBatch};
 use std::sync::OnceLock;
 
 /// A popcount kernel implementation selectable at runtime.
@@ -180,12 +182,29 @@ pub fn hamming_words_with(backend: Backend, a: &[u64], b: &[u64]) -> u32 {
     (table_for(backend).hamming_words)(a, b)
 }
 
+/// Transposed binary-weight MVM with an explicit backend — the
+/// testing hook behind [`crate::BitMatrix::matvec_t_f32`], which runs
+/// the active backend.
+///
+/// # Panics
+///
+/// Panics if the backend is unavailable on this host or
+/// `x.len() != m.rows()`.
+pub fn matvec_t_f32_with(backend: Backend, m: &BitMatrix, x: &[f32]) -> Vec<f32> {
+    assert!(backend.is_available(), "backend {backend} not available on this host");
+    assert_eq!(x.len(), m.rows(), "matvec_t_f32: input length mismatch");
+    let mut out = vec![0.0; m.cols()];
+    (table_for(backend).matvec_t_f32)(m, x, &mut out);
+    out
+}
+
 /// Dispatch table of one backend's kernel entry points. Built once per
 /// backend; a search memory's backend selects the table its batched
 /// searches route through.
-/// Two flat word kernels plus the two loops over the backend's blocked
-/// kernel: the sweep, whose sink (dot, winners or top-k) follows from
-/// the output it is handed, and the cascade's block pass.
+/// Two flat word kernels, the two loops over the backend's blocked
+/// kernel (the sweep, whose sink — dot, winners or top-k — follows from
+/// the output it is handed, and the cascade's block pass), and the
+/// projection encoder's transposed MVM.
 pub(crate) struct KernelTable {
     /// `popcount(a & b)` over equal-length word slices.
     pub(crate) dot_words: fn(&[u64], &[u64]) -> u32,
@@ -199,6 +218,10 @@ pub(crate) struct KernelTable {
     /// `q_offset..` stage by stage over the row blocks that still hold a
     /// live lane, into their k-best lists and the per-stage work tally.
     pub(crate) cascade_pass: CascadePass,
+    /// `out[c] = Σ x[r]` over the rows `r` of a `x.len() × out.len()`
+    /// matrix whose bit `c` is set, rows ascending, from `+0.0` (the
+    /// caller checks the shapes and zeroes `out`).
+    pub(crate) matvec_t_f32: fn(&BitMatrix, &[f32], &mut [f32]),
 }
 
 /// The signature of [`KernelTable::cascade_pass`].
@@ -209,6 +232,7 @@ static SCALAR_TABLE: KernelTable = KernelTable {
     hamming_words: scalar::hamming_words,
     blocked_sweep: blocked_sweep::<blocked::ScalarLanes>,
     cascade_pass: cascade_pass::<blocked::ScalarLanes>,
+    matvec_t_f32: scalar::matvec_t_f32,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -217,6 +241,7 @@ static AVX2_TABLE: KernelTable = KernelTable {
     hamming_words: x86::words_avx2::<true>,
     blocked_sweep: blocked_sweep::<blocked::Avx2Lanes>,
     cascade_pass: cascade_pass::<blocked::Avx2Lanes>,
+    matvec_t_f32: x86::matvec_t_avx2,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -225,6 +250,7 @@ static AVX512_TABLE: KernelTable = KernelTable {
     hamming_words: x86::words_avx512::<true>,
     blocked_sweep: blocked_sweep::<blocked::Avx512Lanes>,
     cascade_pass: cascade_pass::<blocked::Avx512Lanes>,
+    matvec_t_f32: x86::matvec_t_avx512,
 };
 
 #[cfg(target_arch = "aarch64")]
@@ -233,6 +259,7 @@ static NEON_TABLE: KernelTable = KernelTable {
     hamming_words: aarch64::words_neon::<true>,
     blocked_sweep: blocked_sweep::<blocked::NeonLanes>,
     cascade_pass: cascade_pass::<blocked::NeonLanes>,
+    matvec_t_f32: scalar::matvec_t_f32,
 };
 
 /// The dispatch table of an explicit backend (assumed available).
@@ -259,6 +286,8 @@ pub(crate) fn active_table() -> &'static KernelTable {
 /// Portable reference kernels — the fallback backend and the oracle the
 /// SIMD backends are verified against.
 pub(crate) mod scalar {
+    use crate::BitMatrix;
+
     /// `Σ popcount(a_i & b_i)`.
     #[inline]
     pub(crate) fn dot_words(a: &[u64], b: &[u64]) -> u32 {
@@ -272,6 +301,37 @@ pub(crate) mod scalar {
         debug_assert_eq!(a.len(), b.len());
         a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum()
     }
+
+    /// The transposed MVM, a 64-output word at a time: each lane adds
+    /// `x[r]` where row `r`'s bit is set and `+0.0` where it is not. That
+    /// is bit-identical to a set-bit walk, which adds only the first: a
+    /// sum that starts at `+0.0` never becomes `-0.0`, and adding `+0.0`
+    /// to anything else leaves it bit-unchanged. Being branch-free per
+    /// lane, the loop vectorizes at any target's baseline (SSE2 on
+    /// x86-64).
+    pub(crate) fn matvec_t_f32(m: &BitMatrix, x: &[f32], out: &mut [f32]) {
+        let (words, tail) = out.as_chunks_mut::<64>();
+        for (r, &xr) in x.iter().enumerate() {
+            let row = m.row_words_pub(r);
+            for (lanes, &word) in words.iter_mut().zip(row) {
+                add_selected(lanes, word, xr);
+            }
+            if let Some(&word) = row.get(words.len()) {
+                add_selected(tail, word, xr);
+            }
+        }
+    }
+
+    /// `lanes[k] += x` where bit `k` of `word` is set, `+= 0.0` elsewhere
+    /// (`lanes.len() <= 64`), in 32-bit halves so the lane masks vectorize.
+    #[inline(always)]
+    fn add_selected(lanes: &mut [f32], word: u64, x: f32) {
+        for (half, bits) in lanes.chunks_mut(32).zip([word as u32, (word >> 32) as u32]) {
+            for (k, lane) in half.iter_mut().enumerate() {
+                *lane += if bits & (1 << k) != 0 { x } else { 0.0 };
+            }
+        }
+    }
 }
 
 /// AVX2 / AVX-512 flat-slice kernels.
@@ -280,6 +340,7 @@ pub(crate) mod scalar {
 /// selected after `is_x86_feature_detected!` confirms the features.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
+    use crate::BitMatrix;
     use std::arch::x86_64::*;
 
     /// `popcount(a & b)` (dot), or `popcount(a ^ b)` (Hamming) when `XOR`.
@@ -294,6 +355,79 @@ pub(crate) mod x86 {
         // SAFETY: published only behind an avx512f+vpopcntdq check; every
         // caller enforces a.len() == b.len() before the call.
         unsafe { combine_words_avx512::<XOR>(a, b) }
+    }
+
+    /// Transposed MVM on AVX2.
+    pub(super) fn matvec_t_avx2(m: &BitMatrix, x: &[f32], out: &mut [f32]) {
+        // SAFETY: published only behind an avx2 detection check.
+        unsafe { matvec_t_tiles_avx2(m, x, out) }
+    }
+
+    /// Transposed MVM on AVX-512.
+    pub(super) fn matvec_t_avx512(m: &BitMatrix, x: &[f32], out: &mut [f32]) {
+        // SAFETY: published only behind an avx512f+vpopcntdq check.
+        unsafe { matvec_t_tiles_avx512(m, x, out) }
+    }
+
+    /// 64 outputs per pass over the rows, in eight 8-lane accumulators.
+    /// Row `r`'s word for the tile expands to lane masks by shifting
+    /// each lane's bit into its sign bit, which `blendv` reads: the lane
+    /// takes `acc + x[r]` where the bit is set and keeps `acc` where it
+    /// is not.
+    #[target_feature(enable = "avx2")]
+    fn matvec_t_tiles_avx2(m: &BitMatrix, x: &[f32], out: &mut [f32]) {
+        // Lane k of `shifts[s]` moves bit 8s + k of a 32-bit half word
+        // into the sign bit.
+        let shifts = [
+            _mm256_setr_epi32(31, 30, 29, 28, 27, 26, 25, 24),
+            _mm256_setr_epi32(23, 22, 21, 20, 19, 18, 17, 16),
+            _mm256_setr_epi32(15, 14, 13, 12, 11, 10, 9, 8),
+            _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0),
+        ];
+        for (t, tile) in out.chunks_mut(64).enumerate() {
+            let mut acc = [_mm256_setzero_ps(); 8];
+            for (r, &xr) in x.iter().enumerate() {
+                let word = m.row_words_pub(r)[t];
+                let xv = _mm256_set1_ps(xr);
+                let halves =
+                    [_mm256_set1_epi32(word as i32), _mm256_set1_epi32((word >> 32) as i32)];
+                for (c, a) in acc.iter_mut().enumerate() {
+                    let sel = _mm256_castsi256_ps(_mm256_sllv_epi32(halves[c / 4], shifts[c % 4]));
+                    *a = _mm256_blendv_ps(*a, _mm256_add_ps(*a, xv), sel);
+                }
+            }
+            let mut lanes = [0.0f32; 64];
+            for (c, a) in acc.into_iter().enumerate() {
+                // SAFETY: `lanes[8 * c..8 * c + 8]` is in bounds (c < 8).
+                unsafe { _mm256_storeu_ps(lanes.as_mut_ptr().add(8 * c), a) };
+            }
+            tile.copy_from_slice(&lanes[..tile.len()]);
+        }
+    }
+
+    /// 128 outputs per pass over the rows, in eight 16-lane accumulators:
+    /// each 16-bit slice of row `r`'s two words for the tile is the mask
+    /// of one `_mm512_mask_add_ps` of `x[r]`.
+    #[target_feature(enable = "avx512f")]
+    fn matvec_t_tiles_avx512(m: &BitMatrix, x: &[f32], out: &mut [f32]) {
+        for (t, tile) in out.chunks_mut(128).enumerate() {
+            let mut acc = [_mm512_setzero_ps(); 8];
+            for (r, &xr) in x.iter().enumerate() {
+                let row = m.row_words_pub(r);
+                let words = [row[2 * t], row.get(2 * t + 1).copied().unwrap_or(0)];
+                let xv = _mm512_set1_ps(xr);
+                for (c, a) in acc.iter_mut().enumerate() {
+                    let mask = (words[c / 4] >> (16 * (c % 4))) as u16;
+                    *a = _mm512_mask_add_ps(*a, mask, *a, xv);
+                }
+            }
+            let mut lanes = [0.0f32; 128];
+            for (c, a) in acc.into_iter().enumerate() {
+                // SAFETY: `lanes[16 * c..16 * c + 16]` is in bounds (c < 8).
+                unsafe { _mm512_storeu_ps(lanes.as_mut_ptr().add(16 * c), a) };
+            }
+            tile.copy_from_slice(&lanes[..tile.len()]);
+        }
     }
 
     /// Per-byte popcount of a 256-bit vector via the classic nibble LUT.

@@ -179,6 +179,55 @@ proptest! {
             prop_assert_eq!(reference.scores(q)[row], score);
         }
     }
+
+    /// The transposed f32 MVM (the projection encoder's kernel) is
+    /// bit-identical to the per-output set-bit walk over the transpose on
+    /// every backend, and so is its mean-threshold binarization. Inputs
+    /// mix ±0.0, subnormals, large values that overflow, ±inf and NaN.
+    /// NaN outputs are compared as NaN only: which operand's payload an
+    /// f32 addition of two NaNs keeps is not specified.
+    #[test]
+    fn matvec_t_f32_matches_matvec_f32(
+        (rows, x) in (
+            prop::sample::select(vec![1usize, 3, 17, 63, 65, 100, 130]),
+            prop::sample::select(vec![1usize, 15, 16, 17, 63, 64, 65, 128, 130]),
+        )
+            .prop_flat_map(|(f, d)| (bit_rows(f, d), prop::collection::vec(feature(), f)))
+    ) {
+        let m = BitMatrix::from_rows(&rows).unwrap();
+        let reference = m.transpose().matvec_f32(&x);
+        for backend in Backend::available() {
+            let out = kernel::matvec_t_f32_with(backend, &m, &x);
+            prop_assert_eq!(out.len(), reference.len());
+            for (j, (a, b)) in out.iter().zip(&reference).enumerate() {
+                prop_assert!(
+                    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                    "backend {} output {}: {:?} vs {:?}", backend, j, a, b
+                );
+            }
+            prop_assert_eq!(
+                BitVector::from_mean_threshold(&out),
+                BitVector::from_mean_threshold(&reference),
+                "backend {} binarized", backend
+            );
+        }
+    }
+}
+
+/// One input feature: mostly finite values on either side of zero, with
+/// a share of exact zeros of both signs, subnormals, values near
+/// `f32::MAX` whose sums overflow, and rare infinities and NaNs.
+fn feature() -> impl Strategy<Value = f32> {
+    (0u32..1000, -4.0f32..4.0).prop_map(|(tag, v)| match tag {
+        0..=149 => 0.0,
+        150..=199 => -0.0,
+        200..=249 => v * f32::MIN_POSITIVE / 4.0,
+        250..=299 => v * 1e38,
+        300 => f32::INFINITY,
+        301 => f32::NEG_INFINITY,
+        302 => f32::NAN,
+        _ => v,
+    })
 }
 
 #[test]

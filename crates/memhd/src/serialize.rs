@@ -18,6 +18,10 @@
 //!         ⌈D/64⌉ u64 words (binary), D f32 (shadow)
 //! ```
 //!
+//! The encoder's rows are output-major (row `j` holds the `f` bits feeding
+//! output `j`); the encoder itself holds the feature-major transpose, so
+//! both directions transpose at this boundary.
+//!
 //! No external serialization crate is used — the format is a few dozen
 //! lines and has no schema-evolution needs beyond the version magic.
 
@@ -103,7 +107,7 @@ pub fn to_bytes(model: &MemhdModel) -> Vec<u8> {
     put_u64(&mut buf, cfg.seed());
 
     put_u32(&mut buf, encoder.input_width() as u32);
-    let proj = encoder.projection_t();
+    let proj = encoder.projection().transpose();
     for r in 0..proj.rows() {
         for &w in proj.row(r).as_words() {
             put_u64(&mut buf, w);
@@ -177,7 +181,8 @@ pub fn from_bytes(data: &[u8]) -> Result<MemhdModel> {
             .map_err(|e| MemhdError::InvalidData { reason: e.to_string() })?;
         proj.set_row(row, &bits).map_err(|e| MemhdError::InvalidData { reason: e.to_string() })?;
     }
-    let encoder = RandomProjectionEncoder::from_projection_t(proj).map_err(MemhdError::Hdc)?;
+    let encoder =
+        RandomProjectionEncoder::from_projection(proj.transpose()).map_err(MemhdError::Hdc)?;
 
     let centroids = r.u32()? as usize;
     if centroids != columns {
@@ -274,6 +279,61 @@ mod tests {
         let cfg = MemhdConfig::new(64, 9, 3).unwrap().with_epochs(3).with_seed(2);
         let model = MemhdModel::fit(&cfg, &features, &labels).unwrap();
         (model, features, labels)
+    }
+
+    /// A model whose projection rows (70 features, 96 outputs) are not
+    /// whole words in either layout, trained on features with exact zeros.
+    fn golden_model() -> (MemhdModel, Matrix) {
+        let mut rng = seeded(11);
+        let noise = Normal::new(0.0, 0.1);
+        let mut rows = Vec::new();
+        let mut labels = Vec::new();
+        for class in 0..3usize {
+            for _ in 0..8 {
+                let row: Vec<f32> = (0..70)
+                    .map(|j| {
+                        let base = if j % 3 == class { 0.8 } else { 0.2 };
+                        (base + noise.sample(&mut rng)).clamp(0.0, 1.0)
+                    })
+                    .collect();
+                rows.push(row);
+                labels.push(class);
+            }
+        }
+        let features = Matrix::from_rows(&rows).unwrap();
+        let cfg = MemhdConfig::new(96, 9, 3).unwrap().with_epochs(2).with_seed(5);
+        (MemhdModel::fit(&cfg, &features, &labels).unwrap(), features)
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// The file bytes of a seeded model, recorded with the per-output
+    /// reference encoder (`matvec_f32` over the output-major projection).
+    /// Training consumes the encodings, so the shadow AM's f32 values pin
+    /// them too.
+    #[test]
+    fn golden_model_bytes_are_stable() {
+        let (model, features) = golden_model();
+        assert!(features.as_slice().contains(&0.0));
+        let bytes = to_bytes(&model);
+        assert_eq!(bytes.len(), 5229);
+        assert_eq!(fnv1a(&bytes), 0x19a3_bcdc_09a6_6eb2);
+
+        let restored = from_bytes(&bytes).unwrap();
+        assert_eq!(restored.encoder().projection(), model.encoder().projection());
+        assert_eq!(to_bytes(&restored), bytes);
+        for x in features.iter_rows() {
+            let a = restored.encoder().encode(x).unwrap();
+            let b = model.encoder().encode(x).unwrap();
+            assert_eq!(
+                a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
