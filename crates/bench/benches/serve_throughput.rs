@@ -7,7 +7,11 @@
 //! Submitters pipeline a window of in-flight single-query submissions
 //! (the "concurrency" in the id: `served_1x256` = 1 submitter thread with
 //! 256 in-flight, `served_4x64` = 4 threads with 64 in-flight each), and
-//! the micro-batcher flushes every `max_batch` inline.
+//! the micro-batcher flushes every `max_batch` inline. `served_1x1` is
+//! one caller with one query in flight (a closed loop of `LONE_QUERIES`
+//! round trips per iteration, `max_delay` zero): the in-process twin of
+//! `wire_throughput/wire_uds_1x1`, where each waiter flushes its own
+//! batch of one.
 //!
 //! The served shapes use the paper's flagship MEMHD 128 centroids × 128
 //! bits AM, matching `associative_search_batched` in `BENCH_search.json`.
@@ -27,6 +31,8 @@ use std::time::Duration;
 
 const QUERIES: usize = 8192;
 const DIM: usize = 128;
+/// Round trips per `served_1x1` iteration.
+const LONE_QUERIES: usize = 256;
 
 fn random_am(k: usize, vectors: usize, dim: usize, seed: u64) -> BinaryAm {
     let mut rng = seeded(seed);
@@ -158,6 +164,23 @@ fn bench_serve(c: &mut Criterion) {
                 })
             })
         });
+        server.shutdown();
+    }
+
+    // One caller, one query at a time: nothing ever fills a batch, so
+    // every round trip is one deadline flush of one query.
+    {
+        let server = Server::start(
+            Arc::clone(&am) as Arc<dyn Searchable>,
+            ServeConfig { max_batch: 64, max_delay: Duration::ZERO, ..Default::default() },
+        )
+        .expect("server");
+        group.throughput(Throughput::Elements(LONE_QUERIES as u64));
+        group.bench_with_input(
+            BenchmarkId::new("served_1x1", LONE_QUERIES),
+            &queries[..LONE_QUERIES],
+            |b, queries| b.iter(|| drive(&server, queries, 1)),
+        );
         server.shutdown();
     }
 

@@ -22,11 +22,9 @@
 //!
 //! Flags: `--baseline <path>` (default `BENCH_search.json`),
 //! `--current <path>` (a `CRITERION_JSON` lines file), `--run` (invoke
-//! `cargo bench` itself; repeat `--bench <name>` to override which
-//! benches, default `associative_search` + `serve_throughput` +
-//! `wire_throughput` + `topk_search` + `fault_tolerance` + `encoding` —
-//! `fault_tolerance` records deterministic accuracy percentages, not
-//! times, so its ratios are always 1.00x),
+//! `cargo bench` itself; default every bench in `BENCHES`; repeat
+//! `--bench <name>` to pick some, which also scopes the gate to the ids
+//! they produce),
 //! `--smoke` (CI mode: like `--run` but only id presence is checked),
 //! `--threshold <pct>` (default 10). Numbers are only comparable
 //! like-for-like: same machine class and same kernel backend
@@ -34,6 +32,49 @@
 
 use std::collections::BTreeMap;
 use std::process::{Command, ExitCode};
+
+/// The benches `--run` knows, in their default order, each with the
+/// criterion group prefixes of the ids it produces. `fault_tolerance`
+/// records deterministic accuracy percentages, not times, so its ratios
+/// are always 1.00x.
+const BENCHES: &[(&str, &[&str])] = &[
+    (
+        "associative_search",
+        &[
+            "associative_search/",
+            "associative_search_batched/",
+            "cascade_search/",
+            "cascade_repeat/",
+            "cascade_calibrated/",
+        ],
+    ),
+    ("serve_throughput", &["serve_throughput/"]),
+    ("wire_throughput", &["wire_throughput/"]),
+    ("topk_search", &["topk_search/"]),
+    ("fault_tolerance", &["fault_tolerance/"]),
+    ("encoding", &["encode/"]),
+];
+
+/// Keeps the baseline ids that the named benches produce, so running
+/// some benches does not report the others' ids as MISSING.
+fn scope_to_benches(
+    baseline: &mut BTreeMap<String, f64>,
+    benches: &[String],
+) -> Result<(), String> {
+    let mut prefixes = Vec::new();
+    for bench in benches {
+        let Some((_, groups)) = BENCHES.iter().find(|(name, _)| name == bench) else {
+            let known: Vec<&str> = BENCHES.iter().map(|(name, _)| *name).collect();
+            return Err(format!("unknown --bench `{bench}` (known: {})", known.join(", ")));
+        };
+        prefixes.extend_from_slice(groups);
+    }
+    baseline.retain(|id, _| prefixes.iter().any(|p| id.starts_with(p)));
+    if baseline.is_empty() {
+        return Err("no baseline ids match the selected --bench set".into());
+    }
+    Ok(())
+}
 
 /// Extracts every `"id": "...", ... "ns_per_iter": <num>` pair from a
 /// JSON document or a criterion-shim JSON-lines file. A full JSON parser
@@ -181,14 +222,7 @@ fn main() -> ExitCode {
 
     let benches_explicit = !benches.is_empty();
     if benches.is_empty() {
-        benches = vec![
-            "associative_search".to_string(),
-            "serve_throughput".to_string(),
-            "wire_throughput".to_string(),
-            "topk_search".to_string(),
-            "fault_tolerance".to_string(),
-            "encoding".to_string(),
-        ];
+        benches = BENCHES.iter().map(|(name, _)| name.to_string()).collect();
     }
 
     let mut baseline = match read_results(&baseline_path) {
@@ -198,14 +232,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // An explicit --bench subset scopes the gate to the ids those benches
-    // produce (criterion ids are `<group>/...` with groups prefixed by
-    // the bench name), so running one bench does not report the other
-    // bench's baseline ids as MISSING.
     if benches_explicit {
-        baseline.retain(|id, _| benches.iter().any(|b| id.starts_with(b.as_str())));
-        if baseline.is_empty() {
-            eprintln!("bench_check: no baseline ids match the selected --bench set");
+        if let Err(e) = scope_to_benches(&mut baseline, &benches) {
+            eprintln!("bench_check: {e}");
             return ExitCode::from(2);
         }
     }
@@ -290,7 +319,30 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_results, parse_threshold};
+    use super::{parse_results, parse_threshold, scope_to_benches};
+
+    /// The committed baseline's ids, scoped to one bench.
+    fn baseline_ids_of(bench: &str) -> Vec<String> {
+        let mut baseline = parse_results(include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_search.json"
+        )));
+        scope_to_benches(&mut baseline, &[bench.to_string()]).unwrap();
+        baseline.into_keys().collect()
+    }
+
+    #[test]
+    fn bench_scope_follows_criterion_group_names() {
+        let encoding = baseline_ids_of("encoding");
+        assert_eq!(encoding.len(), 7, "{encoding:?}");
+        assert!(encoding.iter().all(|id| id.starts_with("encode/")), "{encoding:?}");
+        let search = baseline_ids_of("associative_search");
+        let cascade = search.iter().filter(|id| id.starts_with("cascade_")).count();
+        assert_eq!(cascade, 8, "{search:?}");
+        assert!(search.iter().all(|id| !id.starts_with("serve_throughput/")), "{search:?}");
+        let mut unknown = parse_results("{\"id\": \"a/b\", \"ns_per_iter\": 1.0}");
+        assert!(scope_to_benches(&mut unknown, &["training".to_string()]).is_err());
+    }
 
     #[test]
     fn parses_baseline_schema() {

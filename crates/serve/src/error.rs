@@ -33,9 +33,9 @@ pub enum ServeError {
         /// What was wrong.
         reason: String,
     },
-    /// The submitter's deadline expired before the query's batch was
-    /// flushed and answered. The query itself is **not** lost: the flush
-    /// still computes and records its answer server-side; only this
+    /// The submitter's deadline expired while another thread was still
+    /// flushing the query's batch. The query itself is **not** lost: that
+    /// flush still computes and records its answer server-side; only this
     /// waiter gave up.
     Timeout,
     /// The server is at its configured in-flight limit

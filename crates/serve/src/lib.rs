@@ -9,12 +9,13 @@
 //! * **Micro-batching** ([`Server`]) — concurrent single-query
 //!   submissions are coalesced into SIMD-sized [`hd_linalg::QueryBatch`]es
 //!   and flushed either when full ([`ServeConfig::max_batch`], executed
-//!   inline by the filling submitter — flat combining) or when the oldest
-//!   query has waited out the latency budget ([`ServeConfig::max_delay`],
-//!   executed by a background deadline flusher). A wire connection's
-//!   reader also flushes inline once it has submitted every frame at
-//!   hand (see [`net`]). No submission is ever lost: full flush, ingest
-//!   flush, deadline flush, or shutdown drain answers it.
+//!   inline by the filling submitter — flat combining) or, once the batch
+//!   has been open for the latency budget ([`ServeConfig::max_delay`]),
+//!   by the first caller waiting on it (group commit). A wire
+//!   connection's reader also flushes inline once it has submitted every
+//!   frame at hand (see [`net`]). The server runs no thread of its own.
+//!   No submission is ever lost: full flush, ingest flush, deadline
+//!   flush, or shutdown drain answers it.
 //! * **Sharding** ([`ShardedSearcher`]) — a [`hd_linalg::SearchMemory`]'s
 //!   class-row space splits into contiguous, block-aligned row shards,
 //!   each pinned to a worker thread with its own pre-packed blocked

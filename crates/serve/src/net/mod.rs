@@ -29,9 +29,10 @@
 //! flush*, counted in [`crate::ServerStats::ingest_flushes`]), waits on
 //! each answer in order, and writes every reply to the socket at once.
 //! Pipelined frames that arrive together still coalesce into one batch,
-//! while a lone frame is answered at once instead of at the
-//! [`crate::ServeConfig::max_delay`] deadline, and its round trip
-//! crosses one server thread. The connection's next frames wait in the
+//! while a lone frame is answered at once, and its round trip crosses
+//! one server thread. A reader waits only after its ingest flush has
+//! taken its queries, so the [`crate::ServeConfig::max_delay`] deadline
+//! never applies to wire traffic. The connection's next frames wait in the
 //! socket until the settle has written.
 //!
 //! **Backpressure.** Two independent bounds:

@@ -33,9 +33,9 @@ pub struct Winner {
 /// A model the serving layer can drive: batched associative search with
 /// the workspace's highest-score / lowest-row winner semantics.
 ///
-/// Implementations must be [`Send`] + [`Sync`]: the deadline flusher and
-/// any submitting thread may execute a flush, and snapshot swaps hand
-/// `Arc`s across threads.
+/// Implementations must be [`Send`] + [`Sync`]: any submitting, waiting or
+/// shutting-down thread, or a wire connection's reader, may execute a
+/// flush, and snapshot swaps hand `Arc`s across threads.
 pub trait Searchable: Send + Sync {
     /// Hypervector dimensionality `D` queries must match.
     fn dim(&self) -> usize;

@@ -17,28 +17,29 @@
 //!   inline just before it goes back to its socket for more bytes. Frames
 //!   that arrive together still coalesce into one batch, but a lone frame
 //!   is answered at once instead of waiting out the deadline. In-process
-//!   submitters never trigger it: for them a batch flushes full or at the
-//!   deadline.
-//! * **Deadline flush** — a background flusher thread watches the oldest
-//!   pending query and flushes whatever has accumulated once it has
-//!   waited [`ServeConfig::max_delay`] (up to twice that when the query
-//!   arrived while the flusher was lingering, see `run_flusher`),
-//!   bounding tail latency when traffic is too thin to fill batches.
+//!   submitters never trigger it.
+//! * **Deadline flush** — a waiter ([`PendingTopK::wait`] /
+//!   [`PendingTopK::wait_until`]) whose query is still in the open cycle
+//!   parks until that cycle falls due, [`ServeConfig::max_delay`] after
+//!   its first query arrived (or at the waiter's own deadline, if that
+//!   comes first), then takes the cycle and flushes it inline: group
+//!   commit, bounding latency when traffic is too thin to fill batches.
+//!   No thread watches the clock; a cycle nobody waits on stays open
+//!   until one of these flushes or shutdown takes it.
 //!
 //! Every flush answers its entire batch from **one** model snapshot
 //! ([`crate::ModelRegistry`]), so hot swaps never mix generations within
 //! a batch, and a submission is *never lost*: it is answered by a full
-//! flush, an ingest flush, a deadline flush, or the drain that runs at
-//! shutdown (after which new submissions fail with
-//! [`ServeError::Shutdown`]).
+//! flush, an ingest flush, a deadline flush, or the drain that
+//! [`Server::shutdown`] runs on its calling thread (after which new
+//! submissions fail with [`ServeError::Shutdown`]).
 
 use crate::error::{Result, ServeError};
 use crate::registry::ModelRegistry;
 use crate::searchable::Searchable;
 use hd_linalg::{BitView, QueryBatch, QueryBatchBuilder};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 /// Micro-batcher tuning knobs.
@@ -49,12 +50,11 @@ pub struct ServeConfig {
     /// pre-packed [`crate::ShardedSearcher`] memories amortize at any
     /// size, with diminishing returns past a few hundred.
     pub max_batch: usize,
-    /// The deadline flush's latency budget under thin traffic: the
-    /// pending batch is flushed once its oldest query has waited this
-    /// long, or up to twice this long when that query opened its cycle
-    /// while the flusher was lingering between timed checks. Wire
-    /// connections usually flush sooner (see the ingest flush in the
-    /// module docs).
+    /// How long the first waiter lets an open cycle gather more queries
+    /// before it flushes the cycle itself (the deadline flush in the
+    /// module docs). [`Duration::ZERO`] is group commit: a waiter flushes
+    /// whatever is pending at once. Wire connections usually flush sooner
+    /// (the ingest flush).
     pub max_delay: Duration,
     /// Admission limit: queries accepted but not yet answered by a
     /// flush. At the limit new submissions are shed with
@@ -144,14 +144,19 @@ struct BatchState {
     /// Whether any waiter parked on `cv` before the results landed.
     parked: Mutex<bool>,
     cv: Condvar,
+    /// The server whose queue opened this cycle, so that a waiter can
+    /// take and flush it (see [`Shared::flush_when_due`]). Weak: the
+    /// queue holds its open cycle's state.
+    server: Weak<Shared>,
 }
 
 impl BatchState {
-    fn new() -> Arc<Self> {
+    fn new(server: Weak<Shared>) -> Arc<Self> {
         Arc::new(BatchState {
             results: OnceLock::new(),
             parked: Mutex::new(false),
             cv: Condvar::new(),
+            server,
         })
     }
 
@@ -168,38 +173,47 @@ impl BatchState {
         }
     }
 
-    /// Blocks until the results land. With a deadline, gives up with
-    /// [`ServeError::Timeout`] once it passes — the batch state stays
-    /// alive (the flush still fills it), only this waiter stops waiting.
-    fn wait(&self, deadline: Option<Instant>) -> Result<&Answers> {
+    /// Parks until the results land or `until` passes.
+    fn park(&self, until: Option<Instant>) {
+        let mut parked = self.parked.lock().unwrap_or_else(PoisonError::into_inner);
+        // Re-check under the lock: fill() takes it after publishing, so a
+        // result published before we parked is visible here.
+        if self.results.get().is_some() {
+            return;
+        }
+        *parked = true;
+        match until {
+            None => drop(self.cv.wait(parked)),
+            Some(t) => {
+                drop(self.cv.wait_timeout(parked, t.saturating_duration_since(Instant::now())))
+            }
+        }
+    }
+
+    /// Blocks until the results land, flushing the cycle on this thread
+    /// if it is still open once it falls due. With a deadline, gives up
+    /// with [`ServeError::Timeout`] once it passes while another thread
+    /// runs the cycle's flush — the batch state stays alive (that flush
+    /// still fills it), only this waiter stops waiting.
+    fn wait(self: &Arc<Self>, deadline: Option<Instant>) -> Result<&Answers> {
         fn published(results: &Result<Answers>) -> Result<&Answers> {
             results.as_ref().map_err(Clone::clone)
         }
         if let Some(results) = self.results.get() {
             return published(results);
         }
-        let mut parked = self.parked.lock().unwrap_or_else(PoisonError::into_inner);
+        // A server that is gone drained its open cycle at shutdown.
+        if let Some(server) = self.server.upgrade() {
+            server.flush_when_due(self, deadline);
+        }
         loop {
-            // Re-check under the lock: fill() takes it after publishing,
-            // so a result published before we parked is visible here.
             if let Some(results) = self.results.get() {
                 return published(results);
             }
-            *parked = true;
-            match deadline {
-                None => parked = self.cv.wait(parked).unwrap_or_else(PoisonError::into_inner),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return Err(ServeError::Timeout);
-                    }
-                    parked = self
-                        .cv
-                        .wait_timeout(parked, d - now)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(ServeError::Timeout);
             }
+            self.park(deadline);
         }
     }
 }
@@ -220,30 +234,39 @@ pub struct PendingTopK {
 }
 
 impl PendingTopK {
-    /// Whether the result is already available (non-blocking).
+    /// Whether the result is already available (non-blocking). It never
+    /// flushes: a handle that is only polled is answered by a full flush,
+    /// an ingest flush, a waiter on its cycle, or shutdown.
     pub fn is_ready(&self) -> bool {
         self.batch.results.get().is_some()
     }
 
     /// Blocks until the query is answered, returning its `min(k, rows)`
     /// best rows sorted by score descending then row ascending — never
-    /// empty, and the first entry is the argmax winner.
+    /// empty, and the first entry is the argmax winner. If the query's
+    /// cycle is still open, the wait parks until the cycle falls due
+    /// ([`ServeConfig::max_delay`] after it opened) and then flushes it
+    /// on this thread.
     ///
     /// # Errors
     ///
     /// Returns whatever the flush produced: [`ServeError::Model`] for
     /// model-side failures (including a model that answered the query
-    /// with an empty slate), and [`ServeError::Shutdown`] if the server
-    /// shut down without answering.
+    /// with an empty slate). Shutdown fails no accepted query: its drain
+    /// answers it.
     pub fn wait(self) -> Result<Vec<Prediction>> {
         self.wait_inner(None)
     }
 
-    /// As [`PendingTopK::wait`], but gives up with
-    /// [`ServeError::Timeout`] once `deadline` passes. The query is still
-    /// flushed and answered server-side — a timed-out waiter never
-    /// strands or corrupts its batch — so use this to bound caller
-    /// latency against slow models, not to cancel work.
+    /// As [`PendingTopK::wait`], but the query's cycle, while still
+    /// open, falls due at `deadline` if that comes before
+    /// [`ServeConfig::max_delay`]. A waiter that flushes the cycle itself
+    /// returns its answer, overrunning `deadline` by at most that one
+    /// flush. [`ServeError::Timeout`] comes only when `deadline` passes
+    /// while another thread runs the cycle's flush; the query is still
+    /// answered server-side — a timed-out waiter never strands or
+    /// corrupts its batch — so use this to bound caller latency against
+    /// slow models, not to cancel work.
     ///
     /// # Errors
     ///
@@ -274,7 +297,8 @@ pub struct ServerStats {
     /// Flushes run by a wire connection's reader once it had submitted
     /// every frame at hand (see [`crate::net`]).
     pub ingest_flushes: u64,
-    /// Flushes triggered by the latency deadline (or shutdown drain).
+    /// Flushes run by a waiter whose open cycle fell due (see
+    /// [`ServeConfig::max_delay`]), or by the shutdown drain.
     pub deadline_flushes: u64,
     /// Largest batch flushed so far.
     pub largest_batch: u64,
@@ -321,7 +345,13 @@ impl Queue {
         let batch = self.builder.take_batch().expect("take_work on a non-empty queue");
         self.opened_at = None;
         let max_k = std::mem::replace(&mut self.max_k, 1);
-        (batch, std::mem::replace(&mut self.state, BatchState::new()), max_k)
+        let next = BatchState::new(Weak::clone(&self.state.server));
+        (batch, std::mem::replace(&mut self.state, next), max_k)
+    }
+
+    /// Takes the open cycle, if it has any queries.
+    fn take_open(&mut self) -> Option<Work> {
+        (!self.builder.is_empty()).then(|| self.take_work())
     }
 }
 
@@ -333,14 +363,6 @@ enum FlushKind {
 
 struct Shared {
     queue: Mutex<Queue>,
-    /// Wakes the deadline flusher when the queue goes non-empty or the
-    /// server shuts down.
-    deadline_cv: Condvar,
-    /// Whether the flusher is deep-parked (indefinite wait). Submitters
-    /// only pay the condvar notify when this is set; while traffic keeps
-    /// batches full the flusher *lingers* on timed waits instead, so the
-    /// hot path never wakes it. Written only under the queue lock.
-    flusher_parked: AtomicBool,
     registry: ModelRegistry,
     config: ServeConfig,
     stats: StatCounters,
@@ -356,7 +378,34 @@ struct Shared {
 }
 
 impl Shared {
-    fn flush(&self, batch: QueryBatch, state: Arc<BatchState>, max_k: usize, kind: FlushKind) {
+    /// The deadline flush: while `state` is still the open cycle, parks
+    /// its waiter until the cycle falls due — `max_delay` after it opened,
+    /// or at the waiter's own `deadline` if that comes first — then takes
+    /// the cycle and flushes it on the waiter's thread. Returns once the
+    /// cycle has left the queue, whoever took it.
+    fn flush_when_due(&self, state: &Arc<BatchState>, deadline: Option<Instant>) {
+        loop {
+            let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            if !Arc::ptr_eq(&q.state, state) {
+                return;
+            }
+            let due = q.opened_at.and_then(|opened| opened.checked_add(self.config.max_delay));
+            let due = [due, deadline].into_iter().flatten().min();
+            match due {
+                Some(due) if Instant::now() >= due => {
+                    let work = q.take_work();
+                    drop(q);
+                    return self.flush(work, FlushKind::Deadline);
+                }
+                _ => {
+                    drop(q);
+                    state.park(due);
+                }
+            }
+        }
+    }
+
+    fn flush(&self, (batch, state, max_k): Work, kind: FlushKind) {
         let snapshot = self.registry.snapshot();
         let queries = batch.len();
         self.stats.queries.fetch_add(queries as u64, Ordering::Relaxed);
@@ -379,9 +428,9 @@ impl Shared {
         };
         // A panicking model must not unwind past the batch state: the
         // batch was already taken out of the queue, so an unfilled state
-        // would strand its waiters forever — and a panic on the flusher
-        // thread would additionally kill deadline flushing and the
-        // shutdown drain. Contain it and answer the batch with an error.
+        // would strand its waiters forever, and the panic would unwind
+        // into whichever submitter, waiter or wire reader ran the flush.
+        // Contain it and answer the batch with an error.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let batch = Arc::new(batch);
             if max_k == 1 {
@@ -473,7 +522,6 @@ impl Shared {
 /// ```
 pub struct Server {
     shared: Arc<Shared>,
-    flusher: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for Server {
@@ -487,42 +535,33 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Starts a server over `model` (generation 1) and spawns the
-    /// deadline flusher.
+    /// Starts a server over `model` (generation 1). It spawns no thread:
+    /// every flush runs on a submitting, waiting or shutting-down thread,
+    /// or on a wire connection's reader.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidConfig`] for an invalid `config` or
-    /// if the flusher thread cannot be spawned.
+    /// Returns [`ServeError::InvalidConfig`] for an invalid `config`.
     pub fn start(model: Arc<dyn Searchable>, config: ServeConfig) -> Result<Self> {
         config.validate()?;
         let dim = model.dim();
         // Pre-size for the configured batch, but don't let a huge
         // (deadline-only) max_batch pre-reserve unbounded memory.
         let reserve = config.max_batch.min(4096);
-        let shared = Arc::new(Shared {
+        let shared = Arc::new_cyclic(|server| Shared {
             queue: Mutex::new(Queue {
                 builder: QueryBatchBuilder::with_capacity(dim, reserve),
-                state: BatchState::new(),
+                state: BatchState::new(Weak::clone(server)),
                 max_k: 1,
                 opened_at: None,
                 shutdown: false,
             }),
-            deadline_cv: Condvar::new(),
-            flusher_parked: AtomicBool::new(false),
             registry: ModelRegistry::new(model),
             config,
             stats: StatCounters::default(),
             in_flight: AtomicU64::new(0),
         });
-        let flusher_shared = Arc::clone(&shared);
-        let flusher = std::thread::Builder::new()
-            .name("hd-serve-flusher".into())
-            .spawn(move || run_flusher(&flusher_shared))
-            .map_err(|e| ServeError::InvalidConfig {
-                reason: format!("failed to spawn flusher: {e}"),
-            })?;
-        Ok(Server { shared, flusher: Mutex::new(Some(flusher)) })
+        Ok(Server { shared })
     }
 
     /// Dimensionality queries must match.
@@ -577,18 +616,18 @@ impl Server {
     /// Submits one query asking for its `k` best rows, returning a
     /// [`PendingTopK`] handle. If this query fills the batch, the
     /// submitting thread flushes it inline before returning (flat
-    /// combining); otherwise the deadline flusher will. Submissions of
-    /// different k share batch cycles: the flush answers the whole cycle
-    /// at the largest pending k in one fused sweep (the argmax sweep when
-    /// that is 1), and every handle truncates back to its own k.
+    /// combining). Submissions of different k share batch cycles: the
+    /// flush answers the whole cycle at the largest pending k in one
+    /// fused sweep (the argmax sweep when that is 1), and every handle
+    /// truncates back to its own k.
     ///
-    /// Under thin traffic the answer waits for the deadline flush:
-    /// [`ServeConfig::max_delay`], and up to twice that when the query
-    /// opens a cycle while the flusher lingers — the latency budget
-    /// buying batch amortization. Latency-critical single callers should
-    /// lower it, bound their own wait with [`PendingTopK::wait_until`],
-    /// or come in over [`crate::net`], whose readers flush as soon as
-    /// they run out of frames at hand.
+    /// Under thin traffic the first waiter on the cycle flushes it once
+    /// it has been open for [`ServeConfig::max_delay`] — the latency
+    /// budget buying batch amortization. Latency-critical single callers
+    /// should lower it (to [`Duration::ZERO`] for group commit), bound
+    /// their own wait with [`PendingTopK::wait_until`], or come in over
+    /// [`crate::net`], whose readers flush as soon as they run out of
+    /// frames at hand.
     ///
     /// # Errors
     ///
@@ -684,11 +723,6 @@ impl Server {
         q.max_k = q.max_k.max(k);
         if start == 0 {
             q.opened_at = Some(Instant::now());
-            // Only a deep-parked flusher needs a wake-up; a lingering
-            // one will notice the queue on its next timed check.
-            if self.shared.flusher_parked.load(Ordering::Relaxed) {
-                self.shared.deadline_cv.notify_one();
-            }
         }
         let state = Arc::clone(&q.state);
         let work = (q.builder.len() >= self.shared.config.max_batch).then(|| q.take_work());
@@ -698,8 +732,8 @@ impl Server {
     /// Flushes `work` inline on the submitting thread, if a submission
     /// filled the batch.
     fn flush_full(&self, work: Option<Work>) {
-        if let Some((batch, state, max_k)) = work {
-            self.shared.flush(batch, state, max_k, FlushKind::Full);
+        if let Some(work) = work {
+            self.shared.flush(work, FlushKind::Full);
         }
     }
 
@@ -708,30 +742,23 @@ impl Server {
     /// every frame at hand. The batch is taken exactly as a full flush
     /// takes it, whatever its size and whoever queued it.
     pub(crate) fn flush_pending(&self) {
-        let work = {
-            let mut q = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            (!q.builder.is_empty()).then(|| q.take_work())
-        };
-        if let Some((batch, state, max_k)) = work {
-            self.shared.flush(batch, state, max_k, FlushKind::Ingest);
+        let work = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner).take_open();
+        if let Some(work) = work {
+            self.shared.flush(work, FlushKind::Ingest);
         }
     }
 
-    /// Shuts the server down: pending queries are drained and answered,
-    /// subsequent submissions fail with [`ServeError::Shutdown`].
-    /// Idempotent; also runs on drop.
+    /// Shuts the server down: the pending batch is drained and answered
+    /// on the calling thread, and subsequent submissions fail with
+    /// [`ServeError::Shutdown`]. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
-        {
+        let work = {
             let mut q = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            if q.shutdown {
-                return;
-            }
             q.shutdown = true;
-        }
-        self.shared.deadline_cv.notify_all();
-        let handle = self.flusher.lock().unwrap_or_else(PoisonError::into_inner).take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
+            q.take_open()
+        };
+        if let Some(work) = work {
+            self.shared.flush(work, FlushKind::Deadline);
         }
     }
 }
@@ -739,71 +766,6 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Empty timed checks the flusher makes before deep-parking. While full
-/// flushes keep traffic flowing, the queue looks empty at every check and
-/// the flusher stays in this cheap linger loop — submitters never pay a
-/// condvar notify.
-const LINGER_TICKS: u32 = 32;
-
-/// Deadline-flusher loop: tracks the oldest pending query and flushes
-/// once it has waited `max_delay`. While traffic flows it lingers on
-/// timed waits (see [`LINGER_TICKS`]); after enough consecutive empty
-/// checks it deep-parks until a submitter notifies it, so an idle server
-/// costs no wake-ups at all. A query that arrives during a linger sleep
-/// is flushed within `2 × max_delay` in the worst case. On shutdown the
-/// loop drains whatever is still queued (no query is lost) and exits.
-fn run_flusher(shared: &Shared) {
-    let max_delay = shared.config.max_delay;
-    let mut empty_checks = 0u32;
-    let mut q = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-    loop {
-        if q.shutdown {
-            if !q.builder.is_empty() {
-                let (batch, state, max_k) = q.take_work();
-                drop(q);
-                shared.flush(batch, state, max_k, FlushKind::Deadline);
-            }
-            return;
-        }
-        match q.opened_at {
-            None if empty_checks >= LINGER_TICKS => {
-                // Written under the queue lock; a submitter that misses
-                // the flag (checks before we set it) has not pushed yet
-                // and its push happens after we release the lock in
-                // wait(), so no wake-up is ever lost.
-                shared.flusher_parked.store(true, Ordering::Relaxed);
-                q = shared.deadline_cv.wait(q).unwrap_or_else(PoisonError::into_inner);
-                shared.flusher_parked.store(false, Ordering::Relaxed);
-                empty_checks = 0;
-            }
-            None => {
-                empty_checks += 1;
-                q = shared
-                    .deadline_cv
-                    .wait_timeout(q, max_delay)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
-            }
-            Some(opened) => {
-                empty_checks = 0;
-                let elapsed = opened.elapsed();
-                if elapsed >= max_delay {
-                    let (batch, state, max_k) = q.take_work();
-                    drop(q);
-                    shared.flush(batch, state, max_k, FlushKind::Deadline);
-                    q = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-                } else {
-                    q = shared
-                        .deadline_cv
-                        .wait_timeout(q, max_delay - elapsed)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                }
-            }
-        }
     }
 }
 
@@ -860,14 +822,11 @@ mod tests {
         }
         let stats = server.stats();
         assert_eq!(stats.queries, 50);
-        // 50 queries at max_batch 16: up to three full flushes plus a
-        // deadline flush for the remainder. Exact counts depend on
-        // scheduling (a preempted submitter lets the deadline flusher
-        // steal a partial batch), so assert bounds, not equality.
-        assert!(stats.full_flushes <= 3, "{stats:?}");
-        assert!(stats.deadline_flushes >= 1, "{stats:?}");
+        // 50 queries at max_batch 16: three full flushes run by the
+        // submitters, then the last two queries' first waiter flushes
+        // the remainder once it falls due. No other thread flushes.
+        assert_eq!((stats.full_flushes, stats.deadline_flushes, stats.batches), (3, 1, 4));
         assert!(stats.largest_batch <= 16, "{stats:?}");
-        assert!(stats.batches >= 4, "{stats:?}");
     }
 
     #[test]
@@ -937,12 +896,101 @@ mod tests {
         )
         .unwrap();
         let q = random_queries(1, 64, 4).remove(0);
-        // A single query can never fill the batch; only the deadline can
-        // answer it.
+        // A single query can never fill the batch; only the deadline
+        // flush, run by its own waiter, can answer it.
         let got = classify(&server, &q).unwrap();
         assert_eq!(got.class, am.classify(&q).unwrap());
         assert_eq!(server.stats().deadline_flushes, 1);
         assert_eq!(server.stats().full_flushes, 0);
+    }
+
+    /// A lone waiter whose deadline comes long before `max_delay` flushes
+    /// its own cycle at that deadline instead of timing out, and releases
+    /// its admission slot.
+    #[test]
+    fn wait_until_flushes_its_open_cycle_at_its_deadline() {
+        let am = random_am(16, 64, 40);
+        let server = Server::start(
+            Arc::clone(&am) as Arc<dyn Searchable>,
+            ServeConfig { max_batch: 4, max_delay: Duration::from_secs(600), max_in_flight: 4 },
+        )
+        .unwrap();
+        let q = random_queries(1, 64, 41).remove(0);
+        let pending = server.submit(q.as_view(), 1).unwrap();
+        let got = pending.wait_until(Instant::now() + Duration::from_millis(5)).unwrap()[0];
+        let want = am.search(&q).unwrap();
+        assert_eq!((got.row, got.class, got.score), (want.row, want.class, want.score));
+        assert_eq!(server.stats().deadline_flushes, 1);
+        assert_eq!(server.in_flight(), 0);
+    }
+
+    /// With `max_delay` zero a lone submit-and-wait is group commit: the
+    /// waiter searches its batch of one on its own thread.
+    #[test]
+    fn zero_max_delay_searches_on_the_waiting_thread() {
+        /// Records the thread that runs each search.
+        struct ThreadRecorder {
+            inner: Arc<hdc::BinaryAm>,
+            threads: Mutex<Vec<std::thread::ThreadId>>,
+        }
+        impl crate::Searchable for ThreadRecorder {
+            fn dim(&self) -> usize {
+                crate::Searchable::dim(&*self.inner)
+            }
+            fn rows(&self) -> usize {
+                crate::Searchable::rows(&*self.inner)
+            }
+            fn search_winners(
+                &self,
+                batch: Arc<hd_linalg::QueryBatch>,
+            ) -> Result<Vec<crate::Winner>> {
+                self.threads.lock().unwrap().push(std::thread::current().id());
+                self.inner.search_winners(batch)
+            }
+            fn search_topk(
+                &self,
+                batch: Arc<hd_linalg::QueryBatch>,
+                k: usize,
+            ) -> Result<Vec<Vec<crate::Winner>>> {
+                self.threads.lock().unwrap().push(std::thread::current().id());
+                self.inner.search_topk(batch, k)
+            }
+        }
+        let am = random_am(16, 64, 42);
+        let model = Arc::new(ThreadRecorder { inner: Arc::clone(&am), threads: Mutex::default() });
+        let server = Server::start(
+            Arc::clone(&model) as Arc<dyn Searchable>,
+            ServeConfig { max_batch: 64, max_delay: Duration::ZERO, ..Default::default() },
+        )
+        .unwrap();
+        let q = random_queries(1, 64, 43).remove(0);
+        assert_eq!(classify(&server, &q).unwrap().class, am.classify(&q).unwrap());
+        assert_eq!(*model.threads.lock().unwrap(), [std::thread::current().id()]);
+        assert_eq!(server.stats().deadline_flushes, 1);
+    }
+
+    /// A waiter parked on a cycle that will not fall due for 600 s is
+    /// answered by the shutdown drain on another thread.
+    #[test]
+    fn shutdown_answers_a_waiter_parked_on_another_thread() {
+        let am = random_am(16, 64, 44);
+        let server = Server::start(
+            Arc::clone(&am) as Arc<dyn Searchable>,
+            ServeConfig {
+                max_batch: 1024,
+                max_delay: Duration::from_secs(600),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let q = random_queries(1, 64, 45).remove(0);
+        let pending = server.submit(q.as_view(), 1).unwrap();
+        let waiter = std::thread::spawn(move || pending.wait());
+        // Give the waiter time to park; shutdown answers it either way.
+        std::thread::sleep(Duration::from_millis(20));
+        server.shutdown();
+        assert_eq!(waiter.join().unwrap().unwrap()[0].class, am.classify(&q).unwrap());
+        assert_eq!(server.stats().deadline_flushes, 1);
     }
 
     #[test]
@@ -1006,7 +1054,7 @@ mod tests {
     }
 
     #[test]
-    fn panicking_model_answers_with_error_and_keeps_flusher_alive() {
+    fn panicking_model_answers_with_error_and_keeps_serving() {
         struct PanickyModel;
         impl crate::Searchable for PanickyModel {
             fn dim(&self) -> usize {
@@ -1031,9 +1079,9 @@ mod tests {
         }
         let server = Server::start(
             Arc::new(PanickyModel),
-            // Large max_batch: both flushes go through the deadline
-            // flusher, so a contained panic is also proven not to kill
-            // that thread.
+            // Large max_batch: both flushes are deadline flushes run by
+            // the waiter, so a contained panic is also proven not to
+            // unwind into it.
             ServeConfig {
                 max_batch: 1024,
                 max_delay: Duration::from_micros(200),
@@ -1048,7 +1096,7 @@ mod tests {
             }
             other => panic!("expected a Model error, got {other:?}"),
         }
-        // The flusher survived: after swapping in a healthy model, the
+        // The server survived: after swapping in a healthy model, the
         // deadline path answers normally.
         let am = random_am(8, 64, 21);
         server.publish(Arc::clone(&am) as Arc<dyn Searchable>).unwrap();
@@ -1194,7 +1242,7 @@ mod tests {
             words.extend_from_slice(q.as_words());
         }
         // One oversized frame (> max_batch) plus a small one: the first
-        // flushes inline, the rest ride the deadline flusher.
+        // flushes inline, the rest is flushed by its first waiter.
         let wpq = dim.div_ceil(64);
         let mut pendings = server.submit_packed(&words[..16 * wpq], 1).unwrap();
         pendings.extend(server.submit_packed(&words[16 * wpq..], 3).unwrap());

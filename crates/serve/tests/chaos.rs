@@ -15,6 +15,7 @@ use imc_sim::{
     AmMapping, ArraySpec, FaultModel, FaultyAmMapping, MappingStrategy, ScrubConfig, Scrubber,
 };
 use rand::Rng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -49,6 +50,14 @@ fn sharded_fixture(seed: u64) -> (Arc<ShardedSearcher>, Vec<BitVector>, Vec<usiz
 struct SlowModel {
     inner: Arc<dyn Searchable>,
     delay: Duration,
+    /// Searches started so far.
+    searches: AtomicUsize,
+}
+
+impl SlowModel {
+    fn new(inner: Arc<dyn Searchable>, delay: Duration) -> Arc<Self> {
+        Arc::new(SlowModel { inner, delay, searches: AtomicUsize::new(0) })
+    }
 }
 
 impl Searchable for SlowModel {
@@ -61,11 +70,13 @@ impl Searchable for SlowModel {
     }
 
     fn search_winners(&self, batch: Arc<QueryBatch>) -> hd_serve::Result<Vec<Winner>> {
+        self.searches.fetch_add(1, Ordering::SeqCst);
         std::thread::sleep(self.delay);
         self.inner.search_winners(batch)
     }
 
     fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> hd_serve::Result<Vec<Vec<Winner>>> {
+        self.searches.fetch_add(1, Ordering::SeqCst);
         std::thread::sleep(self.delay);
         self.inner.search_topk(batch, k)
     }
@@ -134,26 +145,37 @@ fn degraded_shard_answers_survivors_and_flags_predictions() {
 #[test]
 fn deadline_timeout_leaves_query_answered_and_server_alive() {
     let (sharded, _, _) = sharded_fixture(321);
-    let slow = SlowModel { inner: sharded, delay: Duration::from_millis(80) };
+    let slow = SlowModel::new(sharded, Duration::from_millis(80));
     let server = Server::start(
-        Arc::new(slow) as Arc<dyn Searchable>,
-        ServeConfig { max_batch: 64, max_delay: Duration::from_millis(2), ..Default::default() },
+        Arc::clone(&slow) as Arc<dyn Searchable>,
+        ServeConfig { max_batch: 2, max_delay: Duration::from_millis(2), ..Default::default() },
     )
     .unwrap();
-    let query = random_queries(1, 128, 322).pop().unwrap();
-    // The deadline flusher picks the query up after ~2 ms but the model
-    // needs 80 ms; a 10 ms waiter must give up with Timeout.
-    let give_up = Instant::now() + Duration::from_millis(10);
+    let queries = random_queries(2, 128, 322);
+    let query = &queries[0];
     let pending = server.submit(query.as_view(), 1).unwrap();
-    assert_eq!(pending.wait_until(give_up), Err(ServeError::Timeout));
-    // The query itself is not lost: the flush still answers it.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while server.stats().queries < 1 {
-        assert!(Instant::now() < deadline, "flush never answered the timed-out query");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    std::thread::scope(|scope| {
+        // A second submitter fills the batch and runs its flush, which
+        // the model stretches to 80 ms, on its own thread.
+        let filler = scope.spawn(|| server.submit(queries[1].as_view(), 1).and_then(|p| p.wait()));
+        let patience = Instant::now() + Duration::from_secs(10);
+        while slow.searches.load(Ordering::SeqCst) == 0 {
+            assert!(Instant::now() < patience, "the filling submitter never flushed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // A 10 ms waiter must give up with Timeout while that flush runs.
+        let give_up = Instant::now() + Duration::from_millis(10);
+        assert_eq!(pending.wait_until(give_up), Err(ServeError::Timeout));
+        // The query itself is not lost: the flush still answers it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.stats().queries < 1 {
+            assert!(Instant::now() < deadline, "flush never answered the timed-out query");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(filler.join().unwrap().is_ok(), "the filling submitter's own query is answered");
+    });
     // And the server keeps serving patient submitters.
-    let pred = classify(&server, &query).unwrap();
+    let pred = classify(&server, query).unwrap();
     assert!(pred.score > 0 || pred.row < 61);
     server.shutdown();
 }
@@ -161,9 +183,9 @@ fn deadline_timeout_leaves_query_answered_and_server_alive() {
 #[test]
 fn overload_sheds_at_admission_but_accepted_queries_all_resolve() {
     let (sharded, _, _) = sharded_fixture(331);
-    let slow = SlowModel { inner: sharded, delay: Duration::from_millis(10) };
+    let slow = SlowModel::new(sharded, Duration::from_millis(10));
     let server = Server::start(
-        Arc::new(slow) as Arc<dyn Searchable>,
+        slow as Arc<dyn Searchable>,
         ServeConfig { max_batch: 4, max_delay: Duration::from_millis(1), max_in_flight: 4 },
     )
     .unwrap();

@@ -5,7 +5,7 @@
 //!    answered, exactly once, with the same winner the unserved model
 //!    produces;
 //! 2. the deadline flush always fires — partial batches that can never
-//!    fill are still answered, round after round;
+//!    fill are still answered by their waiters, round after round;
 //! 3. a snapshot swap during flushes never mixes model generations — a
 //!    response's `(generation, class)` pair is always consistent with one
 //!    published model.
@@ -102,11 +102,12 @@ fn concurrent_submitters_never_lose_queries() {
     );
 }
 
-/// With `max_batch` unreachable, ONLY the single deadline-flusher thread
-/// ever answers — the flat-combining inline path never triggers, so this
-/// pins the flusher's liveness under sustained multi-thread load.
+/// With `max_batch` unreachable, ONLY waiters ever flush — the
+/// full-flush path never triggers, so this pins the deadline flush under
+/// sustained multi-thread load: eight threads' waiters racing to take
+/// the cycles they share.
 #[test]
-fn flusher_only_submitters_never_lose_queries() {
+fn waiter_flushed_submitters_never_lose_queries() {
     run_lost_queries_stress(
         2,
         ServeConfig {
@@ -268,8 +269,8 @@ fn sharded_topk_agrees_with_unsharded_under_concurrent_mixed_k() {
     assert_eq!(server.stats().queries, (THREADS * PER_THREAD) as u64, "no lost queries");
 }
 
-/// With a batch size nothing ever fills, only the deadline flusher can
-/// answer — it must fire every round, including immediately after a
+/// With a batch size nothing ever fills, only the waiter's deadline flush
+/// can answer — it must fire every round, including immediately after a
 /// previous flush.
 #[test]
 fn deadline_flush_always_fires() {

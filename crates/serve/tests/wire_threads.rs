@@ -1,6 +1,7 @@
-//! Thread accounting for the wire front-end: a served connection runs
-//! exactly one thread, its reader. A test binary of its own, so that no
-//! other test's connections are counted.
+//! Thread accounting for the serving stack: a `Server` runs no thread of
+//! its own (its deadline flushes run on the waiting thread), and a served
+//! connection runs exactly one thread, its reader. A test binary of its
+//! own, so that no other test's servers or connections are counted.
 
 #[cfg(target_os = "linux")]
 #[test]
@@ -20,6 +21,8 @@ fn each_connection_runs_one_thread() {
     // connection's threads are running by then.
     let clients: Vec<WireClient> = (0..3).map(|_| WireClient::connect_tcp(addr).unwrap()).collect();
     let threads_named = |name: &str| {
+        // The kernel keeps the first 15 bytes of a thread's name.
+        let name = &name[..name.len().min(15)];
         std::fs::read_dir("/proc/self/task")
             .unwrap()
             .filter(|task| {
@@ -28,7 +31,12 @@ fn each_connection_runs_one_thread() {
             })
             .count()
     };
-    assert_eq!((threads_named("hd-wire-conn"), threads_named("hd-wire-write")), (3, 0));
+    assert_eq!(
+        (threads_named("hd-wire-conn"), threads_named("hd-wire-write")),
+        (3, 0),
+        "one thread per connection"
+    );
+    assert_eq!(threads_named("hd-serve-flusher"), 0, "the server spawns no flusher");
     drop(clients);
     wire.shutdown();
     server.shutdown();
