@@ -136,9 +136,9 @@ fn bench_cascade_search(c: &mut Criterion) {
         .collect();
     let batch = QueryBatch::from_vectors(&queries).expect("batch");
     let plan = CascadePlan::prefix(dim, dim / 16).expect("plan");
-    // Pre-derive the plan's artifacts once, mirroring how `classify_batch`
-    // reuses the AM's pre-packed memory: the serving path (hd_serve's
-    // cascade adapters) holds exactly this bound form.
+    // Bind the plan once, mirroring how `classify_batch` reuses the AM's
+    // pre-packed memory: the serving path (hd_serve's cascade shards)
+    // holds exactly this handle.
     let bound = BoundCascade::new(std::sync::Arc::new(am.search_memory().clone()), plan.clone())
         .expect("bound cascade");
 
@@ -224,11 +224,10 @@ fn bench_cascade_search(c: &mut Criterion) {
     group.finish();
 }
 
-/// Repeated-batch cascade loops at the model layer: the cached bound
-/// handle (`search_cascade_topk` on the model's binary-AM memory, which
-/// caches the plan's row-suffix table). Small
-/// batches against a wide imbalanced AM — exactly the QAT-epoch /
-/// eval-sweep shape the caching targets.
+/// Repeated-batch cascade loops at the model layer: one `BoundCascade`
+/// over the model's binary-AM memory, bound outside the loop, so every
+/// iteration reuses the plan's row-suffix table. Small batches against a
+/// wide imbalanced AM — the QAT-epoch / eval-sweep shape.
 fn bench_cascade_repeat(c: &mut Criterion) {
     let dim = 2048usize;
     let classes = 64usize;
@@ -274,8 +273,10 @@ fn bench_cascade_repeat(c: &mut Criterion) {
     let plan = CascadePlan::tuned(memory, &batch).expect("tuned plan");
     assert!(plan.stages() > 1, "imbalanced workload must tune to a cascade: {plan:?}");
 
+    let bound = BoundCascade::new(std::sync::Arc::new(memory.clone()), plan.clone())
+        .expect("bound cascade");
     let exact = am.classify_batch(&batch).expect("exact");
-    let cached = memory.search_cascade_topk(&batch, &plan, 1).expect("cached");
+    let cached = bound.search_topk(&batch, 1).expect("cached");
     assert_eq!(exact, top1_classes(&model, &cached));
     eprintln!("cascade_repeat: tuned plan ends {:?} over {vectors}x{dim}", plan.ends());
 
@@ -286,11 +287,7 @@ fn bench_cascade_repeat(c: &mut Criterion) {
         &batch,
         |b, batch| {
             b.iter(|| {
-                let out = model
-                    .binary_am()
-                    .search_memory()
-                    .search_cascade_topk(batch, &plan, 1)
-                    .expect("search");
+                let out = bound.search_topk(batch, 1).expect("search");
                 let lists = out.topk();
                 (0..lists.len()).map(|q| model.class_of(lists.hits(q)[0].0)).sum::<usize>()
             })
@@ -307,14 +304,14 @@ fn bench_cascade_repeat(c: &mut Criterion) {
 /// plans priced with the compiled-in `CostModel` — on the imbalanced
 /// 10240×10 workload, asserting first that the tuner converges to a
 /// multi-stage plan with a short prefix that classifies bit-identically
-/// to the exact sweep. The `segview_*` pair
-/// isolates the per-call segment re-pack the partitioned layouts used to
-/// pay on unaligned segment grids (dim 1600, P=16 → 100-bit segments,
-/// off the word grid): `segview_reuse` drives every partition through
-/// `QueryBatch::segments` (per-bit packed once, cached on the batch),
-/// `segview_repack` re-slices and re-packs every query segment on every
-/// call — the pre-PR 8 `AmMapping` behavior, kept here as the reference.
-/// Scores are asserted bit-identical across the two paths before timing.
+/// to the exact sweep. The `segview_*` pair times the segment packing
+/// the partitioned layouts pay on unaligned segment grids (dim 1600,
+/// P=16 → 100-bit segments, off the word grid): `segview_reuse` drives
+/// every partition through `QueryBatch::segments` (all segments shifted
+/// into one buffer per call), `segview_repack` re-slices every query
+/// segment into its own `BitVector` and re-packs one batch per segment —
+/// the old `AmMapping` behavior, kept here as the reference. Scores are
+/// asserted bit-identical across the two paths before timing.
 fn bench_cascade_calibrated(c: &mut Criterion) {
     eprintln!("cascade_calibrated: cost model {}", CostModel::active());
 

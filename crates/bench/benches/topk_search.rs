@@ -145,7 +145,7 @@ fn bench_topk_cascade(c: &mut Criterion) {
         .collect();
     let batch = QueryBatch::from_vectors(&queries).expect("batch");
     let plan = CascadePlan::prefix(dim, dim / 16).expect("plan");
-    // Serving holds exactly this bound form: derived artifacts built once.
+    // Serving holds exactly this handle: its row-suffix table derived once.
     let bound = BoundCascade::new(std::sync::Arc::new(memory.clone()), plan).expect("bound");
 
     // Acceptance: the cascade's k-best lists are bit-identical (same

@@ -522,8 +522,8 @@ impl BinaryAm {
 
     /// Borrows the search-optimized memory (row-major matrix plus its
     /// blocked layout). Cascade search runs on it
-    /// ([`SearchMemory::search_cascade_topk`], which caches each plan's
-    /// derived artifacts here), as does plan tuning
+    /// ([`SearchMemory::search_cascade_topk`], or a
+    /// [`hd_linalg::BoundCascade`] over a clone of it), as does plan tuning
     /// ([`hd_linalg::CascadePlan::tuned`]); map rows to classes with
     /// [`BinaryAm::class_of`].
     pub fn search_memory(&self) -> &SearchMemory {

@@ -205,9 +205,8 @@ impl FaultyAmMapping {
     }
 
     /// The underlying (perturbed) mapping: every search on the faulty
-    /// arrays runs on it. Fault injection invalidates any cascade bound
-    /// artifacts cached before the flips, so a cascade's pruning bound
-    /// always describes the bits actually programmed.
+    /// arrays runs on it. A cascade derives its pruning bound from the
+    /// bits programmed at call time, so it tracks every flip.
     pub fn as_mapping(&self) -> &AmMapping {
         &self.mapping
     }
@@ -346,10 +345,9 @@ mod tests {
         for strategy in [MappingStrategy::Basic, MappingStrategy::Partitioned { partitions: 4 }] {
             let ideal = AmMapping::new(&am, ArraySpec::default(), strategy).unwrap();
             let plan = CascadePlan::prefix(512, 128).unwrap();
-            // Warm the ideal mapping's cascade bound caches, then degrade
-            // through two injection rounds: the cached prefix sub-memory
-            // and row-suffix tables describe the pre-fault bits and MUST
-            // be re-derived, or the pruning bound would silently lie.
+            // Search the ideal mapping, then degrade through two
+            // injection rounds: a row-suffix table of the pre-fault bits
+            // would make the pruning bound silently lie.
             let winners = |mapping: &AmMapping| -> Vec<usize> {
                 let out = mapping.search_batch_cascade(&batch, &plan, 1).unwrap();
                 (0..batch.len()).map(|q| out.topk().hits(q)[0].0).collect()

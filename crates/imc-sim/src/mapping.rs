@@ -15,7 +15,6 @@ use hd_linalg::{
     SearchMemory, SegmentedCascade, TopK,
 };
 use hdc::{BinaryAm, SearchHit};
-use std::sync::{Arc, Mutex};
 
 /// How the AM is laid out across arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -155,7 +154,7 @@ impl TopKBatchStats {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct AmMapping {
     spec: ArraySpec,
     strategy: MappingStrategy,
@@ -174,33 +173,6 @@ pub struct AmMapping {
     /// [`SearchMemory`] keeps each partition's SIMD-blocked mirror packed
     /// once instead of per batch.
     partitions: Vec<SearchMemory>,
-    /// Most-recent partitioned cascade handle (the logical row-suffix
-    /// table), keyed by its plan — a cascade's, or the exact one-stage
-    /// plan of the fused k-best. Rebuilt when a different plan arrives
-    /// and dropped whenever fault injection flips a programmed cell —
-    /// basic layouts instead ride the [`SearchMemory`]-internal bound
-    /// cache of their single partition.
-    segmented_bound: Mutex<Option<Arc<SegmentedCascade>>>,
-}
-
-impl Clone for AmMapping {
-    fn clone(&self) -> Self {
-        AmMapping {
-            spec: self.spec,
-            strategy: self.strategy,
-            dim: self.dim,
-            num_vectors: self.num_vectors,
-            classes: self.classes.clone(),
-            seg_len: self.seg_len,
-            partitions: self.partitions.clone(),
-            // The handle describes the (identical) cloned bits; sharing
-            // the Arc is safe because invalidation replaces, never
-            // mutates, the pointee.
-            segmented_bound: Mutex::new(
-                self.segmented_bound.lock().map(|g| g.clone()).unwrap_or(None),
-            ),
-        }
-    }
 }
 
 impl AmMapping {
@@ -249,7 +221,6 @@ impl AmMapping {
             classes: am.class_labels().to_vec(),
             seg_len,
             partitions,
-            segmented_bound: Mutex::new(None),
         })
     }
 
@@ -361,10 +332,9 @@ impl AmMapping {
                 .dot_batch_into(batch, &mut scores)
                 .expect("basic layout matches the full query width");
         } else {
-            // Partitioned layout: drive every partition with the batch's
-            // cached segmented view (zero-copy windows on the word grid,
-            // one-time packs off it) and accumulate the partials —
-            // repeat batches stop rebuilding their segments every call.
+            // Partitioned layout: drive every partition with its segment
+            // of the batch (zero-copy windows on the word grid, views of
+            // one packed buffer off it) and accumulate the partials.
             let seg_batches =
                 batch.segments(self.seg_len).expect("mapping width is partitions x seg_len");
             let mut scratch = ScoreMatrix::zeros(0, 0);
@@ -443,9 +413,9 @@ impl AmMapping {
     /// across partitions: a column gated off after one segment's
     /// activation stays off for every later segment.
     ///
-    /// The plan's derived artifacts (row-suffix table, or the logical
-    /// one of a partitioned layout) are cached on the mapping and reused
-    /// across batches; fault injection invalidates them.
+    /// Each call derives the plan's row-suffix table (the logical one of
+    /// a partitioned layout) from the programmed bits, so a search after
+    /// fault injection or repair prunes against the bits it scores.
     ///
     /// # Errors
     ///
@@ -492,28 +462,16 @@ impl AmMapping {
     }
 
     /// The partitioned layout's one segmented search: `plan` (the exact
-    /// one-stage plan for [`LabeledMemory::topk`]) through the cached
-    /// handle, re-derived when the plan differs from the cached one.
-    /// Callers must have validated the plan's stage alignment.
+    /// one-stage plan for [`LabeledMemory::topk`], which derives nothing)
+    /// through a handle derived for this call. Callers must have
+    /// validated the plan's stage alignment.
     fn segmented_search(
         &self,
         batch: &QueryBatch,
         plan: &CascadePlan,
         k: usize,
     ) -> hd_linalg::Result<CascadeTopK> {
-        let bound = {
-            let mut guard =
-                self.segmented_bound.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            match guard.as_ref() {
-                Some(bound) if bound.plan() == plan => Arc::clone(bound),
-                _ => {
-                    let bound = Arc::new(SegmentedCascade::new(&self.partitions, plan)?);
-                    *guard = Some(Arc::clone(&bound));
-                    bound
-                }
-            }
-        };
-        bound.search_topk(&self.partitions, batch, k)
+        SegmentedCascade::new(&self.partitions, plan)?.search_topk(&self.partitions, batch, k)
     }
 
     /// Auto-tunes a cascade stage plan for this mapping from a sample of
@@ -630,15 +588,10 @@ impl AmMapping {
     /// perturb it. Cells are visited in a fixed (column-major by logical
     /// column, then bit) order so fault sampling is reproducible. Each
     /// partition's SIMD-blocked mirror is rebuilt once after its sweep —
-    /// and only if the sweep actually flipped a bit. Any flip also drops
-    /// the cached cascade bound artifacts (the per-partition
-    /// [`SearchMemory`] caches invalidate themselves; the partitioned
-    /// handle is dropped here), so the next cascade re-derives against
-    /// the faulty bits and stays bit-exact vs. the faulty exact search.
+    /// and only if the sweep actually flipped a bit.
     pub(crate) fn for_each_cell_mut<F: FnMut(&mut bool)>(&mut self, mut f: F) {
-        let mut any_changed = false;
         for memory in &mut self.partitions {
-            any_changed |= memory.modify_reporting(|matrix| {
+            memory.modify_reporting(|matrix| {
                 let mut changed = false;
                 for r in 0..matrix.rows() {
                     for c in 0..matrix.cols() {
@@ -653,9 +606,6 @@ impl AmMapping {
                 }
                 changed
             });
-        }
-        if any_changed {
-            *self.segmented_bound.get_mut().unwrap_or_else(|poisoned| poisoned.into_inner()) = None;
         }
     }
 
@@ -736,7 +686,7 @@ impl AmMapping {
 
     /// Builds a mapping with this one's metadata (spec, strategy, classes)
     /// but freshly supplied partition matrices — the majority-vote readout
-    /// constructs its digital view this way. The bound cache starts empty.
+    /// constructs its digital view this way.
     pub(crate) fn clone_with_partition_matrices(&self, matrices: Vec<BitMatrix>) -> Result<Self> {
         if matrices.len() != self.partitions.len() {
             return Err(ImcError::InvalidSpec {
@@ -767,15 +717,12 @@ impl AmMapping {
             classes: self.classes.clone(),
             seg_len: self.seg_len,
             partitions: matrices.into_iter().map(SearchMemory::new).collect(),
-            segmented_bound: Mutex::new(None),
         })
     }
 
     /// Reprograms logical row `v` to `bits`, touching only partitions
     /// whose segment actually changed (each rebuilds its SIMD mirror at
-    /// most once). Returns the number of cells that flipped; any flip
-    /// drops the cached cascade bound artifacts so subsequent cascade
-    /// searches re-derive against the repaired bits.
+    /// most once). Returns the number of cells that flipped.
     pub(crate) fn overwrite_logical_row(&mut self, v: usize, bits: &BitVector) -> usize {
         debug_assert_eq!(bits.len(), self.dim);
         debug_assert!(v < self.num_vectors);
@@ -791,9 +738,6 @@ impl AmMapping {
                 matrix.set_row(v, &segment).expect("segment width matches partition matrix");
                 true
             });
-        }
-        if flipped > 0 {
-            *self.segmented_bound.get_mut().unwrap_or_else(|poisoned| poisoned.into_inner()) = None;
         }
         flipped
     }
@@ -931,11 +875,11 @@ mod tests {
     }
 
     #[test]
-    fn unaligned_partitioned_batches_reuse_segment_views_bit_exactly() {
-        // seg_len = 300 / 3 = 100 (off the word grid): the per-bit
-        // segment re-pack now happens once per batch via
-        // QueryBatch::segments, so repeated searches of the same batch
-        // must stay bit-identical to the basic layout and to each other.
+    fn unaligned_partitioned_batches_are_bit_exact() {
+        // seg_len = 300 / 3 = 100 (off the word grid): every search packs
+        // the batch's segments through QueryBatch::segments, and repeated
+        // searches of the same batch stay bit-identical to the basic
+        // layout and to each other.
         let am = random_am(4, 2, 300, 11);
         let basic = AmMapping::new(&am, ArraySpec::default(), MappingStrategy::Basic).unwrap();
         let part = AmMapping::new(
@@ -951,7 +895,7 @@ mod tests {
         let first = part.search_batch(&batch).unwrap();
         assert_eq!(first.scores, reference.scores);
         assert_eq!(first.predicted_classes, reference.predicted_classes);
-        // The repeat call hits the batch's cached segment views.
+        // A repeat call packs the same segments again.
         let second = part.search_batch(&batch).unwrap();
         assert_eq!(second.scores, first.scores);
         assert_eq!(second.predicted_classes, first.predicted_classes);
@@ -968,6 +912,61 @@ mod tests {
             assert_eq!(winners(&cascade), reference.predicted_rows);
             assert_eq!(classes(&part, &cascade), reference.predicted_classes);
         }
+    }
+
+    #[test]
+    fn clone_then_fault_and_repair_keeps_each_mapping_exact() {
+        // Off the word grid (seg_len 100). After the original takes
+        // faults and repairs, each mapping's cascade and top-k must agree
+        // with its own exact search, not with the other's bits.
+        let am = random_am(4, 3, 300, 41);
+        let strategy = MappingStrategy::Partitioned { partitions: 3 };
+        let mut original = AmMapping::new(&am, ArraySpec::default(), strategy).unwrap();
+        let batch = random_batch(10, 300, 1000);
+        let plans = [
+            CascadePlan::from_widths(300, &[100, 200]).unwrap(),
+            CascadePlan::uniform(300, 3).unwrap(),
+        ];
+        let check = |mapping: &AmMapping, label: &str| {
+            let scores = mapping.search_batch(&batch).unwrap().scores;
+            for k in [1usize, 3] {
+                let want: Vec<Vec<(usize, u32)>> = (0..batch.len())
+                    .map(|q| {
+                        let mut rows: Vec<(usize, u32)> =
+                            scores.scores(q).iter().copied().enumerate().collect();
+                        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                        rows.truncate(k);
+                        rows
+                    })
+                    .collect();
+                let topk = mapping.topk(&batch, k).unwrap();
+                let cascades: Vec<CascadeTopK> = (plans.iter())
+                    .map(|plan| mapping.search_batch_cascade(&batch, plan, k).unwrap())
+                    .collect();
+                for (q, want) in want.iter().enumerate() {
+                    assert_eq!(topk.hits(q), want.as_slice(), "{label}: topk k {k} q {q}");
+                    for (plan, out) in plans.iter().zip(&cascades) {
+                        assert_eq!(out.topk().hits(q), want.as_slice(), "{label}: {plan:?} k {k}");
+                    }
+                }
+            }
+        };
+        check(&original, "original");
+        let clone = original.clone();
+        let mut rng = seeded(42);
+        original.for_each_cell_mut(|bit| {
+            if rng.gen::<f32>() < 0.1 {
+                *bit = !*bit;
+            }
+        });
+        assert!(original.diff_cells(&clone).unwrap() > 0);
+        check(&original, "faulted");
+        check(&clone, "clone of the faulted");
+        for v in [0usize, 5] {
+            original.overwrite_logical_row(v, &clone.logical_row(v).unwrap());
+        }
+        check(&original, "repaired");
+        check(&clone, "clone of the repaired");
     }
 
     #[test]
@@ -1307,7 +1306,7 @@ mod tests {
         assert_eq!(snapped.ends(), &[64, 128, 256]);
         for plan in [CascadePlan::exact(dim), snapped] {
             for k in [1usize, 3, v] {
-                // Twice: the second call reuses the cached handle.
+                // Twice: each call derives its own handle.
                 for _ in 0..2 {
                     let out = mapping.search_batch_cascade(&batch, &plan, k).unwrap();
                     for q in 0..batch.len() {

@@ -351,8 +351,8 @@ mod tests {
             .collect();
         let batch = QueryBatch::from_vectors(&queries).unwrap();
         let plan = CascadePlan::prefix(512, 128).unwrap();
-        // Warm the faulty mapping's cascade bound cache, then repair: the
-        // repair must invalidate it or pruning would use stale bounds.
+        // Search the faulty mapping, then repair: the next cascade must
+        // prune against the repaired bits, not the faulty ones.
         let _ = deployed.as_mapping().search_batch_cascade(&batch, &plan, 1).unwrap();
         scrubber.scrub_full(&mut deployed).unwrap();
         let exact = golden.search_batch(&batch).unwrap();

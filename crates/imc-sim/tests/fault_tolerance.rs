@@ -1,8 +1,8 @@
 //! Property-based coverage of the fault-tolerance layers: replicated
 //! majority readout and online scrubbing. Each property pins an
 //! equivalence the serving stack relies on (replication degenerates
-//! correctly, scrubbing is exact and idempotent, repairs invalidate
-//! cached cascade bounds).
+//! correctly, scrubbing is exact and idempotent, cascades after a repair
+//! prune against the repaired bits).
 
 use hd_linalg::rng::{derive_seed, seeded};
 use hd_linalg::{BitVector, CascadePlan, LabeledMemory, QueryBatch};
@@ -103,8 +103,8 @@ proptest! {
 
     /// After a full scrub the repaired mapping's cascade and top-k
     /// searches are bit-identical to exact search on the golden bits —
-    /// i.e. repair really restored the cells AND invalidated any cascade
-    /// bound cached against the corrupted ones.
+    /// i.e. repair really restored the cells, and the cascade prunes
+    /// against the repaired bits, not the corrupted ones.
     #[test]
     fn repaired_mapping_searches_bit_identical_to_golden(
         seed in 0u64..1000,
@@ -118,8 +118,7 @@ proptest! {
 
         let mut deployed =
             FaultyAmMapping::program(&golden, FaultModel::bit_flip(ber), seed).unwrap();
-        // Warm the corrupted mapping's cascade bound cache so the repair
-        // path must invalidate it.
+        // Search the corrupted mapping before the repair.
         let _ = deployed.as_mapping().search_batch_cascade(&batch, &plan, 1).unwrap();
         let corrupted = deployed.effective_flipped(&golden).unwrap();
         let report = scrubber.scrub_full(&mut deployed).unwrap();

@@ -21,10 +21,10 @@
 //! conventional opt-in so downstream crates forward it unchanged). Results
 //! are bit-identical with and without the feature.
 
-use crate::bits::{BitMatrix, BitVector, BitView};
+use crate::bits::{copy_bits, BitMatrix, BitVector, BitView};
 use crate::error::{LinalgError, Result};
 use crate::kernel;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Query granularity of the thread chunks [`chunk_queries`] cuts a
 /// batch into.
@@ -227,10 +227,8 @@ pub(crate) fn kbest_search(
 /// reuses the packed words without touching the originals. The packed
 /// storage is shared (`Arc`), so clones — and the word-aligned
 /// column-segment views [`QueryBatch::word_segment`] hands out — are
-/// zero-copy. Column-partitioned layouts should go through
-/// [`QueryBatch::segments`], whose derived per-partition views (packed
-/// once even off the word grid) are cached on the batch and shared with
-/// clones.
+/// zero-copy. Column-partitioned layouts go through
+/// [`QueryBatch::segments`].
 ///
 /// # Example
 ///
@@ -245,7 +243,7 @@ pub(crate) fn kbest_search(
 /// assert_eq!(batch.len(), 2);
 /// assert_eq!(batch.dim(), 3);
 /// ```
-#[derive(Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryBatch {
     queries: Arc<BitMatrix>,
     /// First visible packed word of every row — non-zero only for
@@ -253,37 +251,6 @@ pub struct QueryBatch {
     word_lo: usize,
     /// Visible bits per query (the full width for non-segment batches).
     dim: usize,
-    /// Lazily-derived per-partition segment views ([`QueryBatch::segments`]),
-    /// keyed by segment length and shared across clones so repeat
-    /// searches of the same batch reuse one derivation.
-    seg_cache: Arc<Mutex<SegCache>>,
-}
-
-/// At most this many distinct partitionings are cached per batch — a
-/// batch is normally segmented exactly one way (its mapping's `D / P`),
-/// with one spare slot for mixed-layout pipelines.
-const SEG_CACHE_SLOTS: usize = 2;
-
-type SegCache = Vec<(usize, Arc<[QueryBatch]>)>;
-
-// The segment-view cache is a derivation, not data: equality, hashing
-// (none), and Debug output consider only the visible queries.
-impl PartialEq for QueryBatch {
-    fn eq(&self, other: &Self) -> bool {
-        self.word_lo == other.word_lo && self.dim == other.dim && self.queries == other.queries
-    }
-}
-
-impl Eq for QueryBatch {}
-
-impl std::fmt::Debug for QueryBatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueryBatch")
-            .field("queries", &self.queries)
-            .field("word_lo", &self.word_lo)
-            .field("dim", &self.dim)
-            .finish_non_exhaustive()
-    }
 }
 
 impl QueryBatch {
@@ -300,12 +267,7 @@ impl QueryBatch {
     /// Wraps an existing packed matrix (rows = queries).
     pub fn from_matrix(queries: BitMatrix) -> Self {
         let dim = queries.cols();
-        QueryBatch {
-            queries: Arc::new(queries),
-            word_lo: 0,
-            dim,
-            seg_cache: Arc::new(Mutex::new(Vec::new())),
-        }
+        QueryBatch { queries: Arc::new(queries), word_lo: 0, dim }
     }
 
     /// Number of queries `Q`.
@@ -396,18 +358,16 @@ impl QueryBatch {
             queries: Arc::clone(&self.queries),
             word_lo: self.word_lo + start / 64,
             dim: len,
-            seg_cache: Arc::new(Mutex::new(Vec::new())),
         })
     }
 
     /// The batch pre-sliced into its `dim / seg_len` consecutive
-    /// `seg_len`-bit segments — the zero-repack entry point for
-    /// column-partitioned layouts ([`crate::SegmentedCascade`],
-    /// `imc_sim`'s partitioned mappings). Segments on the word grid are
-    /// zero-copy [`QueryBatch::word_segment`] windows; segments off it
-    /// are per-bit re-packed **once**, cached on the batch, and shared
-    /// with every clone — repeated searches of the same batch stop
-    /// rebuilding their query segments on every call.
+    /// `seg_len`-bit segments — the entry point for column-partitioned
+    /// layouts ([`crate::SegmentedCascade`], `imc_sim`'s partitioned
+    /// mappings). Segments on the word grid are zero-copy
+    /// [`QueryBatch::word_segment`] windows; off it, all segments are
+    /// packed into one buffer, each query's words shifted out of the
+    /// batch's, and handed out as views of it.
     ///
     /// # Errors
     ///
@@ -421,13 +381,12 @@ impl QueryBatch {
     /// use hd_linalg::{BitVector, QueryBatch};
     ///
     /// let batch = QueryBatch::from_vectors(&[BitVector::from_bools(&[true; 300])]).unwrap();
-    /// let segs = batch.segments(100).unwrap(); // 100 % 64 != 0: packed once
+    /// let segs = batch.segments(100).unwrap(); // 100 % 64 != 0: packed
     /// assert_eq!(segs.len(), 3);
     /// assert_eq!(segs[1].query(0), batch.query(0).slice(100, 100));
-    /// // Repeat calls (and clones) hand back the same cached derivation.
-    /// assert!(std::sync::Arc::ptr_eq(&segs, &batch.clone().segments(100).unwrap()));
+    /// assert_eq!(segs, batch.clone().segments(100).unwrap());
     /// ```
-    pub fn segments(&self, seg_len: usize) -> Result<Arc<[QueryBatch]>> {
+    pub fn segments(&self, seg_len: usize) -> Result<Vec<QueryBatch>> {
         if seg_len == 0 {
             return Err(LinalgError::Empty { op: "QueryBatch::segments" });
         }
@@ -438,38 +397,26 @@ impl QueryBatch {
                 found: self.dim,
             });
         }
-        let mut cache = self.seg_cache.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some(pos) = cache.iter().position(|(s, _)| *s == seg_len) {
-            // LRU touch: move the hit to the back so the hot partitioning
-            // outlives transient one-off segmentations instead of being
-            // the next FIFO eviction victim.
-            let entry = cache.remove(pos);
-            let segs = Arc::clone(&entry.1);
-            cache.push(entry);
-            return Ok(segs);
-        }
         let parts = self.dim / seg_len;
-        let built: Vec<QueryBatch> = (0..parts)
-            .map(|p| {
-                let start = p * seg_len;
-                let end = start + seg_len;
-                if start.is_multiple_of(64) && (end.is_multiple_of(64) || end == self.dim) {
-                    self.word_segment(start, seg_len).expect("validated aligned window")
-                } else {
-                    // The one-time per-bit re-pack for segments off the
-                    // word grid — amortized by the cache below.
-                    let segs: Vec<BitVector> =
-                        (0..self.len()).map(|i| self.query(i).slice(start, seg_len)).collect();
-                    QueryBatch::from_vectors(&segs).expect("equal-width non-empty segments")
-                }
-            })
-            .collect();
-        let segs: Arc<[QueryBatch]> = built.into();
-        while cache.len() >= SEG_CACHE_SLOTS {
-            cache.remove(0);
+        if seg_len.is_multiple_of(64) || parts == 1 {
+            return Ok((0..parts)
+                .map(|p| self.word_segment(p * seg_len, seg_len).expect("validated aligned window"))
+                .collect());
         }
-        cache.push((seg_len, Arc::clone(&segs)));
-        Ok(segs)
+        // Off the word grid every segment is packed into one buffer:
+        // segment `p` takes words `[p * words, (p + 1) * words)` of each
+        // row, shifted out of the query's words.
+        let words = seg_len.div_ceil(64);
+        let mut data = vec![0u64; self.len() * parts * words];
+        for (q, row) in data.chunks_exact_mut(parts * words).enumerate() {
+            for (p, out) in row.chunks_exact_mut(words).enumerate() {
+                copy_bits(self.query_words(q), p * seg_len, seg_len, out);
+            }
+        }
+        let queries = Arc::new(BitMatrix::from_raw_words(self.len(), parts * words * 64, data));
+        Ok((0..parts)
+            .map(|p| QueryBatch { queries: Arc::clone(&queries), word_lo: p * words, dim: seg_len })
+            .collect())
     }
 
     #[inline]
@@ -1010,7 +957,15 @@ mod tests {
         let mut rng = seeded(7);
         // Word-aligned (64), unaligned (100, 50), and sub-word (25)
         // partitionings all reproduce the per-bit slices exactly.
-        for (dim, seg_len) in [(256usize, 64usize), (300, 100), (300, 50), (100, 25), (130, 65)] {
+        for (dim, seg_len) in [
+            (256usize, 64usize),
+            (300, 100),
+            (300, 150),
+            (300, 75),
+            (300, 50),
+            (100, 25),
+            (130, 65),
+        ] {
             let queries: Vec<BitVector> = (0..9).map(|_| random_bits(dim, &mut rng)).collect();
             let batch = QueryBatch::from_vectors(&queries).unwrap();
             let segs = batch.segments(seg_len).unwrap();
@@ -1028,41 +983,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn segments_cache_is_shared_and_bounded() {
-        let mut rng = seeded(8);
-        let queries: Vec<BitVector> = (0..4).map(|_| random_bits(300, &mut rng)).collect();
-        let batch = QueryBatch::from_vectors(&queries).unwrap();
-        // Repeat calls and clones hand back the same Arc — the
-        // zero-repack guarantee for repeated unaligned batches.
-        let first = batch.segments(100).unwrap();
-        assert!(Arc::ptr_eq(&first, &batch.segments(100).unwrap()));
-        assert!(Arc::ptr_eq(&first, &batch.clone().segments(100).unwrap()));
-        // A second partitioning coexists (two cache slots)...
-        let other = batch.segments(150).unwrap();
-        assert!(Arc::ptr_eq(&other, &batch.segments(150).unwrap()));
-        assert!(Arc::ptr_eq(&first, &batch.segments(100).unwrap()));
-        // ...and a third evicts the least-recently-used partitioning:
-        // 150 (100 was re-touched on its last hit), never the hot one.
-        let third = batch.segments(75).unwrap();
-        assert!(Arc::ptr_eq(&third, &batch.segments(75).unwrap()));
-        assert!(Arc::ptr_eq(&first, &batch.segments(100).unwrap()));
-        let rederived = batch.segments(150).unwrap();
-        assert!(!Arc::ptr_eq(&other, &rederived));
-        assert_eq!(other.as_ref(), rederived.as_ref());
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
         /// Any interleaving of `segments` calls across a batch and its
-        /// clone — more distinct `seg_len`s than cache slots, so
-        /// evictions and re-derivations happen constantly — always
-        /// returns views of exactly the requested `seg_len` whose bits
-        /// match a per-bit reference slice. A stale-keyed cache entry
-        /// (or an eviction bug handing back the wrong partitioning)
-        /// fails the width or content assertion immediately.
+        /// clone, over aligned and unaligned `seg_len`s, returns views of
+        /// exactly the requested `seg_len` whose bits match a per-bit
+        /// reference slice.
         #[test]
-        fn segments_cache_never_serves_stale_seg_len(
+        fn segments_interleaved_across_clones_match_slices(
             ops in proptest::collection::vec(0usize..4, 1..24),
             rows in 1usize..5,
             seed in 0u64..(1u64 << 32),
@@ -1075,8 +1003,7 @@ mod tests {
             let clone = batch.clone();
             for (i, &op) in ops.iter().enumerate() {
                 let seg_len = lens[op];
-                // Alternate between the original and the clone: they
-                // share one cache, so hits/evictions cross over.
+                // Alternate between the original and the clone.
                 let via = if i % 2 == 0 { &batch } else { &clone };
                 let segs = via.segments(seg_len).unwrap();
                 prop_assert_eq!(segs.len(), 300 / seg_len);

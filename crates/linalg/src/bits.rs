@@ -292,22 +292,28 @@ impl BitVector {
 /// packed word buffer (bits beyond the buffer read as zero).
 fn slice_packed(words: &[u64], start: usize, len: usize) -> BitVector {
     let mut out = BitVector::zeros(len);
-    if len == 0 {
-        return out;
-    }
+    copy_bits(words, start, len, &mut out.words);
+    out
+}
+
+/// Writes bits `[start, start + len)` of `words` into `out`, one shifted
+/// word per 64 bits (`out.len() == len.div_ceil(64)`), bits past `len`
+/// cleared.
+pub(crate) fn copy_bits(words: &[u64], start: usize, len: usize, out: &mut [u64]) {
     let word_off = start / WORD_BITS;
     let bit_off = start % WORD_BITS;
-    for i in 0..out.words.len() {
+    for (i, o) in out.iter_mut().enumerate() {
         let lo = words.get(word_off + i).copied().unwrap_or(0) >> bit_off;
         let hi = if bit_off == 0 {
             0
         } else {
             words.get(word_off + i + 1).copied().unwrap_or(0) << (WORD_BITS - bit_off)
         };
-        out.words[i] = lo | hi;
+        *o = lo | hi;
     }
-    out.mask_tail();
-    out
+    if let Some(last) = out.last_mut() {
+        *last &= tail_mask(len);
+    }
 }
 
 /// A borrowed, zero-copy view of one bit-packed row — what

@@ -34,7 +34,6 @@ use crate::batch::{
     chunk_queries, dot_search, kbest_search, topk_insert, ScoreMatrix, Slots, SweepOut, TopK,
 };
 use crate::bits::{BitMatrix, BitVector};
-use crate::cascade::CascadeCache;
 use crate::error::{LinalgError, Result};
 use crate::kernel::{self, Backend};
 use crate::QueryBatch;
@@ -241,30 +240,12 @@ impl BlockedBitMatrix {
 /// search is one blocked sweep on the memory's backend: the active one
 /// for [`SearchMemory::new`], a pinned one for
 /// [`SearchMemory::with_backend`], kept by clones, row ranges, shards and
-/// mutations. Cascade searches additionally cache their derived bound
-/// forms (row-suffix tables) here, keyed by plan — see
-/// [`SearchMemory::search_cascade_topk`]. Equality compares the logical
-/// matrix only, and a clone starts with an empty cascade cache (forms
-/// re-derive lazily).
-#[derive(Debug)]
+/// mutations. Equality compares the logical matrix only.
+#[derive(Debug, Clone)]
 pub struct SearchMemory {
     matrix: BitMatrix,
     blocked: BlockedBitMatrix,
     backend: Backend,
-    /// Derived cascade bound forms, keyed by plan; invalidated on any
-    /// mutation of `matrix`.
-    cascade_cache: CascadeCache,
-}
-
-impl Clone for SearchMemory {
-    fn clone(&self) -> Self {
-        SearchMemory {
-            matrix: self.matrix.clone(),
-            blocked: self.blocked.clone(),
-            backend: self.backend,
-            cascade_cache: CascadeCache::new(),
-        }
-    }
 }
 
 impl PartialEq for SearchMemory {
@@ -298,19 +279,13 @@ impl SearchMemory {
     pub fn with_backend(matrix: BitMatrix, backend: Backend) -> Self {
         assert!(backend.is_available(), "backend {backend} not available on this host");
         let blocked = BlockedBitMatrix::from_matrix(&matrix);
-        SearchMemory { matrix, blocked, backend, cascade_cache: CascadeCache::new() }
+        SearchMemory { matrix, blocked, backend }
     }
 
     /// The kernel backend every search of this memory runs on.
     #[inline]
     pub fn backend(&self) -> Backend {
         self.backend
-    }
-
-    /// The memory's cascade bound-form cache.
-    #[inline]
-    pub(crate) fn cascade_cache(&self) -> &CascadeCache {
-        &self.cascade_cache
     }
 
     /// Builds from equal-length rows.
@@ -367,16 +342,12 @@ impl SearchMemory {
     /// Like [`SearchMemory::modify`], but the closure reports whether it
     /// actually mutated the matrix and the blocked layout is rebuilt only
     /// then — so sweeps that touch every cell but flip none (e.g. a
-    /// zero-probability fault pass) stay free. A reported mutation also
-    /// drops every cached cascade bound form: the row-suffix tables
-    /// describe the old bits, and the next
-    /// [`SearchMemory::search_cascade_topk`] re-derives them. Returns the
-    /// closure's report.
+    /// zero-probability fault pass) stay free. Returns the closure's
+    /// report.
     pub fn modify_reporting(&mut self, f: impl FnOnce(&mut BitMatrix) -> bool) -> bool {
         let changed = f(&mut self.matrix);
         if changed {
             self.blocked = BlockedBitMatrix::from_matrix(&self.matrix);
-            self.cascade_cache.invalidate();
         }
         changed
     }
@@ -398,7 +369,7 @@ impl SearchMemory {
             BlockedBitMatrix::from_matrix(&matrix)
         };
         let backend = self.backend;
-        Ok(SearchMemory { matrix, blocked, backend, cascade_cache: CascadeCache::new() })
+        Ok(SearchMemory { matrix, blocked, backend })
     }
 
     /// Splits the memory into `shards` contiguous row ranges for

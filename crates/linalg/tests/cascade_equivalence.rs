@@ -256,8 +256,8 @@ proptest! {
     }
 
     /// The public dispatch entry points (active backend, thread chunking
-    /// when the `rayon` feature is on) agree with each other — a warm
-    /// cache and a cold memory over the same matrix — and with
+    /// when the `rayon` feature is on) agree with each other — one memory
+    /// searched twice and a fresh one over the same matrix — and with
     /// `dot_batch`/`winners_batch`.
     #[test]
     fn cascade_entry_points_agree(
@@ -287,7 +287,7 @@ proptest! {
 
     /// Top-1 is the argmax: every cascade entry point's `k = 1` lists
     /// are the exact winners, with equal `CascadeStats` wherever the plan
-    /// is the same — the cached memory path, the bound handle, every
+    /// is the same — the one-shot memory path, the bound handle, every
     /// reachable backend, and the segmented layout (segment-aligned
     /// plans).
     #[test]

@@ -1,12 +1,11 @@
-//! Auto-tuned-plan and cached-bound-form equivalence properties.
+//! Auto-tuned-plan and mutation equivalence properties.
 //!
 //! `CascadePlan::tuned` must always produce a *valid* plan whose cascade
 //! is **bit-identical** to the exact sweep — for arbitrary memories and
 //! query samples, on every kernel backend reachable on the host (the CI
 //! scalar-forced job runs this suite with `HD_LINALG_BACKEND=scalar`).
-//! The bound-form cache attached to `SearchMemory` must be equally
-//! invisible: repeated searches reuse the cached derivation, mutation
-//! invalidates it, and results stay exact either way. The segmented
+//! Repeated searches agree, and a search after a mutation prunes
+//! against the new bits and stays exact. The segmented
 //! (partitioned-layout) cascade obeys the same contract. The tuner's
 //! cost model is compiled in, so tuned plans are pinned exactly too.
 
@@ -69,8 +68,8 @@ fn dims() -> impl Strategy<Value = usize> {
 proptest! {
     /// `tuned` always yields a valid plan whose cascade results are
     /// bit-identical to the exact sweep, on every reachable backend and
-    /// through the cached active-backend path (twice, so the second call
-    /// exercises a cache hit).
+    /// through the active-backend path (twice, so the two calls must
+    /// agree).
     #[test]
     fn tuned_plan_is_valid_and_exact(
         (rows, queries) in (2usize..14, dims()).prop_flat_map(|(r, d)| {
@@ -107,12 +106,10 @@ proptest! {
         prop_assert_eq!(&mem.search_cascade_topk(&batch, &plan, 1).unwrap(), &first);
     }
 
-    /// Mutating a memory invalidates its cached bound forms: cascades
-    /// after the mutation match a freshly-built memory bit for bit (a
-    /// stale prefix sub-memory or row-suffix table would corrupt either
-    /// the partial scores or the pruning bound).
+    /// Cascades after a mutation match a freshly-built memory bit for bit
+    /// (a stale row-suffix table would corrupt the pruning bound).
     #[test]
-    fn mutation_rebuilds_cached_bound_forms(
+    fn mutation_rederives_row_suffix_tables(
         (rows, queries, flips) in (2usize..10, dims()).prop_flat_map(|(r, d)| {
             (
                 bit_rows(r, d),
@@ -125,7 +122,7 @@ proptest! {
         let mut mem = SearchMemory::from_rows(&rows).unwrap();
         let batch = QueryBatch::from_vectors(&queries).unwrap();
         let plan = CascadePlan::prefix(dim, dim / 2).unwrap();
-        // Warm the cache with pre-mutation derivations.
+        // Search once before the mutation.
         mem.search_cascade_topk(&batch, &plan, 1).unwrap();
         mem.modify(|m| {
             for &(r, c) in &flips {

@@ -167,7 +167,7 @@ proptest! {
 
     /// The k-th-score cascade prune is exact: for arbitrary stage plans
     /// and every backend, cascade top-k lists are bit-identical to the
-    /// fused sweep, through every entry point (cold and cached memory,
+    /// fused sweep, through every entry point (one-shot memory path,
     /// bound handle, pinned backend), and telemetry never claims more
     /// activation than the exact search performs.
     #[test]

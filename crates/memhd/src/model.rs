@@ -235,8 +235,8 @@ impl MemhdModel {
     /// ([`Encoder::encode_binary_batch`] on [`MemhdModel::encoder`]): the
     /// k best rows through the [`LabeledMemory::topk`] impl, the cascade
     /// through [`hd_linalg::SearchMemory::search_cascade_topk`] on
-    /// `binary_am().search_memory()`, which caches each plan's derived
-    /// artifacts.
+    /// `binary_am().search_memory()` (bind a [`hd_linalg::BoundCascade`]
+    /// to reuse one plan across batches).
     ///
     /// # Errors
     ///

@@ -108,9 +108,9 @@ struct Shard {
     memory: Arc<SearchMemory>,
     /// Largest row popcount in the shard: no row here scores above it.
     max_ones: u32,
-    /// The cascade plan bound to this shard's rows (prefix sub-memory
-    /// and row-suffix table derived once at construction); `None` runs
-    /// the exact winners sweep.
+    /// The cascade plan bound to this shard's rows (its row-suffix table
+    /// derived once at construction); `None` runs `topk_batch` at the
+    /// flush's k.
     cascade: Option<Arc<BoundCascade>>,
     /// Worker supervision state; `None` when the searcher runs shards
     /// inline (single shard, or worker spawn disabled).
@@ -291,7 +291,7 @@ pub struct ShardedSearcher {
     rows: usize,
     /// Global row → class label.
     classes: Arc<Vec<usize>>,
-    /// Stage plan each shard runs (`None` = exact winners sweep).
+    /// Stage plan each shard runs (`None` = `topk_batch` at the flush's k).
     plan: Option<Arc<CascadePlan>>,
     shards: Vec<Shard>,
     /// Floors the fan-out; `None` when no floor could skip a shard.
@@ -388,8 +388,7 @@ impl ShardedSearcher {
         for (idx, (offset, part)) in parts.into_iter().enumerate() {
             let memory = Arc::new(part);
             // Bind the plan to this shard's rows once; workers and the
-            // inline path reuse the derived prefix/suffix artifacts for
-            // every flush.
+            // inline path reuse its row-suffix table for every flush.
             let cascade = match &plan {
                 Some(plan) => Some(Arc::new(
                     BoundCascade::new(Arc::clone(&memory), plan.as_ref().clone())
