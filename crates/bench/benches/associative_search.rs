@@ -225,9 +225,14 @@ fn bench_cascade_search(c: &mut Criterion) {
 }
 
 /// Repeated-batch cascade loops at the model layer: one `BoundCascade`
-/// over the model's binary-AM memory, bound outside the loop, so every
-/// iteration reuses the plan's row-suffix table. Small batches against a
-/// wide imbalanced AM — the QAT-epoch / eval-sweep shape.
+/// over the model's binary-AM memory, bound outside the loop. Small
+/// batches against a wide imbalanced AM — the QAT-epoch / eval-sweep
+/// shape. `memhd_bound_cached` runs the three-stage `[128, 512, 2048]`
+/// plan, pinned so the id keeps timing a multi-stage pass;
+/// `memhd_bound_exact` runs the exact plan, which the tuner picks here:
+/// the dense centroid sits in block 0 and the sparse ones hold a few
+/// dozen bits each, so the exact plan's block-max skip scores one block
+/// per query.
 fn bench_cascade_repeat(c: &mut Criterion) {
     let dim = 2048usize;
     let classes = 64usize;
@@ -270,29 +275,28 @@ fn bench_cascade_repeat(c: &mut Criterion) {
         .collect();
     let batch = QueryBatch::from_vectors(&queries).expect("batch");
     let memory = am.search_memory();
-    let plan = CascadePlan::tuned(memory, &batch).expect("tuned plan");
-    assert!(plan.stages() > 1, "imbalanced workload must tune to a cascade: {plan:?}");
-
-    let bound = BoundCascade::new(std::sync::Arc::new(memory.clone()), plan.clone())
-        .expect("bound cascade");
+    let tuned = CascadePlan::tuned(memory, &batch).expect("tuned plan");
+    eprintln!("cascade_repeat: tuned plan ends {:?} over {vectors}x{dim}", tuned.ends());
     let exact = am.classify_batch(&batch).expect("exact");
-    let cached = bound.search_topk(&batch, 1).expect("cached");
-    assert_eq!(exact, top1_classes(&model, &cached));
-    eprintln!("cascade_repeat: tuned plan ends {:?} over {vectors}x{dim}", plan.ends());
+    let memory = std::sync::Arc::new(memory.clone());
 
     let mut group = c.benchmark_group("cascade_repeat");
     group.throughput(Throughput::Elements(batch_queries as u64));
-    group.bench_with_input(
-        BenchmarkId::new("memhd_bound_cached", batch_queries),
-        &batch,
-        |b, batch| {
+    let plans = [
+        ("memhd_bound_cached", CascadePlan::from_widths(dim, &[128, 384, 1536]).expect("plan")),
+        ("memhd_bound_exact", CascadePlan::exact(dim)),
+    ];
+    for (id, plan) in plans {
+        let bound = BoundCascade::new(std::sync::Arc::clone(&memory), plan).expect("bound cascade");
+        assert_eq!(exact, top1_classes(&model, &bound.search_topk(&batch, 1).expect("search")));
+        group.bench_with_input(BenchmarkId::new(id, batch_queries), &batch, |b, batch| {
             b.iter(|| {
                 let out = bound.search_topk(batch, 1).expect("search");
                 let lists = out.topk();
                 (0..lists.len()).map(|q| model.class_of(lists.hits(q)[0].0)).sum::<usize>()
             })
-        },
-    );
+        });
+    }
     group.finish();
 }
 

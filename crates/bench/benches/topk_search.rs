@@ -1,7 +1,8 @@
 //! Exact top-k associative search: the fused k-best sweep vs the naive
-//! score-then-sort reference, and the k-th-score cascade vs the exact
-//! fused sweep on the imbalanced BasicHDC 10240×10 AM and on a shard
-//! where nothing prunes.
+//! score-then-sort reference, the k-th-score cascade vs the exact fused
+//! sweep on the imbalanced BasicHDC 10240×10 AM and on a shard where
+//! nothing prunes, and the exact sweep's block skip on the graded wide
+//! memory.
 //!
 //! The fused path (`SearchMemory::topk_batch`) carries a bounded k-best
 //! list per query lane through the blocked panel sweep and never
@@ -198,13 +199,14 @@ fn bench_topk_cascade(c: &mut Criterion) {
 
 /// The cascade's worst case: the wide serving workload's second shard —
 /// 1024 near-empty rows (0.5% density, 2048 bits) searched by 256
-/// perturbed copies of the dense centroid at k = 5 under the plan the
-/// whole-memory tuner picks, `[64, 256, 2048]`. Every row's score is
-/// near zero and the k-th best partial never separates from the rest,
-/// so almost nothing prunes (activation ≈ 0.997): the cascade can only
-/// lose to the exact fused sweep, and the same-run cascade:exact ratio
-/// is what a stage that cannot prune costs. Lists are asserted
-/// bit-identical before timing.
+/// perturbed copies of the dense centroid at k = 5 under
+/// `[64, 256, 2048]`, the plan the whole-memory tuner picked while it
+/// priced the exact plan as a full sweep. Every row's score is near zero
+/// and the k-th best partial never separates from the rest, so almost
+/// nothing prunes: the cascade can only lose to the exact fused sweep
+/// (which skips the odd block whose rows are all lighter than the k-th
+/// score), and the same-run cascade:exact ratio is what a stage that
+/// cannot prune costs. Lists are asserted bit-identical before timing.
 fn bench_topk_unprunable(c: &mut Criterion) {
     let (rows, dim, n_queries) = (1024usize, 2048usize, 256usize);
     let mut rng = seeded(31);
@@ -253,5 +255,61 @@ fn bench_topk_unprunable(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_topk_fused, bench_topk_cascade, bench_topk_unprunable);
+/// The exact fused top-5 sweep on servebench's graded wide memory: one
+/// dense (50%) row, four moderate (30%) rows and 2043 near-empty (0.5%)
+/// rows of 2048 bits, searched by 256 perturbed copies of stored rows
+/// (99% of them of the dense row). The five heavy rows share block 0 and
+/// the light rows' heaviest holds a few dozen bits, so once block 0 has
+/// filled a query's list every other block's largest row popcount sits
+/// below the k-th score and the sweep skips it unscored. Lists are
+/// asserted equal to the score-then-sort reference before timing.
+fn bench_topk_graded(c: &mut Criterion) {
+    let (rows, dim, n_queries) = (2048usize, 2048usize, 256usize);
+    let mut rng = seeded(0x7769_6465);
+    let stored: Vec<BitVector> = (0..rows)
+        .map(|r| {
+            let density = match r {
+                0 => 0.5,
+                1..=4 => 0.3,
+                _ => 0.005,
+            };
+            BitVector::from_bools(&(0..dim).map(|_| rng.gen::<f32>() < density).collect::<Vec<_>>())
+        })
+        .collect();
+    let queries: Vec<BitVector> = (0..n_queries)
+        .map(|i| {
+            let base = if i % 100 != 0 { 0 } else { rng.gen_range(1..rows) };
+            let mut q = stored[base].clone();
+            for _ in 0..dim / 20 {
+                let bit = rng.gen_range(0..dim);
+                q.set(bit, !q.get(bit));
+            }
+            q
+        })
+        .collect();
+    let memory = SearchMemory::from_rows(&stored).expect("memory");
+    let batch = QueryBatch::from_vectors(&queries).expect("batch");
+    let reference = sorted_topk(&memory, &batch, K);
+    let fused = memory.topk_batch(&batch, K).expect("topk");
+    for (q, expect) in reference.iter().enumerate() {
+        assert_eq!(fused.hits(q), expect.as_slice(), "graded query {q}");
+    }
+
+    let mut group = c.benchmark_group("topk_search");
+    group.throughput(Throughput::Elements(n_queries as u64));
+    group.bench_with_input(
+        BenchmarkId::new("exact_k5_graded_2048x2048", n_queries),
+        &batch,
+        |b, batch| b.iter(|| memory.topk_batch(batch, K).expect("topk").hits(0)[0].0),
+    );
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_topk_fused,
+    bench_topk_cascade,
+    bench_topk_unprunable,
+    bench_topk_graded
+);
 criterion_main!(benches);

@@ -338,7 +338,7 @@ mod tests {
         assert!(encoding.iter().all(|id| id.starts_with("encode/")), "{encoding:?}");
         let search = baseline_ids_of("associative_search");
         let cascade = search.iter().filter(|id| id.starts_with("cascade_")).count();
-        assert_eq!(cascade, 8, "{search:?}");
+        assert_eq!(cascade, 9, "{search:?}");
         assert!(search.iter().all(|id| !id.starts_with("serve_throughput/")), "{search:?}");
         let mut unknown = parse_results("{\"id\": \"a/b\", \"ns_per_iter\": 1.0}");
         assert!(scope_to_benches(&mut unknown, &["training".to_string()]).is_err());

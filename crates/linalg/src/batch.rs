@@ -243,7 +243,12 @@ pub(crate) fn kbest_search(
 /// assert_eq!(batch.len(), 2);
 /// assert_eq!(batch.dim(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality compares what a search sees — the dimensionality, the query
+/// count and every query's bits — not how the words are stored: a
+/// [`QueryBatch::word_segment`] view equals a batch packed from the same
+/// slices.
+#[derive(Debug, Clone)]
 pub struct QueryBatch {
     queries: Arc<BitMatrix>,
     /// First visible packed word of every row — non-zero only for
@@ -425,6 +430,22 @@ impl QueryBatch {
         &row[self.word_lo..self.word_lo + self.dim.div_ceil(64)]
     }
 }
+
+impl PartialEq for QueryBatch {
+    fn eq(&self, other: &Self) -> bool {
+        // Bits of the last word past `dim` are not part of the query.
+        let tail = u64::MAX >> ((64 - self.dim % 64) % 64);
+        let same = |a: &[u64], b: &[u64]| match (a.split_last(), b.split_last()) {
+            (Some((la, a)), Some((lb, b))) => a == b && (la ^ lb) & tail == 0,
+            _ => a.len() == b.len(),
+        };
+        self.dim == other.dim
+            && self.len() == other.len()
+            && (0..self.len()).all(|q| same(self.query_words(q), other.query_words(q)))
+    }
+}
+
+impl Eq for QueryBatch {}
 
 /// Incrementally packs single queries into a [`QueryBatch`] without
 /// re-packing at build time — the accumulation buffer of a micro-batching
@@ -950,6 +971,34 @@ mod tests {
         assert_eq!(argmax_scores(&[3, 5, 5, 1]), (1, 5));
         assert_eq!(argmax_scores(&[7]), (0, 7));
         assert_eq!(argmax_scores(&[0, 0, 0]), (0, 0));
+    }
+
+    #[test]
+    fn equality_compares_visible_bits() {
+        let mut rng = seeded(8);
+        let queries: Vec<BitVector> = (0..3).map(|_| random_bits(128, &mut rng)).collect();
+        let batch = QueryBatch::from_vectors(&queries).unwrap();
+        let slices = |lo: usize, len: usize| -> Vec<BitVector> {
+            queries.iter().map(|q| q.slice(lo, len)).collect()
+        };
+        // A zero-copy view equals a batch packed from the same slices,
+        // and the other way round.
+        let view = batch.word_segment(64, 64).unwrap();
+        let packed = QueryBatch::from_vectors(&slices(64, 64)).unwrap();
+        assert_eq!(view, packed);
+        assert_eq!(packed, view);
+        // Views cut differently from the same storage hold other bits.
+        assert_ne!(view, batch.word_segment(0, 64).unwrap());
+        assert_eq!(
+            batch.word_segment(0, 64).unwrap(),
+            QueryBatch::from_vectors(&slices(0, 64)).unwrap()
+        );
+        // Off the word grid too: the packed segment views of `segments`.
+        let segs = batch.segments(32).unwrap();
+        assert_eq!(segs[3], QueryBatch::from_vectors(&slices(96, 32)).unwrap());
+        // The dimension and the query count are part of equality.
+        assert_ne!(view, QueryBatch::from_vectors(&slices(64, 64)[..2]).unwrap());
+        assert_ne!(batch, view);
     }
 
     #[test]

@@ -592,6 +592,13 @@ impl BitMatrix {
         self.row_words(r)
     }
 
+    /// Every row's packed words, row after row — crate-internal access
+    /// for the cascade's block pass, which offsets into any row.
+    #[inline]
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.data
+    }
+
     /// Words per packed row — crate-internal access for kernel dispatch in
     /// [`crate::batch`].
     #[inline]

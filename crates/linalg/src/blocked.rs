@@ -16,8 +16,8 @@
 //!
 //! [`SearchMemory`] holds a matrix together with its blocked layout and
 //! the kernel backend it searches on. Every batched search is one sweep
-//! of the blocked layout, which streams the memory exactly once per query
-//! in sequential panel order, each loaded panel feeding [`LANES`]
+//! of the blocked layout, which streams the memory at most once per
+//! query in sequential panel order, each loaded panel feeding [`LANES`]
 //! independent accumulator lanes. The sweep is written once: one query ×
 //! row-block loop that hands each block's accumulator to a sink — dot
 //! (score rows), winners (per-lane best kept in registers) or top-k
@@ -29,6 +29,27 @@
 //! the flat-kernel row walk of [`BitMatrix::dot_all`] (the
 //! `simd_equivalence` and `blocked_edges` suites pin this for every
 //! reachable backend).
+//!
+//! # The block bound
+//!
+//! A row's dot score never exceeds its popcount, so the layout also
+//! keeps each block's largest row popcount
+//! ([`BlockedBitMatrix::block_max`], derived wherever the layout is
+//! built: packing, row ranges, shards and the rebuild after a mutation).
+//! Once a query's k-best list is full, a block whose bound is strictly
+//! below the k-th score cannot place a row in the list, and the top-k
+//! sink skips it unscored; the cascade's first stage applies the same
+//! rule against its running k-th partial (the block-max index of Ding &
+//! Suel, "Faster top-k document retrieval using block-max indexes",
+//! SIGIR 2011). The compare is strict, so a row tying the k-th score is
+//! always scored and the lowest-row tie-break holds in any visiting
+//! order. A memory whose heavy rows share a few blocks is then searched
+//! at the cost of those blocks: one block of 256 on a graded 2048-row
+//! memory. The dot sink never skips, and neither does the winners sink:
+//! its best score lives in vector lanes, and reading it out per block
+//! costs the flagship 128 × 128 memory more than the skip saves there.
+//! The top-k sweep compares bounds only once the k-th score passes the
+//! lightest block's bound, so a memory of even rows pays nothing for it.
 
 use crate::batch::{
     chunk_queries, dot_search, kbest_search, topk_insert, ScoreMatrix, Slots, SweepOut, TopK,
@@ -41,6 +62,12 @@ use std::marker::PhantomData;
 
 /// Rows per interleaved block — one 512-bit panel of `u64` lanes.
 pub const LANES: usize = 8;
+
+/// One panel: word `w` of a block's [`LANES`] rows, 512 bits on a cache
+/// line of its own, so a panel load never straddles two lines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(C, align(64))]
+struct Panel([u64; LANES]);
 
 /// A [`BitMatrix`] re-packed into interleaved row blocks for SIMD sweeps.
 ///
@@ -70,9 +97,12 @@ pub struct BlockedBitMatrix {
     cols: usize,
     words_per_row: usize,
     row_blocks: usize,
-    /// Panel-major storage: `data[(b * words_per_row + w) * LANES + l]`
-    /// is word `w` of row `b * LANES + l` (zero for padding rows).
-    data: Vec<u64>,
+    /// Panel-major storage: lane `l` of panel `data[b * words_per_row +
+    /// w]` is word `w` of row `b * LANES + l` (zero for padding rows).
+    data: Vec<Panel>,
+    /// `block_max[b]`: the largest row popcount of block `b`, derived
+    /// from `data` wherever the layout is built.
+    block_max: Vec<u32>,
 }
 
 impl BlockedBitMatrix {
@@ -81,15 +111,37 @@ impl BlockedBitMatrix {
         let rows = m.rows();
         let wpr = m.words_per_row_pub();
         let row_blocks = rows.div_ceil(LANES);
-        let mut data = vec![0u64; row_blocks * wpr * LANES];
+        let mut data = vec![Panel::default(); row_blocks * wpr];
         for r in 0..rows {
             let (b, l) = (r / LANES, r % LANES);
             let words = m.row_words_pub(r);
             for (w, &word) in words.iter().enumerate() {
-                data[(b * wpr + w) * LANES + l] = word;
+                data[b * wpr + w].0[l] = word;
             }
         }
-        BlockedBitMatrix { rows, cols: m.cols(), words_per_row: wpr, row_blocks, data }
+        Self::with_data(rows, m.cols(), wpr, row_blocks, data)
+    }
+
+    /// Wraps a panel buffer, deriving each block's largest row popcount.
+    fn with_data(
+        rows: usize,
+        cols: usize,
+        words_per_row: usize,
+        row_blocks: usize,
+        data: Vec<Panel>,
+    ) -> Self {
+        let block_max = (0..row_blocks)
+            .map(|b| {
+                let mut ones = [0u32; LANES];
+                for panel in &data[b * words_per_row..(b + 1) * words_per_row] {
+                    for (o, &word) in ones.iter_mut().zip(&panel.0) {
+                        *o += word.count_ones();
+                    }
+                }
+                ones.into_iter().max().unwrap_or(0)
+            })
+            .collect();
+        BlockedBitMatrix { rows, cols, words_per_row, row_blocks, data, block_max }
     }
 
     /// Packs equal-length rows directly (convenience over
@@ -127,6 +179,16 @@ impl BlockedBitMatrix {
         self.row_blocks
     }
 
+    /// The largest row popcount of every block, one entry per
+    /// [`BlockedBitMatrix::row_blocks`] (padding rows count zero ones). A
+    /// row's dot score never exceeds its popcount, so no row of block `b`
+    /// scores above `block_max()[b]` against any query: the bound the
+    /// top-k sweep and the cascade's first stage skip blocks with.
+    #[inline]
+    pub fn block_max(&self) -> &[u32] {
+        &self.block_max
+    }
+
     /// Packed words per row.
     #[inline]
     pub(crate) fn words_per_row(&self) -> usize {
@@ -136,14 +198,15 @@ impl BlockedBitMatrix {
     /// The interleaved panel buffer.
     #[inline]
     pub(crate) fn data(&self) -> &[u64] {
-        &self.data
+        // SAFETY: `Panel` is `repr(C)` over `[u64; LANES]` and exactly
+        // that size, so the panels are `LANES * len` initialized words.
+        unsafe { std::slice::from_raw_parts(self.data.as_ptr().cast(), self.data.len() * LANES) }
     }
 
     /// Panel `(b, w)`: word `w` of the block's [`LANES`] rows.
     #[cfg(test)]
     fn panel(&self, b: usize, w: usize) -> &[u64] {
-        let start = (b * self.words_per_row + w) * LANES;
-        &self.data[start..start + LANES]
+        &self.data[b * self.words_per_row + w].0
     }
 
     /// Unpacks row `r`.
@@ -154,9 +217,8 @@ impl BlockedBitMatrix {
     pub fn row(&self, r: usize) -> BitVector {
         assert!(r < self.rows, "row index {r} out of bounds");
         let (b, l) = (r / LANES, r % LANES);
-        let words: Vec<u64> = (0..self.words_per_row)
-            .map(|w| self.data[(b * self.words_per_row + w) * LANES + l])
-            .collect();
+        let words: Vec<u64> =
+            (0..self.words_per_row).map(|w| self.data[b * self.words_per_row + w].0[l]).collect();
         BitVector::from_words(self.cols, words).expect("packed rows have clean tails")
     }
 
@@ -205,29 +267,19 @@ impl BlockedBitMatrix {
         }
         let first_block = start / LANES;
         let row_blocks = count.div_ceil(LANES);
-        let panel_words = self.words_per_row * LANES;
-        let mut data =
-            self.data[first_block * panel_words..end.div_ceil(LANES) * panel_words].to_vec();
+        let wpr = self.words_per_row;
+        let mut data = self.data[first_block * wpr..end.div_ceil(LANES) * wpr].to_vec();
         // A shard boundary can cut through the source's final copied
         // block; zero the lanes past `count` so padding rows stay all-zero
         // (the invariant every sweep kernel relies on for tie-breaks).
         if !count.is_multiple_of(LANES) {
             let keep = count % LANES;
             let last = row_blocks - 1;
-            for w in 0..self.words_per_row {
-                let base = (last * self.words_per_row + w) * LANES;
-                for lane in keep..LANES {
-                    data[base + lane] = 0;
-                }
+            for panel in &mut data[last * wpr..] {
+                panel.0[keep..].fill(0);
             }
         }
-        Ok(BlockedBitMatrix {
-            rows: count,
-            cols: self.cols,
-            words_per_row: self.words_per_row,
-            row_blocks,
-            data,
-        })
+        Ok(Self::with_data(count, self.cols, self.words_per_row, row_blocks, data))
     }
 }
 
@@ -598,22 +650,31 @@ pub(crate) trait PanelSink<L: Lanes> {
 
     /// State at the start of a query.
     unsafe fn start() -> Self::State;
-    /// Consumes block `b`'s accumulators.
+    /// Whether the query may skip a block none of whose rows holds more
+    /// than `bound` ones (so none scores above it) without scoring it.
+    #[inline(always)]
+    unsafe fn skips(_: &Self::State, _bound: u32) -> bool {
+        false
+    }
+    /// Consumes block `b`'s accumulators; returns whether the query's
+    /// skip threshold may have risen (never, for a sink that never
+    /// skips).
     unsafe fn block(
         st: &mut Self::State,
         slots: &mut [Self::Slot],
         rows: usize,
         b: usize,
         acc: L::Acc,
-    );
+    ) -> bool;
     /// Writes the query's result once every block was seen.
     unsafe fn finish(_: Self::State, _: &mut [Self::Slot], _: usize) {}
 }
 
 /// The one query × row-block loop of the blocked sweep: for every query
-/// of `out` (queries `q_offset..` of `batch`), every block's accumulators
-/// over `m` go to sink `S`. Memory is streamed in panel order, each panel
-/// load feeding [`LANES`] lanes.
+/// of `out` (queries `q_offset..` of `batch`), every block the sink does
+/// not skip on its [`BlockedBitMatrix::block_max`] bound has its
+/// accumulators over `m` go to sink `S`. Memory is streamed in panel
+/// order, each panel load feeding [`LANES`] lanes.
 struct Sweep<'a, S, T> {
     m: &'a BlockedBitMatrix,
     batch: &'a QueryBatch,
@@ -632,13 +693,31 @@ impl<L: Lanes, S: PanelSink<L, Slot = T>, T> LaneJob<L> for Sweep<'_, S, T> {
     unsafe fn run(self) {
         let Sweep { m, batch, q_offset, out, .. } = self;
         let (rows, wpr) = (m.rows(), m.words_per_row());
-        let data = m.data().as_ptr();
+        let (data, block_max) = (m.data().as_ptr(), m.block_max());
+        // No block can be skipped before the query's threshold rises above
+        // the lightest block's bound, so the sweep checks bounds only from
+        // then on. Both phases step one index `b`, so for a sink that never
+        // raises the threshold the second phase provably runs zero times
+        // and compiles away.
+        let lightest = block_max.iter().copied().min().unwrap_or(0);
         for (q, slots) in out.data.chunks_exact_mut(out.per_query).enumerate() {
             let qw = &batch.query_words(q_offset + q)[..wpr];
             let mut state = S::start();
-            for b in 0..m.row_blocks() {
+            let mut b = 0;
+            while b < block_max.len() {
                 let acc = L::block_acc(data.add(b * wpr * LANES), qw);
-                S::block(&mut state, slots, rows, b, acc);
+                let rose = S::block(&mut state, slots, rows, b, acc);
+                b += 1;
+                if rose && S::skips(&state, lightest) {
+                    break;
+                }
+            }
+            while b < block_max.len() {
+                if !S::skips(&state, block_max[b]) {
+                    let acc = L::block_acc(data.add(b * wpr * LANES), qw);
+                    S::block(&mut state, slots, rows, b, acc);
+                }
+                b += 1;
             }
             S::finish(state, slots, rows);
         }
@@ -684,7 +763,7 @@ impl<L: Lanes> PanelSink<L> for DotSink {
     unsafe fn start() {}
 
     #[inline(always)]
-    unsafe fn block(_: &mut (), slots: &mut [u32], _: usize, b: usize, acc: L::Acc) {
+    unsafe fn block(_: &mut (), slots: &mut [u32], _: usize, b: usize, acc: L::Acc) -> bool {
         let base = b * LANES;
         if let Some(full) = slots.get_mut(base..base + LANES) {
             acc.store(full.try_into().expect("LANES slots"));
@@ -699,6 +778,7 @@ impl<L: Lanes> PanelSink<L> for DotSink {
                 }
             }
         }
+        false
     }
 }
 
@@ -707,7 +787,9 @@ impl<L: Lanes> PanelSink<L> for DotSink {
 /// query under the workspace tie-break (highest score, then lowest row).
 /// Each lane keeps its *lowest* max-scoring row, so the global lowest
 /// max-scoring row is among the candidates; padding lanes (rows ≥
-/// `rows`, all-zero) are skipped.
+/// `rows`, all-zero) are skipped. It never skips a block: its best score
+/// lives in vector lanes, and tracking it as a scalar costs the branchless
+/// per-lane update a data-dependent branch on every block.
 struct WinnersSink;
 
 impl<L: Lanes> PanelSink<L> for WinnersSink {
@@ -720,8 +802,15 @@ impl<L: Lanes> PanelSink<L> for WinnersSink {
     }
 
     #[inline(always)]
-    unsafe fn block(best: &mut Self::State, _: &mut [Self::Slot], _: usize, b: usize, acc: L::Acc) {
+    unsafe fn block(
+        best: &mut Self::State,
+        _: &mut [Self::Slot],
+        _: usize,
+        b: usize,
+        acc: L::Acc,
+    ) -> bool {
         *best = LaneVec::keep_best(*best, acc, b);
+        false
     }
 
     #[inline(always)]
@@ -742,34 +831,42 @@ impl<L: Lanes> PanelSink<L> for WinnersSink {
     }
 }
 
-/// Top-k sink: once a query's k-best list is full, a block is skipped
-/// with one vector compare against the k-th score — only a block with a
-/// lane strictly above it (which would displace the k-th entry even
-/// after tie-breaks) pays the store and [`topk_insert`]. Padding lanes
-/// never enter the list.
+/// Top-k sink: once a query's k-best list is full, a block whose
+/// largest row popcount is strictly below the k-th score is skipped
+/// unscored (none of its rows can reach the list, in any visiting
+/// order), and a scored block is dropped with one vector compare
+/// against the k-th score — only a block with a lane strictly above it
+/// (which would displace the k-th entry even after tie-breaks) pays the
+/// store and [`topk_insert`]. Padding lanes never enter the list.
 struct TopKSink;
 
 impl<L: Lanes> PanelSink<L> for TopKSink {
     type Slot = (usize, u32);
-    /// Entries filled so far.
-    type State = usize;
+    /// Entries filled so far, and the k-th score once the list is full
+    /// (0 before, which no bound is below).
+    type State = (usize, u32);
 
     #[inline(always)]
-    unsafe fn start() -> usize {
-        0
+    unsafe fn start() -> (usize, u32) {
+        (0, 0)
+    }
+
+    #[inline(always)]
+    unsafe fn skips(&(_, kth): &(usize, u32), bound: u32) -> bool {
+        bound < kth
     }
 
     #[inline(always)]
     unsafe fn block(
-        filled: &mut usize,
+        (filled, kth): &mut (usize, u32),
         slots: &mut [(usize, u32)],
         rows: usize,
         b: usize,
         acc: L::Acc,
-    ) {
+    ) -> bool {
         let k = slots.len();
-        if *filled == k && !acc.any_gt(slots[k - 1].1) {
-            return;
+        if *filled == k && !acc.any_gt(*kth) {
+            return false;
         }
         let mut scores = [0u32; LANES];
         acc.store(&mut scores);
@@ -777,10 +874,15 @@ impl<L: Lanes> PanelSink<L> for TopKSink {
         for (l, &s) in scores.iter().enumerate().take(rows - base) {
             topk_insert(slots, filled, base + l, s);
         }
+        if *filled < k {
+            return false;
+        }
+        *kth = slots[k - 1].1;
+        true
     }
 
     #[inline(always)]
-    unsafe fn finish(filled: usize, slots: &mut [(usize, u32)], _: usize) {
+    unsafe fn finish((filled, _): (usize, u32), slots: &mut [(usize, u32)], _: usize) {
         debug_assert_eq!(filled, slots.len());
     }
 }
@@ -850,99 +952,202 @@ pub(crate) fn cascade_pass<L: Lanes>(
     let rows = pass.parts[0].rows();
     assert!(pass.parts.iter().all(|p| p.rows() == rows), "block pass: parts disagree on shape");
     let fits = |w: &Window<'_>| {
-        w.lo < w.hi && w.words().end <= pass.parts[w.part].blocked().words_per_row()
+        w.lo < w.hi
+            && w.hi <= w.queries.dim()
+            && w.words().end <= pass.parts[w.part].blocked().words_per_row()
     };
     assert!(pass.windows.iter().all(fits), "block pass: window overruns its part");
+    // Every window resolved to its panels and rows once per pass, so the
+    // per-query loop reads no `SearchMemory`.
+    let mut staged = 0usize;
+    let views: Vec<WindowView<'_>> = (pass.windows.iter())
+        .map(|w| {
+            let (part, words) = (&pass.parts[w.part], w.words());
+            let blocked = part.blocked();
+            let staged_at = w.cut().then(|| {
+                staged += words.len();
+                staged - words.len()
+            });
+            WindowView {
+                stage: w.stage,
+                queries: w.queries,
+                words: (words.start, words.end),
+                edges: (w.lo % 64, w.hi % 64),
+                panels: blocked.data()[words.start * LANES..].as_ptr(),
+                stride: blocked.words_per_row() * LANES,
+                row_major: part.matrix().words().as_ptr(),
+                row_stride: blocked.words_per_row(),
+                staged_at,
+            }
+        })
+        .collect();
+    // A block's rows hold at most the sum of its parts' block maxima ones
+    // over the whole query width.
+    let mut block_max = vec![0u32; rows.div_ceil(LANES)];
+    for part in pass.parts {
+        for (m, &ones) in block_max.iter_mut().zip(part.blocked().block_max()) {
+            *m += ones;
+        }
+    }
+    let (row_suffix, dot) = (pass.row_suffix, pass.dot);
     // SAFETY: a kernel table publishes `cascade_pass::<L>` only for a
-    // backend whose features were detected on this host; the pass reads
-    // the panels of a window's words inside one block, which the checks
-    // above keep within the blocked layout (a part's row-major rows have
-    // the same words per row).
-    unsafe { L::run(PassJob { pass, rows, q_offset, lists, work }) }
+    // backend whose features were detected on this host. The pass reads
+    // the panels of a window's words inside one block, through `panels`,
+    // derived from the part's whole blocked buffer; a lone live lane's
+    // row-major words (live masks hold real lanes only), through
+    // `row_major`, derived from the part's whole row-major buffer, so it
+    // may reach every row; the checks above keep both within the part
+    // (its row-major rows have the same words per row). And each window's
+    // query words, which end inside the query by the same checks.
+    unsafe {
+        L::run(PassJob {
+            views: &views,
+            block_max: &block_max,
+            row_suffix,
+            dot,
+            rows,
+            staged,
+            q_offset,
+            lists,
+            work,
+        })
+    }
 }
 
-/// One query chunk of a [`BlockPass`].
-struct PassJob<'a, 'p> {
-    pass: &'a BlockPass<'p>,
+/// A [`Window`] resolved for the pass: its stage, query batch, word range
+/// `[words.0, words.1)` and the bit offsets of its bounds inside their
+/// words, block 0's first panel of those words (blocks `stride` words
+/// apart), the row-major rows (`row_stride` words apart) a lone live lane
+/// is scored on, and where its masked query words sit in the staged
+/// buffer when a stage boundary cuts one of its words.
+#[derive(Clone, Copy)]
+struct WindowView<'a> {
+    stage: usize,
+    queries: &'a QueryBatch,
+    words: (usize, usize),
+    edges: (usize, usize),
+    panels: *const u64,
+    stride: usize,
+    row_major: *const u64,
+    row_stride: usize,
+    staged_at: Option<usize>,
+}
+
+/// One query chunk of a [`BlockPass`]: its windows resolved to
+/// [`WindowView`]s, and every block's largest row popcount.
+struct PassJob<'a> {
+    views: &'a [WindowView<'a>],
+    block_max: &'a [u32],
+    row_suffix: &'a [u32],
+    dot: fn(&[u64], &[u64]) -> u32,
     rows: usize,
+    staged: usize,
     q_offset: usize,
     lists: Slots<'a, (usize, u32)>,
     work: &'a mut [StageWork],
 }
 
-impl<L: Lanes> LaneJob<L> for PassJob<'_, '_> {
-    /// Per query, stage by stage: every row block that still holds a
-    /// live lane is scored over the stage's word windows and its lane
-    /// counts are added to the query's partial scores. The live mask of
-    /// the next stage is a lane compare of the Hamming bound against the
-    /// k-th best partial, which the stage's own k-best list tracks (the
-    /// final stage's list is the answer): the row-side bound `partial +
-    /// row_suffix >= kth` first, then — only once more than `k` rows
-    /// survive it — `partial + min(q_suffix, row_suffix) >= kth`, with
-    /// the query's suffix popcounts taken the first time they are
-    /// needed. See [`crate::cascade`] for why that prune is exact.
+impl<L: Lanes> LaneJob<L> for PassJob<'_> {
+    /// Per query, stage by stage, block by block: every row block that
+    /// still holds a live lane is scored over the stage's word windows,
+    /// its lane counts are added to the query's partial scores, and its
+    /// lanes enter the stage's k-best list (the final stage's list is the
+    /// answer). Stage 0 admits every real lane of a block, unless the
+    /// list already holds `k` entries and the block's largest row
+    /// popcount is strictly below the k-th: the row-side bound with a
+    /// partial of 0, exact because no row scores above its popcount and
+    /// the stage's k-th partial is at most the final k-th score. The live
+    /// mask of a later stage is a lane compare of the Hamming bound
+    /// against the previous stage's k-th best partial: the row-side bound
+    /// `partial + row_suffix >= kth` first, then — only once more than
+    /// `k` rows survive it — `partial + min(q_suffix, row_suffix) >=
+    /// kth`, with the query's suffix popcounts taken the first time they
+    /// are needed. See [`crate::cascade`] for why that prune is exact.
     ///
     /// # Safety
     ///
     /// As [`cascade_pass`].
     #[inline(always)]
     unsafe fn run(self) {
-        let PassJob { pass, rows, q_offset, lists, work } = self;
+        let PassJob { views, block_max, row_suffix, dot, rows, staged, q_offset, lists, work } =
+            self;
         let k = lists.per_query;
         let stages = work.len();
-        let blocks = rows.div_ceil(LANES);
-        // Stage `s` owns `windows[stage_at[s]..stage_at[s + 1]]`; a cut
-        // window's masked query words sit at `staged_at` in `qbuf`.
+        let blocks = block_max.len();
+        // Stage `s` owns `views[stage_at[s]..stage_at[s + 1]]`.
         let mut stage_at = vec![0usize; stages + 1];
-        let (mut staged_at, mut at) = (Vec::with_capacity(pass.windows.len()), 0usize);
-        for (i, w) in pass.windows.iter().enumerate() {
-            stage_at[w.stage + 1] = i + 1;
-            staged_at.push(w.cut().then(|| {
-                at += w.words().len();
-                at - w.words().len()
-            }));
+        for (i, v) in views.iter().enumerate() {
+            stage_at[v.stage + 1] = i + 1;
         }
-        let (row_suffix, _) = pass.row_suffix.as_chunks::<LANES>();
-        let mut partial = vec![[0u32; LANES]; blocks];
-        let mut live = vec![0u8; blocks];
-        let mut qbuf: Vec<u64> = Vec::new();
+        let (row_suffix, _) = row_suffix.as_chunks::<LANES>();
+        // The blocks still in the running, in ascending order: stage 0
+        // admits them, every later stage drops those left without a live
+        // lane, so a stage walks only what the last one kept.
+        let mut active: Vec<LiveBlock> = Vec::with_capacity(blocks);
+        let mut qbuf = vec![0u64; staged];
+        let mut qwords: Vec<*const u64> = vec![std::ptr::null(); views.len()];
         let mut q_suffix = vec![0u32; stages];
         // Padding lanes never enter: with every bound 0 against a kth of
         // 0 they would pass any compare.
         let last_mask = u8::MAX >> (blocks * LANES - rows);
         for (q, list) in lists.data.chunks_exact_mut(k).enumerate() {
             let q = q_offset + q;
-            // The cut windows' query words, boundary bits masked.
-            qbuf.clear();
-            for w in pass.windows.iter().filter(|w| w.cut()) {
-                let start = qbuf.len();
-                qbuf.extend_from_slice(&w.queries.query_words(q)[w.words()]);
-                qbuf[start] &= u64::MAX << (w.lo % 64);
-                let last = qbuf.len() - 1;
-                qbuf[last] &= u64::MAX >> ((64 - w.hi % 64) % 64);
+            // The cut windows' query words, boundary bits masked, then
+            // every window's words.
+            for v in views {
+                if let Some(at) = v.staged_at {
+                    let buf = &mut qbuf[at..at + v.words.1 - v.words.0];
+                    buf.copy_from_slice(&v.queries.query_words(q)[v.words.0..v.words.1]);
+                    buf[0] &= u64::MAX << v.edges.0;
+                    buf[buf.len() - 1] &= u64::MAX >> ((64 - v.edges.1) % 64);
+                }
+            }
+            for (v, words) in views.iter().zip(&mut qwords) {
+                *words = match v.staged_at {
+                    Some(at) => qbuf.as_ptr().add(at),
+                    None => v.queries.query_words(q)[v.words.0..].as_ptr(),
+                };
             }
             let query = |i: usize| {
-                let (w, words) = (&pass.windows[i], pass.windows[i].words());
-                match staged_at[i] {
-                    Some(at) => &qbuf[at..at + words.len()],
-                    None => &w.queries.query_words(q)[words],
-                }
+                let (lo, hi) = views[i].words;
+                std::slice::from_raw_parts(qwords[i], hi - lo)
             };
-            partial.fill([0; LANES]);
             let mut kth = 0u32;
             let mut q_suffix_ready = false;
             for s in 0..stages {
-                // The stage's live lanes: every real lane at stage 0, then
-                // the bound's lane compare against the last k-th best.
+                let stage = stage_at[s]..stage_at[s + 1];
+                let (stage_views, stage_words) = (&views[stage.clone()], &qwords[stage]);
+                let tally = &mut work[s];
+                let mut filled = 0usize;
                 if s == 0 {
-                    live.fill(u8::MAX);
-                    live[blocks - 1] = last_mask;
+                    // Block by block, so the skip sees the list as it
+                    // fills: `thr` is its k-th entry once it is full (0
+                    // before, which no bound is below).
+                    active.clear();
+                    let mut thr = 0u32;
+                    for (b, &bound) in block_max.iter().enumerate() {
+                        if bound < thr {
+                            continue;
+                        }
+                        let mask = if b + 1 == blocks { last_mask } else { u8::MAX };
+                        let mut block = LiveBlock { b: b as u32, mask, partial: [0; LANES] };
+                        for (&v, &qw) in stage_views.iter().zip(stage_words) {
+                            score_block::<L>(&mut block, &v, qw, dot);
+                        }
+                        admit::<L>(list, &mut filled, tally, &block);
+                        if filled == k {
+                            thr = list[k - 1].1;
+                        }
+                        active.push(block);
+                    }
                 } else {
+                    // The bound's lane compare against the last k-th best.
                     let rs = &row_suffix[(s - 1) * blocks..s * blocks];
                     let mut survivors = 0usize;
-                    for ((&mask, p), rs) in live.iter().zip(&partial).zip(rs) {
-                        survivors +=
-                            (mask & L::keep_lanes(p, rs, u32::MAX, kth)).count_ones() as usize;
+                    for block in &active {
+                        let keep =
+                            L::keep_lanes(&block.partial, &rs[block.b as usize], u32::MAX, kth);
+                        survivors += (block.mask & keep).count_ones() as usize;
                         if survivors > k {
                             break;
                         }
@@ -951,8 +1156,8 @@ impl<L: Lanes> LaneJob<L> for PassJob<'_, '_> {
                         if !q_suffix_ready {
                             // Each stage's query ones, then the ones after it.
                             q_suffix.fill(0);
-                            for (i, w) in pass.windows.iter().enumerate() {
-                                q_suffix[w.stage] += (pass.dot)(query(i), query(i));
+                            for (i, v) in views.iter().enumerate() {
+                                q_suffix[v.stage] += dot(query(i), query(i));
                             }
                             let mut after = 0u32;
                             for ones in q_suffix.iter_mut().rev() {
@@ -964,69 +1169,99 @@ impl<L: Lanes> LaneJob<L> for PassJob<'_, '_> {
                     } else {
                         u32::MAX
                     };
-                    for ((mask, p), rs) in live.iter_mut().zip(&partial).zip(rs) {
-                        if *mask != 0 {
-                            *mask &= L::keep_lanes(p, rs, q_suf, kth);
+                    for block in &mut active {
+                        block.mask &=
+                            L::keep_lanes(&block.partial, &rs[block.b as usize], q_suf, kth);
+                    }
+                    active.retain(|block| block.mask != 0);
+                    // Window by window, then the list.
+                    for (&v, &qw) in stage_views.iter().zip(stage_words) {
+                        for block in &mut active {
+                            score_block::<L>(block, &v, qw, dot);
                         }
                     }
-                }
-                // Score the live blocks, window by window.
-                for i in stage_at[s]..stage_at[s + 1] {
-                    let (w, qs) = (&pass.windows[i], query(i));
-                    let (part, words) = (&pass.parts[w.part], w.words());
-                    // Each block's first panel of the window, `stride` words apart.
-                    let blocked = part.blocked();
-                    let first = blocked.data()[words.start * LANES..].as_ptr();
-                    let stride = blocked.words_per_row() * LANES;
-                    for (b, (p, &mask)) in partial.iter_mut().zip(&live).enumerate() {
-                        if mask == 0 {
-                            continue;
-                        }
-                        if mask & (mask - 1) != 0 {
-                            let mut counts = [0u32; LANES];
-                            L::block_acc(first.add(b * stride), qs).store(&mut counts);
-                            for (x, c) in p.iter_mut().zip(counts) {
-                                *x += c;
-                            }
-                        } else {
-                            // A lone live lane: the flat kernel on its
-                            // row-major row, so a few wide rows never pay
-                            // LANES lanes each.
-                            let l = mask.trailing_zeros() as usize;
-                            let row = part.matrix().row_words_pub(b * LANES + l);
-                            p[l] += (pass.dot)(&row[words.clone()], qs);
-                        }
+                    for block in &active {
+                        admit::<L>(list, &mut filled, tally, block);
                     }
                 }
-                // The stage's k-best list: its k-th entry is the next
-                // stage's pruning threshold, the last stage's list is the
-                // answer.
-                let mut filled = 0usize;
-                let tally = &mut work[s];
-                for (b, (p, &mask)) in partial.iter().zip(&live).enumerate() {
-                    if mask == 0 {
-                        continue;
-                    }
-                    let n = mask.count_ones();
-                    tally.rows += u64::from(n);
-                    tally.blocks += 1;
-                    tally.lone += u64::from(n == 1);
-                    let mut hits = mask;
-                    if filled == k {
-                        hits &= L::lanes_above(p, list[k - 1].1);
-                    }
-                    while hits != 0 {
-                        let l = hits.trailing_zeros() as usize;
-                        topk_insert(list, &mut filled, b * LANES + l, p[l]);
-                        hits &= hits - 1;
-                    }
-                }
-                // At least k rows hold a partial >= kth and every bound
-                // keeps them, so the list always fills.
+                // The stage's k-th entry is the next stage's pruning
+                // threshold, the last stage's list is the answer. At least
+                // k rows hold a partial >= kth and every bound keeps them,
+                // so the list always fills.
                 debug_assert_eq!(filled, k);
                 kth = list[k - 1].1;
             }
         }
+    }
+}
+
+/// A row block still in a query's running: its index, its live lanes
+/// and their partial scores.
+struct LiveBlock {
+    b: u32,
+    mask: u8,
+    partial: [u32; LANES],
+}
+
+/// Adds the live lanes' counts of `block` over window `v` (query words
+/// at `qw`) to its partial scores. A lone live lane is scored by the flat
+/// kernel on its row-major row, so a few wide rows never pay [`LANES`]
+/// lanes each.
+///
+/// # Safety
+///
+/// As [`cascade_pass`]: `L` is available, and `qw` points at the
+/// window's query words.
+#[inline(always)]
+unsafe fn score_block<L: Lanes>(
+    block: &mut LiveBlock,
+    v: &WindowView<'_>,
+    qw: *const u64,
+    dot: fn(&[u64], &[u64]) -> u32,
+) {
+    let LiveBlock { b, mask, ref mut partial } = *block;
+    let b = b as usize;
+    let (lo, hi) = v.words;
+    let qs = std::slice::from_raw_parts(qw, hi - lo);
+    if mask & (mask - 1) != 0 {
+        let mut counts = [0u32; LANES];
+        L::block_acc(v.panels.add(b * v.stride), qs).store(&mut counts);
+        for (x, c) in partial.iter_mut().zip(counts) {
+            *x += c;
+        }
+    } else {
+        let l = mask.trailing_zeros() as usize;
+        let row = v.row_major.add((b * LANES + l) * v.row_stride + lo);
+        partial[l] += dot(std::slice::from_raw_parts(row, hi - lo), qs);
+    }
+}
+
+/// Tallies `block`'s live lanes into the stage's work and offers those
+/// above the list's k-th entry (all of them while it fills) to `list`.
+///
+/// # Safety
+///
+/// As [`cascade_pass`].
+#[inline(always)]
+unsafe fn admit<L: Lanes>(
+    list: &mut [(usize, u32)],
+    filled: &mut usize,
+    tally: &mut StageWork,
+    block: &LiveBlock,
+) {
+    let n = block.mask.count_ones();
+    tally.rows += u64::from(n);
+    tally.blocks += 1;
+    tally.lone += u64::from(n == 1);
+    let k = list.len();
+    let mut hits = block.mask;
+    if *filled == k {
+        hits &= L::lanes_above(&block.partial, list[k - 1].1);
+    }
+    while hits != 0 {
+        let l = hits.trailing_zeros() as usize;
+        topk_insert(list, filled, block.b as usize * LANES + l, block.partial[l]);
+        hits &= hits - 1;
     }
 }
 
@@ -1412,6 +1647,42 @@ mod tests {
         mem.modify(|mat| mat.set(8, 69, true));
         assert!(mem.matrix().get(8, 69));
         assert!(mem.blocked().row(8).get(69), "blocked layout must track mutation");
+    }
+
+    /// Each block's largest row popcount, recomputed from the row-major
+    /// rows.
+    fn fresh_block_max(m: &BitMatrix) -> Vec<u32> {
+        let ones: Vec<u32> = (0..m.rows()).map(|r| m.row_view(r).count_ones()).collect();
+        ones.chunks(LANES).map(|block| block.iter().copied().max().unwrap()).collect()
+    }
+
+    #[test]
+    fn block_max_is_derived_wherever_the_layout_is_built() {
+        let m = sample_matrix(21, 130);
+        let mut mem = SearchMemory::new(m.clone());
+        assert_eq!(mem.blocked().block_max(), fresh_block_max(&m).as_slice());
+        // A mutation that adds ones to a block's lightest row, and one
+        // that empties its heaviest.
+        mem.modify(|mat| (0..130).for_each(|c| mat.set(9, c, true)));
+        assert_eq!(mem.blocked().block_max()[1], 130);
+        mem.modify(|mat| (0..130).for_each(|c| mat.set(9, c, false)));
+        assert_eq!(mem.blocked().block_max(), fresh_block_max(mem.matrix()).as_slice());
+        // Row ranges: a block-aligned slice cut through a source block
+        // (its padding lanes cleared) and an unaligned one (re-packed).
+        for (start, count) in [(8usize, 13usize), (0, 21), (16, 5), (3, 11), (5, 16)] {
+            let sub = mem.row_range(start, count).unwrap();
+            assert_eq!(
+                sub.blocked().block_max(),
+                fresh_block_max(sub.matrix()).as_slice(),
+                "{start}+{count}"
+            );
+        }
+        // Shards.
+        for shards in [1usize, 2, 3] {
+            for (_, part) in mem.split_rows(shards).unwrap() {
+                assert_eq!(part.blocked().block_max(), fresh_block_max(part.matrix()).as_slice());
+            }
+        }
     }
 
     #[test]

@@ -52,14 +52,21 @@
 //! words masked — only for the 8-row blocks that still hold a live lane,
 //! adds the lane counts to the query's partial scores, and tracks the
 //! k-th best partial as it goes; the prune is a lane compare that yields
-//! the next stage's live mask. A block with one live lane scores that
-//! row through the flat kernel on the row-major copy instead. Stage 0 is
-//! the same pass over every block, so a stage that cannot prune costs
-//! about what the exact sweep does, and no stage materializes a
-//! queries × rows score matrix. A segmented memory runs the same pass
-//! with one window per partition a stage covers. The pass runs on the
-//! searched memory's backend: the scalar backend's portable lanes go
-//! through the same kernel-table entry as every SIMD backend's.
+//! the next stage's live mask, and each stage walks only the blocks the
+//! last one kept. A block with one live lane scores that row through the
+//! flat kernel on the row-major copy instead. Stage 0 admits every block
+//! except those the row-side bound with a partial of 0 rules out: once
+//! the stage's list holds `k` rows, a block whose largest row popcount
+//! ([`crate::BlockedBitMatrix::block_max`], summed over the partitions of
+//! a segmented memory) is strictly below its k-th partial is skipped
+//! unscored, since the final k-th score is at least that partial. So a
+//! stage that cannot prune costs about what the exact sweep does, a
+//! memory whose heavy rows share a few blocks costs those blocks, and no
+//! stage materializes a queries × rows score matrix. A segmented memory
+//! runs the same pass with one window per partition a stage covers. The
+//! pass runs on the searched memory's backend: the scalar backend's
+//! portable lanes go through the same kernel-table entry as every SIMD
+//! backend's.
 //!
 //! Every search also returns [`CascadeStats`] — per-stage shortlist
 //! sizes and the total number of activated row-dimensions — which is the
@@ -267,28 +274,34 @@ impl CascadePlan {
     /// sample — the expected pruning threshold is a function of the
     /// memory's row-popcount profile and the sample's query popcounts,
     /// and replaying the bound on the sample measures it directly. Each
-    /// candidate's measured per-stage work — the row blocks each later
-    /// stage's pass still scores, and how many of them hold a lone live
-    /// row — feeds the compiled-in [`CostModel`], a three-stage
+    /// candidate's measured per-stage work — the rows its first stage
+    /// scores (the blocks its block-max skip keeps), the row blocks each
+    /// later stage's pass still scores, and how many of them hold a lone
+    /// live row — feeds the compiled-in [`CostModel`], a three-stage
     /// refinement of the best prefix is tried, and the winner is kept
-    /// only if it beats the exact sweep's modeled cost — workloads whose
-    /// rows never separate early get [`CascadePlan::exact`] back, which
-    /// *is* the right plan for them. The model is the same on every host,
-    /// so a memory and sample tune to the same plan everywhere.
+    /// only if it beats the exact plan, priced by the same replay (its one
+    /// stage skips blocks too) — workloads whose rows never separate
+    /// early get [`CascadePlan::exact`] back, which *is* the right plan
+    /// for them. The model is the same on every host, so a memory and
+    /// sample tune to the same plan everywhere.
     ///
     /// Two blind spots to plan around. The replay runs at `k = 1`
-    /// whatever `k` the traffic asks for: a short first stage that cuts
-    /// the argmax's rivals may leave most rows alive at `k = 5` (on a
-    /// 2048 × 2048 memory of one dense, four moderate and 2043 near-empty
-    /// rows, the tuner picks `[64, 256, 2048]`, which measured 10 µs per
-    /// query at `k = 5` against 5-6 µs for `[256, 2048]`, with both near
-    /// 6 µs at `k = 1`). And the plan is tuned for the memory it is given:
-    /// a row shard of it prunes only against its own rows, so
-    /// `hd_serve`'s `ShardedSearcher::with_cascade_tuned`, which tunes on
-    /// the whole memory, can hand a shard of near-empty rows a plan that
-    /// prunes almost nothing there (activation 0.997 on the second shard
-    /// of that memory). When either bites, measure candidate plans at the
-    /// traffic's `k` and shard shape and pass the winner explicitly.
+    /// whatever `k` the traffic asks for: a first stage that cuts the
+    /// argmax's rivals may leave more rows alive at `k = 5`. On the
+    /// 10240-bit memory of one dense and nine 2% rows, the tuned
+    /// `[640, 10240]` measured 46 ns per query at `k = 1` against 74 ns
+    /// for the exact plan, and 211 against 165 ns at `k = 5` (256
+    /// queries, one thread of a 2-vCPU AVX-512 host). On a 2048 × 2048
+    /// memory of one dense, four moderate and 2043 near-empty rows (the
+    /// five heavy rows in block 0) the tuner picks the exact plan, whose
+    /// skip leaves block 0 alone: 105 / 111 ns at `k = 1` / `5`, against
+    /// 114 / 152 ns for `[1024, 2048]`. And the plan is tuned for the
+    /// memory it is given: a row shard of it prunes only against its own
+    /// rows, so `hd_serve`'s `ShardedSearcher::with_cascade_tuned`, which
+    /// tunes on the whole memory, can hand a shard of near-empty rows a
+    /// plan that prunes little there. When either bites, measure
+    /// candidate plans at the traffic's `k` and shard shape and pass the
+    /// winner explicitly.
     ///
     /// The tuned plan is workload advice, not a correctness knob: every
     /// plan yields bit-identical winners; tuning only moves where the
@@ -411,7 +424,8 @@ impl CascadePlan {
                 w *= 2;
             }
         }
-        let exact_cost = modeled_exact_cost(m.rows(), dim, sub.len(), model, unit);
+        let exact = CascadePlan::exact(dim);
+        let exact_cost = modeled_cost(&exact, sub.len(), &probe(memory, sub, &exact), model, unit);
         let mut best: Option<(CascadePlan, f64)> = None;
         for &w in &widths {
             let plan = CascadePlan::prefix(dim, w).expect("0 < w < dim");
@@ -438,7 +452,7 @@ impl CascadePlan {
         }
         match best {
             Some((plan, cost)) if cost < exact_cost => Ok(plan),
-            _ => Ok(CascadePlan::exact(dim)),
+            _ => Ok(exact),
         }
     }
 }
@@ -493,16 +507,26 @@ pub struct CostModel {
     /// Fixed cost of each row block a later stage scores (its prune
     /// compare, count merge and k-best tracking).
     pub row_overhead_words: f64,
-    /// Fixed per-query, per-stage overhead (loop set-up, lazy suffix
-    /// popcounts).
+    /// Fixed per-query, per-stage overhead (loop set-up, the prune
+    /// compare and list of a stage, lazy suffix popcounts).
     pub stage_overhead_words: f64,
 }
 
 impl CostModel {
     /// The model [`CascadePlan::tuned`] prices candidate plans with:
-    /// `cont=4,row=2,stage=8`.
+    /// `cont=4,row=2,stage=80`.
+    ///
+    /// The stage price is set from paired timings of exact and two-stage
+    /// plans on memories whose heavy rows share block 0 (one thread,
+    /// AVX-512, k = 1): a second stage measured 8 ns per query slower on
+    /// a 2048 × 2048 memory where it saved 57 row-words, and 28 ns faster
+    /// on a 10240-bit one where it saved 513. Those two points put a
+    /// stage near 160 row-words. The price is held at 80: the wide memory
+    /// needs more than 57 to tune to the exact plan, and above about 100
+    /// the pinned tuned plans of the 2000-bit imbalanced memories stop
+    /// cascading.
     pub const fn active() -> Self {
-        CostModel { cont_weight: 4.0, row_overhead_words: 2.0, stage_overhead_words: 8.0 }
+        CostModel { cont_weight: 4.0, row_overhead_words: 2.0, stage_overhead_words: 80.0 }
     }
 }
 
@@ -519,7 +543,9 @@ impl fmt::Display for CostModel {
 /// Deterministic cost of one measured cascade (`queries` queries and
 /// their per-stage block tally) under `model`, in stage-0 row-word
 /// units, on a layout whose stage grid is `unit`-bit segments. Stage 0
-/// scores every row; a later stage pays what its block pass does: a
+/// pays for the rows of the blocks it scored (the ones its block-max
+/// skip admitted; the exact plan is priced by the same replay, skips
+/// included); a later stage pays what its block pass does: a
 /// live block with several live lanes scores all [`LANES`] of them, a
 /// lone live lane is one row through the flat kernel at `cont_weight`
 /// per word, and every live block pays `row_overhead_words` for its
@@ -548,27 +574,18 @@ fn modeled_cost(
     cost
 }
 
-/// What the exact one-stage sweep models to, in the same units.
-fn modeled_exact_cost(
-    rows: usize,
-    dim: usize,
-    queries: usize,
-    model: &CostModel,
-    unit: usize,
-) -> f64 {
-    (queries * rows * stage_words(0, dim, unit)) as f64
-        + queries as f64 * model.stage_overhead_words
-}
-
 /// Activation telemetry of one cascade search — the quantity the paper's
 /// Fig. 7 energy ladder is proportional to.
 ///
 /// `activated_dims` counts `(row, dimension)` products actually scored:
-/// an exact search activates `queries × rows × dim` of them, and every
-/// pruned row saves its remaining dimensions. [`CascadeStats::merge`]
-/// makes the counters additive across query chunks **of the same
-/// memory** (merging stats from memories with different row counts would
-/// corrupt [`CascadeStats::exact_dims`], so shapes are asserted).
+/// a search that scores every row activates `queries × rows × dim` of
+/// them ([`CascadeStats::exact_dims`]), every row of a block the first
+/// stage skips saves all its dimensions (the exact one-stage plan
+/// included), and every pruned row saves its remaining ones.
+/// [`CascadeStats::merge`] makes the counters additive across query
+/// chunks **of the same memory** (merging stats from memories with
+/// different row counts would corrupt [`CascadeStats::exact_dims`], so
+/// shapes are asserted).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CascadeStats {
     queries: usize,
@@ -601,8 +618,8 @@ impl CascadeStats {
         self.dim
     }
 
-    /// Rows entering each stage, summed over queries (stage 0 always
-    /// admits every row).
+    /// Rows entering each stage, summed over queries (stage 0 admits the
+    /// rows of every block its block-max skip keeps).
     #[inline]
     pub fn stage_rows(&self) -> &[u64] {
         &self.stage_rows
@@ -614,7 +631,7 @@ impl CascadeStats {
         self.activated_dims
     }
 
-    /// What an exact search would activate: `queries × rows × dim`.
+    /// What scoring every row would activate: `queries × rows × dim`.
     #[inline]
     pub fn exact_dims(&self) -> u64 {
         self.queries as u64 * self.rows as u64 * self.dim as u64
@@ -622,7 +639,7 @@ impl CascadeStats {
 
     /// `activated_dims / exact_dims` in `(0, 1]` — the relative energy of
     /// the cascade under the paper's activation-proportional model (1.0
-    /// when no pruning fired).
+    /// when no block was skipped and no row pruned).
     pub fn activation_fraction(&self) -> f64 {
         let exact = self.exact_dims();
         if exact == 0 {
@@ -1647,9 +1664,11 @@ mod tests {
         // The pre-fix contiguous formula would have priced stage 1 at
         // word_end(200) - 100/64 = 3 words.
         assert_ne!(cost, (20.0 * 2.0 + 8.0) + stage1(3.0));
-        // Exact cost on the same segmented grid: 200 bits = two 100-bit
-        // segments = 4 padded words per (query, row).
-        let exact = modeled_exact_cost(10, 200, 2, &model, 100);
+        // The exact plan on the same segmented grid, every row scored:
+        // 200 bits = two 100-bit segments = 4 padded words per (query,
+        // row).
+        let exact_work = [StageWork { rows: 20, blocks: 4, lone: 0 }];
+        let exact = modeled_cost(&CascadePlan::exact(200), 2, &exact_work, &model, 100);
         assert_eq!(exact, (2 * 10 * 4) as f64 + 2.0 * 4.0);
         // The word grid keeps the contiguous window untouched.
         let aligned = CascadePlan::from_widths(256, &[128, 128]).unwrap();

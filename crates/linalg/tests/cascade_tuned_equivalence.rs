@@ -219,9 +219,9 @@ fn cost_model_is_the_compiled_in_constants() {
     let model = CostModel::active();
     assert_eq!(
         (model.cont_weight, model.row_overhead_words, model.stage_overhead_words),
-        (4.0, 2.0, 8.0)
+        (4.0, 2.0, 80.0)
     );
-    assert_eq!(model.to_string(), "cont=4,row=2,stage=8");
+    assert_eq!(model.to_string(), "cont=4,row=2,stage=80");
 }
 
 /// Tuned plans depend on the memory and sample alone, not on the host or

@@ -46,6 +46,30 @@ fn tie_rows(rows: usize, len: usize) -> impl Strategy<Value = Vec<BitVector>> {
         .prop_map(|(alphabet, picks)| picks.iter().map(|&p| alphabet[p].clone()).collect())
 }
 
+/// Rows of graded density (empty, 2%, 10%, 40% or 90% of their bits
+/// set, picked per row), so a few heavy rows sit among light ones and
+/// whole blocks hold rows too light to reach a query's k-th score.
+fn graded_rows(rows: usize, len: usize) -> impl Strategy<Value = Vec<BitVector>> {
+    prop::collection::vec((0usize..5, any::<u64>()), rows).prop_map(move |picks| {
+        picks
+            .iter()
+            .map(|&(grade, seed)| {
+                let percent = [0u64, 2, 10, 40, 90][grade];
+                let mut state = seed;
+                let bits: Vec<bool> = (0..len)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        (state >> 33) % 100 < percent
+                    })
+                    .collect();
+                BitVector::from_bools(&bits)
+            })
+            .collect()
+    })
+}
+
 /// An arbitrary cascade plan over `dim` dimensions: random interior cut
 /// points (deduplicated), so stage widths are unconstrained.
 fn plans(dim: usize) -> impl Strategy<Value = CascadePlan> {
@@ -106,6 +130,28 @@ proptest! {
                 prop_assert_eq!(
                     out.hits(q), expect.as_slice(), "backend {} query {}", backend, q
                 );
+            }
+        }
+    }
+
+    /// Graded memories, where the sweep skips the blocks whose heaviest
+    /// row cannot reach a query's k-th score: fused top-k (and the
+    /// winners at `k = 1`) still equal the sort oracle on every reachable
+    /// backend.
+    #[test]
+    fn fused_topk_matches_sorted_reference_on_graded_memories(
+        (rows, queries, k) in (1usize..40, dims())
+            .prop_flat_map(|(r, d)| (graded_rows(r, d), bit_rows(4, d), 1usize..10))
+    ) {
+        let expected = sorted_topk(&rows, &queries, k);
+        let top1 = sorted_topk(&rows, &queries, 1);
+        let batch = QueryBatch::from_vectors(&queries).unwrap();
+        for backend in Backend::available() {
+            let mem = pinned(&rows, backend);
+            check_lists(&mem.topk_batch(&batch, k).unwrap(), &expected, &format!("backend {backend}"));
+            let winners = mem.winners_batch(&batch).unwrap();
+            for (q, expect) in top1.iter().enumerate() {
+                prop_assert_eq!(&[winners[q]][..], expect.as_slice(), "backend {} query {}", backend, q);
             }
         }
     }

@@ -42,6 +42,18 @@
 //! never while a shard is missing, since the floor may come from rows
 //! that are gone.
 //!
+//! The floor is the shard-level form of the bound every shard's own
+//! search applies block by block: inside a shard, the top-k sweep and
+//! the cascade's first stage skip each 8-row block whose heaviest row is
+//! strictly below the k-th score found so far in that shard (see
+//! [`hd_linalg::BlockedBitMatrix::block_max`]). The two are not
+//! redundant. A shard learns its
+//! k-th score only from its own rows, so a shard of light rows never
+//! reaches a threshold that skips them; only the pilot's floor, taken
+//! from the heavy rows of the whole memory, keeps it out of the query.
+//! And a shard the floor admits skips the blocks that cannot reach its
+//! own k-th.
+//!
 //! # Worker supervision
 //!
 //! A panicking shard worker must not poison the searcher. Each worker
