@@ -50,6 +50,19 @@
 //! costs the flagship 128 × 128 memory more than the skip saves there.
 //! The top-k sweep compares bounds only once the k-th score passes the
 //! lightest block's bound, so a memory of even rows pays nothing for it.
+//!
+//! The layout also keeps the suffix maxima of the block bounds
+//! ([`BlockedBitMatrix::tail_max`]: entry `b` is the largest bound of
+//! block `b` or any later one), and the cascade pass derives the same
+//! from its summed bounds. Once the k-th score is strictly above a
+//! block's tail bound, no later row can reach the list, so the top-k
+//! sweep and the cascade's first stage end the query there with one
+//! compare instead of walking every remaining bound: the stopping rule
+//! of Fagin, Lotem & Naor's threshold algorithm (PODS 2001). It is
+//! strict for the same reason the skip is. The winners sink does not
+//! use it either: checking it means reading the lane best out where the
+//! tail bound drops, and a prototype that did so cost the flagship
+//! argmax sweep (`batched_classify/1000`) about twice its time.
 
 use crate::batch::{
     chunk_queries, dot_search, kbest_search, topk_insert, ScoreMatrix, Slots, SweepOut, TopK,
@@ -103,6 +116,8 @@ pub struct BlockedBitMatrix {
     /// `block_max[b]`: the largest row popcount of block `b`, derived
     /// from `data` wherever the layout is built.
     block_max: Vec<u32>,
+    /// `tail_max[b]`: the largest of `block_max[b..]`, derived with it.
+    tail_max: Vec<u32>,
 }
 
 impl BlockedBitMatrix {
@@ -122,7 +137,8 @@ impl BlockedBitMatrix {
         Self::with_data(rows, m.cols(), wpr, row_blocks, data)
     }
 
-    /// Wraps a panel buffer, deriving each block's largest row popcount.
+    /// Wraps a panel buffer, deriving each block's largest row popcount
+    /// and the suffix maxima of those.
     fn with_data(
         rows: usize,
         cols: usize,
@@ -140,8 +156,10 @@ impl BlockedBitMatrix {
                 }
                 ones.into_iter().max().unwrap_or(0)
             })
-            .collect();
-        BlockedBitMatrix { rows, cols, words_per_row, row_blocks, data, block_max }
+            .collect::<Vec<_>>();
+        let mut tail_max = block_max.clone();
+        suffix_max(&mut tail_max);
+        BlockedBitMatrix { rows, cols, words_per_row, row_blocks, data, block_max, tail_max }
     }
 
     /// Packs equal-length rows directly (convenience over
@@ -187,6 +205,16 @@ impl BlockedBitMatrix {
     #[inline]
     pub fn block_max(&self) -> &[u32] {
         &self.block_max
+    }
+
+    /// The suffix maxima of [`BlockedBitMatrix::block_max`]: entry `b` is
+    /// the largest row popcount of block `b` or any later block, so once a
+    /// query's k-th score is strictly above `tail_max()[b]`, no row from
+    /// block `b` on can enter its k-best list, and the top-k sweep and the
+    /// cascade's first stage end the query there.
+    #[inline]
+    pub fn tail_max(&self) -> &[u32] {
+        &self.tail_max
     }
 
     /// Packed words per row.
@@ -427,8 +455,7 @@ impl SearchMemory {
     /// Splits the memory into `shards` contiguous row ranges for
     /// data-parallel serving: each returned `(row_offset, memory)` pair
     /// owns its rows (and its own pre-packed blocked layout, on this
-    /// memory's backend), so the shards are independently `Send` to
-    /// per-shard worker threads.
+    /// memory's backend), so each shard is searched on its own.
     ///
     /// Boundaries are aligned to [`LANES`] so every shard except possibly
     /// the last starts on a block boundary and the layouts slice without
@@ -693,12 +720,13 @@ impl<L: Lanes, S: PanelSink<L, Slot = T>, T> LaneJob<L> for Sweep<'_, S, T> {
     unsafe fn run(self) {
         let Sweep { m, batch, q_offset, out, .. } = self;
         let (rows, wpr) = (m.rows(), m.words_per_row());
-        let (data, block_max) = (m.data().as_ptr(), m.block_max());
+        let (data, block_max, tail_max) = (m.data().as_ptr(), m.block_max(), m.tail_max());
         // No block can be skipped before the query's threshold rises above
         // the lightest block's bound, so the sweep checks bounds only from
-        // then on. Both phases step one index `b`, so for a sink that never
-        // raises the threshold the second phase provably runs zero times
-        // and compiles away.
+        // then on, and ends the query at the first block whose tail bound
+        // the threshold passes. Both phases step one index `b`, so for a
+        // sink that never raises the threshold the second phase provably
+        // runs zero times and compiles away.
         let lightest = block_max.iter().copied().min().unwrap_or(0);
         for (q, slots) in out.data.chunks_exact_mut(out.per_query).enumerate() {
             let qw = &batch.query_words(q_offset + q)[..wpr];
@@ -713,6 +741,9 @@ impl<L: Lanes, S: PanelSink<L, Slot = T>, T> LaneJob<L> for Sweep<'_, S, T> {
                 }
             }
             while b < block_max.len() {
+                if S::skips(&state, tail_max[b]) {
+                    break;
+                }
                 if !S::skips(&state, block_max[b]) {
                     let acc = L::block_acc(data.add(b * wpr * LANES), qw);
                     S::block(&mut state, slots, rows, b, acc);
@@ -982,13 +1013,18 @@ pub(crate) fn cascade_pass<L: Lanes>(
         })
         .collect();
     // A block's rows hold at most the sum of its parts' block maxima ones
-    // over the whole query width.
-    let mut block_max = vec![0u32; rows.div_ceil(LANES)];
+    // over the whole query width; `tail_max` holds the suffix maxima of
+    // those sums.
+    let blocks = rows.div_ceil(LANES);
+    let mut bounds = vec![0u32; 2 * blocks];
+    let (block_max, tail_max) = bounds.split_at_mut(blocks);
     for part in pass.parts {
         for (m, &ones) in block_max.iter_mut().zip(part.blocked().block_max()) {
             *m += ones;
         }
     }
+    tail_max.copy_from_slice(block_max);
+    suffix_max(tail_max);
     let (row_suffix, dot) = (pass.row_suffix, pass.dot);
     // SAFETY: a kernel table publishes `cascade_pass::<L>` only for a
     // backend whose features were detected on this host. The pass reads
@@ -1002,7 +1038,8 @@ pub(crate) fn cascade_pass<L: Lanes>(
     unsafe {
         L::run(PassJob {
             views: &views,
-            block_max: &block_max,
+            block_max,
+            tail_max,
             row_suffix,
             dot,
             rows,
@@ -1034,10 +1071,12 @@ struct WindowView<'a> {
 }
 
 /// One query chunk of a [`BlockPass`]: its windows resolved to
-/// [`WindowView`]s, and every block's largest row popcount.
+/// [`WindowView`]s, every block's largest row popcount, and the suffix
+/// maxima of those.
 struct PassJob<'a> {
     views: &'a [WindowView<'a>],
     block_max: &'a [u32],
+    tail_max: &'a [u32],
     row_suffix: &'a [u32],
     dot: fn(&[u64], &[u64]) -> u32,
     rows: usize,
@@ -1056,7 +1095,9 @@ impl<L: Lanes> LaneJob<L> for PassJob<'_> {
     /// list already holds `k` entries and the block's largest row
     /// popcount is strictly below the k-th: the row-side bound with a
     /// partial of 0, exact because no row scores above its popcount and
-    /// the stage's k-th partial is at most the final k-th score. The live
+    /// the stage's k-th partial is at most the final k-th score; once the
+    /// k-th is strictly above a block's tail bound, no later block can be
+    /// admitted and the stage ends there. The live
     /// mask of a later stage is a lane compare of the Hamming bound
     /// against the previous stage's k-th best partial: the row-side bound
     /// `partial + row_suffix >= kth` first, then — only once more than
@@ -1069,8 +1110,18 @@ impl<L: Lanes> LaneJob<L> for PassJob<'_> {
     /// As [`cascade_pass`].
     #[inline(always)]
     unsafe fn run(self) {
-        let PassJob { views, block_max, row_suffix, dot, rows, staged, q_offset, lists, work } =
-            self;
+        let PassJob {
+            views,
+            block_max,
+            tail_max,
+            row_suffix,
+            dot,
+            rows,
+            staged,
+            q_offset,
+            lists,
+            work,
+        } = self;
         let k = lists.per_query;
         let stages = work.len();
         let blocks = block_max.len();
@@ -1122,10 +1173,14 @@ impl<L: Lanes> LaneJob<L> for PassJob<'_> {
                 if s == 0 {
                     // Block by block, so the skip sees the list as it
                     // fills: `thr` is its k-th entry once it is full (0
-                    // before, which no bound is below).
+                    // before, which no bound is below). A tail bound below
+                    // it ends the stage.
                     active.clear();
                     let mut thr = 0u32;
-                    for (b, &bound) in block_max.iter().enumerate() {
+                    for (b, (&bound, &tail)) in block_max.iter().zip(tail_max).enumerate() {
+                        if tail < thr {
+                            break;
+                        }
                         if bound < thr {
                             continue;
                         }
@@ -1262,6 +1317,16 @@ unsafe fn admit<L: Lanes>(
         let l = hits.trailing_zeros() as usize;
         topk_insert(list, filled, block.b as usize * LANES + l, block.partial[l]);
         hits &= hits - 1;
+    }
+}
+
+/// Turns per-block bounds into their suffix maxima in place: entry `b`
+/// becomes the largest of entries `b..`.
+fn suffix_max(bounds: &mut [u32]) {
+    let mut max = 0;
+    for bound in bounds.iter_mut().rev() {
+        max = max.max(*bound);
+        *bound = max;
     }
 }
 
@@ -1656,31 +1721,47 @@ mod tests {
         ones.chunks(LANES).map(|block| block.iter().copied().max().unwrap()).collect()
     }
 
+    /// Asserts `mem`'s block bounds and their suffix maxima equal a fresh
+    /// derivation from its row-major rows.
+    fn assert_bounds_derived(mem: &SearchMemory, what: &str) {
+        let block_max = fresh_block_max(mem.matrix());
+        let tail_max: Vec<u32> =
+            (0..block_max.len()).map(|b| block_max[b..].iter().copied().max().unwrap()).collect();
+        assert_eq!(mem.blocked().block_max(), block_max.as_slice(), "{what}: block_max");
+        assert_eq!(mem.blocked().tail_max(), tail_max.as_slice(), "{what}: tail_max");
+    }
+
     #[test]
     fn block_max_is_derived_wherever_the_layout_is_built() {
         let m = sample_matrix(21, 130);
         let mut mem = SearchMemory::new(m.clone());
-        assert_eq!(mem.blocked().block_max(), fresh_block_max(&m).as_slice());
+        assert_bounds_derived(&mem, "packed");
         // A mutation that adds ones to a block's lightest row, and one
-        // that empties its heaviest.
+        // that empties its heaviest: the first raises the tail bound of
+        // blocks 0 and 1, the second lowers them again.
         mem.modify(|mat| (0..130).for_each(|c| mat.set(9, c, true)));
         assert_eq!(mem.blocked().block_max()[1], 130);
+        assert_eq!(&mem.blocked().tail_max()[..2], &[130, 130]);
+        assert_bounds_derived(&mem, "filled row");
         mem.modify(|mat| (0..130).for_each(|c| mat.set(9, c, false)));
-        assert_eq!(mem.blocked().block_max(), fresh_block_max(mem.matrix()).as_slice());
+        assert_bounds_derived(&mem, "emptied row");
+        // Emptying the last block drops its tail bound to 0.
+        mem.modify(|mat| (16..21).for_each(|r| (0..130).for_each(|c| mat.set(r, c, false))));
+        assert_eq!(mem.blocked().tail_max()[2], 0);
+        assert_bounds_derived(&mem, "empty last block");
+        mem.modify(|mat| *mat = m.clone());
         // Row ranges: a block-aligned slice cut through a source block
         // (its padding lanes cleared) and an unaligned one (re-packed).
-        for (start, count) in [(8usize, 13usize), (0, 21), (16, 5), (3, 11), (5, 16)] {
-            let sub = mem.row_range(start, count).unwrap();
-            assert_eq!(
-                sub.blocked().block_max(),
-                fresh_block_max(sub.matrix()).as_slice(),
-                "{start}+{count}"
+        for (start, count) in [(8usize, 13usize), (0, 21), (16, 5), (0, 12), (3, 11), (5, 16)] {
+            assert_bounds_derived(
+                &mem.row_range(start, count).unwrap(),
+                &format!("{start}+{count}"),
             );
         }
         // Shards.
         for shards in [1usize, 2, 3] {
-            for (_, part) in mem.split_rows(shards).unwrap() {
-                assert_eq!(part.blocked().block_max(), fresh_block_max(part.matrix()).as_slice());
+            for (offset, part) in mem.split_rows(shards).unwrap() {
+                assert_bounds_derived(&part, &format!("shard at {offset} of {shards}"));
             }
         }
     }

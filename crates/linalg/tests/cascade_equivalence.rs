@@ -496,6 +496,64 @@ fn block_at_the_kth_score_is_scored_and_keeps_the_lower_row() {
     }
 }
 
+/// Heavy rows in the last block: the middle blocks' bounds are below the
+/// k-th score, but their tail bound is not, so no query ends before the
+/// last block. Rows 0-7 hold 20 ones, rows 8-23 hold 10 and rows 24-31
+/// hold 90 down to 83. Against the all-ones query block 0 sets the k-th
+/// score to 20 (any k up to 8), blocks 1 and 2 are skipped on their own
+/// bound, and the last block is scored and fills the list.
+#[test]
+fn heavy_rows_in_the_last_block_are_always_reached() {
+    let mut rows: Vec<BitVector> = (0..8).map(|r| span_row(r, 20)).collect();
+    rows.extend((8..24).map(|r| span_row(r, 10)));
+    rows.extend((0..8).map(|i| span_row(i, 90 - i)));
+    let batch = QueryBatch::from_vectors(&[BitVector::ones(128)]).unwrap();
+    for backend in Backend::available() {
+        let mem = pinned(&rows, backend);
+        assert_eq!(mem.blocked().tail_max(), &[90, 90, 90, 90]);
+        for k in [1usize, 3, 8] {
+            let expected: Vec<(usize, u32)> = (0..k).map(|i| (24 + i, 90 - i as u32)).collect();
+            assert_eq!(mem.topk_batch(&batch, k).unwrap().hits(0), expected.as_slice());
+            let out = mem.search_cascade_topk(&batch, &CascadePlan::exact(128), k).unwrap();
+            assert_eq!(out.topk().hits(0), expected.as_slice(), "backend {backend}, k {k}");
+            assert_eq!(out.stats().stage_rows(), &[16], "backend {backend}, k {k}");
+            let halves = CascadePlan::prefix(128, 64).unwrap();
+            let out = mem.search_cascade_topk(&batch, &halves, k).unwrap();
+            assert_eq!(out.topk().hits(0), expected.as_slice(), "backend {backend}, k {k}");
+            assert_eq!(out.stats().stage_rows()[0], 16, "backend {backend}, k {k}");
+        }
+    }
+}
+
+/// The tail exit is strict: a query goes on past a block whose own bound
+/// is below the k-th score while a later block's bound equals it. Block 0
+/// lists rows 0 and 1 at 90 and rows 2-7 at 40, so at k = 3 the k-th
+/// score is 40 after it. Block 1 holds rows at 10 (skipped), block 2 rows
+/// at 40 (the tail bound of blocks 1 and 2, equal to the k-th: scored,
+/// its rows losing the tie to row 2), block 3 rows at 10 again (tail
+/// bound 10: the query ends there). A non-strict exit would end the
+/// query at block 1 and never score block 2.
+#[test]
+fn block_past_the_exit_at_the_kth_score_is_scored() {
+    let mut rows = vec![span_row(0, 90), span_row(38, 90)];
+    rows.extend((2..8).map(|r| span_row(r * 4, 40)));
+    rows.extend((8..16).map(|r| span_row(r, 10)));
+    rows.extend((16..24).map(|r| span_row(r * 2, 40)));
+    rows.extend((24..32).map(|r| span_row(r, 10)));
+    let batch = QueryBatch::from_vectors(&[BitVector::ones(128)]).unwrap();
+    let expected: Vec<(usize, u32)> = vec![(0, 90), (1, 90), (2, 40)];
+    for backend in Backend::available() {
+        let mem = pinned(&rows, backend);
+        assert_eq!(mem.blocked().tail_max(), &[90, 40, 40, 10]);
+        assert_eq!(mem.topk_batch(&batch, 3).unwrap().hits(0), expected.as_slice());
+        let out = mem.search_cascade_topk(&batch, &CascadePlan::exact(128), 3).unwrap();
+        assert_eq!(out.topk().hits(0), expected.as_slice(), "backend {backend}");
+        // Blocks 0 and 2 are scored; 1 is skipped and 3 is past the exit.
+        assert_eq!(out.stats().stage_rows(), &[16], "backend {backend}");
+        assert_eq!(out.stats().activated_dims(), 16 * 128, "backend {backend}");
+    }
+}
+
 /// The rows each query's search scores, pinned exactly on a small graded
 /// memory of 24 rows × 128 bits (three blocks). Row 0 holds bits
 /// `[0, 100)`, rows 1-4 bits `[0, 60)`, rows 5-7 bits `[120, 122)`, and

@@ -18,9 +18,9 @@
 //!   flush, or shutdown drain answers it.
 //! * **Sharding** ([`ShardedSearcher`]) — a [`hd_linalg::SearchMemory`]'s
 //!   class-row space splits into contiguous, block-aligned row shards,
-//!   each pinned to a worker thread with its own pre-packed blocked
-//!   mirror; per-shard winners merge under the workspace's exact
-//!   highest-score / lowest-row tie-break.
+//!   each with its own pre-packed blocked mirror, searched one after the
+//!   other on the flushing thread; per-shard winners merge under the
+//!   workspace's exact highest-score / lowest-row tie-break.
 //! * **Cascade serving** ([`ShardedSearcher::with_cascade`], one shard
 //!   or many) — batches are answered through the progressive-precision
 //!   cascade of `hd_linalg`: dimension prefixes first, provably-losing

@@ -1,9 +1,8 @@
 //! The model interface the server batches over.
 //!
 //! A [`Searchable`] answers a packed [`QueryBatch`] with one [`Winner`]
-//! per query. The server hands each flush a single `Arc<QueryBatch>` so
-//! sharded implementations can ship the batch to worker threads without
-//! copying; plain implementations just deref.
+//! per query. The server hands each flush a single `Arc<QueryBatch>`;
+//! implementations just deref it.
 //!
 //! Every [`hd_linalg::LabeledMemory`] is a [`Searchable`] through one
 //! blanket impl. The model crates implement that trait for their own

@@ -1,17 +1,18 @@
-//! Row-sharded associative search across pinned worker threads.
+//! Row-sharded associative search, every shard searched on the calling
+//! thread.
 //!
 //! A [`ShardedSearcher`] splits a [`SearchMemory`]'s class-row space into
 //! `N` contiguous, [`hd_linalg::BLOCK_LANES`]-aligned row ranges (via
 //! [`SearchMemory::split_rows`]); each shard owns its rows **and its own
-//! pre-packed blocked mirror**, and — when more than one shard exists —
-//! is pinned to a dedicated worker thread that lives for the searcher's
-//! lifetime. A flush sends the shared `Arc<QueryBatch>` and its `k` to
-//! every worker that can contribute (see *Floor-gated fan-out* below),
-//! collects per-shard k-best lists (`k = 1` is the winners), and merges
-//! them in ascending-shard order, where a later shard displaces an entry
-//! only on a strictly higher score — which reproduces the global
-//! highest-score / lowest-row tie-break exactly (the property the SIMD
-//! equivalence suite pins for the underlying kernels).
+//! pre-packed blocked mirror**. A flush searches, on the thread that
+//! flushes it, every shard that can contribute to the shared batch at its
+//! `k` (see *Floor-gated fan-out* below), one after the other, and merges
+//! the per-shard k-best lists (`k = 1` is the winners) in ascending-shard
+//! order, where a later shard displaces an entry only on a strictly
+//! higher score — which reproduces the global highest-score / lowest-row
+//! tie-break exactly (the property the SIMD equivalence suite pins for
+//! the underlying kernels). The searcher starts no thread: a shard is a
+//! row range, not a worker.
 //!
 //! [`ShardedSearcher::with_cascade`] runs a [`CascadePlan`] inside every
 //! shard instead of the exact sweep — with one shard, it is the
@@ -32,7 +33,7 @@
 //! score `F` is a floor under its global k-th best score (k real rows
 //! score at least `F`). Shard `s` then serves only the queries with
 //! `F <= max_ones[s]` — the shared batch when all qualify, a sub-batch
-//! copy of their words when some do, no dispatch when none do. The rule
+//! copy of their words when some do, no search when none do. The rule
 //! is exact: every row of a skipped shard scores strictly below `F`,
 //! hence strictly below the global k-th entry, so it can neither enter
 //! the top-k nor tie the k-th entry, and lists stay bit-identical,
@@ -45,30 +46,30 @@
 //! The floor is the shard-level form of the bound every shard's own
 //! search applies block by block: inside a shard, the top-k sweep and
 //! the cascade's first stage skip each 8-row block whose heaviest row is
-//! strictly below the k-th score found so far in that shard (see
-//! [`hd_linalg::BlockedBitMatrix::block_max`]). The two are not
-//! redundant. A shard learns its
-//! k-th score only from its own rows, so a shard of light rows never
-//! reaches a threshold that skips them; only the pilot's floor, taken
-//! from the heavy rows of the whole memory, keeps it out of the query.
-//! And a shard the floor admits skips the blocks that cannot reach its
-//! own k-th.
+//! strictly below the k-th score found so far in that shard, and end the
+//! query at the first block whose tail bound is (see
+//! [`hd_linalg::BlockedBitMatrix::block_max`] and
+//! [`hd_linalg::BlockedBitMatrix::tail_max`]). The two are not
+//! redundant. A shard learns its k-th score only from its own rows, so
+//! a shard of light rows never reaches a threshold that skips them; only
+//! the pilot's floor, taken from the heavy rows of the whole memory,
+//! keeps it out of the query. And a shard the floor admits skips the
+//! blocks that cannot reach its own k-th.
 //!
-//! # Worker supervision
+//! # Panic supervision
 //!
-//! A panicking shard worker must not poison the searcher. Each worker
-//! wraps its sweep in `catch_unwind`, posts the panic back, and exits;
-//! the dispatcher then **respawns the worker once** (the blocked mirror
-//! is immutable, so a fresh thread over the same `Arc`ed shard is safe)
-//! and retries the failed shards in a new collection round. A worker
-//! that dies again is **degraded**: its shard drops out permanently,
-//! searches answer exactly over the surviving rows, and the loss is
-//! reported through [`ShardedSearcher::missing_shards`] so the serving
-//! layer can flag the answers (see `Prediction::degraded`) instead of
-//! failing them. Deterministic kernel errors (e.g. a bad `k`) still fail
-//! the whole request — only worker *death* degrades. When a shard dies
-//! in a flush whose floors skipped work, every surviving shard that sat
-//! out a query re-runs the whole batch without floors.
+//! A panicking shard search must not poison the searcher. Each shard's
+//! search runs inside `catch_unwind`; the first panic a shard ever
+//! raises is **retried once, in the same flush** (the blocked mirror is
+//! immutable, so a panicked search leaves nothing to repair). A shard
+//! that panics again is **degraded**: it drops out permanently, searches
+//! answer exactly over the surviving rows, and the loss is reported
+//! through [`ShardedSearcher::missing_shards`] so the serving layer can
+//! flag the answers (see `Prediction::degraded`) instead of failing
+//! them. Deterministic kernel errors (e.g. a bad `k`) still fail the
+//! whole request — only a panic degrades. When a shard degrades in a
+//! flush whose floors skipped work, every surviving shard that sat out a
+//! query re-runs the whole batch without floors.
 
 use crate::error::{Result, ServeError};
 use crate::searchable::{check_topk, Searchable, Winner};
@@ -76,43 +77,9 @@ use hd_linalg::{
     BitMatrix, BoundCascade, CascadePlan, CascadeTopK, QueryBatch, QueryBatchBuilder, SearchMemory,
     TopK, BLOCK_LANES,
 };
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Sender, SyncSender};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
-
-/// What a worker computed for one job: the shard-local k-best lists
-/// (or the deterministic kernel failure), or the panic that killed the
-/// worker.
-enum ShardOutcome {
-    Answer(hd_linalg::Result<TopK>),
-    Panicked(String),
-}
-
-/// What a worker posts back per job: its shard index plus the outcome.
-type ShardReply = (usize, ShardOutcome);
-
-/// One dispatched unit of shard work: the shared batch, the `k` of the
-/// shard's k-best sweep, and the reply channel the worker posts a
-/// [`ShardReply`] to.
-struct Job {
-    batch: Arc<QueryBatch>,
-    k: usize,
-    reply: SyncSender<ShardReply>,
-}
-
-/// Supervision state of one shard's worker, guarded by a mutex so
-/// concurrent flushes agree on who pays for a respawn.
-struct ShardSupervisor {
-    /// Job channel of the live worker; `None` once the shard degrades.
-    jobs: Option<Sender<Job>>,
-    /// Bumped on every respawn. Lets a flush tell "my worker died" apart
-    /// from "another flush already replaced it", so one death never
-    /// consumes the respawn budget twice.
-    generation: u64,
-    /// Remaining respawns before the shard degrades permanently.
-    respawns_left: u32,
-}
+use std::sync::Arc;
 
 struct Shard {
     /// Global row index of this shard's first row.
@@ -123,21 +90,54 @@ struct Shard {
     /// The cascade plan bound to this shard's rows (its row-suffix table
     /// derived once at construction); `None` runs `topk_batch` at the
     /// flush's k.
-    cascade: Option<Arc<BoundCascade>>,
-    /// Worker supervision state; `None` when the searcher runs shards
-    /// inline (single shard, or worker spawn disabled).
-    supervisor: Option<Mutex<ShardSupervisor>>,
-    /// Chaos failpoint: every pending count makes the worker panic on
-    /// its next job (see [`ShardedSearcher::inject_shard_panics`]).
-    chaos_panics: Arc<AtomicUsize>,
+    cascade: Option<BoundCascade>,
+    /// Panics this shard's search has raised: the first is retried, the
+    /// second degrades the shard out of the row space.
+    panics: AtomicUsize,
+    /// Chaos failpoint: every pending count makes the shard's next search
+    /// panic (see [`ShardedSearcher::inject_shard_panics`]).
+    chaos_panics: AtomicUsize,
 }
 
 impl Shard {
-    /// Whether the shard's worker degraded out of the row space.
+    /// Whether the shard degraded out of the row space.
     fn missing(&self) -> bool {
-        self.supervisor
-            .as_ref()
-            .is_some_and(|m| m.lock().unwrap_or_else(PoisonError::into_inner).jobs.is_none())
+        self.panics.load(Ordering::Relaxed) > 1
+    }
+
+    /// The shard's k-best lists over `batch` (the fused sweep, or the
+    /// bound cascade when a plan is installed; both bit-identical), its
+    /// search run inside `catch_unwind`. A panic is retried while the
+    /// shard has not degraded; `None` means it has, and `last_panic`
+    /// keeps the message of the latest panic.
+    fn answer(
+        &self,
+        batch: &QueryBatch,
+        k: usize,
+        last_panic: &mut Option<String>,
+    ) -> hd_linalg::Result<Option<TopK>> {
+        while !self.missing() {
+            let search = AssertUnwindSafe(|| {
+                let chaos =
+                    self.chaos_panics
+                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
+                if chaos.is_ok() {
+                    panic!("injected chaos panic");
+                }
+                match &self.cascade {
+                    Some(bound) => bound.search_topk(batch, k).map(CascadeTopK::into_topk),
+                    None => self.memory.topk_batch(batch, k),
+                }
+            });
+            match catch_unwind(search) {
+                Ok(answer) => return answer.map(Some),
+                Err(payload) => {
+                    *last_panic = Some(panic_message(payload));
+                    self.panics.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -153,24 +153,24 @@ struct Pilot {
 /// Which of a flush's queries one shard serves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Share {
-    /// Every query: the shard gets the shared batch.
+    /// Every query: the shard searches the shared batch.
     All,
-    /// These queries (ascending): the shard gets a sub-batch of them.
+    /// These queries (ascending): the shard searches a sub-batch of them.
     Only(Vec<usize>),
-    /// No query: the shard is not dispatched.
+    /// No query: the shard is not searched.
     Skip,
 }
 
-/// The batch shard work runs on under `share`.
-fn share_batch(batch: &Arc<QueryBatch>, share: &Share) -> Option<Arc<QueryBatch>> {
+/// The batch a shard searches under `share`.
+fn share_batch(batch: &QueryBatch, share: &Share) -> Option<QueryBatch> {
     match share {
-        Share::All => Some(Arc::clone(batch)),
+        Share::All => Some(batch.clone()),
         Share::Only(queries) => {
             let mut sub = QueryBatchBuilder::with_capacity(batch.dim(), queries.len());
             for &q in queries {
                 sub.push(batch.query(q)).expect("a query has its batch's width");
             }
-            Some(Arc::new(sub.take_batch().expect("a served share is non-empty")))
+            Some(sub.take_batch().expect("a served share is non-empty"))
         }
         Share::Skip => None,
     }
@@ -179,14 +179,14 @@ fn share_batch(batch: &Arc<QueryBatch>, share: &Share) -> Option<Arc<QueryBatch>
 /// One flush's shard answers, in shard order.
 struct Collected {
     /// k-best lists over each shard's batch; `None` for a shard that
-    /// was not dispatched or degraded.
+    /// was not searched or degraded.
     answers: Vec<Option<TopK>>,
-    /// Whether a dispatched shard degraded instead of answering.
+    /// Whether a searched shard degraded instead of answering.
     lost: bool,
     last_panic: Option<String>,
 }
 
-/// Renders a `catch_unwind` payload for the panic reply.
+/// Renders a `catch_unwind` payload for error messages.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -194,71 +194,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".into()
-    }
-}
-
-/// Spawns the pinned worker thread for shard `idx`. The worker answers
-/// jobs until its channel closes — or until a job panics, in which case
-/// it posts the panic back and exits so the supervisor can respawn it.
-fn spawn_worker(
-    idx: usize,
-    memory: Arc<SearchMemory>,
-    cascade: Option<Arc<BoundCascade>>,
-    chaos: Arc<AtomicUsize>,
-) -> Result<(Sender<Job>, JoinHandle<()>)> {
-    let (tx, rx) = mpsc::channel::<Job>();
-    let handle = std::thread::Builder::new()
-        .name(format!("hd-serve-shard-{idx}"))
-        .spawn(move || {
-            // The worker owns its shard for its whole life: the blocked
-            // mirror stays hot and no re-packing ever happens on the
-            // search path.
-            while let Ok(job) = rx.recv() {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if chaos
-                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1))
-                        .is_ok()
-                    {
-                        panic!("injected chaos panic");
-                    }
-                    shard_answer(&memory, &job.batch, cascade.as_deref(), job.k)
-                }));
-                match outcome {
-                    Ok(answer) => {
-                        // A dropped reply receiver means the dispatch
-                        // errored out early; keep serving later jobs.
-                        let _ = job.reply.send((idx, ShardOutcome::Answer(answer)));
-                    }
-                    Err(payload) => {
-                        let _ =
-                            job.reply.send((idx, ShardOutcome::Panicked(panic_message(payload))));
-                        // A panicked sweep leaves no trustworthy state;
-                        // die and let the supervisor respawn the shard
-                        // from its immutable Arc'ed mirror.
-                        break;
-                    }
-                }
-            }
-        })
-        .map_err(|e| ServeError::InvalidConfig {
-            reason: format!("failed to spawn shard worker: {e}"),
-        })?;
-    Ok((tx, handle))
-}
-
-/// Shard-local k-best lists: the fused sweep, or the bound cascade when
-/// a plan is installed (`k == 1` takes the winners sink either way).
-/// Both paths produce bit-identical results; only the activation cost
-/// differs, and neither re-packs anything.
-fn shard_answer(
-    memory: &SearchMemory,
-    batch: &QueryBatch,
-    cascade: Option<&BoundCascade>,
-    k: usize,
-) -> hd_linalg::Result<TopK> {
-    match cascade {
-        Some(bound) => bound.search_topk(batch, k).map(CascadeTopK::into_topk),
-        None => memory.topk_batch(batch, k),
     }
 }
 
@@ -279,8 +214,8 @@ fn check_answer_len(answer: &TopK, queries: usize, shard: usize) -> Result<()> {
     Ok(())
 }
 
-/// A sharded, worker-backed [`Searchable`] over a row-partitioned
-/// associative memory.
+/// A sharded [`Searchable`] over a row-partitioned associative memory,
+/// every shard searched on the calling thread.
 ///
 /// # Example
 ///
@@ -302,33 +237,27 @@ pub struct ShardedSearcher {
     dim: usize,
     rows: usize,
     /// Global row → class label.
-    classes: Arc<Vec<usize>>,
+    classes: Vec<usize>,
     /// Stage plan each shard runs (`None` = `topk_batch` at the flush's k).
-    plan: Option<Arc<CascadePlan>>,
+    plan: Option<CascadePlan>,
     shards: Vec<Shard>,
     /// Floors the fan-out; `None` when no floor could skip a shard.
     pilot: Option<Pilot>,
-    /// Join handles of every worker ever spawned (respawns append from
-    /// `&self`, hence the mutex); drained and joined on drop.
-    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for ShardedSearcher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner).len();
         f.debug_struct("ShardedSearcher")
             .field("dim", &self.dim)
             .field("rows", &self.rows)
             .field("shards", &self.shards.len())
-            .field("workers", &workers)
             .field("missing_shards", &self.missing_shards())
             .finish()
     }
 }
 
 impl ShardedSearcher {
-    /// Splits `memory` into (at most) `num_shards` row shards, spawning
-    /// one pinned worker thread per shard when more than one results.
+    /// Splits `memory` into (at most) `num_shards` row shards.
     /// `num_shards == 0` selects [`std::thread::available_parallelism`].
     ///
     /// `classes[r]` is the class label of global row `r`.
@@ -368,14 +297,14 @@ impl ShardedSearcher {
                 ),
             });
         }
-        Self::build(memory, classes, num_shards, Some(Arc::new(plan)))
+        Self::build(memory, classes, num_shards, Some(plan))
     }
 
     fn build(
         memory: SearchMemory,
         classes: Vec<usize>,
         num_shards: usize,
-        plan: Option<Arc<CascadePlan>>,
+        plan: Option<CascadePlan>,
     ) -> Result<Self> {
         if classes.len() != memory.rows() {
             return Err(ServeError::InvalidConfig {
@@ -394,49 +323,29 @@ impl ShardedSearcher {
             .split_rows(num_shards)
             .map_err(|e| ServeError::InvalidConfig { reason: e.to_string() })?;
         let pilot = Self::pilot(&memory, &ones, &parts);
-        let spawn_workers = parts.len() > 1;
         let mut shards = Vec::with_capacity(parts.len());
-        let mut workers = Vec::new();
-        for (idx, (offset, part)) in parts.into_iter().enumerate() {
+        for (offset, part) in parts {
             let memory = Arc::new(part);
-            // Bind the plan to this shard's rows once; workers and the
-            // inline path reuse its row-suffix table for every flush.
+            // Bind the plan to this shard's rows once; every flush reuses
+            // its row-suffix table.
             let cascade = match &plan {
-                Some(plan) => Some(Arc::new(
-                    BoundCascade::new(Arc::clone(&memory), plan.as_ref().clone())
+                Some(plan) => Some(
+                    BoundCascade::new(Arc::clone(&memory), plan.clone())
                         .map_err(|e| ServeError::InvalidConfig { reason: e.to_string() })?,
-                )),
+                ),
                 None => None,
             };
             let max_ones = ones[offset..offset + memory.rows()].iter().copied().max().unwrap_or(0);
-            let chaos_panics = Arc::new(AtomicUsize::new(0));
-            let supervisor = if spawn_workers {
-                let (tx, handle) = spawn_worker(
-                    idx,
-                    Arc::clone(&memory),
-                    cascade.clone(),
-                    Arc::clone(&chaos_panics),
-                )?;
-                workers.push(handle);
-                Some(Mutex::new(ShardSupervisor {
-                    jobs: Some(tx),
-                    generation: 0,
-                    respawns_left: 1,
-                }))
-            } else {
-                None
-            };
-            shards.push(Shard { offset, memory, max_ones, cascade, supervisor, chaos_panics });
+            shards.push(Shard {
+                offset,
+                memory,
+                max_ones,
+                cascade,
+                panics: AtomicUsize::new(0),
+                chaos_panics: AtomicUsize::new(0),
+            });
         }
-        Ok(ShardedSearcher {
-            dim,
-            rows,
-            classes: Arc::new(classes),
-            plan,
-            shards,
-            pilot,
-            workers: Mutex::new(workers),
-        })
+        Ok(ShardedSearcher { dim, rows, classes, plan, shards, pilot })
     }
 
     /// The [`BLOCK_LANES`] heaviest rows of `memory` (row popcounts
@@ -491,7 +400,7 @@ impl ShardedSearcher {
 
     /// The cascade plan shards run, when one is installed.
     pub fn cascade_plan(&self) -> Option<&CascadePlan> {
-        self.plan.as_deref()
+        self.plan.as_ref()
     }
 
     /// Number of row shards.
@@ -499,16 +408,12 @@ impl ShardedSearcher {
         self.shards.len()
     }
 
-    /// Whether shards execute on pinned worker threads (vs. inline).
-    pub fn has_workers(&self) -> bool {
-        self.shards.iter().any(|s| s.supervisor.is_some())
-    }
-
-    /// Shards whose workers died and exhausted their respawn budget, in
-    /// ascending order. Searches keep answering **exactly over the
-    /// surviving rows**; a non-empty result means answers no longer
-    /// cover the full row space, which the serving layer surfaces as
-    /// `Prediction::degraded` instead of failing the queries.
+    /// Shards whose searches panicked twice, in ascending order: each
+    /// shard's first panic is retried, the second degrades it for good.
+    /// Searches keep answering **exactly over the surviving rows**; a
+    /// non-empty result means answers no longer cover the full row space,
+    /// which the serving layer surfaces as `Prediction::degraded` instead
+    /// of failing the queries.
     pub fn missing_shards(&self) -> Vec<usize> {
         self.shards.iter().enumerate().filter(|(_, s)| s.missing()).map(|(idx, _)| idx).collect()
     }
@@ -519,21 +424,15 @@ impl ShardedSearcher {
         !self.missing_shards().is_empty()
     }
 
-    /// Chaos failpoint: makes `shard`'s worker panic on its next `count`
-    /// jobs. Each injected panic kills the worker exactly as a real
-    /// fault would; the supervisor's respawn-once-then-degrade path
-    /// takes over from there. Intended for tests and chaos harnesses.
+    /// Chaos failpoint: makes `shard`'s next `count` searches panic. Each
+    /// injected panic unwinds out of the shard's search exactly as a real
+    /// fault would; the retry-once-then-degrade path takes over from
+    /// there. Intended for tests and chaos harnesses.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidConfig`] when `shard` is out of
-    /// range or the searcher runs inline (no workers to kill).
+    /// Returns [`ServeError::InvalidConfig`] when `shard` is out of range.
     pub fn inject_shard_panics(&self, shard: usize, count: usize) -> Result<()> {
-        if !self.has_workers() {
-            return Err(ServeError::InvalidConfig {
-                reason: "cannot inject worker panics into an inline searcher".into(),
-            });
-        }
         let Some(target) = self.shards.get(shard) else {
             return Err(ServeError::InvalidConfig {
                 reason: format!("shard {shard} out of range ({} shards)", self.shards.len()),
@@ -541,73 +440,6 @@ impl ShardedSearcher {
         };
         target.chaos_panics.store(count, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Sends one k-best job for shard `idx` to its worker, respawning on
-    /// a dead channel. Returns the worker generation the job landed on,
-    /// or `None` when the shard is (or just became) degraded.
-    fn dispatch(
-        &self,
-        idx: usize,
-        batch: &Arc<QueryBatch>,
-        k: usize,
-        reply: &SyncSender<ShardReply>,
-    ) -> Option<u64> {
-        let shard = &self.shards[idx];
-        let sup = shard.supervisor.as_ref().expect("worker-backed searcher supervises shards");
-        let mut sup = sup.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            let sender = sup.jobs.as_ref()?;
-            let job = Job { batch: Arc::clone(batch), k, reply: reply.clone() };
-            if sender.send(job).is_ok() {
-                return Some(sup.generation);
-            }
-            // The worker hung up between flushes; pay for a respawn here
-            // and retry the send on the fresh worker.
-            sup.jobs = None;
-            if !self.respawn_locked(idx, &mut sup) {
-                return None;
-            }
-        }
-    }
-
-    /// Respawns `idx`'s worker if budget remains. The caller holds the
-    /// supervisor lock with `jobs` already cleared.
-    fn respawn_locked(&self, idx: usize, sup: &mut ShardSupervisor) -> bool {
-        if sup.respawns_left == 0 {
-            return false;
-        }
-        sup.respawns_left -= 1;
-        let shard = &self.shards[idx];
-        match spawn_worker(
-            idx,
-            Arc::clone(&shard.memory),
-            shard.cascade.clone(),
-            Arc::clone(&shard.chaos_panics),
-        ) {
-            Ok((tx, handle)) => {
-                sup.jobs = Some(tx);
-                sup.generation += 1;
-                self.workers.lock().unwrap_or_else(PoisonError::into_inner).push(handle);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Handles a worker death observed at `failed_generation`: when
-    /// another flush already replaced the worker the replacement is
-    /// reused for free, otherwise the respawn budget is spent. Returns
-    /// whether `idx` has a live worker to retry on.
-    fn revive(&self, idx: usize, failed_generation: u64) -> bool {
-        let shard = &self.shards[idx];
-        let sup = shard.supervisor.as_ref().expect("worker-backed searcher supervises shards");
-        let mut sup = sup.lock().unwrap_or_else(PoisonError::into_inner);
-        if sup.generation > failed_generation {
-            return sup.jobs.is_some();
-        }
-        sup.jobs = None;
-        self.respawn_locked(idx, &mut sup)
     }
 
     /// Which queries of `batch` each shard serves at `k`: all of them,
@@ -645,73 +477,28 @@ impl ShardedSearcher {
             .collect())
     }
 
-    /// Runs the k-best sweep of every shard with a batch (`None` sits
-    /// the shard out) — inline when no workers exist, else fanned out to
-    /// the pinned workers under death-and-respawn supervision — and
-    /// collects the answers in shard order. A degraded shard yields
-    /// `None` and sets [`Collected::lost`].
-    ///
-    /// Collection is round-based: every round opens a **fresh** reply
-    /// channel, dispatches the still-unanswered shards, drops its own
-    /// sender, and drains until every job's sender clone is gone —
-    /// either the worker replied, or it died and dropped the queued job
-    /// (so a dead worker can never block the round). Shards whose
-    /// workers died are revived (or degraded) and retried next round.
-    fn per_shard_answers(
-        &self,
-        batches: &[Option<Arc<QueryBatch>>],
-        k: usize,
-    ) -> Result<Collected> {
-        let mut answers: Vec<Option<TopK>> = (0..self.shards.len()).map(|_| None).collect();
-        let jobs = || batches.iter().enumerate().filter_map(|(idx, b)| Some((idx, b.as_ref()?)));
-        if !self.has_workers() {
-            for (idx, batch) in jobs() {
-                let shard = &self.shards[idx];
-                let answer = shard_answer(&shard.memory, batch, shard.cascade.as_deref(), k)
-                    .map_err(|e| ServeError::Model { reason: e.to_string() })?;
-                check_answer_len(&answer, batch.len(), idx)?;
-                answers[idx] = Some(answer);
+    /// Searches every shard with a batch (`None` sits the shard out) on
+    /// this thread, under the retry-once-then-degrade supervision, and
+    /// collects the answers in shard order. A degraded shard yields `None`
+    /// and sets [`Collected::lost`].
+    fn per_shard_answers(&self, batches: &[Option<QueryBatch>], k: usize) -> Result<Collected> {
+        let mut collected =
+            Collected { answers: Vec::with_capacity(batches.len()), lost: false, last_panic: None };
+        for (idx, (shard, batch)) in self.shards.iter().zip(batches).enumerate() {
+            let Some(batch) = batch else {
+                collected.answers.push(None);
+                continue;
+            };
+            let answer = shard
+                .answer(batch, k, &mut collected.last_panic)
+                .map_err(|e| ServeError::Model { reason: e.to_string() })?;
+            if let Some(answer) = &answer {
+                check_answer_len(answer, batch.len(), idx)?;
             }
-            return Ok(Collected { answers, lost: false, last_panic: None });
+            collected.lost |= answer.is_none();
+            collected.answers.push(answer);
         }
-        let mut dead = vec![false; self.shards.len()];
-        let mut last_panic: Option<String> = None;
-        let mut pending: Vec<(usize, &Arc<QueryBatch>)> = jobs().collect();
-        while !pending.is_empty() {
-            let (reply_tx, reply_rx) = mpsc::sync_channel(pending.len());
-            let mut dispatched = Vec::with_capacity(pending.len());
-            for (idx, batch) in pending.drain(..) {
-                match self.dispatch(idx, batch, k, &reply_tx) {
-                    Some(generation) => dispatched.push((idx, batch, generation)),
-                    None => dead[idx] = true,
-                }
-            }
-            drop(reply_tx);
-            for (idx, outcome) in reply_rx.iter() {
-                match outcome {
-                    ShardOutcome::Answer(answer) => {
-                        let answer =
-                            answer.map_err(|e| ServeError::Model { reason: e.to_string() })?;
-                        let queries = batches[idx].as_ref().map_or(0, |b| b.len());
-                        check_answer_len(&answer, queries, idx)?;
-                        answers[idx] = Some(answer);
-                    }
-                    // The worker died; the retry below (keyed on the
-                    // missing answer) revives or degrades the shard.
-                    ShardOutcome::Panicked(msg) => last_panic = Some(msg),
-                }
-            }
-            for (idx, batch, generation) in dispatched {
-                if answers[idx].is_none() && !dead[idx] {
-                    if self.revive(idx, generation) {
-                        pending.push((idx, batch));
-                    } else {
-                        dead[idx] = true;
-                    }
-                }
-            }
-        }
-        Ok(Collected { answers, lost: dead.contains(&true), last_panic })
+        Ok(collected)
     }
 
     /// Runs the k-best sweep on the shards each query needs and merges
@@ -728,12 +515,7 @@ impl ShardedSearcher {
     /// only on a strictly higher score. Floor-skipped shards hold no row
     /// of the slate; degraded shards contribute nothing, so the slate is
     /// exact over the surviving rows (and may come up short of `k`).
-    fn merge(
-        &self,
-        batch: &Arc<QueryBatch>,
-        k: usize,
-        mut slate: impl FnMut(&[Winner]),
-    ) -> Result<()> {
+    fn merge(&self, batch: &QueryBatch, k: usize, mut slate: impl FnMut(&[Winner])) -> Result<()> {
         check_topk(k)?;
         if batch.dim() != self.dim {
             return Err(ServeError::DimensionMismatch { expected: self.dim, found: batch.dim() });
@@ -746,10 +528,8 @@ impl ShardedSearcher {
             // shard that sat out a query re-runs the whole batch without
             // them (a dead one answers `None`), so each present answer
             // covers every query.
-            let rerun: Vec<_> = shares
-                .iter()
-                .map(|share| (*share != Share::All).then(|| Arc::clone(batch)))
-                .collect();
+            let rerun: Vec<_> =
+                shares.iter().map(|share| (*share != Share::All).then(|| batch.clone())).collect();
             let again = self.per_shard_answers(&rerun, k)?;
             for (idx, answer) in again.answers.into_iter().enumerate() {
                 if rerun[idx].is_some() {
@@ -762,9 +542,7 @@ impl ShardedSearcher {
         if collected.answers.iter().all(Option::is_none) {
             let detail =
                 collected.last_panic.map_or(String::new(), |msg| format!(" (last panic: {msg})"));
-            return Err(ServeError::Model {
-                reason: format!("all shard workers degraded{detail}"),
-            });
+            return Err(ServeError::Model { reason: format!("all shards degraded{detail}") });
         }
         let k = k.min(self.rows);
         let mut slots: Vec<Winner> = Vec::with_capacity(k);
@@ -825,20 +603,6 @@ impl Searchable for ShardedSearcher {
 
     fn missing_shards(&self) -> Vec<usize> {
         ShardedSearcher::missing_shards(self)
-    }
-}
-
-impl Drop for ShardedSearcher {
-    fn drop(&mut self) {
-        // Closing the job channels ends the worker loops.
-        for shard in &mut self.shards {
-            if let Some(sup) = &mut shard.supervisor {
-                sup.get_mut().unwrap_or_else(PoisonError::into_inner).jobs = None;
-            }
-        }
-        for handle in self.workers.get_mut().unwrap_or_else(PoisonError::into_inner).drain(..) {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -929,7 +693,6 @@ mod tests {
         let reference = memory.winners_batch(&batch).unwrap();
         for shards in [1usize, 2, 3, 4, 9] {
             let sharded = ShardedSearcher::new(memory.clone(), classes.clone(), shards).unwrap();
-            assert_eq!(sharded.has_workers(), sharded.num_shards() > 1, "{shards}");
             let winners = sharded.search_winners(Arc::clone(&batch)).unwrap();
             for (q, w) in winners.iter().enumerate() {
                 assert_eq!((w.row, w.score), reference[q], "shards {shards}, query {q}");
@@ -1192,7 +955,6 @@ mod tests {
         ] {
             let searcher =
                 ShardedSearcher::with_cascade(memory.clone(), classes.clone(), 1, plan).unwrap();
-            assert!(!searcher.has_workers());
             let winners = searcher.search_winners(Arc::clone(&batch)).unwrap();
             for (q, w) in winners.iter().enumerate() {
                 assert_eq!((w.row, w.score), reference[q]);
@@ -1287,23 +1049,22 @@ mod tests {
     }
 
     #[test]
-    fn injected_panic_respawns_worker_and_results_stay_exact() {
+    fn injected_panic_is_retried_and_results_stay_exact() {
         let (memory, classes) = random_memory(53, 96, 31);
         let batch = random_batch(9, 96, 32);
         let reference = memory.winners_batch(&batch).unwrap();
         let sharded = ShardedSearcher::new(memory, classes, 3).unwrap();
-        assert!(sharded.has_workers());
         sharded.inject_shard_panics(1, 1).unwrap();
         let winners = sharded.search_winners(Arc::clone(&batch)).unwrap();
         for (q, w) in winners.iter().enumerate() {
             assert_eq!((w.row, w.score), reference[q], "query {q}");
         }
-        assert!(sharded.missing_shards().is_empty(), "one panic is absorbed by the respawn");
+        assert!(sharded.missing_shards().is_empty(), "one panic is absorbed by the retry");
         assert!(!sharded.degraded());
-        // The respawned worker keeps serving.
+        // The retried shard keeps serving.
         let again = sharded.search_winners(batch).unwrap();
         for (q, w) in again.iter().enumerate() {
-            assert_eq!((w.row, w.score), reference[q], "query {q} after respawn");
+            assert_eq!((w.row, w.score), reference[q], "query {q} after the retry");
         }
     }
 
@@ -1319,7 +1080,7 @@ mod tests {
         let batch = random_batch(9, dim, 42);
         let sharded = ShardedSearcher::new(memory.clone(), classes.clone(), 3).unwrap();
         assert!(sharded.num_shards() >= 2);
-        // More panics than the respawn budget: shard 0 dies for good.
+        // More panics than the one retry: shard 0 degrades for good.
         sharded.inject_shard_panics(0, 100).unwrap();
         let winners = sharded.search_winners(Arc::clone(&batch)).unwrap();
         assert_eq!(sharded.missing_shards(), vec![0]);
@@ -1350,7 +1111,8 @@ mod tests {
     fn shard_dying_in_a_skipping_flush_reruns_the_skipped_queries() {
         // Every pilot row lives in shard 0; queries near a dense row
         // floor far above shard 1's heaviest row, so shard 1 sits the
-        // flush out. Shard 0 then dies during it (respawn, then degrade).
+        // flush out. Shard 0 then panics twice during it (retry, then
+        // degrade).
         let dim = 192;
         let (rows, classes) = graded_memory(16, dim, 81);
         let memory = SearchMemory::from_rows(&rows).unwrap();
@@ -1399,12 +1161,22 @@ mod tests {
     #[test]
     fn chaos_injection_validated() {
         let (memory, classes) = random_memory(53, 96, 61);
+        let batch = random_batch(4, 96, 62);
+        let reference = memory.winners_batch(&batch).unwrap();
         let sharded = ShardedSearcher::new(memory.clone(), classes.clone(), 3).unwrap();
         assert!(sharded.inject_shard_panics(99, 1).is_err(), "out of range");
-        let inline = ShardedSearcher::new(memory, classes, 1).unwrap();
-        assert!(!inline.has_workers());
-        assert!(inline.inject_shard_panics(0, 1).is_err(), "inline has no workers");
-        assert!(inline.missing_shards().is_empty());
+        // A one-shard searcher takes injection too: one panic is absorbed
+        // by the in-flush retry, a second degrades its only shard.
+        let one = ShardedSearcher::new(memory, classes, 1).unwrap();
+        assert!(one.inject_shard_panics(1, 1).is_err(), "out of range");
+        one.inject_shard_panics(0, 1).unwrap();
+        let winners = one.search_winners(Arc::clone(&batch)).unwrap();
+        let got: Vec<(usize, u32)> = winners.iter().map(|w| (w.row, w.score)).collect();
+        assert_eq!(got, reference);
+        assert!(one.missing_shards().is_empty(), "one panic is retried");
+        one.inject_shard_panics(0, 1).unwrap();
+        assert!(matches!(one.search_winners(batch), Err(ServeError::Model { .. })));
+        assert_eq!(one.missing_shards(), vec![0], "a second panic degrades the shard");
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! * no query is ever lost or blocked forever: every submission resolves
 //!   as an answer, a `Timeout`, or an `Overloaded` shed;
-//! * a degraded answer is **flagged**, never silently wrong: worker
-//!   death shrinks the row space and the server marks the predictions;
+//! * a degraded answer is **flagged**, never silently wrong: a shard
+//!   that panics past its retry shrinks the row space and the server
+//!   marks the predictions;
 //! * a fault-injected model republished through the registry is fully
 //!   healed by the scrubber, restoring bit-identical predictions.
 
@@ -35,13 +36,13 @@ fn classify(server: &Server, query: &BitVector) -> hd_serve::Result<Prediction> 
     server.submit(query.as_view(), 1)?.wait().map(|slate| slate[0])
 }
 
-/// A 4-shard worker-backed searcher plus the raw row set it serves.
+/// A 4-shard searcher plus the raw row set it serves.
 fn sharded_fixture(seed: u64) -> (Arc<ShardedSearcher>, Vec<BitVector>, Vec<usize>) {
     let rows = random_rows(61, 128, seed);
     let classes: Vec<usize> = (0..rows.len()).map(|r| r % 5).collect();
     let memory = SearchMemory::from_rows(&rows).unwrap();
     let sharded = ShardedSearcher::new(memory, classes.clone(), 4).unwrap();
-    assert!(sharded.has_workers() && sharded.num_shards() >= 3);
+    assert!(sharded.num_shards() >= 3);
     (Arc::new(sharded), rows, classes)
 }
 
@@ -83,7 +84,7 @@ impl Searchable for SlowModel {
 }
 
 #[test]
-fn worker_panic_respawn_keeps_served_answers_exact() {
+fn shard_panic_retry_keeps_served_answers_exact() {
     let (sharded, rows, classes) = sharded_fixture(301);
     let memory = SearchMemory::from_rows(&rows).unwrap();
     let server = Server::start(
@@ -92,7 +93,7 @@ fn worker_panic_respawn_keeps_served_answers_exact() {
     )
     .unwrap();
     let queries = random_queries(12, 128, 302);
-    // One panic: absorbed by the respawn, nothing degrades.
+    // One panic: absorbed by the in-flush retry, nothing degrades.
     sharded.inject_shard_panics(1, 1).unwrap();
     for q in &queries {
         let pred = classify(&server, q).unwrap();
@@ -100,7 +101,7 @@ fn worker_panic_respawn_keeps_served_answers_exact() {
             .winners_batch(&QueryBatch::from_vectors(std::slice::from_ref(q)).unwrap())
             .unwrap()[0];
         assert_eq!((pred.row, pred.class, pred.score), (row, classes[row], score));
-        assert!(!pred.degraded, "a respawned worker serves full answers");
+        assert!(!pred.degraded, "a retried shard serves full answers");
     }
     assert!(sharded.missing_shards().is_empty());
     assert_eq!(server.stats().degraded_queries, 0);
@@ -116,7 +117,7 @@ fn degraded_shard_answers_survivors_and_flags_predictions() {
         ServeConfig { max_batch: 1, max_delay: Duration::from_millis(5), ..Default::default() },
     )
     .unwrap();
-    // Kill shard 0 past its respawn budget.
+    // Panic shard 0 past its one retry.
     sharded.inject_shard_panics(0, 100).unwrap();
     let memory = SearchMemory::from_rows(&rows).unwrap();
     let parts = memory.split_rows(num_shards).unwrap();

@@ -119,8 +119,8 @@ fn waiter_flushed_submitters_never_lose_queries() {
     );
 }
 
-/// Four worker-backed shards under the same load: the supervised fan-out
-/// and strict merge hold up with more workers than submitter windows.
+/// Four shards under the same load: the supervised fan-out and strict
+/// merge hold up with more shards than submitter windows.
 #[test]
 fn multi_shard_submitters_never_lose_queries() {
     run_lost_queries_stress(

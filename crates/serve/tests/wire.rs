@@ -162,7 +162,7 @@ fn uds_loopback_is_bit_identical_and_socket_file_is_cleaned_up() {
 #[test]
 fn degraded_shard_failover_flags_wire_responses_and_stays_exact() {
     let (sharded, server, wire, addr) = wire_fixture(421);
-    // Kill shard 0 past its respawn budget: the model serves exactly
+    // Panic shard 0 past its one retry: the model serves exactly
     // over the survivors and must say so on the wire.
     sharded.inject_shard_panics(0, 100).unwrap();
     // Drive one classification through to force the failover to settle.

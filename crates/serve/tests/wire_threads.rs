@@ -1,7 +1,45 @@
 //! Thread accounting for the serving stack: a `Server` runs no thread of
-//! its own (its deadline flushes run on the waiting thread), and a served
-//! connection runs exactly one thread, its reader. A test binary of its
-//! own, so that no other test's servers or connections are counted.
+//! its own (its deadline flushes run on the waiting thread), a
+//! `ShardedSearcher` runs none either (the flushing thread searches every
+//! shard), and a served connection runs exactly one thread, its reader.
+//! A test binary of its own, so that no other test's servers or
+//! connections are counted.
+
+/// Threads of this process whose name starts with `prefix`. The kernel
+/// keeps the first 15 bytes of a name.
+#[cfg(target_os = "linux")]
+fn threads_named(prefix: &str) -> usize {
+    let prefix = &prefix[..prefix.len().min(15)];
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter(|task| {
+            let comm = task.as_ref().unwrap().path().join("comm");
+            std::fs::read_to_string(comm).is_ok_and(|comm| comm.starts_with(prefix))
+        })
+        .count()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn sharded_searchers_start_no_thread() {
+    use hd_linalg::{BitVector, QueryBatch, SearchMemory};
+    use hd_serve::{Searchable, ShardedSearcher};
+    use std::sync::Arc;
+
+    let rows: Vec<BitVector> = (0..64)
+        .map(|r| BitVector::from_bools(&(0..128).map(|c| (r * 7 + c) % 5 < 2).collect::<Vec<_>>()))
+        .collect();
+    let memory = SearchMemory::from_rows(&rows).unwrap();
+    let classes: Vec<usize> = (0..64).map(|r| r % 10).collect();
+    let batch = Arc::new(QueryBatch::from_vectors(&rows[..16]).unwrap());
+    let exact = ShardedSearcher::new(memory.clone(), classes.clone(), 4).unwrap();
+    let tuned = ShardedSearcher::with_cascade_tuned(memory, classes, 2, &batch).unwrap();
+    assert_eq!((exact.num_shards(), tuned.num_shards()), (4, 2));
+    for searcher in [&exact, &tuned] {
+        searcher.search_topk(Arc::clone(&batch), 5).unwrap();
+        assert_eq!(threads_named("hd-serve-shard-"), 0, "no shard thread");
+    }
+}
 
 #[cfg(target_os = "linux")]
 #[test]
@@ -20,17 +58,6 @@ fn each_connection_runs_one_thread() {
     // `connect_tcp` returns once the HELLO handshake is answered, so each
     // connection's threads are running by then.
     let clients: Vec<WireClient> = (0..3).map(|_| WireClient::connect_tcp(addr).unwrap()).collect();
-    let threads_named = |name: &str| {
-        // The kernel keeps the first 15 bytes of a thread's name.
-        let name = &name[..name.len().min(15)];
-        std::fs::read_dir("/proc/self/task")
-            .unwrap()
-            .filter(|task| {
-                let comm = task.as_ref().unwrap().path().join("comm");
-                std::fs::read_to_string(comm).is_ok_and(|comm| comm.trim_end() == name)
-            })
-            .count()
-    };
     assert_eq!(
         (threads_named("hd-wire-conn"), threads_named("hd-wire-write")),
         (3, 0),

@@ -7,7 +7,7 @@
 //!    becomes ~`3p^2` at R=3.
 //! 2. **Online scrubbing** — sweep rows against golden signatures in
 //!    bounded ticks, repair in place, republish the healed model.
-//! 3. **Supervised serving** — shard workers are respawned once on a
+//! 3. **Supervised serving** — a shard's search is retried once on a
 //!    panic and degraded out after that, with degraded answers flagged
 //!    (never silently wrong), deadlines for impatient callers, and
 //!    admission shedding under overload.
@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let classify = || server.submit(query.as_view(), 1)?.wait().map(|slate| slate[0]);
 
     let healthy = classify()?;
-    println!("\nserving over {} shard workers:", sharded.num_shards());
+    println!("\nserving over {} shards:", sharded.num_shards());
     println!("  healthy:  row {:2}, degraded = {}", healthy.row, healthy.degraded);
 
     // The injected panics below are expected; keep the demo output
@@ -88,17 +88,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
 
-    // One injected panic is absorbed by the respawn budget.
+    // One injected panic is absorbed by the in-flush retry.
     sharded.inject_shard_panics(1, 1)?;
-    let respawned = classify()?;
+    let retried = classify()?;
     println!(
-        "  1 panic:  row {:2}, degraded = {} (worker respawned, missing = {:?})",
-        respawned.row,
-        respawned.degraded,
+        "  1 panic:  row {:2}, degraded = {} (shard retried, missing = {:?})",
+        retried.row,
+        retried.degraded,
         sharded.missing_shards()
     );
 
-    // A crash loop exhausts the budget: the shard degrades out and
+    // A crash loop outlasts the retry: the shard degrades out and
     // answers are flagged, exact over the surviving rows.
     sharded.inject_shard_panics(2, 100)?;
     let degraded = classify()?;

@@ -31,15 +31,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let queries: Vec<hd_linalg::BitVector> =
         (0..queries.len()).map(|i| queries.query(i).to_bit_vector()).collect();
 
-    // 2. Serve the model's AM, sharded across two pinned workers.
+    // 2. Serve the model's AM as two row shards, both searched by the
+    //    thread that flushes each batch.
     let am = model.binary_am();
     let sharded = ShardedSearcher::new(am.search_memory().clone(), am.class_labels().to_vec(), 2)?;
     println!(
-        "sharded AM: {} rows x {} bits over {} shard(s), workers: {}",
+        "sharded AM: {} rows x {} bits over {} shard(s)",
         Searchable::rows(&sharded),
         Searchable::dim(&sharded),
         sharded.num_shards(),
-        sharded.has_workers(),
     );
     let server = Arc::new(Server::start(
         Arc::new(sharded),
